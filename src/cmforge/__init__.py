@@ -11,7 +11,7 @@ from .arith import (
     kronecker,
     ord_q,
 )
-from .cmvalue import KappaContext, diff_set, o_of_m, rho, rho_checked
+from .cmvalue import diff_set, o_of_m, rho
 from .crosscheck import RELATIVE_TOLERANCE, admissible_pairs, run_crosscheck
 from .gzrhs import (
     DEFAULT_RAMIFIED_EXPONENT,
@@ -19,11 +19,9 @@ from .gzrhs import (
     RAMIFIED_OF_MD,
     GZParams,
     LatticeTerm,
-    NormMagnitude,
     PrimeLogSum,
     enumerate_terms,
     gz_log_norm,
-    norm_magnitude,
     term_contribution,
 )
 from .hauptmodul import (
@@ -31,10 +29,8 @@ from .hauptmodul import (
     ETA_QUOTIENT_PRIMES,
     PrecisionConfig,
     QSeries,
-    eta,
     eta_quotient_qseries,
     hauptmodul_value,
-    heegner_tau,
     lhs_log_norm,
     load_qseries,
     reduce_point,

@@ -11,10 +11,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +25,7 @@ from .errors import (
     CMForgeError,
     InfeasibleError,
     InternalError,
+    NonIntegralMagnitudeError,
     ParameterError,
     PrecisionError,
 )
@@ -35,7 +36,6 @@ from .gzrhs import (
     GZParams,
     enumerate_terms,
     gz_log_norm,
-    norm_magnitude,
     term_contribution,
 )
 from .hauptmodul import PrecisionConfig, hauptmodul_value, load_qseries
@@ -131,30 +131,37 @@ def _exponent_map(pls):
     return {str(q): e for q, e in pls.items()}
 
 
-def _norm_payload(mag):
-    payload = {
-        "factors": {str(q): e for q, e in mag.factors},
-        "integral": mag.is_integral,
-    }
-    payload["value"] = mag.as_integer() if mag.is_integral else float(mag)
-    return payload
+def _norm_payload(pls):
+    """JSON payload and text form of the norm prod q^(e_q/8) of a prime-log sum."""
+    factors = [(q, e / 8) for q, e in pls.items()]
+    try:
+        value = pls.norm()
+        text = str(value)
+    except NonIntegralMagnitudeError:
+        value = math.exp(pls.log_value() / 8)
+        text = "*".join(
+            f"{q}^({e})" if e.denominator != 1 else f"{q}^{e}" for q, e in factors
+        )
+    payload = {"factors": {str(q): e for q, e in factors},
+               "integral": isinstance(value, int), "value": value}
+    return payload, text
 
 
 def cmd_gznorm(args, config: RunConfig) -> int:
     params = GZParams.create(p=args.p, d=args.d, D=args.D, mu=args.mu, beta=args.beta)
     pls = gz_log_norm(params, config.ramified_exponent)
-    mag = norm_magnitude(params, config.ramified_exponent)
+    norm, norm_text = _norm_payload(pls)
     result = {
         "exponents": _exponent_map(pls),
         "log_value": pls.log_value(),
-        "norm": _norm_payload(mag),
+        "norm": norm,
         "ramified_exponent": config.ramified_exponent,
     }
     text = [
         f"p={params.p} d={params.d} D={params.D} beta={params.beta} mu={params.mu}",
         "exponents: " + (" ".join(f"{q}^{e}" for q, e in pls.items()) or "(empty)"),
         f"log value: {pls.log_value():.12g}",
-        f"norm: {mag}",
+        f"norm: {norm_text}",
     ]
     if args.breakdown:
         rows = []
@@ -204,14 +211,10 @@ def cmd_crosscheck(args, config: RunConfig) -> int:
             p=args.p, d=args.d, D=args.D, prec=config.precision, series=series)]
     elif args.d is None and args.D is None:
         pairs = crosscheck_mod.admissible_pairs(args.p, args.max_disc, args.count)
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            futures = [
-                pool.submit(crosscheck_mod.run_crosscheck, args.p, d, D,
-                            config.precision, series)
-                for d, D in pairs
-            ]
-            results = [f.result() for f in futures]
-        results.sort(key=lambda r: (r.d, r.D))
+        results = [
+            crosscheck_mod.run_crosscheck(args.p, d, D, config.precision, series)
+            for d, D in sorted(pairs)
+        ]
     else:
         raise ParameterError("supply both --d and --D, or neither for a batch run")
 

@@ -3,43 +3,27 @@
 These are the arithmetic ingredients of the per-term coefficients: rho counts
 integral ideals of a given norm in an imaginary quadratic field, o_of_m counts
 ramified primes showing up in m*D, and diff_set collects the finite places
-where -m*N(a) fails to be a local norm.
+where -m*N(a) fails to be a local norm.  The field Q(sqrt(-D)) is passed as
+the factorization of D; callers validate D once and factor it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, hilbert_symbol, is_fundamental_discriminant, kronecker, ord_q
+from .arith import Factorization, factorize, hilbert_symbol, kronecker, ord_q
 from .errors import IntegralityError, ParameterError
 
 
-@dataclass(frozen=True)
-class KappaContext:
-    """Field data for kappa weights: |discriminant| D and the reference ideal norm.
-
-    D <= 4 is rejected so the unit count of the field is always 2.
-    """
-
-    D: int
-    ideal_norm: int
-
-    def __post_init__(self):
-        if self.D <= 4:
-            raise ParameterError(f"D must exceed 4, got {self.D}")
-        if not is_fundamental_discriminant(-self.D):
-            raise ParameterError(f"-{self.D} is not a fundamental discriminant")
-        if self.ideal_norm < 1:
-            raise ParameterError(f"ideal norm must be positive, got {self.ideal_norm}")
-
-
-def rho(n: int, D: int) -> int:
+def rho(n, D: int) -> int:
     """Number of integral ideals of norm n in Q(sqrt(-D)).
 
+    n may be an integral Fraction; a non-integral n is a caller bug.
     Multiplicative over factorize(n): a split prime power q^e contributes e+1,
     an inert one kills the count unless e is even, a ramified one contributes 1.
     """
+    if isinstance(n, Fraction) and n.denominator == 1:
+        n = n.numerator
     if not isinstance(n, int):
         raise IntegralityError(f"ideal counts need an integer norm, got {n!r}")
     if n < 1:
@@ -54,24 +38,16 @@ def rho(n: int, D: int) -> int:
     return count
 
 
-def rho_checked(x, D: int) -> int:
-    """rho at a rational that must be integral; a failure here is a caller bug."""
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise IntegralityError(f"ideal-count argument {x} is not an integer")
-    return rho(int(x), D)
-
-
-def o_of_m(m, D: int) -> int:
+def o_of_m(m, D_factors: Factorization) -> int:
     """Number of primes q | D with positive valuation in m*D."""
     m = Fraction(m)
     if m <= 0:
         raise ParameterError(f"m must be positive, got {m}")
-    md = m * D
-    return sum(1 for q in factorize(D).primes() if ord_q(md, q) > 0)
+    md = m * D_factors.value
+    return sum(1 for q in D_factors.primes() if ord_q(md, q) > 0)
 
 
-def diff_set(m, ctx: KappaContext) -> tuple[int, ...]:
+def diff_set(m, D_factors: Factorization, ideal_norm: int) -> tuple[int, ...]:
     """Finite primes where -m * N(a) is obstructed from being a local norm.
 
     The local symbol is +1 at any odd prime where both -m*N(a) and -D are
@@ -80,8 +56,10 @@ def diff_set(m, ctx: KappaContext) -> tuple[int, ...]:
     m = Fraction(m)
     if m <= 0:
         raise ParameterError(f"m must be positive, got {m}")
-    x = -m * ctx.ideal_norm
-    candidates = {2}
-    for source in (ctx.D, ctx.ideal_norm, m.numerator, m.denominator):
+    x = -m * ideal_norm
+    candidates = {2, *D_factors.primes()}
+    for source in (ideal_norm, m.numerator, m.denominator):
         candidates.update(factorize(source).primes())
-    return tuple(q for q in sorted(candidates) if hilbert_symbol(x, -ctx.D, q) == -1)
+    return tuple(
+        q for q in sorted(candidates) if hilbert_symbol(x, -D_factors.value, q) == -1
+    )

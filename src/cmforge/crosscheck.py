@@ -88,6 +88,8 @@ def admissible_discriminants(p: int, max_disc: int = 500) -> list[int]:
 
 def admissible_pairs(p: int, max_disc: int = 500, count: int = 5) -> list[tuple[int, int]]:
     """First `count` admissible (d, D) pairs with d < D, ordered by (d + D, d)."""
+    if count < 1:
+        raise ParameterError(f"pair count must be at least 1, got {count}")
     discs = admissible_discriminants(p, max_disc)
     pairs = [(a, b) for i, a in enumerate(discs) for b in discs[i + 1:]]
     pairs.sort(key=lambda pair: (pair[0] + pair[1], pair[0], pair[1]))

@@ -67,7 +67,3 @@ class AmbiguousSignsError(SignResolutionError):
     def __init__(self, message, candidates=()):
         super().__init__(message)
         self.candidates = tuple(candidates)
-
-
-class CrosscheckFailure(CMForgeError):
-    """Exact and numeric evaluations disagree beyond tolerance."""

@@ -15,9 +15,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import is_fundamental_discriminant, is_prime, kronecker, ord_q
-from .cmvalue import KappaContext, diff_set, o_of_m, rho_checked
-from .errors import IntegralityError, InternalError, ParameterError
+from .arith import (
+    Factorization,
+    factorize,
+    is_fundamental_discriminant,
+    is_prime,
+    kronecker,
+    ord_q,
+)
+from .cmvalue import diff_set, o_of_m, rho
+from .errors import (
+    IntegralityError,
+    InternalError,
+    NonIntegralMagnitudeError,
+    ParameterError,
+)
 from .quadforms import admissible_residues
 
 RAMIFIED_OF_M = "of_m"
@@ -31,7 +43,7 @@ _RAMIFIED_CHOICES = (RAMIFIED_OF_M, RAMIFIED_OF_MD)
 
 @dataclass(frozen=True)
 class GZParams:
-    """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g."""
+    """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g and factored D."""
 
     p: int
     d: int
@@ -39,6 +51,7 @@ class GZParams:
     mu: int
     beta: int
     g: int = field(init=False)
+    D_factors: Factorization = field(init=False, repr=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -62,6 +75,7 @@ class GZParams:
             )
         # gcd(0, 2p) = 2p covers the mu = 0 convention
         object.__setattr__(self, "g", gcd(self.mu, 2 * self.p))
+        object.__setattr__(self, "D_factors", factorize(self.D))
 
     @classmethod
     def create(cls, p: int, d: int, D: int, mu: int | None = None,
@@ -109,12 +123,6 @@ class PrimeLogSum:
                 cleaned[int(q)] = e
         self.exponents = cleaned
 
-    def __add__(self, other: "PrimeLogSum") -> "PrimeLogSum":
-        merged = dict(self.exponents)
-        for q, e in other.exponents.items():
-            merged[q] = merged.get(q, Fraction(0)) + e
-        return PrimeLogSum(merged)
-
     def is_zero(self) -> bool:
         return not self.exponents
 
@@ -134,36 +142,20 @@ class PrimeLogSum:
     def nonnegative_integral(self) -> bool:
         return all(e.denominator == 1 and e >= 0 for e in self.exponents.values())
 
+    def norm(self) -> int:
+        """The unsigned norm prod q^(e_q/8) whose 8th power this sum is the log of.
 
-@dataclass(frozen=True)
-class NormMagnitude:
-    """Exact positive magnitude as a product of prime powers prod q^(e_q)."""
-
-    factors: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 and e >= 0 for _, e in self.factors)
-
-    def as_integer(self) -> int:
-        if not self.is_integral:
-            raise ParameterError(f"magnitude {self} is not an integer")
+        Raises NonIntegralMagnitudeError unless every e_q is a non-negative
+        multiple of 8, i.e. unless that norm is an integer.
+        """
         value = 1
-        for q, e in self.factors:
-            value *= q ** int(e)
+        for q, e in self.items():
+            if e < 0 or e.denominator != 1 or e.numerator % 8:
+                raise NonIntegralMagnitudeError(
+                    f"norm exponent {e / 8} of prime {q} is not a non-negative integer"
+                )
+            value *= q ** (e.numerator // 8)
         return value
-
-    def __float__(self):
-        return math.exp(math.fsum(float(e) * math.log(q) for q, e in self.factors))
-
-    def __str__(self):
-        if not self.factors:
-            return "1"
-        if self.is_integral:
-            return str(self.as_integer())
-        return "*".join(
-            f"{q}^({e})" if e.denominator != 1 else f"{q}^{e}" for q, e in self.factors
-        )
 
 
 def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
@@ -209,23 +201,22 @@ def term_contribution(term: LatticeTerm, params: GZParams,
     """
     if ramified_exponent not in _RAMIFIED_CHOICES:
         raise ParameterError(f"unknown ramified_exponent {ramified_exponent!r}")
-    ctx = KappaContext(D=params.D, ideal_norm=params.p)
     m = term.m
-    obstructed = diff_set(m, ctx)
+    obstructed = diff_set(m, params.D_factors, params.p)
     if len(obstructed) != 1:
         return PrimeLogSum()
     q = obstructed[0]
     md = m * params.D
-    weight = 2 ** (o_of_m(m, params.D) + 1)
+    weight = 2 ** (o_of_m(m, params.D_factors) + 1)
     chi = kronecker(-params.D, q)
     if chi == -1:
         try:
-            coeff = weight * (ord_q(m, q) + 1) * rho_checked(md / q, params.D)
+            coeff = weight * (ord_q(m, q) + 1) * rho(md / q, params.D)
         except IntegralityError as exc:
             raise IntegralityError(f"{exc} (term sign={term.sign}, y={term.y}, n={term.n})") from exc
     elif chi == 0:
         order = ord_q(md, q) if ramified_exponent == RAMIFIED_OF_MD else ord_q(m, q)
-        coeff = weight * order * rho_checked(md, params.D)
+        coeff = weight * order * rho(md, params.D)
     else:
         raise InternalError(f"split prime {q} appeared in the obstruction set of m={m}")
     if coeff == 0:
@@ -236,18 +227,8 @@ def term_contribution(term: LatticeTerm, params: GZParams,
 def gz_log_norm(params: GZParams,
                 ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> PrimeLogSum:
     """Exact log of the 8th-power norm as a prime-log sum."""
-    total = PrimeLogSum()
+    total: dict[int, Fraction] = {}
     for term in enumerate_terms(params):
-        total = total + term_contribution(term, params, ramified_exponent)
-    return total
-
-
-def norm_magnitude(params: GZParams,
-                   ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> NormMagnitude:
-    """Unsigned norm prod prod |j*(tau_{Q_D}) - j*(tau_{Q_d})| as an exact magnitude.
-
-    Exponents are eighth parts of the assembled log-norm exponents; an
-    integer exactly when every assembled exponent is divisible by 8.
-    """
-    pls = gz_log_norm(params, ramified_exponent)
-    return NormMagnitude(tuple((q, e / 8) for q, e in pls.items()))
+        for q, e in term_contribution(term, params, ramified_exponent).exponents.items():
+            total[q] = total.get(q, 0) + e
+    return PrimeLogSum(total)

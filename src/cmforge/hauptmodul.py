@@ -30,8 +30,6 @@ from .quadforms import HeegnerPoint, heegner_point, heegner_reps
 #: Primes whose Fricke Hauptmodul has a closed eta-quotient form here.
 ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
 
-QSERIES_SOURCES = ("eta_closed_form", "data_file")
-
 
 @dataclass(frozen=True)
 class PrecisionConfig:
@@ -65,16 +63,10 @@ class QSeries:
 
     p: int
     coefficients: tuple[int, ...]  # c(-1), c(0), c(1), ...
-    source: str = "data_file"
-    start_exponent: int = -1
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ParameterError(f"{self.p} is not prime")
-        if self.start_exponent != -1:
-            raise ParameterError("expansion must start at exponent -1")
-        if self.source not in QSERIES_SOURCES:
-            raise ParameterError(f"unknown series source {self.source!r}")
         if len(self.coefficients) < 2:
             raise ParameterError("need at least the residue and the constant term")
         if any(not isinstance(c, int) for c in self.coefficients):
@@ -114,7 +106,7 @@ def load_qseries(path) -> QSeries:
         raise ParameterError(
             f"{path}: expected {header['count']} coefficients, found {len(coeffs)}"
         )
-    return QSeries(p=header["p"], coefficients=tuple(coeffs), source="data_file")
+    return QSeries(p=header["p"], coefficients=tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +185,7 @@ def eta_quotient_qseries(p: int, count: int) -> QSeries:
         if k >= 1:
             c += const * uq[k - 1]
         coeffs.append(c)
-    return QSeries(p=p, coefficients=tuple(coeffs), source="eta_closed_form")
+    return QSeries(p=p, coefficients=tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +196,6 @@ def _as_point(ctx, tau):
         root = ctx.sqrt(ctx.mpf(-tau.disc))
         return (ctx.mpc(-tau.b, 0) + ctx.mpc(0, 1) * root) / (2 * tau.a)
     return ctx.mpc(tau)
-
-
-def heegner_tau(point: HeegnerPoint, prec: PrecisionConfig | None = None, ctx=None):
-    """Numeric value of an exact Heegner point at the configured precision."""
-    if ctx is None:
-        ctx = (prec or DEFAULT_PRECISION).context()
-    return _as_point(ctx, point)
 
 
 def eta_with_bound(tau, prec: PrecisionConfig | None = None, ctx=None):
@@ -248,12 +233,6 @@ def eta_with_bound(tau, prec: PrecisionConfig | None = None, ctx=None):
         k += 1
     rounding = (used + 4) * ctx.eps * max(abs(total), ctx.mpf(1))
     return total, tail + rounding
-
-
-def eta(tau, prec: PrecisionConfig | None = None, ctx=None):
-    """Dedekind eta function on the upper half plane."""
-    value, _ = eta_with_bound(tau, prec, ctx)
-    return value
 
 
 def reduce_point(tau, p: int, ctx):
@@ -310,7 +289,9 @@ def _eval_qseries_with_bound(series: QSeries, tau, prec: PrecisionConfig, ctx):
     return value, bound
 
 
-def _value_with_bound(p, tau, prec, ctx, series=None, reduce_first=True):
+def value_with_bound(p: int, tau, prec: PrecisionConfig, ctx,
+                     series: QSeries | None = None, reduce_first: bool = True):
+    """Generator value at tau in the given context, with an error bound on it."""
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
     tau = _as_point(ctx, tau)
@@ -346,7 +327,7 @@ def hauptmodul_value(p: int, tau, prec: PrecisionConfig | None = None,
     """
     prec = prec or DEFAULT_PRECISION
     ctx = prec.context()
-    value, _ = _value_with_bound(p, tau, prec, ctx, series, reduce_first)
+    value, _ = value_with_bound(p, tau, prec, ctx, series, reduce_first)
     return value
 
 
@@ -367,11 +348,11 @@ def lhs_log_norm(p: int, d: int, beta: int, D: int, mu: int,
         raise ParameterError("cross-check evaluation needs at least 30 digits")
     ctx = prec.context()
     vals_D = [
-        _value_with_bound(p, heegner_point(f), prec, ctx, series)
+        value_with_bound(p, heegner_point(f), prec, ctx, series)
         for f in heegner_reps(-D, p, mu)
     ]
     vals_d = [
-        _value_with_bound(p, heegner_point(f), prec, ctx, series)
+        value_with_bound(p, heegner_point(f), prec, ctx, series)
         for f in heegner_reps(-d, p, beta)
     ]
     threshold = ctx.mpf(10) ** (-prec.decimal_digits // 2)

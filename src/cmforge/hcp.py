@@ -25,15 +25,9 @@ from .errors import (
     SeriesRequiredError,
     SignResolutionError,
 )
-from .gzrhs import DEFAULT_RAMIFIED_EXPONENT, GZParams, NormMagnitude, norm_magnitude
-from .hauptmodul import (
-    DEFAULT_PRECISION,
-    ETA_QUOTIENT_PRIMES,
-    PrecisionConfig,
-    _value_with_bound,
-    heegner_point,
-)
-from .quadforms import admissible_residues, class_number, heegner_reps
+from .gzrhs import DEFAULT_RAMIFIED_EXPONENT, GZParams, gz_log_norm
+from .hauptmodul import DEFAULT_PRECISION, ETA_QUOTIENT_PRIMES, PrecisionConfig, value_with_bound
+from .quadforms import admissible_residues, class_number, heegner_point, heegner_reps
 
 #: Primes whose Fricke curve has genus zero.
 GENUS_ZERO_FRICKE_PRIMES = frozenset(
@@ -80,10 +74,6 @@ class InterpolationPair:
     def __post_init__(self):
         if self.y_mag <= 0 or self.x_mag < 0:
             raise InternalError(f"magnitudes out of range for D={self.D}")
-
-    @property
-    def resolved(self) -> bool:
-        return (self.x_sign is not None or self.x_mag == 0) and self.y_sign is not None
 
     def signed_x(self) -> int:
         if self.x_mag == 0:
@@ -241,10 +231,11 @@ def _irreducible_mod_q(coeffs, q):
     return True
 
 
-def _integral_magnitude(mag: NormMagnitude, what: str) -> int:
-    if not mag.is_integral:
-        raise NonIntegralMagnitudeError(f"{what} = {mag} is not an integer")
-    return mag.as_integer()
+def _magnitude(label: str, params: GZParams, ramified_exponent: str) -> int:
+    try:
+        return gz_log_norm(params, ramified_exponent).norm()
+    except NonIntegralMagnitudeError as exc:
+        raise NonIntegralMagnitudeError(f"{label}_{params.D}: {exc}") from None
 
 
 def build_pairs(d: int, beta: int, p: int, base_disc: int,
@@ -268,10 +259,8 @@ def build_pairs(d: int, beta: int, p: int, base_disc: int,
         if disc == base_disc:
             x = 0
         else:
-            x_params = GZParams.create(p=p, d=-base_disc, D=D)
-            x = _integral_magnitude(norm_magnitude(x_params, ramified_exponent), f"X_{D}")
-        y_params = GZParams.create(p=p, d=d, D=D, beta=beta)
-        y = _integral_magnitude(norm_magnitude(y_params, ramified_exponent), f"Y_{D}")
+            x = _magnitude("X", GZParams.create(p=p, d=-base_disc, D=D), ramified_exponent)
+        y = _magnitude("Y", GZParams.create(p=p, d=d, D=D, beta=beta), ramified_exponent)
         pairs.append(InterpolationPair(D=D, x_mag=x, y_mag=y))
     return pairs
 
@@ -395,7 +384,7 @@ def _resolve_by_numerics(pairs, d, p, base_disc, beta, prec, series):
     def values_at(disc, residue):
         reps = heegner_reps(disc, p, residue)
         return [
-            _value_with_bound(p, heegner_point(f), prec, ctx, series)[0] for f in reps
+            value_with_bound(p, heegner_point(f), prec, ctx, series)[0] for f in reps
         ]
 
     base_val = values_at(base_disc, min(admissible_residues(base_disc, p)))[0]

@@ -162,6 +162,11 @@ def test_crosscheck_requires_series_for_large_p(capsys):
 def test_crosscheck_partial_pair_rejected(capsys):
     code, _, err = run_cli(capsys, "crosscheck", "--p", "2", "--d", "7")
     assert code == EXIT_USAGE
+    # a batch of no pairs would be a vacuous PASS; a negative count used to slice
+    for count in ("0", "-1"):
+        code, out, err = run_cli(capsys, "--format", "json", "crosscheck", "--p", "3",
+                                 "--max-disc", "40", "--count", count)
+        assert code == EXIT_USAGE and out == "" and "count" in err, count
 
 
 def test_crosscheck_equal_discriminants_rejected(capsys):
@@ -188,12 +193,12 @@ def test_eval_matches_direct_recomputation(capsys):
                            "--p", "2", "--tau", "0.0+1.0i")
     assert code == EXIT_OK
     shown = out.split()
-    from cmforge.hauptmodul import PrecisionConfig, eta
+    from cmforge.hauptmodul import PrecisionConfig, eta_with_bound
 
     prec = PrecisionConfig(decimal_digits=50)
     ctx = prec.context()
     tau = ctx.mpc(0, 1)
-    t = (eta(tau, prec, ctx) / eta(2 * tau, prec, ctx)) ** 24
+    t = (eta_with_bound(tau, prec, ctx)[0] / eta_with_bound(2 * tau, prec, ctx)[0]) ** 24
     expected = t + 4096 / t
     assert abs(ctx.mpf(shown[0]) - expected.real) < ctx.mpf(10) ** -45
     assert abs(expected.imag) < ctx.mpf(10) ** -45

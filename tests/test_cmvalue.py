@@ -6,8 +6,9 @@ import pytest
 from conftest import brute_local_solvable
 
 from cmforge.arith import factorize, hilbert_symbol, kronecker
-from cmforge.cmvalue import KappaContext, diff_set, o_of_m, rho, rho_checked
+from cmforge.cmvalue import diff_set, o_of_m, rho
 from cmforge.errors import IntegralityError, ParameterError
+from cmforge.gzrhs import GZParams
 
 RHO_FIELDS = (11, 19, 39, 43, 47, 67, 163)
 
@@ -71,30 +72,31 @@ def test_rho_rejects_bad_input():
     with pytest.raises(IntegralityError):
         rho(Fraction(1, 2), 11)  # type: ignore[arg-type]
     with pytest.raises(IntegralityError):
-        rho_checked(Fraction(3, 2), 11)
-    assert rho_checked(Fraction(6, 2), 11) == rho(3, 11)
+        rho(Fraction(3, 2), 11)
+    assert rho(Fraction(6, 2), 11) == rho(3, 11)
 
 
-def test_kappa_context_validation():
-    KappaContext(D=11, ideal_norm=47)
-    with pytest.raises(ParameterError):
-        KappaContext(D=4, ideal_norm=2)  # w(k) special cases excluded
-    with pytest.raises(ParameterError):
-        KappaContext(D=3, ideal_norm=2)
-    with pytest.raises(ParameterError):
-        KappaContext(D=12, ideal_norm=5)  # -12 not fundamental
-    with pytest.raises(ParameterError):
-        KappaContext(D=11, ideal_norm=0)
+def test_field_data_validation():
+    # the field data reaches cmvalue through GZParams, which validates it once
+    GZParams.create(p=47, d=39, D=11)
+    with pytest.raises(ParameterError, match="exceed 4"):
+        GZParams.create(p=2, d=7, D=4)  # w(k) special cases excluded
+    with pytest.raises(ParameterError, match="exceed 4"):
+        GZParams.create(p=2, d=7, D=3)
+    with pytest.raises(ParameterError, match="fundamental"):
+        GZParams.create(p=3, d=11, D=12)  # -12 is a square mod 12 but not fundamental
+    with pytest.raises(ParameterError, match="not prime"):
+        GZParams.create(p=0, d=7, D=15)  # the ideal norm p must be prime
 
 
 def test_o_of_m_frozen():
-    assert o_of_m(1, 11) == 1          # ord_11(11) > 0
-    assert o_of_m(Fraction(1, 11), 11) == 0
-    assert o_of_m(Fraction(3, 4), 39) == 2  # 39*(3/4) = 3^2 * 13 / 4
+    assert o_of_m(1, factorize(11)) == 1          # ord_11(11) > 0
+    assert o_of_m(Fraction(1, 11), factorize(11)) == 0
+    assert o_of_m(Fraction(3, 4), factorize(39)) == 2  # 39*(3/4) = 3^2 * 13 / 4
     with pytest.raises(ParameterError):
-        o_of_m(0, 11)
+        o_of_m(0, factorize(11))
     with pytest.raises(ParameterError):
-        o_of_m(-2, 11)
+        o_of_m(-2, factorize(11))
 
 
 def is_rational_square(x):
@@ -116,51 +118,49 @@ def sample_ms(rng, count=120):
 
 def test_diff_set_parity_odd():
     rng = random.Random(43)
-    contexts = [KappaContext(11, 47), KappaContext(15, 2), KappaContext(163, 47),
-                KappaContext(8, 3), KappaContext(20, 5)]
-    for ctx in contexts:
+    fields = [(11, 47), (15, 2), (163, 47), (8, 3), (20, 5)]
+    for D, norm in fields:
         for m in sample_ms(rng):
-            if is_rational_square(-(-m * ctx.ideal_norm) * ctx.D):
+            if is_rational_square(-(-m * norm) * D):
                 continue  # -m N(a) * (-D) square: every local symbol is +1
-            assert len(diff_set(m, ctx)) % 2 == 1, (m, ctx)
+            assert len(diff_set(m, factorize(D), norm)) % 2 == 1, (m, D, norm)
 
 
 def test_diff_set_never_contains_split_primes():
     rng = random.Random(47)
-    for ctx in (KappaContext(11, 47), KappaContext(15, 2), KappaContext(39, 13)):
+    for D, norm in ((11, 47), (15, 2), (39, 13)):
         for m in sample_ms(rng, 80):
-            for q in diff_set(m, ctx):
-                assert kronecker(-ctx.D, q) != 1, (m, ctx, q)
+            for q in diff_set(m, factorize(D), norm):
+                assert kronecker(-D, q) != 1, (m, D, norm, q)
 
 
 def test_diff_set_scan_window_is_sufficient():
     # symbols at primes outside the scanned support must all be +1
     rng = random.Random(53)
-    ctx = KappaContext(15, 2)
+    D, norm = 15, 2
     for m in sample_ms(rng, 40):
-        x = -m * ctx.ideal_norm
-        support = set(diff_set(m, ctx))
+        x = -m * norm
+        support = set(diff_set(m, factorize(D), norm))
         for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-            if x.numerator % q and x.denominator % q and ctx.D % q:
-                assert hilbert_symbol(x, -ctx.D, q) == 1
+            if x.numerator % q and x.denominator % q and D % q:
+                assert hilbert_symbol(x, -D, q) == 1
                 assert q not in support
 
 
 def test_diff_set_membership_against_local_solvability():
-    ctx = KappaContext(15, 2)
+    D, norm = 15, 2
     for m in (Fraction(1), Fraction(13, 15), Fraction(4, 5), Fraction(2, 3),
               Fraction(7, 15), Fraction(1, 5)):
-        members = diff_set(m, ctx)
-        x = -m * ctx.ideal_norm
+        members = diff_set(m, factorize(D), norm)
+        x = -m * norm
         for q in (2, 3, 5):
-            solvable = brute_local_solvable(x, Fraction(-ctx.D), q)
+            solvable = brute_local_solvable(x, Fraction(-D), q)
             assert (q in members) == (not solvable), (m, q)
 
 
 def test_diff_set_spec_instance():
     # scan set for m=1, D=11, N(a)=47 is {2, 11, 47}; brute-check the small primes
-    ctx = KappaContext(11, 47)
-    members = diff_set(1, ctx)
+    members = diff_set(1, factorize(11), 47)
     x = Fraction(-47)
     for q in (2, 11):
         solvable = brute_local_solvable(x, Fraction(-11), q)
@@ -174,6 +174,5 @@ def test_diff_set_spec_instance():
 
 def test_diff_set_vanishing_rule_cases():
     # |diff| = 1 permits a contribution, |diff| = 3 forces zero; both occur
-    ctx = KappaContext(15, 2)
-    sizes = {len(diff_set(m, ctx)) for m in sample_ms(random.Random(59), 200)}
+    sizes = {len(diff_set(m, factorize(15), 2)) for m in sample_ms(random.Random(59), 200)}
     assert 1 in sizes and 3 in sizes

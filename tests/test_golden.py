@@ -1,0 +1,80 @@
+"""Byte-exact stdout of reference commands.
+
+The expected strings are literal recordings of the command line; a change to
+any of them is a change of the output format and must be made on purpose.
+"""
+
+import pytest
+
+from cmforge.cli import EXIT_OK, main
+
+GOLDEN = [
+    (
+        '--format json gznorm --p 47 --D 163 --d 39 --breakdown',
+        '{"command":"gznorm","params":{"D":163,"beta":33,"d":39,"mu":5,"p":47},'
+        '"result":{"exponents":{"31":"8/1","7":"8/1"},'
+        '"log_value":43.03917882832368,"norm":{"factors":{"31":"1/1","7":"1/1"},'
+        '"integral":true,"value":217},"ramified_exponent":"of_mD",'
+        '"terms":[{"contribution":{"7":"4/1"},"m":"7/163","n":0,"sign":1,"t":71,'
+        '"y":1},{"contribution":{"31":"4/1"},"m":"31/163","n":0,"sign":1,"t":-23,'
+        '"y":2},{"contribution":{"31":"4/1"},"m":"31/163","n":-1,"sign":-1,'
+        '"t":23,"y":161},{"contribution":{"7":"4/1"},"m":"7/163","n":-1,'
+        '"sign":-1,"t":-71,"y":162}]},"warnings":[]}\n'
+    ),
+    (
+        '--format json classpoly --p 47 --d 39',
+        '{"command":"classpoly","params":{"d":39,"p":47},'
+        '"result":{"base_discriminant":-11,"beta":33,"coefficients":[1,-2,2,-1,'
+        '1],"degree":4,"pairs":[{"D":11,"x":0,"x_mag":0,"y":1,"y_mag":1},{"D":19,'
+        '"x":1,"x_mag":1,"y":1,"y_mag":1},{"D":43,"x":-1,"x_mag":1,"y":7,'
+        '"y_mag":7},{"D":67,"x":2,"x_mag":2,"y":13,"y_mag":13},{"D":163,"x":4,'
+        '"x_mag":4,"y":217,"y_mag":217}],"polynomial":"X^4 - X^3 + 2X^2 - 2X + 1"'
+        ',"s_set":[-11,-19,-43,-67,-163]},"warnings":[]}\n'
+    ),
+    (
+        '--format json classpoly --p 11 --d 39',
+        '{"command":"classpoly","params":{"d":39,"p":11},'
+        '"result":{"base_discriminant":-7,"beta":7,"coefficients":[9,-18,18,-3,'
+        '1],"degree":4,"pairs":[{"D":7,"x":0,"x_mag":0,"y":9,"y_mag":9},{"D":8,'
+        '"x":1,"x_mag":1,"y":7,"y_mag":7},{"D":11,"x":-1,"x_mag":1,"y":49,'
+        '"y_mag":49},{"D":19,"x":3,"x_mag":3,"y":117,"y_mag":117},{"D":43,"x":15,'
+        '"x_mag":15,"y":44289,"y_mag":44289}],"polynomial":"X^4 - 3X^3 + 18X^2 - '
+        '18X + 9","s_set":[-7,-8,-11,-19,-43]},"warnings":[]}\n'
+    ),
+    (
+        '--format json heegner --d 11 --p 47 --beta 41',
+        '{"command":"heegner","params":{"beta":41,"d":11,"p":47},'
+        '"result":{"count":1,"forms":[{"a":47,"b":41,"c":9,'
+        '"tau":"(-41 + sqrt(-11)) / 94"}]},"warnings":[]}\n'
+    ),
+    (
+        'gznorm --p 47 --D 163 --d 39',
+        'p=47 d=39 D=163 beta=33 mu=5\nexponents: 7^8 31^8\nlog value: 43.039178828'
+        '3\nnorm: 217\n'
+    ),
+    (
+        '--format csv gznorm --p 47 --D 163 --d 39',
+        'p,d,beta,D,mu,prime,exponent\r\n47,39,33,163,5,7,8/1\r\n47,39,33,163,5,31,'
+        '8/1\r\n'
+    ),
+    (
+        '--format json --ramified-exponent of_m gznorm --p 2 --d 8 --D 52',
+        '{"command":"gznorm","params":{"D":52,"beta":0,"d":8,"mu":2,"p":2},'
+        '"result":{"exponents":{"2":"-64/1","5":"32/1"},'
+        '"log_value":7.140593642054711,"norm":{"factors":{"2":"-8/1","5":"4/1"},'
+        '"integral":false,"value":2.4414062499999996},'
+        '"ramified_exponent":"of_m"},"warnings":[]}\n'
+    ),
+    (
+        '--ramified-exponent of_m gznorm --p 2 --d 8 --D 52',
+        'p=2 d=8 D=52 beta=0 mu=2\nexponents: 2^-64 5^32\nlog value: 7.14059364205\n'
+        'norm: 2^-8*5^4\n'
+    ),
+]
+
+
+@pytest.mark.parametrize("command, expected", GOLDEN,
+                         ids=[c.replace("--", "").replace(" ", "-") for c, _ in GOLDEN])
+def test_reference_stdout_is_byte_identical(capsys, command, expected):
+    assert main(command.split()) == EXIT_OK
+    assert capsys.readouterr().out == expected

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cmforge.crosscheck import admissible_pairs
-from cmforge.errors import InternalError, ParameterError
+from cmforge.errors import InternalError, NonIntegralMagnitudeError, ParameterError
 from cmforge.gzrhs import (
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
@@ -12,7 +12,6 @@ from cmforge.gzrhs import (
     PrimeLogSum,
     enumerate_terms,
     gz_log_norm,
-    norm_magnitude,
     term_contribution,
 )
 
@@ -81,7 +80,7 @@ def test_empty_enumeration_gives_unit_norm():
     params = GZParams.create(p=47, d=11, D=19)
     assert enumerate_terms(params) == []
     assert gz_log_norm(params).is_zero()
-    assert norm_magnitude(params).as_integer() == 1
+    assert gz_log_norm(params).norm() == 1
 
 
 REFERENCE_X_47 = {19: 1, 43: 1, 67: 2, 163: 4}
@@ -90,14 +89,12 @@ REFERENCE_Y_47 = {11: 1, 19: 1, 43: 7, 67: 13, 163: 217}
 
 def test_reference_x_magnitudes_p47():
     for D, expected in REFERENCE_X_47.items():
-        mag = norm_magnitude(GZParams.create(p=47, d=11, D=D))
-        assert mag.is_integral and mag.as_integer() == expected, D
+        assert gz_log_norm(GZParams.create(p=47, d=11, D=D)).norm() == expected, D
 
 
 def test_reference_y_magnitudes_p47():
     for D, expected in REFERENCE_Y_47.items():
-        mag = norm_magnitude(GZParams.create(p=47, d=39, D=D))
-        assert mag.is_integral and mag.as_integer() == expected, D
+        assert gz_log_norm(GZParams.create(p=47, d=39, D=D)).norm() == expected, D
 
 
 def test_reference_exponent_map_p47():
@@ -113,7 +110,7 @@ def test_adjudicated_exponents_2_7_15():
     full = gz_log_norm(params, RAMIFIED_OF_MD)
     assert exponent_map(full) == {3: Fraction(32), 5: Fraction(16),
                                   7: Fraction(8), 13: Fraction(8)}
-    assert norm_magnitude(params, RAMIFIED_OF_MD).as_integer() == 184275
+    assert full.norm() == 184275
     dropped = gz_log_norm(params, RAMIFIED_OF_M)
     assert exponent_map(dropped) == {7: Fraction(8), 13: Fraction(8)}
 
@@ -159,13 +156,13 @@ def test_grid_swap_symmetry():
 
 def test_term_contribution_vanishing():
     # terms whose obstruction set is not a singleton contribute nothing
-    from cmforge.cmvalue import KappaContext, diff_set
+    from cmforge.arith import factorize
+    from cmforge.cmvalue import diff_set
 
     params = GZParams.create(p=13, d=43, D=51)
-    ctx = KappaContext(D=51, ideal_norm=13)
     vanished = 0
     for term in enumerate_terms(params):
-        obstructed = diff_set(term.m, ctx)
+        obstructed = diff_set(term.m, factorize(51), 13)
         contribution = term_contribution(term, params)
         if len(obstructed) != 1:
             assert len(obstructed) == 3  # odd by the product formula
@@ -188,10 +185,8 @@ def test_edge_convention_pairs_crosscheck():
 
 
 def test_primelogsum_algebra():
-    a = PrimeLogSum({2: Fraction(3), 3: Fraction(1)})
-    b = PrimeLogSum({3: Fraction(-1), 5: Fraction(2)})
-    merged = a + b
-    assert exponent_map(merged) == {2: Fraction(3), 5: Fraction(2)}
+    cleaned = PrimeLogSum({2: Fraction(3), 3: Fraction(0), 5: 2})
+    assert exponent_map(cleaned) == {2: Fraction(3), 5: Fraction(2)}
     assert PrimeLogSum({2: Fraction(0)}).is_zero()
     assert abs(PrimeLogSum({4: 1}).log_value() - math.log(4)) < 1e-15
     assert not PrimeLogSum({2: Fraction(1, 2)}).is_zero()
@@ -199,11 +194,16 @@ def test_primelogsum_algebra():
     assert not PrimeLogSum({2: Fraction(1, 2)}).nonnegative_integral()
 
 
-def test_norm_magnitude_str_and_integrality():
-    mag = norm_magnitude(GZParams.create(p=47, d=39, D=163))
-    assert str(mag) == "217"
-    empty = norm_magnitude(GZParams.create(p=47, d=11, D=19))
-    assert str(empty) == "1" and float(empty) == 1.0
+def test_norm_and_integrality():
+    assert gz_log_norm(GZParams.create(p=47, d=39, D=163)).norm() == 217
+    assert gz_log_norm(GZParams.create(p=47, d=11, D=19)).norm() == 1
+    assert PrimeLogSum({2: 16, 7: 8}).norm() == 28
+    for exponents in ({2: 4}, {2: Fraction(8, 3)}, {2: -8}):
+        with pytest.raises(NonIntegralMagnitudeError):
+            PrimeLogSum(exponents).norm()
+    # of_m puts a negative exponent on 2 here
+    with pytest.raises(NonIntegralMagnitudeError):
+        gz_log_norm(GZParams.create(p=2, d=8, D=52), RAMIFIED_OF_M).norm()
 
 
 def test_square_dd_guard_unreachable():

@@ -7,6 +7,7 @@ from cmforge.errors import (
     DegenerateDataError,
     InfeasibleError,
     InternalError,
+    NonIntegralMagnitudeError,
     ParameterError,
     SeriesRequiredError,
     SignResolutionError,
@@ -204,10 +205,10 @@ def test_class_polynomial_pipeline_p11():
     linear = class_polynomial(11, 7)
     assert linear.polynomial.degree == 1
     # the root magnitude equals the norm against the base discriminant
-    from cmforge.gzrhs import GZParams, norm_magnitude
+    from cmforge.gzrhs import GZParams, gz_log_norm
     root = -linear.polynomial.coefficients[0]
-    expected = norm_magnitude(GZParams.create(p=11, d=-linear.base_disc, D=7))
-    assert abs(root) == expected.as_integer()
+    expected = gz_log_norm(GZParams.create(p=11, d=-linear.base_disc, D=7)).norm()
+    assert abs(root) == expected
 
 
 def test_class_polynomial_same_field_other_prime():
@@ -233,6 +234,9 @@ def test_class_polynomial_rejects_bad_inputs():
         class_polynomial(37, 39)  # not genus zero
     with pytest.raises(ParameterError):
         class_polynomial(47, 39, base_disc=-3)  # unusable base
+    # of_m gives Y_8 = 2^(-2) here; the error names the magnitude
+    with pytest.raises(NonIntegralMagnitudeError, match="Y_8"):
+        class_polynomial(11, 19, ramified_exponent="of_m")
 
 
 def test_class_polynomial_invariants():
