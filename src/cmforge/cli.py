@@ -39,7 +39,7 @@ from .gzrhs import (
     term_contribution,
 )
 from .hauptmodul import PrecisionConfig, hauptmodul_value, load_qseries
-from .hcp import class_polynomial, s_set
+from .hcp import SIGN_STRATEGIES, class_polynomial, s_set
 from .quadforms import heegner_point, heegner_reps
 
 EXIT_OK = 0
@@ -261,14 +261,8 @@ def cmd_classpoly(args, config: RunConfig) -> int:
     )
     poly = report_data.polynomial
     pair_rows = [
-        {
-            "D": pr.D,
-            "x": pr.signed_x(),
-            "y": pr.signed_y(),
-            "x_mag": pr.x_mag,
-            "y_mag": pr.y_mag,
-        }
-        for pr in report_data.pairs
+        {"D": pr.D, "x": x, "y": y, "x_mag": pr.x_mag, "y_mag": pr.y_mag}
+        for pr, (x, y) in zip(report_data.pairs, report_data.points)
     ]
     result = {
         "polynomial": str(poly),
@@ -369,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("classpoly", help="construct a class polynomial")
     cp.add_argument("--p", type=int, required=True)
     cp.add_argument("--d", type=int, required=True)
-    cp.add_argument("--strategy", choices=("search", "numeric"), default="search")
+    cp.add_argument("--strategy", choices=SIGN_STRATEGIES, default="search")
     cp.set_defaults(func=cmd_classpoly)
 
     hg = sub.add_parser("heegner", help="representative forms and CM points")

@@ -2,19 +2,18 @@
 
 The pipeline: pick the base discriminant that pins the generator's zero,
 compute the exact magnitudes (X_D, Y_D) for every usable degree-one
-discriminant, resolve the two sign strings, and interpolate a monic integer
-polynomial of degree h(-d) in exact rational arithmetic.
+discriminant, resolve the two sign strings into signed points (X, Y), and fit
+the monic integer polynomial of degree h(-d) through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 import mpmath
 
-from .arith import is_fundamental_discriminant, is_prime
+from .arith import factorize, is_fundamental_discriminant, is_prime
 from .errors import (
     AmbiguousSignsError,
     DegenerateDataError,
@@ -53,39 +52,29 @@ def usable_s_set(p: int) -> list[int]:
 
 
 def feasible(d: int, p: int) -> bool:
-    """Whether h(-d)+1 interpolation pairs can exist at all."""
+    """Whether h(-d)+1 interpolation pairs can exist at all.
+
+    The diagonal D = d is not counted: build_pairs skips it.
+    """
     if not is_fundamental_discriminant(-d):
         raise ParameterError(f"-{d} is not a fundamental discriminant")
     if not admissible_residues(-d, p):
         raise ParameterError(f"-{d} is not a square mod {4 * p}")
-    return class_number(-d) + 1 <= len(usable_s_set(p))
+    usable = usable_s_set(p)
+    return class_number(-d) + 1 <= len(usable) - (-d in usable)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterpolationPair:
-    """One (X_D, Y_D) magnitude pair; signs start unresolved (None)."""
+    """One (X_D, Y_D) magnitude pair."""
 
     D: int
     x_mag: int
     y_mag: int
-    x_sign: int | None = None
-    y_sign: int | None = None
 
     def __post_init__(self):
         if self.y_mag <= 0 or self.x_mag < 0:
             raise InternalError(f"magnitudes out of range for D={self.D}")
-
-    def signed_x(self) -> int:
-        if self.x_mag == 0:
-            return 0
-        if self.x_sign is None:
-            raise SignResolutionError(f"x sign unresolved for D={self.D}")
-        return self.x_sign * self.x_mag
-
-    def signed_y(self) -> int:
-        if self.y_sign is None:
-            raise SignResolutionError(f"y sign unresolved for D={self.D}")
-        return self.y_sign * self.y_mag
 
 
 @dataclass(frozen=True)
@@ -112,11 +101,8 @@ class ClassPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+    def evaluate(self, x):
+        return _horner(self.coefficients, x)
 
     def __str__(self):
         parts = []
@@ -138,13 +124,20 @@ class ClassPolynomial:
         return " ".join(parts) if parts else "0"
 
 
+def _horner(coefficients, x):
+    """Value at x of the polynomial with coefficients low degree first."""
+    acc = 0
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
+
+
 def _rational_root_candidates(coefficients):
     # monic, so rational roots are integer divisors of the constant term
     constant = coefficients[0]
     if constant == 0:
         return [0]
-    divs = [k for k in range(1, abs(constant) + 1) if constant % k == 0]
-    return [s * k for k in divs for s in (1, -1)]
+    return [s * k for k in factorize(abs(constant)).divisors() for s in (1, -1)]
 
 
 def is_irreducible(poly: ClassPolynomial, prime_limit: int = 100):
@@ -265,37 +258,30 @@ def build_pairs(d: int, beta: int, p: int, base_disc: int,
     return pairs
 
 
-def _lagrange(xs, ys):
-    """Exact interpolation; coefficients low degree first, length len(xs)."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # numerator polynomial prod_{j != i} (X - x_j), built incrementally
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= xs[j] * num[k + 1]
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for k in range(len(num)):
-            coeffs[k] += scale * num[k]
-    return coeffs
+def _monic_fit(xs, ys, h):
+    """The monic degree-h polynomial through the first h points (distinct
+    integer X), as integer coefficients low degree first; None when they are
+    not all integers.
 
-
-def _monic_integer_of_degree(coeffs, h):
-    """Integer coefficient tuple when coeffs is monic of exact degree h, else None."""
-    for k in range(h + 1, len(coeffs)):
-        if coeffs[k] != 0:
-            return None
-    if len(coeffs) <= h or coeffs[h] != 1:
-        return None
-    if any(c.denominator != 1 for c in coeffs[: h + 1]):
-        return None
-    return tuple(int(c) for c in coeffs[: h + 1])
+    The Newton divided differences of a polynomial with integer coefficients
+    at integer nodes are integers, and conversely, so they are computed in
+    integers and the first inexact division rejects the fit.
+    """
+    newton = list(ys[:h])
+    for k in range(1, h):
+        for i in range(h - 1, k - 1, -1):
+            newton[i], rem = divmod(newton[i] - newton[i - 1], xs[i] - xs[i - k])
+            if rem:
+                return None
+    # f = newton[0] + (X - x_0)(newton[1] + ... (X - x_{h-1}) * 1), expanded
+    coeffs = [1]
+    for k in range(h - 1, -1, -1):
+        shifted = [0] + coeffs  # coeffs * X
+        for i, c in enumerate(coeffs):
+            shifted[i] -= xs[k] * c
+        shifted[0] += newton[k]
+        coeffs = shifted
+    return tuple(coeffs)
 
 
 def _mirror_coeffs(coeffs):
@@ -307,10 +293,10 @@ def resolve_signs(pairs: list[InterpolationPair], d: int, strategy: str = "searc
                   p: int | None = None, base_disc: int | None = None,
                   beta: int | None = None,
                   prec: PrecisionConfig | None = None,
-                  series=None) -> list[InterpolationPair]:
-    """Fill in the sign strings of the magnitude pairs.
+                  series=None) -> list[tuple[int, int]]:
+    """Resolve the sign strings: the signed points (X_D, Y_D), in pair order.
 
-    search: accept exactly the sign assignments whose interpolant is a monic
+    search: accept exactly the sign assignments whose points lie on a monic
     integer polynomial of degree h(-d); unique up to the global mirror
     (X, Y) -> (-X, (-1)^h Y), canonicalized to the lexicographically smaller
     coefficient tuple.  numeric: read the signs off high-precision values of
@@ -336,38 +322,36 @@ def _resolve_by_search(pairs, h):
     if not nonzero_idx:
         raise DegenerateDataError("all X magnitudes vanish")
     free_x = nonzero_idx[1:]  # first nonzero X fixed +1; mirror restores the other half
+    y_mags = [pr.y_mag for pr in pairs]
     accepted = []
     for x_bits in product((1, -1), repeat=len(free_x)):
-        xs = [0] * len(pairs)
-        for i in zero_idx:
-            xs[i] = 0
-        xs[nonzero_idx[0]] = pairs[nonzero_idx[0]].x_mag
+        xs = [pr.x_mag for pr in pairs]
         for i, s in zip(free_x, x_bits):
             xs[i] = s * pairs[i].x_mag
         if len(set(xs)) != len(xs):
             continue
-        for y_bits in product((1, -1), repeat=len(pairs)):
-            ys = [s * pr.y_mag for s, pr in zip(y_bits, pairs)]
-            coeffs = _monic_integer_of_degree(_lagrange(xs, ys), h)
-            if coeffs is not None:
-                accepted.append((xs, y_bits, coeffs))
+        # a fit through the first h points is the only candidate through all
+        # of them; the signs of the remaining Y are read off it
+        for y_bits in product((1, -1), repeat=h):
+            head = [s * m for s, m in zip(y_bits, y_mags)]
+            coeffs = _monic_fit(xs, head, h)
+            if coeffs is None:
+                continue
+            tail = [_horner(coeffs, x) for x in xs[h:]]
+            if all(abs(y) == m for y, m in zip(tail, y_mags[h:])):
+                accepted.append((list(zip(xs, head + tail)), coeffs))
     if not accepted:
         raise SignResolutionError("no sign assignment yields a monic integer polynomial")
-    distinct = sorted({coeffs for _, _, coeffs in accepted})
+    distinct = sorted({coeffs for _, coeffs in accepted})
     if len(distinct) > 1:
         raise AmbiguousSignsError(
             f"{len(distinct)} distinct integer polynomials fit the magnitudes",
             candidates=distinct,
         )
-    xs, y_bits, coeffs = accepted[0]
-    mirrored = _mirror_coeffs(coeffs)
-    if list(mirrored) < list(coeffs):
-        xs = [-x for x in xs]
-        y_bits = tuple(s if h % 2 == 0 else -s for s in y_bits)
-    for pr, x, ysign in zip(pairs, xs, y_bits):
-        pr.x_sign = None if pr.x_mag == 0 else (1 if x > 0 else -1)
-        pr.y_sign = ysign
-    return pairs
+    points, coeffs = accepted[0]
+    if _mirror_coeffs(coeffs) < coeffs:
+        points = [(-x, y if h % 2 == 0 else -y) for x, y in points]
+    return points
 
 
 def _resolve_by_numerics(pairs, d, p, base_disc, beta, prec, series):
@@ -389,6 +373,7 @@ def _resolve_by_numerics(pairs, d, p, base_disc, beta, prec, series):
 
     base_val = values_at(base_disc, min(admissible_residues(base_disc, p)))[0]
     d_vals = values_at(-d, beta)
+    points = []
     for pr in pairs:
         val_D = values_at(-pr.D, min(admissible_residues(-pr.D, p)))[0]
         x_num = val_D - base_val
@@ -406,31 +391,25 @@ def _resolve_by_numerics(pairs, d, p, base_disc, beta, prec, series):
                     f"numeric |{label}_{pr.D}| = {mpmath.nstr(abs(numeric.real), 12)} "
                     f"disagrees with the exact magnitude {magnitude}"
                 )
-        pr.x_sign = None if pr.x_mag == 0 else (1 if x_num.real > 0 else -1)
-        pr.y_sign = 1 if y_num.real > 0 else -1
-    return pairs
+        points.append((pr.x_mag if x_num.real > 0 else -pr.x_mag,
+                       pr.y_mag if y_num.real > 0 else -pr.y_mag))
+    return points
 
 
-def interpolate(pairs: list[InterpolationPair], d: int) -> ClassPolynomial:
-    """Exact interpolation of signed pairs into a monic integer polynomial."""
+def interpolate(points: list[tuple[int, int]], d: int) -> ClassPolynomial:
+    """The monic integer polynomial of degree h(-d) through the signed points."""
     h = class_number(-d)
-    if len(pairs) < h + 1:
-        raise InfeasibleError(f"need {h + 1} pairs, got {len(pairs)}")
-    xs = [pr.signed_x() for pr in pairs]
-    ys = [pr.signed_y() for pr in pairs]
+    if len(points) < h + 1:
+        raise InfeasibleError(f"need {h + 1} points, got {len(points)}")
+    xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise DegenerateDataError(f"duplicate X values: {sorted(xs)}")
-    coeffs = _lagrange(xs, ys)
-    integer_coeffs = _monic_integer_of_degree(coeffs, h)
-    if integer_coeffs is None:
+    coeffs = _monic_fit(xs, [y for _, y in points], h)
+    if coeffs is None or any(_horner(coeffs, x) != y for x, y in points):
         raise SignResolutionError(
-            f"interpolant is not a monic integer polynomial of degree {h}: {coeffs}"
+            f"the points {points} do not lie on a monic integer polynomial of degree {h}"
         )
-    poly = ClassPolynomial(d=d, coefficients=integer_coeffs)
-    for x, y in zip(xs, ys):
-        if poly.evaluate(x) != y:
-            raise InternalError(f"round-trip failed at X={x}")
-    return poly
+    return ClassPolynomial(d=d, coefficients=coeffs)
 
 
 @dataclass
@@ -441,6 +420,7 @@ class ClassPolyReport:
     base_disc: int
     s_set: list[int]
     pairs: list[InterpolationPair]
+    points: list[tuple[int, int]]
     polynomial: ClassPolynomial
 
 
@@ -451,28 +431,19 @@ def class_polynomial(p: int, d: int, base_disc: int | None = None,
                      ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> ClassPolyReport:
     """End-to-end pipeline: S(p), feasibility, pairs, signs, interpolation."""
     members = s_set(p)
-    if not feasible(d, p):
-        h = class_number(-d)
-        raise InfeasibleError(
-            f"need h(-{d})+1 = {h + 1} pairs but only {len(usable_s_set(p))} usable "
-            f"degree-one discriminants exist for p={p}"
-        )
-    beta = min(admissible_residues(-d, p))
     usable = usable_s_set(p)
+    if not feasible(d, p):
+        if -d in usable:
+            detail = f"{len(usable) - 1} are available (the diagonal D = d pair is degenerate)"
+        else:
+            detail = f"{len(usable)} usable degree-one discriminants exist for p={p}"
+        raise InfeasibleError(f"need h(-{d})+1 = {class_number(-d) + 1} pairs but only {detail}")
+    beta = min(admissible_residues(-d, p))
     if base_disc is None:
-        candidates = [disc for disc in usable if -disc != d]
-        if not candidates:
-            raise InfeasibleError(f"no usable base discriminant for p={p}, d={d}")
-        base_disc = candidates[0]
+        base_disc = next(disc for disc in usable if -disc != d)
     pairs = build_pairs(d, beta, p, base_disc, ramified_exponent)
-    h = class_number(-d)
-    if len(pairs) < h + 1:
-        raise InfeasibleError(
-            f"need h(-{d})+1 = {h + 1} pairs but only {len(pairs)} are available "
-            f"(the diagonal D = d pair is degenerate)"
-        )
-    pairs = resolve_signs(pairs, d, strategy=strategy, p=p, base_disc=base_disc,
-                          beta=beta, prec=prec, series=series)
-    poly = interpolate(pairs, d)
-    return ClassPolyReport(p=p, d=d, beta=beta, base_disc=base_disc,
-                           s_set=members, pairs=pairs, polynomial=poly)
+    points = resolve_signs(pairs, d, strategy=strategy, p=p, base_disc=base_disc,
+                           beta=beta, prec=prec, series=series)
+    poly = interpolate(points, d)
+    return ClassPolyReport(p=p, d=d, beta=beta, base_disc=base_disc, s_set=members,
+                           pairs=pairs, points=points, polynomial=poly)

@@ -33,7 +33,7 @@ from cmforge.hauptmodul import (
     eta_with_bound,
     hauptmodul_value,
 )
-from cmforge.hcp import build_pairs, resolve_signs, s_set
+from cmforge.hcp import build_pairs, interpolate, resolve_signs, s_set
 from cmforge.quadforms import admissible_residues, class_number, heegner_point, heegner_reps
 
 PREC80 = PrecisionConfig(decimal_digits=80)
@@ -179,9 +179,8 @@ def test_criterion_7_negative_paths(capsys):
         assert "admissible" in capsys.readouterr().err
         assert main(["classpoly", "--p", "47", "--d", "151"]) == EXIT_INFEASIBLE
         capsys.readouterr()
-        pairs = resolve_signs(build_pairs(39, 33, 47, -11), d=39)
-        pairs[2].y_mag += 1
+        points = resolve_signs(build_pairs(39, 33, 47, -11), d=39)
+        x, y = points[2]
+        points[2] = (x, y + 1)
         with pytest.raises(SignResolutionError):
-            from cmforge.hcp import interpolate
-
-            interpolate(pairs, d=39)
+            interpolate(points, d=39)

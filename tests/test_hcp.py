@@ -1,7 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from cmforge.arith import is_fundamental_discriminant
 from cmforge.errors import (
     AmbiguousSignsError,
     DegenerateDataError,
@@ -13,6 +17,7 @@ from cmforge.errors import (
     SignResolutionError,
 )
 from cmforge.hcp import (
+    GENUS_ZERO_FRICKE_PRIMES,
     ClassPolynomial,
     InterpolationPair,
     _resolve_by_numerics,
@@ -68,6 +73,7 @@ def test_feasible():
     assert not feasible(43, 13)  # only one usable discriminant
     assert not feasible(39, 2)   # h(-39)+1 = 5 > |usable S(2)| = 2
     assert feasible(39, 11)      # 7^2 = 5 = -39 mod 44; h+1 = 5 = |usable S(11)|
+    assert not feasible(7, 2)    # the diagonal D = 7 leaves one pair for h+1 = 2
     with pytest.raises(ParameterError):
         feasible(15, 11)  # -15 = 29 mod 44 is not a square
     with pytest.raises(ParameterError):
@@ -94,53 +100,41 @@ def test_build_pairs_skips_diagonal():
 
 def test_resolve_signs_search_reference_signs():
     pairs = build_pairs(d=39, beta=33, p=47, base_disc=-11)
-    resolved = resolve_signs(pairs, d=39, strategy="search")
-    assert [(pr.D, pr.signed_x(), pr.signed_y()) for pr in resolved] == [
-        (11, 0, 1), (19, 1, 1), (43, -1, 7), (67, 2, 13), (163, 4, 217),
-    ]
+    points = resolve_signs(pairs, d=39, strategy="search")
+    assert points == [(0, 1), (1, 1), (-1, 7), (2, 13), (4, 217)]
 
 
 def test_interpolate_reference_polynomial():
-    pairs = resolve_signs(build_pairs(39, 33, 47, -11), d=39)
-    poly = interpolate(pairs, d=39)
+    points = resolve_signs(build_pairs(39, 33, 47, -11), d=39)
+    poly = interpolate(points, d=39)
     assert poly.coefficients == (1, -2, 2, -1, 1)  # low degree first
     assert str(poly) == "X^4 - X^3 + 2X^2 - 2X + 1"
-    for pr in pairs:
-        assert poly.evaluate(pr.signed_x()) == pr.signed_y()
+    for x, y in points:
+        assert poly.evaluate(x) == y
 
 
 def test_interpolate_linear_case():
-    pairs = [InterpolationPair(D=8, x_mag=0, y_mag=3, y_sign=-1),
-             InterpolationPair(D=7, x_mag=4, y_mag=1, x_sign=1, y_sign=1)]
-    poly = interpolate(pairs, d=11)  # h(-11) = 1
+    poly = interpolate([(0, -3), (4, 1)], d=11)  # h(-11) = 1
     assert poly.coefficients == (-3, 1)
     assert str(poly) == "X - 3"
 
 
 def test_interpolate_rejects_duplicate_x():
-    pairs = [InterpolationPair(D=8, x_mag=1, y_mag=1, x_sign=1, y_sign=1),
-             InterpolationPair(D=7, x_mag=1, y_mag=2, x_sign=1, y_sign=1)]
     with pytest.raises(DegenerateDataError):
-        interpolate(pairs, d=11)
-
-
-def test_interpolate_rejects_unresolved():
-    pairs = [InterpolationPair(D=8, x_mag=1, y_mag=1),
-             InterpolationPair(D=7, x_mag=2, y_mag=2)]
-    with pytest.raises(SignResolutionError):
-        interpolate(pairs, d=11)
+        interpolate([(1, 1), (1, 2)], d=11)
 
 
 def test_interpolate_rejects_perturbed_data():
-    pairs = resolve_signs(build_pairs(39, 33, 47, -11), d=39)
-    pairs[-1].y_mag += 1  # 217 -> 218 forces non-integer coefficients
+    points = resolve_signs(build_pairs(39, 33, 47, -11), d=39)
+    x, y = points[-1]
+    points[-1] = (x, y + 1)  # 217 -> 218 leaves the quartic through the others
     with pytest.raises(SignResolutionError):
-        interpolate(pairs, d=39)
+        interpolate(points, d=39)
 
 
 def test_search_rejects_perturbed_magnitudes():
     pairs = build_pairs(39, 33, 47, -11)
-    pairs[-1].y_mag += 1
+    pairs[-1] = dataclasses.replace(pairs[-1], y_mag=pairs[-1].y_mag + 1)
     with pytest.raises(SignResolutionError):
         resolve_signs(pairs, d=39, strategy="search")
 
@@ -165,11 +159,9 @@ def test_numeric_sign_reader_validates_magnitudes():
     # magnitude against the generator values before assigning signs
     pairs = [InterpolationPair(D=7, x_mag=0, y_mag=184275),
              InterpolationPair(D=8, x_mag=175, y_mag=207025)]
-    out = _resolve_by_numerics(pairs, d=15, p=2, base_disc=-7, beta=1,
-                               prec=None, series=None)
-    assert [(pr.D, pr.signed_x(), pr.signed_y()) for pr in out] == [
-        (7, 0, 184275), (8, 175, 207025),
-    ]
+    points = _resolve_by_numerics(pairs, d=15, p=2, base_disc=-7, beta=1,
+                                  prec=None, series=None)
+    assert points == [(0, 184275), (175, 207025)]
 
 
 def test_numeric_sign_reader_detects_wrong_magnitude():
@@ -200,8 +192,8 @@ def test_class_polynomial_pipeline_reference_case():
 def test_class_polynomial_pipeline_p11():
     report = class_polynomial(11, 35)
     assert str(report.polynomial) == "X^2 - 10X + 5"
-    for pr in report.pairs:
-        assert report.polynomial.evaluate(pr.signed_x()) == pr.signed_y()
+    for x, y in report.points:
+        assert report.polynomial.evaluate(x) == y
     linear = class_polynomial(11, 7)
     assert linear.polynomial.degree == 1
     # the root magnitude equals the norm against the base discriminant
@@ -216,8 +208,9 @@ def test_class_polynomial_same_field_other_prime():
     report = class_polynomial(11, 39)
     assert str(report.polynomial) == "X^4 - 3X^3 + 18X^2 - 18X + 9"
     assert report.polynomial.degree == class_number(-39)
-    for pr in report.pairs:
-        assert report.polynomial.evaluate(pr.signed_x()) == pr.signed_y()
+    for pr, (x, y) in zip(report.pairs, report.points):
+        assert (abs(x), abs(y)) == (pr.x_mag, pr.y_mag)
+        assert report.polynomial.evaluate(x) == y
 
 
 def test_class_polynomial_infeasible():
@@ -254,3 +247,77 @@ def test_is_irreducible_detects_rational_roots():
     assert is_irreducible(probe) is True
     with pytest.raises(InternalError):
         ClassPolynomial(d=15, coefficients=(-1, 0, 1))  # (X-1)(X+1)
+
+
+#: A discriminant -d with h(-d) = h, for each degree the property test draws.
+D_OF_CLASS_NUMBER = {1: 7, 2: 15, 3: 23, 4: 39}
+
+
+def value_at(coefficients, x):
+    return sum(c * x ** k for k, c in enumerate(coefficients))
+
+
+@st.composite
+def monic_with_points(draw):
+    """A monic integer f of degree 1..4 and 2..5 abscissae with one X = 0,
+    distinct |X| <= 40 and no root of f among them."""
+    h = draw(st.integers(1, 4))
+    coefficients = tuple(draw(st.lists(st.integers(-20, 20), min_size=h, max_size=h))) + (1,)
+    n = draw(st.integers(h + 1, 5))
+    mags = draw(st.lists(st.integers(1, 40), min_size=n - 1, max_size=n - 1, unique=True))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n - 1, max_size=n - 1))
+    xs = draw(st.permutations([0] + [s * m for s, m in zip(signs, mags)]))
+    assume(all(value_at(coefficients, x) != 0 for x in xs))
+    return coefficients, xs
+
+
+@settings(max_examples=400, deadline=None)
+@given(monic_with_points())
+def test_sign_search_finds_the_polynomial_or_its_mirror(case):
+    coefficients, xs = case
+    h = len(coefficients) - 1
+    mirror = tuple(c if (h - k) % 2 == 0 else -c for k, c in enumerate(coefficients))
+    pairs = [InterpolationPair(D=k, x_mag=abs(x), y_mag=abs(value_at(coefficients, x)))
+             for k, x in enumerate(xs)]
+    try:
+        points = resolve_signs(pairs, d=D_OF_CLASS_NUMBER[h])
+    except AmbiguousSignsError as exc:
+        assert coefficients in exc.candidates or mirror in exc.candidates
+        return
+    assert [(abs(x), abs(y)) for x, y in points] == [(pr.x_mag, pr.y_mag) for pr in pairs]
+    assert any(all(value_at(f, x) == y for x, y in points) for f in (coefficients, mirror))
+
+
+def sweep_cases():
+    """Every (p, d <= 400) with -d fundamental and admissible and h(-d)+1 at
+    most the usable degree-one discriminants, built without feasible()."""
+    return [
+        (p, d)
+        for p in sorted(GENUS_ZERO_FRICKE_PRIMES)
+        for d in range(5, 401)
+        if is_fundamental_discriminant(-d) and admissible_residues(-d, p)
+        and class_number(-d) + 1 <= len(usable_s_set(p))
+    ]
+
+
+def test_sweep_outcomes_pinned():
+    cases = sweep_cases()
+    assert len(cases) == 191
+    solved = ambiguous = candidates = infeasible = 0
+    internal = []
+    for p, d in cases:
+        try:
+            class_polynomial(p, d)
+            solved += 1
+        except AmbiguousSignsError as exc:
+            ambiguous += 1
+            candidates += len(exc.candidates)
+        except InfeasibleError:
+            infeasible += 1  # the diagonal D = d leaves one pair short
+        except InternalError:
+            internal.append((p, d))
+    assert (solved, ambiguous, candidates, infeasible) == (139, 33, 79, 12)
+    # Known defect, ROADMAP item 1: when p divides d the interpolant has a
+    # rational root, so the polynomial is reducible and the run exits 3.
+    assert internal == [(11, 88), (11, 187), (17, 51), (17, 187), (23, 115),
+                        (41, 123), (47, 235)]
