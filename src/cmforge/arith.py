@@ -1,21 +1,23 @@
-"""Exact integer and rational primitives used by every other module.
+"""Exact integer primitives used by every other module.
 
 Everything here is pure and deterministic: the factoring fallback sweeps
 Pollard-Brent parameters in a fixed order instead of drawing random starting
-points, so repeated runs are reproducible bit for bit.
+points, so repeated runs are reproducible bit for bit.  Valuations and local
+symbols take nonzero integers only: a rational x/y has the symbols of x*y.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import InternalError, ParameterError, UndefinedValuationError
 
-# Bases making Miller-Rabin deterministic for n < 3.3e24; inputs here stay far below.
+# Bases making Miller-Rabin deterministic for n < psi_12 (OEIS A014233), the
+# smallest strong pseudoprime to all of them; is_prime refuses larger inputs.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
 
 _TRIAL_LIMIT = 10 ** 6
 
@@ -24,12 +26,14 @@ INFINITE_PLACE = math.inf
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed bases)."""
+    """Deterministic primality test (Miller-Rabin with fixed bases) below psi_12."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n >= _MR_BOUND:
+        raise ParameterError(f"primality of {n} is not certified at or above {_MR_BOUND}")
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -186,57 +190,44 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def ord_q(x, q: int) -> int:
-    """q-adic valuation of a nonzero rational."""
+def ord_q(x: int, q: int) -> int:
+    """q-adic valuation of a nonzero integer."""
     if not is_prime(q):
         raise ParameterError(f"{q} is not prime")
-    x = Fraction(x)
+    if not isinstance(x, int):
+        raise ParameterError(f"valuations take integers, got {x!r}")
     if x == 0:
         raise UndefinedValuationError("valuation of zero is undefined")
-    return _int_ord(x.numerator, q) - _int_ord(x.denominator, q)
-
-
-def _int_ord(n: int, q: int) -> int:
-    n = abs(n)
     v = 0
-    while n % q == 0:
-        n //= q
+    while x % q == 0:
+        x //= q
         v += 1
     return v
 
 
-def _unit_mod(x: Fraction, modulus: int) -> int:
-    """Residue of a rational that is a unit at every prime of the modulus."""
-    num = x.numerator % modulus
-    den = x.denominator % modulus
-    return num * pow(den, -1, modulus) % modulus
-
-
-def hilbert_symbol(a, b, q) -> int:
-    """Local Hilbert symbol (a, b)_q for a prime q or the infinite place."""
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 or b == 0:
-        raise ParameterError("hilbert symbol requires nonzero arguments")
+def hilbert_symbol(a: int, b: int, q) -> int:
+    """Local Hilbert symbol (a, b)_q of nonzero integers, q a prime or the infinite place."""
+    if not (isinstance(a, int) and isinstance(b, int)) or a == 0 or b == 0:
+        raise ParameterError(f"hilbert symbol requires nonzero integers, got {a!r}, {b!r}")
     if q == INFINITE_PLACE:
         return -1 if (a < 0 and b < 0) else 1
     q = int(q)
     alpha = ord_q(a, q)
     beta = ord_q(b, q)
-    u = a / Fraction(q) ** alpha
-    v = b / Fraction(q) ** beta
+    u = a // q ** alpha
+    v = b // q ** beta
     if q == 2:
         # epsilon(x) = (x-1)/2, omega(x) = (x^2-1)/8, both mod 2, via x mod 8
-        um, vm = _unit_mod(u, 8), _unit_mod(v, 8)
+        um, vm = u % 8, v % 8
         eps_u, eps_v = (um - 1) // 2 % 2, (vm - 1) // 2 % 2
         om_u, om_v = (um * um - 1) // 8 % 2, (vm * vm - 1) // 8 % 2
         exponent = eps_u * eps_v + alpha * om_v + beta * om_u
         return -1 if exponent % 2 else 1
     sign = -1 if (alpha % 2) and (beta % 2) and (q - 1) // 2 % 2 else 1
     if beta % 2:
-        sign *= kronecker(_unit_mod(u, q), q)
+        sign *= kronecker(u, q)
     if alpha % 2:
-        sign *= kronecker(_unit_mod(v, q), q)
+        sign *= kronecker(v, q)
     return sign
 
 

@@ -167,18 +167,19 @@ def cmd_gznorm(args, config: RunConfig) -> int:
         rows = []
         for term in enumerate_terms(params):
             contribution = term_contribution(term, params, config.ramified_exponent)
+            m = Fraction(term.md, params.D)
             rows.append(
                 {
                     "sign": term.sign,
                     "y": term.y,
                     "n": term.n,
                     "t": term.t,
-                    "m": term.m,
+                    "m": m,
                     "contribution": _exponent_map(contribution),
                 }
             )
             text.append(
-                f"  sign={term.sign:+d} y={term.y} n={term.n} t={term.t} m={term.m} "
+                f"  sign={term.sign:+d} y={term.y} n={term.n} t={term.t} m={m} "
                 f"-> {dict(contribution.items()) or {}}"
             )
         result["terms"] = rows

@@ -3,9 +3,9 @@
 gz_log_norm(params) returns the logarithm of the 8th-power norm
 prod prod |j_p*(tau_{Q_D}) - j_p*(tau_{Q_d})|^8 as an exact map
 prime -> exponent, assembled from finitely many lattice terms.  Each term
-(sign, y, n) carries m = d/(4p) - t^2/(4 g^2 p D) with
-t = g*mu*(sign*beta) - 2npD - 2gpy, and contributes only when the local
-obstruction set of m is a single prime.
+(sign, y, n) has t = g*mu*(sign*beta) - 2npD - 2gpy with t^2 < g^2 dD and needs
+only the integer md = m*D = (g^2 dD - t^2)/(4 g^2 p), and contributes only
+when the local obstruction set of m is a single prime.
 """
 
 from __future__ import annotations
@@ -100,13 +100,13 @@ def _smallest_residue(disc: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class LatticeTerm:
-    """One admissible (sign, y, n) triple with its t and m."""
+    """One admissible (sign, y, n) triple with its t and md = m*D."""
 
     n: int
     y: int
     sign: int  # +1 for the beta sum, -1 for the mirrored sum
     t: int
-    m: Fraction
+    md: int
 
 
 @dataclass
@@ -159,7 +159,11 @@ class PrimeLogSum:
 
 
 def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
-    """All lattice terms for both the beta and the -beta sums, in (sign, y, n) order."""
+    """All lattice terms for both the beta and the -beta sums, in (sign, y, n) order.
+
+    t = g*mu*(sign*beta) - 2gp*k with k = y + (D/g)*n, so one loop over the t
+    with t^2 < g^2 dD recovers each (n, y) as divmod(k, D/g).
+    """
     p, d, D, g = params.p, params.d, params.D, params.g
     dD = d * D
     if isqrt(dD) ** 2 == dD:
@@ -169,25 +173,21 @@ def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
         raise InternalError(f"g = {g} does not divide D = {D}")
     bound_sq = g * g * dD
     s_max = isqrt(bound_sq - 1)  # largest |t| with t^2 < g^2 dD
-    step = 2 * p * D
+    step = 2 * g * p
+    denominator = 4 * g * g * p
     terms = []
     for sign in (1, -1):
-        for y in range(D // g):
-            head = g * params.mu * (sign * params.beta) - 2 * g * p * y
-            n_lo = -((s_max - head) // step)
-            n_hi = (head + s_max) // step
-            for n in range(n_lo, n_hi + 1):
-                t = head - step * n
-                if t * t >= bound_sq:
-                    raise InternalError(f"enumeration bound violated at t={t}")
-                m = Fraction(d, 4 * p) - Fraction(t * t, 4 * g * g * p * D)
-                if m <= 0:
-                    raise InternalError(f"non-positive m for term (sign={sign}, y={y}, n={n})")
-                if (m * D).denominator != 1:
-                    raise IntegralityError(
-                        f"m*D = {m * D} is not integral for term (sign={sign}, y={y}, n={n})"
-                    )
-                terms.append(LatticeTerm(n=n, y=y, sign=sign, t=t, m=m))
+        head = g * params.mu * (sign * params.beta)
+        block = []
+        for k in range(-((s_max - head) // step), (head + s_max) // step + 1):
+            t = head - step * k
+            n, y = divmod(k, D // g)
+            md, rest = divmod(bound_sq - t * t, denominator)
+            if rest:
+                raise IntegralityError(f"m*D is not integral for term (sign={sign}, y={y}, n={n})")
+            block.append(LatticeTerm(n=n, y=y, sign=sign, t=t, md=md))
+        block.sort(key=lambda term: (term.y, term.n))
+        terms += block
     return terms
 
 
@@ -201,24 +201,24 @@ def term_contribution(term: LatticeTerm, params: GZParams,
     """
     if ramified_exponent not in _RAMIFIED_CHOICES:
         raise ParameterError(f"unknown ramified_exponent {ramified_exponent!r}")
-    m = term.m
-    obstructed = diff_set(m, params.D_factors, params.p)
+    md = term.md
+    obstructed = diff_set(md, params.D_factors, params.p)
     if len(obstructed) != 1:
         return PrimeLogSum()
     q = obstructed[0]
-    md = m * params.D
-    weight = 2 ** (o_of_m(m, params.D_factors) + 1)
+    weight = 2 ** (o_of_m(md, params.D_factors) + 1)
     chi = kronecker(-params.D, q)
     if chi == -1:
-        try:
-            coeff = weight * (ord_q(m, q) + 1) * rho(md / q, params.D)
-        except IntegralityError as exc:
-            raise IntegralityError(f"{exc} (term sign={term.sign}, y={term.y}, n={term.n})") from exc
+        if md % q:
+            raise IntegralityError(f"m*D/{q} is not integral for term {term}")
+        coeff = weight * (ord_q(md, q) + 1) * rho(md // q, params.D)
     elif chi == 0:
-        order = ord_q(md, q) if ramified_exponent == RAMIFIED_OF_MD else ord_q(m, q)
+        order = ord_q(md, q)
+        if ramified_exponent == RAMIFIED_OF_M:
+            order -= ord_q(params.D, q)
         coeff = weight * order * rho(md, params.D)
     else:
-        raise InternalError(f"split prime {q} appeared in the obstruction set of m={m}")
+        raise InternalError(f"split prime {q} appeared in the obstruction set of m*D={md}")
     if coeff == 0:
         return PrimeLogSum()
     return PrimeLogSum({q: Fraction(coeff)})

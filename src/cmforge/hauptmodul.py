@@ -12,7 +12,6 @@ touches the global mpmath state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import mpmath
@@ -30,22 +29,25 @@ from .quadforms import HeegnerPoint, heegner_point, heegner_reps
 #: Primes whose Fricke Hauptmodul has a closed eta-quotient form here.
 ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
 
+#: Digits carried beyond the requested precision.
+GUARD_DIGITS = 10
+#: Safety bound on the eta series length; low Im(tau) raises PrecisionError.
+MAX_ETA_TERMS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class PrecisionConfig:
     """Working-precision contract for complex evaluation."""
 
     decimal_digits: int = 80
-    guard_digits: int = 10
-    max_terms: int = 10 ** 6
 
     def __post_init__(self):
-        if self.decimal_digits < 1 or self.guard_digits < 1 or self.max_terms < 1:
+        if self.decimal_digits < 1:
             raise ParameterError("precision parameters must be positive")
 
     @property
     def working_dps(self) -> int:
-        return self.decimal_digits + self.guard_digits
+        return self.decimal_digits + GUARD_DIGITS
 
     def context(self):
         """Fresh mpmath context at the working precision."""
@@ -202,8 +204,8 @@ def eta_with_bound(tau, prec: PrecisionConfig | None = None, ctx=None):
     """Dedekind eta via the sparse pentagonal series; returns (value, tail bound).
 
     Terms are (-1)^k w^((6k-1)^2) with w = exp(pi*i*tau/12), truncated once the
-    next magnitude drops below 10^-(decimal_digits + guard_digits).  The bound
-    covers the discarded tail plus accumulated rounding.
+    next magnitude drops below 10^-working_dps.  The bound covers the discarded
+    tail plus accumulated rounding.
     """
     prec = prec or DEFAULT_PRECISION
     if ctx is None:
@@ -213,7 +215,7 @@ def eta_with_bound(tau, prec: PrecisionConfig | None = None, ctx=None):
         raise ParameterError(f"eta requires Im(tau) > 0, got {tau.imag}")
     w = ctx.expjpi(tau / 12)
     absw = abs(w)
-    target = ctx.mpf(10) ** (-(prec.decimal_digits + prec.guard_digits))
+    target = ctx.mpf(10) ** -prec.working_dps
     total = w  # k = 0 term
     used = 1
     k = 1
@@ -226,9 +228,9 @@ def eta_with_bound(tau, prec: PrecisionConfig | None = None, ctx=None):
         sign = -1 if k % 2 else 1
         total += sign * (w ** e_small + w ** ((6 * k + 1) ** 2))
         used += 2
-        if used > prec.max_terms:
+        if used > MAX_ETA_TERMS:
             raise PrecisionError(
-                f"eta series needs more than {prec.max_terms} terms at Im(tau)={tau.imag}"
+                f"eta series needs more than {MAX_ETA_TERMS} terms at Im(tau)={tau.imag}"
             )
         k += 1
     rounding = (used + 4) * ctx.eps * max(abs(total), ctx.mpf(1))

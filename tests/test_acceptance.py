@@ -115,11 +115,12 @@ def test_criterion_4_oracle_equivalences():
         for disc in range(-2000, -2):
             if is_fundamental_discriminant(disc):
                 assert class_number(disc) == brute_force_class_count(disc), disc
-        from test_arith import hilbert_product_formula_holds, random_rational
+        from test_arith import hilbert_product_formula_holds, random_representative
 
         rng = random.Random(97)
         for _ in range(1000):
-            assert hilbert_product_formula_holds(random_rational(rng), random_rational(rng))
+            assert hilbert_product_formula_holds(random_representative(rng),
+                                                 random_representative(rng))
 
 
 def test_criterion_5_modular_invariance():
@@ -159,9 +160,10 @@ def test_criterion_6_structural_invariants():
         grid += [(47, 11, 163), (47, 39, 163), (13, 43, 51)]
         for p, d, D in grid:
             params = GZParams.create(p=p, d=d, D=D)
+            g = params.g
             for term in enumerate_terms(params):
-                assert term.m > 0
-                assert (term.m * D).denominator == 1
+                assert term.md > 0
+                assert 4 * g * g * p * term.md == g * g * d * D - term.t ** 2
             pls = gz_log_norm(params)
             assert pls.nonnegative_integral(), (p, d, D)
             swapped = gz_log_norm(GZParams.create(p=p, d=D, D=d))

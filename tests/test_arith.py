@@ -41,6 +41,16 @@ def test_is_prime_large():
     assert is_prime(2 ** 61 - 1)
 
 
+PSI_12 = 318665857834031151167461  # smallest strong pseudoprime to bases 2..37
+
+
+def test_is_prime_refuses_uncertified_range():
+    assert PSI_12 == 399165290221 * 798330580441
+    with pytest.raises(ParameterError, match=str(PSI_12)):
+        is_prime(PSI_12)
+    assert not is_prime(2 * PSI_12)  # a small factor still decides
+
+
 def test_factorize_frozen():
     assert factorize(1).factors == ()
     assert factorize(188).factors == ((2, 2), (47, 1))
@@ -74,6 +84,8 @@ def test_factorize_rejects_bad_input():
         factorize(0)
     with pytest.raises(ParameterError):
         factorize(-6)
+    with pytest.raises(ParameterError):
+        factorize(PSI_12)  # was returned as a single certified prime
 
 
 def test_factorization_invariants_enforced():
@@ -135,8 +147,11 @@ def test_kronecker_edge_cases():
 
 def test_ord_q_frozen():
     assert ord_q(8, 2) == 3
-    assert ord_q(Fraction(3, 4), 2) == -2
-    assert ord_q(Fraction(39, 188), 47) == -1
+    assert ord_q(-12, 2) == 2
+    assert ord_q(39 * 188, 47) == 1
+    for bad in (Fraction(3, 4), Fraction(8, 1), 8.0):
+        with pytest.raises(ParameterError):
+            ord_q(bad, 2)
 
 
 def test_ord_q_zero_rejected():
@@ -147,7 +162,7 @@ def test_ord_q_zero_rejected():
 def test_hilbert_frozen():
     rng = random.Random(17)
     for _ in range(20):
-        b = Fraction(rng.randrange(1, 50), rng.randrange(1, 50))
+        b = rng.randrange(1, 50) * rng.randrange(1, 50)
         q = rng.choice([2, 3, 5, 7, 11, INFINITE_PLACE])
         assert hilbert_symbol(1, b, q) == 1
     assert hilbert_symbol(-1, -1, 2) == -1
@@ -155,20 +170,23 @@ def test_hilbert_frozen():
     assert hilbert_symbol(2, 7, 7) == 1
     with pytest.raises(ParameterError):
         hilbert_symbol(0, 3, 5)
+    for a, b in ((Fraction(1, 2), 3), (3, Fraction(6, 1)), (1.0, 3)):
+        with pytest.raises(ParameterError):
+            hilbert_symbol(a, b, 5)
 
 
-def random_rational(rng, span=60):
+def random_representative(rng, span=60):
+    """num * den for a random nonzero rational num/den: it has the same local symbols."""
     num = 0
     while num == 0:
         num = rng.randrange(-span, span)
-    return Fraction(num, rng.randrange(1, span))
+    return num * rng.randrange(1, span)
 
 
 def relevant_places(a, b):
     places = {2, INFINITE_PLACE}
     for x in (a, b):
-        for part in (x.numerator, x.denominator):
-            places.update(factorize(abs(part)).primes())
+        places.update(factorize(abs(x)).primes())
     return places
 
 
@@ -182,15 +200,15 @@ def hilbert_product_formula_holds(a, b):
 def test_hilbert_product_formula():
     rng = random.Random(19)
     for _ in range(1000):
-        a, b = random_rational(rng), random_rational(rng)
+        a, b = random_representative(rng), random_representative(rng)
         assert hilbert_product_formula_holds(a, b)
 
 
 def test_hilbert_square_invariance():
     rng = random.Random(23)
     for _ in range(200):
-        a, b = random_rational(rng), random_rational(rng)
-        s, t = random_rational(rng, 12), random_rational(rng, 12)
+        a, b = random_representative(rng), random_representative(rng)
+        s, t = random_representative(rng, 12), random_representative(rng, 12)
         q = rng.choice([2, 3, 5, 7, 13, INFINITE_PLACE])
         assert hilbert_symbol(a, b, q) == hilbert_symbol(a * s * s, b * t * t, q)
 
@@ -198,7 +216,7 @@ def test_hilbert_square_invariance():
 def test_hilbert_symmetry_and_multiplicativity():
     rng = random.Random(29)
     for _ in range(200):
-        a, b, c = (random_rational(rng) for _ in range(3))
+        a, b, c = (random_representative(rng) for _ in range(3))
         q = rng.choice([2, 3, 5, 7, 11, INFINITE_PLACE])
         assert hilbert_symbol(a, b, q) == hilbert_symbol(b, a, q)
         assert hilbert_symbol(a * b, c, q) == hilbert_symbol(a, c, q) * hilbert_symbol(b, c, q)
@@ -208,8 +226,8 @@ def test_hilbert_against_brute_force_solvability():
     rng = random.Random(31)
     cases = []
     for _ in range(12):
-        a = Fraction(rng.choice([-15, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 10]))
-        b = Fraction(rng.choice([-30, -10, -7, -5, -3, -1, 1, 2, 5, 7, 15]))
+        a = rng.choice([-15, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 10])
+        b = rng.choice([-30, -10, -7, -5, -3, -1, 1, 2, 5, 7, 15])
         cases.append((a, b))
     for a, b in cases:
         for q in (2, 3, 5):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from conftest import brute_local_solvable
@@ -73,7 +73,8 @@ def test_rho_rejects_bad_input():
         rho(Fraction(1, 2), 11)  # type: ignore[arg-type]
     with pytest.raises(IntegralityError):
         rho(Fraction(3, 2), 11)
-    assert rho(Fraction(6, 2), 11) == rho(3, 11)
+    with pytest.raises(IntegralityError):
+        rho(Fraction(6, 2), 11)  # integral, but not an int
 
 
 def test_field_data_validation():
@@ -90,80 +91,75 @@ def test_field_data_validation():
 
 
 def test_o_of_m_frozen():
-    assert o_of_m(1, factorize(11)) == 1          # ord_11(11) > 0
-    assert o_of_m(Fraction(1, 11), factorize(11)) == 0
-    assert o_of_m(Fraction(3, 4), factorize(39)) == 2  # 39*(3/4) = 3^2 * 13 / 4
-    with pytest.raises(ParameterError):
-        o_of_m(0, factorize(11))
-    with pytest.raises(ParameterError):
-        o_of_m(-2, factorize(11))
+    assert o_of_m(11, factorize(11)) == 1     # m = 1: 11 | m*D
+    assert o_of_m(1, factorize(11)) == 0      # m = 1/11
+    assert o_of_m(117, factorize(39)) == 2    # m*D = 3^2 * 13
+    assert o_of_m(2 * 13, factorize(39)) == 1
+    for bad in (0, -22):
+        with pytest.raises(ParameterError):
+            o_of_m(bad, factorize(11))
+    for bad in (Fraction(117, 4), Fraction(11, 1), 11.0):
+        with pytest.raises(ParameterError):
+            o_of_m(bad, factorize(11))
 
 
-def is_rational_square(x):
-    x = Fraction(x)
-    if x <= 0:
-        return False
-    from math import isqrt
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    return rn * rn == x.numerator and rd * rd == x.denominator
+def is_square(n):
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
-def sample_ms(rng, count=120):
-    out = []
-    while len(out) < count:
-        m = Fraction(rng.randrange(1, 60), rng.randrange(1, 60))
-        out.append(m)
-    return out
+def sample_mds(rng, count=120):
+    return [rng.randrange(1, 3600) for _ in range(count)]
 
 
 def test_diff_set_parity_odd():
     rng = random.Random(43)
     fields = [(11, 47), (15, 2), (163, 47), (8, 3), (20, 5)]
     for D, norm in fields:
-        for m in sample_ms(rng):
-            if is_rational_square(-(-m * norm) * D):
-                continue  # -m N(a) * (-D) square: every local symbol is +1
-            assert len(diff_set(m, factorize(D), norm)) % 2 == 1, (m, D, norm)
+        for md in sample_mds(rng):
+            if is_square(md * norm):
+                continue  # -m N(a) * (-D) = md N(a) square: every local symbol is +1
+            assert len(diff_set(md, factorize(D), norm)) % 2 == 1, (md, D, norm)
 
 
 def test_diff_set_never_contains_split_primes():
     rng = random.Random(47)
     for D, norm in ((11, 47), (15, 2), (39, 13)):
-        for m in sample_ms(rng, 80):
-            for q in diff_set(m, factorize(D), norm):
-                assert kronecker(-D, q) != 1, (m, D, norm, q)
+        for md in sample_mds(rng, 80):
+            for q in diff_set(md, factorize(D), norm):
+                assert kronecker(-D, q) != 1, (md, D, norm, q)
 
 
 def test_diff_set_scan_window_is_sufficient():
     # symbols at primes outside the scanned support must all be +1
     rng = random.Random(53)
     D, norm = 15, 2
-    for m in sample_ms(rng, 40):
-        x = -m * norm
-        support = set(diff_set(m, factorize(D), norm))
+    for md in sample_mds(rng, 40):
+        x = -md * norm * D  # the square class of -m N(a)
+        support = set(diff_set(md, factorize(D), norm))
         for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-            if x.numerator % q and x.denominator % q and D % q:
+            if x % q:
                 assert hilbert_symbol(x, -D, q) == 1
                 assert q not in support
 
 
 def test_diff_set_membership_against_local_solvability():
     D, norm = 15, 2
-    for m in (Fraction(1), Fraction(13, 15), Fraction(4, 5), Fraction(2, 3),
-              Fraction(7, 15), Fraction(1, 5)):
-        members = diff_set(m, factorize(D), norm)
-        x = -m * norm
+    # m = 1, 13/15, 4/5, 2/3, 7/15, 1/5
+    for md in (15, 13, 12, 10, 7, 3):
+        members = diff_set(md, factorize(D), norm)
+        x = -md * norm * D
         for q in (2, 3, 5):
-            solvable = brute_local_solvable(x, Fraction(-D), q)
-            assert (q in members) == (not solvable), (m, q)
+            solvable = brute_local_solvable(x, -D, q)
+            assert (q in members) == (not solvable), (md, q)
 
 
 def test_diff_set_spec_instance():
-    # scan set for m=1, D=11, N(a)=47 is {2, 11, 47}; brute-check the small primes
-    members = diff_set(1, factorize(11), 47)
-    x = Fraction(-47)
+    # scan set for m=1 (m*D = 11), D=11, N(a)=47 is {2, 11, 47}; brute-check
+    # the small primes on -47, which has the symbols of -m*D * N(a) * D
+    members = diff_set(11, factorize(11), 47)
+    x = -47
     for q in (2, 11):
-        solvable = brute_local_solvable(x, Fraction(-11), q)
+        solvable = brute_local_solvable(x, -11, q)
         assert (q in members) == (not solvable)
     # the membership of 47 is then forced by the odd-parity product formula
     infinite_sign = -1  # both arguments negative
@@ -174,5 +170,5 @@ def test_diff_set_spec_instance():
 
 def test_diff_set_vanishing_rule_cases():
     # |diff| = 1 permits a contribution, |diff| = 3 forces zero; both occur
-    sizes = {len(diff_set(m, factorize(15), 2)) for m in sample_ms(random.Random(59), 200)}
+    sizes = {len(diff_set(md, factorize(15), 2)) for md in sample_mds(random.Random(59), 200)}
     assert 1 in sizes and 3 in sizes

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -62,10 +63,9 @@ def test_enumerate_terms_frozen_lattice():
         by_sign[term.sign].append(term)
     assert sorted(t.t for t in by_sign[1]) == [-23, 71]
     assert sorted(t.t for t in by_sign[-1]) == [-71, 23]
-    assert {t.m for t in terms} == {Fraction(7, 163), Fraction(31, 163)}
+    assert {t.md for t in terms} == {7, 31}  # m = 7/163 and 31/163
     for term in terms:
-        assert (term.m * 163).denominator == 1
-        assert 0 < term.m <= Fraction(39, 4 * 47)
+        assert 0 < 4 * 47 * term.md <= 39 * 163  # 0 < m <= d/(4p)
 
 
 def test_enumerate_terms_ordering_deterministic():
@@ -134,12 +134,41 @@ def grid_params():
 
 def test_grid_term_invariants():
     for params in grid_params():
+        g2dD = params.g ** 2 * params.d * params.D
         for term in enumerate_terms(params):
-            md = term.m * params.D
-            assert term.m > 0
-            assert md.denominator == 1
-            assert term.m <= Fraction(params.d, 4 * params.p)
-            assert abs(term.t) ** 2 < params.g ** 2 * params.d * params.D
+            assert term.md > 0
+            assert 4 * params.p * term.md <= params.d * params.D
+            assert 4 * params.g ** 2 * params.p * term.md == g2dD - term.t ** 2
+            assert term.t ** 2 < g2dD
+
+
+def reference_terms(params):
+    """The terms by the nested loop over y in range(D/g) and n, as (sign, y, n, t, m*D)."""
+    p, d, D, g = params.p, params.d, params.D, params.g
+    bound_sq = g * g * d * D
+    s_max = isqrt(bound_sq - 1)
+    step = 2 * p * D
+    out = []
+    for sign in (1, -1):
+        for y in range(D // g):
+            head = g * params.mu * (sign * params.beta) - 2 * g * p * y
+            for n in range(-((s_max - head) // step), (head + s_max) // step + 1):
+                t = head - step * n
+                m = Fraction(d, 4 * p) - Fraction(t * t, 4 * g * g * p * D)
+                assert m > 0 and (m * D).denominator == 1
+                out.append((sign, y, n, t, m * D))
+    return out
+
+
+# (p, d, D) with D of the sizes the gznorm_large benchmark workload runs
+LARGE_TRIPLES = ((2, 7, 12228), (3, 11, 24756), (5, 11, 48795))
+
+
+def test_enumerate_terms_matches_reference_loop():
+    cases = grid_params() + [GZParams.create(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
+    for params in cases:
+        got = [(t.sign, t.y, t.n, t.t, t.md) for t in enumerate_terms(params)]
+        assert got == reference_terms(params), params
 
 
 def test_grid_exponents_nonnegative_integral():
@@ -162,7 +191,7 @@ def test_term_contribution_vanishing():
     params = GZParams.create(p=13, d=43, D=51)
     vanished = 0
     for term in enumerate_terms(params):
-        obstructed = diff_set(term.m, factorize(51), 13)
+        obstructed = diff_set(term.md, factorize(51), 13)
         contribution = term_contribution(term, params)
         if len(obstructed) != 1:
             assert len(obstructed) == 3  # odd by the product formula

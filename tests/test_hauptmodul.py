@@ -3,6 +3,7 @@ import random
 import mpmath
 import pytest
 
+from cmforge import hauptmodul
 from cmforge.errors import (
     IllConditionedError,
     ParameterError,
@@ -38,8 +39,6 @@ def random_tau(ctx, rng, im_low=0.05, im_high=5.0):
 def test_precision_config_validation():
     with pytest.raises(ParameterError):
         PrecisionConfig(decimal_digits=0)
-    with pytest.raises(ParameterError):
-        PrecisionConfig(guard_digits=0)
     assert PrecisionConfig().working_dps == 90
 
 
@@ -82,10 +81,10 @@ def test_eta_low_imaginary_part_converges():
     assert abs(value) > 0
 
 
-def test_eta_max_terms_exceeded():
-    tight = PrecisionConfig(decimal_digits=80, guard_digits=10, max_terms=8)
+def test_eta_max_terms_exceeded(monkeypatch):
+    monkeypatch.setattr(hauptmodul, "MAX_ETA_TERMS", 8)
     with pytest.raises(PrecisionError, match="Im"):
-        eta_with_bound(complex(0.0, 0.05), tight)
+        eta_with_bound(complex(0.0, 0.05), PREC)
 
 
 def test_eta_rejects_lower_half_plane():

@@ -31,3 +31,20 @@ def test_no_private_imports_across_modules():
         if (found := private_imports(path))
     }
     assert offenders == {}
+
+
+def imported_modules(path):
+    """Top-level names of every module the file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add((node.module or "").split(".")[0])
+    return found
+
+
+def test_exact_arithmetic_modules_work_on_integers():
+    # valuations, local symbols and ideal counts take integers; no rationals
+    for name in ("arith.py", "cmvalue.py"):
+        assert "fractions" not in imported_modules(PACKAGE_DIR / name), name
