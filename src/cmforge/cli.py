@@ -34,6 +34,7 @@ from .gzrhs import (
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
     GZParams,
+    PrimeLogSum,
     enumerate_terms,
     gz_log_norm,
     term_contribution,
@@ -149,7 +150,13 @@ def _norm_payload(pls):
 
 def cmd_gznorm(args, config: RunConfig) -> int:
     params = GZParams.create(p=args.p, d=args.d, D=args.D, mu=args.mu, beta=args.beta)
-    pls = gz_log_norm(params, config.ramified_exponent)
+    if args.breakdown:
+        terms = enumerate_terms(params)
+        contributions = [term_contribution(term, params, config.ramified_exponent)
+                         for term in terms]
+        pls = PrimeLogSum.total(contributions)
+    else:
+        pls = gz_log_norm(params, config.ramified_exponent)
     norm, norm_text = _norm_payload(pls)
     result = {
         "exponents": _exponent_map(pls),
@@ -165,8 +172,7 @@ def cmd_gznorm(args, config: RunConfig) -> int:
     ]
     if args.breakdown:
         rows = []
-        for term in enumerate_terms(params):
-            contribution = term_contribution(term, params, config.ramified_exponent)
+        for term, contribution in zip(terms, contributions):
             m = Fraction(term.md, params.D)
             rows.append(
                 {

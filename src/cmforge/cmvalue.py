@@ -42,16 +42,17 @@ def o_of_m(md: int, D_factors: Factorization) -> int:
     return sum(1 for q in D_factors.primes() if md % q == 0)
 
 
-def diff_set(md: int, D_factors: Factorization, ideal_norm: int) -> tuple[int, ...]:
+def diff_set(md: int, D_factors: Factorization,
+             N_factors: Factorization) -> tuple[int, ...]:
     """Finite primes where -m * N(a) is obstructed from being a local norm.
 
     -md*N(a)*D = -m*N(a)*D^2 has the local symbols of -m*N(a).  The symbol is
     +1 at any odd prime where both it and -D are units, so scanning 2 together
-    with the primes of D, N(a) and md suffices.  factorize(md) rejects a
-    non-integer or non-positive md.
+    with the primes of D, N(a) and md suffices.  The ideal norm N(a) comes
+    factored like D, since it is fixed across the terms of one sum;
+    factorize(md) rejects a non-integer or non-positive md.
     """
     D = D_factors.value
-    candidates = {2, *D_factors.primes(), *factorize(ideal_norm).primes(),
-                  *factorize(md).primes()}
-    x = -md * ideal_norm * D
+    candidates = {2, *D_factors.primes(), *N_factors.primes(), *factorize(md).primes()}
+    x = -md * N_factors.value * D
     return tuple(q for q in sorted(candidates) if hilbert_symbol(x, -D, q) == -1)

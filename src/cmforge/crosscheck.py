@@ -54,9 +54,9 @@ def run_crosscheck(p: int, d: int, D: int,
         RAMIFIED_OF_MD: gz_log_norm(params, RAMIFIED_OF_MD),
         RAMIFIED_OF_M: gz_log_norm(params, RAMIFIED_OF_M),
     }
-    lhs = lhs_log_norm(p=p, d=params.d, beta=params.beta, D=params.D, mu=params.mu,
-                       prec=prec, series=series)
     ctx = prec.context()
+    lhs = lhs_log_norm(p=p, d=params.d, beta=params.beta, D=params.D, mu=params.mu,
+                       prec=prec, series=series, ctx=ctx)
     lhs_value = lhs.value
     result = CrosscheckResult(
         p=p, d=params.d, D=params.D, beta=params.beta, mu=params.mu,

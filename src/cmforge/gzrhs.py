@@ -43,7 +43,7 @@ _RAMIFIED_CHOICES = (RAMIFIED_OF_M, RAMIFIED_OF_MD)
 
 @dataclass(frozen=True)
 class GZParams:
-    """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g and factored D."""
+    """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g and factored p, D."""
 
     p: int
     d: int
@@ -51,6 +51,7 @@ class GZParams:
     mu: int
     beta: int
     g: int = field(init=False)
+    p_factors: Factorization = field(init=False, repr=False)
     D_factors: Factorization = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -75,6 +76,7 @@ class GZParams:
             )
         # gcd(0, 2p) = 2p covers the mu = 0 convention
         object.__setattr__(self, "g", gcd(self.mu, 2 * self.p))
+        object.__setattr__(self, "p_factors", factorize(self.p))
         object.__setattr__(self, "D_factors", factorize(self.D))
 
     @classmethod
@@ -122,6 +124,15 @@ class PrimeLogSum:
             if e:
                 cleaned[int(q)] = e
         self.exponents = cleaned
+
+    @classmethod
+    def total(cls, parts) -> "PrimeLogSum":
+        """The sum of an iterable of prime-log sums."""
+        exponents: dict[int, Fraction] = {}
+        for part in parts:
+            for q, e in part.exponents.items():
+                exponents[q] = exponents.get(q, 0) + e
+        return cls(exponents)
 
     def is_zero(self) -> bool:
         return not self.exponents
@@ -202,7 +213,7 @@ def term_contribution(term: LatticeTerm, params: GZParams,
     if ramified_exponent not in _RAMIFIED_CHOICES:
         raise ParameterError(f"unknown ramified_exponent {ramified_exponent!r}")
     md = term.md
-    obstructed = diff_set(md, params.D_factors, params.p)
+    obstructed = diff_set(md, params.D_factors, params.p_factors)
     if len(obstructed) != 1:
         return PrimeLogSum()
     q = obstructed[0]
@@ -227,8 +238,5 @@ def term_contribution(term: LatticeTerm, params: GZParams,
 def gz_log_norm(params: GZParams,
                 ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> PrimeLogSum:
     """Exact log of the 8th-power norm as a prime-log sum."""
-    total: dict[int, Fraction] = {}
-    for term in enumerate_terms(params):
-        for q, e in term_contribution(term, params, ramified_exponent).exponents.items():
-            total[q] = total.get(q, 0) + e
-    return PrimeLogSum(total)
+    return PrimeLogSum.total(term_contribution(term, params, ramified_exponent)
+                             for term in enumerate_terms(params))

@@ -6,12 +6,22 @@ t + p^(e/2)/t is invariant under the full Fricke group and expands as
 q^(-1) + c(0) + c(1) q + ... .  For other primes a coefficient file must be
 supplied; the repository ships none, so those paths are data-driven only.
 
+Eta runs on one fixed-point kernel: with q = e^(2 pi i tau),
+eta(tau) = e^(pi i tau/12) S(q) and S(q) = sum_k (-1)^k q^(k(3k-1)/2)
+is summed on Python integers scaled to 2^-(precision + ETA_GUARD_BITS), the
+term count fixed in advance from Im(tau), with a bound on the tail and on
+every rounding.  In the quotient the prefactors cancel,
+t = (S(q)/S(q^p))^e / q, so a CM point costs one complex exponential and
+q^p comes from q by integer powering.
+
 Precision is carried by explicit mpmath contexts created per call; nothing
 touches the global mpmath state.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import mpmath
@@ -33,6 +43,11 @@ ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
 GUARD_DIGITS = 10
 #: Safety bound on the eta series length; low Im(tau) raises PrecisionError.
 MAX_ETA_TERMS = 10 ** 6
+#: Bits the fixed-point eta kernel carries beyond the context precision.
+ETA_GUARD_BITS = 32
+# Error of the fixed-point q = e^(2 pi i tau), in units of its last bit: the
+# exponential at that precision and the truncation to fixed point.
+_Q_ERR_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -200,12 +215,108 @@ def _as_point(ctx, tau):
     return ctx.mpc(tau)
 
 
-def eta_with_bound(tau, prec: PrecisionConfig | None = None, ctx=None):
-    """Dedekind eta via the sparse pentagonal series; returns (value, tail bound).
+def _pentagonal_pairs(height, bits: int) -> int:
+    """The K for which the pentagonal sum over |k| <= K misses less than 2^-bits.
 
-    Terms are (-1)^k w^((6k-1)^2) with w = exp(pi*i*tau/12), truncated once the
-    next magnitude drops below 10^-working_dps.  The bound covers the discarded
-    tail plus accumulated rounding.
+    At Im(tau) = height, |q| = e^(-2 pi height); the omitted exponents are
+    distinct integers from N = (K+1)(3K+2)/2 on, so the tail is below
+    |q|^N / (1 - |q|).  Raises PrecisionError, before any series work, if
+    the 2K+1 terms exceed MAX_ETA_TERMS.
+    """
+    rate = 2 * math.pi * float(height)  # -log|q|
+    need = math.inf
+    if rate > 0:
+        need = (bits * math.log(2) - math.log(-math.expm1(-rate))) / rate
+    pairs = (math.sqrt(1 + 24 * need) - 5) / 6  # root of (K+1)(3K+2)/2 = need
+    if not 2 * pairs + 1 <= MAX_ETA_TERMS:
+        raise PrecisionError(
+            f"eta series needs more than {MAX_ETA_TERMS} terms at Im(tau)={height}"
+        )
+    return max(0, math.ceil(pairs))
+
+
+def _fixed_bits(ctx) -> int:
+    return ctx.prec + ETA_GUARD_BITS
+
+
+def _fixed_mul(x, y, bits):
+    """Product of two fixed-point complex numbers; each part is floored to 2^-bits."""
+    (a, b), (c, d) = x, y
+    return (a * c - b * d) >> bits, (a * d + b * c) >> bits
+
+
+def _power(x, n: int, mul):
+    """x^n for n >= 1 by repeated squaring under the product mul."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
+
+
+def _fixed_q(ctx, tau):
+    """q = e^(2 pi i tau) as an mpc and as a fixed-point pair at _fixed_bits(ctx).
+
+    The exponential runs at the fixed-point precision, so the pair is within
+    _Q_ERR_ULPS units of 2^-bits of the exact q.
+    """
+    bits = _fixed_bits(ctx)
+    with ctx.workprec(bits):
+        q = ctx.expjpi(2 * tau)
+    return q, (ctx.to_fixed(q.real, bits), ctx.to_fixed(q.imag, bits))
+
+
+def _pentagonal_sum(ctx, q, q_err: int, pairs: int):
+    """S(q) = sum_{|k| <= pairs} (-1)^k q^(k(3k-1)/2) as an mpc, with an error bound.
+
+    q is a fixed-point pair (X, Y) standing for (X + iY) 2^-bits, bits =
+    _fixed_bits(ctx), within q_err units of 2^-bits of the exact q = e^(2 pi i
+    tau), and pairs comes from _pentagonal_pairs(Im tau, ctx.prec).  Step k
+    advances q^(3k-2), q^k and the pentagonal terms a_k = q^(k(3k-1)/2),
+    b_k = a_k q^k by four fixed-point products; the integer sums are exact.
+
+    The returned bound on |result - S(q)| adds three parts.  Tail: the omitted
+    exponents are distinct integers from N = (pairs+1)(3 pairs+2)/2 on, so
+    they sum to at most |q|^N / (1 - |q|).  Fixed point: every product
+    floors each part, an error below sqrt(2) units, and every factor has
+    modulus at most 1, so errors add without growing.  With u = q_err units
+    on q, q^3 carries 3u + 2 sqrt(2), q^(3k-2) carries (3k-2)u + 2(k-1)
+    sqrt(2), a_k carries n_k u + (k^2-1) sqrt(2) with n_k = k(3k-1)/2, and
+    b_k carries (n_k + k)u + (k^2+k-1) sqrt(2).  Summed over k <= K this is
+    below (u + sqrt(2)) K(K+1)(2K+1)/2 units; the bound doubles it to cover
+    the second-order products of errors.  Conversion: rounding the sum to
+    ctx.prec bits costs at most eps (|Re| + |Im|) of the result.
+    """
+    bits = _fixed_bits(ctx)
+    total_re, total_im = 1 << bits, 0
+    cube = _fixed_mul(_fixed_mul(q, q, bits), q, bits)
+    step = power = term = q  # q^(3k-2), q^k, q^(k(3k-1)/2) at k = 1
+    for k in range(1, pairs + 1):
+        if k > 1:
+            step = _fixed_mul(step, cube, bits)
+            power = _fixed_mul(power, q, bits)
+            term = _fixed_mul(term, step, bits)
+        other = _fixed_mul(term, power, bits)  # q^(k(3k+1)/2)
+        sign = -1 if k % 2 else 1
+        total_re += sign * (term[0] + other[0])
+        total_im += sign * (term[1] + other[1])
+    value = ctx.mpc(ctx.ldexp(total_re, -bits), ctx.ldexp(total_im, -bits))
+    exponent = (pairs + 1) * (3 * pairs + 2) // 2
+    with ctx.workprec(53):  # the tail needs only its magnitude; 2x covers the rounding
+        absq = ctx.sqrt(ctx.ldexp(q[0] ** 2 + q[1] ** 2, -2 * bits)) + ctx.ldexp(q_err, -bits)
+        tail = 2 * absq ** exponent / (1 - absq)
+    rounding = ctx.ldexp((q_err + 2) * pairs * (pairs + 1) * (2 * pairs + 1), -bits)
+    return value, tail + rounding + ctx.eps * (abs(value.real) + abs(value.imag))
+
+
+def eta_with_bound(tau, prec: PrecisionConfig | None = None, ctx=None):
+    """Dedekind eta as w S(q) with w = e^(pi i tau/12); returns (value, error bound).
+
+    S(q) is the pentagonal sum of _pentagonal_sum, truncated below 2^-ctx.prec;
+    the bound covers that kernel's tail and rounding plus the product by w.
     """
     prec = prec or DEFAULT_PRECISION
     if ctx is None:
@@ -213,28 +324,12 @@ def eta_with_bound(tau, prec: PrecisionConfig | None = None, ctx=None):
     tau = _as_point(ctx, tau)
     if tau.imag <= 0:
         raise ParameterError(f"eta requires Im(tau) > 0, got {tau.imag}")
+    pairs = _pentagonal_pairs(tau.imag, ctx.prec)
+    _, q = _fixed_q(ctx, tau)
+    total, bound = _pentagonal_sum(ctx, q, _Q_ERR_ULPS, pairs)
     w = ctx.expjpi(tau / 12)
-    absw = abs(w)
-    target = ctx.mpf(10) ** -prec.working_dps
-    total = w  # k = 0 term
-    used = 1
-    k = 1
-    while True:
-        e_small = (6 * k - 1) ** 2
-        mag = absw ** e_small
-        if mag < target:
-            tail = 2 * mag / (1 - absw)
-            break
-        sign = -1 if k % 2 else 1
-        total += sign * (w ** e_small + w ** ((6 * k + 1) ** 2))
-        used += 2
-        if used > MAX_ETA_TERMS:
-            raise PrecisionError(
-                f"eta series needs more than {MAX_ETA_TERMS} terms at Im(tau)={tau.imag}"
-            )
-        k += 1
-    rounding = (used + 4) * ctx.eps * max(abs(total), ctx.mpf(1))
-    return total, tail + rounding
+    value = w * total
+    return value, abs(w) * bound + ctx.eps * abs(value)
 
 
 def reduce_point(tau, p: int, ctx):
@@ -309,14 +404,23 @@ def value_with_bound(p: int, tau, prec: PrecisionConfig, ctx,
         raise SeriesRequiredError(
             f"no closed form for p={p}; supply a coefficient file"
         )
+    # t = (eta(tau)/eta(p tau))^e = (S(q)/S(q^p))^e / q, since e(p-1) = 24: the
+    # prefactors e^(pi i tau/12) cancel and one exponential serves the point
     e = 24 // (p - 1)
-    num, num_err = eta_with_bound(tau, prec, ctx)
-    den, den_err = eta_with_bound(p * tau, prec, ctx)
-    t = (num / den) ** e
+    pairs = _pentagonal_pairs(tau.imag, ctx.prec)
+    pairs_p = _pentagonal_pairs(p * tau.imag, ctx.prec)
+    q, q_fixed = _fixed_q(ctx, tau)
+    bits = _fixed_bits(ctx)
+    # q^p is within p(u + sqrt(2)) units when q is within u, as in _pentagonal_sum
+    qp_fixed = _power(q_fixed, p, lambda x, y: _fixed_mul(x, y, bits))
+    num, num_err = _pentagonal_sum(ctx, q_fixed, _Q_ERR_ULPS, pairs)
+    den, den_err = _pentagonal_sum(ctx, qp_fixed, p * (_Q_ERR_ULPS + 2), pairs_p)
+    t = _power(num / den, e, operator.mul) / q
     const = ctx.mpf(p) ** (e // 2)
     value = t + const / t
-    rel = e * (num_err / abs(num) + den_err / abs(den))
-    bound = rel * (abs(t) + const / abs(t)) + 8 * ctx.eps * max(abs(value), ctx.mpf(1))
+    rel = e * (num_err / abs(num) + den_err / abs(den) + 4 * ctx.eps)
+    abs_t = abs(t)
+    bound = rel * (abs_t + const / abs_t) + 8 * ctx.eps * max(abs(value), ctx.mpf(1))
     return value, bound
 
 
@@ -343,12 +447,17 @@ class LhsValue:
 
 def lhs_log_norm(p: int, d: int, beta: int, D: int, mu: int,
                  prec: PrecisionConfig | None = None,
-                 series: QSeries | None = None) -> LhsValue:
-    """8 * sum of log|j*(tau_{Q_D}) - j*(tau_{Q_d})| over both class sets."""
+                 series: QSeries | None = None, ctx=None) -> LhsValue:
+    """8 * sum of log|j*(tau_{Q_D}) - j*(tau_{Q_d})| over both class sets.
+
+    The values live in ctx, a fresh context at prec's working precision if
+    none is passed.
+    """
     prec = prec or DEFAULT_PRECISION
     if prec.decimal_digits < 30:
         raise ParameterError("cross-check evaluation needs at least 30 digits")
-    ctx = prec.context()
+    if ctx is None:
+        ctx = prec.context()
     vals_D = [
         value_with_bound(p, heegner_point(f), prec, ctx, series)
         for f in heegner_reps(-D, p, mu)

@@ -191,7 +191,7 @@ def test_term_contribution_vanishing():
     params = GZParams.create(p=13, d=43, D=51)
     vanished = 0
     for term in enumerate_terms(params):
-        obstructed = diff_set(term.md, factorize(51), 13)
+        obstructed = diff_set(term.md, factorize(51), factorize(13))
         contribution = term_contribution(term, params)
         if len(obstructed) != 1:
             assert len(obstructed) == 3  # odd by the product formula
@@ -199,6 +199,27 @@ def test_term_contribution_vanishing():
             vanished += 1
     assert vanished >= 2
     assert gz_log_norm(params).nonnegative_integral()
+
+
+def test_gz_log_norm_factors_ideal_norm_once(monkeypatch):
+    # the ideal norm p comes factored with the params: no lattice term
+    # factors it again, while each term still factors its own m*D
+    from cmforge import cmvalue
+
+    params = GZParams.create(p=2, d=7, D=12228)
+    terms = enumerate_terms(params)
+    calls = []
+    factorize = cmvalue.factorize
+    monkeypatch.setattr(cmvalue, "factorize", lambda n: calls.append(n) or factorize(n))
+    gz_log_norm(params)
+    assert calls.count(params.p) == 0
+    assert {term.md for term in terms} <= set(calls)
+
+
+def test_primelogsum_total():
+    parts = [PrimeLogSum({2: 3, 5: 1}), PrimeLogSum(), PrimeLogSum({2: -3, 7: 2})]
+    assert exponent_map(PrimeLogSum.total(parts)) == {5: 1, 7: 2}
+    assert PrimeLogSum.total([]).is_zero()
 
 
 def test_edge_convention_pairs_crosscheck():

@@ -20,8 +20,9 @@ from cmforge.hauptmodul import (
     lhs_log_norm,
     load_qseries,
     reduce_point,
+    value_with_bound,
 )
-from cmforge.quadforms import QuadraticForm, heegner_point
+from cmforge.quadforms import QuadraticForm, admissible_residues, heegner_point, heegner_reps
 
 PREC = PrecisionConfig()  # 80 digits + 10 guard
 
@@ -82,9 +83,56 @@ def test_eta_low_imaginary_part_converges():
 
 
 def test_eta_max_terms_exceeded(monkeypatch):
+    # the term count is known before the series starts, so nothing is computed
+    def no_series_work(*args):
+        raise AssertionError("series work started before the term-count check")
+
     monkeypatch.setattr(hauptmodul, "MAX_ETA_TERMS", 8)
+    monkeypatch.setattr(hauptmodul, "_fixed_q", no_series_work)
+    monkeypatch.setattr(hauptmodul, "_pentagonal_sum", no_series_work)
     with pytest.raises(PrecisionError, match="Im"):
         eta_with_bound(complex(0.0, 0.05), PREC)
+    with pytest.raises(PrecisionError, match="Im"):
+        value_with_bound(2, complex(0.0, 0.05), PREC, PREC.context(), reduce_first=False)
+
+
+# one reduced Heegner point per eta prime: (p, D), the point of the first form
+ORACLE_HEEGNER = ((2, 47), (3, 71), (5, 79), (7, 55), (13, 35))
+
+
+@pytest.mark.parametrize("digits", (30, 80, 300, 1000))
+def test_eta_kernel_against_mpmath_oracle(digits):
+    # mpmath.eta at 50 more digits is an independent oracle for both the
+    # values and the returned error bounds
+    prec = PrecisionConfig(decimal_digits=digits)
+    ctx = prec.context()
+    oracle = mpmath.ctx_mp.MPContext()
+    oracle.dps = digits + 50
+    requested = oracle.mpf(10) ** -digits
+
+    def check(value, bound, exact):
+        assert abs(oracle.mpc(value) - exact) <= bound
+        assert bound <= requested * max(abs(exact), 1)
+
+    def check_eta(tau):
+        value, bound = eta_with_bound(tau, prec, ctx)
+        check(value, bound, oracle.eta(oracle.mpc(tau)))
+
+    for tau in (ctx.mpc(0, 1), ctx.mpc(0, 2), ctx.mpc("0.3", "0.05")):
+        check_eta(tau)
+    for p, D in ORACLE_HEEGNER:
+        form = heegner_reps(-D, p, admissible_residues(-D, p)[0])[0]
+        point = heegner_point(form)
+        tau = (ctx.mpc(-point.b, 0) + ctx.mpc(0, 1) * ctx.sqrt(-point.disc)) / (2 * point.a)
+        tau = reduce_point(tau, p, ctx)
+        check_eta(tau)
+        check_eta(p * tau)
+        # value_with_bound takes q^p from q, i.e. the exact p times the rounded tau
+        e = 24 // (p - 1)
+        exact_tau = oracle.mpc(tau)
+        t = (oracle.eta(exact_tau) / oracle.eta(p * exact_tau)) ** e
+        value, bound = value_with_bound(p, tau, prec, ctx, reduce_first=False)
+        check(value, bound, t + oracle.mpf(p) ** (e // 2) / t)
 
 
 def test_eta_rejects_lower_half_plane():
