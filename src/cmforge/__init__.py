@@ -20,6 +20,7 @@ from .gzrhs import (
     GZParams,
     LatticeTerm,
     PrimeLogSum,
+    TermContribution,
     enumerate_terms,
     gz_log_norm,
     term_contribution,

@@ -143,6 +143,10 @@ def factorize(n: int) -> Factorization:
             n //= f
         f += increments[i]
         i = (i + 1) % 8
+    if n > 1 and f * f > n:
+        # no prime up to sqrt(n) divides n, so n is prime; Factorization certifies it
+        counts[n] = 1
+        n = 1
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -214,8 +218,16 @@ def hilbert_symbol(a: int, b: int, q) -> int:
     q = int(q)
     alpha = ord_q(a, q)
     beta = ord_q(b, q)
-    u = a // q ** alpha
-    v = b // q ** beta
+    return local_hilbert_symbol(q, alpha, a // q ** alpha, beta, b // q ** beta)
+
+
+def local_hilbert_symbol(q: int, alpha: int, u: int, beta: int, v: int) -> int:
+    """Hilbert symbol (q^alpha u, q^beta v)_q for q-adic units u, v.
+
+    q must be a certified prime and u, v integers prime to q; nothing is
+    checked here, so callers holding a Factorization skip the valuation and
+    primality work of hilbert_symbol.
+    """
     if q == 2:
         # epsilon(x) = (x-1)/2, omega(x) = (x^2-1)/8, both mod 2, via x mod 8
         um, vm = u % 8, v % 8

@@ -152,7 +152,7 @@ def cmd_gznorm(args, config: RunConfig) -> int:
     params = GZParams.create(p=args.p, d=args.d, D=args.D, mu=args.mu, beta=args.beta)
     if args.breakdown:
         terms = enumerate_terms(params)
-        contributions = [term_contribution(term, params, config.ramified_exponent)
+        contributions = [term_contribution(term, params).log_sum(config.ramified_exponent)
                          for term in terms]
         pls = PrimeLogSum.total(contributions)
     else:

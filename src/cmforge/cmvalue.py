@@ -5,28 +5,36 @@ functions of the integer md = m*D of a lattice term: rho counts integral
 ideals of a given norm in an imaginary quadratic field, o_of_m counts
 ramified primes dividing m*D, and diff_set collects the finite places where
 -m*N(a) fails to be a local norm.  The field Q(sqrt(-D)) is passed as the
-factorization of D; callers validate D once and factor it once.
+factorization of D; callers validate D once and factor it once, and factor
+md once per term.
 """
 
 from __future__ import annotations
 
-from .arith import Factorization, factorize, hilbert_symbol, kronecker
+from .arith import Factorization, factorize, kronecker, local_hilbert_symbol
 from .errors import IntegralityError, ParameterError
 
 
 def rho(n: int, D: int) -> int:
     """Number of integral ideals of norm n in Q(sqrt(-D)).
 
-    A non-integer n is a caller bug.  Multiplicative over factorize(n): a
-    split prime power q^e contributes e+1, an inert one kills the count
-    unless e is even, a ramified one contributes 1.
+    A non-integer n is a caller bug.  See ideal_count for the count itself.
     """
     if not isinstance(n, int):
         raise IntegralityError(f"ideal counts need an integer norm, got {n!r}")
     if n < 1:
         raise ParameterError(f"ideal norm must be positive, got {n}")
+    return ideal_count(factorize(n).factors, D)
+
+
+def ideal_count(factors, D: int) -> int:
+    """rho of prod q^e over certified (prime q, exponent e >= 0) pairs.
+
+    Multiplicative: a split prime power q^e contributes e+1, an inert one
+    kills the count unless e is even, a ramified one contributes 1.
+    """
     count = 1
-    for q, e in factorize(n).factors:
+    for q, e in factors:
         chi = kronecker(-D, q)
         if chi == 1:
             count *= e + 1
@@ -35,24 +43,32 @@ def rho(n: int, D: int) -> int:
     return count
 
 
-def o_of_m(md: int, D_factors: Factorization) -> int:
-    """Number of primes q | D that divide md = m*D."""
-    if not isinstance(md, int) or md <= 0:
-        raise ParameterError(f"m*D must be a positive integer, got {md!r}")
-    return sum(1 for q in D_factors.primes() if md % q == 0)
+def o_of_m(md_factors: Factorization, D_factors: Factorization) -> int:
+    """Number of primes q | D that divide md = m*D, given factorize(md)."""
+    return len(set(D_factors.primes()).intersection(md_factors.primes()))
 
 
-def diff_set(md: int, D_factors: Factorization,
+def diff_set(md_factors: Factorization, D_factors: Factorization,
              N_factors: Factorization) -> tuple[int, ...]:
     """Finite primes where -m * N(a) is obstructed from being a local norm.
 
     -md*N(a)*D = -m*N(a)*D^2 has the local symbols of -m*N(a).  The symbol is
     +1 at any odd prime where both it and -D are units, so scanning 2 together
-    with the primes of D, N(a) and md suffices.  The ideal norm N(a) comes
-    factored like D, since it is fixed across the terms of one sum;
-    factorize(md) rejects a non-integer or non-positive md.
+    with the primes of D, N(a) and md suffices.  All three integers come
+    factored, so each symbol is read off their exponents with no further
+    valuation or primality work; factorize(md) has already rejected a
+    non-integer or non-positive md.
     """
     D = D_factors.value
-    candidates = {2, *D_factors.primes(), *N_factors.primes(), *factorize(md).primes()}
-    x = -md * N_factors.value * D
-    return tuple(q for q in sorted(candidates) if hilbert_symbol(x, -D, q) == -1)
+    x = -md_factors.value * N_factors.value * D
+    alphas = {2: 0}  # ord_q(x) over the scanned primes
+    for factors in (md_factors, N_factors, D_factors):
+        for q, e in factors.factors:
+            alphas[q] = alphas.get(q, 0) + e
+    betas = dict(D_factors.factors)  # ord_q(-D)
+    obstructed = []
+    for q in sorted(alphas):
+        alpha, beta = alphas[q], betas.get(q, 0)
+        if local_hilbert_symbol(q, alpha, x // q ** alpha, beta, -D // q ** beta) == -1:
+            obstructed.append(q)
+    return tuple(obstructed)

@@ -16,7 +16,9 @@ from .gzrhs import (
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
     GZParams,
-    gz_log_norm,
+    PrimeLogSum,
+    enumerate_terms,
+    term_contribution,
 )
 from .hauptmodul import DEFAULT_PRECISION, PrecisionConfig, lhs_log_norm
 from .quadforms import admissible_residues
@@ -50,10 +52,10 @@ def run_crosscheck(p: int, d: int, D: int,
     """Evaluate both sides for one discriminant pair; residues default to smallest."""
     prec = prec or DEFAULT_PRECISION
     params = GZParams.create(p=p, d=d, D=D, mu=mu, beta=beta)
-    sums = {
-        RAMIFIED_OF_MD: gz_log_norm(params, RAMIFIED_OF_MD),
-        RAMIFIED_OF_M: gz_log_norm(params, RAMIFIED_OF_M),
-    }
+    # one scoring pass gives both ramified variants
+    contributions = [term_contribution(term, params) for term in enumerate_terms(params)]
+    sums = {variant: PrimeLogSum.total(c.log_sum(variant) for c in contributions)
+            for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M)}
     ctx = prec.context()
     lhs = lhs_log_norm(p=p, d=params.d, beta=params.beta, D=params.D, mu=params.mu,
                        prec=prec, series=series, ctx=ctx)

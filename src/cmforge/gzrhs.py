@@ -5,7 +5,8 @@ prod prod |j_p*(tau_{Q_D}) - j_p*(tau_{Q_d})|^8 as an exact map
 prime -> exponent, assembled from finitely many lattice terms.  Each term
 (sign, y, n) has t = g*mu*(sign*beta) - 2npD - 2gpy with t^2 < g^2 dD and needs
 only the integer md = m*D = (g^2 dD - t^2)/(4 g^2 p), and contributes only
-when the local obstruction set of m is a single prime.
+when the local obstruction set of m is a single prime.  Each term is scored
+from one factorization of md, for both ramified exponents at once.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .arith import (
     is_fundamental_discriminant,
     is_prime,
     kronecker,
-    ord_q,
 )
-from .cmvalue import diff_set, o_of_m, rho
+from .cmvalue import diff_set, ideal_count, o_of_m
 from .errors import (
     IntegralityError,
     InternalError,
@@ -202,41 +202,62 @@ def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
     return terms
 
 
-def term_contribution(term: LatticeTerm, params: GZParams,
-                      ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> PrimeLogSum:
-    """Weighted prime-log contribution of one lattice term.
+@dataclass(frozen=True)
+class TermContribution:
+    """One lattice term's coefficient of log(prime), under both ramified exponents.
+
+    The two coefficients differ only at a ramified prime q, where "of_m"
+    drops weight * ord_q(D) * rho(m*D) from the "of_mD" coefficient.  A term
+    that contributes nothing has both coefficients 0 (and prime 1).
+    """
+
+    prime: int = 1
+    of_mD: int = 0
+    of_m: int = 0
+
+    def is_zero(self) -> bool:
+        return not (self.of_mD or self.of_m)
+
+    def log_sum(self, ramified_exponent: str) -> PrimeLogSum:
+        """The contribution as a prime-log sum under one ramified exponent."""
+        if ramified_exponent not in _RAMIFIED_CHOICES:
+            raise ParameterError(f"unknown ramified_exponent {ramified_exponent!r}")
+        coeff = self.of_m if ramified_exponent == RAMIFIED_OF_M else self.of_mD
+        return PrimeLogSum({self.prime: coeff})
+
+
+def term_contribution(term: LatticeTerm, params: GZParams) -> TermContribution:
+    """Weighted prime-log coefficients of one lattice term, from one factorize(m*D).
 
     Zero unless the obstruction set of m is a single prime q.  The weight
     2^(o(m)+1) includes a factor 2 because both orientations of the CM plane
-    contribute one copy of the lattice sum.
+    contribute one copy of the lattice sum.  Every count is read off the
+    factorization of md = m*D: an inert q lowers q's exponent by one for
+    rho(m*D/q) instead of factoring m*D/q.
     """
-    if ramified_exponent not in _RAMIFIED_CHOICES:
-        raise ParameterError(f"unknown ramified_exponent {ramified_exponent!r}")
-    md = term.md
-    obstructed = diff_set(md, params.D_factors, params.p_factors)
+    md_factors = factorize(term.md)
+    obstructed = diff_set(md_factors, params.D_factors, params.p_factors)
     if len(obstructed) != 1:
-        return PrimeLogSum()
+        return TermContribution()
     q = obstructed[0]
-    weight = 2 ** (o_of_m(md, params.D_factors) + 1)
+    weight = 2 ** (o_of_m(md_factors, params.D_factors) + 1)
+    order = dict(md_factors.factors).get(q, 0)
     chi = kronecker(-params.D, q)
     if chi == -1:
-        if md % q:
+        if not order:
             raise IntegralityError(f"m*D/{q} is not integral for term {term}")
-        coeff = weight * (ord_q(md, q) + 1) * rho(md // q, params.D)
-    elif chi == 0:
-        order = ord_q(md, q)
-        if ramified_exponent == RAMIFIED_OF_M:
-            order -= ord_q(params.D, q)
-        coeff = weight * order * rho(md, params.D)
-    else:
-        raise InternalError(f"split prime {q} appeared in the obstruction set of m*D={md}")
-    if coeff == 0:
-        return PrimeLogSum()
-    return PrimeLogSum({q: Fraction(coeff)})
+        lowered = [(r, e - (r == q)) for r, e in md_factors.factors]
+        coeff = weight * (order + 1) * ideal_count(lowered, params.D)
+        return TermContribution(q, coeff, coeff)
+    if chi == 0:
+        scale = weight * ideal_count(md_factors.factors, params.D)
+        return TermContribution(q, scale * order,
+                                scale * (order - dict(params.D_factors.factors)[q]))
+    raise InternalError(f"split prime {q} appeared in the obstruction set of m*D={term.md}")
 
 
 def gz_log_norm(params: GZParams,
                 ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> PrimeLogSum:
     """Exact log of the 8th-power norm as a prime-log sum."""
-    return PrimeLogSum.total(term_contribution(term, params, ramified_exponent)
+    return PrimeLogSum.total(term_contribution(term, params).log_sum(ramified_exponent)
                              for term in enumerate_terms(params))

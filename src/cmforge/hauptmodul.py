@@ -43,6 +43,8 @@ ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
 GUARD_DIGITS = 10
 #: Safety bound on the eta series length; low Im(tau) raises PrecisionError.
 MAX_ETA_TERMS = 10 ** 6
+#: Most point flips reduce_point makes; a point needing more raises PrecisionError.
+MAX_REDUCTION_FLIPS = 64
 #: Bits the fixed-point eta kernel carries beyond the context precision.
 ETA_GUARD_BITS = 32
 # Error of the fixed-point q = e^(2 pi i tau), in units of its last bit: the
@@ -337,17 +339,20 @@ def reduce_point(tau, p: int, ctx):
 
     Legal for evaluating any function invariant under the group generated by
     tau -> tau + 1 and tau -> -1/(p tau); each flip strictly increases Im(tau).
+    A point still unreduced after MAX_REDUCTION_FLIPS flips raises PrecisionError.
     """
     tau = ctx.mpc(tau)
     margin = 1 - ctx.mpf(10) ** (-9)
-    for _ in range(64):
+    for _ in range(MAX_REDUCTION_FLIPS + 1):
         shift = ctx.floor(tau.real + ctx.mpf("0.5"))
         tau = tau - shift
-        if p * (tau.real ** 2 + tau.imag ** 2) < margin:
-            tau = -1 / (p * tau)
-        else:
+        if p * (tau.real ** 2 + tau.imag ** 2) >= margin:
             return tau
-    return tau  # boundary orbit; current point is fine for evaluation
+        tau = -1 / (p * tau)
+    raise PrecisionError(
+        f"tau not reduced for p={p} within MAX_REDUCTION_FLIPS = {MAX_REDUCTION_FLIPS} flips",
+        bound=ctx.inf,
+    )
 
 
 def _eval_qseries_with_bound(series: QSeries, tau, prec: PrecisionConfig, ctx):

@@ -13,6 +13,11 @@ from math import gcd, isqrt
 from .arith import factorize, is_fundamental_discriminant, is_prime
 from .errors import EnumerationExhaustedError, InternalError, ParameterError
 
+#: Largest |disc| class_number accepts.  The count scans O(|disc|) candidate
+#: forms, under a second at this ceiling, and every path to a CM point
+#: (heegner, classpoly, crosscheck) goes through it.
+MAX_CLASS_NUMBER_DISC = 10 ** 7
+
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -78,6 +83,10 @@ def reduce(f: QuadraticForm) -> QuadraticForm:
 
 def class_number(disc: int) -> int:
     """Number of classes of primitive positive-definite forms of discriminant disc."""
+    if -disc > MAX_CLASS_NUMBER_DISC:
+        raise ParameterError(
+            f"|disc| = {-disc} exceeds the class number ceiling {MAX_CLASS_NUMBER_DISC}"
+        )
     if not is_fundamental_discriminant(disc):
         raise ParameterError(f"{disc} is not a fundamental discriminant")
     count = 0

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import brute_local_solvable
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmforge.arith import (
     Factorization,
@@ -12,6 +14,7 @@ from cmforge.arith import (
     is_fundamental_discriminant,
     is_prime,
     kronecker,
+    local_hilbert_symbol,
     ord_q,
 )
 from cmforge.errors import InternalError, ParameterError, UndefinedValuationError
@@ -233,6 +236,21 @@ def test_hilbert_against_brute_force_solvability():
         for q in (2, 3, 5):
             expected = 1 if brute_local_solvable(a, b, q) else -1
             assert hilbert_symbol(a, b, q) == expected, (a, b, q)
+
+
+@settings(max_examples=600, deadline=None)
+@given(q=st.sampled_from((2, 3, 5, 7, 11, 13, 10007)),
+       powers=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       rests=st.tuples(st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                       st.integers(-10 ** 6, 10 ** 6).filter(bool)))
+def test_local_hilbert_symbol_from_factorizations(q, powers, rests):
+    # valuations and units read off factorize(|a|) and factorize(|b|), as a
+    # caller holding factorizations does, give the symbol hilbert_symbol gives
+    a, b = (rest * q ** k for rest, k in zip(rests, powers))
+    alpha = dict(factorize(abs(a)).factors).get(q, 0)
+    beta = dict(factorize(abs(b)).factors).get(q, 0)
+    got = local_hilbert_symbol(q, alpha, a // q ** alpha, beta, b // q ** beta)
+    assert got == hilbert_symbol(a, b, q)
 
 
 def is_squarefree_trial(n):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 from cmforge.cli import (
     EXIT_CROSSCHECK_FAILED,
@@ -10,6 +11,7 @@ from cmforge.cli import (
     canonical_json,
     main,
 )
+from cmforge.quadforms import MAX_CLASS_NUMBER_DISC
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +127,18 @@ def test_heegner_output(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["a", "b", "c"]
     assert len(rows) == 5  # header + h(-39) forms
+
+
+def test_heegner_refuses_discriminant_above_class_number_ceiling(capsys):
+    # the class number scan is O(|d|); above its ceiling the CLI refuses at
+    # once, both just past it and where the scan would run for hours
+    start = time.perf_counter()
+    for d in (10_000_004, 1_000_000_000_004):
+        code, out, err = run_cli(capsys, "heegner", "--d", str(d), "--p", "2", "--beta", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"ceiling {MAX_CLASS_NUMBER_DISC}" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_crosscheck_single_pass(capsys):

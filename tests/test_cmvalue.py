@@ -91,16 +91,17 @@ def test_field_data_validation():
 
 
 def test_o_of_m_frozen():
-    assert o_of_m(11, factorize(11)) == 1     # m = 1: 11 | m*D
-    assert o_of_m(1, factorize(11)) == 0      # m = 1/11
-    assert o_of_m(117, factorize(39)) == 2    # m*D = 3^2 * 13
-    assert o_of_m(2 * 13, factorize(39)) == 1
+    assert o_of_m(factorize(11), factorize(11)) == 1     # m = 1: 11 | m*D
+    assert o_of_m(factorize(1), factorize(11)) == 0      # m = 1/11
+    assert o_of_m(factorize(117), factorize(39)) == 2    # m*D = 3^2 * 13
+    assert o_of_m(factorize(2 * 13), factorize(39)) == 1
+    # a bad m*D is refused where it is factored, before o_of_m sees it
     for bad in (0, -22):
         with pytest.raises(ParameterError):
-            o_of_m(bad, factorize(11))
+            o_of_m(factorize(bad), factorize(11))
     for bad in (Fraction(117, 4), Fraction(11, 1), 11.0):
         with pytest.raises(ParameterError):
-            o_of_m(bad, factorize(11))
+            o_of_m(factorize(bad), factorize(11))
 
 
 def is_square(n):
@@ -118,14 +119,14 @@ def test_diff_set_parity_odd():
         for md in sample_mds(rng):
             if is_square(md * norm):
                 continue  # -m N(a) * (-D) = md N(a) square: every local symbol is +1
-            assert len(diff_set(md, factorize(D), factorize(norm))) % 2 == 1, (md, D, norm)
+            assert len(diff_set(factorize(md), factorize(D), factorize(norm))) % 2 == 1, (md, D, norm)
 
 
 def test_diff_set_never_contains_split_primes():
     rng = random.Random(47)
     for D, norm in ((11, 47), (15, 2), (39, 13)):
         for md in sample_mds(rng, 80):
-            for q in diff_set(md, factorize(D), factorize(norm)):
+            for q in diff_set(factorize(md), factorize(D), factorize(norm)):
                 assert kronecker(-D, q) != 1, (md, D, norm, q)
 
 
@@ -135,7 +136,7 @@ def test_diff_set_scan_window_is_sufficient():
     D, norm = 15, 2
     for md in sample_mds(rng, 40):
         x = -md * norm * D  # the square class of -m N(a)
-        support = set(diff_set(md, factorize(D), factorize(norm)))
+        support = set(diff_set(factorize(md), factorize(D), factorize(norm)))
         for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
             if x % q:
                 assert hilbert_symbol(x, -D, q) == 1
@@ -146,7 +147,7 @@ def test_diff_set_membership_against_local_solvability():
     D, norm = 15, 2
     # m = 1, 13/15, 4/5, 2/3, 7/15, 1/5
     for md in (15, 13, 12, 10, 7, 3):
-        members = diff_set(md, factorize(D), factorize(norm))
+        members = diff_set(factorize(md), factorize(D), factorize(norm))
         x = -md * norm * D
         for q in (2, 3, 5):
             solvable = brute_local_solvable(x, -D, q)
@@ -156,7 +157,7 @@ def test_diff_set_membership_against_local_solvability():
 def test_diff_set_spec_instance():
     # scan set for m=1 (m*D = 11), D=11, N(a)=47 is {2, 11, 47}; brute-check
     # the small primes on -47, which has the symbols of -m*D * N(a) * D
-    members = diff_set(11, factorize(11), factorize(47))
+    members = diff_set(factorize(11), factorize(11), factorize(47))
     x = -47
     for q in (2, 11):
         solvable = brute_local_solvable(x, -11, q)
@@ -170,6 +171,6 @@ def test_diff_set_spec_instance():
 
 def test_diff_set_vanishing_rule_cases():
     # |diff| = 1 permits a contribution, |diff| = 3 forces zero; both occur
-    sizes = {len(diff_set(md, factorize(15), factorize(2)))
+    sizes = {len(diff_set(factorize(md), factorize(15), factorize(2)))
              for md in sample_mds(random.Random(59), 200)}
     assert 1 in sizes and 3 in sizes

@@ -4,8 +4,14 @@ from math import isqrt
 
 import pytest
 
+from cmforge.arith import factorize, hilbert_symbol, kronecker, ord_q
 from cmforge.crosscheck import admissible_pairs
-from cmforge.errors import InternalError, NonIntegralMagnitudeError, ParameterError
+from cmforge.errors import (
+    IntegralityError,
+    InternalError,
+    NonIntegralMagnitudeError,
+    ParameterError,
+)
 from cmforge.gzrhs import (
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
@@ -119,7 +125,9 @@ def test_ramified_variant_only_changes_ramified_terms():
     params = GZParams.create(p=47, d=39, D=163)  # all contributions inert here
     assert gz_log_norm(params, RAMIFIED_OF_M) == gz_log_norm(params, RAMIFIED_OF_MD)
     with pytest.raises(ParameterError):
-        term_contribution(enumerate_terms(params)[0], params, "bogus")
+        term_contribution(enumerate_terms(params)[0], params).log_sum("bogus")
+    with pytest.raises(ParameterError):
+        gz_log_norm(params, "bogus")
 
 
 def grid_params():
@@ -185,13 +193,12 @@ def test_grid_swap_symmetry():
 
 def test_term_contribution_vanishing():
     # terms whose obstruction set is not a singleton contribute nothing
-    from cmforge.arith import factorize
     from cmforge.cmvalue import diff_set
 
     params = GZParams.create(p=13, d=43, D=51)
     vanished = 0
     for term in enumerate_terms(params):
-        obstructed = diff_set(term.md, factorize(51), factorize(13))
+        obstructed = diff_set(factorize(term.md), factorize(51), factorize(13))
         contribution = term_contribution(term, params)
         if len(obstructed) != 1:
             assert len(obstructed) == 3  # odd by the product formula
@@ -202,18 +209,116 @@ def test_term_contribution_vanishing():
 
 
 def test_gz_log_norm_factors_ideal_norm_once(monkeypatch):
-    # the ideal norm p comes factored with the params: no lattice term
-    # factors it again, while each term still factors its own m*D
-    from cmforge import cmvalue
+    # every lattice term is scored from one factorization of its m*D; the
+    # ideal norm p comes factored with the params and is never factored again
+    from collections import Counter
+
+    from cmforge import cmvalue, gzrhs
 
     params = GZParams.create(p=2, d=7, D=12228)
     terms = enumerate_terms(params)
     calls = []
-    factorize = cmvalue.factorize
-    monkeypatch.setattr(cmvalue, "factorize", lambda n: calls.append(n) or factorize(n))
+    original = gzrhs.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    for module in (gzrhs, cmvalue):
+        monkeypatch.setattr(module, "factorize", counting)
     gz_log_norm(params)
-    assert calls.count(params.p) == 0
-    assert {term.md for term in terms} <= set(calls)
+    assert params.p not in calls
+    assert Counter(calls) == Counter(term.md for term in terms)
+
+
+def test_run_crosscheck_enumerates_lattice_once(monkeypatch):
+    # both ramified variants come out of one enumeration and one scoring pass
+    from cmforge import crosscheck, gzrhs
+
+    calls = []
+    original = gzrhs.enumerate_terms
+
+    def counting(params):
+        calls.append(params)
+        return original(params)
+
+    for module in (gzrhs, crosscheck):
+        monkeypatch.setattr(module, "enumerate_terms", counting, raising=False)
+    res = crosscheck.run_crosscheck(2, 7, 15)
+    assert len(calls) == 1
+    assert res.passes == {RAMIFIED_OF_MD: True, RAMIFIED_OF_M: False}
+    assert res.variants_differ
+
+
+def reference_rho(n, D):
+    count = 1
+    for q, e in factorize(n).factors:
+        chi = kronecker(-D, q)
+        if chi == 1:
+            count *= e + 1
+        elif chi == -1 and e % 2:
+            return 0
+    return count
+
+
+def reference_contribution(term, params, ramified_exponent):
+    """Exponent map of one term by the per-symbol formula: ord_q and hilbert_symbol
+    at each scanned prime, and rho of a freshly factored m*D or m*D/q."""
+    md, D, N = term.md, params.D, params.p
+    x = -md * N * D
+    candidates = {2, *factorize(D).primes(), *factorize(N).primes(), *factorize(md).primes()}
+    obstructed = [q for q in sorted(candidates) if hilbert_symbol(x, -D, q) == -1]
+    if len(obstructed) != 1:
+        return {}
+    q = obstructed[0]
+    weight = 2 ** (sum(1 for r in factorize(D).primes() if md % r == 0) + 1)
+    chi = kronecker(-D, q)
+    assert chi != 1
+    if chi == -1:
+        coeff = weight * (ord_q(md, q) + 1) * reference_rho(md // q, D)
+    else:
+        order = ord_q(md, q)
+        if ramified_exponent == RAMIFIED_OF_M:
+            order -= ord_q(D, q)
+        coeff = weight * order * reference_rho(md, D)
+    return {q: Fraction(coeff)} if coeff else {}
+
+
+def test_term_contribution_matches_per_symbol_reference():
+    cases = grid_params() + [GZParams.create(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
+    for params in cases:
+        for term in enumerate_terms(params):
+            contribution = term_contribution(term, params)
+            for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M):
+                expected = reference_contribution(term, params, variant)
+                assert contribution.log_sum(variant).exponents == expected, (params, term)
+            assert contribution.is_zero() == (
+                not reference_contribution(term, params, RAMIFIED_OF_MD)
+                and not reference_contribution(term, params, RAMIFIED_OF_M))
+
+
+def test_term_contribution_keeps_its_checks(monkeypatch):
+    # a bad m*D is refused where it is factored, and obstruction sets the
+    # local symbols never produce (an inert prime not dividing m*D, a split
+    # prime) are refused rather than scored
+    from dataclasses import replace
+
+    from cmforge import gzrhs
+
+    params = GZParams.create(p=47, d=39, D=163)
+    term = enumerate_terms(params)[0]
+    for bad in (0, -term.md):
+        with pytest.raises(ParameterError):
+            term_contribution(replace(term, md=bad), params)
+    primes = (2, 3, 5, 7, 11, 13, 41, 43, 47)
+    inert = next(q for q in primes if kronecker(-163, q) == -1 and term.md % q)
+    split = next(q for q in primes if kronecker(-163, q) == 1)
+    monkeypatch.setattr(gzrhs, "diff_set", lambda *args: (inert,))
+    with pytest.raises(IntegralityError):
+        term_contribution(term, params)
+    monkeypatch.setattr(gzrhs, "diff_set", lambda *args: (split,))
+    with pytest.raises(InternalError, match="split prime"):
+        term_contribution(term, params)
 
 
 def test_primelogsum_total():

@@ -224,6 +224,19 @@ def test_reduce_point_lands_in_domain():
             assert p * (out.real ** 2 + out.imag ** 2) >= 1 - ctx.mpf(10) ** -8
 
 
+def test_reduce_point_flip_ceiling(monkeypatch):
+    # tau = 0.3 + 0.001i needs four flips at p = 2; below that the ceiling
+    # refuses with its name rather than return an unreduced point
+    ctx = ctx80()
+    tau = ctx.mpc("0.3", "0.001")
+    reduced = reduce_point(tau, 2, ctx)
+    monkeypatch.setattr(hauptmodul, "MAX_REDUCTION_FLIPS", 4)
+    assert reduce_point(tau, 2, ctx) == reduced
+    monkeypatch.setattr(hauptmodul, "MAX_REDUCTION_FLIPS", 3)
+    with pytest.raises(PrecisionError, match="MAX_REDUCTION_FLIPS = 3"):
+        reduce_point(tau, 2, ctx)
+
+
 def test_qseries_heads_frozen():
     qs2 = eta_quotient_qseries(2, 8)
     assert qs2.coefficients[:4] == (1, -24, 4372, 96256)
