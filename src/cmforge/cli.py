@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -50,18 +49,8 @@ EXIT_CROSSCHECK_FAILED = 4
 EXIT_INFEASIBLE = 5
 
 _INT_STRING_LIMIT = 2 ** 53
-
-
-@dataclass
-class RunConfig:
-    precision: PrecisionConfig
-    ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT
-    base_discriminant: int | None = None
-    output_format: str = "text"
-    series_path: str | None = None
-
-    def series(self):
-        return load_qseries(self.series_path) if self.series_path else None
+#: Significant digits of a norm value shown as a decimal string.
+_VALUE_DIGITS = 17
 
 
 def _jsonable(obj):
@@ -87,10 +76,10 @@ def canonical_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
-def _emit(report: dict, config: RunConfig, csv_rows=None, csv_header=None, text_lines=None):
-    if config.output_format == "json":
+def _emit(report: dict, output_format: str, csv_rows=None, csv_header=None, text_lines=None):
+    if output_format == "json":
         print(canonical_json(report))
-    elif config.output_format == "csv":
+    elif output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header or ["key", "value"])
@@ -128,18 +117,39 @@ def _parse_tau(text: str):
     return match.group(1), match.group(2)
 
 
-def _exponent_map(pls):
-    return {str(q): e for q, e in pls.items()}
+def _series(args):
+    return load_qseries(args.series) if args.series else None
+
+
+def _exponent_map(items):
+    return {str(q): Fraction(e) for q, e in items}
+
+
+def _exponent_text(items):
+    return " ".join(f"{q}^{e}" for q, e in items) or "(empty)"
+
+
+def _float_or_decimal(pls):
+    """The norm exp(log_value / 8) as a float, or as a decimal string where
+    that float would overflow or underflow to zero."""
+    try:
+        value = math.exp(pls.log_value() / 8)
+    except OverflowError:
+        value = 0.0
+    if value:
+        return value
+    ctx = PrecisionConfig(decimal_digits=_VALUE_DIGITS).context()
+    return ctx.nstr(ctx.exp(pls.log_value_mpf(ctx) / 8), _VALUE_DIGITS)
 
 
 def _norm_payload(pls):
     """JSON payload and text form of the norm prod q^(e_q/8) of a prime-log sum."""
-    factors = [(q, e / 8) for q, e in pls.items()]
+    factors = [(q, Fraction(e, 8)) for q, e in pls.items()]
     try:
         value = pls.norm()
         text = str(value)
     except NonIntegralMagnitudeError:
-        value = math.exp(pls.log_value() / 8)
+        value = _float_or_decimal(pls)
         text = "*".join(
             f"{q}^({e})" if e.denominator != 1 else f"{q}^{e}" for q, e in factors
         )
@@ -148,25 +158,25 @@ def _norm_payload(pls):
     return payload, text
 
 
-def cmd_gznorm(args, config: RunConfig) -> int:
+def cmd_gznorm(args) -> int:
     params = GZParams.create(p=args.p, d=args.d, D=args.D, mu=args.mu, beta=args.beta)
+    variant = args.ramified_exponent
     if args.breakdown:
         terms = enumerate_terms(params)
-        contributions = [term_contribution(term, params).log_sum(config.ramified_exponent)
-                         for term in terms]
-        pls = PrimeLogSum.total(contributions)
+        contributions = [term_contribution(term, params) for term in terms]
+        pls = PrimeLogSum.total(contributions, variant)
     else:
-        pls = gz_log_norm(params, config.ramified_exponent)
+        pls = gz_log_norm(params, variant)
     norm, norm_text = _norm_payload(pls)
     result = {
-        "exponents": _exponent_map(pls),
+        "exponents": _exponent_map(pls.items()),
         "log_value": pls.log_value(),
         "norm": norm,
-        "ramified_exponent": config.ramified_exponent,
+        "ramified_exponent": variant,
     }
     text = [
         f"p={params.p} d={params.d} D={params.D} beta={params.beta} mu={params.mu}",
-        "exponents: " + (" ".join(f"{q}^{e}" for q, e in pls.items()) or "(empty)"),
+        f"exponents: {_exponent_text(pls.items())}",
         f"log value: {pls.log_value():.12g}",
         f"norm: {norm_text}",
     ]
@@ -174,6 +184,8 @@ def cmd_gznorm(args, config: RunConfig) -> int:
         rows = []
         for term, contribution in zip(terms, contributions):
             m = Fraction(term.md, params.D)
+            coeff = getattr(contribution, variant)
+            items = [(contribution.prime, coeff)] if coeff else []
             rows.append(
                 {
                     "sign": term.sign,
@@ -181,21 +193,18 @@ def cmd_gznorm(args, config: RunConfig) -> int:
                     "n": term.n,
                     "t": term.t,
                     "m": m,
-                    "contribution": _exponent_map(contribution),
+                    "contribution": _exponent_map(items),
                 }
             )
             text.append(
                 f"  sign={term.sign:+d} y={term.y} n={term.n} t={term.t} m={m} "
-                f"-> {dict(contribution.items()) or {}}"
+                f"-> {_exponent_text(items)}"
             )
         result["terms"] = rows
     report = _report("gznorm", vars_of(params), result)
-    csv_rows = [
-        [params.p, params.d, params.beta, params.D, params.mu, q,
-         f"{e.numerator}/{e.denominator}"]
-        for q, e in pls.items()
-    ]
-    _emit(report, config, csv_rows=csv_rows,
+    csv_rows = [[params.p, params.d, params.beta, params.D, params.mu, q, f"{e}/1"]
+                for q, e in pls.items()]
+    _emit(report, args.output_format, csv_rows=csv_rows,
           csv_header=["p", "d", "beta", "D", "mu", "prime", "exponent"],
           text_lines=text)
     return EXIT_OK
@@ -211,15 +220,15 @@ def _report(command: str, params: dict, result: dict, warnings=()) -> dict:
             "warnings": list(warnings)}
 
 
-def cmd_crosscheck(args, config: RunConfig) -> int:
-    series = config.series()
+def cmd_crosscheck(args) -> int:
+    series = _series(args)
     if args.d is not None and args.D is not None:
         results = [crosscheck_mod.run_crosscheck(
-            p=args.p, d=args.d, D=args.D, prec=config.precision, series=series)]
+            p=args.p, d=args.d, D=args.D, prec=args.prec, series=series)]
     elif args.d is None and args.D is None:
         pairs = crosscheck_mod.admissible_pairs(args.p, args.max_disc, args.count)
         results = [
-            crosscheck_mod.run_crosscheck(args.p, d, D, config.precision, series)
+            crosscheck_mod.run_crosscheck(args.p, d, D, args.prec, series)
             for d, D in sorted(pairs)
         ]
     else:
@@ -229,7 +238,7 @@ def cmd_crosscheck(args, config: RunConfig) -> int:
     text = []
     all_pass = True
     for res in results:
-        default_pass = res.passed(config.ramified_exponent)
+        default_pass = res.passed(args.ramified_exponent)
         all_pass = all_pass and default_pass
         entry = {
             "d": res.d, "D": res.D, "beta": res.beta, "mu": res.mu,
@@ -242,8 +251,8 @@ def cmd_crosscheck(args, config: RunConfig) -> int:
         rows.append(entry)
         text.append(
             f"p={args.p} d={res.d} D={res.D}: LHS={res.lhs:.10g} "
-            f"RHS[{config.ramified_exponent}]={res.rhs[config.ramified_exponent]:.10g} "
-            f"rel={res.discrepancy[config.ramified_exponent]:.3e} "
+            f"RHS[{args.ramified_exponent}]={res.rhs[args.ramified_exponent]:.10g} "
+            f"rel={res.discrepancy[args.ramified_exponent]:.3e} "
             f"{'PASS' if default_pass else 'FAIL'}"
         )
         if res.variants_differ:
@@ -255,16 +264,16 @@ def cmd_crosscheck(args, config: RunConfig) -> int:
     report = _report("crosscheck",
                      {"p": args.p, "tolerance": crosscheck_mod.RELATIVE_TOLERANCE},
                      {"checks": rows, "all_pass": all_pass,
-                      "variant": config.ramified_exponent})
-    _emit(report, config, text_lines=text)
+                      "variant": args.ramified_exponent})
+    _emit(report, args.output_format, text_lines=text)
     return EXIT_OK if all_pass else EXIT_CROSSCHECK_FAILED
 
 
-def cmd_classpoly(args, config: RunConfig) -> int:
+def cmd_classpoly(args) -> int:
     report_data = class_polynomial(
-        p=args.p, d=args.d, base_disc=config.base_discriminant,
-        strategy=args.strategy, prec=config.precision, series=config.series(),
-        ramified_exponent=config.ramified_exponent,
+        p=args.p, d=args.d, base_disc=args.base_discriminant,
+        strategy=args.strategy, prec=args.prec, series=_series(args),
+        ramified_exponent=args.ramified_exponent,
     )
     poly = report_data.polynomial
     pair_rows = [
@@ -286,12 +295,12 @@ def cmd_classpoly(args, config: RunConfig) -> int:
         "pairs (D, X, Y): " + " ".join(f"({r['D']}, {r['x']}, {r['y']})" for r in pair_rows),
         str(poly),
     ]
-    _emit(_report("classpoly", {"p": args.p, "d": args.d}, result), config,
+    _emit(_report("classpoly", {"p": args.p, "d": args.d}, result), args.output_format,
           text_lines=text)
     return EXIT_OK
 
 
-def cmd_heegner(args, config: RunConfig) -> int:
+def cmd_heegner(args) -> int:
     forms = heegner_reps(-args.d, args.p, args.beta)
     rows = []
     text = []
@@ -301,33 +310,33 @@ def cmd_heegner(args, config: RunConfig) -> int:
         text.append(f"({f.a}, {f.b}, {f.c})  tau = {point}")
     result = {"forms": rows, "count": len(rows)}
     _emit(_report("heegner", {"d": args.d, "p": args.p, "beta": args.beta}, result),
-          config,
+          args.output_format,
           csv_rows=[[f.a, f.b, f.c] for f in forms], csv_header=["a", "b", "c"],
           text_lines=text)
     return EXIT_OK
 
 
-def cmd_sset(args, config: RunConfig) -> int:
+def cmd_sset(args) -> int:
     members = s_set(args.p)
     result = {"s_set": members, "size": len(members)}
-    _emit(_report("sset", {"p": args.p}, result), config,
+    _emit(_report("sset", {"p": args.p}, result), args.output_format,
           csv_rows=[[m] for m in members], csv_header=["D"],
           text_lines=["{" + ", ".join(str(m) for m in members) + "}"])
     return EXIT_OK
 
 
-def cmd_eval(args, config: RunConfig) -> int:
+def cmd_eval(args) -> int:
     re_part, im_part = _parse_tau(args.tau)
-    prec = config.precision
+    prec = args.prec
     ctx = prec.context()
     tau = ctx.mpc(ctx.mpf(re_part), ctx.mpf(im_part))
-    value = hauptmodul_value(args.p, tau, prec, series=config.series())
+    value = hauptmodul_value(args.p, tau, prec, series=_series(args))
     digits = prec.decimal_digits
     result = {
         "re": mpmath.nstr(value.real, digits),
         "im": mpmath.nstr(value.imag, digits),
     }
-    _emit(_report("eval", {"p": args.p, "tau": args.tau}, result), config,
+    _emit(_report("eval", {"p": args.p, "tau": args.tau}, result), args.output_format,
           text_lines=[f"{result['re']} {result['im']}i"])
     return EXIT_OK
 
@@ -409,14 +418,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         digits = args.precision if args.precision is not None else _default_digits()
-        config = RunConfig(
-            precision=PrecisionConfig(decimal_digits=digits),
-            ramified_exponent=args.ramified_exponent,
-            base_discriminant=args.base_discriminant,
-            output_format=args.output_format,
-            series_path=args.series,
-        )
-        return args.func(args, config)
+        args.prec = PrecisionConfig(decimal_digits=digits)
+        return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -7,7 +7,10 @@ a genuine disagreement, not noise.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .arith import is_fundamental_discriminant
 from .errors import ParameterError
@@ -54,7 +57,7 @@ def run_crosscheck(p: int, d: int, D: int,
     params = GZParams.create(p=p, d=d, D=D, mu=mu, beta=beta)
     # one scoring pass gives both ramified variants
     contributions = [term_contribution(term, params) for term in enumerate_terms(params)]
-    sums = {variant: PrimeLogSum.total(c.log_sum(variant) for c in contributions)
+    sums = {variant: PrimeLogSum.total(contributions, variant)
             for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M)}
     ctx = prec.context()
     lhs = lhs_log_norm(p=p, d=params.d, beta=params.beta, D=params.D, mu=params.mu,
@@ -75,28 +78,28 @@ def run_crosscheck(p: int, d: int, D: int,
     return result
 
 
-def admissible_discriminants(p: int, max_disc: int = 500) -> list[int]:
-    """Positive d <= max_disc with -d fundamental, d > 4, and -d a square mod 4p."""
-    out = []
+def admissible_discriminants(p: int, max_disc: int = 500) -> Iterator[int]:
+    """Positive d <= max_disc with -d fundamental, d > 4, and -d a square mod 4p,
+    in increasing order."""
     for d in range(5, max_disc + 1):
-        if d % 4 not in (0, 3):
-            continue
-        if not is_fundamental_discriminant(-d):
-            continue
-        if admissible_residues(-d, p):
-            out.append(d)
-    return out
+        if d % 4 in (0, 3) and is_fundamental_discriminant(-d) and admissible_residues(-d, p):
+            yield d
 
 
 def admissible_pairs(p: int, max_disc: int = 500, count: int = 5) -> list[tuple[int, int]]:
-    """First `count` admissible (d, D) pairs with d < D, ordered by (d + D, d)."""
+    """First `count` admissible (d, D) pairs with d < D, ordered by (d + D, d).
+
+    They lie among the first count + 1 admissible discriminants d_0 < d_1 < ...:
+    a pair with D beyond d_count has a larger sum than each of the `count`
+    pairs (d_0, d_j), so the scan stops there.
+    """
     if count < 1:
         raise ParameterError(f"pair count must be at least 1, got {count}")
-    discs = admissible_discriminants(p, max_disc)
-    pairs = [(a, b) for i, a in enumerate(discs) for b in discs[i + 1:]]
-    pairs.sort(key=lambda pair: (pair[0] + pair[1], pair[0], pair[1]))
-    if len(pairs) < count:
+    discs = list(islice(admissible_discriminants(p, max_disc), count + 1))
+    available = len(discs) * (len(discs) - 1) // 2
+    if available < count:
         raise ParameterError(
-            f"only {len(pairs)} admissible pairs exist for p={p} below {max_disc}"
+            f"only {available} admissible pairs exist for p={p} below {max_disc}"
         )
-    return pairs[:count]
+    pairs = ((a, b) for i, a in enumerate(discs) for b in discs[i + 1:])
+    return heapq.nsmallest(count, pairs, key=lambda pair: (pair[0] + pair[1], pair[0], pair[1]))

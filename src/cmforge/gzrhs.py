@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .arith import (
@@ -113,45 +112,46 @@ class LatticeTerm:
 
 @dataclass
 class PrimeLogSum:
-    """Finite formal sum of e_q * log(q) with exact rational exponents."""
+    """Finite formal sum of e_q * log(q) with integer exponents."""
 
-    exponents: dict[int, Fraction] = field(default_factory=dict)
+    exponents: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned = {}
         for q, e in self.exponents.items():
-            e = Fraction(e)
-            if e:
-                cleaned[int(q)] = e
-        self.exponents = cleaned
+            if not isinstance(e, int):
+                raise ParameterError(f"exponent {e!r} of prime {q} is not an integer")
+        self.exponents = {q: e for q, e in self.exponents.items() if e}
 
     @classmethod
-    def total(cls, parts) -> "PrimeLogSum":
-        """The sum of an iterable of prime-log sums."""
-        exponents: dict[int, Fraction] = {}
-        for part in parts:
-            for q, e in part.exponents.items():
-                exponents[q] = exponents.get(q, 0) + e
+    def total(cls, contributions, ramified_exponent: str) -> "PrimeLogSum":
+        """The sum of lattice-term contributions under one ramified exponent."""
+        if ramified_exponent not in _RAMIFIED_CHOICES:
+            raise ParameterError(f"unknown ramified_exponent {ramified_exponent!r}")
+        exponents: dict[int, int] = {}
+        for contribution in contributions:
+            coeff = getattr(contribution, ramified_exponent)
+            if coeff:
+                exponents[contribution.prime] = exponents.get(contribution.prime, 0) + coeff
         return cls(exponents)
 
     def is_zero(self) -> bool:
         return not self.exponents
 
-    def items(self) -> list[tuple[int, Fraction]]:
+    def items(self) -> list[tuple[int, int]]:
         return sorted(self.exponents.items())
 
     def log_value(self) -> float:
-        return math.fsum(float(e) * math.log(q) for q, e in self.exponents.items())
+        return math.fsum(e * math.log(q) for q, e in self.exponents.items())
 
     def log_value_mpf(self, ctx):
         """Value as an mpf in the supplied mpmath context."""
         total = ctx.mpf(0)
         for q, e in self.items():
-            total += ctx.mpf(e.numerator) / e.denominator * ctx.log(q)
+            total += e * ctx.log(q)
         return total
 
     def nonnegative_integral(self) -> bool:
-        return all(e.denominator == 1 and e >= 0 for e in self.exponents.values())
+        return all(e >= 0 for e in self.exponents.values())
 
     def norm(self) -> int:
         """The unsigned norm prod q^(e_q/8) whose 8th power this sum is the log of.
@@ -161,11 +161,13 @@ class PrimeLogSum:
         """
         value = 1
         for q, e in self.items():
-            if e < 0 or e.denominator != 1 or e.numerator % 8:
+            if e < 0 or e % 8:
+                g = gcd(e, 8)
+                shown = e // 8 if g == 8 else f"{e // g}/{8 // g}"
                 raise NonIntegralMagnitudeError(
-                    f"norm exponent {e / 8} of prime {q} is not a non-negative integer"
+                    f"norm exponent {shown} of prime {q} is not a non-negative integer"
                 )
-            value *= q ** (e.numerator // 8)
+            value *= q ** (e // 8)
         return value
 
 
@@ -206,9 +208,11 @@ def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
 class TermContribution:
     """One lattice term's coefficient of log(prime), under both ramified exponents.
 
-    The two coefficients differ only at a ramified prime q, where "of_m"
-    drops weight * ord_q(D) * rho(m*D) from the "of_mD" coefficient.  A term
-    that contributes nothing has both coefficients 0 (and prime 1).
+    Each coefficient field is named after its ramified exponent, so
+    getattr(contribution, ramified_exponent) reads it.  The two coefficients
+    differ only at a ramified prime q, where "of_m" drops
+    weight * ord_q(D) * rho(m*D) from the "of_mD" coefficient.  A term that
+    contributes nothing has both coefficients 0 (and prime 1).
     """
 
     prime: int = 1
@@ -217,13 +221,6 @@ class TermContribution:
 
     def is_zero(self) -> bool:
         return not (self.of_mD or self.of_m)
-
-    def log_sum(self, ramified_exponent: str) -> PrimeLogSum:
-        """The contribution as a prime-log sum under one ramified exponent."""
-        if ramified_exponent not in _RAMIFIED_CHOICES:
-            raise ParameterError(f"unknown ramified_exponent {ramified_exponent!r}")
-        coeff = self.of_m if ramified_exponent == RAMIFIED_OF_M else self.of_mD
-        return PrimeLogSum({self.prime: coeff})
 
 
 def term_contribution(term: LatticeTerm, params: GZParams) -> TermContribution:
@@ -259,5 +256,5 @@ def term_contribution(term: LatticeTerm, params: GZParams) -> TermContribution:
 def gz_log_norm(params: GZParams,
                 ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> PrimeLogSum:
     """Exact log of the 8th-power norm as a prime-log sum."""
-    return PrimeLogSum.total(term_contribution(term, params).log_sum(ramified_exponent)
-                             for term in enumerate_terms(params))
+    return PrimeLogSum.total((term_contribution(term, params)
+                              for term in enumerate_terms(params)), ramified_exponent)

@@ -13,7 +13,7 @@ from itertools import product
 
 import mpmath
 
-from .arith import factorize, is_fundamental_discriminant, is_prime
+from .arith import factorize, is_fundamental_discriminant
 from .errors import (
     AmbiguousSignsError,
     DegenerateDataError,
@@ -138,90 +138,6 @@ def _rational_root_candidates(coefficients):
     if constant == 0:
         return [0]
     return [s * k for k in factorize(abs(constant)).divisors() for s in (1, -1)]
-
-
-def is_irreducible(poly: ClassPolynomial, prime_limit: int = 100):
-    """Best-effort irreducibility check: True, False, or None when inconclusive."""
-    coeffs = poly.coefficients
-    if poly.degree == 1:
-        return True
-    for cand in _rational_root_candidates(coeffs):
-        if poly.evaluate(cand) == 0:
-            return False
-    for q in range(2, prime_limit):
-        if not is_prime(q) or coeffs[0] % q == 0:
-            continue
-        if _irreducible_mod_q(coeffs, q):
-            return True
-    return None
-
-
-def _irreducible_mod_q(coeffs, q):
-    """Irreducibility over the field with q elements, by gcd with x^(q^k) - x."""
-    n = len(coeffs) - 1
-    mod = [c % q for c in coeffs]
-
-    def polymod(a):
-        a = [c % q for c in a]
-        while len(a) > n:
-            lead = a[-1]
-            if lead:
-                shift = len(a) - 1 - n
-                for i in range(n + 1):
-                    a[shift + i] = (a[shift + i] - lead * mod[i]) % q
-            a.pop()
-        return a
-
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % q
-        return polymod(out)
-
-    def powx(e):
-        result = [1]
-        base = polymod([0, 1])
-        while e:
-            if e & 1:
-                result = mulmod(result, base)
-            e >>= 1
-            if e:
-                base = mulmod(base, base)
-        return result
-
-    def gcd_deg(a, b):
-        a, b = [c % q for c in a], [c % q for c in b]
-        while any(b):
-            while b and b[-1] == 0:
-                b.pop()
-            if not b:
-                break
-            inv = pow(b[-1], -1, q)
-            while len(a) >= len(b) and any(a):
-                while a and a[-1] == 0:
-                    a.pop()
-                if len(a) < len(b):
-                    break
-                coef = a[-1] * inv % q
-                shift = len(a) - len(b)
-                for i in range(len(b)):
-                    a[shift + i] = (a[shift + i] - coef * b[i]) % q
-            a, b = b, a
-        while a and a[-1] == 0:
-            a.pop()
-        return len(a) - 1 if a else -1
-
-    for k in range(1, n // 2 + 1):
-        xqk = powx(q ** k)
-        diff = list(xqk)
-        if len(diff) < 2:
-            diff += [0] * (2 - len(diff))
-        diff[1] = (diff[1] - 1) % q
-        if gcd_deg(mod, diff) > 0:
-            return False
-    return True
 
 
 def _magnitude(label: str, params: GZParams, ramified_exponent: str) -> int:

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import sympy
+
 
 def _primitive_solution_at_level(az, bz, q, k):
     mod = q ** k
@@ -36,3 +38,15 @@ def brute_local_solvable(a, b, q):
         if not _primitive_solution_at_level(az, bz, q, k):
             return False
     return True
+
+
+def factor_over_z(coefficients):
+    """Irreducible factors over Z of the polynomial with integer coefficients
+    low degree first, as (coefficients low degree first, multiplicity)."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(coefficients)), x).factor_list()
+    return sorted((tuple(reversed([int(c) for c in f.all_coeffs()])), m) for f, m in factors)
+
+
+def irreducible_over_z(coefficients):
+    return [m for _, m in factor_over_z(coefficients)] == [1]

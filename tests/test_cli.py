@@ -1,8 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import mpmath
+import pytest
+
+import cmforge
+from cmforge.arith import is_fundamental_discriminant
 from cmforge.cli import (
     EXIT_CROSSCHECK_FAILED,
     EXIT_INFEASIBLE,
@@ -11,7 +20,9 @@ from cmforge.cli import (
     canonical_json,
     main,
 )
-from cmforge.quadforms import MAX_CLASS_NUMBER_DISC
+from cmforge.crosscheck import admissible_pairs
+from cmforge.errors import ParameterError
+from cmforge.quadforms import MAX_CLASS_NUMBER_DISC, admissible_residues
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +72,16 @@ def test_gznorm_breakdown_text(capsys):
     assert out.count("sign=") == 4
 
 
+def test_gznorm_breakdown_text_rows_read_like_the_exponents_line(capsys):
+    # of_m zeroes the ramified terms at q = 3 and 5; their rows show (empty)
+    code, out, _ = run_cli(capsys, "--ramified-exponent", "of_m", "gznorm",
+                           "--p", "2", "--D", "15", "--d", "7", "--breakdown")
+    assert code == EXIT_OK
+    rows = [line.split(" -> ")[1] for line in out.splitlines() if " -> " in line]
+    assert rows == ["13^4", "(empty)", "7^4", "(empty)", "(empty)",
+                    "13^4", "(empty)", "(empty)", "7^4", "(empty)"]
+
+
 def test_gznorm_csv_columns(capsys):
     code, out, _ = run_cli(capsys, "--format", "csv", "gznorm",
                            "--p", "47", "--D", "163", "--d", "39")
@@ -69,6 +90,30 @@ def test_gznorm_csv_columns(capsys):
     assert rows[0] == ["p", "d", "beta", "D", "mu", "prime", "exponent"]
     assert rows[1] == ["47", "39", "33", "163", "5", "7", "8/1"]
     assert rows[2] == ["47", "39", "33", "163", "5", "31", "8/1"]
+
+
+#: Triples whose of_m norm exceeds the float range (log of the norm about 751).
+OF_M_BEYOND_FLOAT = ((2, 8, 24484), (3, 11, 24756), (5, 11, 49236))
+
+
+def test_gznorm_norm_beyond_float_range(capsys):
+    for p, d, D in OF_M_BEYOND_FLOAT:
+        argv = ["--ramified-exponent", "of_m", "gznorm", "--p", str(p), "--d", str(d),
+                "--D", str(D)]
+        for fmt in ("json", "csv", "text"):
+            code, out, err = run_cli(capsys, "--format", fmt, *argv)
+            assert (code, err) == (EXIT_OK, ""), (p, d, D, fmt)
+            assert out
+            if fmt == "json":
+                norm = json.loads(out)["result"]["norm"]
+        # the value is a decimal string, correct to its 17 digits
+        assert norm["integral"] is False and isinstance(norm["value"], str)
+        with mpmath.workdps(40):
+            exact = mpmath.exp(mpmath.fsum(
+                mpmath.mpf(int(e.split("/")[0])) / int(e.split("/")[1]) * mpmath.log(int(q))
+                for q, e in norm["factors"].items()))
+            assert abs(mpmath.mpf(norm["value"]) / exact - 1) < mpmath.mpf(10) ** -16
+            assert exact > mpmath.mpf(10) ** 308
 
 
 def test_gznorm_rejects_equal_discriminants(capsys):
@@ -167,6 +212,52 @@ def test_crosscheck_batch_sorted(capsys):
     assert parsed["result"]["all_pass"] is True
 
 
+def reference_admissible_pairs(p, max_disc, count):
+    """The batch pair list as first written: every pair below max_disc, sorted."""
+    discs = [d for d in range(5, max_disc + 1)
+             if is_fundamental_discriminant(-d) and admissible_residues(-d, p)]
+    pairs = [(a, b) for i, a in enumerate(discs) for b in discs[i + 1:]]
+    pairs.sort(key=lambda pair: (pair[0] + pair[1], pair[0], pair[1]))
+    if len(pairs) < count:
+        raise ParameterError(
+            f"only {len(pairs)} admissible pairs exist for p={p} below {max_disc}"
+        )
+    return pairs[:count]
+
+
+def test_admissible_pairs_match_full_enumeration():
+    for p in (2, 3, 5, 7, 11, 13, 47):
+        reference = reference_admissible_pairs(p, 400, 39)
+        for count in range(1, 40):
+            assert admissible_pairs(p, 400, count) == reference[:count], (p, count)
+        # the shortfall error still counts every pair below max_disc
+        for max_disc in (20, 60):
+            with pytest.raises(ParameterError) as full:
+                reference_admissible_pairs(p, max_disc, 10 ** 6)
+            available = int(str(full.value).split()[1])
+            if available:
+                assert (admissible_pairs(p, max_disc, available)
+                        == reference_admissible_pairs(p, max_disc, available))
+            with pytest.raises(ParameterError) as bounded:
+                admissible_pairs(p, max_disc, available + 1)
+            assert str(bounded.value) == str(full.value), (p, max_disc)
+
+
+def test_crosscheck_batch_scan_stops_at_count():
+    # the scan stops after count + 1 admissible discriminants, however large
+    # --max-disc is; a child process turns an unbounded scan into a timeout
+    src = Path(cmforge.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmforge.cli", "--format", "json", "crosscheck", "--p", "2",
+         "--count", "1", "--max-disc", "1000000000000"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    checks = json.loads(proc.stdout)["result"]["checks"]
+    assert [(c["d"], c["D"]) for c in checks] == admissible_pairs(2, 500, 1)
+
+
 def test_crosscheck_requires_series_for_large_p(capsys):
     code, _, err = run_cli(capsys, "crosscheck", "--p", "47", "--d", "39", "--D", "163")
     assert code == EXIT_USAGE
@@ -193,7 +284,7 @@ def test_internal_errors_map_to_exit_3(capsys, monkeypatch):
     from cmforge import cli as cli_mod
     from cmforge.errors import InternalError
 
-    def boom(args, config):
+    def boom(args):
         raise InternalError("synthetic consistency failure")
 
     monkeypatch.setattr(cli_mod, "cmd_sset", boom)

@@ -70,6 +70,13 @@ GOLDEN = [
         'p=2 d=8 D=52 beta=0 mu=2\nexponents: 2^-64 5^32\nlog value: 7.14059364205\n'
         'norm: 2^-8*5^4\n'
     ),
+    (
+        'gznorm --p 47 --D 163 --d 39 --breakdown',
+        'p=47 d=39 D=163 beta=33 mu=5\nexponents: 7^8 31^8\nlog value: 43.039178828'
+        '3\nnorm: 217\n  sign=+1 y=1 n=0 t=71 m=7/163 -> 7^4\n  sign=+1 y=2 n=0 t=-23 '
+        'm=31/163 -> 31^4\n  sign=-1 y=161 n=-1 t=23 m=31/163 -> 31^4\n  sign=-1 y=162 '
+        'n=-1 t=-71 m=7/163 -> 7^4\n'
+    ),
 ]
 
 

@@ -17,6 +17,7 @@ from cmforge.gzrhs import (
     RAMIFIED_OF_MD,
     GZParams,
     PrimeLogSum,
+    TermContribution,
     enumerate_terms,
     gz_log_norm,
     term_contribution,
@@ -125,7 +126,7 @@ def test_ramified_variant_only_changes_ramified_terms():
     params = GZParams.create(p=47, d=39, D=163)  # all contributions inert here
     assert gz_log_norm(params, RAMIFIED_OF_M) == gz_log_norm(params, RAMIFIED_OF_MD)
     with pytest.raises(ParameterError):
-        term_contribution(enumerate_terms(params)[0], params).log_sum("bogus")
+        PrimeLogSum.total([term_contribution(enumerate_terms(params)[0], params)], "bogus")
     with pytest.raises(ParameterError):
         gz_log_norm(params, "bogus")
 
@@ -281,7 +282,7 @@ def reference_contribution(term, params, ramified_exponent):
         if ramified_exponent == RAMIFIED_OF_M:
             order -= ord_q(D, q)
         coeff = weight * order * reference_rho(md, D)
-    return {q: Fraction(coeff)} if coeff else {}
+    return {q: coeff} if coeff else {}
 
 
 def test_term_contribution_matches_per_symbol_reference():
@@ -291,7 +292,8 @@ def test_term_contribution_matches_per_symbol_reference():
             contribution = term_contribution(term, params)
             for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M):
                 expected = reference_contribution(term, params, variant)
-                assert contribution.log_sum(variant).exponents == expected, (params, term)
+                assert PrimeLogSum.total([contribution], variant).exponents == expected, \
+                    (params, term)
             assert contribution.is_zero() == (
                 not reference_contribution(term, params, RAMIFIED_OF_MD)
                 and not reference_contribution(term, params, RAMIFIED_OF_M))
@@ -322,9 +324,14 @@ def test_term_contribution_keeps_its_checks(monkeypatch):
 
 
 def test_primelogsum_total():
-    parts = [PrimeLogSum({2: 3, 5: 1}), PrimeLogSum(), PrimeLogSum({2: -3, 7: 2})]
-    assert exponent_map(PrimeLogSum.total(parts)) == {5: 1, 7: 2}
-    assert PrimeLogSum.total([]).is_zero()
+    # sums the coefficients of one ramified exponent straight from the terms
+    parts = [TermContribution(2, 3, 3), TermContribution(5, 1, 1), TermContribution(),
+             TermContribution(2, -3, -3), TermContribution(7, 2, 0), TermContribution(3, 0, 4)]
+    assert exponent_map(PrimeLogSum.total(parts, RAMIFIED_OF_MD)) == {5: 1, 7: 2}
+    assert exponent_map(PrimeLogSum.total(parts, RAMIFIED_OF_M)) == {3: 4, 5: 1}
+    assert PrimeLogSum.total([], RAMIFIED_OF_MD).is_zero()
+    with pytest.raises(ParameterError):
+        PrimeLogSum.total([], "bogus")
 
 
 def test_edge_convention_pairs_crosscheck():
@@ -340,22 +347,30 @@ def test_edge_convention_pairs_crosscheck():
 
 
 def test_primelogsum_algebra():
-    cleaned = PrimeLogSum({2: Fraction(3), 3: Fraction(0), 5: 2})
-    assert exponent_map(cleaned) == {2: Fraction(3), 5: Fraction(2)}
-    assert PrimeLogSum({2: Fraction(0)}).is_zero()
+    cleaned = PrimeLogSum({2: 3, 3: 0, 5: 2})
+    assert exponent_map(cleaned) == {2: 3, 5: 2}
+    assert all(type(e) is int for e in cleaned.exponents.values())
+    assert PrimeLogSum({2: 0}).is_zero()
     assert abs(PrimeLogSum({4: 1}).log_value() - math.log(4)) < 1e-15
-    assert not PrimeLogSum({2: Fraction(1, 2)}).is_zero()
-    assert not PrimeLogSum({2: Fraction(-1)}).nonnegative_integral()
-    assert not PrimeLogSum({2: Fraction(1, 2)}).nonnegative_integral()
+    assert not PrimeLogSum({2: -1}).nonnegative_integral()
+    assert PrimeLogSum({2: 1}).nonnegative_integral()
+    # exponents are integers; a rational or float one is refused, not rounded
+    for bad in (Fraction(1, 2), Fraction(3), 0.5):
+        with pytest.raises(ParameterError):
+            PrimeLogSum({2: bad})
 
 
 def test_norm_and_integrality():
     assert gz_log_norm(GZParams.create(p=47, d=39, D=163)).norm() == 217
     assert gz_log_norm(GZParams.create(p=47, d=11, D=19)).norm() == 1
     assert PrimeLogSum({2: 16, 7: 8}).norm() == 28
-    for exponents in ({2: 4}, {2: Fraction(8, 3)}, {2: -8}):
-        with pytest.raises(NonIntegralMagnitudeError):
+    for exponents, shown in (({2: 4}, "1/2"), ({2: -8}, "-1"), ({2: -48}, "-6"),
+                             ({3: 12}, "3/2"), ({5: -6}, "-3/4")):
+        with pytest.raises(NonIntegralMagnitudeError,
+                           match=f"^norm exponent {shown} of prime "):
             PrimeLogSum(exponents).norm()
+    with pytest.raises(ParameterError):
+        PrimeLogSum({2: Fraction(8, 3)})
     # of_m puts a negative exponent on 2 here
     with pytest.raises(NonIntegralMagnitudeError):
         gz_log_norm(GZParams.create(p=2, d=8, D=52), RAMIFIED_OF_M).norm()

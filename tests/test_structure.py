@@ -45,6 +45,13 @@ def imported_modules(path):
 
 
 def test_exact_arithmetic_modules_work_on_integers():
-    # valuations, local symbols and ideal counts take integers; no rationals
-    for name in ("arith.py", "cmvalue.py"):
+    # valuations, local symbols, ideal counts and the prime-log sums of the
+    # norm take integers; no rationals
+    for name in ("arith.py", "cmvalue.py", "gzrhs.py"):
         assert "fractions" not in imported_modules(PACKAGE_DIR / name), name
+
+
+def test_runtime_does_not_import_test_dependencies():
+    # sympy and hypothesis serve only as test oracles
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        assert not {"sympy", "hypothesis"} & imported_modules(path), path.name
