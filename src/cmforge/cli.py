@@ -40,7 +40,7 @@ from .gzrhs import (
 )
 from .hauptmodul import PrecisionConfig, hauptmodul_value, load_qseries
 from .hcp import SIGN_STRATEGIES, class_polynomial, s_set
-from .quadforms import heegner_point, heegner_reps
+from .quadforms import heegner_reps
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -270,10 +270,14 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_classpoly(args) -> int:
+    if args.ramified_exponent != RAMIFIED_OF_MD:
+        raise ParameterError(
+            f"classpoly interpolates only the {RAMIFIED_OF_MD} norms; "
+            f"--ramified-exponent {args.ramified_exponent} fails the numeric cross-check"
+        )
     report_data = class_polynomial(
         p=args.p, d=args.d, base_disc=args.base_discriminant,
         strategy=args.strategy, prec=args.prec, series=_series(args),
-        ramified_exponent=args.ramified_exponent,
     )
     poly = report_data.polynomial
     pair_rows = [
@@ -305,9 +309,9 @@ def cmd_heegner(args) -> int:
     rows = []
     text = []
     for f in forms:
-        point = heegner_point(f)
-        rows.append({"a": f.a, "b": f.b, "c": f.c, "tau": str(point)})
-        text.append(f"({f.a}, {f.b}, {f.c})  tau = {point}")
+        tau = f"({-f.b} + sqrt({f.discriminant})) / {2 * f.a}"
+        rows.append({"a": f.a, "b": f.b, "c": f.c, "tau": tau})
+        text.append(f"({f.a}, {f.b}, {f.c})  tau = {tau}")
     result = {"forms": rows, "count": len(rows)}
     _emit(_report("heegner", {"d": args.d, "p": args.p, "beta": args.beta}, result),
           args.output_format,

@@ -60,12 +60,11 @@ def run_crosscheck(p: int, d: int, D: int,
     sums = {variant: PrimeLogSum.total(contributions, variant)
             for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M)}
     ctx = prec.context()
-    lhs = lhs_log_norm(p=p, d=params.d, beta=params.beta, D=params.D, mu=params.mu,
-                       prec=prec, series=series, ctx=ctx)
-    lhs_value = lhs.value
+    lhs_value, lhs_error = lhs_log_norm(p=p, d=params.d, beta=params.beta, D=params.D,
+                                        mu=params.mu, prec=prec, series=series, ctx=ctx)
     result = CrosscheckResult(
         p=p, d=params.d, D=params.D, beta=params.beta, mu=params.mu,
-        lhs=float(lhs_value), lhs_error_estimate=float(lhs.error_estimate),
+        lhs=float(lhs_value), lhs_error_estimate=float(lhs_error),
         variants_differ=sums[RAMIFIED_OF_MD] != sums[RAMIFIED_OF_M],
     )
     denom = max(ctx.mpf(1), abs(lhs_value))

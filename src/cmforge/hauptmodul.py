@@ -34,7 +34,7 @@ from .errors import (
     PrecisionError,
     SeriesRequiredError,
 )
-from .quadforms import HeegnerPoint, heegner_point, heegner_reps
+from .quadforms import QuadraticForm, heegner_reps
 
 #: Primes whose Fricke Hauptmodul has a closed eta-quotient form here.
 ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
@@ -99,26 +99,35 @@ class QSeries:
 
 
 def load_qseries(path) -> QSeries:
-    """Read a coefficient file: 'p <prime>', 'count <n>', then n integers, one per line."""
+    """Read a coefficient file: 'p <prime>', 'count <n>', then n integers, one per line.
+
+    A file that cannot be read or is malformed raises ParameterError naming
+    the path, and the line where there is one.
+    """
     header: dict[str, int] = {}
     coeffs: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] in ("p", "count"):
-                if len(parts) != 2 or parts[0] in header:
-                    raise ParameterError(f"{path}:{lineno}: malformed header line {line!r}")
-                header[parts[0]] = int(parts[1])
-                continue
-            if len(header) < 2:
-                raise ParameterError(f"{path}:{lineno}: coefficients before the header")
-            try:
+    try:
+        # non-ASCII bytes decode to lone surrogates, so the line that holds one is known
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line.isascii():
+                    raise ParameterError(f"{path}:{lineno}: not ASCII text")
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if parts[0] in ("p", "count"):
+                    if len(parts) != 2 or parts[0] in header:
+                        raise ParameterError(f"{path}:{lineno}: malformed header line {line!r}")
+                    header[parts[0]] = int(parts[1])
+                    continue
+                if len(header) < 2:
+                    raise ParameterError(f"{path}:{lineno}: coefficients before the header")
                 coeffs.append(int(line))
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: not an integer: {line!r}") from None
+    except ValueError:  # from int(); decoding cannot fail under surrogateescape
+        raise ParameterError(f"{path}:{lineno}: not an integer: {line!r}") from None
+    except OSError as exc:
+        raise ParameterError(f"{path}: cannot read the coefficient file: {exc.strerror}") from None
     if "p" not in header or "count" not in header:
         raise ParameterError(f"{path}: missing 'p' or 'count' header")
     if len(coeffs) != header["count"]:
@@ -211,8 +220,11 @@ def eta_quotient_qseries(p: int, count: int) -> QSeries:
 # numeric evaluation
 
 def _as_point(ctx, tau):
-    if isinstance(tau, HeegnerPoint):
-        root = ctx.sqrt(ctx.mpf(-tau.disc))
+    """tau as an mpc; a QuadraticForm stands for its CM point (-b + sqrt(disc)) / (2a)."""
+    if isinstance(tau, QuadraticForm):
+        if not tau.is_positive_definite():
+            raise ParameterError(f"form {tau} is not positive definite")
+        root = ctx.sqrt(ctx.mpf(-tau.discriminant))
         return (ctx.mpc(-tau.b, 0) + ctx.mpc(0, 1) * root) / (2 * tau.a)
     return ctx.mpc(tau)
 
@@ -442,18 +454,18 @@ def hauptmodul_value(p: int, tau, prec: PrecisionConfig | None = None,
     return value
 
 
-@dataclass(frozen=True)
-class LhsValue:
-    """Numeric log-norm together with a propagated error estimate."""
-
-    value: object
-    error_estimate: object
+def cm_values(p: int, disc: int, residue: int, prec: PrecisionConfig, ctx,
+              series: QSeries | None = None) -> list:
+    """(value, error bound) of the generator at the CM point of each form of
+    heegner_reps(disc, p, residue), in that order, in the context ctx."""
+    return [value_with_bound(p, f, prec, ctx, series) for f in heegner_reps(disc, p, residue)]
 
 
 def lhs_log_norm(p: int, d: int, beta: int, D: int, mu: int,
                  prec: PrecisionConfig | None = None,
-                 series: QSeries | None = None, ctx=None) -> LhsValue:
-    """8 * sum of log|j*(tau_{Q_D}) - j*(tau_{Q_d})| over both class sets.
+                 series: QSeries | None = None, ctx=None) -> tuple:
+    """8 * sum of log|j*(tau_{Q_D}) - j*(tau_{Q_d})| over both class sets,
+    as (value, error bound).
 
     The values live in ctx, a fresh context at prec's working precision if
     none is passed.
@@ -463,14 +475,8 @@ def lhs_log_norm(p: int, d: int, beta: int, D: int, mu: int,
         raise ParameterError("cross-check evaluation needs at least 30 digits")
     if ctx is None:
         ctx = prec.context()
-    vals_D = [
-        value_with_bound(p, heegner_point(f), prec, ctx, series)
-        for f in heegner_reps(-D, p, mu)
-    ]
-    vals_d = [
-        value_with_bound(p, heegner_point(f), prec, ctx, series)
-        for f in heegner_reps(-d, p, beta)
-    ]
+    vals_D = cm_values(p, -D, mu, prec, ctx, series)
+    vals_d = cm_values(p, -d, beta, prec, ctx, series)
     threshold = ctx.mpf(10) ** (-prec.decimal_digits // 2)
     total = ctx.mpf(0)
     err = ctx.mpf(0)
@@ -484,4 +490,4 @@ def lhs_log_norm(p: int, d: int, beta: int, D: int, mu: int,
                 )
             total += ctx.log(diff)
             err += (eD + ed) / diff
-    return LhsValue(value=8 * total, error_estimate=8 * err)
+    return 8 * total, 8 * err

@@ -24,9 +24,9 @@ from .errors import (
     SeriesRequiredError,
     SignResolutionError,
 )
-from .gzrhs import DEFAULT_RAMIFIED_EXPONENT, GZParams, gz_log_norm
-from .hauptmodul import DEFAULT_PRECISION, ETA_QUOTIENT_PRIMES, PrecisionConfig, value_with_bound
-from .quadforms import admissible_residues, class_number, heegner_point, heegner_reps
+from .gzrhs import GZParams, gz_log_norm
+from .hauptmodul import DEFAULT_PRECISION, ETA_QUOTIENT_PRIMES, PrecisionConfig, cm_values
+from .quadforms import admissible_residues, class_number
 
 #: Primes whose Fricke curve has genus zero.
 GENUS_ZERO_FRICKE_PRIMES = frozenset(
@@ -140,15 +140,14 @@ def _rational_root_candidates(coefficients):
     return [s * k for k in factorize(abs(constant)).divisors() for s in (1, -1)]
 
 
-def _magnitude(label: str, params: GZParams, ramified_exponent: str) -> int:
+def _magnitude(label: str, params: GZParams) -> int:
     try:
-        return gz_log_norm(params, ramified_exponent).norm()
+        return gz_log_norm(params).norm()
     except NonIntegralMagnitudeError as exc:
         raise NonIntegralMagnitudeError(f"{label}_{params.D}: {exc}") from None
 
 
-def build_pairs(d: int, beta: int, p: int, base_disc: int,
-                ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> list[InterpolationPair]:
+def build_pairs(d: int, beta: int, p: int, base_disc: int) -> list[InterpolationPair]:
     """Magnitude pairs over the usable degree-one discriminants.
 
     The diagonal D = d (possible when d itself has class number one) is
@@ -168,8 +167,8 @@ def build_pairs(d: int, beta: int, p: int, base_disc: int,
         if disc == base_disc:
             x = 0
         else:
-            x = _magnitude("X", GZParams.create(p=p, d=-base_disc, D=D), ramified_exponent)
-        y = _magnitude("Y", GZParams.create(p=p, d=d, D=D, beta=beta), ramified_exponent)
+            x = _magnitude("X", GZParams.create(p=p, d=-base_disc, D=D))
+        y = _magnitude("Y", GZParams.create(p=p, d=d, D=D, beta=beta))
         pairs.append(InterpolationPair(D=D, x_mag=x, y_mag=y))
     return pairs
 
@@ -281,17 +280,15 @@ def _resolve_by_numerics(pairs, d, p, base_disc, beta, prec, series):
     ctx = prec.context()
     tol = ctx.mpf(10) ** (-prec.decimal_digits // 4)
 
-    def values_at(disc, residue):
-        reps = heegner_reps(disc, p, residue)
-        return [
-            value_with_bound(p, heegner_point(f), prec, ctx, series)[0] for f in reps
-        ]
+    def value_at(disc):
+        # a degree-one discriminant has one class, so one CM point
+        return cm_values(p, disc, min(admissible_residues(disc, p)), prec, ctx, series)[0][0]
 
-    base_val = values_at(base_disc, min(admissible_residues(base_disc, p)))[0]
-    d_vals = values_at(-d, beta)
+    base_val = value_at(base_disc)
+    d_vals = [value for value, _ in cm_values(p, -d, beta, prec, ctx, series)]
     points = []
     for pr in pairs:
-        val_D = values_at(-pr.D, min(admissible_residues(-pr.D, p)))[0]
+        val_D = value_at(-pr.D)
         x_num = val_D - base_val
         y_num = ctx.mpc(1)
         for v in d_vals:
@@ -343,8 +340,7 @@ class ClassPolyReport:
 def class_polynomial(p: int, d: int, base_disc: int | None = None,
                      strategy: str = "search",
                      prec: PrecisionConfig | None = None,
-                     series=None,
-                     ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> ClassPolyReport:
+                     series=None) -> ClassPolyReport:
     """End-to-end pipeline: S(p), feasibility, pairs, signs, interpolation."""
     members = s_set(p)
     usable = usable_s_set(p)
@@ -357,7 +353,7 @@ def class_polynomial(p: int, d: int, base_disc: int | None = None,
     beta = min(admissible_residues(-d, p))
     if base_disc is None:
         base_disc = next(disc for disc in usable if -disc != d)
-    pairs = build_pairs(d, beta, p, base_disc, ramified_exponent)
+    pairs = build_pairs(d, beta, p, base_disc)
     points = resolve_signs(pairs, d, strategy=strategy, p=p, base_disc=base_disc,
                            beta=beta, prec=prec, series=series)
     poly = interpolate(points, d)

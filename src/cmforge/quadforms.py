@@ -39,24 +39,6 @@ class QuadraticForm:
         return f"({self.a}, {self.b}, {self.c})"
 
 
-@dataclass(frozen=True)
-class HeegnerPoint:
-    """The point (-b + i*sqrt(-disc)) / (2a), stored exactly."""
-
-    b: int
-    a: int
-    disc: int
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ParameterError("Heegner point needs a positive leading coefficient")
-        if self.disc >= 0:
-            raise ParameterError("Heegner point needs a negative discriminant")
-
-    def __str__(self):
-        return f"(-{self.b} + sqrt({self.disc})) / {2 * self.a}"
-
-
 def reduce(f: QuadraticForm) -> QuadraticForm:
     """Canonical representative under unimodular equivalence.
 
@@ -166,9 +148,3 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
             return reps
         level += 1
 
-
-def heegner_point(f: QuadraticForm) -> HeegnerPoint:
-    """CM point attached to a positive-definite form."""
-    if not f.is_positive_definite():
-        raise ParameterError(f"form {f} is not positive definite")
-    return HeegnerPoint(b=f.b, a=f.a, disc=f.discriminant)

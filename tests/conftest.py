@@ -4,6 +4,10 @@ from fractions import Fraction
 
 import sympy
 
+from cmforge.arith import is_fundamental_discriminant
+from cmforge.hcp import GENUS_ZERO_FRICKE_PRIMES, usable_s_set
+from cmforge.quadforms import admissible_residues, class_number
+
 
 def _primitive_solution_at_level(az, bz, q, k):
     mod = q ** k
@@ -50,3 +54,15 @@ def factor_over_z(coefficients):
 
 def irreducible_over_z(coefficients):
     return [m for _, m in factor_over_z(coefficients)] == [1]
+
+
+def sweep_cases():
+    """Every (p, d <= 400) with -d fundamental and admissible and h(-d)+1 at
+    most the usable degree-one discriminants, built without feasible()."""
+    return [
+        (p, d)
+        for p in sorted(GENUS_ZERO_FRICKE_PRIMES)
+        for d in range(5, 401)
+        if is_fundamental_discriminant(-d) and admissible_residues(-d, p)
+        and class_number(-d) + 1 <= len(usable_s_set(p))
+    ]

@@ -34,7 +34,7 @@ from cmforge.hauptmodul import (
     hauptmodul_value,
 )
 from cmforge.hcp import build_pairs, interpolate, resolve_signs, s_set
-from cmforge.quadforms import admissible_residues, class_number, heegner_point, heegner_reps
+from cmforge.quadforms import admissible_residues, class_number, heegner_reps
 
 PREC80 = PrecisionConfig(decimal_digits=80)
 
@@ -77,8 +77,7 @@ def test_criterion_2_reference_components(capsys):
         assert 41 in admissible_residues(-11, 47)
         reps = heegner_reps(-11, 47, 41)
         assert len(reps) == 1 and (reps[0].a, reps[0].b, reps[0].c) == (47, 41, 9)
-        point = heegner_point(reps[0])
-        assert (point.b, point.a, point.disc) == (41, 47, -11)
+        assert reps[0].discriminant == -11
 
 
 def test_criterion_3_exact_vs_numeric_cross_validation():

@@ -163,6 +163,36 @@ def test_classpoly_invalid_prime(capsys):
     assert "genus" in err
 
 
+def test_classpoly_refuses_the_of_m_norms(capsys):
+    # of_m fails the numeric cross-check; (23, 155) and (23, 184) used to
+    # interpolate its norms into a polynomial and exit 0
+    for p, d in (("11", "19"), ("23", "155"), ("23", "184")):
+        code, out, err = run_cli(capsys, "--ramified-exponent", "of_m",
+                                 "classpoly", "--p", p, "--d", d)
+        assert code == EXIT_USAGE, (p, d)
+        assert out == ""
+        assert "of_mD" in err
+
+
+def test_malformed_series_files_exit_usage(tmp_path, capsys):
+    bad_header = tmp_path / "header.txt"
+    bad_header.write_text("p five\ncount 2\n1\n0\n", encoding="ascii")
+    non_ascii = tmp_path / "bytes.txt"
+    non_ascii.write_bytes(b"p 5\ncount 2\n1\n\xc3\xa9\n")
+    cases = [
+        (bad_header, f"{bad_header}:1: not an integer: 'p five'"),
+        (non_ascii, f"{non_ascii}:4: not ASCII text"),
+        (tmp_path / "missing.txt", f"{tmp_path / 'missing.txt'}: cannot read"),
+        (tmp_path, f"{tmp_path}: cannot read"),
+    ]
+    for path, message in cases:
+        code, out, err = run_cli(capsys, "--series", str(path),
+                                 "eval", "--p", "5", "--tau", "0.2+1.3i")
+        assert code == EXIT_USAGE, path
+        assert out == ""
+        assert err.startswith(f"error: {message}"), err
+
+
 def test_heegner_output(capsys):
     code, out, _ = run_cli(capsys, "heegner", "--d", "11", "--p", "47", "--beta", "41")
     assert code == EXIT_OK

@@ -4,9 +4,17 @@ The expected strings are literal recordings of the command line; a change to
 any of them is a change of the output format and must be made on purpose.
 """
 
+import contextlib
+import hashlib
+import io
+import json
+
 import pytest
 
+from conftest import sweep_cases
 from cmforge.cli import EXIT_OK, main
+
+SWEEP_DIGEST = "90f757eb0269db3bed8fc6c3e8f2065506d50207f8f79f12c7fab5007586c755"
 
 GOLDEN = [
     (
@@ -77,6 +85,24 @@ GOLDEN = [
         'm=31/163 -> 31^4\n  sign=-1 y=161 n=-1 t=23 m=31/163 -> 31^4\n  sign=-1 y=162 '
         'n=-1 t=-71 m=7/163 -> 7^4\n'
     ),
+    (
+        'heegner --d 39 --p 2 --beta 1',
+        '(2, 1, 5)  tau = (-1 + sqrt(-39)) / 4\n(4, -3, 3)  tau = (3 + sqrt(-39)) / 8\n'
+        '(6, -3, 2)  tau = (3 + sqrt(-39)) / 12\n(10, 1, 1)  tau = (-1 + sqrt(-39)) / 20\n'
+    ),
+    (
+        '--format json heegner --d 39 --p 47 --beta 33',
+        '{"command":"heegner","params":{"beta":33,"d":39,"p":47},'
+        '"result":{"count":4,"forms":[{"a":47,"b":33,"c":6,'
+        '"tau":"(-33 + sqrt(-39)) / 94"},{"a":94,"b":33,"c":3,'
+        '"tau":"(-33 + sqrt(-39)) / 188"},{"a":141,"b":33,"c":2,'
+        '"tau":"(-33 + sqrt(-39)) / 282"},{"a":282,"b":33,"c":1,'
+        '"tau":"(-33 + sqrt(-39)) / 564"}]},"warnings":[]}\n'
+    ),
+    (
+        'heegner --d 8 --p 2 --beta 0',
+        '(2, 0, 1)  tau = (0 + sqrt(-8)) / 4\n'
+    ),
 ]
 
 
@@ -85,3 +111,24 @@ GOLDEN = [
 def test_reference_stdout_is_byte_identical(capsys, command, expected):
     assert main(command.split()) == EXIT_OK
     assert capsys.readouterr().out == expected
+
+
+def sweep_digest():
+    """sha256 over (argv, exit code, stdout, stderr) of every sweep case of
+    classpoly in each output format, in a fixed order."""
+    digest = hashlib.sha256()
+    for output_format in ("json", "text", "csv"):
+        for p, d in sweep_cases():
+            argv = ["--format", output_format, "classpoly", "--p", str(p), "--d", str(d)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            record = [argv, code, out.getvalue(), err.getvalue()]
+            digest.update(json.dumps(record).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
+def test_classpoly_sweep_output_is_byte_identical():
+    # every stdout, stderr and exit code of the 191 sweep cases in json, text
+    # and csv; a change here is a change of output and must be made on purpose
+    assert sweep_digest() == SWEEP_DIGEST

@@ -22,7 +22,7 @@ from cmforge.hauptmodul import (
     reduce_point,
     value_with_bound,
 )
-from cmforge.quadforms import QuadraticForm, admissible_residues, heegner_point, heegner_reps
+from cmforge.quadforms import QuadraticForm, admissible_residues, heegner_reps
 
 PREC = PrecisionConfig()  # 80 digits + 10 guard
 
@@ -122,8 +122,7 @@ def test_eta_kernel_against_mpmath_oracle(digits):
         check_eta(tau)
     for p, D in ORACLE_HEEGNER:
         form = heegner_reps(-D, p, admissible_residues(-D, p)[0])[0]
-        point = heegner_point(form)
-        tau = (ctx.mpc(-point.b, 0) + ctx.mpc(0, 1) * ctx.sqrt(-point.disc)) / (2 * point.a)
+        tau = (ctx.mpc(-form.b, 0) + ctx.mpc(0, 1) * ctx.sqrt(-form.discriminant)) / (2 * form.a)
         tau = reduce_point(tau, p, ctx)
         check_eta(tau)
         check_eta(p * tau)
@@ -320,22 +319,27 @@ def test_series_truncation_bound_enforced():
 
 
 def test_value_at_heegner_point():
-    # an exact HeegnerPoint evaluates like the explicit point (-41 + sqrt(-11)) / 94
+    # a form evaluates like its explicit CM point (-41 + sqrt(-11)) / 94
     ctx = ctx80()
-    pt = heegner_point(QuadraticForm(47, 41, 9))
+    form = QuadraticForm(47, 41, 9)
     explicit = (ctx.mpc(-41, 0) + ctx.mpc(0, 1) * ctx.sqrt(ctx.mpf(11))) / 94
-    exact = hauptmodul_value(2, pt, PREC)
+    exact = hauptmodul_value(2, form, PREC)
     assert abs(exact - hauptmodul_value(2, explicit, PREC)) < ctx.mpf(10) ** -75 * abs(exact)
+
+
+def test_value_at_indefinite_form_rejected():
+    with pytest.raises(ParameterError, match="not positive definite"):
+        value_with_bound(2, QuadraticForm(1, 5, 1), PREC, ctx80())
 
 
 def test_lhs_log_norm_swap_symmetry_and_stability():
     args = dict(p=2, d=7, beta=1, D=15, mu=1)
-    base = lhs_log_norm(prec=PREC, **args)
-    swapped = lhs_log_norm(p=2, d=15, beta=1, D=7, mu=1, prec=PREC)
-    assert abs(base.value - swapped.value) < 1e-20
-    doubled = lhs_log_norm(prec=PrecisionConfig(decimal_digits=160), **args)
-    assert abs(base.value - doubled.value) < 1e-20
-    assert base.error_estimate < 1e-60
+    base, base_error = lhs_log_norm(prec=PREC, **args)
+    swapped, _ = lhs_log_norm(p=2, d=15, beta=1, D=7, mu=1, prec=PREC)
+    assert abs(base - swapped) < 1e-20
+    doubled, _ = lhs_log_norm(prec=PrecisionConfig(decimal_digits=160), **args)
+    assert abs(base - doubled) < 1e-20
+    assert base_error < 1e-60
 
 
 def test_lhs_log_norm_guards():

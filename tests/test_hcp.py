@@ -5,20 +5,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import factor_over_z, irreducible_over_z
-from cmforge.arith import is_fundamental_discriminant
+from conftest import factor_over_z, irreducible_over_z, sweep_cases
 from cmforge.errors import (
     AmbiguousSignsError,
     DegenerateDataError,
     InfeasibleError,
     InternalError,
-    NonIntegralMagnitudeError,
     ParameterError,
     SeriesRequiredError,
     SignResolutionError,
 )
 from cmforge.hcp import (
-    GENUS_ZERO_FRICKE_PRIMES,
     ClassPolynomial,
     InterpolationPair,
     _resolve_by_numerics,
@@ -227,9 +224,6 @@ def test_class_polynomial_rejects_bad_inputs():
         class_polynomial(37, 39)  # not genus zero
     with pytest.raises(ParameterError):
         class_polynomial(47, 39, base_disc=-3)  # unusable base
-    # of_m gives Y_8 = 2^(-2) here; the error names the magnitude
-    with pytest.raises(NonIntegralMagnitudeError, match="Y_8"):
-        class_polynomial(11, 19, ramified_exponent="of_m")
 
 
 def test_class_polynomial_invariants():
@@ -288,18 +282,6 @@ def test_sign_search_finds_the_polynomial_or_its_mirror(case):
         return
     assert [(abs(x), abs(y)) for x, y in points] == [(pr.x_mag, pr.y_mag) for pr in pairs]
     assert any(all(value_at(f, x) == y for x, y in points) for f in (coefficients, mirror))
-
-
-def sweep_cases():
-    """Every (p, d <= 400) with -d fundamental and admissible and h(-d)+1 at
-    most the usable degree-one discriminants, built without feasible()."""
-    return [
-        (p, d)
-        for p in sorted(GENUS_ZERO_FRICKE_PRIMES)
-        for d in range(5, 401)
-        if is_fundamental_discriminant(-d) and admissible_residues(-d, p)
-        and class_number(-d) + 1 <= len(usable_s_set(p))
-    ]
 
 
 def test_sweep_outcomes_pinned():

@@ -6,11 +6,9 @@ import pytest
 from cmforge.arith import is_fundamental_discriminant
 from cmforge.errors import ParameterError
 from cmforge.quadforms import (
-    HeegnerPoint,
     QuadraticForm,
     admissible_residues,
     class_number,
-    heegner_point,
     heegner_reps,
     reduce,
 )
@@ -190,15 +188,3 @@ def test_heegner_reps_rejects_bad_residue():
         heegner_reps(-11, 47, 40)
 
 
-def test_heegner_point_frozen():
-    pt = heegner_point(QuadraticForm(47, 41, 9))
-    assert (pt.b, pt.a, pt.disc) == (41, 47, -11)
-    assert str(pt) == "(-41 + sqrt(-11)) / 94"
-    assert heegner_point(QuadraticForm(1, 0, 1)) == HeegnerPoint(b=0, a=1, disc=-4)
-    pt2 = heegner_point(QuadraticForm(2, 1, 5))
-    assert (pt2.b, pt2.a, pt2.disc) == (1, 2, -39)
-
-
-def test_heegner_point_rejects_indefinite():
-    with pytest.raises(ParameterError):
-        heegner_point(QuadraticForm(1, 5, 1))

@@ -1,4 +1,5 @@
-"""Module boundaries: no cmforge module imports another module's private names."""
+"""Module boundaries: no cmforge module imports another module's private names,
+and the package namespace holds only what callers import."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,12 @@ def test_runtime_does_not_import_test_dependencies():
     # sympy and hypothesis serve only as test oracles
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         assert not {"sympy", "hypothesis"} & imported_modules(path), path.name
+
+
+def test_package_namespace_holds_only_what_callers_import():
+    # factorize: the bench checks cmforge.factorize; eta_quotient_qseries: the
+    # README documents it as the coefficient-file generator
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    names = sorted(alias.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names)
+    assert names == ["eta_quotient_qseries", "factorize"]
