@@ -38,8 +38,8 @@ from .gzrhs import (
     gz_log_norm,
     term_contribution,
 )
-from .hauptmodul import PrecisionConfig, hauptmodul_value, load_qseries
-from .hcp import SIGN_STRATEGIES, class_polynomial, s_set
+from .hauptmodul import Hauptmodul, check_digits, load_qseries, value_with_bound, working_context
+from .hcp import class_polynomial, require_feasible, s_set
 from .quadforms import heegner_reps
 
 EXIT_OK = 0
@@ -138,7 +138,7 @@ def _float_or_decimal(pls):
         value = 0.0
     if value:
         return value
-    ctx = PrecisionConfig(decimal_digits=_VALUE_DIGITS).context()
+    ctx = working_context(_VALUE_DIGITS)
     return ctx.nstr(ctx.exp(pls.log_value_mpf(ctx) / 8), _VALUE_DIGITS)
 
 
@@ -221,16 +221,12 @@ def _report(command: str, params: dict, result: dict, warnings=()) -> dict:
 
 
 def cmd_crosscheck(args) -> int:
-    series = _series(args)
+    hm = Hauptmodul(args.p, args.digits, _series(args))
     if args.d is not None and args.D is not None:
-        results = [crosscheck_mod.run_crosscheck(
-            p=args.p, d=args.d, D=args.D, prec=args.prec, series=series)]
+        results = [crosscheck_mod.run_crosscheck(hm, args.d, args.D)]
     elif args.d is None and args.D is None:
         pairs = crosscheck_mod.admissible_pairs(args.p, args.max_disc, args.count)
-        results = [
-            crosscheck_mod.run_crosscheck(args.p, d, D, args.prec, series)
-            for d, D in sorted(pairs)
-        ]
+        results = [crosscheck_mod.run_crosscheck(hm, d, D) for d, D in sorted(pairs)]
     else:
         raise ParameterError("supply both --d and --D, or neither for a batch run")
 
@@ -275,10 +271,12 @@ def cmd_classpoly(args) -> int:
             f"classpoly interpolates only the {RAMIFIED_OF_MD} norms; "
             f"--ramified-exponent {args.ramified_exponent} fails the numeric cross-check"
         )
-    report_data = class_polynomial(
-        p=args.p, d=args.d, base_disc=args.base_discriminant,
-        strategy=args.strategy, prec=args.prec, series=_series(args),
-    )
+    series = _series(args)
+    hauptmodul = None
+    if args.strategy == "numeric":
+        require_feasible(args.p, args.d)  # too few pairs exits 5, with or without a series
+        hauptmodul = Hauptmodul(args.p, args.digits, series)
+    report_data = class_polynomial(args.p, args.d, args.base_discriminant, hauptmodul)
     poly = report_data.polynomial
     pair_rows = [
         {"D": pr.D, "x": x, "y": y, "x_mag": pr.x_mag, "y_mag": pr.y_mag}
@@ -331,14 +329,11 @@ def cmd_sset(args) -> int:
 
 def cmd_eval(args) -> int:
     re_part, im_part = _parse_tau(args.tau)
-    prec = args.prec
-    ctx = prec.context()
-    tau = ctx.mpc(ctx.mpf(re_part), ctx.mpf(im_part))
-    value = hauptmodul_value(args.p, tau, prec, series=_series(args))
-    digits = prec.decimal_digits
+    hm = Hauptmodul(args.p, args.digits, _series(args))
+    value, _ = value_with_bound(hm, hm.ctx.mpc(re_part, im_part))
     result = {
-        "re": mpmath.nstr(value.real, digits),
-        "im": mpmath.nstr(value.imag, digits),
+        "re": mpmath.nstr(value.real, hm.digits),
+        "im": mpmath.nstr(value.imag, hm.digits),
     }
     _emit(_report("eval", {"p": args.p, "tau": args.tau}, result), args.output_format,
           text_lines=[f"{result['re']} {result['im']}i"])
@@ -383,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("classpoly", help="construct a class polynomial")
     cp.add_argument("--p", type=int, required=True)
     cp.add_argument("--d", type=int, required=True)
-    cp.add_argument("--strategy", choices=SIGN_STRATEGIES, default="search")
+    cp.add_argument("--strategy", choices=("search", "numeric"), default="search")
     cp.set_defaults(func=cmd_classpoly)
 
     hg = sub.add_parser("heegner", help="representative forms and CM points")
@@ -422,7 +417,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         digits = args.precision if args.precision is not None else _default_digits()
-        args.prec = PrecisionConfig(decimal_digits=digits)
+        args.digits = check_digits(digits)
         return args.func(args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from .gzrhs import (
     enumerate_terms,
     term_contribution,
 )
-from .hauptmodul import DEFAULT_PRECISION, PrecisionConfig, lhs_log_norm
+from .hauptmodul import Hauptmodul, lhs_log_norm
 from .quadforms import admissible_residues
 
 RELATIVE_TOLERANCE = 1e-8
@@ -47,21 +47,17 @@ class CrosscheckResult:
         return self.passes[variant]
 
 
-def run_crosscheck(p: int, d: int, D: int,
-                   prec: PrecisionConfig | None = None,
-                   series=None,
-                   mu: int | None = None,
-                   beta: int | None = None) -> CrosscheckResult:
+def run_crosscheck(hm: Hauptmodul, d: int, D: int,
+                   mu: int | None = None, beta: int | None = None) -> CrosscheckResult:
     """Evaluate both sides for one discriminant pair; residues default to smallest."""
-    prec = prec or DEFAULT_PRECISION
+    p = hm.p
     params = GZParams.create(p=p, d=d, D=D, mu=mu, beta=beta)
     # one scoring pass gives both ramified variants
     contributions = [term_contribution(term, params) for term in enumerate_terms(params)]
     sums = {variant: PrimeLogSum.total(contributions, variant)
             for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M)}
-    ctx = prec.context()
-    lhs_value, lhs_error = lhs_log_norm(p=p, d=params.d, beta=params.beta, D=params.D,
-                                        mu=params.mu, prec=prec, series=series, ctx=ctx)
+    ctx = hm.ctx
+    lhs_value, lhs_error = lhs_log_norm(hm, params.d, params.beta, params.D, params.mu)
     result = CrosscheckResult(
         p=p, d=params.d, D=params.D, beta=params.beta, mu=params.mu,
         lhs=float(lhs_value), lhs_error_estimate=float(lhs_error),

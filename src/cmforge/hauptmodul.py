@@ -14,15 +14,15 @@ every rounding.  In the quotient the prefactors cancel,
 t = (S(q)/S(q^p))^e / q, so a CM point costs one complex exponential and
 q^p comes from q by integer powering.
 
-Precision is carried by explicit mpmath contexts created per call; nothing
-touches the global mpmath state.
+A Hauptmodul fixes level, realization and precision once; its values live in
+the one mpmath context it owns, and nothing touches the global mpmath state.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 
@@ -52,28 +52,18 @@ ETA_GUARD_BITS = 32
 _Q_ERR_ULPS = 8
 
 
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Working-precision contract for complex evaluation."""
-
-    decimal_digits: int = 80
-
-    def __post_init__(self):
-        if self.decimal_digits < 1:
-            raise ParameterError("precision parameters must be positive")
-
-    @property
-    def working_dps(self) -> int:
-        return self.decimal_digits + GUARD_DIGITS
-
-    def context(self):
-        """Fresh mpmath context at the working precision."""
-        ctx = mpmath.ctx_mp.MPContext()
-        ctx.dps = self.working_dps
-        return ctx
+def check_digits(digits: int) -> int:
+    """digits, refused with ParameterError unless at least 1."""
+    if digits < 1:
+        raise ParameterError("precision parameters must be positive")
+    return digits
 
 
-DEFAULT_PRECISION = PrecisionConfig()
+def working_context(digits: int):
+    """Fresh mpmath context carrying digits decimal digits plus GUARD_DIGITS."""
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.dps = check_digits(digits) + GUARD_DIGITS
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,31 @@ def load_qseries(path) -> QSeries:
         raise ParameterError(
             f"{path}: expected {header['count']} coefficients, found {len(coeffs)}"
         )
-    return QSeries(p=header["p"], coefficients=tuple(coeffs))
+    try:
+        return QSeries(p=header["p"], coefficients=tuple(coeffs))
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class Hauptmodul:
+    """j*_p of level p, realized by its eta quotient or by a coefficient file
+    of level p, at digits decimal digits; all checked here, once.  Its values
+    live in ctx."""
+
+    p: int
+    digits: int = 80
+    series: QSeries | None = None
+    ctx: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ctx", working_context(self.digits))
+        if not is_prime(self.p):
+            raise ParameterError(f"{self.p} is not prime")
+        if self.series is None and self.p not in ETA_QUOTIENT_PRIMES:
+            raise SeriesRequiredError(f"no closed form for p={self.p}; supply a coefficient file")
+        if self.series is not None and self.series.p != self.p:
+            raise ParameterError(f"series is for p={self.series.p}, not p={self.p}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +340,12 @@ def _pentagonal_sum(ctx, q, q_err: int, pairs: int):
     return value, tail + rounding + ctx.eps * (abs(value.real) + abs(value.imag))
 
 
-def eta_with_bound(tau, prec: PrecisionConfig | None = None, ctx=None):
+def eta_with_bound(tau, ctx):
     """Dedekind eta as w S(q) with w = e^(pi i tau/12); returns (value, error bound).
 
     S(q) is the pentagonal sum of _pentagonal_sum, truncated below 2^-ctx.prec;
     the bound covers that kernel's tail and rounding plus the product by w.
     """
-    prec = prec or DEFAULT_PRECISION
-    if ctx is None:
-        ctx = prec.context()
     tau = _as_point(ctx, tau)
     if tau.imag <= 0:
         raise ParameterError(f"eta requires Im(tau) > 0, got {tau.imag}")
@@ -367,12 +378,13 @@ def reduce_point(tau, p: int, ctx):
     )
 
 
-def _eval_qseries_with_bound(series: QSeries, tau, prec: PrecisionConfig, ctx):
-    """Evaluate a truncated expansion and bound the discarded tail.
+def _eval_qseries_with_bound(hm: Hauptmodul, tau):
+    """Evaluate hm's truncated expansion and bound the discarded tail.
 
     The tail model |c(k)| <= C exp(4 pi sqrt(k)) fits simple-pole generators;
     C is calibrated from the supplied coefficients.
     """
+    ctx, series = hm.ctx, hm.series
     q = ctx.expjpi(2 * tau)
     absq = abs(q)
     value = ctx.mpc(0)
@@ -393,7 +405,7 @@ def _eval_qseries_with_bound(series: QSeries, tau, prec: PrecisionConfig, ctx):
             bound=ctx.inf,
         )
     bound = growth * ctx.exp(4 * ctx.pi * ctx.sqrt(top + 1)) * absq ** (top + 1) / (1 - ratio)
-    allowed = ctx.mpf(10) ** (-prec.decimal_digits) * max(abs(value), ctx.mpf(1))
+    allowed = ctx.mpf(10) ** (-hm.digits) * max(abs(value), ctx.mpf(1))
     if bound > allowed:
         raise PrecisionError(
             f"truncation bound {mpmath.nstr(bound, 5)} exceeds the requested precision "
@@ -403,24 +415,18 @@ def _eval_qseries_with_bound(series: QSeries, tau, prec: PrecisionConfig, ctx):
     return value, bound
 
 
-def value_with_bound(p: int, tau, prec: PrecisionConfig, ctx,
-                     series: QSeries | None = None, reduce_first: bool = True):
-    """Generator value at tau in the given context, with an error bound on it."""
-    if not is_prime(p):
-        raise ParameterError(f"{p} is not prime")
+def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
+    """(value, error bound) of hm at tau, in hm's context.  The additive constant
+    is whatever the realization produces; only differences of values are
+    normalization-independent."""
+    ctx, p = hm.ctx, hm.p
     tau = _as_point(ctx, tau)
     if tau.imag <= 0:
         raise ParameterError("evaluation point must lie in the upper half plane")
     if reduce_first:
         tau = reduce_point(tau, p, ctx)
-    if series is not None:
-        if series.p != p:
-            raise ParameterError(f"series is for p={series.p}, not p={p}")
-        return _eval_qseries_with_bound(series, tau, prec, ctx)
-    if p not in ETA_QUOTIENT_PRIMES:
-        raise SeriesRequiredError(
-            f"no closed form for p={p}; supply a coefficient file"
-        )
+    if hm.series is not None:
+        return _eval_qseries_with_bound(hm, tau)
     # t = (eta(tau)/eta(p tau))^e = (S(q)/S(q^p))^e / q, since e(p-1) = 24: the
     # prefactors e^(pi i tau/12) cancel and one exponential serves the point
     e = 24 // (p - 1)
@@ -441,43 +447,21 @@ def value_with_bound(p: int, tau, prec: PrecisionConfig, ctx,
     return value, bound
 
 
-def hauptmodul_value(p: int, tau, prec: PrecisionConfig | None = None,
-                     series: QSeries | None = None, reduce_first: bool = True):
-    """Value of the normalized genus-zero generator for the Fricke group of p.
-
-    The additive constant is whatever the realization produces; only
-    differences of values are normalization-independent.
-    """
-    prec = prec or DEFAULT_PRECISION
-    ctx = prec.context()
-    value, _ = value_with_bound(p, tau, prec, ctx, series, reduce_first)
-    return value
+def cm_values(hm: Hauptmodul, disc: int, residue: int) -> list:
+    """(value, error bound) of hm at the CM point of each form of
+    heegner_reps(disc, hm.p, residue), in that order."""
+    return [value_with_bound(hm, f) for f in heegner_reps(disc, hm.p, residue)]
 
 
-def cm_values(p: int, disc: int, residue: int, prec: PrecisionConfig, ctx,
-              series: QSeries | None = None) -> list:
-    """(value, error bound) of the generator at the CM point of each form of
-    heegner_reps(disc, p, residue), in that order, in the context ctx."""
-    return [value_with_bound(p, f, prec, ctx, series) for f in heegner_reps(disc, p, residue)]
-
-
-def lhs_log_norm(p: int, d: int, beta: int, D: int, mu: int,
-                 prec: PrecisionConfig | None = None,
-                 series: QSeries | None = None, ctx=None) -> tuple:
+def lhs_log_norm(hm: Hauptmodul, d: int, beta: int, D: int, mu: int) -> tuple:
     """8 * sum of log|j*(tau_{Q_D}) - j*(tau_{Q_d})| over both class sets,
-    as (value, error bound).
-
-    The values live in ctx, a fresh context at prec's working precision if
-    none is passed.
-    """
-    prec = prec or DEFAULT_PRECISION
-    if prec.decimal_digits < 30:
+    as (value, error bound) in hm's context."""
+    if hm.digits < 30:
         raise ParameterError("cross-check evaluation needs at least 30 digits")
-    if ctx is None:
-        ctx = prec.context()
-    vals_D = cm_values(p, -D, mu, prec, ctx, series)
-    vals_d = cm_values(p, -d, beta, prec, ctx, series)
-    threshold = ctx.mpf(10) ** (-prec.decimal_digits // 2)
+    ctx = hm.ctx
+    vals_D = cm_values(hm, -D, mu)
+    vals_d = cm_values(hm, -d, beta)
+    threshold = ctx.mpf(10) ** (-hm.digits // 2)
     total = ctx.mpf(0)
     err = ctx.mpf(0)
     for vD, eD in vals_D:

@@ -19,13 +19,11 @@ from .errors import (
     DegenerateDataError,
     InfeasibleError,
     InternalError,
-    NonIntegralMagnitudeError,
     ParameterError,
-    SeriesRequiredError,
     SignResolutionError,
 )
 from .gzrhs import GZParams, gz_log_norm
-from .hauptmodul import DEFAULT_PRECISION, ETA_QUOTIENT_PRIMES, PrecisionConfig, cm_values
+from .hauptmodul import Hauptmodul, cm_values
 from .quadforms import admissible_residues, class_number
 
 #: Primes whose Fricke curve has genus zero.
@@ -35,8 +33,6 @@ GENUS_ZERO_FRICKE_PRIMES = frozenset(
 
 #: The nine imaginary quadratic fields with trivial class group.
 CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
-
-SIGN_STRATEGIES = ("search", "numeric")
 
 
 def s_set(p: int) -> list[int]:
@@ -140,13 +136,6 @@ def _rational_root_candidates(coefficients):
     return [s * k for k in factorize(abs(constant)).divisors() for s in (1, -1)]
 
 
-def _magnitude(label: str, params: GZParams) -> int:
-    try:
-        return gz_log_norm(params).norm()
-    except NonIntegralMagnitudeError as exc:
-        raise NonIntegralMagnitudeError(f"{label}_{params.D}: {exc}") from None
-
-
 def build_pairs(d: int, beta: int, p: int, base_disc: int) -> list[InterpolationPair]:
     """Magnitude pairs over the usable degree-one discriminants.
 
@@ -167,8 +156,8 @@ def build_pairs(d: int, beta: int, p: int, base_disc: int) -> list[Interpolation
         if disc == base_disc:
             x = 0
         else:
-            x = _magnitude("X", GZParams.create(p=p, d=-base_disc, D=D))
-        y = _magnitude("Y", GZParams.create(p=p, d=d, D=D, beta=beta))
+            x = gz_log_norm(GZParams.create(p=p, d=-base_disc, D=D)).norm()
+        y = gz_log_norm(GZParams.create(p=p, d=d, D=D, beta=beta)).norm()
         pairs.append(InterpolationPair(D=D, x_mag=x, y_mag=y))
     return pairs
 
@@ -204,32 +193,19 @@ def _mirror_coeffs(coeffs):
     return tuple(c if (h - k) % 2 == 0 else -c for k, c in enumerate(coeffs))
 
 
-def resolve_signs(pairs: list[InterpolationPair], d: int, strategy: str = "search",
-                  p: int | None = None, base_disc: int | None = None,
-                  beta: int | None = None,
-                  prec: PrecisionConfig | None = None,
-                  series=None) -> list[tuple[int, int]]:
-    """Resolve the sign strings: the signed points (X_D, Y_D), in pair order.
+def resolve_signs(pairs: list[InterpolationPair], d: int) -> list[tuple[int, int]]:
+    """Resolve the sign strings by search: the signed points (X_D, Y_D), in pair order.
 
-    search: accept exactly the sign assignments whose points lie on a monic
-    integer polynomial of degree h(-d); unique up to the global mirror
+    Accept exactly the sign assignments whose points lie on a monic integer
+    polynomial of degree h(-d); unique up to the global mirror
     (X, Y) -> (-X, (-1)^h Y), canonicalized to the lexicographically smaller
-    coefficient tuple.  numeric: read the signs off high-precision values of
-    the generator (closed forms for p in {2,3,5,7,13}, otherwise a series).
+    coefficient tuple.
     """
-    if strategy not in SIGN_STRATEGIES:
-        raise ParameterError(f"unknown sign strategy {strategy!r}")
     h = class_number(-d)
     if len(pairs) < h + 1:
         raise InfeasibleError(
             f"need {h + 1} interpolation pairs, only {len(pairs)} available"
         )
-    if strategy == "search":
-        return _resolve_by_search(pairs, h)
-    return _resolve_by_numerics(pairs, d, p, base_disc, beta, prec, series)
-
-
-def _resolve_by_search(pairs, h):
     zero_idx = [i for i, pr in enumerate(pairs) if pr.x_mag == 0]
     if len(zero_idx) > 1:
         raise DegenerateDataError("more than one zero X magnitude")
@@ -269,23 +245,19 @@ def _resolve_by_search(pairs, h):
     return points
 
 
-def _resolve_by_numerics(pairs, d, p, base_disc, beta, prec, series):
-    if p is None or base_disc is None or beta is None:
-        raise ParameterError("numeric strategy needs p, base_disc and beta")
-    if series is None and p not in ETA_QUOTIENT_PRIMES:
-        raise SeriesRequiredError(
-            f"numeric sign resolution for p={p} needs series data"
-        )
-    prec = prec or DEFAULT_PRECISION
-    ctx = prec.context()
-    tol = ctx.mpf(10) ** (-prec.decimal_digits // 4)
+def read_signs(pairs: list[InterpolationPair], d: int, base_disc: int, beta: int,
+               hm: Hauptmodul) -> list[tuple[int, int]]:
+    """The signed points (X_D, Y_D), in pair order, read off the values of hm
+    at the CM points; each magnitude is checked against them first."""
+    ctx = hm.ctx
+    tol = ctx.mpf(10) ** (-hm.digits // 4)
 
     def value_at(disc):
         # a degree-one discriminant has one class, so one CM point
-        return cm_values(p, disc, min(admissible_residues(disc, p)), prec, ctx, series)[0][0]
+        return cm_values(hm, disc, min(admissible_residues(disc, hm.p)))[0][0]
 
     base_val = value_at(base_disc)
-    d_vals = [value for value, _ in cm_values(p, -d, beta, prec, ctx, series)]
+    d_vals = [value for value, _ in cm_values(hm, -d, beta)]
     points = []
     for pr in pairs:
         val_D = value_at(-pr.D)
@@ -337,12 +309,8 @@ class ClassPolyReport:
     polynomial: ClassPolynomial
 
 
-def class_polynomial(p: int, d: int, base_disc: int | None = None,
-                     strategy: str = "search",
-                     prec: PrecisionConfig | None = None,
-                     series=None) -> ClassPolyReport:
-    """End-to-end pipeline: S(p), feasibility, pairs, signs, interpolation."""
-    members = s_set(p)
+def require_feasible(p: int, d: int) -> list[int]:
+    """usable_s_set(p), or InfeasibleError saying what is missing if not feasible(d, p)."""
     usable = usable_s_set(p)
     if not feasible(d, p):
         if -d in usable:
@@ -350,12 +318,26 @@ def class_polynomial(p: int, d: int, base_disc: int | None = None,
         else:
             detail = f"{len(usable)} usable degree-one discriminants exist for p={p}"
         raise InfeasibleError(f"need h(-{d})+1 = {class_number(-d) + 1} pairs but only {detail}")
+    return usable
+
+
+def class_polynomial(p: int, d: int, base_disc: int | None = None,
+                     hauptmodul: Hauptmodul | None = None) -> ClassPolyReport:
+    """End-to-end pipeline: S(p), feasibility, pairs, signs, interpolation.
+
+    The signs are read off the values of hauptmodul when one is given, and
+    found by search otherwise.
+    """
+    if hauptmodul is not None and hauptmodul.p != p:
+        raise ParameterError(f"the Hauptmodul is for p={hauptmodul.p}, not p={p}")
+    members = s_set(p)
+    usable = require_feasible(p, d)
     beta = min(admissible_residues(-d, p))
     if base_disc is None:
         base_disc = next(disc for disc in usable if -disc != d)
     pairs = build_pairs(d, beta, p, base_disc)
-    points = resolve_signs(pairs, d, strategy=strategy, p=p, base_disc=base_disc,
-                           beta=beta, prec=prec, series=series)
+    points = (resolve_signs(pairs, d) if hauptmodul is None
+              else read_signs(pairs, d, base_disc, beta, hauptmodul))
     poly = interpolate(points, d)
     return ClassPolyReport(p=p, d=d, beta=beta, base_disc=base_disc, s_set=members,
                            pairs=pairs, points=points, polynomial=poly)

@@ -29,14 +29,13 @@ from cmforge.gzrhs import (
 )
 from cmforge.hauptmodul import (
     ETA_QUOTIENT_PRIMES,
-    PrecisionConfig,
+    Hauptmodul,
     eta_with_bound,
-    hauptmodul_value,
+    value_with_bound,
+    working_context,
 )
 from cmforge.hcp import build_pairs, interpolate, resolve_signs, s_set
 from cmforge.quadforms import admissible_residues, class_number, heegner_reps
-
-PREC80 = PrecisionConfig(decimal_digits=80)
 
 
 @contextlib.contextmanager
@@ -85,8 +84,9 @@ def test_criterion_3_exact_vs_numeric_cross_validation():
         start = time.time()
         differing = []
         for p in ETA_QUOTIENT_PRIMES:
+            hm = Hauptmodul(p, digits=80)
             for d, D in admissible_pairs(p, max_disc=500, count=5):
-                res = run_crosscheck(p, d, D, prec=PREC80)
+                res = run_crosscheck(hm, d, D)
                 assert res.passes[RAMIFIED_OF_MD], (p, d, D, res.discrepancy)
                 assert res.discrepancy[RAMIFIED_OF_MD] < RELATIVE_TOLERANCE
                 if res.variants_differ:
@@ -125,24 +125,25 @@ def test_criterion_4_oracle_equivalences():
 def test_criterion_5_modular_invariance():
     with criterion(5, "eta functional equations and generator invariance at 1e-70"):
         start = time.time()
-        ctx = PREC80.context()
+        ctx = working_context(80)
         rng = random.Random(137)
         tol = ctx.mpf(10) ** -70
         shift_factor = ctx.expjpi(ctx.mpf(1) / 12)
         for _ in range(100):
             tau = ctx.mpc(str(rng.uniform(-0.5, 0.5)), str(rng.uniform(0.05, 5.0)))
-            base = eta_with_bound(tau, PREC80)[0]
-            assert abs(eta_with_bound(tau + 1, PREC80)[0] - shift_factor * base) < tol
-            flipped = eta_with_bound(-1 / tau, PREC80)[0]
+            base = eta_with_bound(tau, ctx)[0]
+            assert abs(eta_with_bound(tau + 1, ctx)[0] - shift_factor * base) < tol
+            flipped = eta_with_bound(-1 / tau, ctx)[0]
             assert abs(flipped - ctx.sqrt(ctx.mpc(0, -1) * tau) * base) < tol
         for p in ETA_QUOTIENT_PRIMES:
+            hm = Hauptmodul(p, digits=80)
             for _ in range(20):
                 radius = ctx.mpf(str(rng.uniform(0.65, 1.55))) / ctx.sqrt(p)
                 angle = ctx.mpf(str(rng.uniform(0.35, 0.75))) * ctx.pi
                 tau = radius * ctx.mpc(ctx.cos(angle), ctx.sin(angle))
-                v = hauptmodul_value(p, tau, PREC80, reduce_first=False)
-                shifted = hauptmodul_value(p, tau + 1, PREC80, reduce_first=False)
-                flipped = hauptmodul_value(p, -1 / (p * tau), PREC80, reduce_first=False)
+                v = value_with_bound(hm, tau, reduce_first=False)[0]
+                shifted = value_with_bound(hm, tau + 1, reduce_first=False)[0]
+                flipped = value_with_bound(hm, -1 / (p * tau), reduce_first=False)[0]
                 scale = max(1, abs(v))
                 assert abs(shifted - v) / scale < tol, (p, tau)
                 assert abs(flipped - v) / scale < tol, (p, tau)

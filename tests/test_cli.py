@@ -179,11 +179,20 @@ def test_malformed_series_files_exit_usage(tmp_path, capsys):
     bad_header.write_text("p five\ncount 2\n1\n0\n", encoding="ascii")
     non_ascii = tmp_path / "bytes.txt"
     non_ascii.write_bytes(b"p 5\ncount 2\n1\n\xc3\xa9\n")
+    not_prime = tmp_path / "p6.txt"
+    not_prime.write_text("p 6\ncount 2\n1\n0\n", encoding="ascii")
+    bad_residue = tmp_path / "residue.txt"
+    bad_residue.write_text("p 5\ncount 2\n2\n0\n", encoding="ascii")
+    too_short = tmp_path / "short.txt"
+    too_short.write_text("p 5\ncount 1\n1\n", encoding="ascii")
     cases = [
         (bad_header, f"{bad_header}:1: not an integer: 'p five'"),
         (non_ascii, f"{non_ascii}:4: not ASCII text"),
         (tmp_path / "missing.txt", f"{tmp_path / 'missing.txt'}: cannot read"),
         (tmp_path, f"{tmp_path}: cannot read"),
+        (not_prime, f"{not_prime}: 6 is not prime\n"),
+        (bad_residue, f"{bad_residue}: rejected: leading coefficient c(-1) must be 1\n"),
+        (too_short, f"{too_short}: need at least the residue and the constant term\n"),
     ]
     for path, message in cases:
         code, out, err = run_cli(capsys, "--series", str(path),
@@ -294,6 +303,29 @@ def test_crosscheck_requires_series_for_large_p(capsys):
     assert "coefficient" in err or "series" in err.lower()
 
 
+def test_missing_coefficient_file_is_reported_before_lattice_work(capsys, monkeypatch):
+    from cmforge import crosscheck
+
+    def no_lattice(params):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(crosscheck, "enumerate_terms", no_lattice)
+    for argv in (["crosscheck", "--p", "47", "--d", "39", "--D", "163"],
+                 ["crosscheck", "--p", "47"],
+                 ["classpoly", "--p", "47", "--d", "39", "--strategy", "numeric"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err == "error: no closed form for p=47; supply a coefficient file\n", argv
+
+
+def test_numeric_classpoly_reports_too_few_pairs_before_a_missing_file(capsys):
+    # h(-151) + 1 = 8 pairs cannot exist at p = 47, series or not
+    code, out, err = run_cli(capsys, "classpoly", "--p", "47", "--d", "151",
+                             "--strategy", "numeric")
+    assert (code, out) == (EXIT_INFEASIBLE, "")
+    assert "h(-151)+1 = 8" in err
+
+
 def test_crosscheck_partial_pair_rejected(capsys):
     code, _, err = run_cli(capsys, "crosscheck", "--p", "2", "--d", "7")
     assert code == EXIT_USAGE
@@ -328,12 +360,11 @@ def test_eval_matches_direct_recomputation(capsys):
                            "--p", "2", "--tau", "0.0+1.0i")
     assert code == EXIT_OK
     shown = out.split()
-    from cmforge.hauptmodul import PrecisionConfig, eta_with_bound
+    from cmforge.hauptmodul import eta_with_bound, working_context
 
-    prec = PrecisionConfig(decimal_digits=50)
-    ctx = prec.context()
+    ctx = working_context(50)
     tau = ctx.mpc(0, 1)
-    t = (eta_with_bound(tau, prec, ctx)[0] / eta_with_bound(2 * tau, prec, ctx)[0]) ** 24
+    t = (eta_with_bound(tau, ctx)[0] / eta_with_bound(2 * tau, ctx)[0]) ** 24
     expected = t + 4096 / t
     assert abs(ctx.mpf(shown[0]) - expected.real) < ctx.mpf(10) ** -45
     assert abs(expected.imag) < ctx.mpf(10) ** -45

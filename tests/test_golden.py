@@ -15,6 +15,8 @@ from conftest import sweep_cases
 from cmforge.cli import EXIT_OK, main
 
 SWEEP_DIGEST = "90f757eb0269db3bed8fc6c3e8f2065506d50207f8f79f12c7fab5007586c755"
+NUMERIC_DIGEST = "8c469b5e80e87153da8789705a287b52c9c2f167eb406b2536094a59daa8c7fc"
+ETA_PRIMES = (2, 3, 5, 7, 13)
 
 GOLDEN = [
     (
@@ -113,22 +115,47 @@ def test_reference_stdout_is_byte_identical(capsys, command, expected):
     assert capsys.readouterr().out == expected
 
 
-def sweep_digest():
-    """sha256 over (argv, exit code, stdout, stderr) of every sweep case of
-    classpoly in each output format, in a fixed order."""
+def calls_digest(calls):
+    """sha256 over (argv, exit code, stdout, stderr) of each call, in order."""
     digest = hashlib.sha256()
-    for output_format in ("json", "text", "csv"):
-        for p, d in sweep_cases():
-            argv = ["--format", output_format, "classpoly", "--p", str(p), "--d", str(d)]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            record = [argv, code, out.getvalue(), err.getvalue()]
-            digest.update(json.dumps(record).encode("utf-8") + b"\n")
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        record = [argv, code, out.getvalue(), err.getvalue()]
+        digest.update(json.dumps(record).encode("utf-8") + b"\n")
     return digest.hexdigest()
+
+
+def sweep_digest():
+    """calls_digest of every sweep case of classpoly in each output format."""
+    return calls_digest(
+        ["--format", output_format, "classpoly", "--p", str(p), "--d", str(d)]
+        for output_format in ("json", "text", "csv")
+        for p, d in sweep_cases()
+    )
+
+
+def numeric_calls():
+    """Batch crosschecks in json and text, eval at 80 and 300 digits at every
+    closed-form prime, and one crosscheck at 300 digits."""
+    calls = [["--format", output_format, "crosscheck", "--p", str(p),
+              "--count", "6", "--max-disc", "200"]
+             for p in ETA_PRIMES for output_format in ("json", "text")]
+    calls += [["eval", "--p", str(p), "--tau", "0.1+1.2i"] for p in ETA_PRIMES]
+    calls += [["--precision", "300", "eval", "--p", str(p), "--tau=-0.4+0.3i"]
+              for p in ETA_PRIMES]
+    calls.append(["--precision", "300", "crosscheck", "--p", "5", "--d", "11", "--D", "19"])
+    return calls
 
 
 def test_classpoly_sweep_output_is_byte_identical():
     # every stdout, stderr and exit code of the 191 sweep cases in json, text
     # and csv; a change here is a change of output and must be made on purpose
     assert sweep_digest() == SWEEP_DIGEST
+
+
+def test_numeric_commands_output_is_byte_identical():
+    # crosscheck and eval read j*_p numerically; their values are printed to
+    # the last digit, so this pins the numeric path byte for byte
+    assert calls_digest(numeric_calls()) == NUMERIC_DIGEST

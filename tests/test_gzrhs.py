@@ -22,6 +22,7 @@ from cmforge.gzrhs import (
     gz_log_norm,
     term_contribution,
 )
+from cmforge.hauptmodul import Hauptmodul
 
 
 def exponent_map(pls):
@@ -245,7 +246,7 @@ def test_run_crosscheck_enumerates_lattice_once(monkeypatch):
 
     for module in (gzrhs, crosscheck):
         monkeypatch.setattr(module, "enumerate_terms", counting, raising=False)
-    res = crosscheck.run_crosscheck(2, 7, 15)
+    res = crosscheck.run_crosscheck(Hauptmodul(2), 7, 15)
     assert len(calls) == 1
     assert res.passes == {RAMIFIED_OF_MD: True, RAMIFIED_OF_M: False}
     assert res.variants_differ
@@ -341,7 +342,7 @@ def test_edge_convention_pairs_crosscheck():
 
     params = GZParams.create(p=13, d=39, D=52)
     assert (params.mu, params.beta, params.g) == (0, 13, 26)
-    res = run_crosscheck(13, 39, 52)
+    res = run_crosscheck(Hauptmodul(13), 39, 52)
     assert res.passes[RAMIFIED_OF_MD]
     assert res.discrepancy[RAMIFIED_OF_MD] < 1e-80
 

@@ -12,23 +12,27 @@ from cmforge.errors import (
 )
 from cmforge.hauptmodul import (
     ETA_QUOTIENT_PRIMES,
-    PrecisionConfig,
+    Hauptmodul,
     QSeries,
     eta_quotient_qseries,
     eta_with_bound,
-    hauptmodul_value,
     lhs_log_norm,
     load_qseries,
     reduce_point,
     value_with_bound,
+    working_context,
 )
 from cmforge.quadforms import QuadraticForm, admissible_residues, heegner_reps
 
-PREC = PrecisionConfig()  # 80 digits + 10 guard
+DIGITS = 80  # the default; contexts carry 10 guard digits beyond it
 
 
 def ctx80():
-    return PREC.context()
+    return working_context(DIGITS)
+
+
+def value_at(hm, tau, reduce_first=True):
+    return value_with_bound(hm, tau, reduce_first)[0]
 
 
 def random_tau(ctx, rng, im_low=0.05, im_high=5.0):
@@ -37,26 +41,36 @@ def random_tau(ctx, rng, im_low=0.05, im_high=5.0):
     return ctx.mpc(re, im)
 
 
-def test_precision_config_validation():
+def test_precision_validation():
     with pytest.raises(ParameterError):
-        PrecisionConfig(decimal_digits=0)
-    assert PrecisionConfig().working_dps == 90
+        Hauptmodul(2, digits=0)
+    with pytest.raises(ParameterError):
+        working_context(0)
+    assert Hauptmodul(2).ctx.dps == working_context(80).dps == 90
+
+
+def test_hauptmodul_checks_once():
+    with pytest.raises(ParameterError, match="6 is not prime"):
+        Hauptmodul(6)
+    with pytest.raises(ParameterError, match="series is for p=5, not p=7"):
+        Hauptmodul(7, series=eta_quotient_qseries(5, 8))
+    assert Hauptmodul(47, series=QSeries(p=47, coefficients=(1, 0))).p == 47
 
 
 def test_contexts_are_independent():
-    a = PrecisionConfig(decimal_digits=40).context()
-    b = PrecisionConfig(decimal_digits=200).context()
+    a = working_context(40)
+    b = working_context(200)
     assert a.dps != b.dps
     assert mpmath.mp.dps == 15  # global state untouched
 
 
 def test_eta_closed_forms():
     ctx = ctx80()
-    tol = ctx.mpf(10) ** -(PREC.decimal_digits - 5)
-    v1 = eta_with_bound(ctx.mpc(0, 1), PREC)[0]
+    tol = ctx.mpf(10) ** -(DIGITS - 5)
+    v1 = eta_with_bound(ctx.mpc(0, 1), ctx)[0]
     ref1 = ctx.gamma(ctx.mpf(1) / 4) / (2 * ctx.pi ** (ctx.mpf(3) / 4))
     assert abs(v1 - ref1) < tol
-    v2 = eta_with_bound(ctx.mpc(0, 2), PREC)[0]
+    v2 = eta_with_bound(ctx.mpc(0, 2), ctx)[0]
     ref2 = ref1 / 2 ** (ctx.mpf(3) / 8)
     assert abs(v2 - ref2) < tol
 
@@ -65,20 +79,20 @@ def test_eta_functional_equations_random():
     ctx = ctx80()
     rng = random.Random(271)
     shift_factor = ctx.expjpi(ctx.mpf(1) / 12)
-    tol = ctx.mpf(10) ** -(PREC.decimal_digits - 5)
+    tol = ctx.mpf(10) ** -(DIGITS - 5)
     for _ in range(100):
         tau = random_tau(ctx, rng)
-        e0 = eta_with_bound(tau, PREC)[0]
-        assert abs(eta_with_bound(tau + 1, PREC)[0] - shift_factor * e0) < tol
-        lhs = eta_with_bound(-1 / tau, PREC)[0]
+        e0 = eta_with_bound(tau, ctx)[0]
+        assert abs(eta_with_bound(tau + 1, ctx)[0] - shift_factor * e0) < tol
+        lhs = eta_with_bound(-1 / tau, ctx)[0]
         rhs = ctx.sqrt(ctx.mpc(0, -1) * tau) * e0
         assert abs(lhs - rhs) < tol
 
 
 def test_eta_low_imaginary_part_converges():
     ctx = ctx80()
-    value, bound = eta_with_bound(ctx.mpc("0.3", "0.05"), PREC)
-    assert bound < ctx.mpf(10) ** -(PREC.decimal_digits - 2)
+    value, bound = eta_with_bound(ctx.mpc("0.3", "0.05"), ctx)
+    assert bound < ctx.mpf(10) ** -(DIGITS - 2)
     assert abs(value) > 0
 
 
@@ -91,9 +105,9 @@ def test_eta_max_terms_exceeded(monkeypatch):
     monkeypatch.setattr(hauptmodul, "_fixed_q", no_series_work)
     monkeypatch.setattr(hauptmodul, "_pentagonal_sum", no_series_work)
     with pytest.raises(PrecisionError, match="Im"):
-        eta_with_bound(complex(0.0, 0.05), PREC)
+        eta_with_bound(complex(0.0, 0.05), ctx80())
     with pytest.raises(PrecisionError, match="Im"):
-        value_with_bound(2, complex(0.0, 0.05), PREC, PREC.context(), reduce_first=False)
+        value_with_bound(Hauptmodul(2), complex(0.0, 0.05), reduce_first=False)
 
 
 # one reduced Heegner point per eta prime: (p, D), the point of the first form
@@ -104,8 +118,7 @@ ORACLE_HEEGNER = ((2, 47), (3, 71), (5, 79), (7, 55), (13, 35))
 def test_eta_kernel_against_mpmath_oracle(digits):
     # mpmath.eta at 50 more digits is an independent oracle for both the
     # values and the returned error bounds
-    prec = PrecisionConfig(decimal_digits=digits)
-    ctx = prec.context()
+    ctx = working_context(digits)
     oracle = mpmath.ctx_mp.MPContext()
     oracle.dps = digits + 50
     requested = oracle.mpf(10) ** -digits
@@ -115,7 +128,7 @@ def test_eta_kernel_against_mpmath_oracle(digits):
         assert bound <= requested * max(abs(exact), 1)
 
     def check_eta(tau):
-        value, bound = eta_with_bound(tau, prec, ctx)
+        value, bound = eta_with_bound(tau, ctx)
         check(value, bound, oracle.eta(oracle.mpc(tau)))
 
     for tau in (ctx.mpc(0, 1), ctx.mpc(0, 2), ctx.mpc("0.3", "0.05")):
@@ -130,22 +143,22 @@ def test_eta_kernel_against_mpmath_oracle(digits):
         e = 24 // (p - 1)
         exact_tau = oracle.mpc(tau)
         t = (oracle.eta(exact_tau) / oracle.eta(p * exact_tau)) ** e
-        value, bound = value_with_bound(p, tau, prec, ctx, reduce_first=False)
+        value, bound = value_with_bound(Hauptmodul(p, digits), tau, reduce_first=False)
         check(value, bound, t + oracle.mpf(p) ** (e // 2) / t)
 
 
 def test_eta_rejects_lower_half_plane():
     with pytest.raises(ParameterError):
-        eta_with_bound(complex(0.0, -1.0), PREC)
+        eta_with_bound(complex(0.0, -1.0), ctx80())
     with pytest.raises(ParameterError):
-        eta_with_bound(complex(1.0, 0.0), PREC)
+        eta_with_bound(complex(1.0, 0.0), ctx80())
 
 
 def test_generator_closed_form_value_at_i():
     # eta(2i) = eta(i)/2^(3/8) gives t = 2^9 at tau = i, so the value is 520
     ctx = ctx80()
-    value = hauptmodul_value(2, ctx.mpc(0, 1), PREC)
-    assert abs(value - 520) < ctx.mpf(10) ** -(PREC.decimal_digits - 5)
+    at_i = value_at(Hauptmodul(2), ctx.mpc(0, 1))
+    assert abs(at_i - 520) < ctx.mpf(10) ** -(DIGITS - 5)
 
 
 def test_fricke_constant_numerically():
@@ -155,11 +168,11 @@ def test_fricke_constant_numerically():
     for p in ETA_QUOTIENT_PRIMES:
         e = 24 // (p - 1)
         tau = random_tau(ctx, rng, 0.3, 1.2)
-        t1 = (eta_with_bound(tau, PREC)[0] / eta_with_bound(p * tau, PREC)[0]) ** e
+        t1 = (eta_with_bound(tau, ctx)[0] / eta_with_bound(p * tau, ctx)[0]) ** e
         flipped = -1 / (p * tau)
-        t2 = (eta_with_bound(flipped, PREC)[0] / eta_with_bound(p * flipped, PREC)[0]) ** e
+        t2 = (eta_with_bound(flipped, ctx)[0] / eta_with_bound(p * flipped, ctx)[0]) ** e
         expected = ctx.mpf(p) ** (e // 2)
-        assert abs(t1 * t2 - expected) < ctx.mpf(10) ** -(PREC.decimal_digits - 10)
+        assert abs(t1 * t2 - expected) < ctx.mpf(10) ** -(DIGITS - 10)
 
 
 def fricke_circle_tau(ctx, rng, p):
@@ -174,11 +187,12 @@ def test_hauptmodul_invariance_at_generators():
     rng = random.Random(281)
     tol = ctx.mpf(10) ** -70
     for p in ETA_QUOTIENT_PRIMES:
+        hm = Hauptmodul(p)
         for _ in range(20):
             tau = fricke_circle_tau(ctx, rng, p)
-            base = hauptmodul_value(p, tau, PREC, reduce_first=False)
-            shifted = hauptmodul_value(p, tau + 1, PREC, reduce_first=False)
-            flipped = hauptmodul_value(p, -1 / (p * tau), PREC, reduce_first=False)
+            base = value_at(hm, tau, reduce_first=False)
+            shifted = value_at(hm, tau + 1, reduce_first=False)
+            flipped = value_at(hm, -1 / (p * tau), reduce_first=False)
             scale = max(1, abs(base))
             assert abs(shifted - base) / scale < tol, (p, tau)
             assert abs(flipped - base) / scale < tol, (p, tau)
@@ -190,12 +204,13 @@ def test_hauptmodul_gamma0_translates():
     rng = random.Random(283)
     tol = ctx.mpf(10) ** -65
     for p in (2, 5, 13):
+        hm = Hauptmodul(p)
         for a, b, c, d in ((1, 1, 0, 1), (1, 0, p, 1), (p + 1, 1, p, 1)):
             assert a * d - b * c == 1
             tau = random_tau(ctx, rng, 0.4, 1.5)
             moved = (a * tau + b) / (c * tau + d)
-            v1 = hauptmodul_value(p, tau, PREC)
-            v2 = hauptmodul_value(p, moved, PREC)
+            v1 = value_at(hm, tau)
+            v2 = value_at(hm, moved)
             assert abs(v1 - v2) / max(1, abs(v1)) < tol
 
 
@@ -204,10 +219,11 @@ def test_reduction_consistency():
     rng = random.Random(293)
     tol = ctx.mpf(10) ** -70
     for p in ETA_QUOTIENT_PRIMES:
+        hm = Hauptmodul(p)
         for _ in range(5):
             tau = random_tau(ctx, rng, 0.45, 2.0)
-            direct = hauptmodul_value(p, tau, PREC, reduce_first=False)
-            reduced = hauptmodul_value(p, tau, PREC, reduce_first=True)
+            direct = value_at(hm, tau, reduce_first=False)
+            reduced = value_at(hm, tau, reduce_first=True)
             assert abs(direct - reduced) / max(1, abs(direct)) < tol
 
 
@@ -246,24 +262,23 @@ def test_qseries_heads_frozen():
 def test_qseries_leading_behavior():
     # value * q -> 1 at high points: the expansion is q^(-1) + O(1)
     ctx = ctx80()
-    prec = PrecisionConfig(decimal_digits=40)
+    hm = Hauptmodul(5, digits=40)
     for height in (3, 4):
         tau = ctx.mpc(0, height)
         q = ctx.expjpi(2 * tau)
-        value = hauptmodul_value(5, tau, prec)
-        assert abs(value * q - 1) < 10 * abs(q)
+        assert abs(value_at(hm, tau) * q - 1) < 10 * abs(q)
 
 
 def test_qseries_matches_closed_form():
     ctx = ctx80()
     rng = random.Random(311)
-    tol = ctx.mpf(10) ** -(PREC.decimal_digits - 10)
+    tol = ctx.mpf(10) ** -(DIGITS - 10)
     for p in ETA_QUOTIENT_PRIMES:
-        qs = eta_quotient_qseries(p, 90)
+        closed, from_series = Hauptmodul(p), Hauptmodul(p, series=eta_quotient_qseries(p, 90))
         for _ in range(3):
             tau = random_tau(ctx, rng, 0.85, 1.6)
-            direct = hauptmodul_value(p, tau, PREC)
-            via_series = hauptmodul_value(p, tau, PREC, series=qs)
+            direct = value_at(closed, tau)
+            via_series = value_at(from_series, tau)
             assert abs(direct - via_series) / max(1, abs(direct)) < tol, p
 
 
@@ -306,15 +321,17 @@ def test_qseries_file_rejections(tmp_path):
 
 
 def test_series_required_for_large_primes():
-    with pytest.raises(SeriesRequiredError):
-        hauptmodul_value(47, complex(0, 1), PREC)
+    for p in (11, 17, 19, 23, 29, 31, 41, 47, 59, 71):
+        with pytest.raises(SeriesRequiredError,
+                           match=f"no closed form for p={p}; supply a coefficient file"):
+            Hauptmodul(p)
 
 
 def test_series_truncation_bound_enforced():
-    short = eta_quotient_qseries(5, 6)
+    short = Hauptmodul(5, series=eta_quotient_qseries(5, 6))
     ctx = ctx80()
     with pytest.raises(PrecisionError) as info:
-        hauptmodul_value(5, ctx.mpc("0.1", "0.9"), PREC, series=short)
+        value_at(short, ctx.mpc("0.1", "0.9"))
     assert info.value.bound is not None
 
 
@@ -323,28 +340,27 @@ def test_value_at_heegner_point():
     ctx = ctx80()
     form = QuadraticForm(47, 41, 9)
     explicit = (ctx.mpc(-41, 0) + ctx.mpc(0, 1) * ctx.sqrt(ctx.mpf(11))) / 94
-    exact = hauptmodul_value(2, form, PREC)
-    assert abs(exact - hauptmodul_value(2, explicit, PREC)) < ctx.mpf(10) ** -75 * abs(exact)
+    exact = value_at(Hauptmodul(2), form)
+    assert abs(exact - value_at(Hauptmodul(2), explicit)) < ctx.mpf(10) ** -75 * abs(exact)
 
 
 def test_value_at_indefinite_form_rejected():
     with pytest.raises(ParameterError, match="not positive definite"):
-        value_with_bound(2, QuadraticForm(1, 5, 1), PREC, ctx80())
+        value_with_bound(Hauptmodul(2), QuadraticForm(1, 5, 1))
 
 
 def test_lhs_log_norm_swap_symmetry_and_stability():
-    args = dict(p=2, d=7, beta=1, D=15, mu=1)
-    base, base_error = lhs_log_norm(prec=PREC, **args)
-    swapped, _ = lhs_log_norm(p=2, d=15, beta=1, D=7, mu=1, prec=PREC)
+    args = dict(d=7, beta=1, D=15, mu=1)
+    base, base_error = lhs_log_norm(Hauptmodul(2), **args)
+    swapped, _ = lhs_log_norm(Hauptmodul(2), d=15, beta=1, D=7, mu=1)
     assert abs(base - swapped) < 1e-20
-    doubled, _ = lhs_log_norm(prec=PrecisionConfig(decimal_digits=160), **args)
+    doubled, _ = lhs_log_norm(Hauptmodul(2, digits=160), **args)
     assert abs(base - doubled) < 1e-20
     assert base_error < 1e-60
 
 
 def test_lhs_log_norm_guards():
     with pytest.raises(ParameterError):
-        lhs_log_norm(p=2, d=7, beta=1, D=15, mu=1,
-                     prec=PrecisionConfig(decimal_digits=20))
+        lhs_log_norm(Hauptmodul(2, digits=20), d=7, beta=1, D=15, mu=1)
     with pytest.raises(IllConditionedError):
-        lhs_log_norm(p=2, d=7, beta=1, D=7, mu=1, prec=PREC)
+        lhs_log_norm(Hauptmodul(2), d=7, beta=1, D=7, mu=1)

@@ -15,14 +15,15 @@ from cmforge.errors import (
     SeriesRequiredError,
     SignResolutionError,
 )
+from cmforge.hauptmodul import Hauptmodul
 from cmforge.hcp import (
     ClassPolynomial,
     InterpolationPair,
-    _resolve_by_numerics,
     build_pairs,
     class_polynomial,
     feasible,
     interpolate,
+    read_signs,
     resolve_signs,
     s_set,
     usable_s_set,
@@ -97,7 +98,7 @@ def test_build_pairs_skips_diagonal():
 
 def test_resolve_signs_search_reference_signs():
     pairs = build_pairs(d=39, beta=33, p=47, base_disc=-11)
-    points = resolve_signs(pairs, d=39, strategy="search")
+    points = resolve_signs(pairs, d=39)
     assert points == [(0, 1), (1, 1), (-1, 7), (2, 13), (4, 217)]
 
 
@@ -133,7 +134,7 @@ def test_search_rejects_perturbed_magnitudes():
     pairs = build_pairs(39, 33, 47, -11)
     pairs[-1] = dataclasses.replace(pairs[-1], y_mag=pairs[-1].y_mag + 1)
     with pytest.raises(SignResolutionError):
-        resolve_signs(pairs, d=39, strategy="search")
+        resolve_signs(pairs, d=39)
 
 
 def test_search_reports_genuine_ambiguity():
@@ -141,14 +142,14 @@ def test_search_reports_genuine_ambiguity():
     pairs = [InterpolationPair(D=8, x_mag=1, y_mag=2),
              InterpolationPair(D=7, x_mag=2, y_mag=1)]
     with pytest.raises(AmbiguousSignsError) as info:
-        resolve_signs(pairs, d=11, strategy="search")
+        resolve_signs(pairs, d=11)
     assert len(info.value.candidates) == 2
 
 
 def test_resolve_signs_needs_enough_pairs():
     pairs = build_pairs(d=15, beta=1, p=2, base_disc=-7)  # h(-15) = 2, one pair short
     with pytest.raises(InfeasibleError):
-        resolve_signs(pairs, d=15, strategy="search")
+        resolve_signs(pairs, d=15)
 
 
 def test_numeric_sign_reader_validates_magnitudes():
@@ -156,8 +157,7 @@ def test_numeric_sign_reader_validates_magnitudes():
     # magnitude against the generator values before assigning signs
     pairs = [InterpolationPair(D=7, x_mag=0, y_mag=184275),
              InterpolationPair(D=8, x_mag=175, y_mag=207025)]
-    points = _resolve_by_numerics(pairs, d=15, p=2, base_disc=-7, beta=1,
-                                  prec=None, series=None)
+    points = read_signs(pairs, d=15, base_disc=-7, beta=1, hm=Hauptmodul(2))
     assert points == [(0, 184275), (175, 207025)]
 
 
@@ -165,14 +165,12 @@ def test_numeric_sign_reader_detects_wrong_magnitude():
     pairs = [InterpolationPair(D=7, x_mag=0, y_mag=184275),
              InterpolationPair(D=8, x_mag=176, y_mag=207025)]
     with pytest.raises(InternalError, match="disagrees"):
-        _resolve_by_numerics(pairs, d=15, p=2, base_disc=-7, beta=1,
-                             prec=None, series=None)
+        read_signs(pairs, d=15, base_disc=-7, beta=1, hm=Hauptmodul(2))
 
 
 def test_numeric_strategy_requires_series_for_large_p():
-    pairs = build_pairs(d=39, beta=33, p=47, base_disc=-11)
     with pytest.raises(SeriesRequiredError):
-        resolve_signs(pairs, d=39, strategy="numeric", p=47, base_disc=-11, beta=33)
+        Hauptmodul(47)
 
 
 def test_class_polynomial_pipeline_reference_case():
@@ -224,6 +222,8 @@ def test_class_polynomial_rejects_bad_inputs():
         class_polynomial(37, 39)  # not genus zero
     with pytest.raises(ParameterError):
         class_polynomial(47, 39, base_disc=-3)  # unusable base
+    with pytest.raises(ParameterError, match="Hauptmodul is for p=2, not p=47"):
+        class_polynomial(47, 39, hauptmodul=Hauptmodul(2))
 
 
 def test_class_polynomial_invariants():

@@ -58,6 +58,27 @@ def test_runtime_does_not_import_test_dependencies():
         assert not {"sympy", "hypothesis"} & imported_modules(path), path.name
 
 
+def test_closed_form_primes_live_only_in_hauptmodul():
+    # the choice between a closed form and a coefficient file is made once,
+    # when a Hauptmodul is built
+    users = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if "ETA_QUOTIENT_PRIMES" in path.read_text(encoding="utf-8")]
+    assert users == ["hauptmodul.py"]
+
+
+def test_no_function_takes_both_a_precision_and_a_context():
+    # a Hauptmodul carries the precision and owns its context; two parameters
+    # for one precision could disagree
+    offenders = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and {"prec", "ctx"} <= {a.arg for a in node.args.args + node.args.kwonlyargs}
+    ]
+    assert offenders == []
+
+
 def test_package_namespace_holds_only_what_callers_import():
     # factorize: the bench checks cmforge.factorize; eta_quotient_qseries: the
     # README documents it as the coefficient-file generator
