@@ -49,8 +49,23 @@ EXIT_CROSSCHECK_FAILED = 4
 EXIT_INFEASIBLE = 5
 
 _INT_STRING_LIMIT = 2 ** 53
+#: Largest bit length converted by one str() call: about 3900 digits, inside
+#: the interpreter's default limit of 4300 on integer-to-string conversion.
+_DECIMAL_PIECE_BITS = 13000
 #: Significant digits of a norm value shown as a decimal string.
 _VALUE_DIGITS = 17
+
+
+def _decimal(n: int) -> str:
+    """str(n), without the interpreter's limit on integer-to-string conversion:
+    n is split by a power of ten into halves, down to pieces inside the limit."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _DECIMAL_PIECE_BITS:
+        return str(n)
+    low_digits = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10 ** low_digits)
+    return _decimal(high) + _decimal(low).zfill(low_digits)
 
 
 def _jsonable(obj):
@@ -58,7 +73,7 @@ def _jsonable(obj):
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
-        return obj if abs(obj) <= _INT_STRING_LIMIT else str(obj)
+        return obj if abs(obj) <= _INT_STRING_LIMIT else _decimal(obj)
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float):
@@ -147,7 +162,7 @@ def _norm_payload(pls):
     factors = [(q, Fraction(e, 8)) for q, e in pls.items()]
     try:
         value = pls.norm()
-        text = str(value)
+        text = _decimal(value)
     except NonIntegralMagnitudeError:
         value = _float_or_decimal(pls)
         text = "*".join(

@@ -23,7 +23,7 @@ from .gzrhs import (
     enumerate_terms,
     term_contribution,
 )
-from .hauptmodul import Hauptmodul, lhs_log_norm
+from .hauptmodul import Hauptmodul, check_lhs_digits, lhs_log_norm
 from .quadforms import admissible_residues
 
 RELATIVE_TOLERANCE = 1e-8
@@ -50,6 +50,7 @@ class CrosscheckResult:
 def run_crosscheck(hm: Hauptmodul, d: int, D: int,
                    mu: int | None = None, beta: int | None = None) -> CrosscheckResult:
     """Evaluate both sides for one discriminant pair; residues default to smallest."""
+    check_lhs_digits(hm)  # before the lattice work, which no precision changes
     p = hm.p
     params = GZParams.create(p=p, d=d, D=D, mu=mu, beta=beta)
     # one scoring pass gives both ramified variants

@@ -34,7 +34,7 @@ from .errors import (
     PrecisionError,
     SeriesRequiredError,
 )
-from .quadforms import QuadraticForm, heegner_reps
+from .quadforms import QuadraticForm, heegner_reps, reduce
 
 #: Primes whose Fricke Hauptmodul has a closed eta-quotient form here.
 ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
@@ -43,7 +43,7 @@ ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
 GUARD_DIGITS = 10
 #: Safety bound on the eta series length; low Im(tau) raises PrecisionError.
 MAX_ETA_TERMS = 10 ** 6
-#: Most point flips reduce_point makes; a point needing more raises PrecisionError.
+#: Most flips reduce_point makes on a numeric point; one needing more raises PrecisionError.
 MAX_REDUCTION_FLIPS = 64
 #: Bits the fixed-point eta kernel carries beyond the context precision.
 ETA_GUARD_BITS = 32
@@ -361,10 +361,26 @@ def reduce_point(tau, p: int, ctx):
     """Push tau into |Re| <= 1/2 with p|tau|^2 >= 1, by shifts and the point flip.
 
     Legal for evaluating any function invariant under the group generated by
-    tau -> tau + 1 and tau -> -1/(p tau); each flip strictly increases Im(tau).
-    A point still unreduced after MAX_REDUCTION_FLIPS flips raises PrecisionError.
+    tau -> tau + 1 and tau -> -1/(p tau).  A positive definite QuadraticForm
+    (a, b, c) with p | a stands for its CM point and is reduced exactly, in
+    integers, to a form with -a < b <= a and pc >= a: the shift is
+    b -> b + 2an and the flip is (a, b, c) -> (pc, -b, a/p), which keeps
+    p | a and makes a strictly smaller, so the loop ends.  Any other tau is
+    reduced numerically; each flip strictly increases Im(tau), and a point
+    still unreduced after MAX_REDUCTION_FLIPS flips raises PrecisionError.
     """
-    tau = ctx.mpc(tau)
+    if isinstance(tau, QuadraticForm):
+        if not tau.is_positive_definite():
+            raise ParameterError(f"form {tau} is not positive definite")
+        if tau.a % p == 0:
+            a, b, c = tau.a, tau.b, tau.c
+            while True:
+                n = (a - b) // (2 * a)  # the shift that moves b into (-a, a]
+                b, c = b + 2 * a * n, c + (a * n + b) * n
+                if p * c >= a:
+                    return QuadraticForm(a, b, c)
+                a, b, c = p * c, -b, a // p
+    tau = _as_point(ctx, tau)
     margin = 1 - ctx.mpf(10) ** (-9)
     for _ in range(MAX_REDUCTION_FLIPS + 1):
         shift = ctx.floor(tau.real + ctx.mpf("0.5"))
@@ -420,11 +436,13 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     is whatever the realization produces; only differences of values are
     normalization-independent."""
     ctx, p = hm.ctx, hm.p
-    tau = _as_point(ctx, tau)
-    if tau.imag <= 0:
-        raise ParameterError("evaluation point must lie in the upper half plane")
+    if not isinstance(tau, QuadraticForm):
+        tau = ctx.mpc(tau)
+        if tau.imag <= 0:
+            raise ParameterError("evaluation point must lie in the upper half plane")
     if reduce_first:
         tau = reduce_point(tau, p, ctx)
+    tau = _as_point(ctx, tau)
     if hm.series is not None:
         return _eval_qseries_with_bound(hm, tau)
     # t = (eta(tau)/eta(p tau))^e = (S(q)/S(q^p))^e / q, since e(p-1) = 24: the
@@ -447,31 +465,86 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     return value, bound
 
 
+def conjugate_form(form: QuadraticForm, p: int) -> QuadraticForm:
+    """The Heegner form (pc, b, a/p) whose CM value is the complex conjugate of
+    form's: j*_p has real coefficients, so the mirror (a, -b, c) carries the
+    conjugate value, and (pc, b, a/p) is its image under the Fricke flip."""
+    return QuadraticForm(p * form.c, form.b, form.a // p)
+
+
+def _conjugation_orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
+    """Per orbit of complex conjugation on the CM values of
+    heegner_reps(disc, hm.p, residue), (i, j, value, bound): the value at form
+    i, evaluated once, whose conjugate is the value at form j.  i == j marks a
+    real value.  The class set is closed under conjugation, because the class
+    polynomial has integer coefficients, and a form's class is keyed by its
+    reduction, as in heegner_reps."""
+    forms = heegner_reps(disc, hm.p, residue)
+    index = {reduce(f): i for i, f in enumerate(forms)}
+    orbits, seen = [], set()
+    for i, form in enumerate(forms):
+        if i in seen:
+            continue
+        j = index[reduce(conjugate_form(form, hm.p))]
+        seen.update((i, j))
+        value, bound = value_with_bound(hm, form)
+        if i == j:  # the exact value is real, so dropping Im(value) keeps the bound
+            value = hm.ctx.mpc(value.real)
+        orbits.append((i, j, value, bound))
+    return orbits
+
+
 def cm_values(hm: Hauptmodul, disc: int, residue: int) -> list:
     """(value, error bound) of hm at the CM point of each form of
-    heegner_reps(disc, hm.p, residue), in that order."""
-    return [value_with_bound(hm, f) for f in heegner_reps(disc, hm.p, residue)]
+    heegner_reps(disc, hm.p, residue), in that order; each conjugate pair
+    costs one evaluation."""
+    values = {}
+    for i, j, value, bound in _conjugation_orbits(hm, disc, residue):
+        values[i] = value, bound
+        values[j] = value.conjugate(), bound
+    return [values[i] for i in range(len(values))]
+
+
+def check_lhs_digits(hm: Hauptmodul) -> None:
+    """Refuse, with ParameterError, a Hauptmodul too coarse for the cross-check."""
+    if hm.digits < 30:
+        raise ParameterError("cross-check evaluation needs at least 30 digits")
 
 
 def lhs_log_norm(hm: Hauptmodul, d: int, beta: int, D: int, mu: int) -> tuple:
     """8 * sum of log|j*(tau_{Q_D}) - j*(tau_{Q_d})| over both class sets,
-    as (value, error bound) in hm's context."""
-    if hm.digits < 30:
-        raise ParameterError("cross-check evaluation needs at least 30 digits")
+    as (value, error bound) in hm's context.
+
+    The d-values are closed under conjugation, so a conjugate pair of D-values
+    contributes twice the sum at one of them: each D-orbit takes one log, of
+    the product of its differences, with weight 2 for a pair and 1 for a real
+    value.  The bound adds (e_D + e_d)/|v_D - v_d| over all factors, with the
+    same weights, summed at 53 bits and scaled up past that sum's rounding.
+    """
+    check_lhs_digits(hm)
     ctx = hm.ctx
-    vals_D = cm_values(hm, -D, mu)
     vals_d = cm_values(hm, -d, beta)
-    threshold = ctx.mpf(10) ** (-hm.digits // 2)
+    exponent = -hm.digits // 2
+    threshold_sq = ctx.mpf(10) ** (2 * exponent)
     total = ctx.mpf(0)
-    err = ctx.mpf(0)
-    for vD, eD in vals_D:
+    factors = []  # (weight * (e_D + e_d), |v_D - v_d|^2)
+    for i, j, vD, eD in _conjugation_orbits(hm, -D, mu):
+        weight = 1 if i == j else 2
+        product = ctx.mpc(1)
         for vd, ed in vals_d:
-            diff = abs(vD - vd)
-            if diff < threshold:
+            diff = vD - vd
+            norm = diff.real ** 2 + diff.imag ** 2
+            if norm < threshold_sq:
                 raise IllConditionedError(
-                    f"CM values coincide to within {mpmath.nstr(threshold, 3)}; "
+                    f"CM values coincide to within {mpmath.nstr(ctx.mpf(10) ** exponent, 3)}; "
                     "equal discriminants or insufficient precision"
                 )
-            total += ctx.log(diff)
-            err += (eD + ed) / diff
+            product *= diff
+            factors.append((weight * (eD + ed), norm))
+        total += weight * ctx.log(abs(product))
+    # each term rounds twice at 53 bits, the sum once per term and the scaling
+    # once: N + 2 roundings of at most 2^-53 each, which 1 + (N + 3) 2^-52 covers
+    with ctx.workprec(53):
+        scale = 1 + ctx.ldexp(len(factors) + 3, -52)
+        err = sum(e / ctx.sqrt(norm) for e, norm in factors) * scale
     return 8 * total, 8 * err

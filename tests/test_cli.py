@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -114,6 +115,25 @@ def test_gznorm_norm_beyond_float_range(capsys):
                 for q, e in norm["factors"].items()))
             assert abs(mpmath.mpf(norm["value"]) / exact - 1) < mpmath.mpf(10) ** -16
             assert exact > mpmath.mpf(10) ** 308
+
+
+def test_gznorm_norm_beyond_int_string_limit(capsys):
+    # the integral norm has 8574 digits, past the interpreter's 4300-digit
+    # limit on str(int); it prints in every format without raising that limit
+    argv = ["gznorm", "--p", "2", "--d", "7", "--D", "1000007"]
+    printed = {}
+    for fmt in ("json", "csv", "text"):
+        code, out, err = run_cli(capsys, "--format", fmt, *argv)
+        assert (code, err) == (EXIT_OK, ""), fmt
+        printed[fmt] = out
+    norm = json.loads(printed["json"])["result"]["norm"]
+    assert norm["integral"] is True
+    value = norm["value"]
+    assert len(value) == 8574
+    assert hashlib.sha256(value.encode()).hexdigest() == (
+        "e81f52129ef7f64828f5f3e852e50793078b5f0bcf84945380941ca999763d93")
+    assert f"\nnorm: {value}\n" in printed["text"]
+    assert printed["csv"].startswith("p,d,beta,D,mu,prime,exponent\r\n2,7,")
 
 
 def test_gznorm_rejects_equal_discriminants(capsys):
@@ -316,6 +336,20 @@ def test_missing_coefficient_file_is_reported_before_lattice_work(capsys, monkey
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, ""), argv
         assert err == "error: no closed form for p=47; supply a coefficient file\n", argv
+
+
+def test_low_precision_is_reported_before_lattice_work(capsys, monkeypatch):
+    from cmforge import crosscheck
+
+    def no_lattice(params):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(crosscheck, "enumerate_terms", no_lattice)
+    for argv in (["--precision", "20", "crosscheck", "--p", "2", "--d", "7", "--D", "20015"],
+                 ["--precision", "29", "crosscheck", "--p", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err == "error: cross-check evaluation needs at least 30 digits\n", argv
 
 
 def test_numeric_classpoly_reports_too_few_pairs_before_a_missing_file(capsys):

@@ -3,7 +3,8 @@ import random
 import mpmath
 import pytest
 
-from cmforge import hauptmodul
+from cmforge import crosscheck, hauptmodul
+from cmforge.arith import is_fundamental_discriminant
 from cmforge.errors import (
     IllConditionedError,
     ParameterError,
@@ -14,6 +15,8 @@ from cmforge.hauptmodul import (
     ETA_QUOTIENT_PRIMES,
     Hauptmodul,
     QSeries,
+    cm_values,
+    conjugate_form,
     eta_quotient_qseries,
     eta_with_bound,
     lhs_log_norm,
@@ -22,7 +25,7 @@ from cmforge.hauptmodul import (
     value_with_bound,
     working_context,
 )
-from cmforge.quadforms import QuadraticForm, admissible_residues, heegner_reps
+from cmforge.quadforms import QuadraticForm, admissible_residues, heegner_reps, reduce
 
 DIGITS = 80  # the default; contexts carry 10 guard digits beyond it
 
@@ -364,3 +367,112 @@ def test_lhs_log_norm_guards():
         lhs_log_norm(Hauptmodul(2, digits=20), d=7, beta=1, D=15, mu=1)
     with pytest.raises(IllConditionedError):
         lhs_log_norm(Hauptmodul(2), d=7, beta=1, D=7, mu=1)
+
+
+def heegner_classes(p, max_disc=300):
+    """(d, beta, forms) for every fundamental -d with d < max_disc and every
+    admissible residue beta mod 2p."""
+    for d in range(3, max_disc):
+        if is_fundamental_discriminant(-d):
+            for beta in admissible_residues(-d, p):
+                yield d, beta, heegner_reps(-d, p, beta)
+
+
+def partners(forms, p):
+    index = {reduce(f): i for i, f in enumerate(forms)}
+    return [index[reduce(conjugate_form(f, p))] for f in forms]
+
+
+def assert_reduced_form(form, p):
+    assert -form.a < form.b <= form.a and p * form.c >= form.a and form.a % p == 0
+
+
+@pytest.mark.parametrize("p", ETA_QUOTIENT_PRIMES)
+def test_conjugate_forms_pair_the_cm_values(p):
+    # the partner map is an involution on each class set, and the value at
+    # the partner is the conjugate, within the two bounds; cm_values returns
+    # that conjugate for the partner and a real value for a self-paired form
+    hm = Hauptmodul(p)
+    for d, beta, forms in heegner_classes(p):
+        partner = partners(forms, p)
+        assert [partner[j] for j in partner] == list(range(len(forms))), (d, beta)
+        direct = [value_with_bound(hm, f) for f in forms]
+        for i, j in enumerate(partner):
+            (vi, ei), (vj, ej) = direct[i], direct[j]
+            assert abs(vj - vi.conjugate()) <= ei + ej, (d, beta, forms[i])
+        for i, (value, bound) in enumerate(cm_values(hm, -d, beta)):
+            assert abs(value - direct[i][0]) <= bound + direct[i][1], (d, beta, forms[i])
+            if partner[i] == i:
+                assert value.imag == 0
+
+
+def test_crosscheck_reduces_one_point_per_orbit(monkeypatch):
+    # p = 2, d = 7, D = 71: h(-71) = 7 with one real point and three pairs,
+    # h(-7) = 1 real; five evaluations instead of eight
+    p, d, D = 2, 7, 71
+    hm = Hauptmodul(p)
+    classes = {}  # disc -> (forms, real values)
+    orbits = 0
+    for disc in (d, D):
+        beta = min(admissible_residues(-disc, p))
+        partner = partners(heegner_reps(-disc, p, beta), p)
+        real = sum(i == j for i, j in enumerate(partner))
+        classes[disc] = (len(partner), real)
+        orbits += real + (len(partner) - real) // 2
+    assert classes == {7: (1, 1), 71: (7, 1)}
+    calls = []
+    original = hauptmodul.reduce_point
+
+    def counting(tau, p, ctx):
+        calls.append(tau)
+        return original(tau, p, ctx)
+
+    monkeypatch.setattr(hauptmodul, "reduce_point", counting)
+    result = crosscheck.run_crosscheck(hm, d, D)
+    assert result.passed()
+    assert len(calls) == orbits == 5
+    assert all(isinstance(tau, QuadraticForm) for tau in calls)
+
+
+def test_lhs_error_estimate_covers_a_doubled_precision():
+    for p in ETA_QUOTIENT_PRIMES:
+        for d, D in crosscheck.admissible_pairs(p, count=4):
+            beta = min(admissible_residues(-d, p))
+            mu = min(admissible_residues(-D, p))
+            value, bound = lhs_log_norm(Hauptmodul(p), d, beta, D, mu)
+            finer, _ = lhs_log_norm(Hauptmodul(p, digits=160), d, beta, D, mu)
+            assert 0 < bound < 1e-70
+            assert abs(value - finer) <= bound, (p, d, D)
+
+
+#: Per eta prime, a reduced form with |b| = a and one with pc = a.
+BOUNDARY_FORMS = {2: ((2, 2, 3), (2, 1, 1)), 3: ((3, 3, 1), (3, 1, 1)),
+                  5: ((5, 5, 2), (5, 3, 1)), 7: ((7, 7, 2), (7, 1, 1)),
+                  13: ((13, 13, 4), (13, 5, 1))}
+
+
+@pytest.mark.parametrize("p", ETA_QUOTIENT_PRIMES)
+def test_reduce_point_reduces_heegner_forms_exactly(p):
+    # the integer reduction lands in -a < b <= a, pc >= a, and evaluates
+    # like the numeric reduction of the form's point, within both bounds;
+    # shifts and flips of a boundary form reduce to a boundary form
+    hm = Hauptmodul(p)
+    ctx = hm.ctx
+    boundary = []
+    for a, b, c in BOUNDARY_FORMS[p]:
+        boundary += [QuadraticForm(a, b, c), QuadraticForm(p * c, -b, a // p)]
+        boundary += [QuadraticForm(a, b + 2 * a * n, (a * n + b) * n + c) for n in (-2, 3)]
+    for form in boundary:
+        reduced = reduce_point(form, p, ctx)
+        assert abs(reduced.b) == reduced.a or p * reduced.c == reduced.a, form
+    forms = list(boundary)
+    for _, _, reps in heegner_classes(p, 120):
+        forms += reps
+    for form in forms:
+        reduced = reduce_point(form, p, ctx)
+        assert_reduced_form(reduced, p)
+        assert reduced.discriminant == form.discriminant
+        exact, exact_bound = value_with_bound(hm, form)
+        point = (ctx.mpc(-form.b, 0) + ctx.mpc(0, 1) * ctx.sqrt(-form.discriminant)) / (2 * form.a)
+        numeric, numeric_bound = value_with_bound(hm, point)
+        assert abs(exact - numeric) <= exact_bound + numeric_bound, (p, form)
