@@ -9,15 +9,22 @@ symbols take nonzero integers only: a rational x/y has the symbols of x*y.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import InternalError, ParameterError, UndefinedValuationError
 
-# Bases making Miller-Rabin deterministic for n < psi_12 (OEIS A014233), the
-# smallest strong pseudoprime to all of them; is_prime refuses larger inputs.
+# The first t primes make Miller-Rabin deterministic for n < psi_t, the
+# smallest strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math.
+# Comp. 61 (1993)); is_prime refuses inputs at or above psi_12.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_BOUND = 318665857834031151167461
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461)
+_MR_BOUND = _MR_PSI[-1]
+# An n with no prime factor up to the largest base is prime below its square.
+_MR_TRIAL_SQUARE = 41 * 41
 
 _TRIAL_LIMIT = 10 ** 6
 
@@ -26,20 +33,28 @@ INFINITE_PLACE = math.inf
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed bases) below psi_12."""
+    """Deterministic primality test below psi_12.
+
+    Trial division by the bases decides every n < 41^2; above that,
+    Miller-Rabin runs with the leading bases 2, 3, 5, ... up to the first
+    t for which n < psi_t.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < _MR_TRIAL_SQUARE:
+        return True
     if n >= _MR_BOUND:
         raise ParameterError(f"primality of {n} is not certified at or above {_MR_BOUND}")
+    t = bisect_right(_MR_PSI, n) + 1  # least t with n < psi_t
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:t]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -192,6 +207,37 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a modulo an odd prime p (Tonelli-Shanks); None if a is not a square.
+
+    p must be a certified odd prime; nothing is checked here.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    if kronecker(a, p) != 1:
+        return None
+    # p - 1 = q * 2^s with q odd; z is the least non-residue
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while kronecker(z, p) != -1:
+        z += 1
+    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then i < s, and the loop lowers s to i
+        i, square = 0, t
+        while square != 1:
+            square = square * square % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, root = t * c % p, root * b % p
+    return root
 
 
 def ord_q(x: int, q: int) -> int:

@@ -5,14 +5,30 @@ functions of the integer md = m*D of a lattice term: rho counts integral
 ideals of a given norm in an imaginary quadratic field, o_of_m counts
 ramified primes dividing m*D, and diff_set collects the finite places where
 -m*N(a) fails to be a local norm.  The field Q(sqrt(-D)) is passed as the
-factorization of D; callers validate D once and factor it once, and factor
-md once per term.
+factorization of D and its character table chi_{-D}; callers validate D
+once, factor it once and keep one table, and factor md once per term.
 """
 
 from __future__ import annotations
 
 from .arith import Factorization, factorize, kronecker, local_hilbert_symbol
 from .errors import IntegralityError, ParameterError
+
+
+class QuadraticCharacter(dict):
+    """chi_{-D}(q) = kronecker(-D, q) at primes q, read as chi[q].
+
+    Each value is computed on first use and kept in this table, so a caller
+    that holds one table per field pays one Kronecker symbol per prime.
+    """
+
+    def __init__(self, D: int):
+        super().__init__()
+        self.D = D
+
+    def __missing__(self, q: int) -> int:
+        value = self[q] = kronecker(-self.D, q)
+        return value
 
 
 def rho(n: int, D: int) -> int:
@@ -24,10 +40,10 @@ def rho(n: int, D: int) -> int:
         raise IntegralityError(f"ideal counts need an integer norm, got {n!r}")
     if n < 1:
         raise ParameterError(f"ideal norm must be positive, got {n}")
-    return ideal_count(factorize(n).factors, D)
+    return ideal_count(factorize(n).factors, QuadraticCharacter(D))
 
 
-def ideal_count(factors, D: int) -> int:
+def ideal_count(factors, chi: QuadraticCharacter) -> int:
     """rho of prod q^e over certified (prime q, exponent e >= 0) pairs.
 
     Multiplicative: a split prime power q^e contributes e+1, an inert one
@@ -35,10 +51,10 @@ def ideal_count(factors, D: int) -> int:
     """
     count = 1
     for q, e in factors:
-        chi = kronecker(-D, q)
-        if chi == 1:
+        value = chi[q]
+        if value == 1:
             count *= e + 1
-        elif chi == -1 and e % 2:
+        elif value == -1 and e % 2:
             return 0
     return count
 
@@ -49,26 +65,38 @@ def o_of_m(md_factors: Factorization, D_factors: Factorization) -> int:
 
 
 def diff_set(md_factors: Factorization, D_factors: Factorization,
-             N_factors: Factorization) -> tuple[int, ...]:
+             N_factors: Factorization, chi: QuadraticCharacter | None = None
+             ) -> tuple[int, ...]:
     """Finite primes where -m * N(a) is obstructed from being a local norm.
 
     -md*N(a)*D = -m*N(a)*D^2 has the local symbols of -m*N(a).  The symbol is
-    +1 at any odd prime where both it and -D are units, so scanning 2 together
-    with the primes of D, N(a) and md suffices.  All three integers come
-    factored, so each symbol is read off their exponents with no further
-    valuation or primality work; factorize(md) has already rejected a
-    non-integer or non-positive md.
+    +1 at any odd prime where both it and -D are units, so only the odd
+    primes of D, N(a) and md are scanned.  At an odd q not dividing D it is
+    chi_{-D}(q)^ord_q(x), read from chi (a fresh table for D if none is
+    given); at an odd q | D it comes from the exponents.  All three integers
+    come factored, so no further valuation or primality work is done;
+    factorize(md) has already rejected a non-integer or non-positive md.
+    The archimedean symbol is -1 (x < 0 and -D < 0), so by the product
+    formula an odd number of finite places is obstructed, which decides 2.
     """
+    if chi is None:
+        chi = QuadraticCharacter(D_factors.value)
     D = D_factors.value
     x = -md_factors.value * N_factors.value * D
-    alphas = {2: 0}  # ord_q(x) over the scanned primes
+    alphas: dict[int, int] = {}  # ord_q(x) over the scanned odd primes
     for factors in (md_factors, N_factors, D_factors):
         for q, e in factors.factors:
-            alphas[q] = alphas.get(q, 0) + e
+            if q != 2:
+                alphas[q] = alphas.get(q, 0) + e
     betas = dict(D_factors.factors)  # ord_q(-D)
     obstructed = []
     for q in sorted(alphas):
-        alpha, beta = alphas[q], betas.get(q, 0)
-        if local_hilbert_symbol(q, alpha, x // q ** alpha, beta, -D // q ** beta) == -1:
+        alpha, beta = alphas[q], betas.get(q)
+        if beta is None:
+            if alpha % 2 and chi[q] == -1:
+                obstructed.append(q)
+        elif local_hilbert_symbol(q, alpha, x // q ** alpha, beta, -D // q ** beta) == -1:
             obstructed.append(q)
+    if len(obstructed) % 2 == 0:
+        obstructed.insert(0, 2)
     return tuple(obstructed)

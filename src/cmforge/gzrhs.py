@@ -20,9 +20,8 @@ from .arith import (
     factorize,
     is_fundamental_discriminant,
     is_prime,
-    kronecker,
 )
-from .cmvalue import diff_set, ideal_count, o_of_m
+from .cmvalue import QuadraticCharacter, diff_set, ideal_count, o_of_m
 from .errors import (
     IntegralityError,
     InternalError,
@@ -39,10 +38,16 @@ DEFAULT_RAMIFIED_EXPONENT = RAMIFIED_OF_MD
 
 _RAMIFIED_CHOICES = (RAMIFIED_OF_M, RAMIFIED_OF_MD)
 
+#: Most lattice terms enumerate_terms accepts.  A (p, d, D) has about
+#: 2*sqrt(d*D)/p terms, each held in memory and scored by one factorization,
+#: so the ceiling bounds both the time and the memory of one evaluation.
+MAX_LATTICE_TERMS = 10 ** 6
+
 
 @dataclass(frozen=True)
 class GZParams:
-    """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g and factored p, D."""
+    """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g, factored p, D
+    and the character chi_{-D}, whose table fills as the terms of these params are scored."""
 
     p: int
     d: int
@@ -52,6 +57,7 @@ class GZParams:
     g: int = field(init=False)
     p_factors: Factorization = field(init=False, repr=False)
     D_factors: Factorization = field(init=False, repr=False)
+    chi: QuadraticCharacter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -77,6 +83,7 @@ class GZParams:
         object.__setattr__(self, "g", gcd(self.mu, 2 * self.p))
         object.__setattr__(self, "p_factors", factorize(self.p))
         object.__setattr__(self, "D_factors", factorize(self.D))
+        object.__setattr__(self, "chi", QuadraticCharacter(self.D))
 
     @classmethod
     def create(cls, p: int, d: int, D: int, mu: int | None = None,
@@ -188,11 +195,18 @@ def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
     s_max = isqrt(bound_sq - 1)  # largest |t| with t^2 < g^2 dD
     step = 2 * g * p
     denominator = 4 * g * g * p
-    terms = []
+    ranges = {}  # sign -> (head, range of k)
     for sign in (1, -1):
         head = g * params.mu * (sign * params.beta)
+        ranges[sign] = head, range(-((s_max - head) // step), (head + s_max) // step + 1)
+    count = sum(len(ks) for _, ks in ranges.values())
+    if count > MAX_LATTICE_TERMS:
+        raise ParameterError(f"{count} lattice terms exceed the ceiling {MAX_LATTICE_TERMS}; "
+                             "the count is about 2*sqrt(d*D)/p")
+    terms = []
+    for sign, (head, ks) in ranges.items():
         block = []
-        for k in range(-((s_max - head) // step), (head + s_max) // step + 1):
+        for k in ks:
             t = head - step * k
             n, y = divmod(k, D // g)
             md, rest = divmod(bound_sq - t * t, denominator)
@@ -233,21 +247,21 @@ def term_contribution(term: LatticeTerm, params: GZParams) -> TermContribution:
     rho(m*D/q) instead of factoring m*D/q.
     """
     md_factors = factorize(term.md)
-    obstructed = diff_set(md_factors, params.D_factors, params.p_factors)
+    obstructed = diff_set(md_factors, params.D_factors, params.p_factors, params.chi)
     if len(obstructed) != 1:
         return TermContribution()
     q = obstructed[0]
     weight = 2 ** (o_of_m(md_factors, params.D_factors) + 1)
     order = dict(md_factors.factors).get(q, 0)
-    chi = kronecker(-params.D, q)
+    chi = params.chi[q]
     if chi == -1:
         if not order:
             raise IntegralityError(f"m*D/{q} is not integral for term {term}")
         lowered = [(r, e - (r == q)) for r, e in md_factors.factors]
-        coeff = weight * (order + 1) * ideal_count(lowered, params.D)
+        coeff = weight * (order + 1) * ideal_count(lowered, params.chi)
         return TermContribution(q, coeff, coeff)
     if chi == 0:
-        scale = weight * ideal_count(md_factors.factors, params.D)
+        scale = weight * ideal_count(md_factors.factors, params.chi)
         return TermContribution(q, scale * order,
                                 scale * (order - dict(params.D_factors.factors)[q]))
     raise InternalError(f"split prime {q} appeared in the obstruction set of m*D={term.md}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import factorize, is_fundamental_discriminant, is_prime
+from .arith import factorize, is_fundamental_discriminant, is_prime, sqrt_mod
 from .errors import EnumerationExhaustedError, InternalError, ParameterError
 
 #: Largest |disc| class_number accepts.  The count scans O(|disc|) candidate
@@ -90,13 +90,24 @@ def class_number(disc: int) -> int:
 
 
 def admissible_residues(disc: int, p: int) -> list[int]:
-    """All residues beta mod 2p with beta^2 = disc mod 4p; empty if none exist."""
+    """All residues beta mod 2p with beta^2 = disc mod 4p, sorted; empty if none exist.
+
+    For odd p, beta^2 = disc mod 4 fixes the parity of beta (disc is 0 or 1
+    mod 4) and beta^2 = disc mod p fixes beta mod p up to sign, so the
+    residues are the square roots of disc mod p moved to that parity.  For
+    p = 2 the four residues mod 4 are tried.
+    """
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
     if not is_fundamental_discriminant(disc):
         raise ParameterError(f"{disc} is not a fundamental discriminant")
-    modulus = 4 * p
-    return [beta for beta in range(2 * p) if (beta * beta - disc) % modulus == 0]
+    if p == 2:
+        return [beta for beta in range(4) if (beta * beta - disc) % 8 == 0]
+    root = sqrt_mod(disc, p)
+    if root is None:
+        return []
+    parity = disc % 2
+    return sorted({r if r % 2 == parity else r + p for r in (root, -root % p)})
 
 
 def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from conftest import brute_local_solvable
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from cmforge.arith import (
     kronecker,
     local_hilbert_symbol,
     ord_q,
+    sqrt_mod,
 )
 from cmforge.errors import InternalError, ParameterError, UndefinedValuationError
 
@@ -52,6 +54,58 @@ def test_is_prime_refuses_uncertified_range():
     with pytest.raises(ParameterError, match=str(PSI_12)):
         is_prime(PSI_12)
     assert not is_prime(2 * PSI_12)  # a small factor still decides
+
+
+# psi_1 ... psi_9 of OEIS A014233: the least strong pseudoprime to the first t
+# prime bases, one entry per distinct value (psi_7 = psi_8)
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                       3474749660383, 341550071728321, 3825123056546413051)
+
+
+def test_is_prime_rejects_each_strong_pseudoprime():
+    # psi_t passes the strong test to the first t bases, so is_prime must run
+    # at least one more round on it; all are composite
+    for psi in STRONG_PSEUDOPRIMES:
+        assert not sympy.isprime(psi)
+        assert not is_prime(psi), psi
+
+
+def test_is_prime_near_each_strong_pseudoprime():
+    # primes on both sides of every boundary where the number of bases changes
+    for psi in STRONG_PSEUDOPRIMES:
+        below, above = psi, psi
+        for _ in range(3):
+            below, above = sympy.prevprime(below), sympy.nextprime(above)
+            assert is_prime(below) and is_prime(above), psi
+        for n in range(psi - 40, psi + 40):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_trial_division_range():
+    # below 41^2 the base divisions alone decide; 41^2 and 41 * 43 are the
+    # first composites with no factor among the bases
+    assert [n for n in range(1600, 1700) if is_prime(n)] == \
+        [n for n in range(1600, 1700) if n in set(SMALL_PRIMES)]
+    assert not is_prime(41 * 41) and not is_prime(41 * 43)
+
+
+def test_sqrt_mod_against_squares():
+    for p in SMALL_PRIMES[1:60]:
+        roots = {}
+        for r in range(p):
+            roots.setdefault(r * r % p, set()).add(r)
+        for a in range(-p, 2 * p):
+            root = sqrt_mod(a, p)
+            if a % p in roots:
+                assert root in roots[a % p], (a, p)
+            else:
+                assert root is None, (a, p)
+    big = 10 ** 12 + 39  # p = 3 mod 4 and p - 1 divisible by 2 only once
+    for p in (big, 2 ** 61 - 1, 7340033):  # 7340033 = 7 * 2^20 + 1
+        for a in range(1, 200):
+            root = sqrt_mod(a, p)
+            assert (root is not None) == (kronecker(a, p) == 1)
+            assert root is None or root * root % p == a
 
 
 def test_factorize_frozen():

@@ -445,3 +445,50 @@ def test_big_integers_serialized_as_strings():
     big = 2 ** 61
     assert canonical_json({"x": big}) == f'{{"x":"{big}"}}'
     assert canonical_json({"x": 7}) == '{"x":7}'
+
+
+# In the child, time main() alone: interpreter start-up and imports are not
+# the refusal's cost.  The subprocess timeout turns an unbounded run into a failure.
+TIMED_MAIN = ("import sys, time\n"
+              "from cmforge.cli import main\n"
+              "start = time.perf_counter()\n"
+              "code = main(sys.argv[1:])\n"
+              "print(time.perf_counter() - start)\n"
+              "sys.exit(code)\n")
+
+
+def timed_child(*argv):
+    """(exit code, stderr, seconds spent in main) of a child process running main(argv)."""
+    src = Path(cmforge.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    return proc.returncode, proc.stderr, float(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("d", ["7", "478"])
+def test_residues_of_a_large_prime_are_found_without_a_scan(d):
+    # -1359147 is not a square mod p = 10^12 + 39; a scan of range(2p) would
+    # not end, square roots mod p decide it at once
+    code, err, seconds = timed_child("gznorm", "--p", "1000000000039", "--d", d,
+                                     "--D", "1359147")
+    assert code == EXIT_USAGE
+    assert err == "error: -1359147 is not a square mod 4000000000156\n"
+    assert seconds < 1
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("gznorm", "--p", "23", "--d", "56", "--D", "2305843009213693951"), 988123076),
+    (("crosscheck", "--p", "5", "--d", "31", "--D", "1000000000039"), 2227106),
+])
+def test_lattice_term_ceiling_refuses_before_enumerating(argv, count):
+    code, err, seconds = timed_child(*argv)
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {count} lattice terms exceed the ceiling 1000000")
+    assert seconds < 1
+
+
+def test_lattice_term_ceiling_accepts_readme_sizes(capsys):
+    code, out, err = run_cli(capsys, "gznorm", "--p", "2", "--d", "7", "--D", "1000007")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("p=2 d=7 D=1000007 ")

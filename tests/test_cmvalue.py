@@ -4,8 +4,16 @@ from math import gcd, isqrt
 
 import pytest
 from conftest import brute_local_solvable
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmforge.arith import factorize, hilbert_symbol, kronecker
+from cmforge.arith import (
+    factorize,
+    hilbert_symbol,
+    is_fundamental_discriminant,
+    is_prime,
+    kronecker,
+)
 from cmforge.cmvalue import diff_set, o_of_m, rho
 from cmforge.errors import IntegralityError, ParameterError
 from cmforge.gzrhs import GZParams
@@ -174,3 +182,21 @@ def test_diff_set_vanishing_rule_cases():
     sizes = {len(diff_set(factorize(md), factorize(15), factorize(2)))
              for md in sample_mds(random.Random(59), 200)}
     assert 1 in sizes and 3 in sizes
+
+
+FUNDAMENTAL_D = [D for D in range(5, 3000) if is_fundamental_discriminant(-D)]
+SMALL_PRIMES = [q for q in range(2, 400) if is_prime(q)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(md=st.integers(1, 10 ** 7), D=st.sampled_from(FUNDAMENTAL_D),
+       norm=st.sampled_from(SMALL_PRIMES))
+def test_diff_set_equals_place_by_place_symbols(md, D, norm):
+    # diff_set reads odd places off exponents and chi, and 2 off the product
+    # formula; hilbert_symbol at every candidate place is the oracle
+    x = -md * norm * D
+    places = {2, norm, *factorize(md).primes(), *factorize(D).primes()}  # primes of md*p*D
+    expected = tuple(sorted(q for q in places if hilbert_symbol(x, -D, q) == -1))
+    got = diff_set(factorize(md), factorize(D), factorize(norm))
+    assert got == expected
+    assert len(got) % 2 == 1

@@ -13,12 +13,19 @@ import re
 import pytest
 
 from conftest import sweep_cases
+from test_gzrhs import LARGE_TRIPLES
 from cmforge.cli import EXIT_OK, main
+from cmforge.gzrhs import RAMIFIED_OF_M, RAMIFIED_OF_MD
 
 SWEEP_DIGEST = "90f757eb0269db3bed8fc6c3e8f2065506d50207f8f79f12c7fab5007586c755"
 NUMERIC_DIGEST = "7095ec6b0fc07095bf46480cdc6d56e358d71a46d3c7f5a2097d5b4b689e97a9"
 NUMERIC_STABLE_DIGEST = "338a6228729f0970a884a18f46705b2a2a873ec0532f99d075a261efd0fd69b5"
+GZNORM_LARGE_DIGEST = "7f08d4fe974866dd0a3333292b8a73f444721cff3b3705a43cf3590ee251094d"
 ETA_PRIMES = (2, 3, 5, 7, 13)
+#: (p, d, D) with D >= 12000, the sizes of the gznorm_large benchmark workload:
+#: test_gzrhs's large triples and two more at each of p = 11, 29, 71.
+BENCH_SIZE_TRIPLES = LARGE_TRIPLES + ((11, 7, 12003), (11, 8, 24004), (29, 7, 12007),
+                                      (29, 20, 24007), (71, 7, 12020), (71, 11, 24011))
 
 GOLDEN = [
     (
@@ -176,3 +183,13 @@ def test_numeric_values_are_stable():
     # the same calls with the rounding-floor fields masked: lhs, rhs, status
     # and every eval digit, which no reordering of the sums may move
     assert calls_digest(numeric_calls(), without_rounding_floor) == NUMERIC_STABLE_DIGEST
+
+
+def test_gznorm_at_bench_sizes_is_byte_identical():
+    # json gznorm in both ramified variants where every term is scored by
+    # the exact per-term arithmetic at benchmark sizes; recorded before that
+    # arithmetic was cut down, so any change of a norm or exponent shows here
+    calls = [["--format", "json", "--ramified-exponent", variant, "gznorm",
+              "--p", str(p), "--d", str(d), "--D", str(D)]
+             for p, d, D in BENCH_SIZE_TRIPLES for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M)]
+    assert calls_digest(calls) == GZNORM_LARGE_DIGEST

@@ -233,6 +233,44 @@ def test_gz_log_norm_factors_ideal_norm_once(monkeypatch):
     assert Counter(calls) == Counter(term.md for term in terms)
 
 
+def test_gz_log_norm_computes_chi_once_per_prime(monkeypatch):
+    # chi_{-D}(q) is read from the params' own table: at most one
+    # kronecker(-D, q) per distinct q over all the terms, wherever it is called
+    from collections import Counter
+
+    from cmforge import arith, cmvalue, gzrhs
+
+    params = GZParams.create(p=2, d=7, D=12228)
+    calls = Counter()
+    original = arith.kronecker
+
+    def counting(a, n):
+        if a == -params.D:
+            calls[n] += 1
+        return original(a, n)
+
+    for module in (arith, cmvalue, gzrhs):
+        monkeypatch.setattr(module, "kronecker", counting, raising=False)
+    gz_log_norm(params)
+    assert calls and max(calls.values()) == 1
+
+
+def test_enumerate_terms_ceiling_counts_terms_exactly(monkeypatch):
+    # the count checked against MAX_LATTICE_TERMS before the loop is the
+    # number of terms the loop yields, for both signs and every edge case
+    from cmforge import gzrhs
+
+    cases = grid_params() + [GZParams.create(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
+    for params in cases:
+        count = len(enumerate_terms(params))
+        monkeypatch.setattr(gzrhs, "MAX_LATTICE_TERMS", count)
+        assert len(enumerate_terms(params)) == count
+        monkeypatch.setattr(gzrhs, "MAX_LATTICE_TERMS", count - 1)
+        with pytest.raises(ParameterError, match=f"^{count} lattice terms exceed"):
+            enumerate_terms(params)
+        monkeypatch.undo()
+
+
 def test_run_crosscheck_enumerates_lattice_once(monkeypatch):
     # both ramified variants come out of one enumeration and one scoring pass
     from cmforge import crosscheck, gzrhs

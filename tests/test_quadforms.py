@@ -3,7 +3,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from cmforge.arith import is_fundamental_discriminant
+from cmforge.arith import is_fundamental_discriminant, is_prime
 from cmforge.errors import ParameterError
 from cmforge.quadforms import (
     QuadraticForm,
@@ -141,6 +141,18 @@ def test_admissible_residues_definition():
             got = admissible_residues(disc, p)
             expected = [b for b in range(2 * p) if (b * b - disc) % (4 * p) == 0]
             assert got == expected
+
+
+def test_admissible_residues_match_the_scan():
+    # square roots mod p joined with the parity of beta equal the scan over
+    # range(2p), for every prime p < 500 and fundamental |disc| < 2000
+    discs = [-n for n in range(3, 2000) if n % 4 in (0, 3) and is_fundamental_discriminant(-n)]
+    for p in (q for q in range(2, 500) if is_prime(q)):
+        residues_of = {}
+        for beta in range(2 * p):
+            residues_of.setdefault(beta * beta % (4 * p), []).append(beta)
+        for disc in discs:
+            assert admissible_residues(disc, p) == residues_of.get(disc % (4 * p), []), (disc, p)
 
 
 def heegner_grid_cases():
