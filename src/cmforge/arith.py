@@ -23,7 +23,7 @@ _MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
            341550071728321, 341550071728321, 3825123056546413051,
            3825123056546413051, 3825123056546413051, 318665857834031151167461)
 _MR_BOUND = _MR_PSI[-1]
-# An n with no prime factor up to the largest base is prime below its square.
+# An n with no prime factor among the bases is prime if n < 41^2, 41 being the next prime.
 _MR_TRIAL_SQUARE = 41 * 41
 
 _TRIAL_LIMIT = 10 ** 6
