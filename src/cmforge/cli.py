@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     gz.add_argument("--beta", type=int, default=None)
     gz.add_argument("--mu", type=int, default=None)
     gz.add_argument("--breakdown", action="store_true", help="per-term table")
-    gz.set_defaults(func=cmd_gznorm)
 
     cc = sub.add_parser("crosscheck", help="compare the exact norm against numerics")
     cc.add_argument("--p", type=int, required=True)
@@ -388,28 +387,23 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--D", type=int, default=None)
     cc.add_argument("--max-disc", type=int, default=500, help="batch-mode bound")
     cc.add_argument("--count", type=int, default=5, help="batch-mode pair count")
-    cc.set_defaults(func=cmd_crosscheck)
 
     cp = sub.add_parser("classpoly", help="construct a class polynomial")
     cp.add_argument("--p", type=int, required=True)
     cp.add_argument("--d", type=int, required=True)
     cp.add_argument("--strategy", choices=("search", "numeric"), default="search")
-    cp.set_defaults(func=cmd_classpoly)
 
     hg = sub.add_parser("heegner", help="representative forms and CM points")
     hg.add_argument("--d", type=int, required=True)
     hg.add_argument("--p", type=int, required=True)
     hg.add_argument("--beta", type=int, required=True)
-    hg.set_defaults(func=cmd_heegner)
 
     ss = sub.add_parser("sset", help="usable degree-one discriminants for p")
     ss.add_argument("--p", type=int, required=True)
-    ss.set_defaults(func=cmd_sset)
 
     ev = sub.add_parser("eval", help="evaluate the generator at a point")
     ev.add_argument("--p", type=int, required=True)
     ev.add_argument("--tau", type=str, required=True, help='complex point "re+im i"')
-    ev.set_defaults(func=cmd_eval)
 
     return parser
 
@@ -424,16 +418,24 @@ def _default_digits() -> int:
     return 80
 
 
+#: The parser main uses, built on its first call.  argparse keeps no state
+#: between parses, so one parser serves every call of the process.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
         digits = args.precision if args.precision is not None else _default_digits()
         args.digits = check_digits(digits)
-        return args.func(args)
+        # looked up per call, so a cmd_* rebound after the parser exists still runs
+        return globals()[f"cmd_{args.command}"](args)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -11,12 +11,13 @@ once, factor it once and keep one table, and factor md once per term.
 
 from __future__ import annotations
 
-from .arith import Factorization, factorize, kronecker, local_hilbert_symbol
+from .arith import Factorization, factorize, hilbert_symbol, kronecker, local_hilbert_symbol
 from .errors import IntegralityError, ParameterError
 
 
 class QuadraticCharacter(dict):
-    """chi_{-D}(q) = kronecker(-D, q) at primes q, read as chi[q].
+    """chi_{-D}(q) = kronecker(-D, q) at primes q, read as chi[q], and the
+    Hilbert symbol (q, -D)_q at primes q | D, read as chi.ramified(q).
 
     Each value is computed on first use and kept in this table, so a caller
     that holds one table per field pays one Kronecker symbol per prime.
@@ -25,9 +26,18 @@ class QuadraticCharacter(dict):
     def __init__(self, D: int):
         super().__init__()
         self.D = D
+        self._ramified: dict[int, int] = {}
 
     def __missing__(self, q: int) -> int:
         value = self[q] = kronecker(-self.D, q)
+        return value
+
+    def ramified(self, q: int) -> int:
+        """(q, -D)_q at a prime q | D: the part of every symbol (x, -D)_q
+        that depends on D alone, one kronecker(-D/q^ord, q) per prime."""
+        value = self._ramified.get(q)
+        if value is None:
+            value = self._ramified[q] = hilbert_symbol(q, -self.D, q)
         return value
 
 
@@ -73,7 +83,9 @@ def diff_set(md_factors: Factorization, D_factors: Factorization,
     +1 at any odd prime where both it and -D are units, so only the odd
     primes of D, N(a) and md are scanned.  At an odd q not dividing D it is
     chi_{-D}(q)^ord_q(x), read from chi (a fresh table for D if none is
-    given); at an odd q | D it comes from the exponents.  All three integers
+    given).  At an odd q | D, with x = q^alpha u, bilinearity splits it as
+    (q, -D)_q^alpha (u, -D)_q: the first factor is chi.ramified(q), fixed
+    per D, and the second needs only kronecker(u, q).  All three integers
     come factored, so no further valuation or primality work is done;
     factorize(md) has already rejected a non-integer or non-positive md.
     The archimedean symbol is -1 (x < 0 and -D < 0), so by the product
@@ -95,8 +107,12 @@ def diff_set(md_factors: Factorization, D_factors: Factorization,
         if beta is None:
             if alpha % 2 and chi[q] == -1:
                 obstructed.append(q)
-        elif local_hilbert_symbol(q, alpha, x // q ** alpha, beta, -D // q ** beta) == -1:
-            obstructed.append(q)
+        else:
+            symbol = local_hilbert_symbol(q, 0, x // q ** alpha, beta, -D // q ** beta)
+            if alpha % 2:
+                symbol *= chi.ramified(q)
+            if symbol == -1:
+                obstructed.append(q)
     if len(obstructed) % 2 == 0:
         obstructed.insert(0, 2)
     return tuple(obstructed)

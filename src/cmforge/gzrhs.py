@@ -18,7 +18,7 @@ from math import gcd, isqrt
 from .arith import (
     Factorization,
     factorize,
-    is_fundamental_discriminant,
+    fundamental_factors,
     is_prime,
 )
 from .cmvalue import QuadraticCharacter, diff_set, ideal_count, o_of_m
@@ -47,16 +47,20 @@ MAX_LATTICE_TERMS = 10 ** 6
 @dataclass(frozen=True)
 class GZParams:
     """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g, factored p, D
-    and the character chi_{-D}, whose table fills as the terms of these params are scored."""
+    and the character chi_{-D}, whose table fills as the terms of these params are scored.
+
+    D_factors, if given, must be factorize(D), as create passes it; it is
+    checked to be D's, and D is not factored again.
+    """
 
     p: int
     d: int
     D: int
     mu: int
     beta: int
+    D_factors: Factorization | None = field(default=None, repr=False)
     g: int = field(init=False)
     p_factors: Factorization = field(init=False, repr=False)
-    D_factors: Factorization = field(init=False, repr=False)
     chi: QuadraticCharacter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,8 +69,10 @@ class GZParams:
         for name, value in (("d", self.d), ("D", self.D)):
             if value <= 4:
                 raise ParameterError(f"{name} must exceed 4, got {value}")
-            if not is_fundamental_discriminant(-value):
+            factors = fundamental_factors(-value, self.D_factors if name == "D" else None)
+            if factors is None:
                 raise ParameterError(f"-{value} is not a fundamental discriminant")
+        object.__setattr__(self, "D_factors", factors)  # D's, from the last pass
         if self.d == self.D:
             raise ParameterError("d and D must be distinct")
         object.__setattr__(self, "mu", self.mu % (2 * self.p))
@@ -82,25 +88,31 @@ class GZParams:
         # gcd(0, 2p) = 2p covers the mu = 0 convention
         object.__setattr__(self, "g", gcd(self.mu, 2 * self.p))
         object.__setattr__(self, "p_factors", factorize(self.p))
-        object.__setattr__(self, "D_factors", factorize(self.D))
         object.__setattr__(self, "chi", QuadraticCharacter(self.D))
 
     @classmethod
     def create(cls, p: int, d: int, D: int, mu: int | None = None,
                beta: int | None = None) -> "GZParams":
-        """Build params, auto-selecting the smallest admissible residues."""
+        """Build params, auto-selecting the smallest admissible residues.
+
+        D is factored once: here when mu is chosen, else in the constructor.
+        """
         for name, value in (("d", d), ("D", D)):
             if value <= 4:
                 raise ParameterError(f"{name} must exceed 4, got {value}")
+        D_factors = None
         if mu is None:
-            mu = _smallest_residue(-D, p)
+            # a p that is not prime is refused by admissible_residues before
+            # D is factored, and a D that is not fundamental there as well
+            D_factors = fundamental_factors(-D) if is_prime(p) else None
+            mu = _smallest_residue(-D, p, D_factors)
         if beta is None:
             beta = _smallest_residue(-d, p)
-        return cls(p=p, d=d, D=D, mu=mu, beta=beta)
+        return cls(p=p, d=d, D=D, mu=mu, beta=beta, D_factors=D_factors)
 
 
-def _smallest_residue(disc: int, p: int) -> int:
-    residues = admissible_residues(disc, p)
+def _smallest_residue(disc: int, p: int, factors: Factorization | None = None) -> int:
+    residues = admissible_residues(disc, p, factors)
     if not residues:
         raise ParameterError(f"{disc} is not a square mod {4 * p}")
     return residues[0]

@@ -15,11 +15,16 @@ t = (S(q)/S(q^p))^e / q, so a CM point costs one complex exponential and
 q^p comes from q by integer powering.
 
 A Hauptmodul fixes level, realization and precision once; its values live in
-the one mpmath context it owns, and nothing touches the global mpmath state.
+the mpmath context working_context(digits), one per precision per process and
+shared by every Hauptmodul at that precision.  A caller changes a context's
+precision only inside ctx.workprec(...), which restores it on exit, so the
+shared context always stands at its own precision.  Nothing touches the
+global mpmath state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -59,8 +64,15 @@ def check_digits(digits: int) -> int:
     return digits
 
 
+@functools.cache
 def working_context(digits: int):
-    """Fresh mpmath context carrying digits decimal digits plus GUARD_DIGITS."""
+    """The mpmath context carrying digits decimal digits plus GUARD_DIGITS.
+
+    One context per precision per process: every call with the same digits
+    returns the same context, whose precision changes only inside
+    ctx.workprec(...).  Contexts at different precisions are distinct, and
+    digits below 1 raise ParameterError and store nothing.
+    """
     ctx = mpmath.ctx_mp.MPContext()
     ctx.dps = check_digits(digits) + GUARD_DIGITS
     return ctx
@@ -134,7 +146,8 @@ def load_qseries(path) -> QSeries:
 class Hauptmodul:
     """j*_p of level p, realized by its eta quotient or by a coefficient file
     of level p, at digits decimal digits; all checked here, once.  Its values
-    live in ctx."""
+    live in ctx, the working_context(digits) it shares with every Hauptmodul
+    at that precision."""
 
     p: int
     digits: int = 80

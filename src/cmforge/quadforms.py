@@ -10,7 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import factorize, is_fundamental_discriminant, is_prime, sqrt_mod
+from .arith import (
+    Factorization,
+    factorize,
+    fundamental_factors,
+    is_fundamental_discriminant,
+    is_prime,
+    sqrt_mod,
+)
 from .errors import EnumerationExhaustedError, InternalError, ParameterError
 
 #: Largest |disc| class_number accepts.  The count scans O(|disc|) candidate
@@ -89,8 +96,11 @@ def class_number(disc: int) -> int:
     return count
 
 
-def admissible_residues(disc: int, p: int) -> list[int]:
+def admissible_residues(disc: int, p: int, factors: Factorization | None = None) -> list[int]:
     """All residues beta mod 2p with beta^2 = disc mod 4p, sorted; empty if none exist.
+
+    factors, if given, is factorize(-disc); the check that disc is
+    fundamental then reads it instead of factoring again.
 
     For odd p, beta^2 = disc mod 4 fixes the parity of beta (disc is 0 or 1
     mod 4) and beta^2 = disc mod p fixes beta mod p up to sign, so the
@@ -99,7 +109,7 @@ def admissible_residues(disc: int, p: int) -> list[int]:
     """
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
-    if not is_fundamental_discriminant(disc):
+    if fundamental_factors(disc, factors) is None:
         raise ParameterError(f"{disc} is not a fundamental discriminant")
     if p == 2:
         return [beta for beta in range(4) if (beta * beta - disc) % 8 == 0]

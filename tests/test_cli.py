@@ -492,3 +492,57 @@ def test_lattice_term_ceiling_accepts_readme_sizes(capsys):
     code, out, err = run_cli(capsys, "gznorm", "--p", "2", "--d", "7", "--D", "1000007")
     assert (code, err) == (EXIT_OK, "")
     assert out.startswith("p=2 d=7 D=1000007 ")
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    from cmforge import cli as cli_mod
+
+    calls = []
+    original = cli_mod.build_parser
+
+    def counting():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(cli_mod, "_parser", None)
+    monkeypatch.setattr(cli_mod, "build_parser", counting)
+    for _ in range(5):
+        assert cli_mod.main(["sset", "--p", "47"]) == EXIT_OK
+        assert cli_mod.main(["sset"]) == EXIT_USAGE  # argparse: --p is required
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_command_rebound_after_the_parser_exists_is_dispatched(capsys, monkeypatch):
+    # the command is looked up by name at call time, not bound into the parser
+    from cmforge import cli as cli_mod
+
+    assert cli_mod.main(["sset", "--p", "47"]) == EXIT_OK
+    assert cli_mod._parser is not None
+    seen = []
+    monkeypatch.setattr(cli_mod, "cmd_sset", lambda args: seen.append(args.p) or 7)
+    assert cli_mod.main(["sset", "--p", "47"]) == 7
+    assert seen == [47]
+    capsys.readouterr()
+
+
+def test_call_after_a_usage_error_matches_a_fresh_process(capsys):
+    # a parse that fails leaves nothing behind in the stored parser
+    argv = ["--format", "json", "classpoly", "--p", "47", "--d", "39"]
+    assert run_cli(capsys, "classpoly", "--p", "47", "--d", "x")[0] == EXIT_USAGE
+    assert run_cli(capsys, "--format", "yaml", "sset", "--p", "47")[0] == EXIT_USAGE
+    code, out, _ = run_cli(capsys, *argv)
+    src = Path(cmforge.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "cmforge.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert code == proc.returncode == EXIT_OK
+    assert out == proc.stdout
+
+
+def test_help_is_the_parser_help(capsys):
+    from cmforge.cli import build_parser
+
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == build_parser().format_help()

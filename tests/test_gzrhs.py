@@ -255,6 +255,57 @@ def test_gz_log_norm_computes_chi_once_per_prime(monkeypatch):
     assert calls and max(calls.values()) == 1
 
 
+def test_gz_log_norm_computes_ramified_symbol_once_per_prime(monkeypatch):
+    # at an odd q | D the symbol (x, -D)_q needs kronecker(-D/q, q), fixed by
+    # D: it is computed once per q, not once per term
+    from collections import Counter
+
+    from cmforge import arith, cmvalue, gzrhs
+
+    params = GZParams.create(p=2, d=7, D=12228)
+    ramified = {q: -params.D // q for q in params.D_factors.primes() if q != 2}
+    assert sorted(ramified) == [3, 1019]
+    calls = Counter()
+    original = arith.kronecker
+
+    def counting(a, n):
+        if ramified.get(n) == a:
+            calls[n] += 1
+        return original(a, n)
+
+    for module in (arith, cmvalue, gzrhs):
+        monkeypatch.setattr(module, "kronecker", counting, raising=False)
+    gz_log_norm(params)
+    assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("mu", [None, 2])
+def test_create_factors_D_once(monkeypatch, mu):
+    # one factorization of D serves the fundamental check, the residue choice
+    # and the scoring; D/4 is not factored on the side
+    from cmforge import arith, cmvalue, gzrhs, quadforms
+
+    D = 12228
+    calls = []
+    original = arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    for module in (arith, cmvalue, gzrhs, quadforms):
+        monkeypatch.setattr(module, "factorize", counting)
+    params = GZParams.create(p=2, d=7, D=D, mu=mu)
+    assert [n for n in calls if n in (D, D // 4)] == [D]
+    assert params.D_factors == original(D)
+    assert params == GZParams(p=2, d=7, D=D, mu=params.mu, beta=params.beta)
+
+
+def test_params_refuse_a_factorization_of_another_number():
+    with pytest.raises(InternalError, match="factorization of 39 given for 163"):
+        GZParams(p=47, d=39, D=163, mu=5, beta=33, D_factors=factorize(39))
+
+
 def test_enumerate_terms_ceiling_counts_terms_exactly(monkeypatch):
     # the count checked against MAX_LATTICE_TERMS before the loop is the
     # number of terms the loop yields, for both signs and every edge case

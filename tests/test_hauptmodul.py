@@ -63,8 +63,44 @@ def test_hauptmodul_checks_once():
 def test_contexts_are_independent():
     a = working_context(40)
     b = working_context(200)
+    assert a is not b
     assert a.dps != b.dps
     assert mpmath.mp.dps == 15  # global state untouched
+
+
+def test_one_context_per_precision():
+    assert Hauptmodul(2, 80).ctx is Hauptmodul(3, 80).ctx is working_context(80)
+    assert Hauptmodul(5, 300).ctx is working_context(300)
+    assert working_context(80).dps == 80 + hauptmodul.GUARD_DIGITS
+
+
+def test_shared_context_keeps_its_precision_through_errors(monkeypatch, tmp_path, capsys):
+    # a context is shared by every Hauptmodul at its precision, so no error
+    # path may leave it at another one
+    from cmforge.cli import EXIT_USAGE, main
+
+    ctx = working_context(DIGITS)
+    prec = ctx.prec
+    with pytest.raises(IllConditionedError):
+        lhs_log_norm(Hauptmodul(2), d=7, beta=1, D=7, mu=1)
+    assert ctx.prec == prec
+
+    series = eta_quotient_qseries(5, 6)  # too short for 80 digits at Im(tau) = 0.9
+    path = tmp_path / "short.txt"
+    path.write_text("\n".join(["p 5", f"count {len(series.coefficients)}",
+                               *map(str, series.coefficients)]) + "\n")
+    assert main(["--series", str(path), "eval", "--p", "5", "--tau", "0.1+0.9i"]) == EXIT_USAGE
+    assert "truncation bound" in capsys.readouterr().err
+    assert ctx.prec == prec
+
+    def failing(*args):
+        raise PrecisionError("synthetic failure inside workprec")
+
+    monkeypatch.setattr(ctx, "expjpi", failing)  # q is computed at a raised precision
+    with pytest.raises(PrecisionError, match="synthetic"):
+        value_with_bound(Hauptmodul(2), ctx.mpc("0.1", "0.9"))
+    assert ctx.prec == prec
+    assert mpmath.mp.dps == 15
 
 
 def test_eta_closed_forms():

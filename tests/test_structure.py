@@ -86,3 +86,58 @@ def test_package_namespace_holds_only_what_callers_import():
     names = sorted(alias.name for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names)
     assert names == ["eta_quotient_qseries", "factorize"]
+
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
+MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict",
+                 "Counter", "deque", "WeakValueDictionary", "WeakKeyDictionary"}
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def called_name(node):
+    """The last name of a Name or Attribute, of a Call's callee; else None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def shared_bindings(body, where):
+    """Module- and class-level names bound to a mutable container: shared by
+    every caller in the process.  Function bodies are not scanned."""
+    found = []
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            found += shared_bindings(node.body, f"{where}.{node.name}")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if isinstance(value, MUTABLE_DISPLAYS) or (
+                    isinstance(value, ast.Call) and called_name(value) in MUTABLE_CALLS):
+                found.append(f"{where}:{ast.unparse(node)}")
+    return found
+
+
+def test_process_wide_state_is_only_the_parser_and_the_contexts():
+    # results are not cached: a result cache would hide the cost of repeated
+    # work (and the bench pools repeat inputs, so it would measure reuse).
+    # The only state a process keeps is set-up that gives the same result on
+    # every call: the CLI's parser and one mpmath context per precision.
+    cached, cache_uses, globals_, shared = set(), 0, set(), []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        shared += shared_bindings(tree.body, path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                globals_.update((path.name, name) for name in node.names)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and called_name(node) in CACHE_DECORATORS:
+                cache_uses += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if any(called_name(d) in CACHE_DECORATORS for d in node.decorator_list):
+                    cached.add((path.name, node.name))
+    assert cached == {("hauptmodul.py", "working_context")}
+    assert cache_uses == len(cached)  # no cache applied other than as a decorator
+    assert globals_ == {("cli.py", "_parser")}
+    assert shared == []
