@@ -39,7 +39,7 @@ from .gzrhs import (
     term_contribution,
 )
 from .hauptmodul import Hauptmodul, check_digits, load_qseries, value_with_bound, working_context
-from .hcp import class_polynomial, require_feasible, s_set
+from .hcp import GENUS_ZERO_FRICKE_PRIMES, class_polynomial, require_feasible, s_set
 from .quadforms import heegner_reps
 
 EXIT_OK = 0
@@ -175,6 +175,9 @@ def _norm_payload(pls):
 
 def cmd_gznorm(args) -> int:
     params = GZParams.create(p=args.p, d=args.d, D=args.D, mu=args.mu, beta=args.beta)
+    # the norm is defined through j*_p, which exists only on a genus-zero curve
+    if params.p not in GENUS_ZERO_FRICKE_PRIMES:
+        raise ParameterError(f"p={params.p}: the Fricke curve is not genus zero")
     variant = args.ramified_exponent
     if args.breakdown:
         terms = enumerate_terms(params)

@@ -28,7 +28,7 @@ from .errors import (
     NonIntegralMagnitudeError,
     ParameterError,
 )
-from .quadforms import admissible_residues
+from .quadforms import square_roots_mod_4p
 
 RAMIFIED_OF_M = "of_m"
 RAMIFIED_OF_MD = "of_mD"
@@ -46,11 +46,12 @@ MAX_LATTICE_TERMS = 10 ** 6
 
 @dataclass(frozen=True)
 class GZParams:
-    """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g, factored p, D
+    """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g, factored p, d, D
     and the character chi_{-D}, whose table fills as the terms of these params are scored.
 
-    D_factors, if given, must be factorize(D), as create passes it; it is
-    checked to be D's, and D is not factored again.
+    p_factors, d_factors and D_factors, if given, must be the factorizations
+    of p, d and D, as create passes them; each is checked to be its
+    number's, and p, d and D are not tested or factored again.
     """
 
     p: int
@@ -58,21 +59,25 @@ class GZParams:
     D: int
     mu: int
     beta: int
+    p_factors: Factorization | None = field(default=None, repr=False)
+    d_factors: Factorization | None = field(default=None, repr=False)
     D_factors: Factorization | None = field(default=None, repr=False)
     g: int = field(init=False)
-    p_factors: Factorization = field(init=False, repr=False)
     chi: QuadraticCharacter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ParameterError(f"{self.p} is not prime")
+        if self.p_factors is None:
+            object.__setattr__(self, "p_factors", _prime_factors(self.p))
+        elif self.p_factors.factors != ((self.p, 1),):
+            raise InternalError(
+                f"factorization of {self.p_factors.value} given for the prime {self.p}")
         for name, value in (("d", self.d), ("D", self.D)):
             if value <= 4:
                 raise ParameterError(f"{name} must exceed 4, got {value}")
-            factors = fundamental_factors(-value, self.D_factors if name == "D" else None)
+            factors = fundamental_factors(-value, getattr(self, f"{name}_factors"))
             if factors is None:
                 raise ParameterError(f"-{value} is not a fundamental discriminant")
-        object.__setattr__(self, "D_factors", factors)  # D's, from the last pass
+            object.__setattr__(self, f"{name}_factors", factors)
         if self.d == self.D:
             raise ParameterError("d and D must be distinct")
         object.__setattr__(self, "mu", self.mu % (2 * self.p))
@@ -87,7 +92,6 @@ class GZParams:
             )
         # gcd(0, 2p) = 2p covers the mu = 0 convention
         object.__setattr__(self, "g", gcd(self.mu, 2 * self.p))
-        object.__setattr__(self, "p_factors", factorize(self.p))
         object.__setattr__(self, "chi", QuadraticCharacter(self.D))
 
     @classmethod
@@ -95,27 +99,39 @@ class GZParams:
                beta: int | None = None) -> "GZParams":
         """Build params, auto-selecting the smallest admissible residues.
 
-        D is factored once: here when mu is chosen, else in the constructor.
+        p is tested for primality once, here; D and d are factored once
+        each: here when their residue is chosen, else in the constructor.
         """
         for name, value in (("d", d), ("D", D)):
             if value <= 4:
                 raise ParameterError(f"{name} must exceed 4, got {value}")
-        D_factors = None
+        p_factors = _prime_factors(p)
+        D_factors = d_factors = None
         if mu is None:
-            # a p that is not prime is refused by admissible_residues before
-            # D is factored, and a D that is not fundamental there as well
-            D_factors = fundamental_factors(-D) if is_prime(p) else None
-            mu = _smallest_residue(-D, p, D_factors)
+            D_factors, mu = _smallest_residue(-D, p)
         if beta is None:
-            beta = _smallest_residue(-d, p)
-        return cls(p=p, d=d, D=D, mu=mu, beta=beta, D_factors=D_factors)
+            d_factors, beta = _smallest_residue(-d, p)
+        return cls(p=p, d=d, D=D, mu=mu, beta=beta,
+                   p_factors=p_factors, d_factors=d_factors, D_factors=D_factors)
 
 
-def _smallest_residue(disc: int, p: int, factors: Factorization | None = None) -> int:
-    residues = admissible_residues(disc, p, factors)
+def _prime_factors(p: int) -> Factorization:
+    """The factorization of p, refused with ParameterError unless p is prime."""
+    if not is_prime(p):
+        raise ParameterError(f"{p} is not prime")
+    return Factorization(p, ((p, 1),))
+
+
+def _smallest_residue(disc: int, p: int) -> tuple[Factorization, int]:
+    """factorize(-disc) and the smallest admissible residue of disc at a prime p,
+    with admissible_residues' checks and messages."""
+    factors = fundamental_factors(disc)
+    if factors is None:
+        raise ParameterError(f"{disc} is not a fundamental discriminant")
+    residues = square_roots_mod_4p(disc, p)
     if not residues:
         raise ParameterError(f"{disc} is not a square mod {4 * p}")
-    return residues[0]
+    return factors, residues[0]
 
 
 @dataclass(frozen=True)
@@ -163,11 +179,15 @@ class PrimeLogSum:
         return math.fsum(e * math.log(q) for q, e in self.exponents.items())
 
     def log_value_mpf(self, ctx):
-        """Value as an mpf in the supplied mpmath context."""
-        total = ctx.mpf(0)
-        for q, e in self.items():
-            total += e * ctx.log(q)
-        return total
+        """Value as an mpf in the supplied mpmath context: one log of the
+        exact rational prod q^(e_q), rounded to the context's precision."""
+        num = den = 1
+        for q, e in self.exponents.items():
+            if e > 0:
+                num *= q ** e
+            else:
+                den *= q ** -e
+        return ctx.log(ctx.mpf(num) / den)
 
     def nonnegative_integral(self) -> bool:
         return all(e >= 0 for e in self.exponents.values())

@@ -8,11 +8,18 @@ supplied; the repository ships none, so those paths are data-driven only.
 
 Eta runs on one fixed-point kernel: with q = e^(2 pi i tau),
 eta(tau) = e^(pi i tau/12) S(q) and S(q) = sum_k (-1)^k q^(k(3k-1)/2)
-is summed on Python integers scaled to 2^-(precision + ETA_GUARD_BITS), the
-term count fixed in advance from Im(tau), with a bound on the tail and on
-every rounding.  In the quotient the prefactors cancel,
-t = (S(q)/S(q^p))^e / q, so a CM point costs one complex exponential and
-q^p comes from q by integer powering.
+is summed on Python integers scaled to 2^-bits, bits = precision +
+ETA_GUARD_BITS, the term count fixed in advance from Im(tau), with a bound
+on the tail and on every rounding.  In the quotient the prefactors cancel,
+t = (S(q)/S(q^p))^e / q, and a value is computed on integers end to end:
+q comes from a Heegner form's exact data, e^(-pi sqrt|disc|/a)
+e^(-pi i b/a) (from one exponential at an mpc tau), q^p from q by integer
+powering, and the quotient, its power, the division by q and
+t + p^(e/2)/t are integer pairs with a shared binary exponent, each
+complex product taking three integer multiplications (_fixed_mul); one
+mpc is made at the end.  The error bound is read from integer bit lengths
+and from floats that count relative errors in units of 2^-bits, with no
+working-precision arithmetic.
 
 A Hauptmodul fixes level, realization and precision once; its values live in
 the mpmath context working_context(digits), one per precision per process and
@@ -26,10 +33,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import mpmath
+from mpmath import libmp
 
 from .arith import is_prime
 from .errors import (
@@ -52,8 +59,13 @@ MAX_ETA_TERMS = 10 ** 6
 MAX_REDUCTION_FLIPS = 64
 #: Bits the fixed-point eta kernel carries beyond the context precision.
 ETA_GUARD_BITS = 32
-# Error of the fixed-point q = e^(2 pi i tau), in units of its last bit: the
-# exponential at that precision and the truncation to fixed point.
+# Bits q is computed with beyond the fixed-point precision (_fixed_q, _form_q).
+_Q_GUARD_BITS = 8
+# Relative error of the scaled q, in units of 2^-bits: the exponential and
+# the angle at _Q_GUARD_BITS more bits, and the floor of the pair.
+_Q_REL_ULPS = 4
+# Error of the fixed-point q the eta kernel sums, in units of its last bit:
+# |q| _Q_REL_ULPS from the scaled q, and the floor of each part.
 _Q_ERR_ULPS = 8
 
 
@@ -280,14 +292,23 @@ def _fixed_bits(ctx) -> int:
     return ctx.prec + ETA_GUARD_BITS
 
 
-def _fixed_mul(x, y, bits):
-    """Product of two fixed-point complex numbers; each part is floored to 2^-bits."""
+def _fixed_mul(x, y, shift: int):
+    """Product of two complex integer pairs, each part floored to 2^shift.
+
+    Three multiplications: (a + b)(c + d) - ac - bd is ad + bc exactly, so
+    each part is the four-multiplication one bit for bit.
+    """
     (a, b), (c, d) = x, y
-    return (a * c - b * d) >> bits, (a * d + b * c) >> bits
+    ac, bd = a * c, b * d
+    return (ac - bd) >> shift, ((a + b) * (c + d) - ac - bd) >> shift
 
 
 def _power(x, n: int, mul):
-    """x^n for n >= 1 by repeated squaring under the product mul."""
+    """x^n for n >= 1 by repeated squaring under the product mul.
+
+    Each product's rounding is raised to the power its result enters the
+    answer with; those powers add up to n - 1.
+    """
     result = None
     while True:
         if n & 1:
@@ -298,40 +319,134 @@ def _power(x, n: int, mul):
         x = mul(x, x)
 
 
-def _fixed_q(ctx, tau):
-    """q = e^(2 pi i tau) as an mpc and as a fixed-point pair at _fixed_bits(ctx).
+def _top_bits(x) -> int:
+    """Bit length of the larger part of an integer pair."""
+    return max(x[0].bit_length(), x[1].bit_length())
 
-    The exponential runs at the fixed-point precision, so the pair is within
-    _Q_ERR_ULPS units of 2^-bits of the exact q.
+
+def _to_fixed(x, bits: int):
+    """A scaled pair as a fixed-point pair at 2^-bits, each part floored."""
+    (re, im), exp = x
+    shift = exp + bits
+    if shift >= 0:
+        return re << shift, im << shift
+    return re >> -shift, im >> -shift
+
+
+def _scaled(re, im, bits: int):
+    """Raw mpfs re + i im, not both zero, as a scaled pair whose larger part
+    has bits + 2 bits, so the floor costs less than 2^-bits of the modulus."""
+    top = max(exp + bc for _, man, exp, bc in (re, im) if man)
+    shift = bits + 2 - top
+    return (libmp.to_fixed(re, shift), libmp.to_fixed(im, shift)), -shift
+
+
+def _scaled_mul(x, y, bits: int):
+    """Product of two scaled pairs, within 2^(1-bits) of the exact one, relatively.
+
+    The shift leaves the exact product at least 2^bits in modulus, so the
+    floor of both parts, under sqrt(2), is below 2^(1-bits) of it.
+    """
+    (xm, xe), (ym, ye) = x, y
+    shift = max(0, _top_bits(xm) + _top_bits(ym) - bits - 2)
+    return _fixed_mul(xm, ym, shift), xe + ye + shift
+
+
+def _scaled_div(x, y, bits: int):
+    """Quotient of two scaled pairs, within 2^-bits of the exact one, relatively.
+
+    x/y = x conj(y) / |y|^2, shifted so that the exact quotient exceeds
+    2^(bits + 1) in modulus before each part is floored.
+    """
+    (xm, xe), (ym, ye) = x, y
+    num = _fixed_mul(xm, (ym[0], -ym[1]), 0)
+    den = ym[0] * ym[0] + ym[1] * ym[1]
+    shift = bits + 2 + den.bit_length() - _top_bits(num)
+    if shift >= 0:
+        re, im = (num[0] << shift) // den, (num[1] << shift) // den
+    else:
+        den <<= -shift
+        re, im = num[0] // den, num[1] // den
+    return (re, im), xe - ye - shift
+
+
+def _relative_units(err: float, x, bits: int) -> float:
+    """Relative error, in units of 2^-bits, of a fixed-point pair x that is
+    within err units of its exact value: err / (|x| - err), read from
+    |x| >= 2^(top - 1).  inf once err nears |x| or the count leaves floats."""
+    top = _top_bits(x)
+    head = err * 2.0 ** (1 - top)
+    shift = bits + 1 - top
+    if head >= 0.5 or shift > 900:
+        return math.inf
+    return err * 2.0 ** shift / (1 - head)
+
+
+def _log2_above(n: int) -> float:
+    """A float at least log2(n), for an integer n >= 1 of any size."""
+    shift = max(0, n.bit_length() - 64)
+    return math.log2((n >> shift) + 1) + shift
+
+
+def _fixed_q(ctx, tau):
+    """q = e^(2 pi i tau) at an mpc tau as a scaled pair at _fixed_bits(ctx),
+    within _Q_REL_ULPS units of 2^-bits of the exact q, relatively.
+
+    The exponential runs _Q_GUARD_BITS beyond the fixed-point precision.
     """
     bits = _fixed_bits(ctx)
-    with ctx.workprec(bits):
+    with ctx.workprec(bits + _Q_GUARD_BITS):
         q = ctx.expjpi(2 * tau)
-    return q, (ctx.to_fixed(q.real, bits), ctx.to_fixed(q.imag, bits))
+    return _scaled(q.real._mpf_, q.imag._mpf_, bits)
 
 
-def _pentagonal_sum(ctx, q, q_err: int, pairs: int):
-    """S(q) = sum_{|k| <= pairs} (-1)^k q^(k(3k-1)/2) as an mpc, with an error bound.
+def _form_q(form: QuadraticForm, bits: int):
+    """q = e^(2 pi i tau) at the CM point of form, as _fixed_q gives it, from
+    the form's exact data: q = e^(-pi sqrt|disc|/a) e^(-pi i b/a).
 
-    q is a fixed-point pair (X, Y) standing for (X + iY) 2^-bits, bits =
-    _fixed_bits(ctx), within q_err units of 2^-bits of the exact q = e^(2 pi i
-    tau), and pairs comes from _pentagonal_pairs(Im tau, ctx.prec).  Step k
-    advances q^(3k-2), q^k and the pentagonal terms a_k = q^(k(3k-1)/2),
+    The angle is split exactly, -b/a = n/2 + r/(2a) with |r/(2a)| <= 1/4:
+    i^n is a quarter turn, and only pi r/(2a), at most pi/4, is rounded.
+    The exponential turns a relative rounding of its argument into one
+    times the argument, so the work precision adds the argument's bits
+    (pi sqrt|disc|/a < 4 (isqrt|disc| // a + 1)) to _Q_GUARD_BITS.
+    """
+    a, b, size = form.a, form.b, -form.discriminant
+    wp = bits + _Q_GUARD_BITS + (4 * (math.isqrt(size) // a + 1)).bit_length()
+    pi = libmp.mpf_pi(wp)
+    arg = libmp.mpf_div(libmp.mpf_mul(pi, libmp.mpf_sqrt(libmp.from_int(size), wp), wp),
+                        libmp.from_int(a), wp)
+    modulus = libmp.mpf_exp(libmp.mpf_neg(arg), wp)
+    n = (a - 4 * b) // (2 * a)  # the integer nearest -2b/a
+    angle = libmp.mpf_mul(pi, libmp.from_rational(-2 * b - n * a, 2 * a, wp), wp)
+    cos, sin = libmp.mpf_cos_sin(angle, wp)
+    for _ in range(n % 4):  # times i
+        cos, sin = libmp.mpf_neg(sin), cos
+    return _scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits)
+
+
+def _pentagonal_sum(q, q_err: int, pairs: int, bits: int):
+    """S(q) = sum_{|k| <= pairs} (-1)^k q^(k(3k-1)/2) as a fixed-point pair at
+    2^-bits, with a bound on its error in units of 2^-bits, as a float.
+
+    q is a fixed-point pair (X, Y) standing for (X + iY) 2^-bits, within q_err
+    units of the exact q = e^(2 pi i tau), and pairs comes from
+    _pentagonal_pairs(Im tau, bits - ETA_GUARD_BITS).  Step k advances
+    q^(3k-2), q^k and the pentagonal terms a_k = q^(k(3k-1)/2),
     b_k = a_k q^k by four fixed-point products; the integer sums are exact.
 
-    The returned bound on |result - S(q)| adds three parts.  Tail: the omitted
-    exponents are distinct integers from N = (pairs+1)(3 pairs+2)/2 on, so
-    they sum to at most |q|^N / (1 - |q|).  Fixed point: every product
-    floors each part, an error below sqrt(2) units, and every factor has
-    modulus at most 1, so errors add without growing.  With u = q_err units
-    on q, q^3 carries 3u + 2 sqrt(2), q^(3k-2) carries (3k-2)u + 2(k-1)
-    sqrt(2), a_k carries n_k u + (k^2-1) sqrt(2) with n_k = k(3k-1)/2, and
-    b_k carries (n_k + k)u + (k^2+k-1) sqrt(2).  Summed over k <= K this is
-    below (u + sqrt(2)) K(K+1)(2K+1)/2 units; the bound doubles it to cover
-    the second-order products of errors.  Conversion: rounding the sum to
-    ctx.prec bits costs at most eps (|Re| + |Im|) of the result.
+    The bound adds two parts.  Tail: the omitted exponents are distinct
+    integers from N = (pairs+1)(3 pairs+2)/2 on, so they sum to at most
+    |q|^N / (1 - |q|), with |q| <= (isqrt(X^2 + Y^2) + 1 + q_err) 2^-bits;
+    it is summed in the log2 domain and doubled, far more than the float
+    roundings move it, and a tail below 2^-64 units counts as 2^-64.  Fixed
+    point: every product floors each part, an error below sqrt(2) units,
+    and every factor has modulus at most 1, so errors add without growing.
+    With u = q_err units on q, q^3 carries 3u + 2 sqrt(2), q^(3k-2) carries
+    (3k-2)u + 2(k-1) sqrt(2), a_k carries n_k u + (k^2-1) sqrt(2) with
+    n_k = k(3k-1)/2, and b_k carries (n_k + k)u + (k^2+k-1) sqrt(2).  Summed
+    over k <= K this is below (u + sqrt(2)) K(K+1)(2K+1)/2 units; the bound
+    doubles it to cover the second-order products of errors.
     """
-    bits = _fixed_bits(ctx)
     total_re, total_im = 1 << bits, 0
     cube = _fixed_mul(_fixed_mul(q, q, bits), q, bits)
     step = power = term = q  # q^(3k-2), q^k, q^(k(3k-1)/2) at k = 1
@@ -344,27 +459,33 @@ def _pentagonal_sum(ctx, q, q_err: int, pairs: int):
         sign = -1 if k % 2 else 1
         total_re += sign * (term[0] + other[0])
         total_im += sign * (term[1] + other[1])
-    value = ctx.mpc(ctx.ldexp(total_re, -bits), ctx.ldexp(total_im, -bits))
     exponent = (pairs + 1) * (3 * pairs + 2) // 2
-    with ctx.workprec(53):  # the tail needs only its magnitude; 2x covers the rounding
-        absq = ctx.sqrt(ctx.ldexp(q[0] ** 2 + q[1] ** 2, -2 * bits)) + ctx.ldexp(q_err, -bits)
-        tail = 2 * absq ** exponent / (1 - absq)
-    rounding = ctx.ldexp((q_err + 2) * pairs * (pairs + 1) * (2 * pairs + 1), -bits)
-    return value, tail + rounding + ctx.eps * (abs(value.real) + abs(value.imag))
+    log_q = _log2_above(math.isqrt(q[0] * q[0] + q[1] * q[1]) + 1 + q_err) - bits
+    tail = math.inf
+    if log_q < 0:
+        size = 1 + bits + exponent * log_q - math.log2(-math.expm1(log_q * math.log(2)))
+        if size < 1000:
+            tail = 2.0 ** max(size, -64)
+    rounding = (q_err + 2) * pairs * (pairs + 1) * (2 * pairs + 1)
+    return (total_re, total_im), tail + rounding
 
 
 def eta_with_bound(tau, ctx):
     """Dedekind eta as w S(q) with w = e^(pi i tau/12); returns (value, error bound).
 
     S(q) is the pentagonal sum of _pentagonal_sum, truncated below 2^-ctx.prec;
-    the bound covers that kernel's tail and rounding plus the product by w.
+    the bound covers that kernel's tail and rounding, the rounding of S to
+    ctx.prec bits and the product by w.
     """
     tau = _as_point(ctx, tau)
     if tau.imag <= 0:
         raise ParameterError(f"eta requires Im(tau) > 0, got {tau.imag}")
     pairs = _pentagonal_pairs(tau.imag, ctx.prec)
-    _, q = _fixed_q(ctx, tau)
-    total, bound = _pentagonal_sum(ctx, q, _Q_ERR_ULPS, pairs)
+    bits = _fixed_bits(ctx)
+    q = _to_fixed(_fixed_q(ctx, tau), bits)
+    (re, im), err = _pentagonal_sum(q, _Q_ERR_ULPS, pairs, bits)
+    total = ctx.mpc(ctx.ldexp(re, -bits), ctx.ldexp(im, -bits))
+    bound = ctx.ldexp(err, -bits) + ctx.eps * (abs(total.real) + abs(total.imag))
     w = ctx.expjpi(tau / 12)
     value = w * total
     return value, abs(w) * bound + ctx.eps * abs(value)
@@ -444,38 +565,83 @@ def _eval_qseries_with_bound(hm: Hauptmodul, tau):
     return value, bound
 
 
+def _sum_with_bound(ctx, x, rel_x: float, y, rel_y: float, bits: int):
+    """x + y as an mpc at ctx.prec, with an error bound, for scaled pairs x
+    and y whose relative errors are below rel_x and rel_y units of 2^-bits.
+
+    Each relative error compounds factors (1 + delta_i)^(+-1); while the
+    sum S of their |delta_i| stays below 1/8, the compound is below 2S, so x
+    is within 2S |x_exact| <= (8/3) S |x| of x_exact; the bound takes 3S,
+    which leaves room for its own few float roundings.  |x| is read from the
+    bit lengths.  Aligning the pairs floors one of them, less than 2 units
+    of the sum's last bit.  Rounding each part to ctx.prec bits costs at
+    most 2^-prec (|Re| + |Im|); the bound charges it 8 eps max(|value|, 1),
+    with eps = 2^(1-prec).  The bound is one float times a power of two,
+    and infinite once S reaches 1/8.
+    """
+    prec = ctx.prec
+    (xm, xe), (ym, ye) = x, y
+    exp = max(xe, ye)
+    sum_m = ((xm[0] >> (exp - xe)) + (ym[0] >> (exp - ye)),
+             (xm[1] >> (exp - xe)) + (ym[1] >> (exp - ye)))
+    value = ctx.make_mpc((libmp.from_man_exp(sum_m[0], exp, prec, "n"),
+                          libmp.from_man_exp(sum_m[1], exp, prec, "n")))
+    if not max(rel_x, rel_y) < 2.0 ** min(bits - 3, 1000):
+        return value, ctx.inf
+    x_top, y_top = _top_bits(xm) + xe, _top_bits(ym) + ye  # |x| < 2^(x_top + 1/2)
+    ref = max(x_top, y_top)
+    scale = (3 * (rel_x * 2.0 ** (x_top + 0.5 - ref) + rel_y * 2.0 ** (y_top + 0.5 - ref))
+             + 2.0 ** (1 + exp + bits - ref)
+             + 2.0 ** (4 + max(_top_bits(sum_m) + exp + 0.5, 0) - prec + bits - ref))
+    return value, ctx.ldexp(scale, ref - bits)
+
+
 def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     """(value, error bound) of hm at tau, in hm's context.  The additive constant
     is whatever the realization produces; only differences of values are
-    normalization-independent."""
+    normalization-independent.
+
+    In closed form, t = (eta(tau)/eta(p tau))^e = (S(q)/S(q^p))^e / q, since
+    e(p-1) = 24 makes the prefactors e^(pi i tau/12) cancel.  q comes from
+    the form's exact data (_form_q) or from one exponential at an mpc
+    (_fixed_q); S(q) and S(q^p) from the fixed-point kernel, q^p by integer
+    powering.  The quotient, its power, the division by q and
+    t + p^(e/2)/t are integer pairs, and one mpc is made at the end.  The
+    bound counts relative errors in units of 2^-bits: each S through
+    _relative_units, one floor for the quotient, e - 1 compounded product
+    floors in its e-th power, _Q_REL_ULPS for q and one floor for the
+    division by it; p^(e/2)/t adds one more floor (_sum_with_bound).
+    """
     ctx, p = hm.ctx, hm.p
-    if not isinstance(tau, QuadraticForm):
+    if isinstance(tau, QuadraticForm):
+        if not tau.is_positive_definite():
+            raise ParameterError(f"form {tau} is not positive definite")
+    else:
         tau = ctx.mpc(tau)
         if tau.imag <= 0:
             raise ParameterError("evaluation point must lie in the upper half plane")
     if reduce_first:
         tau = reduce_point(tau, p, ctx)
-    tau = _as_point(ctx, tau)
     if hm.series is not None:
-        return _eval_qseries_with_bound(hm, tau)
-    # t = (eta(tau)/eta(p tau))^e = (S(q)/S(q^p))^e / q, since e(p-1) = 24: the
-    # prefactors e^(pi i tau/12) cancel and one exponential serves the point
-    e = 24 // (p - 1)
-    pairs = _pentagonal_pairs(tau.imag, ctx.prec)
-    pairs_p = _pentagonal_pairs(p * tau.imag, ctx.prec)
-    q, q_fixed = _fixed_q(ctx, tau)
+        return _eval_qseries_with_bound(hm, _as_point(ctx, tau))
+    form = isinstance(tau, QuadraticForm)
+    height = math.sqrt(-tau.discriminant) / (2 * tau.a) if form else tau.imag
+    pairs = _pentagonal_pairs(height, ctx.prec)
+    pairs_p = _pentagonal_pairs(p * height, ctx.prec)
     bits = _fixed_bits(ctx)
+    q = _form_q(tau, bits) if form else _fixed_q(ctx, tau)
+    q_fixed = _to_fixed(q, bits)  # within |q| _Q_REL_ULPS + sqrt(2) <= _Q_ERR_ULPS units
     # q^p is within p(u + sqrt(2)) units when q is within u, as in _pentagonal_sum
-    qp_fixed = _power(q_fixed, p, lambda x, y: _fixed_mul(x, y, bits))
-    num, num_err = _pentagonal_sum(ctx, q_fixed, _Q_ERR_ULPS, pairs)
-    den, den_err = _pentagonal_sum(ctx, qp_fixed, p * (_Q_ERR_ULPS + 2), pairs_p)
-    t = _power(num / den, e, operator.mul) / q
-    const = ctx.mpf(p) ** (e // 2)
-    value = t + const / t
-    rel = e * (num_err / abs(num) + den_err / abs(den) + 4 * ctx.eps)
-    abs_t = abs(t)
-    bound = rel * (abs_t + const / abs_t) + 8 * ctx.eps * max(abs(value), ctx.mpf(1))
-    return value, bound
+    q_p = _power(q_fixed, p, lambda x, y: _fixed_mul(x, y, bits))
+    num, num_err = _pentagonal_sum(q_fixed, _Q_ERR_ULPS, pairs, bits)
+    den, den_err = _pentagonal_sum(q_p, p * (_Q_ERR_ULPS + 2), pairs_p, bits)
+    e = 24 // (p - 1)
+    ratio = _scaled_div((num, -bits), (den, -bits), bits)
+    t = _scaled_div(_power(ratio, e, lambda x, y: _scaled_mul(x, y, bits)), q, bits)
+    rel_t = (e * (_relative_units(num_err, num, bits) + _relative_units(den_err, den, bits) + 1)
+             + 2 * (e - 1) + _Q_REL_ULPS + 1)
+    return _sum_with_bound(ctx, t, rel_t, _scaled_div(((p ** (e // 2), 0), 0), t, bits),
+                           rel_t + 1, bits)
 
 
 def conjugate_form(form: QuadraticForm, p: int) -> QuadraticForm:
@@ -529,21 +695,26 @@ def lhs_log_norm(hm: Hauptmodul, d: int, beta: int, D: int, mu: int) -> tuple:
     as (value, error bound) in hm's context.
 
     The d-values are closed under conjugation, so a conjugate pair of D-values
-    contributes twice the sum at one of them: each D-orbit takes one log, of
-    the product of its differences, with weight 2 for a pair and 1 for a real
-    value.  The bound adds (e_D + e_d)/|v_D - v_d| over all factors, with the
-    same weights, summed at 53 bits and scaled up past that sum's rounding.
+    contributes twice the sum at one of them.  The squared moduli
+    |v_D - v_d|^2 of all N factors are multiplied, squared for a pair, and
+    the sum is 4 log of that product: one log per call.  The bound adds
+    (e_D + e_d)/|v_D - v_d| over all factors, with the same weights, and the
+    rounding: a factor's difference, squared modulus and share of the
+    product round at most ten times, so the product is within N 2^(4-prec)
+    of its exact value, relatively, and its log within twice that, plus the
+    log's own rounding of |log| 2^(1-prec).  That sum runs at 53 bits and is
+    scaled up past its own rounding.
     """
     check_lhs_digits(hm)
     ctx = hm.ctx
+    prec = ctx.prec
     vals_d = cm_values(hm, -d, beta)
     exponent = -hm.digits // 2
     threshold_sq = ctx.mpf(10) ** (2 * exponent)
-    total = ctx.mpf(0)
+    product = ctx.mpf(1)
     factors = []  # (weight * (e_D + e_d), |v_D - v_d|^2)
     for i, j, vD, eD in _conjugation_orbits(hm, -D, mu):
         weight = 1 if i == j else 2
-        product = ctx.mpc(1)
         for vd, ed in vals_d:
             diff = vD - vd
             norm = diff.real ** 2 + diff.imag ** 2
@@ -552,12 +723,15 @@ def lhs_log_norm(hm: Hauptmodul, d: int, beta: int, D: int, mu: int) -> tuple:
                     f"CM values coincide to within {mpmath.nstr(ctx.mpf(10) ** exponent, 3)}; "
                     "equal discriminants or insufficient precision"
                 )
-            product *= diff
+            product *= norm if weight == 1 else norm * norm
             factors.append((weight * (eD + ed), norm))
-        total += weight * ctx.log(abs(product))
-    # each term rounds twice at 53 bits, the sum once per term and the scaling
-    # once: N + 2 roundings of at most 2^-53 each, which 1 + (N + 3) 2^-52 covers
+    total = ctx.log(product)
+    # each term rounds twice at 53 bits, the sum once per term, the rounding
+    # term, the sums and the scaling four times more: N + 6 roundings of at
+    # most 2^-53 each, which 1 + (N + 5) 2^-52 covers
     with ctx.workprec(53):
-        scale = 1 + ctx.ldexp(len(factors) + 3, -52)
-        err = sum(e / ctx.sqrt(norm) for e, norm in factors) * scale
-    return 8 * total, 8 * err
+        scale = 1 + ctx.ldexp(len(factors) + 5, -52)
+        err = sum(e / ctx.sqrt(norm) for e, norm in factors)
+        rounding = ctx.ldexp(len(factors), 7 - prec) + ctx.ldexp(abs(total), 3 - prec)
+        err = (8 * err + rounding) * scale
+    return 4 * total, err

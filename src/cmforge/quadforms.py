@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import (
-    Factorization,
     factorize,
-    fundamental_factors,
     is_fundamental_discriminant,
     is_prime,
     sqrt_mod,
@@ -96,21 +94,28 @@ def class_number(disc: int) -> int:
     return count
 
 
-def admissible_residues(disc: int, p: int, factors: Factorization | None = None) -> list[int]:
+def admissible_residues(disc: int, p: int) -> list[int]:
     """All residues beta mod 2p with beta^2 = disc mod 4p, sorted; empty if none exist.
 
-    factors, if given, is factorize(-disc); the check that disc is
-    fundamental then reads it instead of factoring again.
-
-    For odd p, beta^2 = disc mod 4 fixes the parity of beta (disc is 0 or 1
-    mod 4) and beta^2 = disc mod p fixes beta mod p up to sign, so the
-    residues are the square roots of disc mod p moved to that parity.  For
-    p = 2 the four residues mod 4 are tried.
+    p must be prime and disc a fundamental discriminant; both are checked
+    here, and square_roots_mod_4p does the rest.
     """
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
-    if fundamental_factors(disc, factors) is None:
+    if not is_fundamental_discriminant(disc):
         raise ParameterError(f"{disc} is not a fundamental discriminant")
+    return square_roots_mod_4p(disc, p)
+
+
+def square_roots_mod_4p(disc: int, p: int) -> list[int]:
+    """admissible_residues(disc, p) for a prime p and a disc = 0 or 1 mod 4,
+    neither of which is checked here.
+
+    For odd p, beta^2 = disc mod 4 fixes the parity of beta and
+    beta^2 = disc mod p fixes beta mod p up to sign, so the residues are the
+    square roots of disc mod p moved to that parity.  For p = 2 the four
+    residues mod 4 are tried.
+    """
     if p == 2:
         return [beta for beta in range(4) if (beta * beta - disc) % 8 == 0]
     root = sqrt_mod(disc, p)

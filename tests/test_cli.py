@@ -151,6 +151,23 @@ def test_gznorm_rejects_small_and_inadmissible(capsys):
     assert code == EXIT_USAGE and "admissible" in err
 
 
+def test_gznorm_refuses_a_prime_with_no_hauptmodul(capsys):
+    # the norm is defined through j*_p, which exists only at the 15
+    # genus-zero primes; the checks of the inputs come first
+    code, out, err = run_cli(capsys, "gznorm", "--p", "1867", "--d", "8", "--D", "19")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: p=1867: the Fricke curve is not genus zero\n"
+    for argv, message in ((("--p", "1868", "--d", "8", "--D", "19"), "1868 is not prime"),
+                          (("--p", "1867", "--d", "8", "--D", "12"),
+                           "-12 is not a fundamental discriminant"),
+                          (("--p", "1867", "--d", "8", "--D", "8"), "d and D must be distinct")):
+        assert run_cli(capsys, "gznorm", *argv)[1:] == ("", f"error: {message}\n")
+    for p in (11, 17, 19, 23, 29, 31, 41, 59, 71):  # the primes with no closed form
+        d, D = [n for n in range(5, 400)
+                if is_fundamental_discriminant(-n) and admissible_residues(-n, p)][:2]
+        assert run_cli(capsys, "gznorm", "--p", str(p), "--d", str(d), "--D", str(D))[0] == EXIT_OK
+
+
 def test_classpoly_reference_example(capsys):
     code, out, _ = run_cli(capsys, "classpoly", "--p", "47", "--d", "39")
     assert code == EXIT_OK

@@ -18,7 +18,7 @@ from cmforge.cli import EXIT_OK, main
 from cmforge.gzrhs import RAMIFIED_OF_M, RAMIFIED_OF_MD
 
 SWEEP_DIGEST = "90f757eb0269db3bed8fc6c3e8f2065506d50207f8f79f12c7fab5007586c755"
-NUMERIC_DIGEST = "7095ec6b0fc07095bf46480cdc6d56e358d71a46d3c7f5a2097d5b4b689e97a9"
+NUMERIC_DIGEST = "6b6bb866c3b51e7d7e341bf99ab5f92d9b573fa7d266981b1cc3270a4f855c1e"
 NUMERIC_STABLE_DIGEST = "338a6228729f0970a884a18f46705b2a2a873ec0532f99d075a261efd0fd69b5"
 GZNORM_LARGE_DIGEST = "7f08d4fe974866dd0a3333292b8a73f444721cff3b3705a43cf3590ee251094d"
 ETA_PRIMES = (2, 3, 5, 7, 13)

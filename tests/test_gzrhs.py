@@ -301,9 +301,40 @@ def test_create_factors_D_once(monkeypatch, mu):
     assert params == GZParams(p=2, d=7, D=D, mu=params.mu, beta=params.beta)
 
 
+def test_create_tests_p_once_and_factors_d_once(monkeypatch):
+    # one primality test of p and one factorization each of D and d serve
+    # the residue choice and the constructor; every other primality test
+    # certifies a Factorization (p^1, then the primes of D and of d)
+    from cmforge import arith, cmvalue, gzrhs, quadforms
+
+    factored, tested = [], []
+    factorize_, is_prime_ = arith.factorize, arith.is_prime
+
+    def counting_factorize(n):
+        factored.append(n)
+        return factorize_(n)
+
+    def counting_is_prime(n):
+        tested.append(n)
+        return is_prime_(n)
+
+    for module in (arith, cmvalue, gzrhs, quadforms):
+        monkeypatch.setattr(module, "factorize", counting_factorize, raising=False)
+        monkeypatch.setattr(module, "is_prime", counting_is_prime, raising=False)
+    params = GZParams.create(2, 7, 12228)
+    assert factored == [12228, 7]
+    assert tested == [2, 2, 2, 3, 1019, 7]
+    assert (params.p_factors, params.d_factors, params.D_factors) == (
+        factorize_(2), factorize_(7), factorize_(12228))
+
+
 def test_params_refuse_a_factorization_of_another_number():
     with pytest.raises(InternalError, match="factorization of 39 given for 163"):
         GZParams(p=47, d=39, D=163, mu=5, beta=33, D_factors=factorize(39))
+    with pytest.raises(InternalError, match="factorization of 11 given for 39"):
+        GZParams(p=47, d=39, D=163, mu=5, beta=33, d_factors=factorize(11))
+    with pytest.raises(InternalError, match="factorization of 43 given for the prime 47"):
+        GZParams(p=47, d=39, D=163, mu=5, beta=33, p_factors=factorize(43))
 
 
 def test_enumerate_terms_ceiling_counts_terms_exactly(monkeypatch):

@@ -186,6 +186,101 @@ def test_eta_kernel_against_mpmath_oracle(digits):
         check(value, bound, t + oracle.mpf(p) ** (e // 2) / t)
 
 
+def test_integer_pipeline_roundings_stay_within_their_claims():
+    # the bound of value_with_bound counts each rounding of its integer
+    # pipeline in units of 2^-bits; each count is checked here against exact
+    # rationals, at a small bits where the roundings are large enough to see
+    from fractions import Fraction
+
+    bits = 64
+    unit = Fraction(1, 2 ** bits)
+    rng = random.Random(313)
+
+    def exact(x):
+        (re, im), exp = x
+        scale = Fraction(2) ** exp
+        return re * scale, im * scale
+
+    def times(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def relative_below(got, want, claim):
+        # |got - want| < claim |want|, compared squared to stay rational
+        diff = (got[0] - want[0]) ** 2 + (got[1] - want[1]) ** 2
+        return diff < claim ** 2 * (want[0] ** 2 + want[1] ** 2)
+
+    def pair(size):
+        return ((rng.randrange(-2 ** size, 2 ** size), rng.randrange(-2 ** size, 2 ** size)),
+                rng.randrange(-200, 200))
+
+    for _ in range(300):
+        x, y = pair(rng.randrange(bits - 8, bits + 8)), pair(rng.randrange(1, bits + 8))
+        if x[0] == (0, 0) or y[0] == (0, 0):
+            continue
+        a, b = x[0], y[0]
+        shift = rng.randrange(0, 2 * bits)
+        assert hauptmodul._fixed_mul(a, b, shift) == (
+            (a[0] * b[0] - a[1] * b[1]) >> shift, (a[0] * b[1] + a[1] * b[0]) >> shift)
+        product = hauptmodul._scaled_mul(x, y, bits)
+        assert relative_below(exact(product), times(exact(x), exact(y)), 2 * unit)
+        inverse = Fraction(1) / (exact(y)[0] ** 2 + exact(y)[1] ** 2)
+        quotient = times(exact(x), (exact(y)[0] * inverse, -exact(y)[1] * inverse))
+        assert relative_below(exact(hauptmodul._scaled_div(x, y, bits)), quotient, unit)
+        n = rng.choice((2, 4, 6, 12, 24))  # e = 24/(p - 1); n - 1 floors, compounded
+        power = hauptmodul._power(x, n, lambda u, v: hauptmodul._scaled_mul(u, v, bits))
+        want = exact(x)
+        for _ in range(n - 1):
+            want = times(want, exact(x))
+        assert relative_below(exact(power), want, 2 * (n - 1) * 2 * unit)
+    ctx = working_context(15)
+    for _ in range(100):
+        value = ctx.mpc(ctx.mpf(rng.uniform(-1, 1)) * 2 ** rng.randrange(-300, 300),
+                        ctx.mpf(rng.uniform(-1, 1)) * 2 ** rng.randrange(-300, 300))
+        scaled = hauptmodul._scaled(value.real._mpf_, value.imag._mpf_, bits)
+        want = tuple((-1) ** sign * man * Fraction(2) ** exp
+                     for sign, man, exp, _ in (value.real._mpf_, value.imag._mpf_))
+        assert relative_below(exact(scaled), want, unit)
+
+
+#: Per eta prime, (D, residue) whose Heegner forms include a self-paired one
+#: and one with a > p and b != 0.
+ORACLE_FORMS = {2: (23, 1), 3: (23, 1), 5: (31, 3), 7: (31, 5), 13: (23, 9)}
+
+
+@pytest.mark.parametrize("digits", (30, 80, 300, 1000))
+def test_value_at_a_form_against_mpmath_oracle(digits):
+    # a form's q comes from its exact data, not from an mpc point: mpmath.eta
+    # at the exact CM point (-b + sqrt(disc)) / (2a), at 50 more digits,
+    # checks the value and the bound, with and without the exact reduction,
+    # at the first form, at the self-paired one (a > p, b != 0) and at the
+    # first form shifted by 1, whose b lies outside (-a, a]
+    oracle = mpmath.ctx_mp.MPContext()
+    oracle.dps = digits + 50
+    requested = oracle.mpf(10) ** -digits
+
+    def check(form, exact):
+        for reduce_first in (True, False):
+            value, bound = value_with_bound(hm, form, reduce_first)
+            assert abs(oracle.mpc(value) - exact) <= bound, (p, form, reduce_first)
+            assert bound <= requested * max(abs(exact), 1), (p, form, reduce_first)
+
+    for p, (D, beta) in ORACLE_FORMS.items():
+        hm = Hauptmodul(p, digits)
+        e = 24 // (p - 1)
+        forms = heegner_reps(-D, p, beta)
+        partner = partners(forms, p)
+        (paired,) = [form for i, form in enumerate(forms) if partner[i] == i]
+        assert paired.a > p and paired.b != 0
+        first = forms[0]
+        shifted = QuadraticForm(first.a, first.b + 2 * first.a, first.a + first.b + first.c)
+        for form, forms_at_point in ((first, (first, shifted)), (paired, (paired,))):
+            root = oracle.sqrt(-form.discriminant)
+            tau = (oracle.mpc(-form.b, 0) + oracle.mpc(0, 1) * root) / (2 * form.a)
+            t = (oracle.eta(tau) / oracle.eta(p * tau)) ** e
+            for same in forms_at_point:  # j*_p(tau + 1) = j*_p(tau)
+                check(same, t + oracle.mpf(p) ** (e // 2) / t)
+
+
 def test_eta_rejects_lower_half_plane():
     with pytest.raises(ParameterError):
         eta_with_bound(complex(0.0, -1.0), ctx80())
@@ -468,6 +563,35 @@ def test_crosscheck_reduces_one_point_per_orbit(monkeypatch):
     assert result.passed()
     assert len(calls) == orbits == 5
     assert all(isinstance(tau, QuadraticForm) for tau in calls)
+
+
+def test_one_log_per_side_of_the_crosscheck(monkeypatch):
+    # the numeric side takes one log of the product of all its factors, and
+    # the exact side one log of the rational prod q^(e_q)
+    from cmforge.gzrhs import PrimeLogSum
+
+    hm = Hauptmodul(2)
+    ctx = hm.ctx
+    logs = []
+    original = ctx.log
+
+    def counting(x):
+        logs.append(x)
+        return original(x)
+
+    monkeypatch.setattr(ctx, "log", counting)
+    value, _ = lhs_log_norm(hm, d=7, beta=1, D=71, mu=min(admissible_residues(-71, 2)))
+    assert len(logs) == 1
+    exact = PrimeLogSum({3: 32, 5: 16, 7: 8, 13: -8})
+    logged = exact.log_value_mpf(ctx)
+    assert len(logs) == 2
+    with ctx.workprec(ctx.prec + 20):
+        direct = 32 * ctx.log(3) + 16 * ctx.log(5) + 8 * ctx.log(7) - 8 * ctx.log(13)
+    assert abs(logged - direct) < ctx.mpf(10) ** -(DIGITS + 5)
+    del logs[:]
+    result = crosscheck.run_crosscheck(hm, 7, 71)
+    assert result.passed() and len(logs) == 3  # the left side and both ramified variants
+    assert result.lhs == float(value)
 
 
 def test_lhs_error_estimate_covers_a_doubled_precision():

@@ -141,3 +141,44 @@ def test_process_wide_state_is_only_the_parser_and_the_contexts():
     assert cache_uses == len(cached)  # no cache applied other than as a decorator
     assert globals_ == {("cli.py", "_parser")}
     assert shared == []
+
+
+def test_one_eta_kernel_and_one_complex_product():
+    # every eta value comes from one pentagonal loop, and every fixed-point
+    # complex product from one function: the loop is the only one in the
+    # package that calls _fixed_mul, _fixed_mul the only function that
+    # right-shifts a product, and both evaluators reach that loop
+    shifted_products, kernel_loops, calls = set(), set(), {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{path.name}:{function.name}"
+            calls[where] = {called_name(node) for node in ast.walk(function)
+                            if isinstance(node, ast.Call)}
+            for node in ast.walk(function):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.RShift) and any(
+                        isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Mult)
+                        for inner in ast.walk(node.left)):
+                    shifted_products.add(where)
+                if isinstance(node, (ast.For, ast.While)) and any(
+                        called_name(inner) == "_fixed_mul"
+                        for inner in ast.walk(node) if isinstance(inner, ast.Call)):
+                    kernel_loops.add(where)
+    assert shifted_products == {"hauptmodul.py:_fixed_mul"}
+    assert kernel_loops == {"hauptmodul.py:_pentagonal_sum"}
+
+    def reaches(start, target):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name == target:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo += [f"hauptmodul.py:{callee}" for callee in calls.get(name, ())]
+        return False
+
+    for evaluator in ("eta_with_bound", "value_with_bound"):
+        assert reaches(f"hauptmodul.py:{evaluator}", "hauptmodul.py:_pentagonal_sum"), evaluator
