@@ -575,9 +575,9 @@ def _sum_with_bound(ctx, x, rel_x: float, y, rel_y: float, bits: int):
     which leaves room for its own few float roundings.  |x| is read from the
     bit lengths.  Aligning the pairs floors one of them, less than 2 units
     of the sum's last bit.  Rounding each part to ctx.prec bits costs at
-    most 2^-prec (|Re| + |Im|); the bound charges it 8 eps max(|value|, 1),
-    with eps = 2^(1-prec).  The bound is one float times a power of two,
-    and infinite once S reaches 1/8.
+    most 2^-prec (|Re| + |Im|), charged from the integer sum with 53 bits
+    rounded up.  The bound is one float times a power of two, and infinite
+    once S reaches 1/8.
     """
     prec = ctx.prec
     (xm, xe), (ym, ye) = x, y
@@ -590,9 +590,11 @@ def _sum_with_bound(ctx, x, rel_x: float, y, rel_y: float, bits: int):
         return value, ctx.inf
     x_top, y_top = _top_bits(xm) + xe, _top_bits(ym) + ye  # |x| < 2^(x_top + 1/2)
     ref = max(x_top, y_top)
+    parts = abs(sum_m[0]) + abs(sum_m[1])  # (|Re| + |Im|) 2^-exp
+    shift = max(0, parts.bit_length() - 53)
     scale = (3 * (rel_x * 2.0 ** (x_top + 0.5 - ref) + rel_y * 2.0 ** (y_top + 0.5 - ref))
              + 2.0 ** (1 + exp + bits - ref)
-             + 2.0 ** (4 + max(_top_bits(sum_m) + exp + 0.5, 0) - prec + bits - ref))
+             + ((parts >> shift) + 1) * 2.0 ** (shift + exp - prec + bits - ref))
     return value, ctx.ldexp(scale, ref - bits)
 
 

@@ -3,7 +3,8 @@
 The pipeline: pick the base discriminant that pins the generator's zero,
 compute the exact magnitudes (X_D, Y_D) for every usable degree-one
 discriminant, resolve the two sign strings into signed points (X, Y), and fit
-the monic integer polynomial of degree h(-d) through them.
+the monic integer polynomial of degree h(-d) through them.  One pass derives
+what the stages share: S(p), the feasibility verdict, h(-d) and beta.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .gzrhs import GZParams, gz_log_norm
 from .hauptmodul import Hauptmodul, cm_values
-from .quadforms import admissible_residues, class_number
+from .quadforms import admissible_residues, count_classes, square_roots_mod_4p
 
 #: Primes whose Fricke curve has genus zero.
 GENUS_ZERO_FRICKE_PRIMES = frozenset(
@@ -36,15 +37,55 @@ CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
 
 def s_set(p: int) -> list[int]:
-    """Degree-one discriminants that are squares mod 4p, by increasing |D|."""
+    """Degree-one discriminants that are squares mod 4p, by increasing |D|.
+
+    A genus-zero p is prime and the nine discriminants are fundamental, so
+    neither is checked again.
+    """
     if p not in GENUS_ZERO_FRICKE_PRIMES:
         raise ParameterError(f"p={p}: the Fricke curve is not genus zero")
-    return [disc for disc in CLASS_NUMBER_ONE_DISCRIMINANTS if admissible_residues(disc, p)]
+    return [disc for disc in CLASS_NUMBER_ONE_DISCRIMINANTS if square_roots_mod_4p(disc, p)]
+
+
+def _usable(members: list[int]) -> list[int]:
+    """The members of S(p) with |D| > 4 (the ones the norm formula accepts)."""
+    return [disc for disc in members if disc < -4]
 
 
 def usable_s_set(p: int) -> list[int]:
     """s_set members with |D| > 4 (the ones the norm formula accepts)."""
-    return [disc for disc in s_set(p) if disc < -4]
+    return _usable(s_set(p))
+
+
+@dataclass(frozen=True)
+class PipelineFacts:
+    """What the stages of one class polynomial share about p and d, each
+    derived once: S(p), the smallest admissible residue beta of -d, and
+    h = h(-d)."""
+
+    d: int
+    members: list[int]
+    beta: int
+    h: int
+
+    @property
+    def usable(self) -> list[int]:
+        return _usable(self.members)
+
+    def feasible(self) -> bool:
+        usable = self.usable
+        return self.h + 1 <= len(usable) - (-self.d in usable)
+
+
+def _facts(p: int, d: int, members: list[int]) -> PipelineFacts:
+    """The facts of d at p, given S(p); refused unless -d is fundamental and
+    a square mod 4p."""
+    if not is_fundamental_discriminant(-d):
+        raise ParameterError(f"-{d} is not a fundamental discriminant")
+    residues = square_roots_mod_4p(-d, p)
+    if not residues:
+        raise ParameterError(f"-{d} is not a square mod {4 * p}")
+    return PipelineFacts(d, members, residues[0], count_classes(-d))
 
 
 def feasible(d: int, p: int) -> bool:
@@ -52,12 +93,7 @@ def feasible(d: int, p: int) -> bool:
 
     The diagonal D = d is not counted: build_pairs skips it.
     """
-    if not is_fundamental_discriminant(-d):
-        raise ParameterError(f"-{d} is not a fundamental discriminant")
-    if not admissible_residues(-d, p):
-        raise ParameterError(f"-{d} is not a square mod {4 * p}")
-    usable = usable_s_set(p)
-    return class_number(-d) + 1 <= len(usable) - (-d in usable)
+    return _facts(p, d, s_set(p)).feasible()
 
 
 @dataclass(frozen=True)
@@ -75,9 +111,10 @@ class InterpolationPair:
 
 @dataclass(frozen=True)
 class ClassPolynomial:
-    """Monic integer polynomial of degree h(-d); coefficients low degree first."""
+    """Monic integer polynomial of degree h = h(-d); coefficients low degree first."""
 
     d: int
+    h: int
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
@@ -85,9 +122,9 @@ class ClassPolynomial:
             raise InternalError(f"polynomial for d={self.d} is not monic")
         if any(not isinstance(c, int) for c in self.coefficients):
             raise InternalError("coefficients must be integers")
-        if self.degree != class_number(-self.d):
+        if self.degree != self.h:
             raise InternalError(
-                f"degree {self.degree} differs from the class number of -{self.d}"
+                f"degree {self.degree} differs from the class number h(-{self.d}) = {self.h}"
             )
         for root_num in _rational_root_candidates(self.coefficients):
             if self.evaluate(root_num) == 0 and self.degree > 1:
@@ -143,7 +180,12 @@ def build_pairs(d: int, beta: int, p: int, base_disc: int) -> list[Interpolation
     skipped: its Y vanishes identically and the norm formula requires
     distinct discriminants.
     """
-    usable = usable_s_set(p)
+    return _magnitude_pairs(usable_s_set(p), p, d, beta, base_disc)
+
+
+def _magnitude_pairs(usable: list[int], p: int, d: int, beta: int,
+                     base_disc: int) -> list[InterpolationPair]:
+    """build_pairs over the usable members of S(p)."""
     if base_disc not in usable:
         raise ParameterError(f"base discriminant {base_disc} is not usable for p={p}")
     if -base_disc == d:
@@ -193,15 +235,14 @@ def _mirror_coeffs(coeffs):
     return tuple(c if (h - k) % 2 == 0 else -c for k, c in enumerate(coeffs))
 
 
-def resolve_signs(pairs: list[InterpolationPair], d: int) -> list[tuple[int, int]]:
+def resolve_signs(pairs: list[InterpolationPair], h: int) -> list[tuple[int, int]]:
     """Resolve the sign strings by search: the signed points (X_D, Y_D), in pair order.
 
     Accept exactly the sign assignments whose points lie on a monic integer
-    polynomial of degree h(-d); unique up to the global mirror
+    polynomial of degree h = h(-d); unique up to the global mirror
     (X, Y) -> (-X, (-1)^h Y), canonicalized to the lexicographically smaller
     coefficient tuple.
     """
-    h = class_number(-d)
     if len(pairs) < h + 1:
         raise InfeasibleError(
             f"need {h + 1} interpolation pairs, only {len(pairs)} available"
@@ -281,9 +322,8 @@ def read_signs(pairs: list[InterpolationPair], d: int, base_disc: int, beta: int
     return points
 
 
-def interpolate(points: list[tuple[int, int]], d: int) -> ClassPolynomial:
-    """The monic integer polynomial of degree h(-d) through the signed points."""
-    h = class_number(-d)
+def interpolate(points: list[tuple[int, int]], d: int, h: int) -> ClassPolynomial:
+    """The monic integer polynomial of degree h = h(-d) through the signed points."""
     if len(points) < h + 1:
         raise InfeasibleError(f"need {h + 1} points, got {len(points)}")
     xs = [x for x, _ in points]
@@ -294,7 +334,7 @@ def interpolate(points: list[tuple[int, int]], d: int) -> ClassPolynomial:
         raise SignResolutionError(
             f"the points {points} do not lie on a monic integer polynomial of degree {h}"
         )
-    return ClassPolynomial(d=d, coefficients=coeffs)
+    return ClassPolynomial(d=d, h=h, coefficients=coeffs)
 
 
 @dataclass
@@ -311,33 +351,38 @@ class ClassPolyReport:
 
 def require_feasible(p: int, d: int) -> list[int]:
     """usable_s_set(p), or InfeasibleError saying what is missing if not feasible(d, p)."""
-    usable = usable_s_set(p)
-    if not feasible(d, p):
+    return _feasible_facts(p, d).usable
+
+
+def _feasible_facts(p: int, d: int) -> PipelineFacts:
+    """The facts of d at p, or InfeasibleError saying what is missing if not feasible(d, p)."""
+    facts = _facts(p, d, s_set(p))
+    if not facts.feasible():
+        usable = facts.usable
         if -d in usable:
             detail = f"{len(usable) - 1} are available (the diagonal D = d pair is degenerate)"
         else:
             detail = f"{len(usable)} usable degree-one discriminants exist for p={p}"
-        raise InfeasibleError(f"need h(-{d})+1 = {class_number(-d) + 1} pairs but only {detail}")
-    return usable
+        raise InfeasibleError(f"need h(-{d})+1 = {facts.h + 1} pairs but only {detail}")
+    return facts
 
 
 def class_polynomial(p: int, d: int, base_disc: int | None = None,
                      hauptmodul: Hauptmodul | None = None) -> ClassPolyReport:
     """End-to-end pipeline: S(p), feasibility, pairs, signs, interpolation.
 
-    The signs are read off the values of hauptmodul when one is given, and
-    found by search otherwise.
+    Each fact the stages share is derived once, here, and handed down.  The
+    signs are read off the values of hauptmodul when one is given, and found
+    by search otherwise.
     """
     if hauptmodul is not None and hauptmodul.p != p:
         raise ParameterError(f"the Hauptmodul is for p={hauptmodul.p}, not p={p}")
-    members = s_set(p)
-    usable = require_feasible(p, d)
-    beta = min(admissible_residues(-d, p))
+    facts = _feasible_facts(p, d)
     if base_disc is None:
-        base_disc = next(disc for disc in usable if -disc != d)
-    pairs = build_pairs(d, beta, p, base_disc)
-    points = (resolve_signs(pairs, d) if hauptmodul is None
-              else read_signs(pairs, d, base_disc, beta, hauptmodul))
-    poly = interpolate(points, d)
-    return ClassPolyReport(p=p, d=d, beta=beta, base_disc=base_disc, s_set=members,
-                           pairs=pairs, points=points, polynomial=poly)
+        base_disc = next(disc for disc in facts.usable if -disc != d)
+    pairs = _magnitude_pairs(facts.usable, p, d, facts.beta, base_disc)
+    points = (resolve_signs(pairs, facts.h) if hauptmodul is None
+              else read_signs(pairs, d, base_disc, facts.beta, hauptmodul))
+    poly = interpolate(points, d, facts.h)
+    return ClassPolyReport(p=p, d=d, beta=facts.beta, base_disc=base_disc,
+                           s_set=facts.members, pairs=pairs, points=points, polynomial=poly)

@@ -70,12 +70,19 @@ def reduce(f: QuadraticForm) -> QuadraticForm:
 
 def class_number(disc: int) -> int:
     """Number of classes of primitive positive-definite forms of discriminant disc."""
+    # count_classes refuses a disc above the ceiling before disc is factored here
+    if -disc <= MAX_CLASS_NUMBER_DISC and not is_fundamental_discriminant(disc):
+        raise ParameterError(f"{disc} is not a fundamental discriminant")
+    return count_classes(disc)
+
+
+def count_classes(disc: int) -> int:
+    """class_number(disc) for a fundamental disc, which is not checked here;
+    the ceiling is."""
     if -disc > MAX_CLASS_NUMBER_DISC:
         raise ParameterError(
             f"|disc| = {-disc} exceeds the class number ceiling {MAX_CLASS_NUMBER_DISC}"
         )
-    if not is_fundamental_discriminant(disc):
-        raise ParameterError(f"{disc} is not a fundamental discriminant")
     count = 0
     a = 1
     while 3 * a * a <= -disc:

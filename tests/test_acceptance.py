@@ -181,8 +181,8 @@ def test_criterion_7_negative_paths(capsys):
         assert "admissible" in capsys.readouterr().err
         assert main(["classpoly", "--p", "47", "--d", "151"]) == EXIT_INFEASIBLE
         capsys.readouterr()
-        points = resolve_signs(build_pairs(39, 33, 47, -11), d=39)
+        points = resolve_signs(build_pairs(39, 33, 47, -11), h=4)
         x, y = points[2]
         points[2] = (x, y + 1)
         with pytest.raises(SignResolutionError):
-            interpolate(points, d=39)
+            interpolate(points, d=39, h=4)

@@ -18,9 +18,10 @@ from cmforge.cli import EXIT_OK, main
 from cmforge.gzrhs import RAMIFIED_OF_M, RAMIFIED_OF_MD
 
 SWEEP_DIGEST = "90f757eb0269db3bed8fc6c3e8f2065506d50207f8f79f12c7fab5007586c755"
-NUMERIC_DIGEST = "6b6bb866c3b51e7d7e341bf99ab5f92d9b573fa7d266981b1cc3270a4f855c1e"
+NUMERIC_DIGEST = "387de983636f3826a8b707f110505acf84220a2a1bbc2f5d8042713ccf47fe03"
 NUMERIC_STABLE_DIGEST = "338a6228729f0970a884a18f46705b2a2a873ec0532f99d075a261efd0fd69b5"
 GZNORM_LARGE_DIGEST = "7f08d4fe974866dd0a3333292b8a73f444721cff3b3705a43cf3590ee251094d"
+CLASSPOLY_REFUSAL_DIGEST = "b0f572ee9f90bcc7beeb9e35c5df5e73919110a6330910f25cf37130f8e63fd0"
 ETA_PRIMES = (2, 3, 5, 7, 13)
 #: (p, d, D) with D >= 12000, the sizes of the gznorm_large benchmark workload:
 #: test_gzrhs's large triples and two more at each of p = 11, 29, 71.
@@ -145,6 +146,33 @@ def sweep_digest():
     )
 
 
+#: p of each kind classpoly meets: not prime, prime but not genus zero, and
+#: genus zero with and without a closed form.
+REFUSAL_PRIMES = (0, 1, 4, 9, 37, 1867, 2, 3, 5, 7, 11, 13, 47)
+#: Base discriminants tried at each p of the base grid, by preference; the
+#: first that differs from -d stands for a valid base (usable at the
+#: genus-zero primes 2, 7, 11 and 47).
+BASE_CHOICES = {4: (-7, -8), 37: (-7, -8), 2: (-8, -7), 7: (-19, -7), 11: (-43, -19),
+                47: (-163, -67)}
+
+
+def refusal_calls():
+    """classpoly at d <= 60 in both strategies: at every p of REFUSAL_PRIMES
+    without a base discriminant, and at the p of BASE_CHOICES with an
+    unusable base (-3), a non-discriminant (-5), -d and a valid one."""
+    calls = []
+    for strategy in ("search", "numeric"):
+        for d in range(-1, 61):
+            tail = ["classpoly", "--d", str(d), "--strategy", strategy]
+            calls += [["--format", "json", *tail, "--p", str(p)] for p in REFUSAL_PRIMES]
+            for p, choices in BASE_CHOICES.items():
+                valid = next(base for base in choices if base != -d)
+                calls += [["--format", "json", "--base-discriminant", str(base), *tail,
+                           "--p", str(p)] for base in (-3, -5, -d, valid)]
+    calls.append(["--ramified-exponent", RAMIFIED_OF_M, "classpoly", "--p", "47", "--d", "39"])
+    return calls
+
+
 def numeric_calls():
     """Batch crosschecks in json and text, eval at 80 and 300 digits at every
     closed-form prime, and one crosscheck at 300 digits."""
@@ -171,6 +199,13 @@ def test_classpoly_sweep_output_is_byte_identical():
     # every stdout, stderr and exit code of the 191 sweep cases in json, text
     # and csv; a change here is a change of output and must be made on purpose
     assert sweep_digest() == SWEEP_DIGEST
+
+
+def test_classpoly_refusals_are_byte_identical():
+    # exit code, stdout and stderr of classpoly where it refuses its input,
+    # which the sweep never does: which error wins when several apply is
+    # part of the output
+    assert calls_digest(refusal_calls()) == CLASSPOLY_REFUSAL_DIGEST
 
 
 def test_numeric_commands_output_is_byte_identical():

@@ -98,13 +98,13 @@ def test_build_pairs_skips_diagonal():
 
 def test_resolve_signs_search_reference_signs():
     pairs = build_pairs(d=39, beta=33, p=47, base_disc=-11)
-    points = resolve_signs(pairs, d=39)
+    points = resolve_signs(pairs, h=4)
     assert points == [(0, 1), (1, 1), (-1, 7), (2, 13), (4, 217)]
 
 
 def test_interpolate_reference_polynomial():
-    points = resolve_signs(build_pairs(39, 33, 47, -11), d=39)
-    poly = interpolate(points, d=39)
+    points = resolve_signs(build_pairs(39, 33, 47, -11), h=4)
+    poly = interpolate(points, d=39, h=4)
     assert poly.coefficients == (1, -2, 2, -1, 1)  # low degree first
     assert str(poly) == "X^4 - X^3 + 2X^2 - 2X + 1"
     for x, y in points:
@@ -112,29 +112,29 @@ def test_interpolate_reference_polynomial():
 
 
 def test_interpolate_linear_case():
-    poly = interpolate([(0, -3), (4, 1)], d=11)  # h(-11) = 1
+    poly = interpolate([(0, -3), (4, 1)], d=11, h=1)  # h(-11) = 1
     assert poly.coefficients == (-3, 1)
     assert str(poly) == "X - 3"
 
 
 def test_interpolate_rejects_duplicate_x():
     with pytest.raises(DegenerateDataError):
-        interpolate([(1, 1), (1, 2)], d=11)
+        interpolate([(1, 1), (1, 2)], d=11, h=1)
 
 
 def test_interpolate_rejects_perturbed_data():
-    points = resolve_signs(build_pairs(39, 33, 47, -11), d=39)
+    points = resolve_signs(build_pairs(39, 33, 47, -11), h=4)
     x, y = points[-1]
     points[-1] = (x, y + 1)  # 217 -> 218 leaves the quartic through the others
     with pytest.raises(SignResolutionError):
-        interpolate(points, d=39)
+        interpolate(points, d=39, h=4)
 
 
 def test_search_rejects_perturbed_magnitudes():
     pairs = build_pairs(39, 33, 47, -11)
     pairs[-1] = dataclasses.replace(pairs[-1], y_mag=pairs[-1].y_mag + 1)
     with pytest.raises(SignResolutionError):
-        resolve_signs(pairs, d=39)
+        resolve_signs(pairs, h=4)
 
 
 def test_search_reports_genuine_ambiguity():
@@ -142,14 +142,14 @@ def test_search_reports_genuine_ambiguity():
     pairs = [InterpolationPair(D=8, x_mag=1, y_mag=2),
              InterpolationPair(D=7, x_mag=2, y_mag=1)]
     with pytest.raises(AmbiguousSignsError) as info:
-        resolve_signs(pairs, d=11)
+        resolve_signs(pairs, h=1)
     assert len(info.value.candidates) == 2
 
 
 def test_resolve_signs_needs_enough_pairs():
     pairs = build_pairs(d=15, beta=1, p=2, base_disc=-7)  # h(-15) = 2, one pair short
     with pytest.raises(InfeasibleError):
-        resolve_signs(pairs, d=15)
+        resolve_signs(pairs, h=2)
 
 
 def test_numeric_sign_reader_validates_magnitudes():
@@ -208,6 +208,60 @@ def test_class_polynomial_same_field_other_prime():
         assert report.polynomial.evaluate(x) == y
 
 
+@pytest.mark.parametrize("p, d", [(47, 39), (11, 7)])  # the second has the diagonal D = d
+def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
+    # one call computes S(p) once and h(-d) once, takes no residue through
+    # admissible_residues, never tests p (a genus-zero p is prime) and
+    # factors d once.  Each norm's GZParams.create still tests p and factors
+    # its discriminants, and term_contribution factors the m*D of its
+    # lattice term; calls inside those, and inside factorize, class_number
+    # and s_set themselves, are not counted.
+    import sys
+
+    from cmforge.gzrhs import GZParams
+
+    calls, stack = [], []  # (name, first argument, names of the open wrapped calls)
+
+    def tracked(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0] if args else kwargs, set(stack)))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    modules = [module for name, module in sys.modules.items() if name.startswith("cmforge.")]
+    for home, name in (("hcp", "s_set"), ("quadforms", "admissible_residues"),
+                       ("quadforms", "class_number"), ("quadforms", "count_classes"),
+                       ("arith", "factorize"), ("arith", "is_prime"),
+                       ("gzrhs", "term_contribution")):
+        original = getattr(sys.modules[f"cmforge.{home}"], name, None)
+        if original is None:
+            continue
+        wrapper = tracked(name, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(GZParams, "create", classmethod(tracked("create", GZParams.create.__func__)))
+    report = class_polynomial(p, d)
+
+    def outside(name, exempt):
+        return [arg for called, arg, open_ in calls if called == name and not open_ & exempt]
+
+    assert outside("s_set", {"s_set"}) == [p]
+    assert outside("admissible_residues", set()) == []
+    counts = {"class_number", "count_classes"}
+    assert outside("class_number", counts) + outside("count_classes", counts) == [-d]
+    exempt = {"factorize", "term_contribution", "create"}
+    assert outside("is_prime", exempt) == []
+    # the last factorization is the constant term's, whose divisors are the
+    # candidate rational roots of the polynomial
+    assert outside("factorize", exempt) == [d, abs(report.polynomial.coefficients[0])]
+
+
 def test_class_polynomial_infeasible():
     with pytest.raises(InfeasibleError):
         class_polynomial(13, 43)
@@ -228,25 +282,21 @@ def test_class_polynomial_rejects_bad_inputs():
 
 def test_class_polynomial_invariants():
     with pytest.raises(InternalError):
-        ClassPolynomial(d=39, coefficients=(1, -2, 2, -1, 2))  # not monic
+        ClassPolynomial(d=39, h=4, coefficients=(1, -2, 2, -1, 2))  # not monic
     with pytest.raises(InternalError):
-        ClassPolynomial(d=39, coefficients=(1, 1))  # degree != h(-39)
-    poly = ClassPolynomial(d=39, coefficients=(1, -2, 2, -1, 1))
+        ClassPolynomial(d=39, h=4, coefficients=(1, 1))  # degree != h(-39)
+    poly = ClassPolynomial(d=39, h=4, coefficients=(1, -2, 2, -1, 1))
     assert poly.evaluate(Fraction(1, 2)) == Fraction(7, 16)
 
 
 def test_is_irreducible_detects_rational_roots():
     # the rational-root check refuses (X-1)(X+1) and passes an irreducible
     # quadratic; sympy's factorization over Z is the oracle
-    probe = ClassPolynomial(d=15, coefficients=(5, -45, 1))
+    probe = ClassPolynomial(d=15, h=2, coefficients=(5, -45, 1))
     assert irreducible_over_z(probe.coefficients)
     assert not irreducible_over_z((-1, 0, 1))
     with pytest.raises(InternalError):
-        ClassPolynomial(d=15, coefficients=(-1, 0, 1))
-
-
-#: A discriminant -d with h(-d) = h, for each degree the property test draws.
-D_OF_CLASS_NUMBER = {1: 7, 2: 15, 3: 23, 4: 39}
+        ClassPolynomial(d=15, h=2, coefficients=(-1, 0, 1))
 
 
 def value_at(coefficients, x):
@@ -276,7 +326,7 @@ def test_sign_search_finds_the_polynomial_or_its_mirror(case):
     pairs = [InterpolationPair(D=k, x_mag=abs(x), y_mag=abs(value_at(coefficients, x)))
              for k, x in enumerate(xs)]
     try:
-        points = resolve_signs(pairs, d=D_OF_CLASS_NUMBER[h])
+        points = resolve_signs(pairs, h)
     except AmbiguousSignsError as exc:
         assert coefficients in exc.candidates or mirror in exc.candidates
         return
