@@ -286,24 +286,20 @@ def local_hilbert_symbol(q: int, alpha: int, u: int, beta: int, v: int) -> int:
     return sign
 
 
-def fundamental_factors(disc: int, factors: Factorization | None = None) -> Factorization | None:
+def fundamental_factors(disc: int) -> Factorization | None:
     """factorize(-disc) if disc is the discriminant of an imaginary quadratic
     ring of integers, else None.
 
     That is disc = 1 mod 4 squarefree, or disc = 4m with m = 2, 3 mod 4
     squarefree: disc is 1 mod 4 or 8, 12 mod 16, and no odd prime divides it
     twice.  The congruence is tested first, so a disc that fails it is never
-    factored.  factors, if given, must be factorize(-disc); it is used
-    instead of factoring again.
+    factored.
     """
     if disc >= 0:
         raise ParameterError(f"expected a negative discriminant, got {disc}")
     if disc % 4 != 1 and disc % 16 not in (8, 12):
         return None
-    if factors is None:
-        factors = factorize(-disc)
-    elif factors.value != -disc:
-        raise InternalError(f"factorization of {factors.value} given for {-disc}")
+    factors = factorize(-disc)
     return factors if all(e == 1 for q, e in factors.factors if q != 2) else None
 
 

@@ -174,7 +174,7 @@ def _norm_payload(pls):
 
 
 def cmd_gznorm(args) -> int:
-    params = GZParams.create(p=args.p, d=args.d, D=args.D, mu=args.mu, beta=args.beta)
+    params = GZParams(args.p, args.d, args.D, mu=args.mu, beta=args.beta)
     # the norm is defined through j*_p, which exists only on a genus-zero curve
     if params.p not in GENUS_ZERO_FRICKE_PRIMES:
         raise ParameterError(f"p={params.p}: the Fricke curve is not genus zero")

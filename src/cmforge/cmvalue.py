@@ -75,15 +75,14 @@ def o_of_m(md_factors: Factorization, D_factors: Factorization) -> int:
 
 
 def diff_set(md_factors: Factorization, D_factors: Factorization,
-             N_factors: Factorization, chi: QuadraticCharacter | None = None
-             ) -> tuple[int, ...]:
+             N_factors: Factorization, chi: QuadraticCharacter) -> tuple[int, ...]:
     """Finite primes where -m * N(a) is obstructed from being a local norm.
 
     -md*N(a)*D = -m*N(a)*D^2 has the local symbols of -m*N(a).  The symbol is
     +1 at any odd prime where both it and -D are units, so only the odd
     primes of D, N(a) and md are scanned.  At an odd q not dividing D it is
-    chi_{-D}(q)^ord_q(x), read from chi (a fresh table for D if none is
-    given).  At an odd q | D, with x = q^alpha u, bilinearity splits it as
+    chi_{-D}(q)^ord_q(x), read from chi, the character table of D.  At an
+    odd q | D, with x = q^alpha u, bilinearity splits it as
     (q, -D)_q^alpha (u, -D)_q: the first factor is chi.ramified(q), fixed
     per D, and the second needs only kronecker(u, q).  All three integers
     come factored, so no further valuation or primality work is done;
@@ -91,8 +90,6 @@ def diff_set(md_factors: Factorization, D_factors: Factorization,
     The archimedean symbol is -1 (x < 0 and -D < 0), so by the product
     formula an odd number of finite places is obstructed, which decides 2.
     """
-    if chi is None:
-        chi = QuadraticCharacter(D_factors.value)
     D = D_factors.value
     x = -md_factors.value * N_factors.value * D
     alphas: dict[int, int] = {}  # ord_q(x) over the scanned odd primes

@@ -47,12 +47,11 @@ class CrosscheckResult:
         return self.passes[variant]
 
 
-def run_crosscheck(hm: Hauptmodul, d: int, D: int,
-                   mu: int | None = None, beta: int | None = None) -> CrosscheckResult:
-    """Evaluate both sides for one discriminant pair; residues default to smallest."""
+def run_crosscheck(hm: Hauptmodul, d: int, D: int) -> CrosscheckResult:
+    """Evaluate both sides for one discriminant pair at the smallest residues."""
     check_lhs_digits(hm)  # before the lattice work, which no precision changes
     p = hm.p
-    params = GZParams.create(p=p, d=d, D=D, mu=mu, beta=beta)
+    params = GZParams(p, d, D)
     # one scoring pass gives both ramified variants
     contributions = [term_contribution(term, params) for term in enumerate_terms(params)]
     sums = {variant: PrimeLogSum.total(contributions, variant)

@@ -15,12 +15,7 @@ import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .arith import (
-    Factorization,
-    factorize,
-    fundamental_factors,
-    is_prime,
-)
+from .arith import Factorization, factorize, is_prime
 from .cmvalue import QuadraticCharacter, diff_set, ideal_count, o_of_m
 from .errors import (
     IntegralityError,
@@ -28,7 +23,7 @@ from .errors import (
     NonIntegralMagnitudeError,
     ParameterError,
 )
-from .quadforms import square_roots_mod_4p
+from .quadforms import fundamental, smallest_residue
 
 RAMIFIED_OF_M = "of_m"
 RAMIFIED_OF_MD = "of_mD"
@@ -49,35 +44,41 @@ class GZParams:
     """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g, factored p, d, D
     and the character chi_{-D}, whose table fills as the terms of these params are scored.
 
-    p_factors, d_factors and D_factors, if given, must be the factorizations
-    of p, d and D, as create passes them; each is checked to be its
-    number's, and p, d and D are not tested or factored again.
+    A residue left as None becomes the smallest admissible one.  The checks
+    run in a fixed order: d and D exceed 4; p is prime; each discriminant
+    whose residue is chosen (D, then d) is fundamental and a square mod 4p;
+    each one whose residue is given (d, then D) is fundamental; d != D; the
+    given residues are admissible.  p is tested once and d and D are
+    factored once each.
     """
 
     p: int
     d: int
     D: int
-    mu: int
-    beta: int
-    p_factors: Factorization | None = field(default=None, repr=False)
-    d_factors: Factorization | None = field(default=None, repr=False)
-    D_factors: Factorization | None = field(default=None, repr=False)
+    mu: int | None = None
+    beta: int | None = None
+    p_factors: Factorization = field(init=False, repr=False)
+    d_factors: Factorization = field(init=False, repr=False)
+    D_factors: Factorization = field(init=False, repr=False)
     g: int = field(init=False)
     chi: QuadraticCharacter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.p_factors is None:
-            object.__setattr__(self, "p_factors", _prime_factors(self.p))
-        elif self.p_factors.factors != ((self.p, 1),):
-            raise InternalError(
-                f"factorization of {self.p_factors.value} given for the prime {self.p}")
         for name, value in (("d", self.d), ("D", self.D)):
             if value <= 4:
                 raise ParameterError(f"{name} must exceed 4, got {value}")
-            factors = fundamental_factors(-value, getattr(self, f"{name}_factors"))
-            if factors is None:
-                raise ParameterError(f"-{value} is not a fundamental discriminant")
-            object.__setattr__(self, f"{name}_factors", factors)
+        if not is_prime(self.p):
+            raise ParameterError(f"{self.p} is not prime")
+        object.__setattr__(self, "p_factors", Factorization(self.p, ((self.p, 1),)))
+        chosen = [(name, residue) for name, residue in (("D", "mu"), ("d", "beta"))
+                  if getattr(self, residue) is None]
+        given = [(name, residue) for name, residue in (("d", "beta"), ("D", "mu"))
+                 if getattr(self, residue) is not None]
+        for name, residue in chosen + given:
+            disc = -getattr(self, name)
+            object.__setattr__(self, f"{name}_factors", fundamental(disc))
+            if getattr(self, residue) is None:
+                object.__setattr__(self, residue, smallest_residue(disc, self.p))
         if self.d == self.D:
             raise ParameterError("d and D must be distinct")
         object.__setattr__(self, "mu", self.mu % (2 * self.p))
@@ -93,45 +94,6 @@ class GZParams:
         # gcd(0, 2p) = 2p covers the mu = 0 convention
         object.__setattr__(self, "g", gcd(self.mu, 2 * self.p))
         object.__setattr__(self, "chi", QuadraticCharacter(self.D))
-
-    @classmethod
-    def create(cls, p: int, d: int, D: int, mu: int | None = None,
-               beta: int | None = None) -> "GZParams":
-        """Build params, auto-selecting the smallest admissible residues.
-
-        p is tested for primality once, here; D and d are factored once
-        each: here when their residue is chosen, else in the constructor.
-        """
-        for name, value in (("d", d), ("D", D)):
-            if value <= 4:
-                raise ParameterError(f"{name} must exceed 4, got {value}")
-        p_factors = _prime_factors(p)
-        D_factors = d_factors = None
-        if mu is None:
-            D_factors, mu = _smallest_residue(-D, p)
-        if beta is None:
-            d_factors, beta = _smallest_residue(-d, p)
-        return cls(p=p, d=d, D=D, mu=mu, beta=beta,
-                   p_factors=p_factors, d_factors=d_factors, D_factors=D_factors)
-
-
-def _prime_factors(p: int) -> Factorization:
-    """The factorization of p, refused with ParameterError unless p is prime."""
-    if not is_prime(p):
-        raise ParameterError(f"{p} is not prime")
-    return Factorization(p, ((p, 1),))
-
-
-def _smallest_residue(disc: int, p: int) -> tuple[Factorization, int]:
-    """factorize(-disc) and the smallest admissible residue of disc at a prime p,
-    with admissible_residues' checks and messages."""
-    factors = fundamental_factors(disc)
-    if factors is None:
-        raise ParameterError(f"{disc} is not a fundamental discriminant")
-    residues = square_roots_mod_4p(disc, p)
-    if not residues:
-        raise ParameterError(f"{disc} is not a square mod {4 * p}")
-    return factors, residues[0]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from itertools import product
 
 import mpmath
 
-from .arith import factorize, is_fundamental_discriminant
+from .arith import factorize
 from .errors import (
     AmbiguousSignsError,
     DegenerateDataError,
@@ -25,7 +25,13 @@ from .errors import (
 )
 from .gzrhs import GZParams, gz_log_norm
 from .hauptmodul import Hauptmodul, cm_values
-from .quadforms import admissible_residues, count_classes, square_roots_mod_4p
+from .quadforms import (
+    admissible_residues,
+    count_classes,
+    fundamental,
+    smallest_residue,
+    square_roots_mod_4p,
+)
 
 #: Primes whose Fricke curve has genus zero.
 GENUS_ZERO_FRICKE_PRIMES = frozenset(
@@ -80,12 +86,8 @@ class PipelineFacts:
 def _facts(p: int, d: int, members: list[int]) -> PipelineFacts:
     """The facts of d at p, given S(p); refused unless -d is fundamental and
     a square mod 4p."""
-    if not is_fundamental_discriminant(-d):
-        raise ParameterError(f"-{d} is not a fundamental discriminant")
-    residues = square_roots_mod_4p(-d, p)
-    if not residues:
-        raise ParameterError(f"-{d} is not a square mod {4 * p}")
-    return PipelineFacts(d, members, residues[0], count_classes(-d))
+    fundamental(-d)
+    return PipelineFacts(d, members, smallest_residue(-d, p), count_classes(-d))
 
 
 def feasible(d: int, p: int) -> bool:
@@ -198,8 +200,8 @@ def _magnitude_pairs(usable: list[int], p: int, d: int, beta: int,
         if disc == base_disc:
             x = 0
         else:
-            x = gz_log_norm(GZParams.create(p=p, d=-base_disc, D=D)).norm()
-        y = gz_log_norm(GZParams.create(p=p, d=d, D=D, beta=beta)).norm()
+            x = gz_log_norm(GZParams(p, -base_disc, D)).norm()
+        y = gz_log_norm(GZParams(p, d, D, beta=beta)).norm()
         pairs.append(InterpolationPair(D=D, x_mag=x, y_mag=y))
     return pairs
 

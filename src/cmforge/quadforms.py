@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .arith import (
+    Factorization,
     factorize,
-    is_fundamental_discriminant,
+    fundamental_factors,
     is_prime,
     sqrt_mod,
 )
@@ -68,11 +69,29 @@ def reduce(f: QuadraticForm) -> QuadraticForm:
     return out
 
 
+def fundamental(disc: int) -> Factorization:
+    """factorize(-disc), refused with ParameterError unless disc is a
+    fundamental discriminant."""
+    factors = fundamental_factors(disc)
+    if factors is None:
+        raise ParameterError(f"{disc} is not a fundamental discriminant")
+    return factors
+
+
+def smallest_residue(disc: int, p: int) -> int:
+    """The least of square_roots_mod_4p(disc, p), refused with ParameterError
+    if there is none; p is prime and disc = 0 or 1 mod 4, neither checked here."""
+    residues = square_roots_mod_4p(disc, p)
+    if not residues:
+        raise ParameterError(f"{disc} is not a square mod {4 * p}")
+    return residues[0]
+
+
 def class_number(disc: int) -> int:
     """Number of classes of primitive positive-definite forms of discriminant disc."""
     # count_classes refuses a disc above the ceiling before disc is factored here
-    if -disc <= MAX_CLASS_NUMBER_DISC and not is_fundamental_discriminant(disc):
-        raise ParameterError(f"{disc} is not a fundamental discriminant")
+    if -disc <= MAX_CLASS_NUMBER_DISC:
+        fundamental(disc)
     return count_classes(disc)
 
 
@@ -109,8 +128,7 @@ def admissible_residues(disc: int, p: int) -> list[int]:
     """
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
-    if not is_fundamental_discriminant(disc):
-        raise ParameterError(f"{disc} is not a fundamental discriminant")
+    fundamental(disc)
     return square_roots_mod_4p(disc, p)
 
 
@@ -141,11 +159,10 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
     """
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
-    if not is_fundamental_discriminant(disc):
-        raise ParameterError(f"{disc} is not a fundamental discriminant")
+    fundamental(disc)
     if (beta * beta - disc) % (4 * p):
         raise ParameterError(f"residue {beta} is not admissible for disc {disc} mod {4 * p}")
-    h = class_number(disc)
+    h = count_classes(disc)
     b0 = beta % (2 * p)
     bound = 2 * p * h * (isqrt(-disc) + 1)
     best: dict[QuadraticForm, tuple[tuple[int, int, int], QuadraticForm]] = {}

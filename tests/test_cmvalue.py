@@ -14,7 +14,7 @@ from cmforge.arith import (
     is_prime,
     kronecker,
 )
-from cmforge.cmvalue import diff_set, o_of_m, rho
+from cmforge.cmvalue import QuadraticCharacter, diff_set, o_of_m, rho
 from cmforge.errors import IntegralityError, ParameterError
 from cmforge.gzrhs import GZParams
 
@@ -87,15 +87,15 @@ def test_rho_rejects_bad_input():
 
 def test_field_data_validation():
     # the field data reaches cmvalue through GZParams, which validates it once
-    GZParams.create(p=47, d=39, D=11)
+    GZParams(p=47, d=39, D=11)
     with pytest.raises(ParameterError, match="exceed 4"):
-        GZParams.create(p=2, d=7, D=4)  # w(k) special cases excluded
+        GZParams(p=2, d=7, D=4)  # w(k) special cases excluded
     with pytest.raises(ParameterError, match="exceed 4"):
-        GZParams.create(p=2, d=7, D=3)
+        GZParams(p=2, d=7, D=3)
     with pytest.raises(ParameterError, match="fundamental"):
-        GZParams.create(p=3, d=11, D=12)  # -12 is a square mod 12 but not fundamental
+        GZParams(p=3, d=11, D=12)  # -12 is a square mod 12 but not fundamental
     with pytest.raises(ParameterError, match="not prime"):
-        GZParams.create(p=0, d=7, D=15)  # the ideal norm p must be prime
+        GZParams(p=0, d=7, D=15)  # the ideal norm p must be prime
 
 
 def test_o_of_m_frozen():
@@ -127,14 +127,16 @@ def test_diff_set_parity_odd():
         for md in sample_mds(rng):
             if is_square(md * norm):
                 continue  # -m N(a) * (-D) = md N(a) square: every local symbol is +1
-            assert len(diff_set(factorize(md), factorize(D), factorize(norm))) % 2 == 1, (md, D, norm)
+            members = diff_set(factorize(md), factorize(D), factorize(norm),
+                               QuadraticCharacter(D))
+            assert len(members) % 2 == 1, (md, D, norm)
 
 
 def test_diff_set_never_contains_split_primes():
     rng = random.Random(47)
     for D, norm in ((11, 47), (15, 2), (39, 13)):
         for md in sample_mds(rng, 80):
-            for q in diff_set(factorize(md), factorize(D), factorize(norm)):
+            for q in diff_set(factorize(md), factorize(D), factorize(norm), QuadraticCharacter(D)):
                 assert kronecker(-D, q) != 1, (md, D, norm, q)
 
 
@@ -144,7 +146,7 @@ def test_diff_set_scan_window_is_sufficient():
     D, norm = 15, 2
     for md in sample_mds(rng, 40):
         x = -md * norm * D  # the square class of -m N(a)
-        support = set(diff_set(factorize(md), factorize(D), factorize(norm)))
+        support = set(diff_set(factorize(md), factorize(D), factorize(norm), QuadraticCharacter(D)))
         for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
             if x % q:
                 assert hilbert_symbol(x, -D, q) == 1
@@ -155,7 +157,7 @@ def test_diff_set_membership_against_local_solvability():
     D, norm = 15, 2
     # m = 1, 13/15, 4/5, 2/3, 7/15, 1/5
     for md in (15, 13, 12, 10, 7, 3):
-        members = diff_set(factorize(md), factorize(D), factorize(norm))
+        members = diff_set(factorize(md), factorize(D), factorize(norm), QuadraticCharacter(D))
         x = -md * norm * D
         for q in (2, 3, 5):
             solvable = brute_local_solvable(x, -D, q)
@@ -165,7 +167,7 @@ def test_diff_set_membership_against_local_solvability():
 def test_diff_set_spec_instance():
     # scan set for m=1 (m*D = 11), D=11, N(a)=47 is {2, 11, 47}; brute-check
     # the small primes on -47, which has the symbols of -m*D * N(a) * D
-    members = diff_set(factorize(11), factorize(11), factorize(47))
+    members = diff_set(factorize(11), factorize(11), factorize(47), QuadraticCharacter(11))
     x = -47
     for q in (2, 11):
         solvable = brute_local_solvable(x, -11, q)
@@ -179,7 +181,7 @@ def test_diff_set_spec_instance():
 
 def test_diff_set_vanishing_rule_cases():
     # |diff| = 1 permits a contribution, |diff| = 3 forces zero; both occur
-    sizes = {len(diff_set(factorize(md), factorize(15), factorize(2)))
+    sizes = {len(diff_set(factorize(md), factorize(15), factorize(2), QuadraticCharacter(15)))
              for md in sample_mds(random.Random(59), 200)}
     assert 1 in sizes and 3 in sizes
 
@@ -197,6 +199,6 @@ def test_diff_set_equals_place_by_place_symbols(md, D, norm):
     x = -md * norm * D
     places = {2, norm, *factorize(md).primes(), *factorize(D).primes()}  # primes of md*p*D
     expected = tuple(sorted(q for q in places if hilbert_symbol(x, -D, q) == -1))
-    got = diff_set(factorize(md), factorize(D), factorize(norm))
+    got = diff_set(factorize(md), factorize(D), factorize(norm), QuadraticCharacter(D))
     assert got == expected
     assert len(got) % 2 == 1

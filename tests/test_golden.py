@@ -22,6 +22,7 @@ NUMERIC_DIGEST = "387de983636f3826a8b707f110505acf84220a2a1bbc2f5d8042713ccf47fe
 NUMERIC_STABLE_DIGEST = "338a6228729f0970a884a18f46705b2a2a873ec0532f99d075a261efd0fd69b5"
 GZNORM_LARGE_DIGEST = "7f08d4fe974866dd0a3333292b8a73f444721cff3b3705a43cf3590ee251094d"
 CLASSPOLY_REFUSAL_DIGEST = "b0f572ee9f90bcc7beeb9e35c5df5e73919110a6330910f25cf37130f8e63fd0"
+GZNORM_REFUSAL_DIGEST = "c67f3e4d532fcbac21a49fb1624dc1e5c992bac0f9ab9ed5a6115c4085b711fb"
 ETA_PRIMES = (2, 3, 5, 7, 13)
 #: (p, d, D) with D >= 12000, the sizes of the gznorm_large benchmark workload:
 #: test_gzrhs's large triples and two more at each of p = 11, 29, 71.
@@ -173,6 +174,37 @@ def refusal_calls():
     return calls
 
 
+#: p of each kind gznorm meets: not prime, prime without a Hauptmodul, and
+#: genus zero; 10^12 + 39 is prime.
+GZNORM_REFUSAL_PRIMES = (0, 1, 4, 46, 1867, 2, 3, 5, 47, 10 ** 12 + 39)
+#: d and D of each kind: below 5, not a discriminant, not fundamental, and
+#: fundamental at some of the primes above and not at others.
+GZNORM_REFUSAL_DISCS = (-1, 3, 4, 5, 7, 8, 12, 39, 163)
+
+
+def gznorm_refusal_calls():
+    """gznorm over GZNORM_REFUSAL_PRIMES and every d, D in
+    GZNORM_REFUSAL_DISCS, with mu and beta each absent, admissible at some
+    p or at none; then single-pair crosschecks below and above the
+    crosscheck precision floor."""
+    calls = []
+    for p in GZNORM_REFUSAL_PRIMES:
+        for d in GZNORM_REFUSAL_DISCS:
+            for D in GZNORM_REFUSAL_DISCS:
+                for mu in (None, 0, 5, 33):
+                    for beta in (None, 1, 33, 40):
+                        argv = ["--format", "json", "gznorm", "--p", str(p),
+                                "--d", str(d), "--D", str(D)]
+                        argv += [] if mu is None else ["--mu", str(mu)]
+                        argv += [] if beta is None else ["--beta", str(beta)]
+                        calls.append(argv)
+    calls += [["--format", "json", "--precision", str(digits), "crosscheck", "--p", str(p),
+               "--d", str(d), "--D", str(D)]
+              for p in (0, 4, 2, 5, 13, 47) for d in (-1, 3, 7, 8, 11, 12, 39)
+              for D in (3, 7, 12, 15, 19, 39) for digits in (20, 80)]
+    return calls
+
+
 def numeric_calls():
     """Batch crosschecks in json and text, eval at 80 and 300 digits at every
     closed-form prime, and one crosscheck at 300 digits."""
@@ -206,6 +238,13 @@ def test_classpoly_refusals_are_byte_identical():
     # which the sweep never does: which error wins when several apply is
     # part of the output
     assert calls_digest(refusal_calls()) == CLASSPOLY_REFUSAL_DIGEST
+
+
+def test_gznorm_refusals_are_byte_identical():
+    # exit code, stdout and stderr of gznorm and single-pair crosscheck over
+    # inputs that fail each check of GZParams in turn: which error wins when
+    # several apply is part of the output
+    assert calls_digest(gznorm_refusal_calls()) == GZNORM_REFUSAL_DIGEST
 
 
 def test_numeric_commands_output_is_byte_identical():

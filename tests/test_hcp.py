@@ -194,7 +194,7 @@ def test_class_polynomial_pipeline_p11():
     # the root magnitude equals the norm against the base discriminant
     from cmforge.gzrhs import GZParams, gz_log_norm
     root = -linear.polynomial.coefficients[0]
-    expected = gz_log_norm(GZParams.create(p=11, d=-linear.base_disc, D=7)).norm()
+    expected = gz_log_norm(GZParams(p=11, d=-linear.base_disc, D=7)).norm()
     assert abs(root) == expected
 
 
@@ -212,7 +212,7 @@ def test_class_polynomial_same_field_other_prime():
 def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     # one call computes S(p) once and h(-d) once, takes no residue through
     # admissible_residues, never tests p (a genus-zero p is prime) and
-    # factors d once.  Each norm's GZParams.create still tests p and factors
+    # factors d once.  Each norm's GZParams still tests p and factors
     # its discriminants, and term_contribution factors the m*D of its
     # lattice term; calls inside those, and inside factorize, class_number
     # and s_set themselves, are not counted.
@@ -245,7 +245,7 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, wrapper)
-    monkeypatch.setattr(GZParams, "create", classmethod(tracked("create", GZParams.create.__func__)))
+    monkeypatch.setattr(GZParams, "__post_init__", tracked("GZParams", GZParams.__post_init__))
     report = class_polynomial(p, d)
 
     def outside(name, exempt):
@@ -255,7 +255,7 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     assert outside("admissible_residues", set()) == []
     counts = {"class_number", "count_classes"}
     assert outside("class_number", counts) + outside("count_classes", counts) == [-d]
-    exempt = {"factorize", "term_contribution", "create"}
+    exempt = {"factorize", "term_contribution", "GZParams"}
     assert outside("is_prime", exempt) == []
     # the last factorization is the constant term's, whose divisors are the
     # candidate rational roots of the polynomial

@@ -200,3 +200,21 @@ def test_heegner_reps_rejects_bad_residue():
         heegner_reps(-11, 47, 40)
 
 
+
+
+def test_heegner_reps_factors_disc_once(monkeypatch):
+    # one factorization of |disc| serves the fundamental check and the
+    # class count
+    from cmforge import arith, quadforms
+
+    calls = []
+    original = arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    for module in (arith, quadforms):
+        monkeypatch.setattr(module, "factorize", counting)
+    assert len(heegner_reps(-39, 47, 33)) == 4
+    assert calls.count(39) == 1

@@ -182,3 +182,22 @@ def test_one_eta_kernel_and_one_complex_product():
 
     for evaluator in ("eta_with_bound", "value_with_bound"):
         assert reaches(f"hauptmodul.py:{evaluator}", "hauptmodul.py:_pentagonal_sum"), evaluator
+
+
+def test_one_admissibility_rule():
+    # fundamental and smallest_residue in quadforms are the only places that
+    # refuse a discriminant as not fundamental or not a square mod 4p, and
+    # GZParams is built only by its constructor
+    raised = {"is not a fundamental discriminant": [], "is not a square mod": []}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                for message, sites in raised.items():
+                    if message in ast.unparse(node):
+                        sites.append(path.name)
+            elif isinstance(node, ast.ClassDef) and node.name == "GZParams":
+                assert not [item.name for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and "classmethod" in map(ast.unparse, item.decorator_list)]
+    assert raised == {message: ["quadforms.py"] for message in raised}
