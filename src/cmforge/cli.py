@@ -1,4 +1,5 @@
-"""Command line front end; the only module that performs I/O.
+"""Command line front end.  Besides hauptmodul.load_qseries, which reads
+coefficient files, it is the only code that performs I/O.
 
 Exit codes: 0 success, 2 invalid parameters, 3 internal assertion failure,
 4 cross-check disagreement, 5 class-polynomial infeasibility.  Diagnostics go

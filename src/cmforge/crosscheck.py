@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .arith import is_fundamental_discriminant
+from .arith import fundamental_factors, is_prime
 from .errors import ParameterError
 from .gzrhs import (
     DEFAULT_RAMIFIED_EXPONENT,
@@ -24,7 +24,7 @@ from .gzrhs import (
     term_contribution,
 )
 from .hauptmodul import Hauptmodul, check_lhs_digits, lhs_log_norm
-from .quadforms import admissible_residues
+from .quadforms import square_roots_mod_4p
 
 RELATIVE_TOLERANCE = 1e-8
 
@@ -75,9 +75,12 @@ def run_crosscheck(hm: Hauptmodul, d: int, D: int) -> CrosscheckResult:
 
 def admissible_discriminants(p: int, max_disc: int = 500) -> Iterator[int]:
     """Positive d <= max_disc with -d fundamental, d > 4, and -d a square mod 4p,
-    in increasing order."""
+    in increasing order.  p is tested for primality once, and each candidate
+    is factored at most once (fundamental_factors tests the congruence first)."""
+    if not is_prime(p):
+        raise ParameterError(f"{p} is not prime")
     for d in range(5, max_disc + 1):
-        if d % 4 in (0, 3) and is_fundamental_discriminant(-d) and admissible_residues(-d, p):
+        if fundamental_factors(-d) is not None and square_roots_mod_4p(-d, p):
             yield d
 
 

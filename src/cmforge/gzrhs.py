@@ -41,15 +41,15 @@ MAX_LATTICE_TERMS = 10 ** 6
 
 @dataclass(frozen=True)
 class GZParams:
-    """Validated input tuple (p, d, D, mu, beta) plus the derived gcd g, factored p, d, D
-    and the character chi_{-D}, whose table fills as the terms of these params are scored.
+    """Validated input tuple (p, d, D, mu, beta) plus the derived factored p, gcd g and
+    the field chi of D, whose character table fills as the terms of these params are scored.
 
     A residue left as None becomes the smallest admissible one.  The checks
     run in a fixed order: d and D exceed 4; p is prime; each discriminant
     whose residue is chosen (D, then d) is fundamental and a square mod 4p;
     each one whose residue is given (d, then D) is fundamental; d != D; the
     given residues are admissible.  p is tested once and d and D are
-    factored once each.
+    factored once each; chi is built from the factorization of D.
     """
 
     p: int
@@ -58,8 +58,6 @@ class GZParams:
     mu: int | None = None
     beta: int | None = None
     p_factors: Factorization = field(init=False, repr=False)
-    d_factors: Factorization = field(init=False, repr=False)
-    D_factors: Factorization = field(init=False, repr=False)
     g: int = field(init=False)
     chi: QuadraticCharacter = field(init=False, repr=False, compare=False)
 
@@ -76,7 +74,9 @@ class GZParams:
                  if getattr(self, residue) is not None]
         for name, residue in chosen + given:
             disc = -getattr(self, name)
-            object.__setattr__(self, f"{name}_factors", fundamental(disc))
+            factors = fundamental(disc)
+            if name == "D":
+                object.__setattr__(self, "chi", QuadraticCharacter(factors))
             if getattr(self, residue) is None:
                 object.__setattr__(self, residue, smallest_residue(disc, self.p))
         if self.d == self.D:
@@ -93,7 +93,6 @@ class GZParams:
             )
         # gcd(0, 2p) = 2p covers the mu = 0 convention
         object.__setattr__(self, "g", gcd(self.mu, 2 * self.p))
-        object.__setattr__(self, "chi", QuadraticCharacter(self.D))
 
 
 @dataclass(frozen=True)
@@ -241,23 +240,22 @@ def term_contribution(term: LatticeTerm, params: GZParams) -> TermContribution:
     rho(m*D/q) instead of factoring m*D/q.
     """
     md_factors = factorize(term.md)
-    obstructed = diff_set(md_factors, params.D_factors, params.p_factors, params.chi)
+    chi = params.chi
+    obstructed = diff_set(md_factors, params.p_factors, chi)
     if len(obstructed) != 1:
         return TermContribution()
     q = obstructed[0]
-    weight = 2 ** (o_of_m(md_factors, params.D_factors) + 1)
+    weight = 2 ** (o_of_m(md_factors, chi) + 1)
     order = dict(md_factors.factors).get(q, 0)
-    chi = params.chi[q]
-    if chi == -1:
+    if chi[q] == -1:
         if not order:
             raise IntegralityError(f"m*D/{q} is not integral for term {term}")
         lowered = [(r, e - (r == q)) for r, e in md_factors.factors]
-        coeff = weight * (order + 1) * ideal_count(lowered, params.chi)
+        coeff = weight * (order + 1) * ideal_count(lowered, chi)
         return TermContribution(q, coeff, coeff)
-    if chi == 0:
-        scale = weight * ideal_count(md_factors.factors, params.chi)
-        return TermContribution(q, scale * order,
-                                scale * (order - dict(params.D_factors.factors)[q]))
+    if chi[q] == 0:
+        scale = weight * ideal_count(md_factors.factors, chi)
+        return TermContribution(q, scale * order, scale * (order - chi.orders[q]))
     raise InternalError(f"split prime {q} appeared in the obstruction set of m*D={term.md}")
 
 

@@ -319,6 +319,27 @@ def test_admissible_pairs_match_full_enumeration():
             assert str(bounded.value) == str(full.value), (p, max_disc)
 
 
+def test_admissible_pairs_factor_each_candidate_once(monkeypatch):
+    # one fundamental_factors per candidate d decides fundamentality, and the
+    # square-root test reuses it; p is tested for primality once, up front
+    from cmforge import arith, crosscheck, quadforms
+
+    reference = reference_admissible_pairs(2, 500, 5)
+    factored = []
+    original = arith.factorize
+
+    def counting(n):
+        factored.append(n)
+        return original(n)
+
+    for module in (arith, crosscheck, quadforms):
+        monkeypatch.setattr(module, "factorize", counting, raising=False)
+    assert admissible_pairs(2, 500, 5) == reference
+    assert len(factored) == len(set(factored)) == 8
+    with pytest.raises(ParameterError, match="^4 is not prime$"):
+        admissible_pairs(4, 500, 5)
+
+
 def test_crosscheck_batch_scan_stops_at_count():
     # the scan stops after count + 1 admissible discriminants, however large
     # --max-disc is; a child process turns an unbounded scan into a timeout

@@ -99,17 +99,18 @@ def test_field_data_validation():
 
 
 def test_o_of_m_frozen():
-    assert o_of_m(factorize(11), factorize(11)) == 1     # m = 1: 11 | m*D
-    assert o_of_m(factorize(1), factorize(11)) == 0      # m = 1/11
-    assert o_of_m(factorize(117), factorize(39)) == 2    # m*D = 3^2 * 13
-    assert o_of_m(factorize(2 * 13), factorize(39)) == 1
+    K11, K39 = QuadraticCharacter(factorize(11)), QuadraticCharacter(factorize(39))
+    assert o_of_m(factorize(11), K11) == 1     # m = 1: 11 | m*D
+    assert o_of_m(factorize(1), K11) == 0      # m = 1/11
+    assert o_of_m(factorize(117), K39) == 2    # m*D = 3^2 * 13
+    assert o_of_m(factorize(2 * 13), K39) == 1
     # a bad m*D is refused where it is factored, before o_of_m sees it
     for bad in (0, -22):
         with pytest.raises(ParameterError):
-            o_of_m(factorize(bad), factorize(11))
+            o_of_m(factorize(bad), K11)
     for bad in (Fraction(117, 4), Fraction(11, 1), 11.0):
         with pytest.raises(ParameterError):
-            o_of_m(factorize(bad), factorize(11))
+            o_of_m(factorize(bad), K11)
 
 
 def is_square(n):
@@ -127,8 +128,8 @@ def test_diff_set_parity_odd():
         for md in sample_mds(rng):
             if is_square(md * norm):
                 continue  # -m N(a) * (-D) = md N(a) square: every local symbol is +1
-            members = diff_set(factorize(md), factorize(D), factorize(norm),
-                               QuadraticCharacter(D))
+            members = diff_set(factorize(md), factorize(norm),
+                               QuadraticCharacter(factorize(D)))
             assert len(members) % 2 == 1, (md, D, norm)
 
 
@@ -136,7 +137,7 @@ def test_diff_set_never_contains_split_primes():
     rng = random.Random(47)
     for D, norm in ((11, 47), (15, 2), (39, 13)):
         for md in sample_mds(rng, 80):
-            for q in diff_set(factorize(md), factorize(D), factorize(norm), QuadraticCharacter(D)):
+            for q in diff_set(factorize(md), factorize(norm), QuadraticCharacter(factorize(D))):
                 assert kronecker(-D, q) != 1, (md, D, norm, q)
 
 
@@ -146,7 +147,7 @@ def test_diff_set_scan_window_is_sufficient():
     D, norm = 15, 2
     for md in sample_mds(rng, 40):
         x = -md * norm * D  # the square class of -m N(a)
-        support = set(diff_set(factorize(md), factorize(D), factorize(norm), QuadraticCharacter(D)))
+        support = set(diff_set(factorize(md), factorize(norm), QuadraticCharacter(factorize(D))))
         for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
             if x % q:
                 assert hilbert_symbol(x, -D, q) == 1
@@ -157,7 +158,7 @@ def test_diff_set_membership_against_local_solvability():
     D, norm = 15, 2
     # m = 1, 13/15, 4/5, 2/3, 7/15, 1/5
     for md in (15, 13, 12, 10, 7, 3):
-        members = diff_set(factorize(md), factorize(D), factorize(norm), QuadraticCharacter(D))
+        members = diff_set(factorize(md), factorize(norm), QuadraticCharacter(factorize(D)))
         x = -md * norm * D
         for q in (2, 3, 5):
             solvable = brute_local_solvable(x, -D, q)
@@ -167,7 +168,7 @@ def test_diff_set_membership_against_local_solvability():
 def test_diff_set_spec_instance():
     # scan set for m=1 (m*D = 11), D=11, N(a)=47 is {2, 11, 47}; brute-check
     # the small primes on -47, which has the symbols of -m*D * N(a) * D
-    members = diff_set(factorize(11), factorize(11), factorize(47), QuadraticCharacter(11))
+    members = diff_set(factorize(11), factorize(47), QuadraticCharacter(factorize(11)))
     x = -47
     for q in (2, 11):
         solvable = brute_local_solvable(x, -11, q)
@@ -181,7 +182,7 @@ def test_diff_set_spec_instance():
 
 def test_diff_set_vanishing_rule_cases():
     # |diff| = 1 permits a contribution, |diff| = 3 forces zero; both occur
-    sizes = {len(diff_set(factorize(md), factorize(15), factorize(2), QuadraticCharacter(15)))
+    sizes = {len(diff_set(factorize(md), factorize(2), QuadraticCharacter(factorize(15))))
              for md in sample_mds(random.Random(59), 200)}
     assert 1 in sizes and 3 in sizes
 
@@ -199,6 +200,17 @@ def test_diff_set_equals_place_by_place_symbols(md, D, norm):
     x = -md * norm * D
     places = {2, norm, *factorize(md).primes(), *factorize(D).primes()}  # primes of md*p*D
     expected = tuple(sorted(q for q in places if hilbert_symbol(x, -D, q) == -1))
-    got = diff_set(factorize(md), factorize(D), factorize(norm), QuadraticCharacter(D))
+    got = diff_set(factorize(md), factorize(norm), QuadraticCharacter(factorize(D)))
     assert got == expected
     assert len(got) % 2 == 1
+
+
+def test_ramified_symbol_equals_hilbert_symbol():
+    # chi.ramified(q) reads (q, -D)_q off ord_q(D); hilbert_symbol, which
+    # finds the valuations itself, is the reference
+    for D in FUNDAMENTAL_D:
+        if D >= 2000:
+            break
+        chi = QuadraticCharacter(factorize(D))
+        for q in chi.factors.primes():
+            assert chi.ramified(q) == hilbert_symbol(q, -D, q), (D, q)

@@ -200,8 +200,8 @@ def test_term_contribution_vanishing():
     params = GZParams(p=13, d=43, D=51)
     vanished = 0
     for term in enumerate_terms(params):
-        obstructed = diff_set(factorize(term.md), factorize(51), factorize(13),
-                              QuadraticCharacter(51))
+        obstructed = diff_set(factorize(term.md), factorize(13),
+                              QuadraticCharacter(factorize(51)))
         contribution = term_contribution(term, params)
         if len(obstructed) != 1:
             assert len(obstructed) == 3  # odd by the product formula
@@ -264,7 +264,7 @@ def test_gz_log_norm_computes_ramified_symbol_once_per_prime(monkeypatch):
     from cmforge import arith, cmvalue, gzrhs
 
     params = GZParams(p=2, d=7, D=12228)
-    ramified = {q: -params.D // q for q in params.D_factors.primes() if q != 2}
+    ramified = {q: -params.D // q for q in params.chi.factors.primes() if q != 2}
     assert sorted(ramified) == [3, 1019]
     calls = Counter()
     original = arith.kronecker
@@ -278,6 +278,30 @@ def test_gz_log_norm_computes_ramified_symbol_once_per_prime(monkeypatch):
         monkeypatch.setattr(module, "kronecker", counting, raising=False)
     gz_log_norm(params)
     assert calls and max(calls.values()) == 1
+
+
+def test_gz_log_norm_reads_valuations_off_factorizations(monkeypatch):
+    # every valuation and local symbol comes from the factorizations of p, D
+    # and each m*D: no hilbert_symbol and no ord_q on the scoring path
+    from collections import Counter
+
+    from cmforge import arith, cmvalue, gzrhs
+
+    params = GZParams(2, 7, 12228)
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("hilbert_symbol", "ord_q"):
+        wrapped = counting(name, getattr(arith, name))
+        for module in (arith, cmvalue, gzrhs):
+            monkeypatch.setattr(module, name, wrapped, raising=False)
+    assert not gz_log_norm(params).is_zero()
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("mu", [None, 2])
@@ -298,7 +322,7 @@ def test_create_factors_D_once(monkeypatch, mu):
         monkeypatch.setattr(module, "factorize", counting)
     params = GZParams(p=2, d=7, D=D, mu=mu)
     assert [n for n in calls if n in (D, D // 4)] == [D]
-    assert params.D_factors == original(D)
+    assert params.chi.factors == original(D)
     assert params == GZParams(p=2, d=7, D=D, mu=params.mu, beta=params.beta)
 
 
@@ -325,8 +349,7 @@ def test_create_tests_p_once_and_factors_d_once(monkeypatch):
     params = GZParams(2, 7, 12228)
     assert factored == [12228, 7]
     assert tested == [2, 2, 2, 3, 1019, 7]
-    assert (params.p_factors, params.d_factors, params.D_factors) == (
-        factorize_(2), factorize_(7), factorize_(12228))
+    assert (params.p_factors, params.chi.factors) == (factorize_(2), factorize_(12228))
 
 
 def test_enumerate_terms_ceiling_counts_terms_exactly(monkeypatch):

@@ -201,3 +201,23 @@ def test_one_admissibility_rule():
                             if isinstance(item, ast.FunctionDef)
                             and "classmethod" in map(ast.unparse, item.decorator_list)]
     assert raised == {message: ["quadforms.py"] for message in raised}
+
+
+def test_the_field_of_D_is_one_value():
+    # QuadraticCharacter carries D, its factorization and its symbols, so no
+    # function takes the factorization of D beside it and GZParams keeps no
+    # factorization of d or D of its own
+    offenders = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and {"D_factors", "chi"} <= {a.arg for a in node.args.args + node.args.kwonlyargs}
+    ]
+    assert offenders == []
+    tree = ast.parse((PACKAGE_DIR / "gzrhs.py").read_text(encoding="utf-8"))
+    params = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "GZParams")
+    fields = {item.target.id for item in params.body if isinstance(item, ast.AnnAssign)}
+    assert {"p", "d", "D", "chi"} <= fields
+    assert not {"d_factors", "D_factors"} & fields
