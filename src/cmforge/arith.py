@@ -67,16 +67,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(n: int) -> int:
+    """n, refused with ParameterError unless prime."""
+    if not is_prime(n):
+        raise ParameterError(f"{n} is not prime")
+    return n
+
+
 @dataclass(frozen=True)
 class Factorization:
-    """A certified prime factorization of a positive integer."""
+    """A certified prime factorization of a positive integer; the product
+    check refuses any other value."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.value < 1:
-            raise ParameterError(f"cannot factor non-positive integer {self.value}")
         prod = 1
         last = 1
         for p, e in self.factors:
@@ -239,8 +245,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 def ord_q(x: int, q: int) -> int:
     """q-adic valuation of a nonzero integer."""
-    if not is_prime(q):
-        raise ParameterError(f"{q} is not prime")
+    require_prime(q)
     if not isinstance(x, int):
         raise ParameterError(f"valuations take integers, got {x!r}")
     if x == 0:

@@ -39,8 +39,15 @@ from .gzrhs import (
     gz_log_norm,
     term_contribution,
 )
-from .hauptmodul import Hauptmodul, check_digits, load_qseries, value_with_bound, working_context
-from .hcp import GENUS_ZERO_FRICKE_PRIMES, class_polynomial, require_feasible, s_set
+from .hauptmodul import (
+    Hauptmodul,
+    check_digits,
+    load_qseries,
+    require_genus_zero,
+    value_with_bound,
+    working_context,
+)
+from .hcp import class_polynomial, require_feasible, s_set
 from .quadforms import heegner_reps
 
 EXIT_OK = 0
@@ -176,9 +183,7 @@ def _norm_payload(pls):
 
 def cmd_gznorm(args) -> int:
     params = GZParams(args.p, args.d, args.D, mu=args.mu, beta=args.beta)
-    # the norm is defined through j*_p, which exists only on a genus-zero curve
-    if params.p not in GENUS_ZERO_FRICKE_PRIMES:
-        raise ParameterError(f"p={params.p}: the Fricke curve is not genus zero")
+    require_genus_zero(params.p)  # the norm is defined through j*_p
     variant = args.ramified_exponent
     if args.breakdown:
         terms = enumerate_terms(params)

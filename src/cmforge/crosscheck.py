@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .arith import fundamental_factors, is_prime
+from .arith import fundamental_factors, require_prime
 from .errors import ParameterError
 from .gzrhs import (
     DEFAULT_RAMIFIED_EXPONENT,
@@ -77,8 +77,7 @@ def admissible_discriminants(p: int, max_disc: int = 500) -> Iterator[int]:
     """Positive d <= max_disc with -d fundamental, d > 4, and -d a square mod 4p,
     in increasing order.  p is tested for primality once, and each candidate
     is factored at most once (fundamental_factors tests the congruence first)."""
-    if not is_prime(p):
-        raise ParameterError(f"{p} is not prime")
+    require_prime(p)
     for d in range(5, max_disc + 1):
         if fundamental_factors(-d) is not None and square_roots_mod_4p(-d, p):
             yield d

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .arith import Factorization, factorize, is_prime
+from .arith import Factorization, factorize, require_prime
 from .cmvalue import QuadraticCharacter, diff_set, ideal_count, o_of_m
 from .errors import (
     IntegralityError,
@@ -65,8 +65,7 @@ class GZParams:
         for name, value in (("d", self.d), ("D", self.D)):
             if value <= 4:
                 raise ParameterError(f"{name} must exceed 4, got {value}")
-        if not is_prime(self.p):
-            raise ParameterError(f"{self.p} is not prime")
+        require_prime(self.p)
         object.__setattr__(self, "p_factors", Factorization(self.p, ((self.p, 1),)))
         chosen = [(name, residue) for name, residue in (("D", "mu"), ("d", "beta"))
                   if getattr(self, residue) is None]

@@ -3,8 +3,9 @@
 For p in {2, 3, 5, 7, 13} the normalized generator is realized in closed form:
 with e = 24/(p-1) and t = (eta(tau)/eta(p tau))^e, the combination
 t + p^(e/2)/t is invariant under the full Fricke group and expands as
-q^(-1) + c(0) + c(1) q + ... .  For other primes a coefficient file must be
-supplied; the repository ships none, so those paths are data-driven only.
+q^(-1) + c(0) + c(1) q + ... .  For the other genus-zero primes a coefficient
+file must be supplied; the repository ships none, so those paths are
+data-driven only.  j*_p exists at the 15 genus-zero primes only.
 
 Eta runs on one fixed-point kernel: with q = e^(2 pi i tau),
 eta(tau) = e^(pi i tau/12) S(q) and S(q) = sum_k (-1)^k q^(k(3k-1)/2)
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import mpmath
 from mpmath import libmp
 
-from .arith import is_prime
+from .arith import require_prime
 from .errors import (
     IllConditionedError,
     InternalError,
@@ -48,6 +49,8 @@ from .errors import (
 )
 from .quadforms import QuadraticForm, heegner_reps, reduce
 
+#: Primes whose Fricke curve X0*(p) has genus zero: the domain of j*_p.
+GENUS_ZERO_FRICKE_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71))
 #: Primes whose Fricke Hauptmodul has a closed eta-quotient form here.
 ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
 
@@ -67,6 +70,12 @@ _Q_REL_ULPS = 4
 # Error of the fixed-point q the eta kernel sums, in units of its last bit:
 # |q| _Q_REL_ULPS from the scaled q, and the floor of each part.
 _Q_ERR_ULPS = 8
+
+
+def require_genus_zero(p: int) -> None:
+    """Refuse, with ParameterError, a p where X0*(p) is not genus zero: j*_p exists only there."""
+    if p not in GENUS_ZERO_FRICKE_PRIMES:
+        raise ParameterError(f"p={p}: the Fricke curve is not genus zero")
 
 
 def check_digits(digits: int) -> int:
@@ -98,8 +107,7 @@ class QSeries:
     coefficients: tuple[int, ...]  # c(-1), c(0), c(1), ...
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ParameterError(f"{self.p} is not prime")
+        require_prime(self.p)
         if len(self.coefficients) < 2:
             raise ParameterError("need at least the residue and the constant term")
         if any(not isinstance(c, int) for c in self.coefficients):
@@ -156,10 +164,10 @@ def load_qseries(path) -> QSeries:
 
 @dataclass(frozen=True)
 class Hauptmodul:
-    """j*_p of level p, realized by its eta quotient or by a coefficient file
-    of level p, at digits decimal digits; all checked here, once.  Its values
-    live in ctx, the working_context(digits) it shares with every Hauptmodul
-    at that precision."""
+    """j*_p of a genus-zero level p, realized by its eta quotient or by a
+    coefficient file of level p, at digits decimal digits; all checked here,
+    once.  Its values live in ctx, the working_context(digits) it shares with
+    every Hauptmodul at that precision."""
 
     p: int
     digits: int = 80
@@ -168,8 +176,7 @@ class Hauptmodul:
 
     def __post_init__(self):
         object.__setattr__(self, "ctx", working_context(self.digits))
-        if not is_prime(self.p):
-            raise ParameterError(f"{self.p} is not prime")
+        require_genus_zero(require_prime(self.p))
         if self.series is None and self.p not in ETA_QUOTIENT_PRIMES:
             raise SeriesRequiredError(f"no closed form for p={self.p}; supply a coefficient file")
         if self.series is not None and self.series.p != self.p:
@@ -261,8 +268,6 @@ def eta_quotient_qseries(p: int, count: int) -> QSeries:
 def _as_point(ctx, tau):
     """tau as an mpc; a QuadraticForm stands for its CM point (-b + sqrt(disc)) / (2a)."""
     if isinstance(tau, QuadraticForm):
-        if not tau.is_positive_definite():
-            raise ParameterError(f"form {tau} is not positive definite")
         root = ctx.sqrt(ctx.mpf(-tau.discriminant))
         return (ctx.mpc(-tau.b, 0) + ctx.mpc(0, 1) * root) / (2 * tau.a)
     return ctx.mpc(tau)
@@ -504,8 +509,6 @@ def reduce_point(tau, p: int, ctx):
     still unreduced after MAX_REDUCTION_FLIPS flips raises PrecisionError.
     """
     if isinstance(tau, QuadraticForm):
-        if not tau.is_positive_definite():
-            raise ParameterError(f"form {tau} is not positive definite")
         if tau.a % p == 0:
             a, b, c = tau.a, tau.b, tau.c
             while True:
@@ -551,7 +554,7 @@ def _eval_qseries_with_bound(hm: Hauptmodul, tau):
     ratio = ctx.exp(4 * ctx.pi * (ctx.sqrt(top + 2) - ctx.sqrt(top + 1))) * absq
     if ratio >= 1:
         raise PrecisionError(
-            f"series for p={series.p} cannot converge at |q|={absq}",
+            f"series for p={series.p} cannot converge at |q|={mpmath.nstr(absq, 5)}",
             bound=ctx.inf,
         )
     bound = growth * ctx.exp(4 * ctx.pi * ctx.sqrt(top + 1)) * absq ** (top + 1) / (1 - ratio)
@@ -615,10 +618,7 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     division by it; p^(e/2)/t adds one more floor (_sum_with_bound).
     """
     ctx, p = hm.ctx, hm.p
-    if isinstance(tau, QuadraticForm):
-        if not tau.is_positive_definite():
-            raise ParameterError(f"form {tau} is not positive definite")
-    else:
+    if not isinstance(tau, QuadraticForm):
         tau = ctx.mpc(tau)
         if tau.imag <= 0:
             raise ParameterError("evaluation point must lie in the upper half plane")

@@ -24,18 +24,13 @@ from .errors import (
     SignResolutionError,
 )
 from .gzrhs import GZParams, gz_log_norm
-from .hauptmodul import Hauptmodul, cm_values
+from .hauptmodul import Hauptmodul, cm_values, require_genus_zero
 from .quadforms import (
-    admissible_residues,
+    admissible_residues,  # unused here; bench/record.py reads hcp.admissible_residues
     count_classes,
     fundamental,
     smallest_residue,
     square_roots_mod_4p,
-)
-
-#: Primes whose Fricke curve has genus zero.
-GENUS_ZERO_FRICKE_PRIMES = frozenset(
-    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71)
 )
 
 #: The nine imaginary quadratic fields with trivial class group.
@@ -48,8 +43,7 @@ def s_set(p: int) -> list[int]:
     A genus-zero p is prime and the nine discriminants are fundamental, so
     neither is checked again.
     """
-    if p not in GENUS_ZERO_FRICKE_PRIMES:
-        raise ParameterError(f"p={p}: the Fricke curve is not genus zero")
+    require_genus_zero(p)
     return [disc for disc in CLASS_NUMBER_ONE_DISCRIMINANTS if square_roots_mod_4p(disc, p)]
 
 
@@ -291,19 +285,20 @@ def resolve_signs(pairs: list[InterpolationPair], h: int) -> list[tuple[int, int
 def read_signs(pairs: list[InterpolationPair], d: int, base_disc: int, beta: int,
                hm: Hauptmodul) -> list[tuple[int, int]]:
     """The signed points (X_D, Y_D), in pair order, read off the values of hm
-    at the CM points; each magnitude is checked against them first."""
+    at the CM points; each magnitude is checked against them first.  The
+    pairs come from the pipeline, so each -D is a member of S(hm.p)."""
     ctx = hm.ctx
     tol = ctx.mpf(10) ** (-hm.digits // 4)
 
     def value_at(disc):
         # a degree-one discriminant has one class, so one CM point
-        return cm_values(hm, disc, min(admissible_residues(disc, hm.p)))[0][0]
+        return cm_values(hm, disc, smallest_residue(disc, hm.p))[0][0]
 
     base_val = value_at(base_disc)
     d_vals = [value for value, _ in cm_values(hm, -d, beta)]
     points = []
     for pr in pairs:
-        val_D = value_at(-pr.D)
+        val_D = base_val if -pr.D == base_disc else value_at(-pr.D)
         x_num = val_D - base_val
         y_num = ctx.mpc(1)
         for v in d_vals:

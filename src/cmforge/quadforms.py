@@ -14,7 +14,7 @@ from .arith import (
     Factorization,
     factorize,
     fundamental_factors,
-    is_prime,
+    require_prime,
     sqrt_mod,
 )
 from .errors import EnumerationExhaustedError, InternalError, ParameterError
@@ -27,16 +27,19 @@ MAX_CLASS_NUMBER_DISC = 10 ** 7
 
 @dataclass(frozen=True)
 class QuadraticForm:
+    """A positive definite form a x^2 + b xy + c y^2; any other is refused here."""
+
     a: int
     b: int
     c: int
 
+    def __post_init__(self):
+        if self.discriminant >= 0 or self.a <= 0:
+            raise ParameterError(f"form {self} is not positive definite")
+
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def is_positive_definite(self) -> bool:
-        return self.discriminant < 0 and self.a > 0
 
     def is_primitive(self) -> bool:
         return gcd(gcd(self.a, self.b), self.c) == 1
@@ -50,8 +53,6 @@ def reduce(f: QuadraticForm) -> QuadraticForm:
 
     Output satisfies |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
     """
-    if not f.is_positive_definite():
-        raise ParameterError(f"form {f} is not positive definite")
     a, b, c = f.a, f.b, f.c
     while True:
         if not -a < b <= a:
@@ -126,8 +127,7 @@ def admissible_residues(disc: int, p: int) -> list[int]:
     p must be prime and disc a fundamental discriminant; both are checked
     here, and square_roots_mod_4p does the rest.
     """
-    if not is_prime(p):
-        raise ParameterError(f"{p} is not prime")
+    require_prime(p)
     fundamental(disc)
     return square_roots_mod_4p(disc, p)
 
@@ -157,8 +157,7 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
     increasing |b| level; within the scanned window the representative of each
     class minimizes (a, |b|, b), which makes the choice deterministic.
     """
-    if not is_prime(p):
-        raise ParameterError(f"{p} is not prime")
+    require_prime(p)
     fundamental(disc)
     if (beta * beta - disc) % (4 * p):
         raise ParameterError(f"residue {beta} is not admissible for disc {disc} mod {4 * p}")

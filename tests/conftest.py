@@ -5,7 +5,8 @@ from fractions import Fraction
 import sympy
 
 from cmforge.arith import is_fundamental_discriminant
-from cmforge.hcp import GENUS_ZERO_FRICKE_PRIMES, usable_s_set
+from cmforge.hauptmodul import GENUS_ZERO_FRICKE_PRIMES
+from cmforge.hcp import usable_s_set
 from cmforge.quadforms import admissible_residues, class_number
 
 

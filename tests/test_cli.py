@@ -222,8 +222,17 @@ def test_malformed_series_files_exit_usage(tmp_path, capsys):
     bad_residue.write_text("p 5\ncount 2\n2\n0\n", encoding="ascii")
     too_short = tmp_path / "short.txt"
     too_short.write_text("p 5\ncount 1\n1\n", encoding="ascii")
+    long_header = tmp_path / "long.txt"
+    long_header.write_text("p 5 7\ncount 2\n1\n0\n", encoding="ascii")
+    twice = tmp_path / "twice.txt"
+    twice.write_text("count 2\np 5\np 5\n1\n0\n", encoding="ascii")
+    no_count = tmp_path / "nocount.txt"
+    no_count.write_text("# p 5 only\np 5\n", encoding="ascii")
     cases = [
         (bad_header, f"{bad_header}:1: not an integer: 'p five'"),
+        (long_header, f"{long_header}:1: malformed header line 'p 5 7'\n"),
+        (twice, f"{twice}:3: malformed header line 'p 5'\n"),
+        (no_count, f"{no_count}: missing 'p' or 'count' header\n"),
         (non_ascii, f"{non_ascii}:4: not ASCII text"),
         (tmp_path / "missing.txt", f"{tmp_path / 'missing.txt'}: cannot read"),
         (tmp_path, f"{tmp_path}: cannot read"),
@@ -361,6 +370,29 @@ def test_crosscheck_requires_series_for_large_p(capsys):
     assert "coefficient" in err or "series" in err.lower()
 
 
+def test_primes_outside_the_genus_zero_fifteen_are_refused_by_name(tmp_path, capsys,
+                                                                    monkeypatch):
+    # j*_p exists only where X0*(p) has genus zero: eval and crosscheck
+    # refuse any other prime as gznorm does, with or without a coefficient
+    # file, and before any lattice work
+    from cmforge import crosscheck
+
+    def no_lattice(params):
+        raise AssertionError("the lattice was enumerated")
+
+    monkeypatch.setattr(crosscheck, "enumerate_terms", no_lattice)
+    series = tmp_path / "p37.txt"
+    series.write_text("p 37\ncount 3\n1\n0\n5\n", encoding="ascii")
+    for p in ("37", "1867"):
+        for command in (["eval", "--p", p, "--tau", "0.1+1.2i"],
+                        ["crosscheck", "--p", p, "--d", "7", "--D", "11"],
+                        ["crosscheck", "--p", p]):
+            for prefix in ([], ["--series", str(series)]):
+                code, out, err = run_cli(capsys, *prefix, *command)
+                assert (code, out) == (EXIT_USAGE, ""), (prefix, command)
+                assert err == f"error: p={p}: the Fricke curve is not genus zero\n"
+
+
 def test_missing_coefficient_file_is_reported_before_lattice_work(capsys, monkeypatch):
     from cmforge import crosscheck
 
@@ -455,6 +487,17 @@ def test_eval_with_series_file(tmp_path, capsys):
     code2, out2, _ = run_cli(capsys, "--precision", "40", "eval",
                              "--p", "5", "--tau", "0.2+1.3i")
     assert out.split()[0][:30] == out2.split()[0][:30]
+
+
+def test_series_divergence_shows_q_to_five_digits(tmp_path, capsys):
+    # |q| is printed like the truncation bound, not at working precision
+    path = tmp_path / "p11.txt"
+    path.write_text("p 11\ncount 3\n1\n0\n5\n", encoding="ascii")
+    for digits in ("80", "300"):
+        code, out, err = run_cli(capsys, "--precision", digits, "--series", str(path),
+                                 "eval", "--p", "11", "--tau", "0.1+0.3i")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: series for p=11 cannot converge at |q|=0.15184\n"
 
 
 def test_eval_bad_tau(capsys):

@@ -23,6 +23,7 @@ NUMERIC_STABLE_DIGEST = "338a6228729f0970a884a18f46705b2a2a873ec0532f99d075a261e
 GZNORM_LARGE_DIGEST = "7f08d4fe974866dd0a3333292b8a73f444721cff3b3705a43cf3590ee251094d"
 CLASSPOLY_REFUSAL_DIGEST = "b0f572ee9f90bcc7beeb9e35c5df5e73919110a6330910f25cf37130f8e63fd0"
 GZNORM_REFUSAL_DIGEST = "c67f3e4d532fcbac21a49fb1624dc1e5c992bac0f9ab9ed5a6115c4085b711fb"
+INPUT_REFUSAL_DIGEST = "d5bd809e803fbdc98068b167e93c2681d62d4da38c84db995f48bc022a203525"
 ETA_PRIMES = (2, 3, 5, 7, 13)
 #: (p, d, D) with D >= 12000, the sizes of the gznorm_large benchmark workload:
 #: test_gzrhs's large triples and two more at each of p = 11, 29, 71.
@@ -205,6 +206,28 @@ def gznorm_refusal_calls():
     return calls
 
 
+#: The 15 primes at which the Fricke curve X0*(p) has genus zero.
+FRICKE_GENUS_ZERO = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71)
+
+
+def input_refusal_calls():
+    """heegner, sset and eval over inputs that fail each of their checks in
+    turn: p not prime, prime but not genus zero (heegner and sset only, as
+    eval refuses those primes by name), and genus zero with and without a
+    closed form; d below 5, not fundamental or not a square mod 4p; residues
+    admissible at some p or at none; points at, below and off the upper
+    half plane."""
+    calls = [["--format", "json", "heegner", "--p", str(p), "--d", str(d), "--beta", str(beta)]
+             for p in (0, 1, 4, 37, 2, 3, 47) for d in (-1, 3, 4, 7, 8, 11, 12, 39, 163)
+             for beta in (0, 1, 33, 41, 93)]
+    calls += [["--format", "json", "sset", "--p", str(p)]
+              for p in (0, 1, 4, 9, 37, 1867) + FRICKE_GENUS_ZERO]
+    calls += [["--precision", str(digits), "eval", "--p", str(p), "--tau", tau]
+              for digits in (30, 80) for p in (0, 1, 4, 2, 5, 13, 47)
+              for tau in ("0.1+1.2i", "0.1-1.0i", "0.3+0i", "1+2")]
+    return calls
+
+
 def numeric_calls():
     """Batch crosschecks in json and text, eval at 80 and 300 digits at every
     closed-form prime, and one crosscheck at 300 digits."""
@@ -245,6 +268,13 @@ def test_gznorm_refusals_are_byte_identical():
     # inputs that fail each check of GZParams in turn: which error wins when
     # several apply is part of the output
     assert calls_digest(gznorm_refusal_calls()) == GZNORM_REFUSAL_DIGEST
+
+
+def test_input_refusals_are_byte_identical():
+    # exit code, stdout and stderr of heegner, sset and eval where they
+    # refuse their input or answer next to a refusal: which error wins when
+    # several apply is part of the output
+    assert calls_digest(input_refusal_calls()) == INPUT_REFUSAL_DIGEST
 
 
 def test_numeric_commands_output_is_byte_identical():

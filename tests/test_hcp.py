@@ -168,6 +168,39 @@ def test_numeric_sign_reader_detects_wrong_magnitude():
         read_signs(pairs, d=15, base_disc=-7, beta=1, hm=Hauptmodul(2))
 
 
+def test_numeric_sign_reader_reuses_what_the_pipeline_holds(monkeypatch):
+    # each degree-one residue is the smallest square root mod 4p, taken
+    # without testing p or factoring |D| again, and the base value serves
+    # the pair whose D is the base.  What is left is heegner_reps' own work:
+    # p and each discriminant checked, and each candidate's nb factored
+    import sys
+
+    from cmforge import arith
+
+    pairs = [InterpolationPair(D=7, x_mag=0, y_mag=184275),
+             InterpolationPair(D=8, x_mag=175, y_mag=207025)]
+    hm = Hauptmodul(2)
+    calls = {"factorize": [], "is_prime": []}
+    modules = [module for name, module in sys.modules.items() if name.startswith("cmforge.")]
+    for name, seen in calls.items():
+        original = getattr(arith, name)
+
+        def counting(n, original=original, seen=seen):
+            seen.append(n)
+            return original(n)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    assert read_signs(pairs, d=15, base_disc=-7, beta=1, hm=hm) == [(0, 184275), (175, 207025)]
+    assert calls == {"factorize": [7, 1, 15, 2, 8, 1], "is_prime": [2, 7, 2, 3, 5, 2, 2, 2]}
+
+
+def test_interpolate_needs_enough_points():
+    with pytest.raises(InfeasibleError, match="^need 3 points, got 2$"):
+        interpolate([(0, 1), (1, 2)], d=15, h=2)
+
+
 def test_numeric_strategy_requires_series_for_large_p():
     with pytest.raises(SeriesRequiredError):
         Hauptmodul(47)

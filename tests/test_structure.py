@@ -184,23 +184,70 @@ def test_one_eta_kernel_and_one_complex_product():
         assert reaches(f"hauptmodul.py:{evaluator}", "hauptmodul.py:_pentagonal_sum"), evaluator
 
 
-def test_one_admissibility_rule():
-    # fundamental and smallest_residue in quadforms are the only places that
-    # refuse a discriminant as not fundamental or not a square mod 4p, and
-    # GZParams is built only by its constructor
-    raised = {"is not a fundamental discriminant": [], "is not a square mod": []}
+def message_template(node):
+    """The message a Raise node passes to its exception, with each formatted
+    value replaced by {}; None when it passes no literal message."""
+    exc = node.exc
+    if not (isinstance(exc, ast.Call) and exc.args):
+        return None
+    message = exc.args[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    if isinstance(message, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in message.values)
+    return None
+
+
+def refusal_sites():
+    """template -> ["module:owner"] for every raise with a literal message,
+    the owner being the dotted path of its enclosing classes and functions."""
+    sites = {}
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            if isinstance(child, ast.Raise) and (template := message_template(child)):
+                sites.setdefault(template, []).append(f"{path.stem}:{owner}")
+            visit(child, path, inner)
+
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Raise):
-                for message, sites in raised.items():
-                    if message in ast.unparse(node):
-                        sites.append(path.name)
-            elif isinstance(node, ast.ClassDef) and node.name == "GZParams":
-                assert not [item.name for item in node.body
-                            if isinstance(item, ast.FunctionDef)
-                            and "classmethod" in map(ast.unparse, item.decorator_list)]
-    assert raised == {message: ["quadforms.py"] for message in raised}
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    return sites
+
+
+def test_one_refusal_per_input_rule():
+    # each input rule is decided once, where its concept lives: a form is
+    # positive definite by construction, one function refuses a composite p,
+    # hauptmodul owns the genus-zero domain of j*_p, and quadforms decides
+    # admissibility; no message is raised at two sites
+    sites = refusal_sites()
+    assert {template: where for template, where in sites.items() if len(where) > 1} == {}
+    assert {template: sites[template] for template in (
+        "{} is not prime", "form {} is not positive definite",
+        "p={}: the Fricke curve is not genus zero", "cannot factor non-positive integer {}",
+        "{} is not a fundamental discriminant", "{} is not a square mod {}",
+    )} == {
+        "{} is not prime": ["arith:require_prime"],
+        "form {} is not positive definite": ["quadforms:QuadraticForm.__post_init__"],
+        "p={}: the Fricke curve is not genus zero": ["hauptmodul:require_genus_zero"],
+        "cannot factor non-positive integer {}": ["arith:factorize"],
+        "{} is not a fundamental discriminant": ["quadforms:fundamental"],
+        "{} is not a square mod {}": ["quadforms:smallest_residue"],
+    }
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert [name for name, text in sources.items()
+            if "GENUS_ZERO_FRICKE_PRIMES" in text] == ["hauptmodul.py"]
+    assert [name for name, text in sources.items() if "is_positive_definite" in text] == []
+    # GZParams is built only by its constructor
+    tree = ast.parse(sources["gzrhs.py"])
+    params = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "GZParams")
+    assert not [item.name for item in params.body if isinstance(item, ast.FunctionDef)
+                and "classmethod" in map(ast.unparse, item.decorator_list)]
 
 
 def test_the_field_of_D_is_one_value():
