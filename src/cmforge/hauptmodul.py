@@ -11,14 +11,17 @@ Eta runs on one fixed-point kernel: with q = e^(2 pi i tau),
 eta(tau) = e^(pi i tau/12) S(q) and S(q) = sum_k (-1)^k q^(k(3k-1)/2)
 is summed on Python integers scaled to 2^-bits, bits = precision +
 ETA_GUARD_BITS, the term count fixed in advance from Im(tau), with a bound
-on the tail and on every rounding.  In the quotient the prefactors cancel,
-t = (S(q)/S(q^p))^e / q, and a value is computed on integers end to end:
-q comes from a Heegner form's exact data, e^(-pi sqrt|disc|/a)
-e^(-pi i b/a) (from one exponential at an mpc tau), q^p from q by integer
-powering, and the quotient, its power, the division by q and
-t + p^(e/2)/t are integer pairs with a shared binary exponent, each
-complex product taking three integer multiplications (_fixed_mul); one
-mpc is made at the end.  The error bound is read from integer bit lengths
+on the tail and on every rounding.  Each power q^c of the sum comes from
+earlier ones by an addition sequence: one product for c = a + b, two for
+c = 2a + b (Enge, Hart and Johansson), built once for the term counts of
+Heegner points up to 1000 digits and per call beyond.  In the quotient the
+prefactors cancel, t = (S(q)/S(q^p))^e / q, and a value is computed on
+integers end to end: q comes from a Heegner form's exact data,
+e^(-pi sqrt|disc|/a) e^(-pi i b/a) (from one exponential at an mpc tau),
+q^p from q by integer powering, and the quotient, its power, the division
+by q and t + p^(e/2)/t are integer pairs with a shared binary exponent,
+each complex product taking three integer multiplications (_fixed_mul);
+one mpc is made at the end.  The error bound is read from integer bit lengths
 and from floats that count relative errors in units of 2^-bits, with no
 working-precision arithmetic.
 
@@ -57,7 +60,7 @@ ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
 #: Digits carried beyond the requested precision.
 GUARD_DIGITS = 10
 #: Safety bound on the eta series length; low Im(tau) raises PrecisionError.
-MAX_ETA_TERMS = 10 ** 6
+MAX_ETA_TERMS = 10 ** 5
 #: Most flips reduce_point makes on a numeric point; one needing more raises PrecisionError.
 MAX_REDUCTION_FLIPS = 64
 #: Bits the fixed-point eta kernel carries beyond the context precision.
@@ -73,8 +76,11 @@ _Q_ERR_ULPS = 8
 
 
 def require_genus_zero(p: int) -> None:
-    """Refuse, with ParameterError, a p where X0*(p) is not genus zero: j*_p exists only there."""
+    """Refuse, with ParameterError, a p where X0*(p) is not genus zero: j*_p
+    exists only there.  A p that is not prime is refused as such first, as
+    every command does; the 15 genus-zero primes are not tested."""
     if p not in GENUS_ZERO_FRICKE_PRIMES:
+        require_prime(p)
         raise ParameterError(f"p={p}: the Fricke curve is not genus zero")
 
 
@@ -176,7 +182,7 @@ class Hauptmodul:
 
     def __post_init__(self):
         object.__setattr__(self, "ctx", working_context(self.digits))
-        require_genus_zero(require_prime(self.p))
+        require_genus_zero(self.p)
         if self.series is None and self.p not in ETA_QUOTIENT_PRIMES:
             raise SeriesRequiredError(f"no closed form for p={self.p}; supply a coefficient file")
         if self.series is not None and self.series.p != self.p:
@@ -429,15 +435,110 @@ def _form_q(form: QuadraticForm, bits: int):
     return _scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits)
 
 
+def _conjugate_swap(z: int, m: int, u: int, v: int):
+    """(x, y) >= 0 with x^2 + m y^2 = z^2 + m, from alpha = z + sqrt(-m) by
+    replacing every factor pi = u + v sqrt(-m) (or its conjugate) of the prime
+    l = u^2 + m v^2 with the other one; None when l does not divide z^2 + m.
+
+    The coefficient 1 of sqrt(-m) keeps l itself from dividing alpha, so
+    only one of the two factors does, and the swap keeps the norm.
+    """
+    l = u * u + m * v * v
+    for w in (v, -v):
+        x, y, k = z, 1, 0
+        while (x * u + m * y * w) % l == 0 and (y * u - x * w) % l == 0:
+            x, y, k = (x * u + m * y * w) // l, (y * u - x * w) // l, k + 1
+        for _ in range(k):  # times the conjugate u - w sqrt(-m), k times
+            x, y = x * u + m * y * w, y * u - x * w
+        if k:
+            return abs(x), abs(y)
+    return None
+
+
+#: Split primes of Z[i] below 30, as (u, v) with l = u^2 + v^2 the prime:
+#: the factors _addition_sequence swaps to split a pentagonal power into two.
+_GAUSSIAN_SPLITS = ((2, 1), (3, 2), (4, 1), (5, 2))
+
+
+def _addition_sequence(pairs: int) -> tuple:
+    """The products that make q^c for every generalized pentagonal c up to
+    pairs(3 pairs + 1)/2 from q, in increasing c: one step (c, a, b, sign,
+    spent) per product q^c = q^a q^b, where sign is the term's (-1)^k, or 0
+    for a power that is not a term, and spent lists the exponents that no
+    later step reads, this one's own c among them when nothing reads it.
+
+    Write 24c + 1 = Z^2, Z = 6k -+ 1 (Enge, Hart and Johansson, Short
+    addition sequences for theta functions, J. Integer Seq. 21 (2018)).
+    c = a + b is a second way to write Z^2 + 1 as X^2 + Y^2; swapping a
+    prime of _GAUSSIAN_SPLITS that divides Z + i gives one unless X or Y
+    is 1, and X, Y are prime to 6 since the sum is 2 mod 8 and 2 mod 3.
+    Otherwise c = 2a + b with Z^2 + 2 = 2X^2 + Y^2: 3 divides Z^2 + 2, and
+    swapping the whole power of 1 +- sqrt(-2) in Z + sqrt(-2) leaves X and
+    Y prime to 3 (and odd, the sum being 3 mod 8).  That costs q^2a and its
+    product by q^b, or the square alone when b = 0.  Every power read is
+    below c, and each c takes a few small-integer tests and one division
+    and product per factor of 3, with no search over the earlier powers.
+    """
+    steps = []
+    for k in range(1, pairs + 1):
+        sign = -1 if k % 2 else 1
+        for z in (6 * k - 1, 6 * k + 1):
+            if z == 5:  # q itself
+                continue
+            c = (z * z - 1) // 24
+            for u, v in _GAUSSIAN_SPLITS:
+                split = _conjugate_swap(z, 1, u, v)
+                if split and min(split) > 1:
+                    x, y = split
+                    steps.append((c, (x * x - 1) // 24, (y * y - 1) // 24, sign))
+                    break
+            else:
+                x, y = _conjugate_swap(z, 2, 1, 1)
+                a, b = (y * y - 1) // 24, (x * x - 1) // 24
+                if b:
+                    steps.append((2 * a, a, a, 0))
+                    steps.append((c, 2 * a, b, sign))
+                else:
+                    steps.append((c, a, a, sign))
+    last = {}
+    for i, (c, a, b, _) in enumerate(steps):
+        last[c] = last[a] = last[b] = i
+    spent = [[] for _ in steps]
+    for exponent, i in last.items():
+        spent[i].append(exponent)
+    return tuple((*step, tuple(gone)) for step, gone in zip(steps, spent))
+
+
+#: Pairs covered by the sequence built once, here: over |D| < 4000 a reduced
+#: Heegner point needs at most 61 pairs at 1000 digits (p = 13, D = 3,
+#: Im tau = 0.0666).
+_TABLE_PAIRS = 64
+_TABLE = _addition_sequence(_TABLE_PAIRS)
+#: _TABLE_ENDS[k]: the number of _TABLE's steps that make the powers of k pairs.
+_TABLE_ENDS = (0, *(i + 1 for i, (c, _, _, sign, _) in enumerate(_TABLE)
+                    if sign and math.isqrt(24 * c + 1) % 6 == 1))
+
+
+def _pentagonal_steps(pairs: int) -> tuple:
+    """The steps of _addition_sequence(pairs): within _TABLE_PAIRS the first
+    ones of _TABLE, whose spent lists hold for the whole table, so a power
+    read only by later table steps stays until the sum returns; past
+    _TABLE_PAIRS, built here."""
+    if pairs <= _TABLE_PAIRS:
+        return _TABLE[:_TABLE_ENDS[pairs]]
+    return _addition_sequence(pairs)
+
+
 def _pentagonal_sum(q, q_err: int, pairs: int, bits: int):
     """S(q) = sum_{|k| <= pairs} (-1)^k q^(k(3k-1)/2) as a fixed-point pair at
     2^-bits, with a bound on its error in units of 2^-bits, as a float.
 
     q is a fixed-point pair (X, Y) standing for (X + iY) 2^-bits, within q_err
     units of the exact q = e^(2 pi i tau), and pairs comes from
-    _pentagonal_pairs(Im tau, bits - ETA_GUARD_BITS).  Step k advances
-    q^(3k-2), q^k and the pentagonal terms a_k = q^(k(3k-1)/2),
-    b_k = a_k q^k by four fixed-point products; the integer sums are exact.
+    _pentagonal_pairs(Im tau, bits - ETA_GUARD_BITS).  The powers come from
+    q by the addition sequence of _pentagonal_steps, one fixed-point product
+    per step, and each is dropped once no later step reads it; the integer
+    sums are exact.
 
     The bound adds two parts.  Tail: the omitted exponents are distinct
     integers from N = (pairs+1)(3 pairs+2)/2 on, so they sum to at most
@@ -446,24 +547,23 @@ def _pentagonal_sum(q, q_err: int, pairs: int, bits: int):
     roundings move it, and a tail below 2^-64 units counts as 2^-64.  Fixed
     point: every product floors each part, an error below sqrt(2) units,
     and every factor has modulus at most 1, so errors add without growing.
-    With u = q_err units on q, q^3 carries 3u + 2 sqrt(2), q^(3k-2) carries
-    (3k-2)u + 2(k-1) sqrt(2), a_k carries n_k u + (k^2-1) sqrt(2) with
-    n_k = k(3k-1)/2, and b_k carries (n_k + k)u + (k^2+k-1) sqrt(2).  Summed
-    over k <= K this is below (u + sqrt(2)) K(K+1)(2K+1)/2 units; the bound
-    doubles it to cover the second-order products of errors.
+    With u = q_err units on q, every power q^n of an addition sequence is
+    within n(u + sqrt(2)) - sqrt(2) units: q is, and if q^a and q^b are,
+    their floored product is within (a + b)(u + sqrt(2)) - 2 sqrt(2) +
+    sqrt(2).  Summed over the terms, whose exponents k(3k-1)/2 and k(3k+1)/2
+    add to 3k^2, this is below (u + sqrt(2)) K(K+1)(2K+1)/2 units for K =
+    pairs; the bound doubles it to cover the second-order products of errors.
     """
     total_re, total_im = 1 << bits, 0
-    cube = _fixed_mul(_fixed_mul(q, q, bits), q, bits)
-    step = power = term = q  # q^(3k-2), q^k, q^(k(3k-1)/2) at k = 1
-    for k in range(1, pairs + 1):
-        if k > 1:
-            step = _fixed_mul(step, cube, bits)
-            power = _fixed_mul(power, q, bits)
-            term = _fixed_mul(term, step, bits)
-        other = _fixed_mul(term, power, bits)  # q^(k(3k+1)/2)
-        sign = -1 if k % 2 else 1
-        total_re += sign * (term[0] + other[0])
-        total_im += sign * (term[1] + other[1])
+    if pairs:
+        total_re, total_im = total_re - q[0], -q[1]
+    powers = {1: q}
+    for c, a, b, sign, spent in _pentagonal_steps(pairs):
+        x = powers[c] = _fixed_mul(powers[a], powers[b], bits)
+        total_re += sign * x[0]
+        total_im += sign * x[1]
+        for exponent in spent:
+            del powers[exponent]
     exponent = (pairs + 1) * (3 * pairs + 2) // 2
     log_q = _log2_above(math.isqrt(q[0] * q[0] + q[1] * q[1]) + 1 + q_err) - bits
     tail = math.inf

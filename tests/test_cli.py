@@ -143,6 +143,16 @@ def test_gznorm_rejects_equal_discriminants(capsys):
     assert out == ""
 
 
+def test_every_command_refuses_a_composite_p_as_not_prime(capsys):
+    # one precedence for a bad p: "not prime" before "not genus zero"
+    for argv in (("sset",), ("classpoly", "--d", "39"), ("gznorm", "--d", "8", "--D", "19"),
+                 ("eval", "--tau", "0.1+1.2i"), ("crosscheck", "--d", "8", "--D", "19"),
+                 ("heegner", "--d", "7", "--beta", "1")):
+        for p in ("4", "9"):
+            code, out, err = run_cli(capsys, *argv, "--p", p)
+            assert (code, out, err) == (EXIT_USAGE, "", f"error: {p} is not prime\n"), argv
+
+
 def test_gznorm_rejects_small_and_inadmissible(capsys):
     code, _, err = run_cli(capsys, "gznorm", "--p", "47", "--D", "3", "--d", "39")
     assert code == EXIT_USAGE and "exceed 4" in err
@@ -196,6 +206,9 @@ def test_classpoly_infeasible_exit(capsys):
 
 def test_classpoly_invalid_prime(capsys):
     code, _, err = run_cli(capsys, "classpoly", "--p", "46", "--d", "39")
+    assert code == EXIT_USAGE
+    assert err == "error: 46 is not prime\n"
+    code, _, err = run_cli(capsys, "classpoly", "--p", "37", "--d", "39")
     assert code == EXIT_USAGE
     assert "genus" in err
 
@@ -362,6 +375,21 @@ def test_crosscheck_batch_scan_stops_at_count():
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     checks = json.loads(proc.stdout)["result"]["checks"]
     assert [(c["d"], c["D"]) for c in checks] == admissible_pairs(2, 500, 1)
+
+
+def test_eval_near_a_cusp_refuses_at_once():
+    # at Im(tau) = 1e-9 the two eta series need 279 241 and 77 312 pairs,
+    # past MAX_ETA_TERMS: the refusal comes before any series work, so a
+    # child process that sums them turns into a timeout
+    src = Path(cmforge.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmforge.cli", "--precision", "300", "eval", "--p", "13",
+         "--tau=-2.555+1e-09i"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == "error: eta series needs more than 100000 terms at Im(tau)=0.000000001\n"
 
 
 def test_crosscheck_requires_series_for_large_p(capsys):

@@ -186,6 +186,106 @@ def test_eta_kernel_against_mpmath_oracle(digits):
         check(value, bound, t + oracle.mpf(p) ** (e // 2) / t)
 
 
+def pentagonal_terms(pairs):
+    """{exponent: sign} of the terms of S(q) past 1 - q, for |k| <= pairs."""
+    return {n: (-1) ** k for k in range(1, pairs + 1)
+            for n in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if n > 1}
+
+
+def run_steps(steps):
+    """Play an addition sequence on exponents: each step must read powers
+    made before it and not yet dropped.  Returns ({exponent: sign} of the
+    summed powers, the exponents still held at the end, and for each step
+    the exponents it holds afterwards)."""
+    held, summed, after = {1}, {}, []
+    for c, a, b, sign, spent in steps:
+        assert {a, b} <= held and c == a + b, (c, a, b)
+        held.add(c)
+        if sign:
+            assert c not in summed
+            summed[c] = sign
+        assert set(spent) <= held
+        held -= set(spent)
+        after.append(set(held))
+    return summed, held, after
+
+
+def test_addition_sequence_covers_every_term_from_earlier_powers():
+    # every step reads only powers made before it, every pentagonal exponent
+    # up to pairs(3 pairs + 1)/2 is made and summed once with its sign, and
+    # a sequence built for its pair count holds only what later steps read
+    full = hauptmodul._addition_sequence(2000)
+    summed, _, _ = run_steps(full)
+    assert summed == pentagonal_terms(2000)
+    for pairs in (*range(0, 131), 500, 1999, 2000):
+        steps = hauptmodul._pentagonal_steps(pairs)
+        assert [s[:4] for s in steps] == [s[:4] for s in full[:len(steps)]]
+        summed, _, _ = run_steps(steps)
+        assert summed == pentagonal_terms(pairs)
+    for pairs in (1, 2, 12, 34, 65, 500):
+        steps = hauptmodul._addition_sequence(pairs)
+        _, held, after = run_steps(steps)
+        assert held == set()
+        for i, kept in enumerate(after):
+            later = {e for c, a, b, _, _ in steps[i + 1:] for e in (a, b)}
+            assert kept <= later, (pairs, i)
+
+
+def test_the_built_in_sequence_covers_heegner_points_at_1000_digits():
+    # the sequence is built once for _TABLE_PAIRS pairs, enough for both
+    # series of every reduced Heegner point of these discriminants at 1000 digits
+    ctx = working_context(1000)
+    most = 0
+    for p in ETA_QUOTIENT_PRIMES:
+        for D in range(3, 400):
+            if not is_fundamental_discriminant(-D) or not admissible_residues(-D, p):
+                continue
+            for form in heegner_reps(-D, p, admissible_residues(-D, p)[0]):
+                form = reduce_point(form, p, ctx)
+                height = mpmath.sqrt(-form.discriminant) / (2 * form.a)
+                most = max(most, hauptmodul._pentagonal_pairs(height, ctx.prec))
+    assert most == 61 <= hauptmodul._TABLE_PAIRS
+
+
+@pytest.mark.parametrize("digits, height, inside", ((300, "0.05", True), (1000, "0.1", True),
+                                                    (30, "0.0015", False),
+                                                    (80, "0.004", False)))
+def test_pentagonal_sum_against_mpmath_oracle(digits, height, inside):
+    # S(q) = eta(tau) e^(-pi i tau/12) from mpmath at 50 more digits, with
+    # pair counts inside and beyond the sequence built at import
+    ctx = working_context(digits)
+    tau = ctx.mpc("0.3", height)
+    pairs = hauptmodul._pentagonal_pairs(tau.imag, ctx.prec)
+    assert (pairs <= hauptmodul._TABLE_PAIRS) == inside
+    bits = hauptmodul._fixed_bits(ctx)
+    q = hauptmodul._to_fixed(hauptmodul._fixed_q(ctx, tau), bits)
+    (re, im), err = hauptmodul._pentagonal_sum(q, hauptmodul._Q_ERR_ULPS, pairs, bits)
+    oracle = mpmath.ctx_mp.MPContext()
+    oracle.dps = digits + 50
+    exact_tau = oracle.mpc(tau)
+    exact = oracle.eta(exact_tau) / oracle.expjpi(exact_tau / 12)
+    got = oracle.mpc(re, im) / oracle.mpf(2) ** bits
+    assert abs(got - exact) <= oracle.ldexp(err, -bits) <= oracle.mpf(10) ** -digits
+
+
+def test_pentagonal_sum_takes_one_or_two_products_per_power(monkeypatch):
+    # one or two per pentagonal power, where a recurrence advancing q^k and
+    # q^(3k-2) takes 4 pairs - 1: 47 and 135
+    products = []
+    fixed_mul = hauptmodul._fixed_mul
+
+    def counting(x, y, shift):
+        products.append(shift)
+        return fixed_mul(x, y, shift)
+
+    monkeypatch.setattr(hauptmodul, "_fixed_mul", counting)
+    bits = 128
+    for pairs, most in ((12, 39), (34, 97)):
+        products.clear()
+        hauptmodul._pentagonal_sum((3 << 124, 1 << 125), 8, pairs, bits)
+        assert len(products) <= most
+
+
 def test_integer_pipeline_roundings_stay_within_their_claims():
     # the bound of value_with_bound counts each rounding of its integer
     # pipeline in units of 2^-bits; each count is checked here against exact
