@@ -64,8 +64,10 @@ def run_crosscheck(hm: Hauptmodul, d: int, D: int) -> CrosscheckResult:
         variants_differ=sums[RAMIFIED_OF_MD] != sums[RAMIFIED_OF_M],
     )
     denom = max(ctx.mpf(1), abs(lhs_value))
-    for variant, pls in sums.items():
-        rhs_value = pls.log_value_mpf(ctx)
+    rhs_values = {RAMIFIED_OF_MD: sums[RAMIFIED_OF_MD].log_value_mpf(ctx)}
+    rhs_values[RAMIFIED_OF_M] = (sums[RAMIFIED_OF_M].log_value_mpf(ctx) if result.variants_differ
+                                 else rhs_values[RAMIFIED_OF_MD])
+    for variant, rhs_value in rhs_values.items():
         rel = float(abs(rhs_value - lhs_value) / denom)
         result.rhs[variant] = float(rhs_value)
         result.discrepancy[variant] = rel

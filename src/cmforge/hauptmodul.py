@@ -14,16 +14,20 @@ ETA_GUARD_BITS, the term count fixed in advance from Im(tau), with a bound
 on the tail and on every rounding.  Each power q^c of the sum comes from
 earlier ones by an addition sequence: one product for c = a + b, two for
 c = 2a + b (Enge, Hart and Johansson), built once for the term counts of
-Heegner points up to 1000 digits and per call beyond.  In the quotient the
-prefactors cancel, t = (S(q)/S(q^p))^e / q, and a value is computed on
+Heegner points up to 1000 digits and extended per call beyond.  In the
+quotient the prefactors cancel, t = (S(q)/S(q^p))^e / q, and a value is computed on
 integers end to end: q comes from a Heegner form's exact data,
 e^(-pi sqrt|disc|/a) e^(-pi i b/a) (from one exponential at an mpc tau),
 q^p from q by integer powering, and the quotient, its power, the division
 by q and t + p^(e/2)/t are integer pairs with a shared binary exponent,
 each complex product taking three integer multiplications (_fixed_mul);
-one mpc is made at the end.  The error bound is read from integer bit lengths
-and from floats that count relative errors in units of 2^-bits, with no
-working-precision arithmetic.
+the sum is rounded once to the context's precision.  The error bound is read
+from integer bit lengths and from floats that count relative errors in units
+of 2^-bits, with no working-precision arithmetic.  A CM value stays that
+integer pair with its relative error, for either realization, until
+value_with_bound makes one mpc of it or lhs_log_norm takes its differences,
+product and one log on integers; CM values are evaluated once per orbit of
+complex conjugation and, when p | disc, the Fricke involution W_p.
 
 A Hauptmodul fixes level, realization and precision once; its values live in
 the mpmath context working_context(digits), one per precision per process and
@@ -465,7 +469,15 @@ def _addition_sequence(pairs: int) -> tuple:
     pairs(3 pairs + 1)/2 from q, in increasing c: one step (c, a, b, sign,
     spent) per product q^c = q^a q^b, where sign is the term's (-1)^k, or 0
     for a power that is not a term, and spent lists the exponents that no
-    later step reads, this one's own c among them when nothing reads it.
+    later step reads, this one's own c among them when nothing reads it
+    (_with_spent; the products come from _sequence_products).
+    """
+    return _with_spent(_sequence_products(1, pairs))
+
+
+def _sequence_products(first: int, last: int) -> list:
+    """The steps (c, a, b, sign) of _addition_sequence for the powers of the
+    pairs first..last, k(3k -+ 1)/2 for first <= k <= last.
 
     Write 24c + 1 = Z^2, Z = 6k -+ 1 (Enge, Hart and Johansson, Short
     addition sequences for theta functions, J. Integer Seq. 21 (2018)).
@@ -480,7 +492,7 @@ def _addition_sequence(pairs: int) -> tuple:
     and product per factor of 3, with no search over the earlier powers.
     """
     steps = []
-    for k in range(1, pairs + 1):
+    for k in range(first, last + 1):
         sign = -1 if k % 2 else 1
         for z in (6 * k - 1, 6 * k + 1):
             if z == 5:  # q itself
@@ -500,6 +512,12 @@ def _addition_sequence(pairs: int) -> tuple:
                     steps.append((c, 2 * a, b, sign))
                 else:
                     steps.append((c, a, a, sign))
+    return steps
+
+
+def _with_spent(steps) -> tuple:
+    """Steps (c, a, b, sign) with the spent list of each appended: the
+    exponents it is the last step to make or read."""
     last = {}
     for i, (c, a, b, _) in enumerate(steps):
         last[c] = last[a] = last[b] = i
@@ -523,10 +541,12 @@ def _pentagonal_steps(pairs: int) -> tuple:
     """The steps of _addition_sequence(pairs): within _TABLE_PAIRS the first
     ones of _TABLE, whose spent lists hold for the whole table, so a power
     read only by later table steps stays until the sum returns; past
-    _TABLE_PAIRS, built here."""
+    _TABLE_PAIRS, _TABLE's products followed by those of the later pairs,
+    built here, with the spent lists of the whole taken anew."""
     if pairs <= _TABLE_PAIRS:
         return _TABLE[:_TABLE_ENDS[pairs]]
-    return _addition_sequence(pairs)
+    return _with_spent([step[:4] for step in _TABLE]
+                       + _sequence_products(_TABLE_PAIRS + 1, pairs))
 
 
 def _pentagonal_sum(q, q_err: int, pairs: int, bits: int):
@@ -632,10 +652,20 @@ def reduce_point(tau, p: int, ctx):
 
 
 def _eval_qseries_with_bound(hm: Hauptmodul, tau):
-    """Evaluate hm's truncated expansion and bound the discarded tail.
+    """Evaluate hm's truncated expansion and bound the discarded tail and the
+    rounding.
 
     The tail model |c(k)| <= C exp(4 pi sqrt(k)) fits simple-pole generators;
-    C is calibrated from the supplied coefficients.
+    C is calibrated from the supplied coefficients.  Rounding, at
+    u = 2^-prec, with sums S = sum |c_j| |q|^(j-1) and T = sum |j-1| |c_j|
+    |q|^(j-1) over the n coefficients c_j of q^(j-1): Horner's n complex
+    products and sums and the division by q cost at most 2n 2^(1-prec) S;
+    q is within delta = 2^(2-prec) (1 + 8|tau|) of the exact q at the exact
+    point, relatively (expjpi's rounding, and a few ulps of a form's point
+    moving q by 2 pi |q dtau|), which moves the value by at most 2 delta T;
+    the quotient's rounding adds 2^(1-prec) |value|.  The charge doubles
+    that sum, covering second-order terms and the float sums, read in the
+    log2 domain, where every term is at most 2^0.
     """
     ctx, series = hm.ctx, hm.series
     q = ctx.expjpi(2 * tau)
@@ -665,40 +695,124 @@ def _eval_qseries_with_bound(hm: Hauptmodul, tau):
             f"for p={series.p}; supply more coefficients",
             bound=bound,
         )
-    return value, bound
+    log2_q = float(ctx.log(absq)) / math.log(2)
+    terms = [(_log2_above(abs(c)) + (j - 1) * log2_q, abs(j - 1))
+             for j, c in enumerate(series.coefficients) if c]
+    ref = math.ceil(max(x for x, _ in terms))
+    sum_s = math.fsum(2.0 ** (x - ref) for x, _ in terms)
+    sum_t = math.fsum(m * 2.0 ** (x - ref) for x, m in terms)
+    n = len(series.coefficients)
+    rounding = (ctx.ldexp(2 * n * sum_s + 4 * (1 + 8 * float(abs(tau))) * sum_t, ref + 2 - ctx.prec)
+                + ctx.ldexp(abs(value), 2 - ctx.prec))
+    return value, bound + rounding
 
 
-def _sum_with_bound(ctx, x, rel_x: float, y, rel_y: float, bits: int):
-    """x + y as an mpc at ctx.prec, with an error bound, for scaled pairs x
-    and y whose relative errors are below rel_x and rel_y units of 2^-bits.
+def _lead(pair) -> int:
+    """The binary exponent just above the larger part of a scaled pair:
+    its modulus is below 2^(lead + 1/2)."""
+    return _top_bits(pair[0]) + pair[1]
+
+
+def _ldexp_up(x: float, n: int) -> float:
+    """x 2^n for a float x >= 0, inf where that leaves the floats."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.inf
+
+
+def _exact_pair(re, im):
+    """Raw mpfs re + i im as a scaled pair, exactly: both parts at the
+    smaller of their exponents."""
+    exp = min((e for _, man, e, _ in (re, im) if man), default=0)
+    return tuple((-man if sign else man) << (e - exp) if man else 0
+                 for sign, man, e, _ in (re, im)), exp
+
+
+# A CM value is (pair, err): a scaled pair ((re, im), exp) whose parts were
+# rounded to the context's precision, and a float err such that the exact
+# value lies within err 2^(_lead(pair) - bits) of it, bits = _fixed_bits:
+# its relative error in units of 2^-bits.  Both realizations give this one
+# type, and lhs_log_norm works on it in integers.
+
+def _rounded_sum(x, rel_x: float, y, rel_y: float, bits: int, prec: int):
+    """x + y as a CM value with each part rounded to prec bits, for scaled
+    pairs x and y whose relative errors are below rel_x and rel_y units of
+    2^-bits.
 
     Each relative error compounds factors (1 + delta_i)^(+-1); while the
     sum S of their |delta_i| stays below 1/8, the compound is below 2S, so x
     is within 2S |x_exact| <= (8/3) S |x| of x_exact; the bound takes 3S,
     which leaves room for its own few float roundings.  |x| is read from the
     bit lengths.  Aligning the pairs floors one of them, less than 2 units
-    of the sum's last bit.  Rounding each part to ctx.prec bits costs at
-    most 2^-prec (|Re| + |Im|), charged from the integer sum with 53 bits
-    rounded up.  The bound is one float times a power of two, and infinite
-    once S reaches 1/8.
+    of the sum's last bit.  Rounding each part to prec bits costs at most
+    2^-prec (|Re| + |Im|), charged from the integer sum with 53 bits rounded
+    up.  The bound is one float times a power of two, read in the units of
+    the rounded pair, and infinite once S reaches 1/8.
     """
-    prec = ctx.prec
     (xm, xe), (ym, ye) = x, y
     exp = max(xe, ye)
     sum_m = ((xm[0] >> (exp - xe)) + (ym[0] >> (exp - ye)),
              (xm[1] >> (exp - xe)) + (ym[1] >> (exp - ye)))
-    value = ctx.make_mpc((libmp.from_man_exp(sum_m[0], exp, prec, "n"),
-                          libmp.from_man_exp(sum_m[1], exp, prec, "n")))
+    value = _exact_pair(libmp.from_man_exp(sum_m[0], exp, prec, "n"),
+                        libmp.from_man_exp(sum_m[1], exp, prec, "n"))
     if not max(rel_x, rel_y) < 2.0 ** min(bits - 3, 1000):
-        return value, ctx.inf
-    x_top, y_top = _top_bits(xm) + xe, _top_bits(ym) + ye  # |x| < 2^(x_top + 1/2)
+        return value, math.inf
+    x_top, y_top = _lead(x), _lead(y)  # |x| < 2^(x_top + 1/2)
     ref = max(x_top, y_top)
     parts = abs(sum_m[0]) + abs(sum_m[1])  # (|Re| + |Im|) 2^-exp
     shift = max(0, parts.bit_length() - 53)
     scale = (3 * (rel_x * 2.0 ** (x_top + 0.5 - ref) + rel_y * 2.0 ** (y_top + 0.5 - ref))
              + 2.0 ** (1 + exp + bits - ref)
              + ((parts >> shift) + 1) * 2.0 ** (shift + exp - prec + bits - ref))
-    return value, ctx.ldexp(scale, ref - bits)
+    return value, _ldexp_up(scale, ref - _lead(value))
+
+
+def _series_value(value, bound, bits: int):
+    """The series realization's mpc value and mpf bound as a CM value: the
+    pair exactly, the bound rounded up to a float."""
+    pair = _exact_pair(value.real._mpf_, value.imag._mpf_)
+    scaled = libmp.mpf_shift(bound._mpf_, bits - _lead(pair))
+    return pair, libmp.to_float(scaled, rnd=libmp.round_up)
+
+
+def _as_mpc(ctx, value):
+    """A CM value as (mpc, error bound) in ctx; the mpc is exact."""
+    ((re, im), exp), err = value
+    return (ctx.make_mpc((libmp.from_man_exp(re, exp), libmp.from_man_exp(im, exp))),
+            ctx.ldexp(err, _lead(value[0]) - _fixed_bits(ctx)))
+
+
+def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
+    """hm at tau as a CM value (pair, err), in hm's precision; see
+    value_with_bound.  The one point reduction, reduce_point, happens here."""
+    ctx, p = hm.ctx, hm.p
+    if not isinstance(tau, QuadraticForm):
+        tau = ctx.mpc(tau)
+        if tau.imag <= 0:
+            raise ParameterError("evaluation point must lie in the upper half plane")
+    if reduce_first:
+        tau = reduce_point(tau, p, ctx)
+    bits = _fixed_bits(ctx)
+    if hm.series is not None:
+        return _series_value(*_eval_qseries_with_bound(hm, _as_point(ctx, tau)), bits)
+    form = isinstance(tau, QuadraticForm)
+    height = math.sqrt(-tau.discriminant) / (2 * tau.a) if form else tau.imag
+    pairs = _pentagonal_pairs(height, ctx.prec)
+    pairs_p = _pentagonal_pairs(p * height, ctx.prec)
+    q = _form_q(tau, bits) if form else _fixed_q(ctx, tau)
+    q_fixed = _to_fixed(q, bits)  # within |q| _Q_REL_ULPS + sqrt(2) <= _Q_ERR_ULPS units
+    # q^p is within p(u + sqrt(2)) units when q is within u, as in _pentagonal_sum
+    q_p = _power(q_fixed, p, lambda x, y: _fixed_mul(x, y, bits))
+    num, num_err = _pentagonal_sum(q_fixed, _Q_ERR_ULPS, pairs, bits)
+    den, den_err = _pentagonal_sum(q_p, p * (_Q_ERR_ULPS + 2), pairs_p, bits)
+    e = 24 // (p - 1)
+    ratio = _scaled_div((num, -bits), (den, -bits), bits)
+    t = _scaled_div(_power(ratio, e, lambda x, y: _scaled_mul(x, y, bits)), q, bits)
+    rel_t = (e * (_relative_units(num_err, num, bits) + _relative_units(den_err, den, bits) + 1)
+             + 2 * (e - 1) + _Q_REL_ULPS + 1)
+    return _rounded_sum(t, rel_t, _scaled_div(((p ** (e // 2), 0), 0), t, bits), rel_t + 1,
+                        bits, ctx.prec)
 
 
 def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
@@ -711,39 +825,14 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     the form's exact data (_form_q) or from one exponential at an mpc
     (_fixed_q); S(q) and S(q^p) from the fixed-point kernel, q^p by integer
     powering.  The quotient, its power, the division by q and
-    t + p^(e/2)/t are integer pairs, and one mpc is made at the end.  The
-    bound counts relative errors in units of 2^-bits: each S through
-    _relative_units, one floor for the quotient, e - 1 compounded product
-    floors in its e-th power, _Q_REL_ULPS for q and one floor for the
-    division by it; p^(e/2)/t adds one more floor (_sum_with_bound).
+    t + p^(e/2)/t are integer pairs, rounded once to the context's
+    precision, and one mpc is made at the end.  The bound counts relative
+    errors in units of 2^-bits: each S through _relative_units, one floor
+    for the quotient, e - 1 compounded product floors in its e-th power,
+    _Q_REL_ULPS for q and one floor for the division by it; p^(e/2)/t adds
+    one more floor (_rounded_sum).
     """
-    ctx, p = hm.ctx, hm.p
-    if not isinstance(tau, QuadraticForm):
-        tau = ctx.mpc(tau)
-        if tau.imag <= 0:
-            raise ParameterError("evaluation point must lie in the upper half plane")
-    if reduce_first:
-        tau = reduce_point(tau, p, ctx)
-    if hm.series is not None:
-        return _eval_qseries_with_bound(hm, _as_point(ctx, tau))
-    form = isinstance(tau, QuadraticForm)
-    height = math.sqrt(-tau.discriminant) / (2 * tau.a) if form else tau.imag
-    pairs = _pentagonal_pairs(height, ctx.prec)
-    pairs_p = _pentagonal_pairs(p * height, ctx.prec)
-    bits = _fixed_bits(ctx)
-    q = _form_q(tau, bits) if form else _fixed_q(ctx, tau)
-    q_fixed = _to_fixed(q, bits)  # within |q| _Q_REL_ULPS + sqrt(2) <= _Q_ERR_ULPS units
-    # q^p is within p(u + sqrt(2)) units when q is within u, as in _pentagonal_sum
-    q_p = _power(q_fixed, p, lambda x, y: _fixed_mul(x, y, bits))
-    num, num_err = _pentagonal_sum(q_fixed, _Q_ERR_ULPS, pairs, bits)
-    den, den_err = _pentagonal_sum(q_p, p * (_Q_ERR_ULPS + 2), pairs_p, bits)
-    e = 24 // (p - 1)
-    ratio = _scaled_div((num, -bits), (den, -bits), bits)
-    t = _scaled_div(_power(ratio, e, lambda x, y: _scaled_mul(x, y, bits)), q, bits)
-    rel_t = (e * (_relative_units(num_err, num, bits) + _relative_units(den_err, den, bits) + 1)
-             + 2 * (e - 1) + _Q_REL_ULPS + 1)
-    return _sum_with_bound(ctx, t, rel_t, _scaled_div(((p ** (e // 2), 0), 0), t, bits),
-                           rel_t + 1, bits)
+    return _as_mpc(hm.ctx, _cm_value(hm, tau, reduce_first))
 
 
 def conjugate_form(form: QuadraticForm, p: int) -> QuadraticForm:
@@ -753,36 +842,64 @@ def conjugate_form(form: QuadraticForm, p: int) -> QuadraticForm:
     return QuadraticForm(p * form.c, form.b, form.a // p)
 
 
-def _conjugation_orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
-    """Per orbit of complex conjugation on the CM values of
-    heegner_reps(disc, hm.p, residue), (i, j, value, bound): the value at form
-    i, evaluated once, whose conjugate is the value at form j.  i == j marks a
-    real value.  The class set is closed under conjugation, because the class
-    polynomial has integer coefficients, and a form's class is keyed by its
-    reduction, as in heegner_reps."""
-    forms = heegner_reps(disc, hm.p, residue)
+def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
+    """Per orbit of <complex conjugation, W_p> on the CM values of
+    heegner_reps(disc, hm.p, residue), (same, conj, value): the CM value at
+    the orbit's first form, evaluated once, the indices of the forms that
+    share it and the indices of those that take its conjugate, empty for a
+    real value.
+
+    The class set is closed under conjugation, because the class polynomial
+    has integer coefficients: conjugate_form carries the conjugate value.
+    When p | disc the residue satisfies beta = -beta mod 2p, so the set also
+    holds the image (pc, -b, a/p) of a form under the Fricke involution W_p,
+    which fixes j*_p, and the mirror (a, -b, c), which conjugates it
+    (Gross, Kohnen and Zagier, Heegner points and derivatives of L-series
+    II, 1987, section II.1).  A form's class is keyed by its reduction, as
+    in heegner_reps.  A value shared with its conjugate is real, and its
+    imaginary part, all rounding, is dropped within the same bound.
+    """
+    p = hm.p
+    forms = heegner_reps(disc, p, residue)
     index = {reduce(f): i for i, f in enumerate(forms)}
+
+    def at(form):
+        i = index.get(reduce(form))
+        if i is None:
+            raise InternalError(f"{form} is not among the Heegner forms of {disc} at residue "
+                                f"{residue} mod {2 * p}")
+        return i
+
+    fricke = disc % p == 0
     orbits, seen = [], set()
     for i, form in enumerate(forms):
         if i in seen:
             continue
-        j = index[reduce(conjugate_form(form, hm.p))]
-        seen.update((i, j))
-        value, bound = value_with_bound(hm, form)
-        if i == j:  # the exact value is real, so dropping Im(value) keeps the bound
-            value = hm.ctx.mpc(value.real)
-        orbits.append((i, j, value, bound))
+        same, conj = {i}, {at(conjugate_form(form, p))}
+        if fricke:
+            same.add(at(QuadraticForm(p * form.c, -form.b, form.a // p)))
+            conj.add(at(QuadraticForm(form.a, -form.b, form.c)))
+        pair, err = _cm_value(hm, form)
+        if same & conj:
+            same, conj = same | conj, set()
+            (re, _), exp = pair
+            real = (re, 0), exp
+            pair, err = real, _ldexp_up(err, _lead(pair) - _lead(real))
+        seen |= same | conj
+        orbits.append((sorted(same), sorted(conj), (pair, err)))
     return orbits
 
 
 def cm_values(hm: Hauptmodul, disc: int, residue: int) -> list:
     """(value, error bound) of hm at the CM point of each form of
-    heegner_reps(disc, hm.p, residue), in that order; each conjugate pair
-    costs one evaluation."""
+    heegner_reps(disc, hm.p, residue), in that order; each orbit of
+    conjugation and, when p | disc, the Fricke involution costs one
+    evaluation."""
     values = {}
-    for i, j, value, bound in _conjugation_orbits(hm, disc, residue):
-        values[i] = value, bound
-        values[j] = value.conjugate(), bound
+    for same, conj, value in _orbits(hm, disc, residue):
+        number, bound = _as_mpc(hm.ctx, value)
+        values.update(dict.fromkeys(same, (number, bound)))
+        values.update(dict.fromkeys(conj, (number.conjugate(), bound)))
     return [values[i] for i in range(len(values))]
 
 
@@ -796,44 +913,68 @@ def lhs_log_norm(hm: Hauptmodul, d: int, beta: int, D: int, mu: int) -> tuple:
     """8 * sum of log|j*(tau_{Q_D}) - j*(tau_{Q_d})| over both class sets,
     as (value, error bound) in hm's context.
 
-    The d-values are closed under conjugation, so a conjugate pair of D-values
-    contributes twice the sum at one of them.  The squared moduli
-    |v_D - v_d|^2 of all N factors are multiplied, squared for a pair, and
-    the sum is 4 log of that product: one log per call.  The bound adds
-    (e_D + e_d)/|v_D - v_d| over all factors, with the same weights, and the
-    rounding: a factor's difference, squared modulus and share of the
-    product round at most ten times, so the product is within N 2^(4-prec)
-    of its exact value, relatively, and its log within twice that, plus the
-    log's own rounding of |log| 2^(1-prec).  That sum runs at 53 bits and is
-    scaled up past its own rounding.
+    Each orbit of _orbits stands for its forms: the d-values are closed
+    under conjugation, so a D-value counts once per form of its orbit, and
+    a d-value once per form that takes it.  The CM values are aligned to
+    the smallest exponent among them, exactly, so each difference and its
+    squared modulus |v_D - v_d|^2 is an exact integer; each, raised to its
+    weight, is multiplied into one product cut to bits = _fixed_bits bits,
+    and the sum is 4 log of that product: one log per call.  Two values
+    within 10^(-digits/2) of each other are refused.
+
+    The bound, in units of 2^-bits: 8 w (e_D + e_d)/|v_D - v_d| over the
+    factors of weight w, the values' errors to first order; a cut floors the
+    product by less than 2^(1-bits) of itself, so k cuts leave it within
+    k 2^(1-bits) <= 1/2, relatively, its log within twice that and 4 log
+    within 16 k units; and the log's own rounding of |log| 2^(1-prec), 4
+    times.  The error sum runs in floats: per factor two exact scalings, a
+    sum, the float and square root of the squared modulus cut to 106 bits
+    or fewer (a lower bound), a quotient and the weight, then one addition
+    per factor and five at the end, N + 10 roundings of at most 2^-53 each
+    over N factors, which 1 + (N + 10) 2^-52 covers.
     """
     check_lhs_digits(hm)
     ctx = hm.ctx
-    prec = ctx.prec
-    vals_d = cm_values(hm, -d, beta)
+    bits = _fixed_bits(ctx)
+    d_values = []  # (pair, err, forms taking the value)
+    for same, conj, (pair, err) in _orbits(hm, -d, beta):
+        d_values.append((pair, err, len(same)))
+        if conj:
+            (re, im), exp = pair
+            d_values.append((((re, -im), exp), err, len(conj)))
+    D_values = [(pair, err, len(same) + len(conj))
+                for same, conj, (pair, err) in _orbits(hm, -D, mu)]
+    exp = min((pair[1] for pair, _, _ in d_values + D_values if pair[0] != (0, 0)), default=0)
+
+    def aligned(values):
+        return [((re << (e - exp), im << (e - exp)), _lead(((re, im), e)) - exp, err, weight)
+                for ((re, im), e), err, weight in values]
+
+    d_values, D_values = aligned(d_values), aligned(D_values)
     exponent = -hm.digits // 2
-    threshold_sq = ctx.mpf(10) ** (2 * exponent)
-    product = ctx.mpf(1)
-    factors = []  # (weight * (e_D + e_d), |v_D - v_d|^2)
-    for i, j, vD, eD in _conjugation_orbits(hm, -D, mu):
-        weight = 1 if i == j else 2
-        for vd, ed in vals_d:
-            diff = vD - vd
-            norm = diff.real ** 2 + diff.imag ** 2
-            if norm < threshold_sq:
+    # |v_D - v_d|^2 < 10^(2 exponent) exactly when the integer norm is below this
+    threshold = -(-(1 << max(0, -2 * exp)) // (10 ** (-2 * exponent) << max(0, 2 * exp)))
+    product, shifted, cuts, err_sum = 1, 0, 0, 0.0
+    for (vr, vi), lead_D, err_D, weight_D in D_values:
+        for (ur, ui), lead_d, err_d, weight_d in d_values:
+            norm = (vr - ur) ** 2 + (vi - ui) ** 2
+            if norm < threshold:
                 raise IllConditionedError(
                     f"CM values coincide to within {mpmath.nstr(ctx.mpf(10) ** exponent, 3)}; "
                     "equal discriminants or insufficient precision"
                 )
-            product *= norm if weight == 1 else norm * norm
-            factors.append((weight * (eD + ed), norm))
-    total = ctx.log(product)
-    # each term rounds twice at 53 bits, the sum once per term, the rounding
-    # term, the sums and the scaling four times more: N + 6 roundings of at
-    # most 2^-53 each, which 1 + (N + 5) 2^-52 covers
-    with ctx.workprec(53):
-        scale = 1 + ctx.ldexp(len(factors) + 5, -52)
-        err = sum(e / ctx.sqrt(norm) for e, norm in factors)
-        rounding = ctx.ldexp(len(factors), 7 - prec) + ctx.ldexp(abs(total), 3 - prec)
-        err = (8 * err + rounding) * scale
-    return 4 * total, err
+            weight = weight_D * weight_d
+            product *= norm ** weight
+            excess = product.bit_length() - bits
+            if excess > 0:
+                product >>= excess
+                shifted += excess
+                cuts += 1
+            cut = max(0, norm.bit_length() - 106) // 2  # |v_D - v_d| >= sqrt(norm >> 2 cut) 2^cut
+            err_sum += weight * (_ldexp_up(err_D, lead_D - cut)
+                                 + _ldexp_up(err_d, lead_d - cut)) / math.sqrt(norm >> 2 * cut)
+    form_pairs = sum(v[-1] for v in D_values) * sum(v[-1] for v in d_values)
+    total = ctx.log(ctx.make_mpf(libmp.from_man_exp(product, shifted + 2 * exp * form_pairs)))
+    rounding = 16 * cuts + _ldexp_up(abs(float(total)), 3 + bits - ctx.prec)
+    err = (8 * err_sum + rounding) * (1 + (len(D_values) * len(d_values) + 10) * 2.0 ** -52)
+    return 4 * total, ctx.ldexp(err, -bits)

@@ -5,6 +5,7 @@ import pytest
 
 from cmforge import crosscheck, hauptmodul
 from cmforge.arith import is_fundamental_discriminant
+from cmforge.cli import EXIT_OK, main
 from cmforge.errors import (
     IllConditionedError,
     ParameterError,
@@ -25,6 +26,7 @@ from cmforge.hauptmodul import (
     value_with_bound,
     working_context,
 )
+from cmforge.gzrhs import RAMIFIED_OF_M, RAMIFIED_OF_MD
 from cmforge.quadforms import QuadraticForm, admissible_residues, heegner_reps, reduce
 
 DIGITS = 80  # the default; contexts carry 10 guard digits beyond it
@@ -229,6 +231,27 @@ def test_addition_sequence_covers_every_term_from_earlier_powers():
         for i, kept in enumerate(after):
             later = {e for c, a, b, _, _ in steps[i + 1:] for e in (a, b)}
             assert kept <= later, (pairs, i)
+
+
+def test_steps_past_the_table_build_only_the_later_pairs(monkeypatch):
+    # past _TABLE_PAIRS the steps are _TABLE's products followed by those of
+    # the later pairs, with the spent lists of the whole taken anew: the
+    # sequence _addition_sequence builds, splitting only the later powers
+    expected = hauptmodul._addition_sequence(83)
+    split = []
+    swap = hauptmodul._conjugate_swap
+
+    def counting(z, m, u, v):
+        split.append(z)
+        return swap(z, m, u, v)
+
+    monkeypatch.setattr(hauptmodul, "_conjugate_swap", counting)
+    assert hauptmodul._pentagonal_steps(83) == expected
+    assert min(split) == 6 * (hauptmodul._TABLE_PAIRS + 1) - 1
+    assert max(split) == 6 * 83 + 1
+    del split[:]
+    assert hauptmodul._pentagonal_steps(hauptmodul._TABLE_PAIRS) == hauptmodul._TABLE
+    assert split == []
 
 
 def test_the_built_in_sequence_covers_heegner_points_at_1000_digits():
@@ -622,7 +645,9 @@ def assert_reduced_form(form, p):
 def test_conjugate_forms_pair_the_cm_values(p):
     # the partner map is an involution on each class set, and the value at
     # the partner is the conjugate, within the two bounds; cm_values returns
-    # that conjugate for the partner and a real value for a self-paired form
+    # that conjugate for the partner and a real value for a self-paired form,
+    # and where p | d, when W_p also pairs the forms, it still agrees with
+    # the direct value at every form
     hm = Hauptmodul(p)
     for d, beta, forms in heegner_classes(p):
         partner = partners(forms, p)
@@ -690,8 +715,16 @@ def test_one_log_per_side_of_the_crosscheck(monkeypatch):
     assert abs(logged - direct) < ctx.mpf(10) ** -(DIGITS + 5)
     del logs[:]
     result = crosscheck.run_crosscheck(hm, 7, 71)
-    assert result.passed() and len(logs) == 3  # the left side and both ramified variants
-    assert result.lhs == float(value)
+    assert result.passed() and result.lhs == float(value)
+    # the left side and one log per distinct ramified variant: (7, 71) and
+    # (7, 23) agree, so both variants take the same log, and (7, 15) differs
+    assert not result.variants_differ and len(logs) == 2
+    for D, differ, count in ((23, False, 2), (15, True, 3)):
+        del logs[:]
+        result = crosscheck.run_crosscheck(hm, 7, D)
+        assert result.variants_differ == differ and len(logs) == count, D
+        if not differ:
+            assert result.rhs[RAMIFIED_OF_M] == result.rhs[RAMIFIED_OF_MD]
 
 
 def test_lhs_error_estimate_covers_a_doubled_precision():
@@ -740,3 +773,102 @@ def test_reduce_point_reduces_heegner_forms_exactly(p):
         point = (fine.ctx.mpc(-form.b, 0) + fine.ctx.mpc(0, 1) * root) / (2 * form.a)
         numeric, numeric_bound = value_with_bound(fine, point)
         assert abs(fine.ctx.mpc(exact) - numeric) <= exact_bound + numeric_bound, (p, form)
+
+
+#: (p, d): evaluations per class set under conjugation alone, and with W_p.
+FRICKE_SAVINGS = {(2, 56): (3, 2), (2, 104): (3, 2), (3, 231): (6, 4), (7, 203): (3, 2)}
+
+
+def test_fricke_pairing_saves_evaluations_only_when_p_divides_d(monkeypatch):
+    # one reduce_point per evaluation; where p does not divide d the count
+    # is the number of conjugation orbits, as before W_p joined
+    calls = []
+    original = hauptmodul.reduce_point
+
+    def counting(tau, p, ctx):
+        calls.append(tau)
+        return original(tau, p, ctx)
+
+    monkeypatch.setattr(hauptmodul, "reduce_point", counting)
+    seen = {}
+    for p in ETA_QUOTIENT_PRIMES:
+        hm = Hauptmodul(p, 30)
+        for d, beta, forms in heegner_classes(p):
+            conjugation = sum(i <= j for i, j in enumerate(partners(forms, p)))
+            del calls[:]
+            cm_values(hm, -d, beta)
+            if d % p:
+                assert len(calls) == conjugation, (p, d, beta)
+            else:
+                assert len(calls) <= conjugation, (p, d, beta)
+                seen[p, d] = (conjugation, len(calls))
+    assert {key: seen[key] for key in FRICKE_SAVINGS} == FRICKE_SAVINGS
+
+
+#: Per eta prime, a pair (d, D) with p | d D and at least two classes each.
+FRICKE_PAIRS = {2: (15, 20), 3: (15, 20), 5: (15, 20), 7: (20, 35), 13: (23, 39)}
+
+
+@pytest.mark.parametrize("digits", (80, 300))
+def test_integer_lhs_log_norm_against_the_complex_formula(digits):
+    # the formula on mpcs, 8 sum log|v_D - v_d| over every pair of forms,
+    # each value evaluated at its own form at twice the digits, lies within
+    # the bound of the integer product at digits
+    for p, (d, D) in FRICKE_PAIRS.items():
+        beta, mu = min(admissible_residues(-d, p)), min(admissible_residues(-D, p))
+        value, bound = lhs_log_norm(Hauptmodul(p, digits), d, beta, D, mu)
+        fine = Hauptmodul(p, 2 * digits)
+        ctx = fine.ctx
+        vals_d = [value_with_bound(fine, form)[0] for form in heegner_reps(-d, p, beta)]
+        vals_D = [value_with_bound(fine, form)[0] for form in heegner_reps(-D, p, mu)]
+        reference = 8 * ctx.fsum(ctx.log(abs(vD - vd)) for vD in vals_D for vd in vals_d)
+        assert abs(ctx.mpf(value) - reference) <= bound, (p, d, D)
+        assert 0 < bound < ctx.mpf(10) ** (10 - digits)
+
+
+def test_crosscheck_through_a_series_file(tmp_path, capsys):
+    # a coefficient file of p = 5 carries the crosscheck to PASS, and its lhs
+    # matches the closed form's within the two bounds
+    import json
+
+    series = eta_quotient_qseries(5, 200)
+    path = tmp_path / "p5.txt"
+    path.write_text("\n".join(["p 5", f"count {len(series.coefficients)}",
+                               *map(str, series.coefficients)]) + "\n", encoding="ascii")
+    argv = ["--series", str(path), "--format", "json", "crosscheck", "--p", "5",
+            "--d", "11", "--D", "15"]
+    assert main(argv) == EXIT_OK
+    (check,) = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert check["status"] == "PASS"
+    from_series = lhs_log_norm(Hauptmodul(5, series=load_qseries(path)), 11, 3, 15, 5)
+    closed = lhs_log_norm(Hauptmodul(5), 11, 3, 15, 5)
+    assert check["lhs"] == float(from_series[0])
+    assert abs(from_series[0] - closed[0]) <= from_series[1] + closed[1]
+    fine = Hauptmodul(5, 160)
+    exact, _ = lhs_log_norm(fine, 11, 3, 15, 5)
+    assert abs(fine.ctx.mpf(from_series[0]) - exact) <= from_series[1]
+
+
+def test_series_values_lie_within_their_bounds():
+    # a coefficient file's value carries its rounding as well as its tail:
+    # the closed form at twice the digits lies within the series bound at
+    # Heegner points and at points given as numbers, wherever 400
+    # coefficients reach the precision
+    ctx = ctx80()
+    rng = random.Random(317)
+    checked = 0
+    for p in ETA_QUOTIENT_PRIMES:
+        from_series = Hauptmodul(p, series=eta_quotient_qseries(p, 400))
+        fine = Hauptmodul(p, 2 * DIGITS)
+        points = [random_tau(ctx, rng, 0.6, 1.5) for _ in range(3)]
+        for d, beta, forms in heegner_classes(p, 24):
+            points += forms
+        for tau in points:
+            try:
+                value, bound = value_with_bound(from_series, tau)
+            except PrecisionError:  # a point too low for the coefficients
+                continue
+            exact, _ = value_with_bound(fine, tau)
+            assert abs(fine.ctx.mpc(value) - exact) <= bound, (p, tau)
+            checked += 1
+    assert checked >= 50
