@@ -12,7 +12,7 @@ from one factorization of md, for both ramified exponents at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import gcd, isqrt
 
 from .arith import Factorization, factorize, require_prime
@@ -40,6 +40,21 @@ MAX_LATTICE_TERMS = 10 ** 6
 
 
 @dataclass(frozen=True)
+class Certified:
+    """What a caller that has already checked a tuple (p, d, D) hands to
+    GZParams: the factorization of the prime p and the field chi of D.
+
+    Handing it in vouches for the whole tuple: p is prime and d and D are
+    fundamental, so GZParams neither tests p nor factors d or D.  One value
+    per D serves every tuple with that D at that p, and their terms share
+    chi's table.
+    """
+
+    p_factors: Factorization
+    chi: QuadraticCharacter
+
+
+@dataclass(frozen=True)
 class GZParams:
     """Validated input tuple (p, d, D, mu, beta) plus the derived factored p, gcd g and
     the field chi of D, whose character table fills as the terms of these params are scored.
@@ -49,7 +64,9 @@ class GZParams:
     whose residue is chosen (D, then d) is fundamental and a square mod 4p;
     each one whose residue is given (d, then D) is fundamental; d != D; the
     given residues are admissible.  p is tested once and d and D are
-    factored once each; chi is built from the factorization of D.
+    factored once each; chi is built from the factorization of D.  With
+    certified handed in, p_factors and chi are taken from it and p, d and D
+    are not checked again; facts for another p or D are refused.
     """
 
     p: int
@@ -57,25 +74,36 @@ class GZParams:
     D: int
     mu: int | None = None
     beta: int | None = None
+    certified: InitVar[Certified | None] = None
     p_factors: Factorization = field(init=False, repr=False)
     g: int = field(init=False)
     chi: QuadraticCharacter = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, certified):
         for name, value in (("d", self.d), ("D", self.D)):
             if value <= 4:
                 raise ParameterError(f"{name} must exceed 4, got {value}")
-        require_prime(self.p)
-        object.__setattr__(self, "p_factors", Factorization(self.p, ((self.p, 1),)))
+        if certified is None:
+            require_prime(self.p)
+            object.__setattr__(self, "p_factors", Factorization(self.p, ((self.p, 1),)))
+        elif (certified.p_factors.value, certified.chi.D) != (self.p, self.D):
+            raise InternalError(
+                f"facts certified for p={certified.p_factors.value}, D={certified.chi.D} "
+                f"handed to p={self.p}, D={self.D}"
+            )
+        else:
+            object.__setattr__(self, "p_factors", certified.p_factors)
+            object.__setattr__(self, "chi", certified.chi)
         chosen = [(name, residue) for name, residue in (("D", "mu"), ("d", "beta"))
                   if getattr(self, residue) is None]
         given = [(name, residue) for name, residue in (("d", "beta"), ("D", "mu"))
                  if getattr(self, residue) is not None]
         for name, residue in chosen + given:
             disc = -getattr(self, name)
-            factors = fundamental(disc)
-            if name == "D":
-                object.__setattr__(self, "chi", QuadraticCharacter(factors))
+            if certified is None:
+                factors = fundamental(disc)
+                if name == "D":
+                    object.__setattr__(self, "chi", QuadraticCharacter(factors))
             if getattr(self, residue) is None:
                 object.__setattr__(self, residue, smallest_residue(disc, self.p))
         if self.d == self.D:

@@ -177,20 +177,37 @@ class Hauptmodul:
     """j*_p of a genus-zero level p, realized by its eta quotient or by a
     coefficient file of level p, at digits decimal digits; all checked here,
     once.  Its values live in ctx, the working_context(digits) it shares with
-    every Hauptmodul at that precision."""
+    every Hauptmodul at that precision.  A coefficient file's tail constant
+    (see _eval_qseries_with_bound) depends on the file alone, so it is
+    computed here, once, at that precision."""
 
     p: int
     digits: int = 80
     series: QSeries | None = None
     ctx: object = field(init=False, repr=False, compare=False)
+    tail_growth: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "ctx", working_context(self.digits))
         require_genus_zero(self.p)
         if self.series is None and self.p not in ETA_QUOTIENT_PRIMES:
             raise SeriesRequiredError(f"no closed form for p={self.p}; supply a coefficient file")
-        if self.series is not None and self.series.p != self.p:
-            raise ParameterError(f"series is for p={self.series.p}, not p={self.p}")
+        if self.series is not None:
+            if self.series.p != self.p:
+                raise ParameterError(f"series is for p={self.series.p}, not p={self.p}")
+            object.__setattr__(self, "tail_growth", _tail_growth(self.ctx, self.series))
+
+
+def _tail_growth(ctx, series: QSeries):
+    """C = max(1, max_k |c(k)| exp(-4 pi sqrt(k))) over the coefficients
+    c(1), c(2), ... of series: the constant of the tail model
+    |c(k)| <= C exp(4 pi sqrt(k)), at ctx's precision."""
+    growth = ctx.mpf(0)
+    for k in range(1, series.top_exponent + 1):
+        c = series.coefficients[k + 1]
+        if c:
+            growth = max(growth, abs(ctx.mpf(c)) * ctx.exp(-4 * ctx.pi * ctx.sqrt(k)))
+    return max(growth, ctx.mpf(1))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +673,8 @@ def _eval_qseries_with_bound(hm: Hauptmodul, tau):
     rounding.
 
     The tail model |c(k)| <= C exp(4 pi sqrt(k)) fits simple-pole generators;
-    C is calibrated from the supplied coefficients.  Rounding, at
+    C is calibrated from the supplied coefficients, once per Hauptmodul
+    (hm.tail_growth).  Rounding, at
     u = 2^-prec, with sums S = sum |c_j| |q|^(j-1) and T = sum |j-1| |c_j|
     |q|^(j-1) over the n coefficients c_j of q^(j-1): Horner's n complex
     products and sums and the division by q cost at most 2n 2^(1-prec) S;
@@ -675,19 +693,14 @@ def _eval_qseries_with_bound(hm: Hauptmodul, tau):
         value = value * q + c
     value = value / q
     top = series.top_exponent
-    growth = ctx.mpf(0)
-    for k in range(1, top + 1):
-        c = series.coefficients[k + 1]
-        if c:
-            growth = max(growth, abs(ctx.mpf(c)) * ctx.exp(-4 * ctx.pi * ctx.sqrt(k)))
-    growth = max(growth, ctx.mpf(1))
     ratio = ctx.exp(4 * ctx.pi * (ctx.sqrt(top + 2) - ctx.sqrt(top + 1))) * absq
     if ratio >= 1:
         raise PrecisionError(
             f"series for p={series.p} cannot converge at |q|={mpmath.nstr(absq, 5)}",
             bound=ctx.inf,
         )
-    bound = growth * ctx.exp(4 * ctx.pi * ctx.sqrt(top + 1)) * absq ** (top + 1) / (1 - ratio)
+    bound = (hm.tail_growth * ctx.exp(4 * ctx.pi * ctx.sqrt(top + 1)) * absq ** (top + 1)
+             / (1 - ratio))
     allowed = ctx.mpf(10) ** (-hm.digits) * max(abs(value), ctx.mpf(1))
     if bound > allowed:
         raise PrecisionError(

@@ -4,17 +4,21 @@ The pipeline: pick the base discriminant that pins the generator's zero,
 compute the exact magnitudes (X_D, Y_D) for every usable degree-one
 discriminant, resolve the two sign strings into signed points (X, Y), and fit
 the monic integer polynomial of degree h(-d) through them.  One pass derives
-what the stages share: S(p), the feasibility verdict, h(-d) and beta.
+what the stages share: S(p) with each member's residue, the feasibility
+verdict, h(-d) and beta; every norm's parameters are built from them and
+from one field per member, without testing p or factoring d again.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import product
 
 import mpmath
 
-from .arith import factorize
+from .arith import Factorization, factorize
+from .cmvalue import QuadraticCharacter
 from .errors import (
     AmbiguousSignsError,
     DegenerateDataError,
@@ -23,7 +27,7 @@ from .errors import (
     ParameterError,
     SignResolutionError,
 )
-from .gzrhs import GZParams, gz_log_norm
+from .gzrhs import Certified, GZParams, gz_log_norm
 from .hauptmodul import Hauptmodul, cm_values, require_genus_zero
 from .quadforms import (
     admissible_residues,  # unused here; bench/record.py reads hcp.admissible_residues
@@ -38,16 +42,22 @@ CLASS_NUMBER_ONE_DISCRIMINANTS = (-3, -4, -7, -8, -11, -19, -43, -67, -163)
 
 
 def s_set(p: int) -> list[int]:
-    """Degree-one discriminants that are squares mod 4p, by increasing |D|.
+    """Degree-one discriminants that are squares mod 4p, by increasing |D|."""
+    return list(_residues(p))
+
+
+def _residues(p: int) -> dict[int, int]:
+    """S(p), by increasing |D|, mapping each member to its smallest residue.
 
     A genus-zero p is prime and the nine discriminants are fundamental, so
     neither is checked again.
     """
     require_genus_zero(p)
-    return [disc for disc in CLASS_NUMBER_ONE_DISCRIMINANTS if square_roots_mod_4p(disc, p)]
+    return {disc: roots[0] for disc in CLASS_NUMBER_ONE_DISCRIMINANTS
+            if (roots := square_roots_mod_4p(disc, p))}
 
 
-def _usable(members: list[int]) -> list[int]:
+def _usable(members: Iterable[int]) -> list[int]:
     """The members of S(p) with |D| > 4 (the ones the norm formula accepts)."""
     return [disc for disc in members if disc < -4]
 
@@ -60,28 +70,29 @@ def usable_s_set(p: int) -> list[int]:
 @dataclass(frozen=True)
 class PipelineFacts:
     """What the stages of one class polynomial share about p and d, each
-    derived once: S(p), the smallest admissible residue beta of -d, and
-    h = h(-d)."""
+    derived once: S(p) with each member's smallest residue, the smallest
+    admissible residue beta of -d, and h = h(-d)."""
 
     d: int
-    members: list[int]
+    residues: dict[int, int]
     beta: int
     h: int
 
     @property
     def usable(self) -> list[int]:
-        return _usable(self.members)
+        return _usable(self.residues)
 
     def feasible(self) -> bool:
         usable = self.usable
         return self.h + 1 <= len(usable) - (-self.d in usable)
 
 
-def _facts(p: int, d: int, members: list[int]) -> PipelineFacts:
-    """The facts of d at p, given S(p); refused unless -d is fundamental and
-    a square mod 4p."""
+def _facts(p: int, d: int, residues: dict[int, int]) -> PipelineFacts:
+    """The facts of d at p, given S(p) and its residues; refused unless -d
+    is fundamental and a square mod 4p."""
     fundamental(-d)
-    return PipelineFacts(d, members, smallest_residue(-d, p), count_classes(-d))
+    beta = residues[-d] if -d in residues else smallest_residue(-d, p)
+    return PipelineFacts(d, residues, beta, count_classes(-d))
 
 
 def feasible(d: int, p: int) -> bool:
@@ -89,7 +100,7 @@ def feasible(d: int, p: int) -> bool:
 
     The diagonal D = d is not counted: build_pairs skips it.
     """
-    return _facts(p, d, s_set(p)).feasible()
+    return _facts(p, d, _residues(p)).feasible()
 
 
 @dataclass(frozen=True)
@@ -176,26 +187,37 @@ def build_pairs(d: int, beta: int, p: int, base_disc: int) -> list[Interpolation
     skipped: its Y vanishes identically and the norm formula requires
     distinct discriminants.
     """
-    return _magnitude_pairs(usable_s_set(p), p, d, beta, base_disc)
+    residues = _residues(p)
+    fundamental(-d)  # the pipeline checks d once, in _facts
+    return _magnitude_pairs(residues, p, d, beta, base_disc)
 
 
-def _magnitude_pairs(usable: list[int], p: int, d: int, beta: int,
+def _magnitude_pairs(residues: dict[int, int], p: int, d: int, beta: int,
                      base_disc: int) -> list[InterpolationPair]:
-    """build_pairs over the usable members of S(p)."""
+    """build_pairs over S(p) and its residues, for a fundamental -d.
+
+    p is tested once, as the factorization every norm shares, and each
+    member's field is built once and serves both its X and its Y norm.
+    """
+    usable = _usable(residues)
     if base_disc not in usable:
         raise ParameterError(f"base discriminant {base_disc} is not usable for p={p}")
     if -base_disc == d:
         raise ParameterError("base discriminant must differ from d")
+    p_factors = Factorization(p, ((p, 1),))
     pairs = []
     for disc in usable:
         D = -disc
         if D == d:
             continue
+        certified = Certified(p_factors, QuadraticCharacter(factorize(D)))
+        mu = residues[disc]
         if disc == base_disc:
             x = 0
         else:
-            x = gz_log_norm(GZParams(p, -base_disc, D)).norm()
-        y = gz_log_norm(GZParams(p, d, D, beta=beta)).norm()
+            x = gz_log_norm(GZParams(p, -base_disc, D, mu, residues[base_disc],
+                                     certified)).norm()
+        y = gz_log_norm(GZParams(p, d, D, mu, beta, certified)).norm()
         pairs.append(InterpolationPair(D=D, x_mag=x, y_mag=y))
     return pairs
 
@@ -353,7 +375,7 @@ def require_feasible(p: int, d: int) -> list[int]:
 
 def _feasible_facts(p: int, d: int) -> PipelineFacts:
     """The facts of d at p, or InfeasibleError saying what is missing if not feasible(d, p)."""
-    facts = _facts(p, d, s_set(p))
+    facts = _facts(p, d, _residues(p))
     if not facts.feasible():
         usable = facts.usable
         if -d in usable:
@@ -377,9 +399,9 @@ def class_polynomial(p: int, d: int, base_disc: int | None = None,
     facts = _feasible_facts(p, d)
     if base_disc is None:
         base_disc = next(disc for disc in facts.usable if -disc != d)
-    pairs = _magnitude_pairs(facts.usable, p, d, facts.beta, base_disc)
+    pairs = _magnitude_pairs(facts.residues, p, d, facts.beta, base_disc)
     points = (resolve_signs(pairs, facts.h) if hauptmodul is None
               else read_signs(pairs, d, base_disc, facts.beta, hauptmodul))
     poly = interpolate(points, d, facts.h)
     return ClassPolyReport(p=p, d=d, beta=facts.beta, base_disc=base_disc,
-                           s_set=facts.members, pairs=pairs, points=points, polynomial=poly)
+                           s_set=list(facts.residues), pairs=pairs, points=points, polynomial=poly)

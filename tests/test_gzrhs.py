@@ -3,8 +3,19 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cmforge.arith import factorize, hilbert_symbol, kronecker, ord_q
+from cmforge.arith import (
+    Factorization,
+    factorize,
+    hilbert_symbol,
+    is_fundamental_discriminant,
+    is_prime,
+    kronecker,
+    ord_q,
+)
+from cmforge.cmvalue import QuadraticCharacter
 from cmforge.crosscheck import admissible_pairs
 from cmforge.errors import (
     IntegralityError,
@@ -15,6 +26,7 @@ from cmforge.errors import (
 from cmforge.gzrhs import (
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
+    Certified,
     GZParams,
     PrimeLogSum,
     TermContribution,
@@ -23,6 +35,7 @@ from cmforge.gzrhs import (
     term_contribution,
 )
 from cmforge.hauptmodul import Hauptmodul
+from cmforge.quadforms import square_roots_mod_4p
 
 
 def exponent_map(pls):
@@ -350,6 +363,44 @@ def test_create_tests_p_once_and_factors_d_once(monkeypatch):
     assert factored == [12228, 7]
     assert tested == [2, 2, 2, 3, 1019, 7]
     assert (params.p_factors, params.chi.factors) == (factorize_(2), factorize_(12228))
+
+
+FUNDAMENTAL_D = [n for n in range(5, 700) if is_fundamental_discriminant(-n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([q for q in range(2, 72) if is_prime(q)]), data=st.data())
+def test_params_from_certified_facts_equal_params_from_scratch(p, data):
+    # a caller that has checked p, d and D hands in p's factorization and
+    # D's field: the params, and the norm they score to, are the ones the
+    # constructor derives itself, with the residues given or chosen
+    admissible = [n for n in FUNDAMENTAL_D if square_roots_mod_4p(-n, p)]
+    assume(len(admissible) >= 2)
+    d, D = data.draw(st.lists(st.sampled_from(admissible), min_size=2, max_size=2, unique=True))
+    scratch = GZParams(p, d, D)
+    certified = Certified(Factorization(p, ((p, 1),)), QuadraticCharacter(factorize(D)))
+    for handed in (GZParams(p, d, D, scratch.mu, scratch.beta, certified),
+                   GZParams(p, d, D, certified=certified)):
+        assert handed == scratch
+        assert handed.chi is certified.chi and handed.p_factors is certified.p_factors
+        assert handed.chi.factors == scratch.chi.factors
+        for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M):
+            assert gz_log_norm(handed, variant) == gz_log_norm(scratch, variant)
+
+
+def test_params_refuse_facts_certified_for_another_tuple():
+    # facts for another D or another p are a caller bug, refused at one site
+    chi = QuadraticCharacter(factorize(163))
+    p_factors = Factorization(47, ((47, 1),))
+    for certified in (Certified(p_factors, QuadraticCharacter(factorize(67))),
+                      Certified(Factorization(2, ((2, 1),)), chi)):
+        with pytest.raises(InternalError, match="^facts certified for .* to p=47, D=163$"):
+            GZParams(47, 39, 163, certified=certified)
+    # the refusals no certificate covers still apply
+    with pytest.raises(ParameterError, match="d must exceed 4"):
+        GZParams(47, 3, 163, certified=Certified(p_factors, chi))
+    with pytest.raises(ParameterError, match="beta=40 is not admissible"):
+        GZParams(47, 39, 163, mu=5, beta=40, certified=Certified(p_factors, chi))
 
 
 def test_enumerate_terms_ceiling_counts_terms_exactly(monkeypatch):

@@ -849,6 +849,31 @@ def test_crosscheck_through_a_series_file(tmp_path, capsys):
     assert abs(fine.ctx.mpf(from_series[0]) - exact) <= from_series[1]
 
 
+def test_series_tail_constant_is_computed_once_per_hauptmodul(monkeypatch):
+    # the tail model's constant depends on the coefficient file alone: the
+    # Hauptmodul computes it once, and a value then costs two exponentials
+    # (the tail ratio and the tail bound) however many coefficients the file
+    # has.  The constant is bit for bit the one the per-value loop computed,
+    # at the same precision, so every bound is unchanged
+    ctx = ctx80()
+    tau = QuadraticForm(5, 1, 1)
+    for count in (200, 400):
+        series = eta_quotient_qseries(5, count)
+        hm = Hauptmodul(5, series=series)
+        growth = ctx.mpf(0)
+        for k in range(1, series.top_exponent + 1):
+            c = series.coefficients[k + 1]
+            if c:
+                growth = max(growth, abs(ctx.mpf(c)) * ctx.exp(-4 * ctx.pi * ctx.sqrt(k)))
+        assert hm.tail_growth == max(growth, ctx.mpf(1))
+        calls = []
+        exp = ctx.exp
+        monkeypatch.setattr(ctx, "exp", lambda x: calls.append(x) or exp(x), raising=False)
+        hauptmodul._eval_qseries_with_bound(hm, hauptmodul._as_point(ctx, tau))
+        monkeypatch.undo()
+        assert len(calls) == 2, count
+
+
 def test_series_values_lie_within_their_bounds():
     # a coefficient file's value carries its rounding as well as its tail:
     # the closed form at twice the digits lies within the series bound at

@@ -17,6 +17,7 @@ from cmforge.errors import (
 )
 from cmforge.hauptmodul import Hauptmodul
 from cmforge.hcp import (
+    CLASS_NUMBER_ONE_DISCRIMINANTS,
     ClassPolynomial,
     InterpolationPair,
     build_pairs,
@@ -243,21 +244,22 @@ def test_class_polynomial_same_field_other_prime():
 
 @pytest.mark.parametrize("p, d", [(47, 39), (11, 7)])  # the second has the diagonal D = d
 def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
-    # one call computes S(p) once and h(-d) once, takes no residue through
-    # admissible_residues, never tests p (a genus-zero p is prime) and
-    # factors d once.  Each norm's GZParams still tests p and factors
-    # its discriminants, and term_contribution factors the m*D of its
-    # lattice term; calls inside those, and inside factorize, class_number
-    # and s_set themselves, are not counted.
+    # one call computes S(p) and its residues once, h(-d) once, tests p once
+    # and factors each discriminant once, counting inside every GZParams:
+    # each non-diagonal usable member gets one field, which serves both its
+    # norms.  term_contribution factors the m*D of each of its lattice terms,
+    # exactly the terms of the norms' from-scratch params; calls inside
+    # factorize and class_number themselves are not counted.
     import sys
 
-    from cmforge.gzrhs import GZParams
+    from cmforge.cmvalue import QuadraticCharacter
+    from cmforge.gzrhs import GZParams, enumerate_terms
 
-    calls, stack = [], []  # (name, first argument, names of the open wrapped calls)
+    calls, stack = [], []  # (name, argument, names of the open wrapped calls)
 
-    def tracked(name, fn):
+    def tracked(name, fn, index=0):
         def wrapper(*args, **kwargs):
-            calls.append((name, args[0] if args else kwargs, set(stack)))
+            calls.append((name, args[index] if len(args) > index else kwargs, list(stack)))
             stack.append(name)
             try:
                 return fn(*args, **kwargs)
@@ -266,7 +268,7 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
         return wrapper
 
     modules = [module for name, module in sys.modules.items() if name.startswith("cmforge.")]
-    for home, name in (("hcp", "s_set"), ("quadforms", "admissible_residues"),
+    for home, name in (("quadforms", "admissible_residues"), ("quadforms", "square_roots_mod_4p"),
                        ("quadforms", "class_number"), ("quadforms", "count_classes"),
                        ("arith", "factorize"), ("arith", "is_prime"),
                        ("gzrhs", "term_contribution")):
@@ -279,20 +281,38 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
                 if value is original:
                     monkeypatch.setattr(module, attr, wrapper)
     monkeypatch.setattr(GZParams, "__post_init__", tracked("GZParams", GZParams.__post_init__))
+    monkeypatch.setattr(QuadraticCharacter, "__init__",
+                        tracked("QuadraticCharacter", QuadraticCharacter.__init__, index=1))
     report = class_polynomial(p, d)
+    monkeypatch.undo()
 
     def outside(name, exempt):
-        return [arg for called, arg, open_ in calls if called == name and not open_ & exempt]
+        return [arg for called, arg, open_ in calls if called == name and not set(open_) & exempt]
 
-    assert outside("s_set", {"s_set"}) == [p]
     assert outside("admissible_residues", set()) == []
     counts = {"class_number", "count_classes"}
     assert outside("class_number", counts) + outside("count_classes", counts) == [-d]
-    exempt = {"factorize", "term_contribution", "GZParams"}
-    assert outside("is_prime", exempt) == []
-    # the last factorization is the constant term's, whose divisors are the
-    # candidate rational roots of the polynomial
-    assert outside("factorize", exempt) == [d, abs(report.polynomial.coefficients[0])]
+    # one residue per discriminant: the nine candidates of S(p), and -d
+    # unless it is one of them
+    residues = outside("square_roots_mod_4p", set())
+    assert sorted(residues) == sorted(set(CLASS_NUMBER_ONE_DISCRIMINANTS) | {-d})
+    exempt = {"factorize", "term_contribution"}
+    assert outside("is_prime", exempt) == [p]
+    # d, then one field per non-diagonal usable member, then the constant
+    # term, whose divisors are the candidate rational roots of the polynomial
+    members = [pr.D for pr in report.pairs]
+    assert [factors.value for factors in outside("QuadraticCharacter", set())] == members
+    assert outside("factorize", exempt) == [d, *members, abs(report.polynomial.coefficients[0])]
+    # the norms' lattice terms, each factored once, as from scratch
+    base = -report.base_disc
+    expected = []
+    for D in members:
+        norms = [] if D == base else [GZParams(p, base, D)]
+        for params in norms + [GZParams(p, d, D, beta=report.beta)]:
+            expected += [term.md for term in enumerate_terms(params)]
+    assert [arg for called, arg, open_ in calls
+            if called == "factorize" and open_[-1:] == ["term_contribution"]] == expected
+    assert len(outside("GZParams", set())) == 2 * len(members) - 1
 
 
 def test_class_polynomial_infeasible():

@@ -229,6 +229,7 @@ def test_one_refusal_per_input_rule():
         "{} is not prime", "form {} is not positive definite",
         "p={}: the Fricke curve is not genus zero", "cannot factor non-positive integer {}",
         "{} is not a fundamental discriminant", "{} is not a square mod {}",
+        "facts certified for p={}, D={} handed to p={}, D={}",
     )} == {
         "{} is not prime": ["arith:require_prime"],
         "form {} is not positive definite": ["quadforms:QuadraticForm.__post_init__"],
@@ -236,6 +237,7 @@ def test_one_refusal_per_input_rule():
         "cannot factor non-positive integer {}": ["arith:factorize"],
         "{} is not a fundamental discriminant": ["quadforms:fundamental"],
         "{} is not a square mod {}": ["quadforms:smallest_residue"],
+        "facts certified for p={}, D={} handed to p={}, D={}": ["gzrhs:GZParams.__post_init__"],
     }
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
