@@ -76,8 +76,13 @@ def require_prime(n: int) -> int:
 
 @dataclass(frozen=True)
 class Factorization:
-    """A certified prime factorization of a positive integer; the product
-    check refuses any other value."""
+    """A certified prime factorization of a positive integer.
+
+    Factorization(value, factors) checks it all: increasing primes, each
+    one tested, positive exponents, and the product.  factorize and
+    prime_factorization prove each prime as they find it, so they build
+    theirs with _proven, which tests nothing again.
+    """
 
     value: int
     factors: tuple[tuple[int, int], ...]
@@ -97,6 +102,15 @@ class Factorization:
         if prod != self.value:
             raise InternalError(f"factors {self.factors} do not multiply to {self.value}")
 
+    @classmethod
+    def _proven(cls, value: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
+        """The factorization of value into factors, whose primes the caller has
+        just proven and whose product is value; nothing is checked here."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", factors)
+        return self
+
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
@@ -106,6 +120,12 @@ class Factorization:
         for p, e in self.factors:
             divs = [d * p ** k for d in divs for k in range(e + 1)]
         return sorted(divs)
+
+
+def prime_factorization(p: int) -> Factorization:
+    """The factorization p^1 of p, refused with ParameterError unless p is
+    prime: require_prime is its one primality test."""
+    return Factorization._proven(require_prime(p), ((p, 1),))
 
 
 def _pollard_brent(n: int) -> int:
@@ -140,7 +160,13 @@ def _pollard_brent(n: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer; n = 1 yields the empty product."""
+    """Factor a positive integer; n = 1 yields the empty product.
+
+    Each prime is proven where it is found, so the result is not tested
+    again: trial division finds the primes up to its limit in increasing
+    order, a cofactor left when the divisors pass its square root is prime,
+    and past the limit is_prime proves each piece Pollard-Brent splits off.
+    """
     if not isinstance(n, int):
         raise ParameterError(f"factorize expects an integer, got {n!r}")
     if n < 1:
@@ -162,7 +188,7 @@ def factorize(n: int) -> Factorization:
         f += increments[i]
         i = (i + 1) % 8
     if n > 1 and f * f > n:
-        # no prime up to sqrt(n) divides n, so n is prime; Factorization certifies it
+        # no prime up to sqrt(n) divides n, so n is prime
         counts[n] = 1
         n = 1
     stack = [n] if n > 1 else []
@@ -176,7 +202,7 @@ def factorize(n: int) -> Factorization:
         d = _pollard_brent(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(value, tuple(sorted(counts.items())))
+    return Factorization._proven(value, tuple(sorted(counts.items())))
 
 
 def kronecker(a: int, n: int) -> int:

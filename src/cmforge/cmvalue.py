@@ -78,44 +78,44 @@ def ideal_count(factors, chi: QuadraticCharacter) -> int:
 
 def o_of_m(md_factors: Factorization, chi: QuadraticCharacter) -> int:
     """Number of primes q | D that divide md = m*D, given factorize(md)."""
-    return len(chi.orders.keys() & md_factors.primes())
+    orders = chi.orders
+    return sum(1 for q, _ in md_factors.factors if q in orders)
 
 
 def diff_set(md_factors: Factorization, N_factors: Factorization,
              chi: QuadraticCharacter) -> tuple[int, ...]:
     """Finite primes where -m * N(a) is obstructed from being a local norm.
 
-    -md*N(a)*D = -m*N(a)*D^2 has the local symbols of -m*N(a).  The symbol is
-    +1 at any odd prime where both it and -D are units, so only the odd
-    primes of D, N(a) and md are scanned.  At an odd q not dividing D it is
-    chi_{-D}(q)^ord_q(x), read from chi, the field of D.  At an odd q | D,
-    with x = q^alpha u, bilinearity splits it as (q, -D)_q^alpha (u, -D)_q:
-    the first factor is chi.ramified(q), fixed per D, and the second needs
-    only ord_q(D) from chi.orders and kronecker(u, q).  All three integers
-    come factored, so no further valuation or primality work is done;
-    factorize(md) has already rejected a non-integer or non-positive md.
-    The archimedean symbol is -1 (x < 0 and -D < 0), so by the product
+    -md*N(a)*D = -m*N(a)*D^2 has the local symbols of x = md*N(a)*(-D), so
+    only the odd primes of md, N(a) and D can be obstructed.  At an odd q
+    not dividing D the symbol (x, -D)_q is chi_{-D}(q)^ord_q(x), read from
+    chi.  At an odd q | D, write md*N(a) = q^a u with u a unit; bilinearity
+    splits the symbol as (q, -D)_q^a (u, -D)_q (-D, -D)_q, and the last two
+    factors make (-u|q)^ord_q(D).  So a term needs a, read off the two
+    factorizations, one kronecker(-u, q), and chi.ramified(q), which is fixed
+    per D.  factorize(md) has already rejected a non-integer or non-positive
+    md.  The archimedean symbol is -1 (x < 0 and -D < 0), so by the product
     formula an odd number of finite places is obstructed, which decides 2.
     """
-    D = chi.D
-    x = -md_factors.value * N_factors.value * D
-    alphas: dict[int, int] = {}  # ord_q(x) over the scanned odd primes
-    for factors in (md_factors, N_factors, chi.factors):
+    D_orders = chi.orders
+    orders: dict[int, int] = {}  # ord_q(md*N(a)) over its odd primes
+    for factors in (md_factors, N_factors):
         for q, e in factors.factors:
             if q != 2:
-                alphas[q] = alphas.get(q, 0) + e
-    obstructed = []
-    for q in sorted(alphas):
-        alpha, beta = alphas[q], chi.orders.get(q)  # ord_q(x), ord_q(-D)
-        if beta is None:
-            if alpha % 2 and chi[q] == -1:
-                obstructed.append(q)
-        else:
-            symbol = local_hilbert_symbol(q, 0, x // q ** alpha, beta, -D // q ** beta)
-            if alpha % 2:
-                symbol *= chi.ramified(q)
-            if symbol == -1:
-                obstructed.append(q)
+                orders[q] = orders.get(q, 0) + e
+    obstructed = [q for q, e in orders.items()
+                  if e % 2 and q not in D_orders and chi[q] == -1]
+    mdN = md_factors.value * N_factors.value
+    for q, beta in D_orders.items():
+        if q == 2:
+            continue
+        a = orders.get(q, 0)
+        symbol = kronecker(-(mdN // q ** a), q) if beta % 2 else 1
+        if a % 2:
+            symbol *= chi.ramified(q)
+        if symbol == -1:
+            obstructed.append(q)
+    obstructed.sort()
     if len(obstructed) % 2 == 0:
         obstructed.insert(0, 2)
     return tuple(obstructed)

@@ -15,7 +15,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 from math import gcd, isqrt
 
-from .arith import Factorization, factorize, require_prime
+from .arith import Factorization, factorize, prime_factorization
 from .cmvalue import QuadraticCharacter, diff_set, ideal_count, o_of_m
 from .errors import (
     IntegralityError,
@@ -84,8 +84,7 @@ class GZParams:
             if value <= 4:
                 raise ParameterError(f"{name} must exceed 4, got {value}")
         if certified is None:
-            require_prime(self.p)
-            object.__setattr__(self, "p_factors", Factorization(self.p, ((self.p, 1),)))
+            object.__setattr__(self, "p_factors", prime_factorization(self.p))
         elif (certified.p_factors.value, certified.chi.D) != (self.p, self.D):
             raise InternalError(
                 f"facts certified for p={certified.p_factors.value}, D={certified.chi.D} "

@@ -17,7 +17,7 @@ from itertools import product
 
 import mpmath
 
-from .arith import Factorization, factorize
+from .arith import factorize, prime_factorization
 from .cmvalue import QuadraticCharacter
 from .errors import (
     AmbiguousSignsError,
@@ -204,7 +204,7 @@ def _magnitude_pairs(residues: dict[int, int], p: int, d: int, beta: int,
         raise ParameterError(f"base discriminant {base_disc} is not usable for p={p}")
     if -base_disc == d:
         raise ParameterError("base discriminant must differ from d")
-    p_factors = Factorization(p, ((p, 1),))
+    p_factors = prime_factorization(p)
     pairs = []
     for disc in usable:
         D = -disc

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmforge.arith import (
+    _TRIAL_LIMIT,
     Factorization,
     INFINITE_PLACE,
     factorize,
@@ -17,6 +18,7 @@ from cmforge.arith import (
     kronecker,
     local_hilbert_symbol,
     ord_q,
+    prime_factorization,
     sqrt_mod,
 )
 from cmforge.errors import InternalError, ParameterError, UndefinedValuationError
@@ -143,6 +145,69 @@ def test_factorize_rejects_bad_input():
         factorize(-6)
     with pytest.raises(ParameterError):
         factorize(PSI_12)  # was returned as a single certified prime
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10 ** 13))
+def test_factorize_matches_sympy(n):
+    assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_factorize_matches_sympy_on_the_pollard_path(data):
+    # two primes above the trial limit, p <= q, and a small cofactor: trial
+    # division stops at the limit and is_prime with Pollard-Brent splits what
+    # is left, up to 10^13 (prime gaps here are below 200)
+    p = sympy.nextprime(data.draw(st.integers(_TRIAL_LIMIT, 3 * 10 ** 6)))
+    q = sympy.nextprime(data.draw(st.integers(p - 1, 10 ** 13 // p - 200)))
+    n = data.draw(st.integers(1, 10 ** 13 // (p * q))) * p * q
+    assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items()))
+
+
+def counting_is_prime(monkeypatch):
+    """The list of n each is_prime(n) call receives from here on."""
+    import cmforge.arith as arith
+
+    tested, original = [], arith.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return original(n)
+
+    monkeypatch.setattr(arith, "is_prime", counting)
+    return tested
+
+
+def test_factorize_proves_its_primes_without_testing_them_again(monkeypatch):
+    # when trial division finishes, the primes it found and the cofactor left
+    # above the square root of what remains are proven: no is_prime call
+    tested = counting_is_prime(monkeypatch)
+    rng = random.Random(11)
+    for n in [rng.randrange(1, 10 ** 12) for _ in range(300)] + [999999999989, 2 ** 40, 1]:
+        factorize(n)
+    assert tested == []
+    # past the trial limit, is_prime proves each piece Pollard-Brent leaves once
+    p, q = 1000003, 1000033
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    assert sorted(tested) == [p, q, p * q]
+
+
+def test_prime_factorization_tests_p_once(monkeypatch):
+    tested = counting_is_prime(monkeypatch)
+    factors = prime_factorization(47)
+    assert tested == [47]
+    assert factors == Factorization(47, ((47, 1),))
+    with pytest.raises(ParameterError, match="^91 is not prime$"):
+        prime_factorization(91)
+
+
+def test_factorization_built_by_a_caller_still_tests_each_prime():
+    # the product check passes here; only the primality test refuses
+    with pytest.raises(InternalError, match=r"^4 is not prime in \(\(4, 2\),\)$"):
+        Factorization(16, ((4, 2),))
+    with pytest.raises(InternalError, match="^91 is not prime"):
+        Factorization(91, ((91, 1),))
 
 
 def test_factorization_invariants_enforced():

@@ -341,8 +341,8 @@ def test_create_factors_D_once(monkeypatch, mu):
 
 def test_create_tests_p_once_and_factors_d_once(monkeypatch):
     # one primality test of p and one factorization each of D and d serve
-    # the residue choice and the constructor; every other primality test
-    # certifies a Factorization (p^1, then the primes of D and of d)
+    # the residue choice and the constructor; factorize proves the primes of
+    # D and d as it finds them, so no primality test runs again
     from cmforge import arith, cmvalue, gzrhs, quadforms
 
     factored, tested = [], []
@@ -361,7 +361,7 @@ def test_create_tests_p_once_and_factors_d_once(monkeypatch):
         monkeypatch.setattr(module, "is_prime", counting_is_prime, raising=False)
     params = GZParams(2, 7, 12228)
     assert factored == [12228, 7]
-    assert tested == [2, 2, 2, 3, 1019, 7]
+    assert tested == [2]
     assert (params.p_factors, params.chi.factors) == (factorize_(2), factorize_(12228))
 
 

@@ -194,7 +194,7 @@ def test_numeric_sign_reader_reuses_what_the_pipeline_holds(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     assert read_signs(pairs, d=15, base_disc=-7, beta=1, hm=hm) == [(0, 184275), (175, 207025)]
-    assert calls == {"factorize": [7, 1, 15, 2, 8, 1], "is_prime": [2, 7, 2, 3, 5, 2, 2, 2]}
+    assert calls == {"factorize": [7, 1, 15, 2, 8, 1], "is_prime": [2, 2, 2]}
 
 
 def test_interpolate_needs_enough_points():

@@ -270,3 +270,32 @@ def test_the_field_of_D_is_one_value():
     fields = {item.target.id for item in params.body if isinstance(item, ast.AnnAssign)}
     assert {"p", "d", "D", "chi"} <= fields
     assert not {"d_factors", "D_factors"} & fields
+
+
+def functions_calling(name):
+    """'file:function' for each function of the package whose body calls name,
+    as a bare name or an attribute; 'file:<module>' for a call outside any."""
+    found = set()
+
+    def visit(node, path, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, f"{path.name}:{child.name}")
+            else:
+                if isinstance(child, ast.Call) and called_name(child) == name:
+                    found.add(where)
+                visit(child, path, where)
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, f"{path.name}:<module>")
+    return found
+
+
+def test_only_the_proving_builders_skip_the_factorization_checks():
+    # Factorization._proven tests no prime again: factorize proves each prime
+    # as it finds it, and prime_factorization runs require_prime first.  The
+    # builders of p's factorization use the latter; every other Factorization
+    # is built by its checking constructor.
+    assert functions_calling("_proven") == {"arith.py:factorize", "arith.py:prime_factorization"}
+    assert functions_calling("prime_factorization") == {"gzrhs.py:__post_init__",
+                                                        "hcp.py:_magnitude_pairs"}
