@@ -9,20 +9,16 @@ symbols take nonzero integers only: a rational x/y has the symbols of x*y.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import InternalError, ParameterError, UndefinedValuationError
 
-# The first t primes make Miller-Rabin deterministic for n < psi_t, the
+# The first 12 primes make Miller-Rabin deterministic for n < psi_12, the
 # smallest strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math.
-# Comp. 61 (1993)); is_prime refuses inputs at or above psi_12.
+# Comp. 61 (1993)); is_prime refuses inputs at or above it.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-           341550071728321, 341550071728321, 3825123056546413051,
-           3825123056546413051, 3825123056546413051, 318665857834031151167461)
-_MR_BOUND = _MR_PSI[-1]
+_MR_BOUND = 318665857834031151167461
 # An n with no prime factor among the bases is prime if n < 41^2, 41 being the next prime.
 _MR_TRIAL_SQUARE = 41 * 41
 
@@ -33,12 +29,8 @@ INFINITE_PLACE = math.inf
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test below psi_12.
-
-    Trial division by the bases decides every n < 41^2; above that,
-    Miller-Rabin runs with the leading bases 2, 3, 5, ... up to the first
-    t for which n < psi_t.
-    """
+    """Deterministic primality test below psi_12: trial division by the
+    bases decides every n < 41^2, and Miller-Rabin with all twelve the rest."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -47,14 +39,13 @@ def is_prime(n: int) -> bool:
     if n < _MR_TRIAL_SQUARE:
         return True
     if n >= _MR_BOUND:
-        raise ParameterError(f"primality of {n} is not certified at or above {_MR_BOUND}")
-    t = bisect_right(_MR_PSI, n) + 1  # least t with n < psi_t
+        raise ParameterError(f"primality of {n} is not proven at or above {_MR_BOUND}")
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES[:t]:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -76,40 +67,12 @@ def require_prime(n: int) -> int:
 
 @dataclass(frozen=True)
 class Factorization:
-    """A certified prime factorization of a positive integer.
-
-    Factorization(value, factors) checks it all: increasing primes, each
-    one tested, positive exponents, and the product.  factorize and
-    prime_factorization prove each prime as they find it, so they build
-    theirs with _proven, which tests nothing again.
-    """
+    """The prime factorization of a positive integer value as (prime, exponent)
+    pairs, primes increasing: a plain record, built only by factorize and
+    prime_factorization, which prove each prime as they find it."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        prod = 1
-        last = 1
-        for p, e in self.factors:
-            if p <= last:
-                raise InternalError(f"factor primes not increasing: {self.factors}")
-            if e < 1:
-                raise InternalError(f"non-positive exponent in {self.factors}")
-            if not is_prime(p):
-                raise InternalError(f"{p} is not prime in {self.factors}")
-            prod *= p ** e
-            last = p
-        if prod != self.value:
-            raise InternalError(f"factors {self.factors} do not multiply to {self.value}")
-
-    @classmethod
-    def _proven(cls, value: int, factors: tuple[tuple[int, int], ...]) -> "Factorization":
-        """The factorization of value into factors, whose primes the caller has
-        just proven and whose product is value; nothing is checked here."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "factors", factors)
-        return self
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -125,7 +88,7 @@ class Factorization:
 def prime_factorization(p: int) -> Factorization:
     """The factorization p^1 of p, refused with ParameterError unless p is
     prime: require_prime is its one primality test."""
-    return Factorization._proven(require_prime(p), ((p, 1),))
+    return Factorization(require_prime(p), ((p, 1),))
 
 
 def _pollard_brent(n: int) -> int:
@@ -202,7 +165,7 @@ def factorize(n: int) -> Factorization:
         d = _pollard_brent(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization._proven(value, tuple(sorted(counts.items())))
+    return Factorization(value, tuple(sorted(counts.items())))
 
 
 def kronecker(a: int, n: int) -> int:
@@ -241,7 +204,7 @@ def kronecker(a: int, n: int) -> int:
 def sqrt_mod(a: int, p: int) -> int | None:
     """A square root of a modulo an odd prime p (Tonelli-Shanks); None if a is not a square.
 
-    p must be a certified odd prime; nothing is checked here.
+    p must be a proven odd prime; nothing is checked here.
     """
     a %= p
     if a == 0:
@@ -298,7 +261,7 @@ def hilbert_symbol(a: int, b: int, q) -> int:
 def local_hilbert_symbol(q: int, alpha: int, u: int, beta: int, v: int) -> int:
     """Hilbert symbol (q^alpha u, q^beta v)_q for q-adic units u, v.
 
-    q must be a certified prime and u, v integers prime to q; nothing is
+    q must be a proven prime and u, v integers prime to q; nothing is
     checked here, so callers holding a Factorization skip the valuation and
     primality work of hilbert_symbol.
     """

@@ -33,10 +33,10 @@ from .gzrhs import (
     DEFAULT_RAMIFIED_EXPONENT,
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
-    GZParams,
     PrimeLogSum,
     enumerate_terms,
     gz_log_norm,
+    gz_params,
     term_contribution,
 )
 from .hauptmodul import (
@@ -182,7 +182,7 @@ def _norm_payload(pls):
 
 
 def cmd_gznorm(args) -> int:
-    params = GZParams(args.p, args.d, args.D, mu=args.mu, beta=args.beta)
+    params = gz_params(args.p, args.d, args.D, mu=args.mu, beta=args.beta)
     require_genus_zero(params.p)  # the norm is defined through j*_p
     variant = args.ramified_exponent
     if args.breakdown:
@@ -225,18 +225,14 @@ def cmd_gznorm(args) -> int:
                 f"-> {_exponent_text(items)}"
             )
         result["terms"] = rows
-    report = _report("gznorm", vars_of(params), result)
+    report = _report("gznorm", {"p": params.p, "d": params.d, "D": params.D,
+                                "beta": params.beta, "mu": params.mu}, result)
     csv_rows = [[params.p, params.d, params.beta, params.D, params.mu, q, f"{e}/1"]
                 for q, e in pls.items()]
     _emit(report, args.output_format, csv_rows=csv_rows,
           csv_header=["p", "d", "beta", "D", "mu", "prime", "exponent"],
           text_lines=text)
     return EXIT_OK
-
-
-def vars_of(params: GZParams) -> dict:
-    return {"p": params.p, "d": params.d, "D": params.D,
-            "beta": params.beta, "mu": params.mu}
 
 
 def _report(command: str, params: dict, result: dict, warnings=()) -> dict:
@@ -364,8 +360,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose parse errors print one line, without the usage."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cmforge",
         description="Exact CM-value norms, numeric cross-checks, and class polynomials "
                     "for Fricke-group Hauptmoduls.",

@@ -16,14 +16,14 @@ from .errors import IntegralityError, ParameterError
 
 
 class QuadraticCharacter(dict):
-    """The field Q(sqrt(-D)), given by the certified factorization of D.
+    """The field Q(sqrt(-D)), given by the factorization of D.
 
     chi.D is D, chi.factors its factorization and chi.orders maps each prime
     q | D to ord_q(D).  chi[q] reads chi_{-D}(q) = kronecker(-D, q) at a
     prime q, and chi.ramified(q) the Hilbert symbol (q, -D)_q at a prime
     q | D.  Each symbol is computed on first use and kept in this table, so
     a caller that holds one value per field pays one Kronecker symbol per
-    prime.
+    prime.  The tables are a cache: equality, hash and repr read D alone.
     """
 
     def __init__(self, factors: Factorization):
@@ -32,6 +32,17 @@ class QuadraticCharacter(dict):
         self.factors = factors
         self.orders = dict(factors.factors)
         self._ramified: dict[int, int] = {}
+
+    def __eq__(self, other):
+        return isinstance(other, QuadraticCharacter) and other.D == self.D
+
+    __ne__ = object.__ne__  # dict's own compares the tables
+
+    def __hash__(self):
+        return hash(self.D)
+
+    def __repr__(self):
+        return f"QuadraticCharacter(D={self.D})"
 
     def __missing__(self, q: int) -> int:
         value = self[q] = kronecker(-self.D, q)
@@ -61,7 +72,7 @@ def rho(n: int, D: int) -> int:
 
 
 def ideal_count(factors, chi: QuadraticCharacter) -> int:
-    """rho of prod q^e over certified (prime q, exponent e >= 0) pairs.
+    """rho of prod q^e over (proven prime q, exponent e >= 0) pairs.
 
     Multiplicative: a split prime power q^e contributes e+1, an inert one
     kills the count unless e is even, a ramified one contributes 1.

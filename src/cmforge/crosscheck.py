@@ -18,9 +18,9 @@ from .gzrhs import (
     DEFAULT_RAMIFIED_EXPONENT,
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
-    GZParams,
     PrimeLogSum,
     enumerate_terms,
+    gz_params,
     term_contribution,
 )
 from .hauptmodul import Hauptmodul, check_lhs_digits, lhs_log_norm
@@ -51,7 +51,7 @@ def run_crosscheck(hm: Hauptmodul, d: int, D: int) -> CrosscheckResult:
     """Evaluate both sides for one discriminant pair at the smallest residues."""
     check_lhs_digits(hm)  # before the lattice work, which no precision changes
     p = hm.p
-    params = GZParams(p, d, D)
+    params = gz_params(p, d, D)
     # one scoring pass gives both ramified variants
     contributions = [term_contribution(term, params) for term in enumerate_terms(params)]
     sums = {variant: PrimeLogSum.total(contributions, variant)

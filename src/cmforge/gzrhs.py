@@ -12,7 +12,7 @@ from one factorization of md, for both ramified exponents at once.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from .arith import Factorization, factorize, prime_factorization
@@ -39,86 +39,78 @@ _RAMIFIED_CHOICES = (RAMIFIED_OF_M, RAMIFIED_OF_MD)
 MAX_LATTICE_TERMS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Certified:
-    """What a caller that has already checked a tuple (p, d, D) hands to
-    GZParams: the factorization of the prime p and the field chi of D.
-
-    Handing it in vouches for the whole tuple: p is prime and d and D are
-    fundamental, so GZParams neither tests p nor factors d or D.  One value
-    per D serves every tuple with that D at that p, and their terms share
-    chi's table.
-    """
-
-    p_factors: Factorization
-    chi: QuadraticCharacter
+def _check_sizes(d: int, D: int) -> None:
+    for name, value in (("d", d), ("D", D)):
+        if value <= 4:
+            raise ParameterError(f"{name} must exceed 4, got {value}")
 
 
 @dataclass(frozen=True)
 class GZParams:
-    """Validated input tuple (p, d, D, mu, beta) plus the derived factored p, gcd g and
-    the field chi of D, whose character table fills as the terms of these params are scored.
+    """An input tuple of the norm formula: the factorization of the prime p,
+    d, the field chi of D (its table fills as the terms are scored), mu, beta.
 
-    A residue left as None becomes the smallest admissible one.  The checks
-    run in a fixed order: d and D exceed 4; p is prime; each discriminant
-    whose residue is chosen (D, then d) is fundamental and a square mod 4p;
-    each one whose residue is given (d, then D) is fundamental; d != D; the
-    given residues are admissible.  p is tested once and d and D are
-    factored once each; chi is built from the factorization of D.  With
-    certified handed in, p_factors and chi are taken from it and p, d and D
-    are not checked again; facts for another p or D are refused.
+    p and D are read off those facts, which prove p prime and -D
+    fundamental; the builder vouches for -d.  The constructor checks the
+    rest: d and D exceed 4, d != D, and mu and beta, reduced mod 2p, are
+    admissible.  gz_params builds one from integers.
     """
 
-    p: int
+    p_factors: Factorization
     d: int
-    D: int
-    mu: int | None = None
-    beta: int | None = None
-    certified: InitVar[Certified | None] = None
-    p_factors: Factorization = field(init=False, repr=False)
-    g: int = field(init=False)
-    chi: QuadraticCharacter = field(init=False, repr=False, compare=False)
+    chi: QuadraticCharacter
+    mu: int
+    beta: int
 
-    def __post_init__(self, certified):
-        for name, value in (("d", self.d), ("D", self.D)):
-            if value <= 4:
-                raise ParameterError(f"{name} must exceed 4, got {value}")
-        if certified is None:
-            object.__setattr__(self, "p_factors", prime_factorization(self.p))
-        elif (certified.p_factors.value, certified.chi.D) != (self.p, self.D):
-            raise InternalError(
-                f"facts certified for p={certified.p_factors.value}, D={certified.chi.D} "
-                f"handed to p={self.p}, D={self.D}"
-            )
-        else:
-            object.__setattr__(self, "p_factors", certified.p_factors)
-            object.__setattr__(self, "chi", certified.chi)
-        chosen = [(name, residue) for name, residue in (("D", "mu"), ("d", "beta"))
-                  if getattr(self, residue) is None]
-        given = [(name, residue) for name, residue in (("d", "beta"), ("D", "mu"))
-                 if getattr(self, residue) is not None]
-        for name, residue in chosen + given:
-            disc = -getattr(self, name)
-            if certified is None:
-                factors = fundamental(disc)
-                if name == "D":
-                    object.__setattr__(self, "chi", QuadraticCharacter(factors))
-            if getattr(self, residue) is None:
-                object.__setattr__(self, residue, smallest_residue(disc, self.p))
+    def __post_init__(self):
+        _check_sizes(self.d, self.D)
         if self.d == self.D:
             raise ParameterError("d and D must be distinct")
         object.__setattr__(self, "mu", self.mu % (2 * self.p))
         object.__setattr__(self, "beta", self.beta % (2 * self.p))
-        if (self.mu * self.mu + self.D) % (4 * self.p):
-            raise ParameterError(
-                f"mu={self.mu} is not admissible for -{self.D} mod {4 * self.p}"
-            )
-        if (self.beta * self.beta + self.d) % (4 * self.p):
-            raise ParameterError(
-                f"beta={self.beta} is not admissible for -{self.d} mod {4 * self.p}"
-            )
+        for name, residue, disc in (("mu", self.mu, self.D), ("beta", self.beta, self.d)):
+            if (residue * residue + disc) % (4 * self.p):
+                raise ParameterError(
+                    f"{name}={residue} is not admissible for -{disc} mod {4 * self.p}"
+                )
+
+    @property
+    def p(self) -> int:
+        return self.p_factors.value
+
+    @property
+    def D(self) -> int:
+        return self.chi.D
+
+    @property
+    def g(self) -> int:
         # gcd(0, 2p) = 2p covers the mu = 0 convention
-        object.__setattr__(self, "g", gcd(self.mu, 2 * self.p))
+        return gcd(self.mu, 2 * self.p)
+
+
+def gz_params(p: int, d: int, D: int, mu: int | None = None,
+              beta: int | None = None) -> GZParams:
+    """The GZParams of integers p, d, D and residues mu, beta, each checked;
+    a residue left as None becomes the smallest admissible one.
+
+    The checks run in a fixed order: d and D exceed 4; p is prime; each
+    discriminant whose residue is chosen (D, then d) is fundamental and a
+    square mod 4p; each one whose residue is given (d, then D) is
+    fundamental; then the record's own.  p is tested once, and d and D are
+    factored once each.
+    """
+    _check_sizes(d, D)
+    p_factors = prime_factorization(p)
+    D_first = mu is None  # D's residue is chosen, so D is checked before d
+    if D_first:
+        chi = QuadraticCharacter(fundamental(-D))
+        mu = smallest_residue(-D, p)
+    fundamental(-d)
+    if beta is None:
+        beta = smallest_residue(-d, p)
+    if not D_first:
+        chi = QuadraticCharacter(fundamental(-D))
+    return GZParams(p_factors, d, chi, mu, beta)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,8 @@ ETA_QUOTIENT_PRIMES = (2, 3, 5, 7, 13)
 
 #: Digits carried beyond the requested precision.
 GUARD_DIGITS = 10
+#: Most decimal digits numeric work accepts; eval takes about 0.5 s at the ceiling.
+MAX_DIGITS = 10_000
 #: Safety bound on the eta series length; low Im(tau) raises PrecisionError.
 MAX_ETA_TERMS = 10 ** 5
 #: Most flips reduce_point makes on a numeric point; one needing more raises PrecisionError.
@@ -89,9 +91,11 @@ def require_genus_zero(p: int) -> None:
 
 
 def check_digits(digits: int) -> int:
-    """digits, refused with ParameterError unless at least 1."""
+    """digits, refused with ParameterError unless between 1 and MAX_DIGITS."""
     if digits < 1:
         raise ParameterError("precision parameters must be positive")
+    if digits > MAX_DIGITS:
+        raise ParameterError(f"precision {digits} exceeds the ceiling of {MAX_DIGITS} digits")
     return digits
 
 
@@ -102,7 +106,7 @@ def working_context(digits: int):
     One context per precision per process: every call with the same digits
     returns the same context, whose precision changes only inside
     ctx.workprec(...).  Contexts at different precisions are distinct, and
-    digits below 1 raise ParameterError and store nothing.
+    digits outside 1..MAX_DIGITS raise ParameterError and store nothing.
     """
     ctx = mpmath.ctx_mp.MPContext()
     ctx.dps = check_digits(digits) + GUARD_DIGITS

@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     SignResolutionError,
 )
-from .gzrhs import Certified, GZParams, gz_log_norm
+from .gzrhs import GZParams, gz_log_norm
 from .hauptmodul import Hauptmodul, cm_values, require_genus_zero
 from .quadforms import (
     admissible_residues,  # unused here; bench/record.py reads hcp.admissible_residues
@@ -210,14 +210,13 @@ def _magnitude_pairs(residues: dict[int, int], p: int, d: int, beta: int,
         D = -disc
         if D == d:
             continue
-        certified = Certified(p_factors, QuadraticCharacter(factorize(D)))
+        chi = QuadraticCharacter(factorize(D))
         mu = residues[disc]
         if disc == base_disc:
             x = 0
         else:
-            x = gz_log_norm(GZParams(p, -base_disc, D, mu, residues[base_disc],
-                                     certified)).norm()
-        y = gz_log_norm(GZParams(p, d, D, mu, beta, certified)).norm()
+            x = gz_log_norm(GZParams(p_factors, -base_disc, chi, mu, residues[base_disc])).norm()
+        y = gz_log_norm(GZParams(p_factors, d, chi, mu, beta)).norm()
         pairs.append(InterpolationPair(D=D, x_mag=x, y_mag=y))
     return pairs
 

@@ -23,9 +23,9 @@ from cmforge.errors import SignResolutionError
 from cmforge.gzrhs import (
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
-    GZParams,
     enumerate_terms,
     gz_log_norm,
+    gz_params,
 )
 from cmforge.hauptmodul import (
     ETA_QUOTIENT_PRIMES,
@@ -159,14 +159,14 @@ def test_criterion_6_structural_invariants():
         grid += [(11, d, D) for d, D in admissible_pairs(11, max_disc=80, count=3)]
         grid += [(47, 11, 163), (47, 39, 163), (13, 43, 51)]
         for p, d, D in grid:
-            params = GZParams(p=p, d=d, D=D)
+            params = gz_params(p=p, d=d, D=D)
             g = params.g
             for term in enumerate_terms(params):
                 assert term.md > 0
                 assert 4 * g * g * p * term.md == g * g * d * D - term.t ** 2
             pls = gz_log_norm(params)
             assert pls.nonnegative_integral(), (p, d, D)
-            swapped = gz_log_norm(GZParams(p=p, d=D, D=d))
+            swapped = gz_log_norm(gz_params(p=p, d=D, D=d))
             assert pls == swapped, (p, d, D)
 
 

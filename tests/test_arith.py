@@ -21,7 +21,7 @@ from cmforge.arith import (
     prime_factorization,
     sqrt_mod,
 )
-from cmforge.errors import InternalError, ParameterError, UndefinedValuationError
+from cmforge.errors import ParameterError, UndefinedValuationError
 
 
 def sieve_primes(n):
@@ -200,23 +200,6 @@ def test_prime_factorization_tests_p_once(monkeypatch):
     assert factors == Factorization(47, ((47, 1),))
     with pytest.raises(ParameterError, match="^91 is not prime$"):
         prime_factorization(91)
-
-
-def test_factorization_built_by_a_caller_still_tests_each_prime():
-    # the product check passes here; only the primality test refuses
-    with pytest.raises(InternalError, match=r"^4 is not prime in \(\(4, 2\),\)$"):
-        Factorization(16, ((4, 2),))
-    with pytest.raises(InternalError, match="^91 is not prime"):
-        Factorization(91, ((91, 1),))
-
-
-def test_factorization_invariants_enforced():
-    with pytest.raises(InternalError):
-        Factorization(12, ((3, 1), (2, 2)))  # primes out of order
-    with pytest.raises(InternalError):
-        Factorization(12, ((2, 2), (3, 2)))  # wrong product
-    with pytest.raises(InternalError):
-        Factorization(16, ((4, 2),))  # 4 is not prime
 
 
 def test_divisors():

@@ -550,6 +550,39 @@ def test_usage_error_exit_code(capsys):
     assert main(["unknown-command"]) == EXIT_USAGE
 
 
+def test_parse_error_prints_one_line(capsys):
+    # the parser's message alone, without its usage lines, on the top-level
+    # parser and on each subcommand's
+    for argv, message in (
+        (["gznorm", "--p", "47"], "the following arguments are required: --d, --D"),
+        (["--bogus", "sset", "--p", "2"], "unrecognized arguments: --bogus"),
+        (["sset", "--p", "x"], "argument --p: invalid int value: 'x'"),
+        (["--precision", "many", "sset", "--p", "2"],
+         "argument --precision: invalid int value: 'many'"),
+    ):
+        assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n"), argv
+
+
+def test_precision_ceiling_refuses_at_once(capsys, monkeypatch):
+    # a precision above MAX_DIGITS is refused before any context is built,
+    # from the flag and from the environment alike
+    from cmforge import hauptmodul
+    from cmforge.hauptmodul import MAX_DIGITS
+
+    def no_context(digits):
+        raise AssertionError("a context was built")
+
+    monkeypatch.setattr(hauptmodul, "working_context", no_context)
+    message = f"error: precision {MAX_DIGITS + 1} exceeds the ceiling of 10000 digits\n"
+    argv = ["eval", "--p", "2", "--tau", "0+1i"]
+    assert run_cli(capsys, "--precision", str(MAX_DIGITS + 1), *argv) == (EXIT_USAGE, "", message)
+    monkeypatch.setenv("CMFORGE_PRECISION", str(MAX_DIGITS + 1))
+    assert run_cli(capsys, *argv) == (EXIT_USAGE, "", message)
+    code, _, err = run_cli(capsys, "--precision", "100000", "sset", "--p", "2")
+    assert (code, err) == (EXIT_USAGE, "error: precision 100000 exceeds the ceiling of 10000 "
+                                       "digits\n")
+
+
 def test_big_integers_serialized_as_strings():
     big = 2 ** 61
     assert canonical_json({"x": big}) == f'{{"x":"{big}"}}'

@@ -9,16 +9,20 @@ is Q^2 with Q linear (ROADMAP item 1): seven sweep cases exit 3 with one
 
 Calls run in-process, each under an interval timer, from a derandomized
 hypothesis search, so every run of the suite tries the same calls.  The
-integer bands keep each call's cost small: digits, --count and the size of
-d*D are requests for work with no ceiling of their own (ROADMAP item 5):
-eval at 10^5 digits runs past 20 s, and gznorm at d*D = 7*10^9 takes 18 s.
-Large values are drawn far beyond those bands, where a refusal must come
-at once.
+integer bands keep each call's cost small: --count and the size of d*D are
+requests for work with no ceiling of their own (ROADMAP item 5): gznorm at
+d*D = 7*10^9 takes 18 s.  Digits have a ceiling, MAX_DIGITS, far above the
+drawn ones; eval at that ceiling takes about half a second.  Large values
+are drawn far beyond those bands, where a refusal must come at once.
+
+Argv the parser refuses, and digits above the ceiling, are drawn apart:
+each ends at once in exit 2 with one "error: " line and nothing else.
 """
 
 import contextlib
 import io
 import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +37,7 @@ from cmforge.cli import (
     EXIT_USAGE,
     main,
 )
-from cmforge.hauptmodul import GENUS_ZERO_FRICKE_PRIMES
+from cmforge.hauptmodul import GENUS_ZERO_FRICKE_PRIMES, MAX_DIGITS
 from cmforge.quadforms import admissible_residues
 
 #: (p, d) of the sweep whose search fit is Q^2 with Q linear (ROADMAP item 1).
@@ -42,6 +46,8 @@ KNOWN_REDUCIBLE = {(11, 88): 21, (11, 187): 45, (17, 51): 2, (17, 187): 10,
 
 #: Seconds one call may take.
 CALL_LIMIT_S = 20
+#: Seconds a call refused before any work may take.
+REFUSAL_LIMIT_S = 2
 
 
 class CallTimedOut(BaseException):
@@ -185,3 +191,34 @@ def test_known_reducible_fits_exit_internal(p, d):
     code, out, err = call(argv)
     assert (code, out) == (EXIT_INTERNAL, "")
     assert err == f"internal error: reducible: rational root {KNOWN_REDUCIBLE[p, d]}\n"
+
+
+@st.composite
+def refused_calls(draw):
+    """(argv, message): a call cli_calls draws, broken in one way that is
+    refused before any work, and the error message that must say so."""
+    argv = draw(cli_calls())
+    flaw = draw(st.sampled_from(["digits", "unknown flag", "missing flag", "not an integer"]))
+    if flaw == "digits":
+        digits = draw(st.one_of(st.integers(MAX_DIGITS + 1, 10 ** 6), huge))
+        argv = [f"--precision={digits}"] + [a for a in argv if not a.startswith("--precision=")]
+        return argv, f"precision {digits} exceeds the ceiling of {MAX_DIGITS} digits"
+    if flaw == "unknown flag":
+        at = draw(st.integers(0, len(argv)))
+        return argv[:at] + ["--no-such-flag"] + argv[at:], "unrecognized arguments: --no-such-flag"
+    # every command requires --p
+    at = next(i for i, arg in enumerate(argv) if arg.startswith("--p="))
+    if flaw == "missing flag":
+        return argv[:at] + argv[at + 1:], "the following arguments are required: --p"
+    text = draw(st.sampled_from(["x", "1.5", "", "0x10", "1e3", "seven"]))
+    return argv[:at] + [f"--p={text}"] + argv[at + 1:], f"argument --p: invalid int value: {text!r}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(call_and_message=refused_calls())
+def test_refused_argv_exits_2_at_once(call_and_message):
+    argv, message = call_and_message
+    start = time.perf_counter()
+    code, out, err = call(argv)
+    assert time.perf_counter() - start < REFUSAL_LIMIT_S, argv
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n"), argv

@@ -16,7 +16,7 @@ from cmforge.arith import (
 )
 from cmforge.cmvalue import QuadraticCharacter, diff_set, o_of_m, rho
 from cmforge.errors import IntegralityError, ParameterError
-from cmforge.gzrhs import GZParams
+from cmforge.gzrhs import gz_params
 
 RHO_FIELDS = (11, 19, 39, 43, 47, 67, 163)
 
@@ -86,16 +86,16 @@ def test_rho_rejects_bad_input():
 
 
 def test_field_data_validation():
-    # the field data reaches cmvalue through GZParams, which validates it once
-    GZParams(p=47, d=39, D=11)
+    # the field data reaches cmvalue through gz_params, which validates it once
+    gz_params(p=47, d=39, D=11)
     with pytest.raises(ParameterError, match="exceed 4"):
-        GZParams(p=2, d=7, D=4)  # w(k) special cases excluded
+        gz_params(p=2, d=7, D=4)  # w(k) special cases excluded
     with pytest.raises(ParameterError, match="exceed 4"):
-        GZParams(p=2, d=7, D=3)
+        gz_params(p=2, d=7, D=3)
     with pytest.raises(ParameterError, match="fundamental"):
-        GZParams(p=3, d=11, D=12)  # -12 is a square mod 12 but not fundamental
+        gz_params(p=3, d=11, D=12)  # -12 is a square mod 12 but not fundamental
     with pytest.raises(ParameterError, match="not prime"):
-        GZParams(p=0, d=7, D=15)  # the ideal norm p must be prime
+        gz_params(p=0, d=7, D=15)  # the ideal norm p must be prime
 
 
 def test_o_of_m_frozen():

@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmforge.arith import (
-    Factorization,
     factorize,
     hilbert_symbol,
     is_fundamental_discriminant,
     is_prime,
     kronecker,
     ord_q,
+    prime_factorization,
 )
 from cmforge.cmvalue import QuadraticCharacter
 from cmforge.crosscheck import admissible_pairs
@@ -26,16 +26,16 @@ from cmforge.errors import (
 from cmforge.gzrhs import (
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
-    Certified,
     GZParams,
     PrimeLogSum,
     TermContribution,
     enumerate_terms,
     gz_log_norm,
+    gz_params,
     term_contribution,
 )
 from cmforge.hauptmodul import Hauptmodul
-from cmforge.quadforms import square_roots_mod_4p
+from cmforge.quadforms import fundamental, square_roots_mod_4p
 
 
 def exponent_map(pls):
@@ -44,39 +44,39 @@ def exponent_map(pls):
 
 def test_params_validation():
     with pytest.raises(ParameterError):
-        GZParams(p=47, d=39, D=39)      # distinctness
+        gz_params(p=47, d=39, D=39)      # distinctness
     with pytest.raises(ParameterError):
-        GZParams(p=47, d=3, D=39)       # d > 4 required
+        gz_params(p=47, d=3, D=39)       # d > 4 required
     with pytest.raises(ParameterError):
-        GZParams(p=47, d=39, D=4)       # D > 4 required
+        gz_params(p=47, d=39, D=4)       # D > 4 required
     with pytest.raises(ParameterError):
-        GZParams(p=47, d=12, D=39)      # -12 not fundamental
+        gz_params(p=47, d=12, D=39)      # -12 not fundamental
     with pytest.raises(ParameterError):
-        GZParams(p=46, d=11, D=39)      # 46 not prime
+        gz_params(p=46, d=11, D=39)      # 46 not prime
     with pytest.raises(ParameterError):
-        GZParams(p=47, d=11, D=39, mu=33, beta=40)  # beta inadmissible
+        gz_params(p=47, d=11, D=39, mu=33, beta=40)  # beta inadmissible
     with pytest.raises(ParameterError):
-        GZParams(p=47, d=5, D=39)       # -5 = 3 mod 4, not a discriminant
+        gz_params(p=47, d=5, D=39)       # -5 = 3 mod 4, not a discriminant
 
 
 def test_params_normalization_and_g():
-    params = GZParams(p=47, d=39, D=163, mu=5 + 94, beta=33 - 94)
+    params = gz_params(p=47, d=39, D=163, mu=5 + 94, beta=33 - 94)
     assert params.mu == 5 and params.beta == 33
     assert params.g == 1
     # mu = 0 forces g = 2p
-    params2 = GZParams(p=2, d=7, D=8, mu=0, beta=1)
+    params2 = gz_params(p=2, d=7, D=8, mu=0, beta=1)
     assert params2.g == 4
-    params3 = GZParams(p=3, d=8, D=15, mu=3, beta=2)
+    params3 = gz_params(p=3, d=8, D=15, mu=3, beta=2)
     assert params3.g == 3
 
 
 def test_create_picks_smallest_residues():
-    params = GZParams(p=47, d=39, D=163)
+    params = gz_params(p=47, d=39, D=163)
     assert (params.mu, params.beta) == (5, 33)
 
 
 def test_enumerate_terms_frozen_lattice():
-    params = GZParams(p=47, d=39, D=163)
+    params = gz_params(p=47, d=39, D=163)
     terms = enumerate_terms(params)
     assert len(terms) == 4
     by_sign = {1: [], -1: []}
@@ -90,7 +90,7 @@ def test_enumerate_terms_frozen_lattice():
 
 
 def test_enumerate_terms_ordering_deterministic():
-    params = GZParams(p=2, d=7, D=15)
+    params = gz_params(p=2, d=7, D=15)
     terms = enumerate_terms(params)
     keys = [(-t.sign, t.y, t.n) for t in terms]
     assert keys == sorted(keys)
@@ -98,7 +98,7 @@ def test_enumerate_terms_ordering_deterministic():
 
 
 def test_empty_enumeration_gives_unit_norm():
-    params = GZParams(p=47, d=11, D=19)
+    params = gz_params(p=47, d=11, D=19)
     assert enumerate_terms(params) == []
     assert gz_log_norm(params).is_zero()
     assert gz_log_norm(params).norm() == 1
@@ -110,16 +110,16 @@ REFERENCE_Y_47 = {11: 1, 19: 1, 43: 7, 67: 13, 163: 217}
 
 def test_reference_x_magnitudes_p47():
     for D, expected in REFERENCE_X_47.items():
-        assert gz_log_norm(GZParams(p=47, d=11, D=D)).norm() == expected, D
+        assert gz_log_norm(gz_params(p=47, d=11, D=D)).norm() == expected, D
 
 
 def test_reference_y_magnitudes_p47():
     for D, expected in REFERENCE_Y_47.items():
-        assert gz_log_norm(GZParams(p=47, d=39, D=D)).norm() == expected, D
+        assert gz_log_norm(gz_params(p=47, d=39, D=D)).norm() == expected, D
 
 
 def test_reference_exponent_map_p47():
-    pls = gz_log_norm(GZParams(p=47, d=39, D=163))
+    pls = gz_log_norm(gz_params(p=47, d=39, D=163))
     assert exponent_map(pls) == {7: Fraction(8), 31: Fraction(8)}
     assert abs(pls.log_value() - 8 * math.log(217)) < 1e-12
 
@@ -127,7 +127,7 @@ def test_reference_exponent_map_p47():
 def test_adjudicated_exponents_2_7_15():
     # frozen against the independent numeric evaluation of the product,
     # which gives exactly 13 * 7 * 3^4 * 5^2 = 184275
-    params = GZParams(p=2, d=7, D=15)
+    params = gz_params(p=2, d=7, D=15)
     full = gz_log_norm(params, RAMIFIED_OF_MD)
     assert exponent_map(full) == {3: Fraction(32), 5: Fraction(16),
                                   7: Fraction(8), 13: Fraction(8)}
@@ -137,7 +137,7 @@ def test_adjudicated_exponents_2_7_15():
 
 
 def test_ramified_variant_only_changes_ramified_terms():
-    params = GZParams(p=47, d=39, D=163)  # all contributions inert here
+    params = gz_params(p=47, d=39, D=163)  # all contributions inert here
     assert gz_log_norm(params, RAMIFIED_OF_M) == gz_log_norm(params, RAMIFIED_OF_MD)
     with pytest.raises(ParameterError):
         PrimeLogSum.total([term_contribution(enumerate_terms(params)[0], params)], "bogus")
@@ -149,9 +149,9 @@ def grid_params():
     out = []
     for p in (2, 3, 5, 7, 13):
         for d, D in admissible_pairs(p, max_disc=80, count=4):
-            out.append(GZParams(p=p, d=d, D=D))
+            out.append(gz_params(p=p, d=d, D=D))
     for d, D in admissible_pairs(11, max_disc=60, count=3):
-        out.append(GZParams(p=11, d=d, D=D))
+        out.append(gz_params(p=11, d=d, D=D))
     return out
 
 
@@ -188,7 +188,7 @@ LARGE_TRIPLES = ((2, 7, 12228), (3, 11, 24756), (5, 11, 48795))
 
 
 def test_enumerate_terms_matches_reference_loop():
-    cases = grid_params() + [GZParams(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
+    cases = grid_params() + [gz_params(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
     for params in cases:
         got = [(t.sign, t.y, t.n, t.t, t.md) for t in enumerate_terms(params)]
         assert got == reference_terms(params), params
@@ -202,7 +202,7 @@ def test_grid_exponents_nonnegative_integral():
 
 def test_grid_swap_symmetry():
     for params in grid_params():
-        swapped = GZParams(p=params.p, d=params.D, D=params.d)
+        swapped = gz_params(p=params.p, d=params.D, D=params.d)
         assert gz_log_norm(params) == gz_log_norm(swapped), params
 
 
@@ -210,7 +210,7 @@ def test_term_contribution_vanishing():
     # terms whose obstruction set is not a singleton contribute nothing
     from cmforge.cmvalue import QuadraticCharacter, diff_set
 
-    params = GZParams(p=13, d=43, D=51)
+    params = gz_params(p=13, d=43, D=51)
     vanished = 0
     for term in enumerate_terms(params):
         obstructed = diff_set(factorize(term.md), factorize(13),
@@ -231,7 +231,7 @@ def test_gz_log_norm_factors_ideal_norm_once(monkeypatch):
 
     from cmforge import cmvalue, gzrhs
 
-    params = GZParams(p=2, d=7, D=12228)
+    params = gz_params(p=2, d=7, D=12228)
     terms = enumerate_terms(params)
     calls = []
     original = gzrhs.factorize
@@ -254,7 +254,7 @@ def test_gz_log_norm_computes_chi_once_per_prime(monkeypatch):
 
     from cmforge import arith, cmvalue, gzrhs
 
-    params = GZParams(p=2, d=7, D=12228)
+    params = gz_params(p=2, d=7, D=12228)
     calls = Counter()
     original = arith.kronecker
 
@@ -276,7 +276,7 @@ def test_gz_log_norm_computes_ramified_symbol_once_per_prime(monkeypatch):
 
     from cmforge import arith, cmvalue, gzrhs
 
-    params = GZParams(p=2, d=7, D=12228)
+    params = gz_params(p=2, d=7, D=12228)
     ramified = {q: -params.D // q for q in params.chi.factors.primes() if q != 2}
     assert sorted(ramified) == [3, 1019]
     calls = Counter()
@@ -300,7 +300,7 @@ def test_gz_log_norm_reads_valuations_off_factorizations(monkeypatch):
 
     from cmforge import arith, cmvalue, gzrhs
 
-    params = GZParams(2, 7, 12228)
+    params = gz_params(2, 7, 12228)
     calls = Counter()
 
     def counting(name, original):
@@ -333,10 +333,10 @@ def test_create_factors_D_once(monkeypatch, mu):
 
     for module in (arith, cmvalue, gzrhs, quadforms):
         monkeypatch.setattr(module, "factorize", counting)
-    params = GZParams(p=2, d=7, D=D, mu=mu)
+    params = gz_params(p=2, d=7, D=D, mu=mu)
     assert [n for n in calls if n in (D, D // 4)] == [D]
     assert params.chi.factors == original(D)
-    assert params == GZParams(p=2, d=7, D=D, mu=params.mu, beta=params.beta)
+    assert params == gz_params(p=2, d=7, D=D, mu=params.mu, beta=params.beta)
 
 
 def test_create_tests_p_once_and_factors_d_once(monkeypatch):
@@ -359,7 +359,7 @@ def test_create_tests_p_once_and_factors_d_once(monkeypatch):
     for module in (arith, cmvalue, gzrhs, quadforms):
         monkeypatch.setattr(module, "factorize", counting_factorize, raising=False)
         monkeypatch.setattr(module, "is_prime", counting_is_prime, raising=False)
-    params = GZParams(2, 7, 12228)
+    params = gz_params(2, 7, 12228)
     assert factored == [12228, 7]
     assert tested == [2]
     assert (params.p_factors, params.chi.factors) == (factorize_(2), factorize_(12228))
@@ -371,36 +371,43 @@ FUNDAMENTAL_D = [n for n in range(5, 700) if is_fundamental_discriminant(-n)]
 @settings(max_examples=150, deadline=None)
 @given(p=st.sampled_from([q for q in range(2, 72) if is_prime(q)]), data=st.data())
 def test_params_from_certified_facts_equal_params_from_scratch(p, data):
-    # a caller that has checked p, d and D hands in p's factorization and
-    # D's field: the params, and the norm they score to, are the ones the
-    # constructor derives itself, with the residues given or chosen
+    # a caller that has checked p, d and D builds the record from p's
+    # factorization and D's field: the params, and the norm they score to,
+    # are the ones gz_params parses from the integers, residues given or chosen
     admissible = [n for n in FUNDAMENTAL_D if square_roots_mod_4p(-n, p)]
     assume(len(admissible) >= 2)
     d, D = data.draw(st.lists(st.sampled_from(admissible), min_size=2, max_size=2, unique=True))
-    scratch = GZParams(p, d, D)
-    certified = Certified(Factorization(p, ((p, 1),)), QuadraticCharacter(factorize(D)))
-    for handed in (GZParams(p, d, D, scratch.mu, scratch.beta, certified),
-                   GZParams(p, d, D, certified=certified)):
-        assert handed == scratch
-        assert handed.chi is certified.chi and handed.p_factors is certified.p_factors
-        assert handed.chi.factors == scratch.chi.factors
+    scratch = gz_params(p, d, D)
+    p_factors, chi = prime_factorization(p), QuadraticCharacter(fundamental(-D))
+    mu = data.draw(st.sampled_from(square_roots_mod_4p(-D, p)))
+    beta = data.draw(st.sampled_from(square_roots_mod_4p(-d, p)))
+    for record, parsed in ((GZParams(p_factors, d, chi, scratch.mu, scratch.beta), scratch),
+                           (GZParams(p_factors, d, chi, mu, beta), gz_params(p, d, D, mu, beta))):
+        assert record == parsed and hash(record) == hash(parsed)
+        assert record.chi.factors == parsed.chi.factors
         for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M):
-            assert gz_log_norm(handed, variant) == gz_log_norm(scratch, variant)
+            assert gz_log_norm(record, variant) == gz_log_norm(parsed, variant)
 
 
-def test_params_refuse_facts_certified_for_another_tuple():
-    # facts for another D or another p are a caller bug, refused at one site
-    chi = QuadraticCharacter(factorize(163))
-    p_factors = Factorization(47, ((47, 1),))
-    for certified in (Certified(p_factors, QuadraticCharacter(factorize(67))),
-                      Certified(Factorization(2, ((2, 1),)), chi)):
-        with pytest.raises(InternalError, match="^facts certified for .* to p=47, D=163$"):
-            GZParams(47, 39, 163, certified=certified)
-    # the refusals no certificate covers still apply
-    with pytest.raises(ParameterError, match="d must exceed 4"):
-        GZParams(47, 3, 163, certified=Certified(p_factors, chi))
-    with pytest.raises(ParameterError, match="beta=40 is not admissible"):
-        GZParams(47, 39, 163, mu=5, beta=40, certified=Certified(p_factors, chi))
+def test_params_read_p_and_D_off_their_facts():
+    # p and D are the facts' values, so they cannot disagree with them; the
+    # rules the facts do not cover are still refused by the record itself
+    p_factors, chi = prime_factorization(47), QuadraticCharacter(factorize(163))
+    params = GZParams(p_factors, 39, chi, 5 + 94, 33)
+    assert (params.p, params.D, params.mu, params.g) == (47, 163, 5, 1)
+    assert params == gz_params(47, 39, 163)
+    other = GZParams(p_factors, 39, QuadraticCharacter(factorize(67)), 11, 33)
+    assert other.D == 67 and other != params
+    with pytest.raises(ParameterError, match="^d must exceed 4, got 3$"):
+        GZParams(p_factors, 3, chi, 5, 33)
+    with pytest.raises(ParameterError, match="^D must exceed 4, got 4$"):
+        GZParams(p_factors, 39, QuadraticCharacter(factorize(4)), 5, 33)
+    with pytest.raises(ParameterError, match="^d and D must be distinct$"):
+        GZParams(p_factors, 163, chi, 5, 5)
+    with pytest.raises(ParameterError, match="^mu=6 is not admissible for -163 mod 188$"):
+        GZParams(p_factors, 39, chi, 6, 33)
+    with pytest.raises(ParameterError, match="^beta=40 is not admissible for -39 mod 188$"):
+        GZParams(p_factors, 39, chi, 5, 40)
 
 
 def test_enumerate_terms_ceiling_counts_terms_exactly(monkeypatch):
@@ -408,7 +415,7 @@ def test_enumerate_terms_ceiling_counts_terms_exactly(monkeypatch):
     # number of terms the loop yields, for both signs and every edge case
     from cmforge import gzrhs
 
-    cases = grid_params() + [GZParams(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
+    cases = grid_params() + [gz_params(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
     for params in cases:
         count = len(enumerate_terms(params))
         monkeypatch.setattr(gzrhs, "MAX_LATTICE_TERMS", count)
@@ -473,7 +480,7 @@ def reference_contribution(term, params, ramified_exponent):
 
 
 def test_term_contribution_matches_per_symbol_reference():
-    cases = grid_params() + [GZParams(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
+    cases = grid_params() + [gz_params(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
     for params in cases:
         for term in enumerate_terms(params):
             contribution = term_contribution(term, params)
@@ -494,7 +501,7 @@ def test_term_contribution_keeps_its_checks(monkeypatch):
 
     from cmforge import gzrhs
 
-    params = GZParams(p=47, d=39, D=163)
+    params = gz_params(p=47, d=39, D=163)
     term = enumerate_terms(params)[0]
     for bad in (0, -term.md):
         with pytest.raises(ParameterError):
@@ -526,7 +533,7 @@ def test_edge_convention_pairs_crosscheck():
     # non-coprime discriminant pair all in one: gcd(39, 52) = 13 = p
     from cmforge.crosscheck import run_crosscheck
 
-    params = GZParams(p=13, d=39, D=52)
+    params = gz_params(p=13, d=39, D=52)
     assert (params.mu, params.beta, params.g) == (0, 13, 26)
     res = run_crosscheck(Hauptmodul(13), 39, 52)
     assert res.passes[RAMIFIED_OF_MD]
@@ -548,8 +555,8 @@ def test_primelogsum_algebra():
 
 
 def test_norm_and_integrality():
-    assert gz_log_norm(GZParams(p=47, d=39, D=163)).norm() == 217
-    assert gz_log_norm(GZParams(p=47, d=11, D=19)).norm() == 1
+    assert gz_log_norm(gz_params(p=47, d=39, D=163)).norm() == 217
+    assert gz_log_norm(gz_params(p=47, d=11, D=19)).norm() == 1
     assert PrimeLogSum({2: 16, 7: 8}).norm() == 28
     for exponents, shown in (({2: 4}, "1/2"), ({2: -8}, "-1"), ({2: -48}, "-6"),
                              ({3: 12}, "3/2"), ({5: -6}, "-3/4")):
@@ -560,13 +567,13 @@ def test_norm_and_integrality():
         PrimeLogSum({2: Fraction(8, 3)})
     # of_m puts a negative exponent on 2 here
     with pytest.raises(NonIntegralMagnitudeError):
-        gz_log_norm(GZParams(p=2, d=8, D=52), RAMIFIED_OF_M).norm()
+        gz_log_norm(gz_params(p=2, d=8, D=52), RAMIFIED_OF_M).norm()
 
 
 def test_square_dd_guard_unreachable():
     # distinct fundamental discriminants never have square product; the
     # internal guard still exists for malformed hand-built params
-    params = GZParams(p=2, d=7, D=15)
+    params = gz_params(p=2, d=7, D=15)
     assert enumerate_terms(params)  # no InternalError
     with pytest.raises(InternalError):
         object.__setattr__(params, "d", 15)  # force d == D past validation

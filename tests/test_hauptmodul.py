@@ -14,8 +14,10 @@ from cmforge.errors import (
 )
 from cmforge.hauptmodul import (
     ETA_QUOTIENT_PRIMES,
+    MAX_DIGITS,
     Hauptmodul,
     QSeries,
+    check_digits,
     cm_values,
     conjugate_form,
     eta_quotient_qseries,
@@ -52,6 +54,12 @@ def test_precision_validation():
     with pytest.raises(ParameterError):
         working_context(0)
     assert Hauptmodul(2).ctx.dps == working_context(80).dps == 90
+    assert check_digits(MAX_DIGITS) == MAX_DIGITS
+    for digits in (MAX_DIGITS + 1, 10 ** 30):
+        with pytest.raises(ParameterError, match="exceeds the ceiling of 10000 digits$"):
+            check_digits(digits)
+        with pytest.raises(ParameterError, match="exceeds the ceiling"):
+            Hauptmodul(2, digits=digits)
 
 
 def test_hauptmodul_checks_once():

@@ -226,9 +226,9 @@ def test_class_polynomial_pipeline_p11():
     linear = class_polynomial(11, 7)
     assert linear.polynomial.degree == 1
     # the root magnitude equals the norm against the base discriminant
-    from cmforge.gzrhs import GZParams, gz_log_norm
+    from cmforge.gzrhs import gz_log_norm, gz_params
     root = -linear.polynomial.coefficients[0]
-    expected = gz_log_norm(GZParams(p=11, d=-linear.base_disc, D=7)).norm()
+    expected = gz_log_norm(gz_params(p=11, d=-linear.base_disc, D=7)).norm()
     assert abs(root) == expected
 
 
@@ -253,7 +253,7 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     import sys
 
     from cmforge.cmvalue import QuadraticCharacter
-    from cmforge.gzrhs import GZParams, enumerate_terms
+    from cmforge.gzrhs import GZParams, enumerate_terms, gz_params
 
     calls, stack = [], []  # (name, argument, names of the open wrapped calls)
 
@@ -307,8 +307,8 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     base = -report.base_disc
     expected = []
     for D in members:
-        norms = [] if D == base else [GZParams(p, base, D)]
-        for params in norms + [GZParams(p, d, D, beta=report.beta)]:
+        norms = [] if D == base else [gz_params(p, base, D)]
+        for params in norms + [gz_params(p, d, D, beta=report.beta)]:
             expected += [term.md for term in enumerate_terms(params)]
     assert [arg for called, arg, open_ in calls
             if called == "factorize" and open_[-1:] == ["term_contribution"]] == expected

@@ -229,7 +229,6 @@ def test_one_refusal_per_input_rule():
         "{} is not prime", "form {} is not positive definite",
         "p={}: the Fricke curve is not genus zero", "cannot factor non-positive integer {}",
         "{} is not a fundamental discriminant", "{} is not a square mod {}",
-        "facts certified for p={}, D={} handed to p={}, D={}",
     )} == {
         "{} is not prime": ["arith:require_prime"],
         "form {} is not positive definite": ["quadforms:QuadraticForm.__post_init__"],
@@ -237,7 +236,6 @@ def test_one_refusal_per_input_rule():
         "cannot factor non-positive integer {}": ["arith:factorize"],
         "{} is not a fundamental discriminant": ["quadforms:fundamental"],
         "{} is not a square mod {}": ["quadforms:smallest_residue"],
-        "facts certified for p={}, D={} handed to p={}, D={}": ["gzrhs:GZParams.__post_init__"],
     }
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE_DIR.glob("*.py"))}
@@ -255,7 +253,7 @@ def test_one_refusal_per_input_rule():
 def test_the_field_of_D_is_one_value():
     # QuadraticCharacter carries D, its factorization and its symbols, so no
     # function takes the factorization of D beside it and GZParams keeps no
-    # factorization of d or D of its own
+    # factorization of d or D of its own: it holds chi and reads D off it
     offenders = [
         f"{path.name}:{node.name}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
@@ -268,8 +266,8 @@ def test_the_field_of_D_is_one_value():
     params = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) and node.name == "GZParams")
     fields = {item.target.id for item in params.body if isinstance(item, ast.AnnAssign)}
-    assert {"p", "d", "D", "chi"} <= fields
-    assert not {"d_factors", "D_factors"} & fields
+    assert {"p_factors", "d", "chi"} <= fields
+    assert not {"p", "D", "d_factors", "D_factors"} & fields
 
 
 def functions_calling(name):
@@ -292,10 +290,23 @@ def functions_calling(name):
 
 
 def test_only_the_proving_builders_skip_the_factorization_checks():
-    # Factorization._proven tests no prime again: factorize proves each prime
-    # as it finds it, and prime_factorization runs require_prime first.  The
-    # builders of p's factorization use the latter; every other Factorization
-    # is built by its checking constructor.
-    assert functions_calling("_proven") == {"arith.py:factorize", "arith.py:prime_factorization"}
-    assert functions_calling("prime_factorization") == {"gzrhs.py:__post_init__",
+    # Factorization is a record that checks nothing, so only the functions
+    # that prove its primes build one: factorize proves each prime as it
+    # finds it, and prime_factorization runs require_prime first.  The
+    # builders of p's factorization use the latter.
+    assert functions_calling("Factorization") == {"arith.py:factorize",
+                                                  "arith.py:prime_factorization"}
+    assert functions_calling("prime_factorization") == {"gzrhs.py:gz_params",
                                                         "hcp.py:_magnitude_pairs"}
+
+
+def test_params_are_built_by_their_parser_and_the_pipeline():
+    # gz_params is the one parser of integers; the class polynomial pipeline
+    # builds its records from the facts it holds.  The record holds exactly
+    # the tuple, with no constructor-only arguments.
+    assert functions_calling("GZParams") == {"gzrhs.py:gz_params", "hcp.py:_magnitude_pairs"}
+    tree = ast.parse((PACKAGE_DIR / "gzrhs.py").read_text(encoding="utf-8"))
+    params = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name == "GZParams")
+    assert [ast.unparse(item) for item in params.body if isinstance(item, ast.AnnAssign)] == [
+        "p_factors: Factorization", "d: int", "chi: QuadraticCharacter", "mu: int", "beta: int"]
