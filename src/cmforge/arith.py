@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 
 from .errors import InternalError, ParameterError, UndefinedValuationError
 
@@ -68,8 +69,9 @@ def require_prime(n: int) -> int:
 @dataclass(frozen=True)
 class Factorization:
     """The prime factorization of a positive integer value as (prime, exponent)
-    pairs, primes increasing: a plain record, built only by factorize and
-    prime_factorization, which prove each prime as they find it."""
+    pairs, primes increasing: a plain record, built only by factorize,
+    factor_over and prime_factorization, which prove each prime as they
+    find it."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
@@ -122,6 +124,54 @@ def _pollard_brent(n: int) -> int:
     raise InternalError(f"factorization parameter sweep exhausted for {n}")
 
 
+def primes_up_to(limit: int) -> list[int]:
+    """The primes up to limit, increasing (sieve of Eratosthenes)."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(compress(range(limit + 1), sieve))
+
+
+def _check_factorable(n) -> None:
+    if not isinstance(n, int):
+        raise ParameterError(f"factorize expects an integer, got {n!r}")
+    if n < 1:
+        raise ParameterError(f"cannot factor non-positive integer {n}")
+
+
+def factor_over(n: int, primes) -> Factorization:
+    """Factor a positive integer by trial division over primes, which must
+    hold, increasing, every prime up to isqrt(n) that can divide n.
+
+    That promise proves the result: a cofactor left once the primes pass
+    its square root, or run out, has no prime factor up to its square root,
+    so it is prime.  A caller that knows most primes cannot divide n lists
+    only the others and divides by those alone.
+    """
+    _check_factorable(n)
+    value = n
+    factors = []
+    root = isqrt(n)
+    for q in primes:
+        if q > root:
+            break
+        if n % q == 0:
+            n //= q
+            e = 1
+            while n % q == 0:
+                n //= q
+                e += 1
+            factors.append((q, e))
+            root = isqrt(n)
+    if n > 1:
+        factors.append((n, 1))
+    return Factorization(value, tuple(factors))
+
+
 def factorize(n: int) -> Factorization:
     """Factor a positive integer; n = 1 yields the empty product.
 
@@ -130,10 +180,7 @@ def factorize(n: int) -> Factorization:
     order, a cofactor left when the divisors pass its square root is prime,
     and past the limit is_prime proves each piece Pollard-Brent splits off.
     """
-    if not isinstance(n, int):
-        raise ParameterError(f"factorize expects an integer, got {n!r}")
-    if n < 1:
-        raise ParameterError(f"cannot factor non-positive integer {n}")
+    _check_factorable(n)
     value = n
     counts: dict[int, int] = {}
     for p in (2, 3, 5):

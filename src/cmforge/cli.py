@@ -34,10 +34,9 @@ from .gzrhs import (
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
     PrimeLogSum,
-    enumerate_terms,
     gz_log_norm,
     gz_params,
-    term_contribution,
+    score_terms,
 )
 from .hauptmodul import (
     Hauptmodul,
@@ -186,8 +185,7 @@ def cmd_gznorm(args) -> int:
     require_genus_zero(params.p)  # the norm is defined through j*_p
     variant = args.ramified_exponent
     if args.breakdown:
-        terms = enumerate_terms(params)
-        contributions = [term_contribution(term, params) for term in terms]
+        terms, contributions = score_terms(params)
         pls = PrimeLogSum.total(contributions, variant)
     else:
         pls = gz_log_norm(params, variant)
@@ -361,7 +359,13 @@ def cmd_eval(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose parse errors print one line, without the usage."""
+    """An ArgumentParser whose parse errors print one line, without the usage,
+    and that takes long flags only in full: an abbreviation such as --p
+    before the command would otherwise be read as --precision.  Subcommand
+    parsers are built from this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"error: {message}\n")

@@ -88,7 +88,7 @@ def ideal_count(factors, chi: QuadraticCharacter) -> int:
 
 
 def o_of_m(md_factors: Factorization, chi: QuadraticCharacter) -> int:
-    """Number of primes q | D that divide md = m*D, given factorize(md)."""
+    """Number of primes q | D that divide md = m*D, given md's factorization."""
     orders = chi.orders
     return sum(1 for q, _ in md_factors.factors if q in orders)
 
@@ -104,7 +104,7 @@ def diff_set(md_factors: Factorization, N_factors: Factorization,
     splits the symbol as (q, -D)_q^a (u, -D)_q (-D, -D)_q, and the last two
     factors make (-u|q)^ord_q(D).  So a term needs a, read off the two
     factorizations, one kronecker(-u, q), and chi.ramified(q), which is fixed
-    per D.  factorize(md) has already rejected a non-integer or non-positive
+    per D.  Factoring md has already rejected a non-integer or non-positive
     md.  The archimedean symbol is -1 (x < 0 and -D < 0), so by the product
     formula an odd number of finite places is obstructed, which decides 2.
     """

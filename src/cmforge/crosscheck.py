@@ -19,9 +19,8 @@ from .gzrhs import (
     RAMIFIED_OF_M,
     RAMIFIED_OF_MD,
     PrimeLogSum,
-    enumerate_terms,
     gz_params,
-    term_contribution,
+    score_terms,
 )
 from .hauptmodul import Hauptmodul, check_lhs_digits, lhs_log_norm
 from .quadforms import square_roots_mod_4p
@@ -53,7 +52,7 @@ def run_crosscheck(hm: Hauptmodul, d: int, D: int) -> CrosscheckResult:
     p = hm.p
     params = gz_params(p, d, D)
     # one scoring pass gives both ramified variants
-    contributions = [term_contribution(term, params) for term in enumerate_terms(params)]
+    _, contributions = score_terms(params)
     sums = {variant: PrimeLogSum.total(contributions, variant)
             for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M)}
     ctx = hm.ctx

@@ -6,7 +6,9 @@ prime -> exponent, assembled from finitely many lattice terms.  Each term
 (sign, y, n) has t = g*mu*(sign*beta) - 2npD - 2gpy with t^2 < g^2 dD and needs
 only the integer md = m*D = (g^2 dD - t^2)/(4 g^2 p), and contributes only
 when the local obstruction set of m is a single prime.  Each term is scored
-from one factorization of md, for both ramified exponents at once.
+from one factorization of md, for both ramified exponents at once, found by
+trial division over the only primes that 4g^2 p md = g^2 dD - t^2 lets
+divide md (admitted_primes).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .arith import Factorization, factorize, prime_factorization
+from .arith import Factorization, factor_over, kronecker, prime_factorization, primes_up_to
 from .cmvalue import QuadraticCharacter, diff_set, ideal_count, o_of_m
 from .errors import (
     IntegralityError,
@@ -248,8 +250,22 @@ class TermContribution:
         return not (self.of_mD or self.of_m)
 
 
-def term_contribution(term: LatticeTerm, params: GZParams) -> TermContribution:
-    """Weighted prime-log coefficients of one lattice term, from one factorize(m*D).
+def admitted_primes(params: GZParams) -> list[int]:
+    """The primes that can divide a term's md, up to the square root of the
+    largest md: 2, p, the primes of dD and those l with (dD | l) = 1.
+
+    A prime l not dividing 2p that divides md divides 4g^2 p md = g^2 dD - t^2,
+    and l does not divide g | 2p, so dD is a square mod l.  Every md is at
+    most dD/4p.
+    """
+    p, dD = params.p, params.d * params.D
+    return [q for q in primes_up_to(isqrt(dD // (4 * p)))
+            if q == 2 or q == p or kronecker(dD, q) != -1]
+
+
+def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) -> TermContribution:
+    """Weighted prime-log coefficients of one lattice term, from one
+    factorization of m*D over primes, the admitted_primes of params.
 
     Zero unless the obstruction set of m is a single prime q.  The weight
     2^(o(m)+1) includes a factor 2 because both orientations of the CM plane
@@ -257,7 +273,7 @@ def term_contribution(term: LatticeTerm, params: GZParams) -> TermContribution:
     factorization of md = m*D: an inert q lowers q's exponent by one for
     rho(m*D/q) instead of factoring m*D/q.
     """
-    md_factors = factorize(term.md)
+    md_factors = factor_over(term.md, primes)
     chi = params.chi
     obstructed = diff_set(md_factors, params.p_factors, chi)
     if len(obstructed) != 1:
@@ -277,8 +293,18 @@ def term_contribution(term: LatticeTerm, params: GZParams) -> TermContribution:
     raise InternalError(f"split prime {q} appeared in the obstruction set of m*D={term.md}")
 
 
+def score_terms(params: GZParams) -> tuple[list[LatticeTerm], list[TermContribution]]:
+    """Every lattice term and its contribution, in enumerate_terms order.
+
+    The admitted primes are listed once, after enumerate_terms has bounded
+    the lattice, and serve every term.
+    """
+    terms = enumerate_terms(params)
+    primes = admitted_primes(params)
+    return terms, [term_contribution(term, params, primes) for term in terms]
+
+
 def gz_log_norm(params: GZParams,
                 ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> PrimeLogSum:
     """Exact log of the 8th-power norm as a prime-log sum."""
-    return PrimeLogSum.total((term_contribution(term, params)
-                              for term in enumerate_terms(params)), ramified_exponent)
+    return PrimeLogSum.total(score_terms(params)[1], ramified_exponent)

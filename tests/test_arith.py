@@ -11,6 +11,7 @@ from cmforge.arith import (
     _TRIAL_LIMIT,
     Factorization,
     INFINITE_PLACE,
+    factor_over,
     factorize,
     hilbert_symbol,
     is_fundamental_discriminant,
@@ -19,6 +20,7 @@ from cmforge.arith import (
     local_hilbert_symbol,
     ord_q,
     prime_factorization,
+    primes_up_to,
     sqrt_mod,
 )
 from cmforge.errors import ParameterError, UndefinedValuationError
@@ -191,6 +193,35 @@ def test_factorize_proves_its_primes_without_testing_them_again(monkeypatch):
     p, q = 1000003, 1000033
     assert factorize(p * q).factors == ((p, 1), (q, 1))
     assert sorted(tested) == [p, q, p * q]
+
+
+def test_primes_up_to_matches_sieve():
+    assert primes_up_to(20000) == SMALL_PRIMES
+    assert [primes_up_to(n) for n in (-1, 0, 1, 2, 3, 4)] == [[], [], [], [2], [2, 3], [2, 3]]
+    assert all(primes_up_to(n) == [q for q in SMALL_PRIMES if q <= n] for n in range(200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 20000 ** 2), seed=st.integers(0, 2 ** 32))
+def test_factor_over_equals_factorize_given_the_primes_that_can_divide(n, seed):
+    # the primes up to isqrt(n), less some that do not divide n, are enough:
+    # what is left once they pass its root or run out is prime
+    rng = random.Random(seed)
+    primes = [q for q in SMALL_PRIMES
+              if q * q <= n and (n % q == 0 or rng.random() < 0.5)]
+    assert factor_over(n, primes) == factorize(n)
+
+
+def test_factor_over_rejects_bad_input_and_tests_nothing(monkeypatch):
+    tested = counting_is_prime(monkeypatch)
+    for bad in (0, -6):
+        with pytest.raises(ParameterError, match="^cannot factor non-positive integer"):
+            factor_over(bad, [2, 3])
+    with pytest.raises(ParameterError, match="^factorize expects an integer"):
+        factor_over(Fraction(6), [2, 3])
+    assert factor_over(1, []) == Factorization(1, ())
+    assert factor_over(2 ** 5 * 7 ** 2 * 101, [2, 7]) == factorize(2 ** 5 * 7 ** 2 * 101)
+    assert tested == []
 
 
 def test_prime_factorization_tests_p_once(monkeypatch):

@@ -4,6 +4,9 @@ bench/tracer.py binds its spans by (module, function) name, bench/record.py
 reads functions off `hcp`, and the bench's own tests assert bindings of
 `factorize`.  A rename or deletion in the package would otherwise show only
 when a traced or recording bench run fails.  These tests only read bench/.
+The tracer also reads counters off results (terms from enumerate_terms,
+contributing terms from term_contribution), so the last test pins how often
+the package calls those two.
 """
 
 import ast
@@ -88,3 +91,41 @@ def test_factorize_is_one_object_at_the_bindings_the_bench_asserts():
     import cmforge.cmvalue
 
     assert cmforge.cmvalue.factorize is cmforge.arith.factorize is cmforge.factorize
+
+
+def test_the_traced_term_counters_see_one_enumeration_and_one_call_per_term(monkeypatch):
+    # tracer.py adds len(result) of each enumerate_terms call to gzrhs.terms
+    # and counts each nonzero term_contribution result as contributing, so
+    # each evaluation enumerates once and scores each of its terms once
+    import sys
+
+    from cmforge import gzrhs
+    from cmforge.crosscheck import run_crosscheck
+    from cmforge.hauptmodul import Hauptmodul
+
+    results = {"enumerate_terms": [], "term_contribution": []}
+
+    def recording(name, original):
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            results[name].append((args[0], result))
+            return result
+        return wrapper
+
+    modules = [module for name, module in list(sys.modules.items())
+               if name == "cmforge" or name.startswith("cmforge.")]
+    for name in results:
+        original = getattr(gzrhs, name)
+        wrapper = recording(name, original)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    for evaluate in (lambda: gzrhs.gz_log_norm(gzrhs.gz_params(2, 7, 12228)),
+                     lambda: run_crosscheck(Hauptmodul(2), 7, 15)):
+        for calls in results.values():
+            calls.clear()
+        evaluate()
+        [(_, terms)] = results["enumerate_terms"]
+        assert [term for term, _ in results["term_contribution"]] == terms != []
+        assert any(not contribution.is_zero() for _, contribution in results["term_contribution"])

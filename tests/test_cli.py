@@ -403,12 +403,12 @@ def test_primes_outside_the_genus_zero_fifteen_are_refused_by_name(tmp_path, cap
     # j*_p exists only where X0*(p) has genus zero: eval and crosscheck
     # refuse any other prime as gznorm does, with or without a coefficient
     # file, and before any lattice work
-    from cmforge import crosscheck
+    from cmforge import gzrhs
 
     def no_lattice(params):
         raise AssertionError("the lattice was enumerated")
 
-    monkeypatch.setattr(crosscheck, "enumerate_terms", no_lattice)
+    monkeypatch.setattr(gzrhs, "enumerate_terms", no_lattice)
     series = tmp_path / "p37.txt"
     series.write_text("p 37\ncount 3\n1\n0\n5\n", encoding="ascii")
     for p in ("37", "1867"):
@@ -422,12 +422,12 @@ def test_primes_outside_the_genus_zero_fifteen_are_refused_by_name(tmp_path, cap
 
 
 def test_missing_coefficient_file_is_reported_before_lattice_work(capsys, monkeypatch):
-    from cmforge import crosscheck
+    from cmforge import gzrhs
 
     def no_lattice(params):
         raise AssertionError("the lattice was enumerated")
 
-    monkeypatch.setattr(crosscheck, "enumerate_terms", no_lattice)
+    monkeypatch.setattr(gzrhs, "enumerate_terms", no_lattice)
     for argv in (["crosscheck", "--p", "47", "--d", "39", "--D", "163"],
                  ["crosscheck", "--p", "47"],
                  ["classpoly", "--p", "47", "--d", "39", "--strategy", "numeric"]):
@@ -437,12 +437,12 @@ def test_missing_coefficient_file_is_reported_before_lattice_work(capsys, monkey
 
 
 def test_low_precision_is_reported_before_lattice_work(capsys, monkeypatch):
-    from cmforge import crosscheck
+    from cmforge import gzrhs
 
     def no_lattice(params):
         raise AssertionError("the lattice was enumerated")
 
-    monkeypatch.setattr(crosscheck, "enumerate_terms", no_lattice)
+    monkeypatch.setattr(gzrhs, "enumerate_terms", no_lattice)
     for argv in (["--precision", "20", "crosscheck", "--p", "2", "--d", "7", "--D", "20015"],
                  ["--precision", "29", "crosscheck", "--p", "2"]):
         code, out, err = run_cli(capsys, *argv)
@@ -561,6 +561,28 @@ def test_parse_error_prints_one_line(capsys):
          "argument --precision: invalid int value: 'many'"),
     ):
         assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n"), argv
+
+
+def test_long_flags_are_taken_only_in_full(capsys):
+    # an abbreviation is refused on the top-level parser, where --p would be
+    # read as --precision, and on each subcommand's; the full flag and the
+    # --flag=value form still parse
+    commands = "'gznorm', 'crosscheck', 'classpoly', 'heegner', 'sset', 'eval'"
+    for argv, message in (
+        (["--p", "47", "sset", "--p", "2"],
+         f"argument command: invalid choice: '47' (choose from {commands})"),
+        (["--p", "47", "gznorm", "--d", "39", "--D", "163"],
+         f"argument command: invalid choice: '47' (choose from {commands})"),
+        (["--prec", "30", "sset", "--p", "2"],
+         f"argument command: invalid choice: '30' (choose from {commands})"),
+        (["gznorm", "--p", "47", "--d", "39", "--D", "163", "--break"],
+         "unrecognized arguments: --break"),
+        (["crosscheck", "--p", "2", "--max", "50"], "unrecognized arguments: --max 50"),
+    ):
+        assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n"), argv
+    full = run_cli(capsys, "sset", "--p", "2")
+    assert full[0] == EXIT_OK
+    assert run_cli(capsys, "--precision=30", "sset", "--p=2") == full
 
 
 def test_precision_ceiling_refuses_at_once(capsys, monkeypatch):

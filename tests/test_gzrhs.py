@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmforge.arith import (
+    factor_over,
     factorize,
     hilbert_symbol,
     is_fundamental_discriminant,
@@ -14,6 +15,7 @@ from cmforge.arith import (
     kronecker,
     ord_q,
     prime_factorization,
+    primes_up_to,
 )
 from cmforge.cmvalue import QuadraticCharacter
 from cmforge.crosscheck import admissible_pairs
@@ -29,12 +31,13 @@ from cmforge.gzrhs import (
     GZParams,
     PrimeLogSum,
     TermContribution,
+    admitted_primes,
     enumerate_terms,
     gz_log_norm,
     gz_params,
     term_contribution,
 )
-from cmforge.hauptmodul import Hauptmodul
+from cmforge.hauptmodul import GENUS_ZERO_FRICKE_PRIMES, Hauptmodul
 from cmforge.quadforms import fundamental, square_roots_mod_4p
 
 
@@ -140,7 +143,8 @@ def test_ramified_variant_only_changes_ramified_terms():
     params = gz_params(p=47, d=39, D=163)  # all contributions inert here
     assert gz_log_norm(params, RAMIFIED_OF_M) == gz_log_norm(params, RAMIFIED_OF_MD)
     with pytest.raises(ParameterError):
-        PrimeLogSum.total([term_contribution(enumerate_terms(params)[0], params)], "bogus")
+        PrimeLogSum.total([term_contribution(enumerate_terms(params)[0], params,
+                                             admitted_primes(params))], "bogus")
     with pytest.raises(ParameterError):
         gz_log_norm(params, "bogus")
 
@@ -211,11 +215,12 @@ def test_term_contribution_vanishing():
     from cmforge.cmvalue import QuadraticCharacter, diff_set
 
     params = gz_params(p=13, d=43, D=51)
+    primes = admitted_primes(params)
     vanished = 0
     for term in enumerate_terms(params):
         obstructed = diff_set(factorize(term.md), factorize(13),
                               QuadraticCharacter(factorize(51)))
-        contribution = term_contribution(term, params)
+        contribution = term_contribution(term, params, primes)
         if len(obstructed) != 1:
             assert len(obstructed) == 3  # odd by the product formula
             assert contribution.is_zero()
@@ -225,26 +230,30 @@ def test_term_contribution_vanishing():
 
 
 def test_gz_log_norm_factors_ideal_norm_once(monkeypatch):
-    # every lattice term is scored from one factorization of its m*D; the
-    # ideal norm p comes factored with the params and is never factored again
+    # every lattice term is scored from one factorization of its m*D, by
+    # factor_over; the ideal norm p comes factored with the params and is
+    # never factored again, and factorize does not run while scoring
     from collections import Counter
 
-    from cmforge import cmvalue, gzrhs
+    from cmforge import arith, cmvalue, gzrhs
 
     params = gz_params(p=2, d=7, D=12228)
     terms = enumerate_terms(params)
     calls = []
-    original = gzrhs.factorize
 
-    def counting(n):
-        calls.append(n)
-        return original(n)
+    def counting(name, original):
+        def wrapper(n, *args):
+            calls.append((name, n))
+            return original(n, *args)
+        return wrapper
 
     for module in (gzrhs, cmvalue):
-        monkeypatch.setattr(module, "factorize", counting)
+        for name in ("factorize", "factor_over"):
+            monkeypatch.setattr(module, name, counting(name, getattr(arith, name)),
+                                raising=False)
     gz_log_norm(params)
-    assert params.p not in calls
-    assert Counter(calls) == Counter(term.md for term in terms)
+    assert params.p not in [n for _, n in calls]
+    assert Counter(calls) == Counter(("factor_over", term.md) for term in terms)
 
 
 def test_gz_log_norm_computes_chi_once_per_prime(monkeypatch):
@@ -317,6 +326,86 @@ def test_gz_log_norm_reads_valuations_off_factorizations(monkeypatch):
     assert calls == Counter()
 
 
+FUNDAMENTAL_BELOW_3000 = [D for D in range(5, 3000) if is_fundamental_discriminant(-D)]
+ADMISSIBLE_BELOW_3000 = {p: [D for D in FUNDAMENTAL_BELOW_3000 if square_roots_mod_4p(-D, p)]
+                         for p in sorted(GENUS_ZERO_FRICKE_PRIMES)}
+
+
+@st.composite
+def lattice_params(draw):
+    """The GZParams of an admissible (p, d, D) with d, D < 3000 at a
+    genus-zero p, with any admissible mu and beta.  D is drawn a third of
+    the time among the multiples of p and a third among those of 4p, where
+    mu = 0 and g = 2p."""
+    p = draw(st.sampled_from(sorted(ADMISSIBLE_BELOW_3000)))
+    admissible = ADMISSIBLE_BELOW_3000[p]
+    step = draw(st.sampled_from((1, p, 4 * p)))
+    D = draw(st.sampled_from([D for D in admissible if D % step == 0]))
+    d = draw(st.sampled_from([d for d in admissible if d != D]))
+    mu = draw(st.sampled_from(square_roots_mod_4p(-D, p)))
+    beta = draw(st.sampled_from(square_roots_mod_4p(-d, p)))
+    return gz_params(p, d, D, mu=mu, beta=beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=lattice_params())
+def test_the_lattice_congruence_admits_primes_and_settles_ramified_symbols(params):
+    # 4g^2 p md = g^2 dD - t^2 with g | 2p.  (a) A prime l not dividing 2p
+    # with (dD | l) = -1 divides no md, since l | md forces t^2 = g^2 dD mod l,
+    # so factor_over on the admitted primes is factorize on every md.  (b) At
+    # an odd q | D dividing neither md nor p, -md p = (t/2g)^2 is a nonzero
+    # square mod q, so the local symbol there is +1: diff_set could skip its
+    # Kronecker symbol at such q (ROADMAP item 6).
+    p, d, D = params.p, params.d, params.D
+    primes = admitted_primes(params)
+    odd_D = [q for q in factorize(D).primes() if q != 2]
+    for term in enumerate_terms(params):
+        md_factors = factorize(term.md)
+        assert all(q in (2, p) or kronecker(d * D, q) != -1 for q in md_factors.primes())
+        for q in odd_D:
+            if term.md * p % q:
+                assert hilbert_symbol(-term.md * p * D, -D, q) == 1, (params, term, q)
+        assert factor_over(term.md, primes) == md_factors
+
+
+def test_admitted_primes_are_2_p_and_the_primes_where_dD_is_a_square():
+    for params in grid_params() + [gz_params(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]:
+        p, dD = params.p, params.d * params.D
+        limit = isqrt(dD // (4 * p))
+        assert all(isqrt(term.md) <= limit for term in enumerate_terms(params))
+        assert admitted_primes(params) == [
+            q for q in range(2, limit + 1)
+            if is_prime(q) and (q in (2, p) or dD % q == 0 or pow(dD, (q - 1) // 2, q) == 1)]
+
+
+def test_no_term_is_trial_divided_by_an_excluded_prime(monkeypatch):
+    # one list of admitted primes per evaluation; factor_over divides each
+    # m*D only by primes in it, never by an l not dividing 2p with (dD | l) = -1
+    from cmforge import gzrhs
+
+    for p, d, D in ((2, 7, 12228), (3, 11, 24756), (5, 11, 9060), (47, 39, 400003)):
+        params = gz_params(p, d, D)
+        tried, lists = set(), []
+
+        class Tried(list):
+            def __iter__(self):
+                for q in super().__iter__():
+                    tried.add(q)
+                    yield q
+
+        def recording(params):
+            lists.append(Tried(admitted_primes(params)))
+            return lists[-1]
+
+        monkeypatch.setattr(gzrhs, "admitted_primes", recording)
+        gz_log_norm(params)
+        monkeypatch.undo()
+        dD = d * D
+        excluded = {q for q in primes_up_to(isqrt(dD)) if (2 * p) % q and kronecker(dD, q) == -1}
+        assert len(lists) == 1 and tried, params
+        assert not tried & excluded, params
+
+
 @pytest.mark.parametrize("mu", [None, 2])
 def test_create_factors_D_once(monkeypatch, mu):
     # one factorization of D serves the fundamental check, the residue choice
@@ -332,7 +421,7 @@ def test_create_factors_D_once(monkeypatch, mu):
         return original(n)
 
     for module in (arith, cmvalue, gzrhs, quadforms):
-        monkeypatch.setattr(module, "factorize", counting)
+        monkeypatch.setattr(module, "factorize", counting, raising=False)
     params = gz_params(p=2, d=7, D=D, mu=mu)
     assert [n for n in calls if n in (D, D // 4)] == [D]
     assert params.chi.factors == original(D)
@@ -482,8 +571,9 @@ def reference_contribution(term, params, ramified_exponent):
 def test_term_contribution_matches_per_symbol_reference():
     cases = grid_params() + [gz_params(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
     for params in cases:
+        primes = admitted_primes(params)
         for term in enumerate_terms(params):
-            contribution = term_contribution(term, params)
+            contribution = term_contribution(term, params, primes)
             for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M):
                 expected = reference_contribution(term, params, variant)
                 assert PrimeLogSum.total([contribution], variant).exponents == expected, \
@@ -503,18 +593,19 @@ def test_term_contribution_keeps_its_checks(monkeypatch):
 
     params = gz_params(p=47, d=39, D=163)
     term = enumerate_terms(params)[0]
+    admitted = admitted_primes(params)
     for bad in (0, -term.md):
         with pytest.raises(ParameterError):
-            term_contribution(replace(term, md=bad), params)
+            term_contribution(replace(term, md=bad), params, admitted)
     primes = (2, 3, 5, 7, 11, 13, 41, 43, 47)
     inert = next(q for q in primes if kronecker(-163, q) == -1 and term.md % q)
     split = next(q for q in primes if kronecker(-163, q) == 1)
     monkeypatch.setattr(gzrhs, "diff_set", lambda *args: (inert,))
     with pytest.raises(IntegralityError):
-        term_contribution(term, params)
+        term_contribution(term, params, admitted)
     monkeypatch.setattr(gzrhs, "diff_set", lambda *args: (split,))
     with pytest.raises(InternalError, match="split prime"):
-        term_contribution(term, params)
+        term_contribution(term, params, admitted)
 
 
 def test_primelogsum_total():

@@ -247,9 +247,10 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     # one call computes S(p) and its residues once, h(-d) once, tests p once
     # and factors each discriminant once, counting inside every GZParams:
     # each non-diagonal usable member gets one field, which serves both its
-    # norms.  term_contribution factors the m*D of each of its lattice terms,
-    # exactly the terms of the norms' from-scratch params; calls inside
-    # factorize and class_number themselves are not counted.
+    # norms.  term_contribution factors the m*D of each of its lattice terms
+    # over the admitted primes, exactly the terms of the norms' from-scratch
+    # params; calls inside factorize and class_number themselves are not
+    # counted.
     import sys
 
     from cmforge.cmvalue import QuadraticCharacter
@@ -270,7 +271,7 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     modules = [module for name, module in sys.modules.items() if name.startswith("cmforge.")]
     for home, name in (("quadforms", "admissible_residues"), ("quadforms", "square_roots_mod_4p"),
                        ("quadforms", "class_number"), ("quadforms", "count_classes"),
-                       ("arith", "factorize"), ("arith", "is_prime"),
+                       ("arith", "factorize"), ("arith", "factor_over"), ("arith", "is_prime"),
                        ("gzrhs", "term_contribution")):
         original = getattr(sys.modules[f"cmforge.{home}"], name, None)
         if original is None:
@@ -311,7 +312,7 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
         for params in norms + [gz_params(p, d, D, beta=report.beta)]:
             expected += [term.md for term in enumerate_terms(params)]
     assert [arg for called, arg, open_ in calls
-            if called == "factorize" and open_[-1:] == ["term_contribution"]] == expected
+            if called == "factor_over" and open_[-1:] == ["term_contribution"]] == expected
     assert len(outside("GZParams", set())) == 2 * len(members) - 1
 
 

@@ -233,7 +233,7 @@ def test_one_refusal_per_input_rule():
         "{} is not prime": ["arith:require_prime"],
         "form {} is not positive definite": ["quadforms:QuadraticForm.__post_init__"],
         "p={}: the Fricke curve is not genus zero": ["hauptmodul:require_genus_zero"],
-        "cannot factor non-positive integer {}": ["arith:factorize"],
+        "cannot factor non-positive integer {}": ["arith:_check_factorable"],
         "{} is not a fundamental discriminant": ["quadforms:fundamental"],
         "{} is not a square mod {}": ["quadforms:smallest_residue"],
     }
@@ -293,9 +293,14 @@ def test_only_the_proving_builders_skip_the_factorization_checks():
     # Factorization is a record that checks nothing, so only the functions
     # that prove its primes build one: factorize proves each prime as it
     # finds it, and prime_factorization runs require_prime first.  The
-    # builders of p's factorization use the latter.
+    # builders of p's factorization use the latter.  factor_over proves its
+    # primes from its caller's promise that the list it divides by holds
+    # every prime that can divide n; the one caller, term_contribution,
+    # keeps it by the congruence of the lattice (admitted_primes).
     assert functions_calling("Factorization") == {"arith.py:factorize",
+                                                  "arith.py:factor_over",
                                                   "arith.py:prime_factorization"}
+    assert functions_calling("factor_over") == {"gzrhs.py:term_contribution"}
     assert functions_calling("prime_factorization") == {"gzrhs.py:gz_params",
                                                         "hcp.py:_magnitude_pairs"}
 
