@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
 
-from .errors import InternalError, ParameterError, UndefinedValuationError
+from .errors import InternalError, ParameterError
 
 # The first 12 primes make Miller-Rabin deterministic for n < psi_12, the
 # smallest strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math.
@@ -69,15 +69,11 @@ def require_prime(n: int) -> int:
 @dataclass(frozen=True)
 class Factorization:
     """The prime factorization of a positive integer value as (prime, exponent)
-    pairs, primes increasing: a plain record, built only by factorize,
-    factor_over and prime_factorization, which prove each prime as they
-    find it."""
+    pairs, primes increasing: a plain record, built only by factorize and
+    factor_over, which prove each prime as they find it."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
 
     def divisors(self) -> list[int]:
         """All positive divisors, sorted."""
@@ -85,12 +81,6 @@ class Factorization:
         for p, e in self.factors:
             divs = [d * p ** k for d in divs for k in range(e + 1)]
         return sorted(divs)
-
-
-def prime_factorization(p: int) -> Factorization:
-    """The factorization p^1 of p, refused with ParameterError unless p is
-    prime: require_prime is its one primality test."""
-    return Factorization(require_prime(p), ((p, 1),))
 
 
 def _pollard_brent(n: int) -> int:
@@ -285,7 +275,7 @@ def ord_q(x: int, q: int) -> int:
     if not isinstance(x, int):
         raise ParameterError(f"valuations take integers, got {x!r}")
     if x == 0:
-        raise UndefinedValuationError("valuation of zero is undefined")
+        raise ParameterError("valuation of zero is undefined")
     v = 0
     while x % q == 0:
         x //= q

@@ -1,9 +1,11 @@
 """Command line front end.  Besides hauptmodul.load_qseries, which reads
 coefficient files, it is the only code that performs I/O.
 
-Exit codes: 0 success, 2 invalid parameters, 3 internal assertion failure,
-4 cross-check disagreement, 5 class-polynomial infeasibility.  Diagnostics go
-to stderr; stdout carries data only.
+Exit codes: 0 success; 2 a refusal, that is every CMForgeError not named
+below (ParameterError, PrecisionError, SignResolutionError and its
+AmbiguousSignsError, NonIntegralMagnitudeError); 3 an InternalError or a
+failed assertion; 4 cross-check disagreement; 5 an InfeasibleError.
+Diagnostics go to stderr; stdout carries data only.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .errors import (
     InternalError,
     NonIntegralMagnitudeError,
     ParameterError,
-    PrecisionError,
 )
 from .gzrhs import (
     DEFAULT_RAMIFIED_EXPONENT,
@@ -458,7 +459,7 @@ def main(argv=None) -> int:
     except (InternalError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ParameterError, PrecisionError, CMForgeError) as exc:
+    except CMForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,7 +12,7 @@ once, factor it once and keep one such value, and factor md once per term.
 from __future__ import annotations
 
 from .arith import Factorization, factorize, kronecker, local_hilbert_symbol
-from .errors import IntegralityError, ParameterError
+from .errors import InternalError, ParameterError
 
 
 class QuadraticCharacter(dict):
@@ -20,18 +20,22 @@ class QuadraticCharacter(dict):
 
     chi.D is D, chi.factors its factorization and chi.orders maps each prime
     q | D to ord_q(D).  chi[q] reads chi_{-D}(q) = kronecker(-D, q) at a
-    prime q, and chi.ramified(q) the Hilbert symbol (q, -D)_q at a prime
-    q | D.  Each symbol is computed on first use and kept in this table, so
-    a caller that holds one value per field pays one Kronecker symbol per
-    prime.  The tables are a cache: equality, hash and repr read D alone.
+    prime q, computed on first use and kept in this table, so a caller that
+    holds one value per field pays one Kronecker symbol per prime.
+    chi.ramified maps each odd prime q | D to the Hilbert symbol (q, -D)_q,
+    the part of every symbol (x, -D)_q that depends on D alone: it is read
+    from ord_q(D) with one kronecker(-D/q^ord, q) per prime, when the field
+    is built.  The tables are derived from D: equality, hash and repr read
+    D alone.
     """
 
     def __init__(self, factors: Factorization):
         super().__init__()
-        self.D = factors.value
+        self.D = D = factors.value
         self.factors = factors
         self.orders = dict(factors.factors)
-        self._ramified: dict[int, int] = {}
+        self.ramified = {q: local_hilbert_symbol(q, 1, 1, beta, -D // q ** beta)
+                         for q, beta in factors.factors if q != 2}
 
     def __eq__(self, other):
         return isinstance(other, QuadraticCharacter) and other.D == self.D
@@ -48,16 +52,6 @@ class QuadraticCharacter(dict):
         value = self[q] = kronecker(-self.D, q)
         return value
 
-    def ramified(self, q: int) -> int:
-        """(q, -D)_q at a prime q | D: the part of every symbol (x, -D)_q
-        that depends on D alone, read from ord_q(D) with one
-        kronecker(-D/q^ord, q) per odd prime."""
-        value = self._ramified.get(q)
-        if value is None:
-            beta = self.orders[q]
-            value = self._ramified[q] = local_hilbert_symbol(q, 1, 1, beta, -self.D // q ** beta)
-        return value
-
 
 def rho(n: int, D: int) -> int:
     """Number of integral ideals of norm n in Q(sqrt(-D)).
@@ -65,7 +59,7 @@ def rho(n: int, D: int) -> int:
     A non-integer n is a caller bug.  See ideal_count for the count itself.
     """
     if not isinstance(n, int):
-        raise IntegralityError(f"ideal counts need an integer norm, got {n!r}")
+        raise InternalError(f"ideal counts need an integer norm, got {n!r}")
     if n < 1:
         raise ParameterError(f"ideal norm must be positive, got {n}")
     return ideal_count(factorize(n).factors, QuadraticCharacter(factorize(D)))
@@ -93,37 +87,33 @@ def o_of_m(md_factors: Factorization, chi: QuadraticCharacter) -> int:
     return sum(1 for q, _ in md_factors.factors if q in orders)
 
 
-def diff_set(md_factors: Factorization, N_factors: Factorization,
-             chi: QuadraticCharacter) -> tuple[int, ...]:
-    """Finite primes where -m * N(a) is obstructed from being a local norm.
+def diff_set(md_factors: Factorization, p: int, chi: QuadraticCharacter) -> tuple[int, ...]:
+    """Finite primes where -m * N(a) is obstructed from being a local norm,
+    for an ideal a of prime norm p.
 
-    -md*N(a)*D = -m*N(a)*D^2 has the local symbols of x = md*N(a)*(-D), so
-    only the odd primes of md, N(a) and D can be obstructed.  At an odd q
-    not dividing D the symbol (x, -D)_q is chi_{-D}(q)^ord_q(x), read from
-    chi.  At an odd q | D, write md*N(a) = q^a u with u a unit; bilinearity
-    splits the symbol as (q, -D)_q^a (u, -D)_q (-D, -D)_q, and the last two
-    factors make (-u|q)^ord_q(D).  So a term needs a, read off the two
-    factorizations, one kronecker(-u, q), and chi.ramified(q), which is fixed
-    per D.  Factoring md has already rejected a non-integer or non-positive
-    md.  The archimedean symbol is -1 (x < 0 and -D < 0), so by the product
-    formula an odd number of finite places is obstructed, which decides 2.
+    -md*p*D = -m*p*D^2 has the local symbols of x = md*p*(-D), so only the
+    odd primes of md, p and D can be obstructed.  At an odd q not dividing D
+    the symbol (x, -D)_q is chi_{-D}(q)^ord_q(x), read from chi.  At an odd
+    q | D, write md*p = q^a u with u a unit; bilinearity splits the symbol
+    as (q, -D)_q^a (u, -D)_q (-D, -D)_q, and the last two factors make
+    (-u|q)^ord_q(D).  So a term needs a, read off md's factorization and p,
+    one kronecker(-u, q), and chi.ramified[q], which is fixed per D.
+    Factoring md has already rejected a non-integer or non-positive md.  The
+    archimedean symbol is -1 (x < 0 and -D < 0), so by the product formula
+    an odd number of finite places is obstructed, which decides 2.
     """
     D_orders = chi.orders
-    orders: dict[int, int] = {}  # ord_q(md*N(a)) over its odd primes
-    for factors in (md_factors, N_factors):
-        for q, e in factors.factors:
-            if q != 2:
-                orders[q] = orders.get(q, 0) + e
+    orders = {q: e for q, e in md_factors.factors if q != 2}  # ord_q(md*p), odd q
+    if p != 2:
+        orders[p] = orders.get(p, 0) + 1
     obstructed = [q for q, e in orders.items()
                   if e % 2 and q not in D_orders and chi[q] == -1]
-    mdN = md_factors.value * N_factors.value
-    for q, beta in D_orders.items():
-        if q == 2:
-            continue
+    mdp = md_factors.value * p
+    for q, symbol_of_q in chi.ramified.items():
         a = orders.get(q, 0)
-        symbol = kronecker(-(mdN // q ** a), q) if beta % 2 else 1
+        symbol = kronecker(-(mdp // q ** a), q) if D_orders[q] % 2 else 1
         if a % 2:
-            symbol *= chi.ramified(q)
+            symbol *= symbol_of_q
         if symbol == -1:
             obstructed.append(q)
     obstructed.sort()

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The command line front end maps these onto stable exit codes, so new error
-types should subclass one of the existing branches rather than Exception.
+The command line front end maps these onto stable exit codes.  A class
+exists only for an outcome a caller tells apart: a new failure raises the
+class of its outcome with its own message, and a new outcome subclasses one
+of these branches rather than Exception.
 """
 
 
@@ -10,39 +12,19 @@ class CMForgeError(Exception):
 
 
 class ParameterError(CMForgeError):
-    """Invalid caller-supplied input (bad discriminant, residue, prime, ...)."""
-
-
-class UndefinedValuationError(ParameterError):
-    """Valuation of zero requested."""
+    """Invalid caller-supplied input (bad discriminant, residue, prime, a
+    valuation of zero, a prime with no closed form and no coefficient file)."""
 
 
 class InternalError(CMForgeError):
-    """An internal consistency check failed; indicates a bug, not bad input."""
-
-
-class IntegralityError(InternalError):
-    """A quantity that must be an integer turned out not to be."""
-
-
-class EnumerationExhaustedError(InternalError):
-    """A bounded search ended before the expected count was reached."""
+    """An internal consistency check failed (a quantity that must be an
+    integer is not, a bounded search ends early); indicates a bug, not bad
+    input."""
 
 
 class PrecisionError(CMForgeError):
-    """Numeric evaluation could not reach the requested precision."""
-
-    def __init__(self, message, bound=None):
-        super().__init__(message)
-        self.bound = bound
-
-
-class IllConditionedError(PrecisionError):
-    """Two CM values coincide to working precision."""
-
-
-class SeriesRequiredError(ParameterError):
-    """Fourier coefficient data is needed for this prime but none was supplied."""
+    """Numeric evaluation could not reach the requested precision, or two
+    CM values coincide to working precision."""
 
 
 class InfeasibleError(CMForgeError):
@@ -53,12 +35,9 @@ class NonIntegralMagnitudeError(CMForgeError):
     """A norm magnitude needed as an integer has non-integral exponents."""
 
 
-class DegenerateDataError(CMForgeError):
-    """Interpolation data has duplicate X values."""
-
-
 class SignResolutionError(CMForgeError):
-    """No sign assignment produced a monic integer polynomial."""
+    """No sign assignment produced a monic integer polynomial, or the X
+    values cannot determine one (duplicate or vanishing X)."""
 
 
 class AmbiguousSignsError(SignResolutionError):

@@ -17,14 +17,9 @@ import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
-from .arith import Factorization, factor_over, kronecker, prime_factorization, primes_up_to
+from .arith import factor_over, kronecker, primes_up_to, require_prime
 from .cmvalue import QuadraticCharacter, diff_set, ideal_count, o_of_m
-from .errors import (
-    IntegralityError,
-    InternalError,
-    NonIntegralMagnitudeError,
-    ParameterError,
-)
+from .errors import InternalError, NonIntegralMagnitudeError, ParameterError
 from .quadforms import fundamental, smallest_residue
 
 RAMIFIED_OF_M = "of_m"
@@ -49,16 +44,17 @@ def _check_sizes(d: int, D: int) -> None:
 
 @dataclass(frozen=True)
 class GZParams:
-    """An input tuple of the norm formula: the factorization of the prime p,
-    d, the field chi of D (its table fills as the terms are scored), mu, beta.
+    """An input tuple of the norm formula: the prime p, d, the field chi of
+    D (its table fills as the terms are scored), mu, beta.
 
-    p and D are read off those facts, which prove p prime and -D
-    fundamental; the builder vouches for -d.  The constructor checks the
-    rest: d and D exceed 4, d != D, and mu and beta, reduced mod 2p, are
-    admissible.  gz_params builds one from integers.
+    D is read off chi, which proves -D fundamental; the builder vouches for
+    p being prime and for -d.  The constructor checks the rest: d and D
+    exceed 4, d != D, and mu and beta, reduced mod 2p, are admissible.
+    gz_params builds one from integers, and the class polynomial pipeline
+    from the facts it holds.
     """
 
-    p_factors: Factorization
+    p: int
     d: int
     chi: QuadraticCharacter
     mu: int
@@ -75,10 +71,6 @@ class GZParams:
                 raise ParameterError(
                     f"{name}={residue} is not admissible for -{disc} mod {4 * self.p}"
                 )
-
-    @property
-    def p(self) -> int:
-        return self.p_factors.value
 
     @property
     def D(self) -> int:
@@ -98,11 +90,11 @@ def gz_params(p: int, d: int, D: int, mu: int | None = None,
     The checks run in a fixed order: d and D exceed 4; p is prime; each
     discriminant whose residue is chosen (D, then d) is fundamental and a
     square mod 4p; each one whose residue is given (d, then D) is
-    fundamental; then the record's own.  p is tested once, and d and D are
-    factored once each.
+    fundamental; then the record's own.  require_prime tests p once, and d
+    and D are factored once each.
     """
     _check_sizes(d, D)
-    p_factors = prime_factorization(p)
+    require_prime(p)
     D_first = mu is None  # D's residue is chosen, so D is checked before d
     if D_first:
         chi = QuadraticCharacter(fundamental(-D))
@@ -112,7 +104,7 @@ def gz_params(p: int, d: int, D: int, mu: int | None = None,
         beta = smallest_residue(-d, p)
     if not D_first:
         chi = QuadraticCharacter(fundamental(-D))
-    return GZParams(p_factors, d, chi, mu, beta)
+    return GZParams(p, d, chi, mu, beta)
 
 
 @dataclass(frozen=True)
@@ -149,9 +141,6 @@ class PrimeLogSum:
             if coeff:
                 exponents[contribution.prime] = exponents.get(contribution.prime, 0) + coeff
         return cls(exponents)
-
-    def is_zero(self) -> bool:
-        return not self.exponents
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.exponents.items())
@@ -224,7 +213,7 @@ def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
             n, y = divmod(k, D // g)
             md, rest = divmod(bound_sq - t * t, denominator)
             if rest:
-                raise IntegralityError(f"m*D is not integral for term (sign={sign}, y={y}, n={n})")
+                raise InternalError(f"m*D is not integral for term (sign={sign}, y={y}, n={n})")
             block.append(LatticeTerm(n=n, y=y, sign=sign, t=t, md=md))
         block.sort(key=lambda term: (term.y, term.n))
         terms += block
@@ -275,7 +264,7 @@ def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) ->
     """
     md_factors = factor_over(term.md, primes)
     chi = params.chi
-    obstructed = diff_set(md_factors, params.p_factors, chi)
+    obstructed = diff_set(md_factors, params.p, chi)
     if len(obstructed) != 1:
         return TermContribution()
     q = obstructed[0]
@@ -283,7 +272,7 @@ def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) ->
     order = dict(md_factors.factors).get(q, 0)
     if chi[q] == -1:
         if not order:
-            raise IntegralityError(f"m*D/{q} is not integral for term {term}")
+            raise InternalError(f"m*D/{q} is not integral for term {term}")
         lowered = [(r, e - (r == q)) for r, e in md_factors.factors]
         coeff = weight * (order + 1) * ideal_count(lowered, chi)
         return TermContribution(q, coeff, coeff)

@@ -47,13 +47,7 @@ import mpmath
 from mpmath import libmp
 
 from .arith import require_prime
-from .errors import (
-    IllConditionedError,
-    InternalError,
-    ParameterError,
-    PrecisionError,
-    SeriesRequiredError,
-)
+from .errors import InternalError, ParameterError, PrecisionError
 from .quadforms import QuadraticForm, heegner_reps, reduce
 
 #: Primes whose Fricke curve X0*(p) has genus zero: the domain of j*_p.
@@ -195,7 +189,7 @@ class Hauptmodul:
         object.__setattr__(self, "ctx", working_context(self.digits))
         require_genus_zero(self.p)
         if self.series is None and self.p not in ETA_QUOTIENT_PRIMES:
-            raise SeriesRequiredError(f"no closed form for p={self.p}; supply a coefficient file")
+            raise ParameterError(f"no closed form for p={self.p}; supply a coefficient file")
         if self.series is not None:
             if self.series.p != self.p:
                 raise ParameterError(f"series is for p={self.series.p}, not p={self.p}")
@@ -667,8 +661,7 @@ def reduce_point(tau, p: int, ctx):
             return tau
         tau = -1 / (p * tau)
     raise PrecisionError(
-        f"tau not reduced for p={p} within MAX_REDUCTION_FLIPS = {MAX_REDUCTION_FLIPS} flips",
-        bound=ctx.inf,
+        f"tau not reduced for p={p} within MAX_REDUCTION_FLIPS = {MAX_REDUCTION_FLIPS} flips"
     )
 
 
@@ -700,8 +693,7 @@ def _eval_qseries_with_bound(hm: Hauptmodul, tau):
     ratio = ctx.exp(4 * ctx.pi * (ctx.sqrt(top + 2) - ctx.sqrt(top + 1))) * absq
     if ratio >= 1:
         raise PrecisionError(
-            f"series for p={series.p} cannot converge at |q|={mpmath.nstr(absq, 5)}",
-            bound=ctx.inf,
+            f"series for p={series.p} cannot converge at |q|={mpmath.nstr(absq, 5)}"
         )
     bound = (hm.tail_growth * ctx.exp(4 * ctx.pi * ctx.sqrt(top + 1)) * absq ** (top + 1)
              / (1 - ratio))
@@ -709,8 +701,7 @@ def _eval_qseries_with_bound(hm: Hauptmodul, tau):
     if bound > allowed:
         raise PrecisionError(
             f"truncation bound {mpmath.nstr(bound, 5)} exceeds the requested precision "
-            f"for p={series.p}; supply more coefficients",
-            bound=bound,
+            f"for p={series.p}; supply more coefficients"
         )
     log2_q = float(ctx.log(absq)) / math.log(2)
     terms = [(_log2_above(abs(c)) + (j - 1) * log2_q, abs(j - 1))
@@ -976,7 +967,7 @@ def lhs_log_norm(hm: Hauptmodul, d: int, beta: int, D: int, mu: int) -> tuple:
         for (ur, ui), lead_d, err_d, weight_d in d_values:
             norm = (vr - ur) ** 2 + (vi - ui) ** 2
             if norm < threshold:
-                raise IllConditionedError(
+                raise PrecisionError(
                     f"CM values coincide to within {mpmath.nstr(ctx.mpf(10) ** exponent, 3)}; "
                     "equal discriminants or insufficient precision"
                 )

@@ -17,11 +17,10 @@ from itertools import product
 
 import mpmath
 
-from .arith import factorize, prime_factorization
+from .arith import factorize
 from .cmvalue import QuadraticCharacter
 from .errors import (
     AmbiguousSignsError,
-    DegenerateDataError,
     InfeasibleError,
     InternalError,
     ParameterError,
@@ -196,15 +195,14 @@ def _magnitude_pairs(residues: dict[int, int], p: int, d: int, beta: int,
                      base_disc: int) -> list[InterpolationPair]:
     """build_pairs over S(p) and its residues, for a fundamental -d.
 
-    p is tested once, as the factorization every norm shares, and each
-    member's field is built once and serves both its X and its Y norm.
+    p is genus zero, so prime: _residues has admitted it.  Each member's
+    field is built once and serves both its X and its Y norm.
     """
     usable = _usable(residues)
     if base_disc not in usable:
         raise ParameterError(f"base discriminant {base_disc} is not usable for p={p}")
     if -base_disc == d:
         raise ParameterError("base discriminant must differ from d")
-    p_factors = prime_factorization(p)
     pairs = []
     for disc in usable:
         D = -disc
@@ -215,8 +213,8 @@ def _magnitude_pairs(residues: dict[int, int], p: int, d: int, beta: int,
         if disc == base_disc:
             x = 0
         else:
-            x = gz_log_norm(GZParams(p_factors, -base_disc, chi, mu, residues[base_disc])).norm()
-        y = gz_log_norm(GZParams(p_factors, d, chi, mu, beta)).norm()
+            x = gz_log_norm(GZParams(p, -base_disc, chi, mu, residues[base_disc])).norm()
+        y = gz_log_norm(GZParams(p, d, chi, mu, beta)).norm()
         pairs.append(InterpolationPair(D=D, x_mag=x, y_mag=y))
     return pairs
 
@@ -266,10 +264,10 @@ def resolve_signs(pairs: list[InterpolationPair], h: int) -> list[tuple[int, int
         )
     zero_idx = [i for i, pr in enumerate(pairs) if pr.x_mag == 0]
     if len(zero_idx) > 1:
-        raise DegenerateDataError("more than one zero X magnitude")
+        raise SignResolutionError("more than one zero X magnitude")
     nonzero_idx = [i for i, pr in enumerate(pairs) if pr.x_mag != 0]
     if not nonzero_idx:
-        raise DegenerateDataError("all X magnitudes vanish")
+        raise SignResolutionError("all X magnitudes vanish")
     free_x = nonzero_idx[1:]  # first nonzero X fixed +1; mirror restores the other half
     y_mags = [pr.y_mag for pr in pairs]
     accepted = []
@@ -346,7 +344,7 @@ def interpolate(points: list[tuple[int, int]], d: int, h: int) -> ClassPolynomia
         raise InfeasibleError(f"need {h + 1} points, got {len(points)}")
     xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
-        raise DegenerateDataError(f"duplicate X values: {sorted(xs)}")
+        raise SignResolutionError(f"duplicate X values: {sorted(xs)}")
     coeffs = _monic_fit(xs, [y for _, y in points], h)
     if coeffs is None or any(_horner(coeffs, x) != y for x, y in points):
         raise SignResolutionError(
@@ -367,12 +365,7 @@ class ClassPolyReport:
     polynomial: ClassPolynomial
 
 
-def require_feasible(p: int, d: int) -> list[int]:
-    """usable_s_set(p), or InfeasibleError saying what is missing if not feasible(d, p)."""
-    return _feasible_facts(p, d).usable
-
-
-def _feasible_facts(p: int, d: int) -> PipelineFacts:
+def require_feasible(p: int, d: int) -> PipelineFacts:
     """The facts of d at p, or InfeasibleError saying what is missing if not feasible(d, p)."""
     facts = _facts(p, d, _residues(p))
     if not facts.feasible():
@@ -395,7 +388,7 @@ def class_polynomial(p: int, d: int, base_disc: int | None = None,
     """
     if hauptmodul is not None and hauptmodul.p != p:
         raise ParameterError(f"the Hauptmodul is for p={hauptmodul.p}, not p={p}")
-    facts = _feasible_facts(p, d)
+    facts = require_feasible(p, d)
     if base_disc is None:
         base_disc = next(disc for disc in facts.usable if -disc != d)
     pairs = _magnitude_pairs(facts.residues, p, d, facts.beta, base_disc)

@@ -17,7 +17,7 @@ from .arith import (
     require_prime,
     sqrt_mod,
 )
-from .errors import EnumerationExhaustedError, InternalError, ParameterError
+from .errors import InternalError, ParameterError
 
 #: Largest |disc| class_number accepts.  The count scans O(|disc|) candidate
 #: forms, under a second at this ceiling, and every path to a CM point
@@ -170,7 +170,7 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
         offsets = (0,) if level == 0 else (-level, level)
         bs = [b0 + 2 * p * j for j in offsets]
         if min(abs(b) for b in bs) > bound:
-            raise EnumerationExhaustedError(
+            raise InternalError(
                 f"found {len(best)} of {h} classes for disc {disc}, p={p}, "
                 f"beta={beta} within |b| <= {bound}"
             )

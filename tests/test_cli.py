@@ -16,6 +16,7 @@ from cmforge.arith import is_fundamental_discriminant
 from cmforge.cli import (
     EXIT_CROSSCHECK_FAILED,
     EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     canonical_json,
@@ -485,6 +486,42 @@ def test_internal_errors_map_to_exit_3(capsys, monkeypatch):
     code = cli_mod.main(["sset", "--p", "47"])
     assert code == cli_mod.EXIT_INTERNAL
     assert "internal error" in capsys.readouterr().err
+
+
+#: The documented exit code of each exception class, and the prefix of its one stderr line.
+EXIT_OF_ERROR = {
+    "CMForgeError": (EXIT_USAGE, "error"),
+    "ParameterError": (EXIT_USAGE, "error"),
+    "PrecisionError": (EXIT_USAGE, "error"),
+    "SignResolutionError": (EXIT_USAGE, "error"),
+    "AmbiguousSignsError": (EXIT_USAGE, "error"),
+    "NonIntegralMagnitudeError": (EXIT_USAGE, "error"),
+    "InternalError": (EXIT_INTERNAL, "internal error"),
+    "InfeasibleError": (EXIT_INFEASIBLE, "error"),
+}
+
+
+def test_errors_module_holds_one_class_per_exit_outcome():
+    import inspect
+
+    from cmforge import errors
+
+    defined = {name for name, value in vars(errors).items()
+               if inspect.isclass(value) and value.__module__ == errors.__name__}
+    assert defined == set(EXIT_OF_ERROR)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_OF_ERROR))
+def test_each_error_class_exits_with_its_documented_code(capsys, monkeypatch, name):
+    from cmforge import cli as cli_mod
+    from cmforge import errors
+
+    def boom(args):
+        raise getattr(errors, name)(f"synthetic {name}")
+
+    monkeypatch.setattr(cli_mod, "cmd_sset", boom)
+    code, prefix = EXIT_OF_ERROR[name]
+    assert run_cli(capsys, "sset", "--p", "47") == (code, "", f"{prefix}: synthetic {name}\n")
 
 
 def test_eval_matches_direct_recomputation(capsys):

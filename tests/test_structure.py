@@ -266,8 +266,8 @@ def test_the_field_of_D_is_one_value():
     params = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) and node.name == "GZParams")
     fields = {item.target.id for item in params.body if isinstance(item, ast.AnnAssign)}
-    assert {"p_factors", "d", "chi"} <= fields
-    assert not {"p", "D", "d_factors", "D_factors"} & fields
+    assert {"p", "d", "chi"} <= fields
+    assert not {"D", "p_factors", "d_factors", "D_factors"} & fields
 
 
 def functions_calling(name):
@@ -292,17 +292,14 @@ def functions_calling(name):
 def test_only_the_proving_builders_skip_the_factorization_checks():
     # Factorization is a record that checks nothing, so only the functions
     # that prove its primes build one: factorize proves each prime as it
-    # finds it, and prime_factorization runs require_prime first.  The
-    # builders of p's factorization use the latter.  factor_over proves its
-    # primes from its caller's promise that the list it divides by holds
-    # every prime that can divide n; the one caller, term_contribution,
-    # keeps it by the congruence of the lattice (admitted_primes).
+    # finds it, and factor_over proves its primes from its caller's promise
+    # that the list it divides by holds every prime that can divide n; the
+    # one caller, term_contribution, keeps it by the congruence of the
+    # lattice (admitted_primes).  A prime p is an int, proven by
+    # require_prime or the genus-zero check.
     assert functions_calling("Factorization") == {"arith.py:factorize",
-                                                  "arith.py:factor_over",
-                                                  "arith.py:prime_factorization"}
+                                                  "arith.py:factor_over"}
     assert functions_calling("factor_over") == {"gzrhs.py:term_contribution"}
-    assert functions_calling("prime_factorization") == {"gzrhs.py:gz_params",
-                                                        "hcp.py:_magnitude_pairs"}
 
 
 def test_params_are_built_by_their_parser_and_the_pipeline():
@@ -314,4 +311,4 @@ def test_params_are_built_by_their_parser_and_the_pipeline():
     params = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.ClassDef) and node.name == "GZParams")
     assert [ast.unparse(item) for item in params.body if isinstance(item, ast.AnnAssign)] == [
-        "p_factors: Factorization", "d: int", "chi: QuadraticCharacter", "mu: int", "beta: int"]
+        "p: int", "d: int", "chi: QuadraticCharacter", "mu: int", "beta: int"]
