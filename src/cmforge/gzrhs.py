@@ -166,18 +166,26 @@ class PrimeLogSum:
         """The unsigned norm prod q^(e_q/8) whose 8th power this sum is the log of.
 
         Raises NonIntegralMagnitudeError unless every e_q is a non-negative
-        multiple of 8, i.e. unless that norm is an integer.
+        multiple of 8, i.e. unless that norm is an integer; every exponent is
+        checked, in the order of items(), before any product is formed.  The
+        prime powers are multiplied pairwise up a balanced tree, so that the
+        large factors meet only near its root.
         """
-        value = 1
-        for q, e in self.items():
+        items = self.items()
+        for q, e in items:
             if e < 0 or e % 8:
                 g = gcd(e, 8)
                 shown = e // 8 if g == 8 else f"{e // g}/{8 // g}"
                 raise NonIntegralMagnitudeError(
                     f"norm exponent {shown} of prime {q} is not a non-negative integer"
                 )
-            value *= q ** (e // 8)
-        return value
+        factors = [q ** (e // 8) for q, e in items] or [1]
+        step = 1
+        while step < len(factors):  # factors[i] takes the product of i .. i + 2 step - 1
+            for i in range(0, len(factors) - step, 2 * step):
+                factors[i] *= factors[i + step]
+            step *= 2
+        return factors[0]
 
 
 def enumerate_terms(params: GZParams) -> list[LatticeTerm]:

@@ -14,20 +14,26 @@ ETA_GUARD_BITS, the term count fixed in advance from Im(tau), with a bound
 on the tail and on every rounding.  Each power q^c of the sum comes from
 earlier ones by an addition sequence: one product for c = a + b, two for
 c = 2a + b (Enge, Hart and Johansson), built once for the term counts of
-Heegner points up to 1000 digits and extended per call beyond.  In the
-quotient the prefactors cancel, t = (S(q)/S(q^p))^e / q, and a value is computed on
-integers end to end: q comes from a Heegner form's exact data,
-e^(-pi sqrt|disc|/a) e^(-pi i b/a) (from one exponential at an mpc tau),
-q^p from q by integer powering, and the quotient, its power, the division
-by q and t + p^(e/2)/t are integer pairs with a shared binary exponent,
-each complex product taking three integer multiplications (_fixed_mul);
-the sum is rounded once to the context's precision.  The error bound is read
-from integer bit lengths and from floats that count relative errors in units
-of 2^-bits, with no working-precision arithmetic.  A CM value stays that
-integer pair with its relative error, for either realization, until
-value_with_bound makes one mpc of it or lhs_log_norm takes its differences,
-product and one log on integers; CM values are evaluated once per orbit of
-complex conjugation and, when p | disc, the Fricke involution W_p.
+points with Im(tau) >= sqrt(3)/2 up to MAX_DIGITS and extended per call
+beyond.  In closed form, t = eta^e(tau)/eta^e(p tau) takes eta^e only at
+SL2(Z)-reduced points: tau and p tau are each reduced, in integers for a
+Heegner form and exactly at the binary point for any other tau, and the
+multiplier of the eta transformation law along each reduction word (a
+root of unity and (c tau + d)^(e/2), e even) is carried exactly.
+eta^e = z S(q)^e with z = e^(2 pi i tau/(p - 1)) and q = z^(p - 1) is
+evaluated once per reduced form of a discriminant up to the mirror
+(a, -b, c), every z from one exponential and roots of it, and shared by
+every CM point whose tau or p tau falls in that class (_orbits).  The
+quotient, the multipliers and t + p^(e/2)/t are integer pairs with a
+shared binary exponent, each complex product taking three integer
+multiplications (_fixed_mul); the sum is rounded once to the context's
+precision.  The error bound is read from integer bit lengths and from
+floats that count relative errors in units of 2^-bits, with no
+working-precision arithmetic.  A CM value stays that integer pair with its
+relative error, for either realization, until value_with_bound makes one
+mpc of it or lhs_log_norm takes its differences, product and one log on
+integers; CM values are evaluated once per orbit of complex conjugation
+and, when p | disc, the Fricke involution W_p.
 
 A Hauptmodul fixes level, realization and precision once; its values live in
 the mpmath context working_context(digits), one per precision per process and
@@ -48,7 +54,7 @@ from mpmath import libmp
 
 from .arith import require_prime
 from .errors import InternalError, ParameterError, PrecisionError
-from .quadforms import QuadraticForm, heegner_reps, reduce
+from .quadforms import QuadraticForm, heegner_reps, reduce, reduction_word
 
 #: Primes whose Fricke curve X0*(p) has genus zero: the domain of j*_p.
 GENUS_ZERO_FRICKE_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71))
@@ -61,7 +67,8 @@ GUARD_DIGITS = 10
 MAX_DIGITS = 10_000
 #: Safety bound on the eta series length; low Im(tau) raises PrecisionError.
 MAX_ETA_TERMS = 10 ** 5
-#: Most flips reduce_point makes on a numeric point; one needing more raises PrecisionError.
+#: Most flips a numeric point's reduction makes (reduce_point, _reduce_numeric);
+#: one needing more raises PrecisionError.
 MAX_REDUCTION_FLIPS = 64
 #: Bits the fixed-point eta kernel carries beyond the context precision.
 ETA_GUARD_BITS = 32
@@ -418,40 +425,30 @@ def _log2_above(n: int) -> float:
     return math.log2((n >> shift) + 1) + shift
 
 
-def _fixed_q(ctx, tau):
+def _fixed_q(ctx, tau, extra: int = 0):
     """q = e^(2 pi i tau) at an mpc tau as a scaled pair at _fixed_bits(ctx),
     within _Q_REL_ULPS units of 2^-bits of the exact q, relatively.
 
-    The exponential runs _Q_GUARD_BITS beyond the fixed-point precision.
+    The exponential runs _Q_GUARD_BITS + extra beyond the fixed-point
+    precision; _rational_q passes the bits of its rounded argument.
     """
     bits = _fixed_bits(ctx)
-    with ctx.workprec(bits + _Q_GUARD_BITS):
+    with ctx.workprec(bits + _Q_GUARD_BITS + extra):
         q = ctx.expjpi(2 * tau)
     return _scaled(q.real._mpf_, q.imag._mpf_, bits)
 
 
-def _form_q(form: QuadraticForm, bits: int):
-    """q = e^(2 pi i tau) at the CM point of form, as _fixed_q gives it, from
-    the form's exact data: q = e^(-pi sqrt|disc|/a) e^(-pi i b/a).
-
-    The angle is split exactly, -b/a = n/2 + r/(2a) with |r/(2a)| <= 1/4:
-    i^n is a quarter turn, and only pi r/(2a), at most pi/4, is rounded.
-    The exponential turns a relative rounding of its argument into one
-    times the argument, so the work precision adds the argument's bits
-    (pi sqrt|disc|/a < 4 (isqrt|disc| // a + 1)) to _Q_GUARD_BITS.
-    """
-    a, b, size = form.a, form.b, -form.discriminant
-    wp = bits + _Q_GUARD_BITS + (4 * (math.isqrt(size) // a + 1)).bit_length()
-    pi = libmp.mpf_pi(wp)
-    arg = libmp.mpf_div(libmp.mpf_mul(pi, libmp.mpf_sqrt(libmp.from_int(size), wp), wp),
-                        libmp.from_int(a), wp)
-    modulus = libmp.mpf_exp(libmp.mpf_neg(arg), wp)
-    n = (a - 4 * b) // (2 * a)  # the integer nearest -2b/a
-    angle = libmp.mpf_mul(pi, libmp.from_rational(-2 * b - n * a, 2 * a, wp), wp)
-    cos, sin = libmp.mpf_cos_sin(angle, wp)
-    for _ in range(n % 4):  # times i
-        cos, sin = libmp.mpf_neg(sin), cos
-    return _scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits)
+def _rational_q(ctx, num, den: int):
+    """e^(2 pi i w) for w = (num[0] + i num[1]) / den, Im(w) > 0, as _fixed_q
+    gives it.  Each part of w is rounded once, to wp bits, extra beyond the
+    exponential's precision, with |Re w| + |Im w| < 2^(extra - 5): each
+    moves by at most 2^(1 - wp) of itself, so 2 pi w moves by less than
+    2^(-bits - _Q_GUARD_BITS - 1), and the exponential by as much,
+    relatively."""
+    extra = 5 + ((abs(num[0]) + num[1]) // den + 1).bit_length()
+    wp = _fixed_bits(ctx) + _Q_GUARD_BITS + extra
+    w = ctx.make_mpc(tuple(libmp.from_rational(part, den, wp) for part in num))
+    return _fixed_q(ctx, w, extra)
 
 
 def _conjugate_swap(z: int, m: int, u: int, v: int):
@@ -542,10 +539,10 @@ def _with_spent(steps) -> tuple:
     return tuple((*step, tuple(gone)) for step, gone in zip(steps, spent))
 
 
-#: Pairs covered by the sequence built once, here: over |D| < 4000 a reduced
-#: Heegner point needs at most 61 pairs at 1000 digits (p = 13, D = 3,
-#: Im tau = 0.0666).
-_TABLE_PAIRS = 64
+#: Pairs covered by the sequence built once, here: a point with
+#: Im(tau) >= sqrt(3)/2, as every SL2(Z)-reduced point is, needs at most 53
+#: pairs at MAX_DIGITS (17 at 1000 digits, 9 at 300).
+_TABLE_PAIRS = 53
 _TABLE = _addition_sequence(_TABLE_PAIRS)
 #: _TABLE_ENDS[k]: the number of _TABLE's steps that make the powers of k pairs.
 _TABLE_ENDS = (0, *(i + 1 for i, (c, _, _, sign, _) in enumerate(_TABLE)
@@ -635,7 +632,9 @@ def reduce_point(tau, p: int, ctx):
     """Push tau into |Re| <= 1/2 with p|tau|^2 >= 1, by shifts and the point flip.
 
     Legal for evaluating any function invariant under the group generated by
-    tau -> tau + 1 and tau -> -1/(p tau).  A positive definite QuadraticForm
+    tau -> tau + 1 and tau -> -1/(p tau); a coefficient file is evaluated
+    there (the closed form reduces by SL2(Z) instead, reduction_word and
+    _reduce_numeric).  A positive definite QuadraticForm
     (a, b, c) with p | a stands for its CM point and is reduced exactly, in
     integers, to a form with -a < b <= a and pc >= a: the shift is
     b -> b + 2an and the flip is (a, b, c) -> (pc, -b, a/p), which keeps
@@ -756,7 +755,9 @@ def _rounded_sum(x, rel_x: float, y, rel_y: float, bits: int, prec: int):
     of the sum's last bit.  Rounding each part to prec bits costs at most
     2^-prec (|Re| + |Im|), charged from the integer sum with 53 bits rounded
     up.  The bound is one float times a power of two, read in the units of
-    the rounded pair, and infinite once S reaches 1/8.
+    the rounded pair, and infinite once S reaches 1/8; a summand more than
+    2^1000 below the other is charged as if it were 2^-1000 of it, which
+    keeps the weights inside the floats.
     """
     (xm, xe), (ym, ye) = x, y
     exp = max(xe, ye)
@@ -770,7 +771,8 @@ def _rounded_sum(x, rel_x: float, y, rel_y: float, bits: int, prec: int):
     ref = max(x_top, y_top)
     parts = abs(sum_m[0]) + abs(sum_m[1])  # (|Re| + |Im|) 2^-exp
     shift = max(0, parts.bit_length() - 53)
-    scale = (3 * (rel_x * 2.0 ** (x_top + 0.5 - ref) + rel_y * 2.0 ** (y_top + 0.5 - ref))
+    scale = (3 * (rel_x * 2.0 ** (max(x_top - ref, -1000) + 0.5)
+                  + rel_y * 2.0 ** (max(y_top - ref, -1000) + 0.5))
              + 2.0 ** (1 + exp + bits - ref)
              + ((parts >> shift) + 1) * 2.0 ** (shift + exp - prec + bits - ref))
     return value, _ldexp_up(scale, ref - _lead(value))
@@ -791,36 +793,235 @@ def _as_mpc(ctx, value):
             ctx.ldexp(err, _lead(value[0]) - _fixed_bits(ctx)))
 
 
+# eta^e at SL2(Z)-reduced points.  With e = 24/(p - 1) = 2k and
+# zeta = e^(2 pi i/24), eta^e(tau + n) = zeta^(ne) eta^e(tau) and
+# eta^e(-1/tau) = (-i tau)^k eta^e(tau) (Apostol, Modular Functions and
+# Dirichlet Series, ch. 3).  A reduction word W = ... S T^n1, n shifts in
+# all and s flips, takes tau to W tau, and the flips' factors multiply to
+# (-i)^(ks) (c tau + d)^k for the lower row (c, d) of W, so
+#     eta^e(tau) = eta^e(W tau) zeta_12^(-k (n - 3s)) / (c tau + d)^k,
+# with zeta_12 = e^(2 pi i/12); n - 3s is the word's turns.  A form's word
+# is quadforms.reduction_word's, a numeric point's _reduce_numeric's.
+
+def _reduce_numeric(tau, ctx):
+    """(W, turns) for an mpc tau: W in SL2(Z) as (a, b, c, d), found by
+    shifts and flips, with W tau in |Re| <= 1/2 and |W tau| >= 1 up to the
+    rounding of the search, and W's turns.  Only the word comes from the
+    search; the caller applies W to the exact point.  A point still
+    unreduced after MAX_REDUCTION_FLIPS flips raises PrecisionError."""
+    w = (1, 0, 0, 1)
+    turns = 0
+    margin = 1 - ctx.mpf(10) ** (-9)
+    for _ in range(MAX_REDUCTION_FLIPS + 1):
+        n = -int(ctx.floor(tau.real + ctx.mpf("0.5")))
+        tau = tau + n
+        w = (w[0] + n * w[2], w[1] + n * w[3], w[2], w[3])
+        turns += n
+        if tau.real ** 2 + tau.imag ** 2 >= margin:
+            return w, turns
+        tau = -1 / tau
+        w = (-w[2], -w[3], w[0], w[1])
+        turns -= 3
+    raise PrecisionError(
+        f"tau not reduced within MAX_REDUCTION_FLIPS = {MAX_REDUCTION_FLIPS} flips"
+    )
+
+
+def _eta_power(z, pairs: int, e: int, bits: int):
+    """eta^e at a point tau as a scaled pair z S(q)^e, with its relative error
+    in units of 2^-bits: z = e^(2 pi i tau e/24), a scaled pair within
+    _Q_REL_ULPS units, q = z^(24/e), and pairs from
+    _pentagonal_pairs(Im tau, bits - ETA_GUARD_BITS).
+
+    The fixed-point z is within |z| _Q_REL_ULPS + sqrt(2) <= _Q_ERR_ULPS
+    units, so its m-th power q, m = 24/e, is within m (_Q_ERR_ULPS + 2), as
+    in _pentagonal_sum.  S carries _relative_units of its bound, S^e e - 1
+    compounded product floors and the product by z one more.
+    """
+    m = 24 // e
+    z_fixed = _to_fixed(z, bits)
+    q = _power(z_fixed, m, lambda x, y: _fixed_mul(x, y, bits))
+    total, err = _pentagonal_sum(q, m * (_Q_ERR_ULPS + 2), pairs, bits)
+    power = _power((total, -bits), e, lambda x, y: _scaled_mul(x, y, bits))
+    return (_scaled_mul(z, power, bits),
+            e * (_relative_units(err, total, bits) + 2) + _Q_REL_ULPS)
+
+
+def _class_etas(hm: Hauptmodul, size: int, forms) -> dict:
+    """{f: eta^e at the CM point of f} over forms f = (a, b, c) of
+    discriminant -size, e = 24/(p - 1), as _eta_power gives each, with
+    z = e^(2 pi i tau/(p - 1))
+    from exact data: at the point of (a, b, c), z = r^(1/a) e^(-pi i b/(a m)),
+    m = p - 1, from one exponential r = e^(-pi sqrt(size)/m) shared by all,
+    an a-th root and a rotation each.
+
+    The rotation's angle is split exactly, -b/(am) = n/2 + x/(2am) with
+    |x/(2am)| <= 1/4: i^n is a quarter turn, and only pi x/(2am), at most
+    pi/4, is rounded.  The exponential turns a relative rounding of its
+    argument into one times the argument, so the work precision adds the
+    argument's bits (pi sqrt(size)/m < 4 (isqrt(size) // m + 1)) to
+    _Q_GUARD_BITS; a root divides the relative error of r by a.  Every term
+    count is known before the exponential.
+    """
+    p, ctx = hm.p, hm.ctx
+    bits, m = _fixed_bits(ctx), p - 1
+    pairs = [_pentagonal_pairs(math.sqrt(size) / (2 * a), ctx.prec) for a, _, _ in forms]
+    wp = bits + _Q_GUARD_BITS + (4 * (math.isqrt(size) // m + 1)).bit_length()
+    pi = libmp.mpf_pi(wp)
+    arg = libmp.mpf_div(libmp.mpf_mul(pi, libmp.mpf_sqrt(libmp.from_int(size), wp), wp),
+                        libmp.from_int(m), wp)
+    base = libmp.mpf_exp(libmp.mpf_neg(arg), wp)
+    etas = {}
+    for f, count in zip(forms, pairs):
+        modulus = libmp.mpf_nthroot(base, f[0], wp)
+        a, b = m * f[0], f[1]
+        n = (a - 4 * b) // (2 * a)  # the integer nearest -2b/a
+        cos, sin = libmp.mpf_cos_sin(
+            libmp.mpf_mul(pi, libmp.from_rational(-2 * b - n * a, 2 * a, wp), wp), wp)
+        for _ in range(n % 4):  # times i
+            cos, sin = libmp.mpf_neg(sin), cos
+        z = _scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits)
+        etas[f] = _eta_power(z, count, 24 // m, bits)
+    return etas
+
+
+def _times_root_of_unity(x, m: int, bits: int):
+    """x zeta_12^m for a scaled pair x, zeta_12 = e^(2 pi i/12), and the units
+    of 2^-bits it adds to x's relative error.  zeta_12^m = i^j zeta_12^r,
+    m = 3j + r: the quarter turns i^j are exact, and zeta_12^r for r = 1 or
+    2, (sqrt(3) + i)/2 or (1 + i sqrt(3))/2, is floored at 2^-bits, within
+    sqrt(2) units, before the product's own floor of two."""
+    j, r = divmod(m % 12, 3)
+    added = 0
+    if r:
+        half, root3 = 1 << (bits - 1), math.isqrt(3 << (2 * bits - 2))  # sqrt(3)/2
+        x = _scaled_mul(x, ((root3, half) if r == 1 else (half, root3), -bits), bits)
+        added = 4
+    (re, im), exp = x
+    for _ in range(j):  # times i
+        re, im = -im, re
+    return ((re, im), exp), added
+
+
+def _quotient_value(hm: Hauptmodul, etas, turns: int, num, num_rel: float, den: int):
+    """The CM value t + p^k/t, k = e/2, for t = eta^e(tau)/eta^e(p tau)
+    = (E1/E2) zeta_12^(k turns) num/den: etas the pair (E1, E2) of
+    _eta_power values at the reduced points, turns the second word's
+    turns less the first's, num a scaled pair within num_rel units and
+    den a positive integer, the multiplier of the two words.
+
+    E2 den is exact; the root of unity adds at most four units
+    (_times_root_of_unity), the product and the quotient two and one, and
+    p^k/t one more (_rounded_sum).
+    """
+    ctx, p = hm.ctx, hm.p
+    bits, k = _fixed_bits(ctx), 12 // (p - 1)
+    ((e1, rel1), (((re2, im2), exp2), rel2)) = etas
+    top, rel_root = _times_root_of_unity(_scaled_mul(e1, num, bits), k * turns, bits)
+    t = _scaled_div(top, ((re2 * den, im2 * den), exp2), bits)
+    rel_t = rel1 + rel2 + num_rel + rel_root + 3
+    return _rounded_sum(t, rel_t, _scaled_div(((p ** k, 0), 0), t, bits), rel_t + 1,
+                        bits, ctx.prec)
+
+
+def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, word):
+    """hm at the CM point tau of a form (a, b, c) with p | a, as a CM value,
+    from eta_at(f), eta^e at the point of a form f (_class_etas or a table
+    of its values), root = isqrt(size 2^(2 bits)), size = 4ac - b^2, and
+    word, quadforms.reduction_word or a function that gives the identity
+    word in its shape.
+
+    p tau is the point of (a/p, b, pc), of the same discriminant -size.  Each
+    point is taken exactly to that of the form word gives, and with the
+    lower row (g, h) of its word, g tau + h = (u + v sqrt(-size))/(2a) for
+    u = 2ah - gb and v = g, where u^2 + v^2 size = 4aA for the reduced
+    form's A.  The two multipliers leave
+        t = (E1/E2) zeta_12^(k (turns2 - turns1)) p^k (X + Y sqrt(-size))^k / (4aA1)^k
+    with X = u1 u2 + v1 v2 size and Y = u1 v2 - u2 v1; the power is exact
+    in Z[sqrt(-size)], and Y sqrt(size) is floored from root, within |Y|
+    units of 2^-bits, below one unit relatively since
+    |Y| sqrt(size) <= |X + Y sqrt(-size)|.
+    """
+    p, bits = hm.p, _fixed_bits(hm.ctx)
+    k = 12 // (p - 1)
+    a, b, c = form.a, form.b, form.c
+    size = -form.discriminant
+    (f1, (g1, h1), shift1, flips1), (f2, (g2, h2), shift2, flips2) = (
+        word(*f) for f in ((a, b, c), (a // p, b, p * c)))
+    u1, v1, u2, v2 = 2 * a * h1 - g1 * b, g1, 2 * (a // p) * h2 - g2 * b, g2
+    x, y = _power((p * (u1 * u2 + v1 * v2 * size), p * (u1 * v2 - u2 * v1)), k,
+                  lambda s, t: (s[0] * t[0] - size * s[1] * t[1], s[0] * t[1] + s[1] * t[0]))
+    num = ((x << bits, y * root), -bits)
+    turns = shift2 - shift1 - 3 * (flips2 - flips1)
+    return _quotient_value(hm, (eta_at(f1), eta_at(f2)), turns, num, 1, (4 * a * f1[0]) ** k)
+
+
+def _word_point(ctx, x: int, y: int, one: int, word):
+    """For tau = (x + iy)/one exactly, Im(tau) > 0: (U conj(L), |L|^2, L,
+    turns) with L = (c tau + d) one and U = (a tau + b) one for the word
+    (W, turns) = word(tau, ctx), W = (a, b, c, d), of _reduce_numeric or the
+    identity, so that W tau = U conj(L)/|L|^2 exactly."""
+    (a, b, c, d), turns = word(ctx.mpc(x, y) / one, ctx)
+    low = (c * x + d * one, c * y)
+    up = (a * x + b * one, a * y)
+    return (_fixed_mul(up, (low[0], -low[1]), 0), low[0] * low[0] + low[1] * low[1], low,
+            turns)
+
+
+def _point_value(hm: Hauptmodul, tau, word):
+    """hm at an mpc tau as a CM value, exact at the binary point tau.
+
+    tau = (x + iy)/2^s and p tau = (px + ipy)/2^s exactly.  Each is taken to
+    the point its word, _reduce_numeric or the identity, gives (_word_point),
+    exactly, so eta^e there takes one exponential of an exact quotient
+    (_rational_q), and the multipliers leave
+        t = (E1/E2) zeta_12^(k (turns2 - turns1)) (L2 conj(L1))^k / |L1|^(2k),
+    exact.  Both term counts are known before any series work.
+    """
+    ctx, p = hm.ctx, hm.p
+    bits, e = _fixed_bits(ctx), 24 // (p - 1)
+    (x, y), exp = _exact_pair(tau.real._mpf_, tau.imag._mpf_)
+    if exp > 0:
+        x, y, exp = x << exp, y << exp, 0
+    points = [_word_point(ctx, scale * x, scale * y, 1 << -exp, word)
+              for scale in (1, p)]
+    pairs = []
+    for num, den, _, _ in points:
+        try:
+            pairs.append(_pentagonal_pairs(num[1] / den, ctx.prec))
+        except OverflowError:  # a height beyond the floats needs no terms
+            pairs.append(0)
+    etas = [_eta_power(_rational_q(ctx, num, (p - 1) * den), count, e, bits)
+            for (num, den, _, _), count in zip(points, pairs)]
+    (_, _, low1, turns1), (_, _, low2, turns2) = points
+    k = e // 2
+    num = _power(_fixed_mul(low2, (low1[0], -low1[1]), 0), k,
+                 lambda u, v: _fixed_mul(u, v, 0))
+    return _quotient_value(hm, etas, turns2 - turns1, (num, 0), 0,
+                           (low1[0] * low1[0] + low1[1] * low1[1]) ** k)
+
+
 def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
     """hm at tau as a CM value (pair, err), in hm's precision; see
-    value_with_bound.  The one point reduction, reduce_point, happens here."""
+    value_with_bound.  Whether tau is reduced first is decided here: the
+    helpers take a word to follow, the reduction's or the identity."""
     ctx, p = hm.ctx, hm.p
     if not isinstance(tau, QuadraticForm):
         tau = ctx.mpc(tau)
         if tau.imag <= 0:
             raise ParameterError("evaluation point must lie in the upper half plane")
-    if reduce_first:
-        tau = reduce_point(tau, p, ctx)
-    bits = _fixed_bits(ctx)
     if hm.series is not None:
-        return _series_value(*_eval_qseries_with_bound(hm, _as_point(ctx, tau)), bits)
-    form = isinstance(tau, QuadraticForm)
-    height = math.sqrt(-tau.discriminant) / (2 * tau.a) if form else tau.imag
-    pairs = _pentagonal_pairs(height, ctx.prec)
-    pairs_p = _pentagonal_pairs(p * height, ctx.prec)
-    q = _form_q(tau, bits) if form else _fixed_q(ctx, tau)
-    q_fixed = _to_fixed(q, bits)  # within |q| _Q_REL_ULPS + sqrt(2) <= _Q_ERR_ULPS units
-    # q^p is within p(u + sqrt(2)) units when q is within u, as in _pentagonal_sum
-    q_p = _power(q_fixed, p, lambda x, y: _fixed_mul(x, y, bits))
-    num, num_err = _pentagonal_sum(q_fixed, _Q_ERR_ULPS, pairs, bits)
-    den, den_err = _pentagonal_sum(q_p, p * (_Q_ERR_ULPS + 2), pairs_p, bits)
-    e = 24 // (p - 1)
-    ratio = _scaled_div((num, -bits), (den, -bits), bits)
-    t = _scaled_div(_power(ratio, e, lambda x, y: _scaled_mul(x, y, bits)), q, bits)
-    rel_t = (e * (_relative_units(num_err, num, bits) + _relative_units(den_err, den, bits) + 1)
-             + 2 * (e - 1) + _Q_REL_ULPS + 1)
-    return _rounded_sum(t, rel_t, _scaled_div(((p ** (e // 2), 0), 0), t, bits), rel_t + 1,
-                        bits, ctx.prec)
+        if reduce_first:
+            tau = reduce_point(tau, p, ctx)
+        return _series_value(*_eval_qseries_with_bound(hm, _as_point(ctx, tau)),
+                             _fixed_bits(ctx))
+    if isinstance(tau, QuadraticForm) and tau.a % p == 0:
+        size = -tau.discriminant
+        word = reduction_word if reduce_first else lambda *f: (f, (0, 1), 0, 0)
+        return _form_value(hm, tau, lambda f: _class_etas(hm, size, [f])[f],
+                           math.isqrt(size << (2 * _fixed_bits(ctx))), word)
+    word = _reduce_numeric if reduce_first else lambda tau, ctx: ((1, 0, 0, 1), 0)
+    return _point_value(hm, _as_point(ctx, tau), word)
 
 
 def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
@@ -828,17 +1029,18 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     is whatever the realization produces; only differences of values are
     normalization-independent.
 
-    In closed form, t = (eta(tau)/eta(p tau))^e = (S(q)/S(q^p))^e / q, since
-    e(p-1) = 24 makes the prefactors e^(pi i tau/12) cancel.  q comes from
-    the form's exact data (_form_q) or from one exponential at an mpc
-    (_fixed_q); S(q) and S(q^p) from the fixed-point kernel, q^p by integer
-    powering.  The quotient, its power, the division by q and
-    t + p^(e/2)/t are integer pairs, rounded once to the context's
-    precision, and one mpc is made at the end.  The bound counts relative
-    errors in units of 2^-bits: each S through _relative_units, one floor
-    for the quotient, e - 1 compounded product floors in its e-th power,
-    _Q_REL_ULPS for q and one floor for the division by it; p^(e/2)/t adds
-    one more floor (_rounded_sum).
+    In closed form, t = eta^e(tau)/eta^e(p tau) and the value is
+    t + p^(e/2)/t.  tau and p tau are each reduced by SL2(Z) to Im >= sqrt(3)/2
+    (unless reduce_first is False), exactly: a form with p | a in integers
+    (_form_value), any other point as the binary number it is
+    (_point_value).  eta^e at each reduced point is z S(q)^e from one
+    exponential z (_eta_power); the multipliers of the two words, a root of
+    unity and an algebraic factor, are exact but for one fixed-point sqrt
+    and a rounded root of unity.  Everything after the exponentials runs on
+    integer pairs, rounded once to the context's precision, and one mpc is
+    made at the end.  The bound counts relative errors in units of 2^-bits
+    (_eta_power, _quotient_value).  A coefficient file is evaluated at the
+    point reduce_point gives.
     """
     return _as_mpc(hm.ctx, _cm_value(hm, tau, reduce_first))
 
@@ -866,10 +1068,31 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     II, 1987, section II.1).  A form's class is keyed by its reduction, as
     in heegner_reps.  A value shared with its conjugate is real, and its
     imaginary part, all rounding, is dropped within the same bound.
+
+    In closed form, eta^e is evaluated once per reduced form of disc up to
+    the mirror (a, -b, c), whose point -conj(tau) carries the conjugate
+    eta^e, and each orbit's value reads the two classes its tau and p tau
+    reduce to (_form_value).  The reduced forms are the keys of the class
+    index: heegner_reps gives one form per class, as many as
+    quadforms.reduced_forms enumerates.
     """
     p = hm.p
     forms = heegner_reps(disc, p, residue)
     index = {reduce(f): i for i, f in enumerate(forms)}
+    value = functools.partial(_cm_value, hm)
+    if hm.series is None:
+        table = _class_etas(hm, -disc, [(f.a, f.b, f.c) for f in index if f.b >= 0])
+
+        def eta_at(f):
+            a, b, c = f
+            if b >= 0:
+                return table[f]
+            ((re, im), exp), rel = table[a, -b, c]
+            return ((re, -im), exp), rel
+
+        value = functools.partial(_form_value, hm, eta_at=eta_at,
+                                  root=math.isqrt(-disc << (2 * _fixed_bits(hm.ctx))),
+                                  word=reduction_word)
 
     def at(form):
         i = index.get(reduce(form))
@@ -887,7 +1110,7 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
         if fricke:
             same.add(at(QuadraticForm(p * form.c, -form.b, form.a // p)))
             conj.add(at(QuadraticForm(form.a, -form.b, form.c)))
-        pair, err = _cm_value(hm, form)
+        pair, err = value(form)
         if same & conj:
             same, conj = same | conj, set()
             (re, _), exp = pair

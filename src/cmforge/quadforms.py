@@ -53,21 +53,36 @@ def reduce(f: QuadraticForm) -> QuadraticForm:
 
     Output satisfies |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
     """
-    a, b, c = f.a, f.b, f.c
-    while True:
-        if not -a < b <= a:
-            r = (a - b) // (2 * a)
-            c = a * r * r + b * r + c
-            b = b + 2 * r * a
-        if a > c:
-            a, b, c = c, -b, a
-            continue
-        break
-    if a == c and b < 0:
-        b = -b
-    out = QuadraticForm(a, b, c)
+    out = QuadraticForm(*reduction_word(f.a, f.b, f.c)[0])
     assert out.discriminant == f.discriminant
     return out
+
+
+def reduction_word(a: int, b: int, c: int):
+    """((a', b', c'), (g, h), shift, flips): the form reduce makes of the
+    positive definite (a, b, c), which is not checked here, and the word W
+    in SL2(Z) that takes the point (-b + sqrt(disc))/(2a) of (a, b, c) to
+    that of (a', b', c'), as the lower row (g, h) of W, the sum of W's
+    shifts tau -> tau + n and its number of flips tau -> -1/tau.
+
+    On points, b -> b + 2an is tau -> tau - n and (a, b, c) -> (c, -b, a)
+    is tau -> -1/tau; so is the last step, (a, b, a) -> (a, -b, a).
+    """
+    w0, w1, w2, w3 = 1, 0, 0, 1
+    shift = flips = 0
+    while True:
+        if not -a < b <= a:
+            n = (a - b) // (2 * a)
+            b, c = b + 2 * n * a, a * n * n + b * n + c
+            w0, w1 = w0 - n * w2, w1 - n * w3
+            shift -= n
+        if a > c or (a == c and b < 0):
+            a, b, c = c, -b, a
+            w0, w1, w2, w3 = -w2, -w3, w0, w1
+            flips += 1
+            if a != c:
+                continue
+        return (a, b, c), (w2, w3), shift, flips
 
 
 def fundamental(disc: int) -> Factorization:
@@ -99,11 +114,19 @@ def class_number(disc: int) -> int:
 def count_classes(disc: int) -> int:
     """class_number(disc) for a fundamental disc, which is not checked here;
     the ceiling is."""
+    return len(reduced_forms(disc))
+
+
+def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
+    """(a, b, c) of each reduced primitive form of discriminant disc, as
+    reduce gives them, by increasing a and then b: one per class.  A disc
+    whose size exceeds MAX_CLASS_NUMBER_DISC is refused with ParameterError,
+    before any work."""
     if -disc > MAX_CLASS_NUMBER_DISC:
         raise ParameterError(
             f"|disc| = {-disc} exceeds the class number ceiling {MAX_CLASS_NUMBER_DISC}"
         )
-    count = 0
+    forms = []
     a = 1
     while 3 * a * a <= -disc:
         for b in range(-a + 1, a + 1):
@@ -116,9 +139,9 @@ def count_classes(disc: int) -> int:
                 continue
             if gcd(gcd(a, b), c) != 1:
                 continue
-            count += 1
+            forms.append((a, b, c))
         a += 1
-    return count
+    return forms
 
 
 def admissible_residues(disc: int, p: int) -> list[int]:

@@ -24,6 +24,7 @@ from cmforge.cli import (
 )
 from cmforge.crosscheck import admissible_pairs
 from cmforge.errors import ParameterError
+from cmforge.hauptmodul import Hauptmodul, value_with_bound
 from cmforge.quadforms import MAX_CLASS_NUMBER_DISC, admissible_residues
 
 
@@ -378,19 +379,42 @@ def test_crosscheck_batch_scan_stops_at_count():
     assert [(c["d"], c["D"]) for c in checks] == admissible_pairs(2, 500, 1)
 
 
-def test_eval_near_a_cusp_refuses_at_once():
-    # at Im(tau) = 1e-9 the two eta series need 279 241 and 77 312 pairs,
-    # past MAX_ETA_TERMS: the refusal comes before any series work, so a
-    # child process that sums them turns into a timeout
+def test_eval_near_a_cusp_answers_at_once():
+    # tau = -2.555 + 1e-9 i lies next to the cusp -511/200, where the eta
+    # series at tau itself would need 279 241 pairs.  tau and 13 tau reduce
+    # by SL2(Z) to Im >= sqrt(3)/2 in a few flips, so a child process
+    # answers well inside the timer.  The value agrees with the values at
+    # tau + 1 and at W_13 tau = -1/(13 tau), within their bounds; those two
+    # points are taken 30 digits finer, where tau + 1 is exact and the
+    # rounding of W_13 tau moves the value far below the coarse bound
     src = Path(cmforge.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-m", "cmforge.cli", "--precision", "300", "eval", "--p", "13",
-         "--tau=-2.555+1e-09i"],
+        [sys.executable, "-m", "cmforge.cli", "--precision", "300", "--format", "json", "eval",
+         "--p", "13", "--tau=-2.555+1e-09i"],
         capture_output=True, text=True, timeout=10,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert proc.returncode == EXIT_USAGE
-    assert proc.stderr == "error: eta series needs more than 100000 terms at Im(tau)=0.000000001\n"
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    printed = json.loads(proc.stdout)["result"]
+    hm = Hauptmodul(13, 300)
+    tau = hm.ctx.mpc("-2.555", "1e-09")
+    value, bound = value_with_bound(hm, tau)
+    assert printed == {"re": mpmath.nstr(value.real, 300), "im": mpmath.nstr(value.imag, 300)}
+    assert abs(value) > mpmath.mpf(10) ** 5000
+    fine = Hauptmodul(13, 330)
+    tau = fine.ctx.mpc(tau)
+    for moved in (tau + 1, -1 / (13 * tau)):
+        other, other_bound = value_with_bound(fine, moved)
+        assert abs(fine.ctx.mpc(value) - other) <= bound + other_bound
+
+
+@pytest.mark.parametrize("tau", ["0+1e308i", "0.5+1e-400i"])
+def test_eval_answers_where_the_two_terms_differ_past_the_floats(capsys, tau):
+    # t and p^k/t differ by more than 2^(10^308) in size here; summing them
+    # keeps the bound's weights inside the floats instead of overflowing
+    code, out, err = run_cli(capsys, "--precision", "30", "eval", "--p", "13", f"--tau={tau}")
+    assert (code, err) == (EXIT_OK, "")
+    assert "e+" in out.split()[0]
 
 
 def test_crosscheck_requires_series_for_large_p(capsys):

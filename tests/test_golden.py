@@ -18,11 +18,11 @@ from cmforge.cli import EXIT_OK, main
 from cmforge.gzrhs import RAMIFIED_OF_M, RAMIFIED_OF_MD
 
 SWEEP_DIGEST = "90f757eb0269db3bed8fc6c3e8f2065506d50207f8f79f12c7fab5007586c755"
-NUMERIC_DIGEST = "1e14c753ce3cf78b23b0d11fd2f98d9afbb0a3e18ccc47be18d571f1a094df3c"
+NUMERIC_DIGEST = "d6a82c3db9516bdac1deb5f78e7f53eb208af8234a3640788aac373b226a5b61"
 NUMERIC_STABLE_DIGEST = "338a6228729f0970a884a18f46705b2a2a873ec0532f99d075a261efd0fd69b5"
 GZNORM_LARGE_DIGEST = "7f08d4fe974866dd0a3333292b8a73f444721cff3b3705a43cf3590ee251094d"
 CLASSPOLY_REFUSAL_DIGEST = "6ff1162a28971a53241be656e5c1d70ade7b2bbfeba385747023111deb0bd1f3"
-GZNORM_REFUSAL_DIGEST = "4b8a3e4d087299159aa2552c5308cb2abf8f35a3e83826a46be0f16aba3e6ab5"
+GZNORM_REFUSAL_DIGEST = "2ad026e7cae88f9e52ff35a6f78e216409bb99ab5f58e2f993d5f9047915b0d6"
 INPUT_REFUSAL_DIGEST = "8ef4c6d97bac950cd6e7f8ded98f23a4d00bfd45e3af1c6c954f804101ff3bce"
 ETA_PRIMES = (2, 3, 5, 7, 13)
 #: (p, d, D) with D >= 12000, the sizes of the gznorm_large benchmark workload:

@@ -654,6 +654,29 @@ def test_norm_and_integrality():
         gz_log_norm(gz_params(p=2, d=8, D=52), RAMIFIED_OF_M).norm()
 
 
+@settings(max_examples=200, deadline=None)
+@given(exponents=st.dictionaries(st.integers(2, 10 ** 6), st.integers(-3, 40), max_size=40))
+def test_norm_product_tree_equals_the_product_taken_one_by_one(exponents):
+    # norm multiplies up a balanced tree; the product taken one prime power at
+    # a time, in sorted order, is the oracle, and so is the refusal: the
+    # first prime in sorted order whose exponent fails is the one named
+    value = PrimeLogSum({q: 8 * e for q, e in exponents.items()})
+    if all(e >= 0 for e in exponents.values()):
+        one_by_one = 1
+        for q, e in sorted(value.exponents.items()):
+            one_by_one *= q ** (e // 8)
+        assert value.norm() == one_by_one
+    else:
+        first = min(q for q, e in exponents.items() if e < 0)
+        with pytest.raises(NonIntegralMagnitudeError, match=f" of prime {first} is not"):
+            value.norm()
+    odd = PrimeLogSum({q: 8 * abs(e) + (q % 7 == 0) * 4 for q, e in exponents.items()})
+    if any(q % 7 == 0 and e for q, e in odd.exponents.items()):
+        first = min(q for q, e in odd.exponents.items() if e % 8)
+        with pytest.raises(NonIntegralMagnitudeError, match=f" of prime {first} is not"):
+            odd.norm()
+
+
 def test_square_dd_guard_unreachable():
     # distinct fundamental discriminants never have square product; the
     # internal guard still exists for malformed hand-built params

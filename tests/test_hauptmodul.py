@@ -1,7 +1,8 @@
 import random
-
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmforge import crosscheck, hauptmodul
 from cmforge.arith import is_fundamental_discriminant
@@ -24,7 +25,14 @@ from cmforge.hauptmodul import (
     working_context,
 )
 from cmforge.gzrhs import RAMIFIED_OF_M, RAMIFIED_OF_MD
-from cmforge.quadforms import QuadraticForm, admissible_residues, heegner_reps, reduce
+from cmforge.quadforms import (
+    QuadraticForm,
+    admissible_residues,
+    heegner_reps,
+    reduce,
+    reduced_forms,
+    reduction_word,
+)
 
 DIGITS = 80  # the default; contexts carry 10 guard digits beyond it
 
@@ -152,6 +160,12 @@ def test_eta_max_terms_exceeded(monkeypatch):
         eta_with_bound(complex(0.0, 0.05), ctx80())
     with pytest.raises(PrecisionError, match="Im"):
         value_with_bound(Hauptmodul(2), complex(0.0, 0.05), reduce_first=False)
+    # reduced by SL2(Z), tau and p tau move to 20i and 10i, where the same
+    # ceiling of 8 terms is far more than the series needs
+    monkeypatch.undo()
+    direct = value_at(Hauptmodul(2), complex(0.0, 0.05), reduce_first=False)
+    monkeypatch.setattr(hauptmodul, "MAX_ETA_TERMS", 8)
+    assert abs(value_at(Hauptmodul(2), complex(0.0, 0.05)) - direct) < 1e-70 * abs(direct)
 
 
 # one reduced Heegner point per eta prime: (p, D), the point of the first form
@@ -258,8 +272,10 @@ def test_steps_past_the_table_build_only_the_later_pairs(monkeypatch):
 
 
 def test_the_built_in_sequence_covers_heegner_points_at_1000_digits():
-    # the sequence is built once for _TABLE_PAIRS pairs, enough for both
-    # series of every reduced Heegner point of these discriminants at 1000 digits
+    # the sequence is built once for _TABLE_PAIRS pairs: every Heegner point
+    # tau and p tau of these discriminants reduces by SL2(Z) to
+    # Im >= sqrt(3)/2, where 17 pairs reach 1000 digits, and any point that
+    # high needs at most _TABLE_PAIRS pairs at MAX_DIGITS
     ctx = working_context(1000)
     most = 0
     for p in ETA_QUOTIENT_PRIMES:
@@ -267,10 +283,13 @@ def test_the_built_in_sequence_covers_heegner_points_at_1000_digits():
             if not is_fundamental_discriminant(-D) or not admissible_residues(-D, p):
                 continue
             for form in heegner_reps(-D, p, admissible_residues(-D, p)[0]):
-                form = reduce_point(form, p, ctx)
-                height = mpmath.sqrt(-form.discriminant) / (2 * form.a)
-                most = max(most, hauptmodul._pentagonal_pairs(height, ctx.prec))
-    assert most == 61 <= hauptmodul._TABLE_PAIRS
+                for f in ((form.a, form.b, form.c), (form.a // p, form.b, p * form.c)):
+                    height = mpmath.sqrt(D) / (2 * reduction_word(*f)[0][0])
+                    assert height >= mpmath.sqrt(3) / 2
+                    most = max(most, hauptmodul._pentagonal_pairs(height, ctx.prec))
+    assert most == 17
+    highest = working_context(MAX_DIGITS).prec
+    assert hauptmodul._pentagonal_pairs(mpmath.sqrt(3) / 2, highest) == hauptmodul._TABLE_PAIRS
 
 
 @pytest.mark.parametrize("digits, height, inside", ((300, "0.05", True), (1000, "0.1", True),
@@ -679,13 +698,13 @@ def test_crosscheck_reduces_one_point_per_orbit(monkeypatch):
         orbits += real + (len(partner) - real) // 2
     assert classes == {7: (1, 1), 71: (7, 1)}
     calls = []
-    original = hauptmodul.reduce_point
+    original = hauptmodul._form_value
 
-    def counting(tau, p, ctx):
-        calls.append(tau)
-        return original(tau, p, ctx)
+    def counting(hm, form, *args, **kwargs):
+        calls.append(form)
+        return original(hm, form, *args, **kwargs)
 
-    monkeypatch.setattr(hauptmodul, "reduce_point", counting)
+    monkeypatch.setattr(hauptmodul, "_form_value", counting)
     result = crosscheck.run_crosscheck(hm, d, D)
     assert result.passed()
     assert len(calls) == orbits == 5
@@ -777,21 +796,108 @@ def test_reduce_point_reduces_heegner_forms_exactly(p):
         assert abs(fine.ctx.mpc(exact) - numeric) <= exact_bound + numeric_bound, (p, form)
 
 
+def sl2_word(tau, word):
+    """tau moved by word, a list of (n, flip): tau + n, then -1/tau if flip."""
+    for n, flip in word:
+        tau = tau + n
+        if flip:
+            tau = -1 / tau
+    return tau
+
+
+words = st.lists(st.tuples(st.integers(-3, 3), st.booleans()), max_size=6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(word=words, re=st.floats(-0.5, 0.5), im=st.floats(0.87, 3.0),
+       e=st.sampled_from([2, 4, 6, 12, 24]), disc=st.sampled_from([-23, -71, -84, -203]),
+       pick=st.integers(0, 100))
+def test_eta_multiplier_of_the_reduction_words(word, re, im, e, disc, pick):
+    # eta^e(tau) = eta^e(W tau) zeta_12^(-k turns) / (c tau + d)^k, k = e/2,
+    # for the word W with lower row (c, d) that each reduction finds: at a
+    # point drawn as an SL2(Z) word applied to a point of Im >= 0.87, and at
+    # a form drawn as a word applied to a reduced form of reduced_forms,
+    # which must reduce back to it.  mpmath.eta at 60 digits is the oracle
+    oracle = mpmath.ctx_mp.MPContext()
+    oracle.dps = 60
+    k = e // 2
+
+    def check(tau, reduced, c, d, turns):
+        want = oracle.eta(tau) ** e
+        got = (oracle.eta(reduced) ** e * oracle.expjpi(-oracle.mpf(k * turns) / 6)
+               / (c * tau + d) ** k)
+        assert abs(got - want) <= oracle.mpf(10) ** -50 * abs(want), (tau, word)
+        assert abs(reduced.real) <= 0.5 + 1e-20 and abs(reduced) >= 1 - 1e-8
+
+    ctx = working_context(60)
+    tau = ctx.mpc(sl2_word(ctx.mpc(re, im), word))
+    (a, b, c, d), turns = hauptmodul._reduce_numeric(tau, ctx)
+    tau = oracle.mpc(tau)
+    check(tau, (a * tau + b) / (c * tau + d), c, d, turns)
+
+    forms = reduced_forms(disc)
+    start = forms[pick % len(forms)]
+    a, b, c = start
+    for n, flip in word:  # tau + n is (a, b - 2an, ...), -1/tau is (c, -b, a)
+        a, b, c = a, b - 2 * a * n, a * n * n - b * n + c
+        if flip:
+            a, b, c = c, -b, a
+    form = QuadraticForm(a, b, c)
+    reduced, (c, d), shift, flips = reduction_word(a, b, c)
+    assert reduced == start
+    reduced, turns = QuadraticForm(*reduced), shift - 3 * flips
+
+    def point(f):
+        return (-f.b + oracle.sqrt(-f.discriminant) * 1j) / (2 * f.a)
+
+    check(point(form), point(reduced), c, d, turns)
+
+
+@pytest.mark.parametrize("p", ETA_QUOTIENT_PRIMES)
+def test_heegner_points_reduce_into_the_class_table(p):
+    # tau and p tau of every Heegner form reduce, in integers, to members of
+    # reduced_forms(-d): the forms whose eta^e the class table holds
+    for d, beta, forms in heegner_classes(p, 200):
+        table = set(reduced_forms(-d))
+        for form in forms:
+            for f in ((form.a, form.b, form.c), (form.a // p, form.b, p * form.c)):
+                assert reduction_word(*f)[0] in table, (d, beta, form)
+
+
+def test_one_exponential_per_discriminant_and_one_eta_per_reduced_form(monkeypatch):
+    # the class set of -d takes eta^e once at each reduced form up to the
+    # mirror (a, -b, a), and every z from one exponential and roots of it
+    etas, exps = [], []
+    eta_power, exp = hauptmodul._eta_power, hauptmodul.libmp.mpf_exp
+    monkeypatch.setattr(hauptmodul, "_eta_power", lambda *a: etas.append(a) or eta_power(*a))
+    monkeypatch.setattr(hauptmodul.libmp, "mpf_exp", lambda *a: exps.append(a) or exp(*a))
+    checked = 0
+    for p in ETA_QUOTIENT_PRIMES:
+        hm = Hauptmodul(p, 300)
+        for d, beta, forms in heegner_classes(p, 120):
+            del etas[:], exps[:]
+            cm_values(hm, -d, beta)
+            up_to_mirror = [f for f in reduced_forms(-d) if f[1] >= 0]
+            assert len(etas) == len(up_to_mirror) and len(exps) == 1, (p, d)
+            checked += len(forms) > len(up_to_mirror)
+    assert checked >= 20
+
+
 #: (p, d): evaluations per class set under conjugation alone, and with W_p.
 FRICKE_SAVINGS = {(2, 56): (3, 2), (2, 104): (3, 2), (3, 231): (6, 4), (7, 203): (3, 2)}
 
 
 def test_fricke_pairing_saves_evaluations_only_when_p_divides_d(monkeypatch):
-    # one reduce_point per evaluation; where p does not divide d the count
+    # one _form_value per evaluation; where p does not divide d the count
     # is the number of conjugation orbits, as before W_p joined
     calls = []
-    original = hauptmodul.reduce_point
+    original = hauptmodul._form_value
 
-    def counting(tau, p, ctx):
-        calls.append(tau)
-        return original(tau, p, ctx)
+    def counting(hm, form, *args, **kwargs):
+        calls.append(form)
+        return original(hm, form, *args, **kwargs)
 
-    monkeypatch.setattr(hauptmodul, "reduce_point", counting)
+    monkeypatch.setattr(hauptmodul, "_form_value", counting)
     seen = {}
     for p in ETA_QUOTIENT_PRIMES:
         hm = Hauptmodul(p, 30)

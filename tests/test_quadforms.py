@@ -11,6 +11,7 @@ from cmforge.quadforms import (
     class_number,
     heegner_reps,
     reduce,
+    reduced_forms,
 )
 
 
@@ -125,6 +126,23 @@ def test_class_number_brute_force_to_2000():
         if not is_fundamental_discriminant(disc):
             continue
         assert class_number(disc) == brute_force_class_count(disc), disc
+
+
+def test_reduced_forms_are_one_reduced_form_per_class():
+    # each listed form is primitive, of the discriminant and its own
+    # reduction, and the list holds every class of the Heegner forms once
+    for disc in range(-600, -2):
+        if not is_fundamental_discriminant(disc):
+            continue
+        forms = [QuadraticForm(*f) for f in reduced_forms(disc)]
+        assert all(f.discriminant == disc and f.is_primitive() and reduce(f) == f
+                   for f in forms), disc
+        assert len(set(forms)) == len(forms) == class_number(disc)
+        for p in (2, 13):
+            for beta in admissible_residues(disc, p)[:1]:
+                assert {reduce(f) for f in heegner_reps(disc, p, beta)} == set(forms), (disc, p)
+    with pytest.raises(ParameterError, match="exceeds the class number ceiling"):
+        reduced_forms(-(10 ** 7) - 3)
 
 
 def test_admissible_residues_frozen():

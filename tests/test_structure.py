@@ -184,6 +184,38 @@ def test_one_eta_kernel_and_one_complex_product():
         assert reaches(f"hauptmodul.py:{evaluator}", "hauptmodul.py:_pentagonal_sum"), evaluator
 
 
+def test_one_eta_kernel_at_reduced_points():
+    # eta^e is summed only by the class evaluator, which every CM value and
+    # every numeric point reaches, and eta itself only by eta_with_bound:
+    # no second series runs at p tau, and no power q^p is formed
+    tree = ast.parse((PACKAGE_DIR / "hauptmodul.py").read_text(encoding="utf-8"))
+    callers, exponents = set(), set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and called_name(node) == "_pentagonal_sum":
+                callers.add(function.name)
+            if isinstance(node, ast.Call) and called_name(node) == "_power":
+                exponents.add(ast.unparse(node.args[1]))
+    assert callers == {"_eta_power", "eta_with_bound"}
+    assert "p" not in exponents and exponents == {"m", "e", "k"}
+
+
+def test_one_sl2z_reduction_of_forms():
+    # the flip (a, b, c) -> (c, -b, a) is written once, in
+    # quadforms.reduction_word, which reduce and the eta kernel both use
+    flips = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                flips += [f"{path.stem}.{function.name}" for node in ast.walk(function)
+                          if isinstance(node, ast.Assign)
+                          and ast.unparse(node.value) == "(c, -b, a)"]
+    assert flips == ["quadforms.reduction_word"]
+
+
 def message_template(node):
     """The message a Raise node passes to its exception, with each formatted
     value replaced by {}; None when it passes no literal message."""
