@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import math
@@ -65,15 +66,28 @@ _VALUE_DIGITS = 17
 
 
 def _decimal(n: int) -> str:
-    """str(n), without the interpreter's limit on integer-to-string conversion:
-    n is split by a power of ten into halves, down to pieces inside the limit."""
-    if n < 0:
-        return "-" + _decimal(-n)
+    """str(n), without the interpreter's limit on integer-to-string conversion.
+
+    Beyond _DECIMAL_PIECE_BITS, n is split in halves by bit length down to
+    pieces inside the limit, and decimal.Decimal, exact at MAX_PREC, joins
+    them as high 2^k + low: a balanced split, as CPython's _pylong converts,
+    in place of divisions by powers of ten.
+    """
     if n.bit_length() <= _DECIMAL_PIECE_BITS:
         return str(n)
-    low_digits = n.bit_length() * 3 // 20  # about half of n's digits
-    high, low = divmod(n, 10 ** low_digits)
-    return _decimal(high) + _decimal(low).zfill(low_digits)
+    if n < 0:
+        return "-" + _decimal(-n)
+
+    def join(m, bits):
+        if bits <= _DECIMAL_PIECE_BITS:
+            return decimal.Decimal(m)
+        half = bits // 2
+        high = m >> half
+        return join(high, bits - half) * decimal.Decimal(2) ** half + join(m - (high << half), half)
+
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        return str(join(n, n.bit_length()))
 
 
 def _jsonable(obj):
@@ -166,18 +180,22 @@ def _float_or_decimal(pls):
 
 
 def _norm_payload(pls):
-    """JSON payload and text form of the norm prod q^(e_q/8) of a prime-log sum."""
+    """JSON payload and text form of the norm prod q^(e_q/8) of a prime-log sum.
+    An integral norm is converted to decimal once: the payload holds the
+    text where _jsonable would convert the int again."""
     factors = [(q, Fraction(e, 8)) for q, e in pls.items()]
     try:
-        value = pls.norm()
-        text = _decimal(value)
+        norm = pls.norm()
     except NonIntegralMagnitudeError:
-        value = _float_or_decimal(pls)
+        integral, value = False, _float_or_decimal(pls)
         text = "*".join(
             f"{q}^({e})" if e.denominator != 1 else f"{q}^{e}" for q, e in factors
         )
-    payload = {"factors": {str(q): e for q, e in factors},
-               "integral": isinstance(value, int), "value": value}
+    else:
+        text = _decimal(norm)
+        integral, value = True, norm if abs(norm) <= _INT_STRING_LIMIT else text
+    payload = {"factors": {str(q): e for q, e in factors}, "integral": integral,
+               "value": value}
     return payload, text
 
 

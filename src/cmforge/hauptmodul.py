@@ -26,14 +26,14 @@ evaluated once per reduced form of a discriminant up to the mirror
 every CM point whose tau or p tau falls in that class (_orbits).  The
 quotient, the multipliers and t + p^(e/2)/t are integer pairs with a
 shared binary exponent, each complex product taking three integer
-multiplications (_fixed_mul); the sum is rounded once to the context's
-precision.  The error bound is read from integer bit lengths and from
-floats that count relative errors in units of 2^-bits, with no
-working-precision arithmetic.  A CM value stays that integer pair with its
-relative error, for either realization, until value_with_bound makes one
-mpc of it or lhs_log_norm takes its differences, product and one log on
-integers; CM values are evaluated once per orbit of complex conjugation
-and, when p | disc, the Fricke involution W_p.
+multiplications (ball.fixed_mul); the sum is rounded once to the context's
+precision.  A CM value is a ball.Ball, that integer pair with a radius held
+in integers, for either realization: each operation bounds its own
+rounding, with no floats and no working-precision arithmetic, until
+value_with_bound makes one mpc of it or lhs_log_norm takes its
+differences, product and one log on integers; CM values are evaluated once
+per orbit of complex conjugation and, when p | disc, the Fricke
+involution W_p.
 
 A Hauptmodul fixes level, realization and precision once; its values live in
 the mpmath context working_context(digits), one per precision per process and
@@ -53,8 +53,9 @@ import mpmath
 from mpmath import libmp
 
 from .arith import require_prime
+from .ball import Ball, ceil_shift, exact_pair, fixed_mul, power, radius, scaled, top_bits
 from .errors import InternalError, ParameterError, PrecisionError
-from .quadforms import QuadraticForm, heegner_reps, reduce, reduction_word
+from .quadforms import QuadraticForm, heegner_reps, reduction_word
 
 #: Primes whose Fricke curve X0*(p) has genus zero: the domain of j*_p.
 GENUS_ZERO_FRICKE_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 41, 47, 59, 71))
@@ -67,12 +68,10 @@ GUARD_DIGITS = 10
 MAX_DIGITS = 10_000
 #: Safety bound on the eta series length; low Im(tau) raises PrecisionError.
 MAX_ETA_TERMS = 10 ** 5
-#: Most flips a numeric point's reduction makes (reduce_point, _reduce_numeric);
-#: one needing more raises PrecisionError.
-MAX_REDUCTION_FLIPS = 64
 #: Bits the fixed-point eta kernel carries beyond the context precision.
 ETA_GUARD_BITS = 32
-# Bits q is computed with beyond the fixed-point precision (_fixed_q, _form_q).
+# Bits q is computed with beyond the fixed-point precision (_fixed_q,
+# _rational_q, _class_etas).
 _Q_GUARD_BITS = 8
 # Relative error of the scaled q, in units of 2^-bits: the exponential and
 # the angle at _Q_GUARD_BITS more bits, and the floor of the pair.
@@ -329,38 +328,6 @@ def _fixed_bits(ctx) -> int:
     return ctx.prec + ETA_GUARD_BITS
 
 
-def _fixed_mul(x, y, shift: int):
-    """Product of two complex integer pairs, each part floored to 2^shift.
-
-    Three multiplications: (a + b)(c + d) - ac - bd is ad + bc exactly, so
-    each part is the four-multiplication one bit for bit.
-    """
-    (a, b), (c, d) = x, y
-    ac, bd = a * c, b * d
-    return (ac - bd) >> shift, ((a + b) * (c + d) - ac - bd) >> shift
-
-
-def _power(x, n: int, mul):
-    """x^n for n >= 1 by repeated squaring under the product mul.
-
-    Each product's rounding is raised to the power its result enters the
-    answer with; those powers add up to n - 1.
-    """
-    result = None
-    while True:
-        if n & 1:
-            result = x if result is None else mul(result, x)
-        n >>= 1
-        if not n:
-            return result
-        x = mul(x, x)
-
-
-def _top_bits(x) -> int:
-    """Bit length of the larger part of an integer pair."""
-    return max(x[0].bit_length(), x[1].bit_length())
-
-
 def _to_fixed(x, bits: int):
     """A scaled pair as a fixed-point pair at 2^-bits, each part floored."""
     (re, im), exp = x
@@ -368,55 +335,6 @@ def _to_fixed(x, bits: int):
     if shift >= 0:
         return re << shift, im << shift
     return re >> -shift, im >> -shift
-
-
-def _scaled(re, im, bits: int):
-    """Raw mpfs re + i im, not both zero, as a scaled pair whose larger part
-    has bits + 2 bits, so the floor costs less than 2^-bits of the modulus."""
-    top = max(exp + bc for _, man, exp, bc in (re, im) if man)
-    shift = bits + 2 - top
-    return (libmp.to_fixed(re, shift), libmp.to_fixed(im, shift)), -shift
-
-
-def _scaled_mul(x, y, bits: int):
-    """Product of two scaled pairs, within 2^(1-bits) of the exact one, relatively.
-
-    The shift leaves the exact product at least 2^bits in modulus, so the
-    floor of both parts, under sqrt(2), is below 2^(1-bits) of it.
-    """
-    (xm, xe), (ym, ye) = x, y
-    shift = max(0, _top_bits(xm) + _top_bits(ym) - bits - 2)
-    return _fixed_mul(xm, ym, shift), xe + ye + shift
-
-
-def _scaled_div(x, y, bits: int):
-    """Quotient of two scaled pairs, within 2^-bits of the exact one, relatively.
-
-    x/y = x conj(y) / |y|^2, shifted so that the exact quotient exceeds
-    2^(bits + 1) in modulus before each part is floored.
-    """
-    (xm, xe), (ym, ye) = x, y
-    num = _fixed_mul(xm, (ym[0], -ym[1]), 0)
-    den = ym[0] * ym[0] + ym[1] * ym[1]
-    shift = bits + 2 + den.bit_length() - _top_bits(num)
-    if shift >= 0:
-        re, im = (num[0] << shift) // den, (num[1] << shift) // den
-    else:
-        den <<= -shift
-        re, im = num[0] // den, num[1] // den
-    return (re, im), xe - ye - shift
-
-
-def _relative_units(err: float, x, bits: int) -> float:
-    """Relative error, in units of 2^-bits, of a fixed-point pair x that is
-    within err units of its exact value: err / (|x| - err), read from
-    |x| >= 2^(top - 1).  inf once err nears |x| or the count leaves floats."""
-    top = _top_bits(x)
-    head = err * 2.0 ** (1 - top)
-    shift = bits + 1 - top
-    if head >= 0.5 or shift > 900:
-        return math.inf
-    return err * 2.0 ** shift / (1 - head)
 
 
 def _log2_above(n: int) -> float:
@@ -435,7 +353,7 @@ def _fixed_q(ctx, tau, extra: int = 0):
     bits = _fixed_bits(ctx)
     with ctx.workprec(bits + _Q_GUARD_BITS + extra):
         q = ctx.expjpi(2 * tau)
-    return _scaled(q.real._mpf_, q.imag._mpf_, bits)
+    return scaled(q.real._mpf_, q.imag._mpf_, bits)
 
 
 def _rational_q(ctx, num, den: int):
@@ -562,8 +480,8 @@ def _pentagonal_steps(pairs: int) -> tuple:
 
 
 def _pentagonal_sum(q, q_err: int, pairs: int, bits: int):
-    """S(q) = sum_{|k| <= pairs} (-1)^k q^(k(3k-1)/2) as a fixed-point pair at
-    2^-bits, with a bound on its error in units of 2^-bits, as a float.
+    """S(q) = sum_{|k| <= pairs} (-1)^k q^(k(3k-1)/2) as a Ball whose midpoint
+    is a fixed-point pair at 2^-bits.
 
     q is a fixed-point pair (X, Y) standing for (X + iY) 2^-bits, within q_err
     units of the exact q = e^(2 pi i tau), and pairs comes from
@@ -572,13 +490,15 @@ def _pentagonal_sum(q, q_err: int, pairs: int, bits: int):
     per step, and each is dropped once no later step reads it; the integer
     sums are exact.
 
-    The bound adds two parts.  Tail: the omitted exponents are distinct
-    integers from N = (pairs+1)(3 pairs+2)/2 on, so they sum to at most
-    |q|^N / (1 - |q|), with |q| <= (isqrt(X^2 + Y^2) + 1 + q_err) 2^-bits;
-    it is summed in the log2 domain and doubled, far more than the float
-    roundings move it, and a tail below 2^-64 units counts as 2^-64.  Fixed
-    point: every product floors each part, an error below sqrt(2) units,
-    and every factor has modulus at most 1, so errors add without growing.
+    The radius, in units of 2^-bits, adds two parts.  Tail: the omitted
+    exponents are distinct integers from N = (pairs+1)(3 pairs+2)/2 on, so
+    they sum to at most |q|^N / (1 - |q|), with |q| <= size 2^(cut - bits):
+    X and Y are read at 2^cut, about 16 bits each, rounded up, and size =
+    isqrt of their squared modulus, plus one, plus q_err rounded up to
+    units of 2^cut; a size that reaches 2^(bits - cut) raises PrecisionError.
+    Fixed point: every product floors each part, an error below sqrt(2)
+    units, and every factor has modulus at most 1, so errors add without
+    growing.
     With u = q_err units on q, every power q^n of an addition sequence is
     within n(u + sqrt(2)) - sqrt(2) units: q is, and if q^a and q^b are,
     their floored product is within (a + b)(u + sqrt(2)) - 2 sqrt(2) +
@@ -591,20 +511,21 @@ def _pentagonal_sum(q, q_err: int, pairs: int, bits: int):
         total_re, total_im = total_re - q[0], -q[1]
     powers = {1: q}
     for c, a, b, sign, spent in _pentagonal_steps(pairs):
-        x = powers[c] = _fixed_mul(powers[a], powers[b], bits)
+        x = powers[c] = fixed_mul(powers[a], powers[b], bits)
         total_re += sign * x[0]
         total_im += sign * x[1]
         for exponent in spent:
             del powers[exponent]
+    cut = max(0, top_bits(q) - 16)
+    x, y = (abs(q[0]) >> cut) + 1, (abs(q[1]) >> cut) + 1  # |X|, |Y| < (x, y) 2^cut
+    size = math.isqrt(x * x + y * y) + 2 + (q_err >> cut)
+    if size >> (bits - cut):
+        raise PrecisionError("the eta series cannot be bounded where |q| may reach 1")
     exponent = (pairs + 1) * (3 * pairs + 2) // 2
-    log_q = _log2_above(math.isqrt(q[0] * q[0] + q[1] * q[1]) + 1 + q_err) - bits
-    tail = math.inf
-    if log_q < 0:
-        size = 1 + bits + exponent * log_q - math.log2(-math.expm1(log_q * math.log(2)))
-        if size < 1000:
-            tail = 2.0 ** max(size, -64)
+    tail = ceil_shift(size ** exponent, (cut - bits) * exponent + 2 * bits)
     rounding = (q_err + 2) * pairs * (pairs + 1) * (2 * pairs + 1)
-    return (total_re, total_im), tail + rounding
+    return Ball(((total_re, total_im), -bits),
+                radius(tail // ((1 << bits) - (size << cut)) + 1 + rounding, -bits))
 
 
 def eta_with_bound(tau, ctx):
@@ -620,9 +541,9 @@ def eta_with_bound(tau, ctx):
     pairs = _pentagonal_pairs(tau.imag, ctx.prec)
     bits = _fixed_bits(ctx)
     q = _to_fixed(_fixed_q(ctx, tau), bits)
-    (re, im), err = _pentagonal_sum(q, _Q_ERR_ULPS, pairs, bits)
-    total = ctx.mpc(ctx.ldexp(re, -bits), ctx.ldexp(im, -bits))
-    bound = ctx.ldexp(err, -bits) + ctx.eps * (abs(total.real) + abs(total.imag))
+    exact, err = _pentagonal_sum(q, _Q_ERR_ULPS, pairs, bits).to_mpc(ctx)
+    total = +exact
+    bound = err + ctx.eps * (abs(total.real) + abs(total.imag))
     w = ctx.expjpi(tau / 12)
     value = w * total
     return value, abs(w) * bound + ctx.eps * abs(value)
@@ -640,7 +561,9 @@ def reduce_point(tau, p: int, ctx):
     b -> b + 2an and the flip is (a, b, c) -> (pc, -b, a/p), which keeps
     p | a and makes a strictly smaller, so the loop ends.  Any other tau is
     reduced numerically; each flip strictly increases Im(tau), and a point
-    still unreduced after MAX_REDUCTION_FLIPS flips raises PrecisionError.
+    still unreduced after _max_flips flips, the bound _reduce_numeric
+    proves for SL2(Z), raises PrecisionError.  The Fricke flip has no such
+    proof: for p >= 5, T and W_p do not generate the Fricke group.
     """
     if isinstance(tau, QuadraticForm):
         if tau.a % p == 0:
@@ -653,15 +576,15 @@ def reduce_point(tau, p: int, ctx):
                 a, b, c = p * c, -b, a // p
     tau = _as_point(ctx, tau)
     margin = 1 - ctx.mpf(10) ** (-9)
-    for _ in range(MAX_REDUCTION_FLIPS + 1):
+    _, man, exp, _ = tau.imag._mpf_
+    flips = _max_flips(man << max(0, exp), 1 << max(0, -exp))
+    for _ in range(flips + 1):
         shift = ctx.floor(tau.real + ctx.mpf("0.5"))
         tau = tau - shift
         if p * (tau.real ** 2 + tau.imag ** 2) >= margin:
             return tau
         tau = -1 / (p * tau)
-    raise PrecisionError(
-        f"tau not reduced for p={p} within MAX_REDUCTION_FLIPS = {MAX_REDUCTION_FLIPS} flips"
-    )
+    raise PrecisionError(f"tau not reduced for p={p} within {flips} flips")
 
 
 def _eval_qseries_with_bound(hm: Hauptmodul, tau):
@@ -714,85 +637,6 @@ def _eval_qseries_with_bound(hm: Hauptmodul, tau):
     return value, bound + rounding
 
 
-def _lead(pair) -> int:
-    """The binary exponent just above the larger part of a scaled pair:
-    its modulus is below 2^(lead + 1/2)."""
-    return _top_bits(pair[0]) + pair[1]
-
-
-def _ldexp_up(x: float, n: int) -> float:
-    """x 2^n for a float x >= 0, inf where that leaves the floats."""
-    try:
-        return math.ldexp(x, n)
-    except OverflowError:
-        return math.inf
-
-
-def _exact_pair(re, im):
-    """Raw mpfs re + i im as a scaled pair, exactly: both parts at the
-    smaller of their exponents."""
-    exp = min((e for _, man, e, _ in (re, im) if man), default=0)
-    return tuple((-man if sign else man) << (e - exp) if man else 0
-                 for sign, man, e, _ in (re, im)), exp
-
-
-# A CM value is (pair, err): a scaled pair ((re, im), exp) whose parts were
-# rounded to the context's precision, and a float err such that the exact
-# value lies within err 2^(_lead(pair) - bits) of it, bits = _fixed_bits:
-# its relative error in units of 2^-bits.  Both realizations give this one
-# type, and lhs_log_norm works on it in integers.
-
-def _rounded_sum(x, rel_x: float, y, rel_y: float, bits: int, prec: int):
-    """x + y as a CM value with each part rounded to prec bits, for scaled
-    pairs x and y whose relative errors are below rel_x and rel_y units of
-    2^-bits.
-
-    Each relative error compounds factors (1 + delta_i)^(+-1); while the
-    sum S of their |delta_i| stays below 1/8, the compound is below 2S, so x
-    is within 2S |x_exact| <= (8/3) S |x| of x_exact; the bound takes 3S,
-    which leaves room for its own few float roundings.  |x| is read from the
-    bit lengths.  Aligning the pairs floors one of them, less than 2 units
-    of the sum's last bit.  Rounding each part to prec bits costs at most
-    2^-prec (|Re| + |Im|), charged from the integer sum with 53 bits rounded
-    up.  The bound is one float times a power of two, read in the units of
-    the rounded pair, and infinite once S reaches 1/8; a summand more than
-    2^1000 below the other is charged as if it were 2^-1000 of it, which
-    keeps the weights inside the floats.
-    """
-    (xm, xe), (ym, ye) = x, y
-    exp = max(xe, ye)
-    sum_m = ((xm[0] >> (exp - xe)) + (ym[0] >> (exp - ye)),
-             (xm[1] >> (exp - xe)) + (ym[1] >> (exp - ye)))
-    value = _exact_pair(libmp.from_man_exp(sum_m[0], exp, prec, "n"),
-                        libmp.from_man_exp(sum_m[1], exp, prec, "n"))
-    if not max(rel_x, rel_y) < 2.0 ** min(bits - 3, 1000):
-        return value, math.inf
-    x_top, y_top = _lead(x), _lead(y)  # |x| < 2^(x_top + 1/2)
-    ref = max(x_top, y_top)
-    parts = abs(sum_m[0]) + abs(sum_m[1])  # (|Re| + |Im|) 2^-exp
-    shift = max(0, parts.bit_length() - 53)
-    scale = (3 * (rel_x * 2.0 ** (max(x_top - ref, -1000) + 0.5)
-                  + rel_y * 2.0 ** (max(y_top - ref, -1000) + 0.5))
-             + 2.0 ** (1 + exp + bits - ref)
-             + ((parts >> shift) + 1) * 2.0 ** (shift + exp - prec + bits - ref))
-    return value, _ldexp_up(scale, ref - _lead(value))
-
-
-def _series_value(value, bound, bits: int):
-    """The series realization's mpc value and mpf bound as a CM value: the
-    pair exactly, the bound rounded up to a float."""
-    pair = _exact_pair(value.real._mpf_, value.imag._mpf_)
-    scaled = libmp.mpf_shift(bound._mpf_, bits - _lead(pair))
-    return pair, libmp.to_float(scaled, rnd=libmp.round_up)
-
-
-def _as_mpc(ctx, value):
-    """A CM value as (mpc, error bound) in ctx; the mpc is exact."""
-    ((re, im), exp), err = value
-    return (ctx.make_mpc((libmp.from_man_exp(re, exp), libmp.from_man_exp(im, exp))),
-            ctx.ldexp(err, _lead(value[0]) - _fixed_bits(ctx)))
-
-
 # eta^e at SL2(Z)-reduced points.  With e = 24/(p - 1) = 2k and
 # zeta = e^(2 pi i/24), eta^e(tau + n) = zeta^(ne) eta^e(tau) and
 # eta^e(-1/tau) = (-i tau)^k eta^e(tau) (Apostol, Modular Functions and
@@ -803,48 +647,53 @@ def _as_mpc(ctx, value):
 # with zeta_12 = e^(2 pi i/12); n - 3s is the word's turns.  A form's word
 # is quadforms.reduction_word's, a numeric point's _reduce_numeric's.
 
-def _reduce_numeric(tau, ctx):
-    """(W, turns) for an mpc tau: W in SL2(Z) as (a, b, c, d), found by
-    shifts and flips, with W tau in |Re| <= 1/2 and |W tau| >= 1 up to the
-    rounding of the search, and W's turns.  Only the word comes from the
-    search; the caller applies W to the exact point.  A point still
-    unreduced after MAX_REDUCTION_FLIPS flips raises PrecisionError."""
-    w = (1, 0, 0, 1)
-    turns = 0
-    margin = 1 - ctx.mpf(10) ** (-9)
-    for _ in range(MAX_REDUCTION_FLIPS + 1):
-        n = -int(ctx.floor(tau.real + ctx.mpf("0.5")))
-        tau = tau + n
-        w = (w[0] + n * w[2], w[1] + n * w[3], w[2], w[3])
-        turns += n
-        if tau.real ** 2 + tau.imag ** 2 >= margin:
-            return w, turns
-        tau = -1 / tau
-        w = (-w[2], -w[3], w[0], w[1])
-        turns -= 3
-    raise PrecisionError(
-        f"tau not reduced within MAX_REDUCTION_FLIPS = {MAX_REDUCTION_FLIPS} flips"
-    )
+def _max_flips(y: int, one: int) -> int:
+    """s + 2 for a point with Im(tau) = y/one, one a power of two, where
+    s = bits(one) - bits(y), at least 0, gives Im(tau) >= 2^-s: the s + 1
+    flips _reduce_numeric needs, and one more for the rounding of
+    reduce_point's numeric search."""
+    return max(0, one.bit_length() - y.bit_length()) + 2
+
+
+def _reduce_numeric(x: int, y: int, one: int):
+    """(U, L, turns) for tau = (x + iy)/one exactly, y > 0 and one a power of
+    two: U = (a tau + b) one and L = (c tau + d) one, integer pairs, for W =
+    (a, b, c, d) in SL2(Z) found by shifts and flips, with W tau = U conj(L)
+    /|L|^2 in |Re| <= 1/2 and |W tau| >= 1, and W's turns.  A shift by n
+    adds n L to U, a flip makes (U, L) (-L, U), and the shift and the test
+    |W tau| >= 1, |U| >= |L|, are exact integer arithmetic.
+
+    A flip at a point with |Re| <= 1/2 and Im <= 1/2 has |tau|^2 <= 1/2, so
+    it at least doubles Im: from Im(tau) >= 2^-s there are at most s such
+    flips.  A point with |Re| <= 1/2 and Im > 1/2 lies in F, S F or
+    S T^(+-1) F (the images S T^n F with |n| >= 2 stay below Im 1/3), one
+    flip from the fundamental domain F.  A point still unreduced after
+    _max_flips flips raises PrecisionError."""
+    up, low, turns = (x, y), (one, 0), 0
+    flips = _max_flips(y, one)
+    for _ in range(flips + 1):
+        den = low[0] * low[0] + low[1] * low[1]
+        n = -((2 * (up[0] * low[0] + up[1] * low[1]) + den) // (2 * den))  # -floor(Re + 1/2)
+        up, turns = (up[0] + n * low[0], up[1] + n * low[1]), turns + n
+        if up[0] * up[0] + up[1] * up[1] >= den:
+            return up, low, turns
+        up, low, turns = (-low[0], -low[1]), up, turns - 3
+    raise PrecisionError(f"tau not reduced within {flips} flips")
 
 
 def _eta_power(z, pairs: int, e: int, bits: int):
-    """eta^e at a point tau as a scaled pair z S(q)^e, with its relative error
-    in units of 2^-bits: z = e^(2 pi i tau e/24), a scaled pair within
-    _Q_REL_ULPS units, q = z^(24/e), and pairs from
-    _pentagonal_pairs(Im tau, bits - ETA_GUARD_BITS).
+    """eta^e at a point tau as the Ball z S(q)^e: z = e^(2 pi i tau e/24), a
+    scaled pair within _Q_REL_ULPS units of 2^-bits, relatively, q = z^(24/e),
+    and pairs from _pentagonal_pairs(Im tau, bits - ETA_GUARD_BITS).
 
     The fixed-point z is within |z| _Q_REL_ULPS + sqrt(2) <= _Q_ERR_ULPS
     units, so its m-th power q, m = 24/e, is within m (_Q_ERR_ULPS + 2), as
-    in _pentagonal_sum.  S carries _relative_units of its bound, S^e e - 1
-    compounded product floors and the product by z one more.
+    in _pentagonal_sum.
     """
     m = 24 // e
-    z_fixed = _to_fixed(z, bits)
-    q = _power(z_fixed, m, lambda x, y: _fixed_mul(x, y, bits))
-    total, err = _pentagonal_sum(q, m * (_Q_ERR_ULPS + 2), pairs, bits)
-    power = _power((total, -bits), e, lambda x, y: _scaled_mul(x, y, bits))
-    return (_scaled_mul(z, power, bits),
-            e * (_relative_units(err, total, bits) + 2) + _Q_REL_ULPS)
+    q = power(_to_fixed(z, bits), m, lambda x, y: fixed_mul(x, y, bits))
+    sum_ = _pentagonal_sum(q, m * (_Q_ERR_ULPS + 2), pairs, bits)
+    return Ball.relative(z, _Q_REL_ULPS, bits).mul(sum_.pow(e, bits), bits)
 
 
 def _class_etas(hm: Hauptmodul, size: int, forms) -> dict:
@@ -880,52 +729,28 @@ def _class_etas(hm: Hauptmodul, size: int, forms) -> dict:
             libmp.mpf_mul(pi, libmp.from_rational(-2 * b - n * a, 2 * a, wp), wp), wp)
         for _ in range(n % 4):  # times i
             cos, sin = libmp.mpf_neg(sin), cos
-        z = _scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits)
+        z = scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits)
         etas[f] = _eta_power(z, count, 24 // m, bits)
     return etas
 
 
-def _times_root_of_unity(x, m: int, bits: int):
-    """x zeta_12^m for a scaled pair x, zeta_12 = e^(2 pi i/12), and the units
-    of 2^-bits it adds to x's relative error.  zeta_12^m = i^j zeta_12^r,
-    m = 3j + r: the quarter turns i^j are exact, and zeta_12^r for r = 1 or
-    2, (sqrt(3) + i)/2 or (1 + i sqrt(3))/2, is floored at 2^-bits, within
-    sqrt(2) units, before the product's own floor of two."""
-    j, r = divmod(m % 12, 3)
-    added = 0
-    if r:
-        half, root3 = 1 << (bits - 1), math.isqrt(3 << (2 * bits - 2))  # sqrt(3)/2
-        x = _scaled_mul(x, ((root3, half) if r == 1 else (half, root3), -bits), bits)
-        added = 4
-    (re, im), exp = x
-    for _ in range(j):  # times i
-        re, im = -im, re
-    return ((re, im), exp), added
-
-
-def _quotient_value(hm: Hauptmodul, etas, turns: int, num, num_rel: float, den: int):
-    """The CM value t + p^k/t, k = e/2, for t = eta^e(tau)/eta^e(p tau)
+def _quotient_value(hm: Hauptmodul, etas, turns: int, num, den: int):
+    """The CM value t + p^k/t, k = e/2, as a Ball whose midpoint is rounded
+    to the context's precision, for t = eta^e(tau)/eta^e(p tau)
     = (E1/E2) zeta_12^(k turns) num/den: etas the pair (E1, E2) of
     _eta_power values at the reduced points, turns the second word's
-    turns less the first's, num a scaled pair within num_rel units and
-    den a positive integer, the multiplier of the two words.
-
-    E2 den is exact; the root of unity adds at most four units
-    (_times_root_of_unity), the product and the quotient two and one, and
-    p^k/t one more (_rounded_sum).
+    turns less the first's, num a Ball and den a positive integer, the
+    multiplier of the two words.
     """
     ctx, p = hm.ctx, hm.p
     bits, k = _fixed_bits(ctx), 12 // (p - 1)
-    ((e1, rel1), (((re2, im2), exp2), rel2)) = etas
-    top, rel_root = _times_root_of_unity(_scaled_mul(e1, num, bits), k * turns, bits)
-    t = _scaled_div(top, ((re2 * den, im2 * den), exp2), bits)
-    rel_t = rel1 + rel2 + num_rel + rel_root + 3
-    return _rounded_sum(t, rel_t, _scaled_div(((p ** k, 0), 0), t, bits), rel_t + 1,
-                        bits, ctx.prec)
+    e1, e2 = etas
+    t = e1.mul(num, bits).rotate(k * turns, bits).div(e2.scale(den), bits)
+    return t.add(Ball(((p ** k, 0), 0)).div(t, bits), ctx.prec)
 
 
 def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, word):
-    """hm at the CM point tau of a form (a, b, c) with p | a, as a CM value,
+    """hm at the CM point tau of a form (a, b, c) with p | a, as a Ball,
     from eta_at(f), eta^e at the point of a form f (_class_etas or a table
     of its values), root = isqrt(size 2^(2 bits)), size = 4ac - b^2, and
     word, quadforms.reduction_word or a function that gives the identity
@@ -939,8 +764,7 @@ def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, word):
         t = (E1/E2) zeta_12^(k (turns2 - turns1)) p^k (X + Y sqrt(-size))^k / (4aA1)^k
     with X = u1 u2 + v1 v2 size and Y = u1 v2 - u2 v1; the power is exact
     in Z[sqrt(-size)], and Y sqrt(size) is floored from root, within |Y|
-    units of 2^-bits, below one unit relatively since
-    |Y| sqrt(size) <= |X + Y sqrt(-size)|.
+    units of 2^-bits: the radius of that factor's Ball.
     """
     p, bits = hm.p, _fixed_bits(hm.ctx)
     k = 12 // (p - 1)
@@ -949,62 +773,45 @@ def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, word):
     (f1, (g1, h1), shift1, flips1), (f2, (g2, h2), shift2, flips2) = (
         word(*f) for f in ((a, b, c), (a // p, b, p * c)))
     u1, v1, u2, v2 = 2 * a * h1 - g1 * b, g1, 2 * (a // p) * h2 - g2 * b, g2
-    x, y = _power((p * (u1 * u2 + v1 * v2 * size), p * (u1 * v2 - u2 * v1)), k,
-                  lambda s, t: (s[0] * t[0] - size * s[1] * t[1], s[0] * t[1] + s[1] * t[0]))
-    num = ((x << bits, y * root), -bits)
+    x, y = power((p * (u1 * u2 + v1 * v2 * size), p * (u1 * v2 - u2 * v1)), k,
+                 lambda s, t: (s[0] * t[0] - size * s[1] * t[1], s[0] * t[1] + s[1] * t[0]))
+    num = Ball(((x << bits, y * root), -bits), radius(abs(y), -bits))
     turns = shift2 - shift1 - 3 * (flips2 - flips1)
-    return _quotient_value(hm, (eta_at(f1), eta_at(f2)), turns, num, 1, (4 * a * f1[0]) ** k)
-
-
-def _word_point(ctx, x: int, y: int, one: int, word):
-    """For tau = (x + iy)/one exactly, Im(tau) > 0: (U conj(L), |L|^2, L,
-    turns) with L = (c tau + d) one and U = (a tau + b) one for the word
-    (W, turns) = word(tau, ctx), W = (a, b, c, d), of _reduce_numeric or the
-    identity, so that W tau = U conj(L)/|L|^2 exactly."""
-    (a, b, c, d), turns = word(ctx.mpc(x, y) / one, ctx)
-    low = (c * x + d * one, c * y)
-    up = (a * x + b * one, a * y)
-    return (_fixed_mul(up, (low[0], -low[1]), 0), low[0] * low[0] + low[1] * low[1], low,
-            turns)
+    return _quotient_value(hm, (eta_at(f1), eta_at(f2)), turns, num, (4 * a * f1[0]) ** k)
 
 
 def _point_value(hm: Hauptmodul, tau, word):
-    """hm at an mpc tau as a CM value, exact at the binary point tau.
+    """hm at an mpc tau as a Ball, exact at the binary point tau.
 
     tau = (x + iy)/2^s and p tau = (px + ipy)/2^s exactly.  Each is taken to
-    the point its word, _reduce_numeric or the identity, gives (_word_point),
-    exactly, so eta^e there takes one exponential of an exact quotient
-    (_rational_q), and the multipliers leave
+    the point U conj(L)/|L|^2 its word, _reduce_numeric or the identity,
+    gives, exactly, so eta^e there takes one exponential of an exact
+    quotient (_rational_q), and the multipliers leave
         t = (E1/E2) zeta_12^(k (turns2 - turns1)) (L2 conj(L1))^k / |L1|^(2k),
     exact.  Both term counts are known before any series work.
     """
     ctx, p = hm.ctx, hm.p
     bits, e = _fixed_bits(ctx), 24 // (p - 1)
-    (x, y), exp = _exact_pair(tau.real._mpf_, tau.imag._mpf_)
+    (x, y), exp = exact_pair(tau.real._mpf_, tau.imag._mpf_)
     if exp > 0:
         x, y, exp = x << exp, y << exp, 0
-    points = [_word_point(ctx, scale * x, scale * y, 1 << -exp, word)
-              for scale in (1, p)]
-    pairs = []
-    for num, den, _, _ in points:
-        try:
-            pairs.append(_pentagonal_pairs(num[1] / den, ctx.prec))
-        except OverflowError:  # a height beyond the floats needs no terms
-            pairs.append(0)
+    points = [(fixed_mul(up, (low[0], -low[1]), 0), low[0] ** 2 + low[1] ** 2, low, turns)
+              for up, low, turns in (word(n * x, n * y, 1 << -exp) for n in (1, p))]
+    # a height beyond 2^64 needs no terms, as 2^64 does; the cap keeps it a float
+    pairs = [_pentagonal_pairs(min(num[1], den << 64) / den, ctx.prec) for num, den, _, _ in points]
     etas = [_eta_power(_rational_q(ctx, num, (p - 1) * den), count, e, bits)
             for (num, den, _, _), count in zip(points, pairs)]
     (_, _, low1, turns1), (_, _, low2, turns2) = points
     k = e // 2
-    num = _power(_fixed_mul(low2, (low1[0], -low1[1]), 0), k,
-                 lambda u, v: _fixed_mul(u, v, 0))
-    return _quotient_value(hm, etas, turns2 - turns1, (num, 0), 0,
+    num = power(fixed_mul(low2, (low1[0], -low1[1]), 0), k, lambda u, v: fixed_mul(u, v, 0))
+    return _quotient_value(hm, etas, turns2 - turns1, Ball((num, 0)),
                            (low1[0] * low1[0] + low1[1] * low1[1]) ** k)
 
 
 def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
-    """hm at tau as a CM value (pair, err), in hm's precision; see
-    value_with_bound.  Whether tau is reduced first is decided here: the
-    helpers take a word to follow, the reduction's or the identity."""
+    """hm at tau as a Ball, in hm's precision; see value_with_bound.  Whether
+    tau is reduced first is decided here: the helpers take a word to
+    follow, the reduction's or the identity."""
     ctx, p = hm.ctx, hm.p
     if not isinstance(tau, QuadraticForm):
         tau = ctx.mpc(tau)
@@ -1013,14 +820,13 @@ def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
     if hm.series is not None:
         if reduce_first:
             tau = reduce_point(tau, p, ctx)
-        return _series_value(*_eval_qseries_with_bound(hm, _as_point(ctx, tau)),
-                             _fixed_bits(ctx))
+        return Ball.from_mpc(*_eval_qseries_with_bound(hm, _as_point(ctx, tau)))
     if isinstance(tau, QuadraticForm) and tau.a % p == 0:
         size = -tau.discriminant
         word = reduction_word if reduce_first else lambda *f: (f, (0, 1), 0, 0)
         return _form_value(hm, tau, lambda f: _class_etas(hm, size, [f])[f],
                            math.isqrt(size << (2 * _fixed_bits(ctx))), word)
-    word = _reduce_numeric if reduce_first else lambda tau, ctx: ((1, 0, 0, 1), 0)
+    word = _reduce_numeric if reduce_first else lambda x, y, one: ((x, y), (one, 0), 0)
     return _point_value(hm, _as_point(ctx, tau), word)
 
 
@@ -1038,11 +844,11 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     unity and an algebraic factor, are exact but for one fixed-point sqrt
     and a rounded root of unity.  Everything after the exponentials runs on
     integer pairs, rounded once to the context's precision, and one mpc is
-    made at the end.  The bound counts relative errors in units of 2^-bits
+    made at the end.  The bound is the radius of the value's Ball
     (_eta_power, _quotient_value).  A coefficient file is evaluated at the
     point reduce_point gives.
     """
-    return _as_mpc(hm.ctx, _cm_value(hm, tau, reduce_first))
+    return _cm_value(hm, tau, reduce_first).to_mpc(hm.ctx)
 
 
 def conjugate_form(form: QuadraticForm, p: int) -> QuadraticForm:
@@ -1055,9 +861,9 @@ def conjugate_form(form: QuadraticForm, p: int) -> QuadraticForm:
 def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     """Per orbit of <complex conjugation, W_p> on the CM values of
     heegner_reps(disc, hm.p, residue), (same, conj, value): the CM value at
-    the orbit's first form, evaluated once, the indices of the forms that
-    share it and the indices of those that take its conjugate, empty for a
-    real value.
+    the orbit's first form, a Ball evaluated once, the indices of the forms
+    that share it and the indices of those that take its conjugate, empty
+    for a real value.
 
     The class set is closed under conjugation, because the class polynomial
     has integer coefficients: conjugate_form carries the conjugate value.
@@ -1065,9 +871,10 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     holds the image (pc, -b, a/p) of a form under the Fricke involution W_p,
     which fixes j*_p, and the mirror (a, -b, c), which conjugates it
     (Gross, Kohnen and Zagier, Heegner points and derivatives of L-series
-    II, 1987, section II.1).  A form's class is keyed by its reduction, as
-    in heegner_reps.  A value shared with its conjugate is real, and its
-    imaginary part, all rounding, is dropped within the same bound.
+    II, 1987, section II.1).  A form's class is keyed by its reduced
+    (a, b, c), as in heegner_reps, which also keys the eta^e table.  A value shared with its conjugate is real, and its
+    imaginary part, all rounding, is dropped: a real value within the radius
+    of the midpoint is as near its real part.
 
     In closed form, eta^e is evaluated once per reduced form of disc up to
     the mirror (a, -b, c), whose point -conj(tau) carries the conjugate
@@ -1078,24 +885,21 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     """
     p = hm.p
     forms = heegner_reps(disc, p, residue)
-    index = {reduce(f): i for i, f in enumerate(forms)}
+    index = {reduction_word(f.a, f.b, f.c)[0]: i for i, f in enumerate(forms)}
     value = functools.partial(_cm_value, hm)
     if hm.series is None:
-        table = _class_etas(hm, -disc, [(f.a, f.b, f.c) for f in index if f.b >= 0])
+        table = _class_etas(hm, -disc, [f for f in index if f[1] >= 0])
 
         def eta_at(f):
             a, b, c = f
-            if b >= 0:
-                return table[f]
-            ((re, im), exp), rel = table[a, -b, c]
-            return ((re, -im), exp), rel
+            return table[f] if b >= 0 else table[a, -b, c].conjugate()
 
         value = functools.partial(_form_value, hm, eta_at=eta_at,
                                   root=math.isqrt(-disc << (2 * _fixed_bits(hm.ctx))),
                                   word=reduction_word)
 
     def at(form):
-        i = index.get(reduce(form))
+        i = index.get(reduction_word(form.a, form.b, form.c)[0])
         if i is None:
             raise InternalError(f"{form} is not among the Heegner forms of {disc} at residue "
                                 f"{residue} mod {2 * p}")
@@ -1110,14 +914,13 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
         if fricke:
             same.add(at(QuadraticForm(p * form.c, -form.b, form.a // p)))
             conj.add(at(QuadraticForm(form.a, -form.b, form.c)))
-        pair, err = value(form)
+        ball = value(form)
         if same & conj:
             same, conj = same | conj, set()
-            (re, _), exp = pair
-            real = (re, 0), exp
-            pair, err = real, _ldexp_up(err, _lead(pair) - _lead(real))
+            (re, _), exp = ball.mid
+            ball = Ball(((re, 0), exp), ball.rad)
         seen |= same | conj
-        orbits.append((sorted(same), sorted(conj), (pair, err)))
+        orbits.append((sorted(same), sorted(conj), ball))
     return orbits
 
 
@@ -1128,7 +931,7 @@ def cm_values(hm: Hauptmodul, disc: int, residue: int) -> list:
     evaluation."""
     values = {}
     for same, conj, value in _orbits(hm, disc, residue):
-        number, bound = _as_mpc(hm.ctx, value)
+        number, bound = value.to_mpc(hm.ctx)
         values.update(dict.fromkeys(same, (number, bound)))
         values.update(dict.fromkeys(conj, (number.conjugate(), bound)))
     return [values[i] for i in range(len(values))]
@@ -1153,41 +956,36 @@ def lhs_log_norm(hm: Hauptmodul, d: int, beta: int, D: int, mu: int) -> tuple:
     and the sum is 4 log of that product: one log per call.  Two values
     within 10^(-digits/2) of each other are refused.
 
-    The bound, in units of 2^-bits: 8 w (e_D + e_d)/|v_D - v_d| over the
-    factors of weight w, the values' errors to first order; a cut floors the
-    product by less than 2^(1-bits) of itself, so k cuts leave it within
-    k 2^(1-bits) <= 1/2, relatively, its log within twice that and 4 log
-    within 16 k units; and the log's own rounding of |log| 2^(1-prec), 4
-    times.  The error sum runs in floats: per factor two exact scalings, a
-    sum, the float and square root of the squared modulus cut to 106 bits
-    or fewer (a lower bound), a quotient and the weight, then one addition
-    per factor and five at the end, N + 10 roundings of at most 2^-53 each
-    over N factors, which 1 + (N + 10) 2^-52 covers.
+    The bound adds, in units of 2^-bits, each term rounded up: 8 w (r_D +
+    r_d)/|v_D - v_d| over the factors of weight w, the values' radii to
+    first order, with |v_D - v_d| at least isqrt(norm >> 2 cut) 2^cut in
+    units of the aligned exponent; a cut floors the product by less than
+    2^(1-bits) of itself, so k cuts leave it within k 2^(1-bits) <= 1/2,
+    relatively, its log within twice that and 4 log within 16 k units; and
+    the log's own rounding of |log| 2^(1-prec), 4 times.
     """
     check_lhs_digits(hm)
     ctx = hm.ctx
     bits = _fixed_bits(ctx)
-    d_values = []  # (pair, err, forms taking the value)
-    for same, conj, (pair, err) in _orbits(hm, -d, beta):
-        d_values.append((pair, err, len(same)))
+    d_values = []  # (Ball, forms taking the value)
+    for same, conj, value in _orbits(hm, -d, beta):
+        d_values.append((value, len(same)))
         if conj:
-            (re, im), exp = pair
-            d_values.append((((re, -im), exp), err, len(conj)))
-    D_values = [(pair, err, len(same) + len(conj))
-                for same, conj, (pair, err) in _orbits(hm, -D, mu)]
-    exp = min((pair[1] for pair, _, _ in d_values + D_values if pair[0] != (0, 0)), default=0)
+            d_values.append((value.conjugate(), len(conj)))
+    D_values = [(value, len(same) + len(conj)) for same, conj, value in _orbits(hm, -D, mu)]
+    exp = min((v.mid[1] for v, _ in d_values + D_values if v.mid[0] != (0, 0)), default=0)
 
     def aligned(values):
-        return [((re << (e - exp), im << (e - exp)), _lead(((re, im), e)) - exp, err, weight)
-                for ((re, im), e), err, weight in values]
+        return [((re << (e - exp), im << (e - exp)), v.rad, weight)
+                for v, weight in values for (re, im), e in [v.mid]]
 
     d_values, D_values = aligned(d_values), aligned(D_values)
     exponent = -hm.digits // 2
     # |v_D - v_d|^2 < 10^(2 exponent) exactly when the integer norm is below this
     threshold = -(-(1 << max(0, -2 * exp)) // (10 ** (-2 * exponent) << max(0, 2 * exp)))
-    product, shifted, cuts, err_sum = 1, 0, 0, 0.0
-    for (vr, vi), lead_D, err_D, weight_D in D_values:
-        for (ur, ui), lead_d, err_d, weight_d in d_values:
+    product, shifted, cuts, err = 1, 0, 0, 0
+    for (vr, vi), (m_D, e_D), weight_D in D_values:
+        for (ur, ui), (m_d, e_d), weight_d in d_values:
             norm = (vr - ur) ** 2 + (vi - ui) ** 2
             if norm < threshold:
                 raise PrecisionError(
@@ -1201,11 +999,12 @@ def lhs_log_norm(hm: Hauptmodul, d: int, beta: int, D: int, mu: int) -> tuple:
                 product >>= excess
                 shifted += excess
                 cuts += 1
-            cut = max(0, norm.bit_length() - 106) // 2  # |v_D - v_d| >= sqrt(norm >> 2 cut) 2^cut
-            err_sum += weight * (_ldexp_up(err_D, lead_D - cut)
-                                 + _ldexp_up(err_d, lead_d - cut)) / math.sqrt(norm >> 2 * cut)
+            cut = max(0, norm.bit_length() - 64) // 2
+            base = cut + exp - bits  # |v_D - v_d| >= isqrt(norm >> 2 cut) 2^(base + bits)
+            spread = ceil_shift(m_D, e_D - base) + ceil_shift(m_d, e_d - base)
+            err += -(-8 * weight * spread // math.isqrt(norm >> 2 * cut))
     form_pairs = sum(v[-1] for v in D_values) * sum(v[-1] for v in d_values)
     total = ctx.log(ctx.make_mpf(libmp.from_man_exp(product, shifted + 2 * exp * form_pairs)))
-    rounding = 16 * cuts + _ldexp_up(abs(float(total)), 3 + bits - ctx.prec)
-    err = (8 * err_sum + rounding) * (1 + (len(D_values) * len(d_values) + 10) * 2.0 ** -52)
-    return 4 * total, ctx.ldexp(err, -bits)
+    _, man, log_exp, _ = total._mpf_
+    err += 16 * cuts + ceil_shift(man, log_exp + 3 - ctx.prec + bits)
+    return 4 * total, ctx.make_mpf(libmp.from_man_exp(err, -bits))

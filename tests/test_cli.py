@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -771,3 +772,40 @@ def test_help_is_the_parser_help(capsys):
     code, out, err = run_cli(capsys, "--help")
     assert (code, err) == (EXIT_OK, "")
     assert out == build_parser().format_help()
+
+
+def test_decimal_conversion_equals_str_without_the_digit_limit():
+    # around the piece size, where one str() call suffices, and far above
+    # it, where the balanced split joins pieces; the reference str() runs
+    # with the interpreter's digit limit lifted, _decimal under the default
+    from cmforge.cli import _DECIMAL_PIECE_BITS, _decimal
+
+    rng = random.Random(347)
+    cases = [0, 1, -1]
+    for bits in (_DECIMAL_PIECE_BITS - 1, _DECIMAL_PIECE_BITS, _DECIMAL_PIECE_BITS + 1,
+                 2 * _DECIMAL_PIECE_BITS + 1, 100_003, 390_748):
+        cases += [2 ** bits - 1, 2 ** bits, 10 ** (bits * 3 // 10), rng.getrandbits(bits)]
+    cases += [-n for n in cases]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(n) for n in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [_decimal(n) for n in cases] == expected
+
+
+def test_json_gznorm_converts_its_norm_once(capsys, monkeypatch):
+    # the text line and the JSON value share one conversion of the norm
+    from cmforge import cli as cli_mod
+
+    calls = []
+    decimal = cli_mod._decimal
+    monkeypatch.setattr(cli_mod, "_decimal", lambda n: calls.append(n) or decimal(n))
+    for output_format in ("json", "text"):
+        del calls[:]
+        code, out, _ = run_cli(capsys, "--format", output_format, "gznorm", "--p", "2",
+                               "--d", "7", "--D", "10007")
+        assert code == EXIT_OK and len(calls) == 1 and calls[0].bit_length() > 53
+        assert (f'"value":"{decimal(calls[0])}"' in out if output_format == "json"
+                else f"norm: {decimal(calls[0])}\n" in out)

@@ -222,3 +222,17 @@ def test_refused_argv_exits_2_at_once(call_and_message):
     code, out, err = call(argv)
     assert time.perf_counter() - start < REFUSAL_LIMIT_S, argv
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n"), argv
+
+
+def test_eval_next_to_a_cusp_at_a_tiny_height_answers():
+    # 13 tau for tau = -2.555 + 1e-300i needs 82 SL2(Z) flips (tau itself
+    # 48), beyond any fixed cap of 64; the cap grows with the bits of
+    # Im(tau), so the call answers under the call limit, with the value
+    # value_with_bound gives
+    from cmforge.hauptmodul import Hauptmodul, value_with_bound
+
+    code, out, err = call(["--precision", "30", "eval", "--p", "13", "--tau=-2.555+1e-300i"])
+    assert (code, err) == (EXIT_OK, "")
+    hm = Hauptmodul(13, 30)
+    value, _ = value_with_bound(hm, hm.ctx.mpc("-2.555", "1e-300"))
+    assert out == f"{hm.ctx.nstr(value.real, 30)} {hm.ctx.nstr(value.imag, 30)}i\n"

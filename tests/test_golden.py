@@ -18,11 +18,12 @@ from cmforge.cli import EXIT_OK, main
 from cmforge.gzrhs import RAMIFIED_OF_M, RAMIFIED_OF_MD
 
 SWEEP_DIGEST = "90f757eb0269db3bed8fc6c3e8f2065506d50207f8f79f12c7fab5007586c755"
-NUMERIC_DIGEST = "d6a82c3db9516bdac1deb5f78e7f53eb208af8234a3640788aac373b226a5b61"
+NUMERIC_DIGEST = "c44e3756edd327c6b4698fd5995f61a7b35dcb8180fffd9289f5f1237108c03b"
 NUMERIC_STABLE_DIGEST = "338a6228729f0970a884a18f46705b2a2a873ec0532f99d075a261efd0fd69b5"
 GZNORM_LARGE_DIGEST = "7f08d4fe974866dd0a3333292b8a73f444721cff3b3705a43cf3590ee251094d"
 CLASSPOLY_REFUSAL_DIGEST = "6ff1162a28971a53241be656e5c1d70ade7b2bbfeba385747023111deb0bd1f3"
-GZNORM_REFUSAL_DIGEST = "2ad026e7cae88f9e52ff35a6f78e216409bb99ab5f58e2f993d5f9047915b0d6"
+GZNORM_REFUSAL_DIGEST = "dc74502dcdd03d8e56f87ddfe5dee043217a3c3f4d88522f3c5c25531ee8d9e3"
+REFUSAL_BOUND_DIGEST = "5792db38537e926303b90bdc909ab7ec68680b4c04bb6870fef7ee13d87a58bf"
 INPUT_REFUSAL_DIGEST = "8ef4c6d97bac950cd6e7f8ded98f23a4d00bfd45e3af1c6c954f804101ff3bce"
 ETA_PRIMES = (2, 3, 5, 7, 13)
 #: (p, d, D) with D >= 12000, the sizes of the gznorm_large benchmark workload:
@@ -199,11 +200,16 @@ def gznorm_refusal_calls():
                         argv += [] if mu is None else ["--mu", str(mu)]
                         argv += [] if beta is None else ["--beta", str(beta)]
                         calls.append(argv)
-    calls += [["--format", "json", "--precision", str(digits), "crosscheck", "--p", str(p),
-               "--d", str(d), "--D", str(D)]
-              for p in (0, 4, 2, 5, 13, 47) for d in (-1, 3, 7, 8, 11, 12, 39)
-              for D in (3, 7, 12, 15, 19, 39) for digits in (20, 80)]
-    return calls
+    return calls + refusal_crosscheck_calls()
+
+
+def refusal_crosscheck_calls():
+    """The single-pair crosschecks that end gznorm_refusal_calls, below and
+    above the crosscheck precision floor."""
+    return [["--format", "json", "--precision", str(digits), "crosscheck", "--p", str(p),
+             "--d", str(d), "--D", str(D)]
+            for p in (0, 4, 2, 5, 13, 47) for d in (-1, 3, 7, 8, 11, 12, 39)
+            for D in (3, 7, 12, 15, 19, 39) for digits in (20, 80)]
 
 
 #: The 15 primes at which the Fricke curve X0*(p) has genus zero.
@@ -241,11 +247,21 @@ def numeric_calls():
     return calls
 
 
+def without_error_estimate(out):
+    """stdout with the certified error bound of each crosscheck removed."""
+    return re.sub(r'"lhs_error_estimate":[^,]*,', "", out)
+
+
+def error_estimates(out):
+    """The certified error bounds each crosscheck prints, and nothing else."""
+    return re.findall(r'"lhs_error_estimate":[^,]*', out)
+
+
 def without_rounding_floor(out):
     """stdout with the fields that sit at the rounding floor removed: the
     relative discrepancy (near 1e-91 when both sides agree) and the error
     bound, whose last digits follow the order of the floating-point sums."""
-    out = re.sub(r'"lhs_error_estimate":[^,]*,', "", out)
+    out = without_error_estimate(out)
     out = re.sub(r'"relative_discrepancy":\{[^}]*\},', "", out)
     return re.sub(r"rel=\S+", "rel=*", out)
 
@@ -266,8 +282,15 @@ def test_classpoly_refusals_are_byte_identical():
 def test_gznorm_refusals_are_byte_identical():
     # exit code, stdout and stderr of gznorm and single-pair crosscheck over
     # inputs that fail each check of GZParams in turn: which error wins when
-    # several apply is part of the output
-    assert calls_digest(gznorm_refusal_calls()) == GZNORM_REFUSAL_DIGEST
+    # several apply is part of the output.  The error bounds of the
+    # crosschecks that pass the checks are masked here and pinned apart
+    assert calls_digest(gznorm_refusal_calls(), without_error_estimate) == GZNORM_REFUSAL_DIGEST
+
+
+def test_refusal_grid_error_bounds_are_pinned():
+    # the lhs_error_estimate of every crosscheck of the refusal grid, alone:
+    # a change of the numeric kernel's bound moves this pin and no refusal
+    assert calls_digest(refusal_crosscheck_calls(), error_estimates) == REFUSAL_BOUND_DIGEST
 
 
 def test_input_refusals_are_byte_identical():

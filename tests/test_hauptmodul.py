@@ -304,87 +304,30 @@ def test_pentagonal_sum_against_mpmath_oracle(digits, height, inside):
     assert (pairs <= hauptmodul._TABLE_PAIRS) == inside
     bits = hauptmodul._fixed_bits(ctx)
     q = hauptmodul._to_fixed(hauptmodul._fixed_q(ctx, tau), bits)
-    (re, im), err = hauptmodul._pentagonal_sum(q, hauptmodul._Q_ERR_ULPS, pairs, bits)
     oracle = mpmath.ctx_mp.MPContext()
     oracle.dps = digits + 50
+    got, err = hauptmodul._pentagonal_sum(q, hauptmodul._Q_ERR_ULPS, pairs, bits).to_mpc(oracle)
     exact_tau = oracle.mpc(tau)
     exact = oracle.eta(exact_tau) / oracle.expjpi(exact_tau / 12)
-    got = oracle.mpc(re, im) / oracle.mpf(2) ** bits
-    assert abs(got - exact) <= oracle.ldexp(err, -bits) <= oracle.mpf(10) ** -digits
+    assert abs(got - exact) <= err <= oracle.mpf(10) ** -digits
 
 
 def test_pentagonal_sum_takes_one_or_two_products_per_power(monkeypatch):
     # one or two per pentagonal power, where a recurrence advancing q^k and
     # q^(3k-2) takes 4 pairs - 1: 47 and 135
     products = []
-    fixed_mul = hauptmodul._fixed_mul
+    fixed_mul = hauptmodul.fixed_mul
 
     def counting(x, y, shift):
         products.append(shift)
         return fixed_mul(x, y, shift)
 
-    monkeypatch.setattr(hauptmodul, "_fixed_mul", counting)
+    monkeypatch.setattr(hauptmodul, "fixed_mul", counting)
     bits = 128
     for pairs, most in ((12, 39), (34, 97)):
         products.clear()
         hauptmodul._pentagonal_sum((3 << 124, 1 << 125), 8, pairs, bits)
         assert len(products) <= most
-
-
-def test_integer_pipeline_roundings_stay_within_their_claims():
-    # the bound of value_with_bound counts each rounding of its integer
-    # pipeline in units of 2^-bits; each count is checked here against exact
-    # rationals, at a small bits where the roundings are large enough to see
-    from fractions import Fraction
-
-    bits = 64
-    unit = Fraction(1, 2 ** bits)
-    rng = random.Random(313)
-
-    def exact(x):
-        (re, im), exp = x
-        scale = Fraction(2) ** exp
-        return re * scale, im * scale
-
-    def times(x, y):
-        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-    def relative_below(got, want, claim):
-        # |got - want| < claim |want|, compared squared to stay rational
-        diff = (got[0] - want[0]) ** 2 + (got[1] - want[1]) ** 2
-        return diff < claim ** 2 * (want[0] ** 2 + want[1] ** 2)
-
-    def pair(size):
-        return ((rng.randrange(-2 ** size, 2 ** size), rng.randrange(-2 ** size, 2 ** size)),
-                rng.randrange(-200, 200))
-
-    for _ in range(300):
-        x, y = pair(rng.randrange(bits - 8, bits + 8)), pair(rng.randrange(1, bits + 8))
-        if x[0] == (0, 0) or y[0] == (0, 0):
-            continue
-        a, b = x[0], y[0]
-        shift = rng.randrange(0, 2 * bits)
-        assert hauptmodul._fixed_mul(a, b, shift) == (
-            (a[0] * b[0] - a[1] * b[1]) >> shift, (a[0] * b[1] + a[1] * b[0]) >> shift)
-        product = hauptmodul._scaled_mul(x, y, bits)
-        assert relative_below(exact(product), times(exact(x), exact(y)), 2 * unit)
-        inverse = Fraction(1) / (exact(y)[0] ** 2 + exact(y)[1] ** 2)
-        quotient = times(exact(x), (exact(y)[0] * inverse, -exact(y)[1] * inverse))
-        assert relative_below(exact(hauptmodul._scaled_div(x, y, bits)), quotient, unit)
-        n = rng.choice((2, 4, 6, 12, 24))  # e = 24/(p - 1); n - 1 floors, compounded
-        power = hauptmodul._power(x, n, lambda u, v: hauptmodul._scaled_mul(u, v, bits))
-        want = exact(x)
-        for _ in range(n - 1):
-            want = times(want, exact(x))
-        assert relative_below(exact(power), want, 2 * (n - 1) * 2 * unit)
-    ctx = working_context(15)
-    for _ in range(100):
-        value = ctx.mpc(ctx.mpf(rng.uniform(-1, 1)) * 2 ** rng.randrange(-300, 300),
-                        ctx.mpf(rng.uniform(-1, 1)) * 2 ** rng.randrange(-300, 300))
-        scaled = hauptmodul._scaled(value.real._mpf_, value.imag._mpf_, bits)
-        want = tuple((-1) ** sign * man * Fraction(2) ** exp
-                     for sign, man, exp, _ in (value.real._mpf_, value.imag._mpf_))
-        assert relative_below(exact(scaled), want, unit)
 
 
 #: Per eta prime, (D, residue) whose Heegner forms include a self-paired one
@@ -519,15 +462,18 @@ def test_reduce_point_lands_in_domain():
 
 
 def test_reduce_point_flip_ceiling(monkeypatch):
-    # tau = 0.3 + 0.001i needs four flips at p = 2; below that the ceiling
-    # refuses with its name rather than return an unreduced point
+    # tau = 0.3 + 0.001i needs four flips at p = 2, and its cap, from
+    # 2^-10 <= Im(tau) < 2^-9, is 12; a cap below four refuses with the
+    # count rather than return an unreduced point
     ctx = ctx80()
     tau = ctx.mpc("0.3", "0.001")
+    _, man, exp, _ = tau.imag._mpf_
+    assert hauptmodul._max_flips(man, 1 << -exp) == 12
     reduced = reduce_point(tau, 2, ctx)
-    monkeypatch.setattr(hauptmodul, "MAX_REDUCTION_FLIPS", 4)
+    monkeypatch.setattr(hauptmodul, "_max_flips", lambda y, one: 4)
     assert reduce_point(tau, 2, ctx) == reduced
-    monkeypatch.setattr(hauptmodul, "MAX_REDUCTION_FLIPS", 3)
-    with pytest.raises(PrecisionError, match="MAX_REDUCTION_FLIPS = 3"):
+    monkeypatch.setattr(hauptmodul, "_max_flips", lambda y, one: 3)
+    with pytest.raises(PrecisionError, match="^tau not reduced for p=2 within 3 flips$"):
         reduce_point(tau, 2, ctx)
 
 
@@ -822,18 +768,21 @@ def test_eta_multiplier_of_the_reduction_words(word, re, im, e, disc, pick):
     oracle.dps = 60
     k = e // 2
 
-    def check(tau, reduced, c, d, turns):
+    def check(tau, reduced, factor, turns):
+        # factor is c tau + d for the lower row (c, d) of the word
         want = oracle.eta(tau) ** e
         got = (oracle.eta(reduced) ** e * oracle.expjpi(-oracle.mpf(k * turns) / 6)
-               / (c * tau + d) ** k)
+               / factor ** k)
         assert abs(got - want) <= oracle.mpf(10) ** -50 * abs(want), (tau, word)
         assert abs(reduced.real) <= 0.5 + 1e-20 and abs(reduced) >= 1 - 1e-8
 
     ctx = working_context(60)
     tau = ctx.mpc(sl2_word(ctx.mpc(re, im), word))
-    (a, b, c, d), turns = hauptmodul._reduce_numeric(tau, ctx)
-    tau = oracle.mpc(tau)
-    check(tau, (a * tau + b) / (c * tau + d), c, d, turns)
+    (x, y), exp = hauptmodul.exact_pair(tau.real._mpf_, tau.imag._mpf_)
+    one = 1 << max(0, -exp)
+    up, low, turns = hauptmodul._reduce_numeric(x << max(0, exp), y << max(0, exp), one)
+    up, low = oracle.mpc(*up), oracle.mpc(*low)
+    check(oracle.mpc(tau), up / low, low / one, turns)
 
     forms = reduced_forms(disc)
     start = forms[pick % len(forms)]
@@ -850,7 +799,7 @@ def test_eta_multiplier_of_the_reduction_words(word, re, im, e, disc, pick):
     def point(f):
         return (-f.b + oracle.sqrt(-f.discriminant) * 1j) / (2 * f.a)
 
-    check(point(form), point(reduced), c, d, turns)
+    check(point(form), point(reduced), c * point(form) + d, turns)
 
 
 @pytest.mark.parametrize("p", ETA_QUOTIENT_PRIMES)
