@@ -100,13 +100,6 @@ class Ball:
         (re, im), exp = mid
         return cls(mid, radius(2 * units * (abs(re) + abs(im)), exp - bits))
 
-    @classmethod
-    def from_mpc(cls, value, bound):
-        """The ball of an mpc value and an mpf bound: the midpoint exactly,
-        the bound rounded up."""
-        _, man, exp, _ = bound._mpf_
-        return cls(exact_pair(value.real._mpf_, value.imag._mpf_), radius(man, exp))
-
     def to_mpc(self, ctx):
         """(mpc, mpf bound) in ctx, both exact."""
         (re, im), exp = self.mid

@@ -17,7 +17,7 @@ c = 2a + b (Enge, Hart and Johansson), built once for the term counts of
 points with Im(tau) >= sqrt(3)/2 up to MAX_DIGITS and extended per call
 beyond.  In closed form, t = eta^e(tau)/eta^e(p tau) takes eta^e only at
 SL2(Z)-reduced points: tau and p tau are each reduced, in integers for a
-Heegner form and exactly at the binary point for any other tau, and the
+form and exactly at the binary point for any other tau, and the
 multiplier of the eta transformation law along each reduction word (a
 root of unity and (c tau + d)^(e/2), e even) is carried exactly.
 eta^e = z S(q)^e with z = e^(2 pi i tau/(p - 1)) and q = z^(p - 1) is
@@ -27,13 +27,18 @@ every CM point whose tau or p tau falls in that class (_orbits).  The
 quotient, the multipliers and t + p^(e/2)/t are integer pairs with a
 shared binary exponent, each complex product taking three integer
 multiplications (ball.fixed_mul); the sum is rounded once to the context's
-precision.  A CM value is a ball.Ball, that integer pair with a radius held
-in integers, for either realization: each operation bounds its own
-rounding, with no floats and no working-precision arithmetic, until
-value_with_bound makes one mpc of it or lhs_log_norm takes its
-differences, product and one log on integers; CM values are evaluated once
-per orbit of complex conjugation and, when p | disc, the Fricke
-involution W_p.
+precision.  A coefficient file is summed by Horner's rule on the same
+integer pairs, at an exact q: a form's point, reduced in integers by the
+Fricke flip, or a binary point reduced exactly by it.  A CM value is a
+ball.Ball, that integer pair with a radius held in integers, for either
+realization, and so is eta itself (eta_with_bound): each operation bounds
+its own rounding, with no floats and no working-precision arithmetic,
+until value_with_bound makes one mpc of it or lhs_log_norm takes its
+differences, product and one log on integers.  The one bound made
+otherwise is a coefficient file's tail, a model fitted to the file
+(_series_value), computed at the context's precision and added to the
+radius, rounded up.  CM values are evaluated once per orbit of complex
+conjugation and, when p | disc, the Fricke involution W_p.
 
 A Hauptmodul fixes level, realization and precision once; its values live in
 the mpmath context working_context(digits), one per precision per process and
@@ -48,6 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 from mpmath import libmp
@@ -70,8 +76,8 @@ MAX_DIGITS = 10_000
 MAX_ETA_TERMS = 10 ** 5
 #: Bits the fixed-point eta kernel carries beyond the context precision.
 ETA_GUARD_BITS = 32
-# Bits q is computed with beyond the fixed-point precision (_fixed_q,
-# _rational_q, _class_etas).
+# Bits q is computed with beyond the fixed-point precision (_rational_q,
+# _form_exponentials).
 _Q_GUARD_BITS = 8
 # Relative error of the scaled q, in units of 2^-bits: the exponential and
 # the angle at _Q_GUARD_BITS more bits, and the floor of the pair.
@@ -182,7 +188,7 @@ class Hauptmodul:
     coefficient file of level p, at digits decimal digits; all checked here,
     once.  Its values live in ctx, the working_context(digits) it shares with
     every Hauptmodul at that precision.  A coefficient file's tail constant
-    (see _eval_qseries_with_bound) depends on the file alone, so it is
+    (see _series_value) depends on the file alone, so it is
     computed here, once, at that precision."""
 
     p: int
@@ -296,14 +302,6 @@ def eta_quotient_qseries(p: int, count: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-def _as_point(ctx, tau):
-    """tau as an mpc; a QuadraticForm stands for its CM point (-b + sqrt(disc)) / (2a)."""
-    if isinstance(tau, QuadraticForm):
-        root = ctx.sqrt(ctx.mpf(-tau.discriminant))
-        return (ctx.mpc(-tau.b, 0) + ctx.mpc(0, 1) * root) / (2 * tau.a)
-    return ctx.mpc(tau)
-
-
 def _pentagonal_pairs(height, bits: int) -> int:
     """The K for which the pentagonal sum over |k| <= K misses less than 2^-bits.
 
@@ -337,36 +335,32 @@ def _to_fixed(x, bits: int):
     return re >> -shift, im >> -shift
 
 
-def _log2_above(n: int) -> float:
-    """A float at least log2(n), for an integer n >= 1 of any size."""
-    shift = max(0, n.bit_length() - 64)
-    return math.log2((n >> shift) + 1) + shift
+def _binary_point(tau):
+    """(x, y, one) with the mpc tau = (x + iy)/one exactly, one a power of two."""
+    (x, y), exp = exact_pair(tau.real._mpf_, tau.imag._mpf_)
+    return x << max(0, exp), y << max(0, exp), 1 << max(0, -exp)
 
 
-def _fixed_q(ctx, tau, extra: int = 0):
-    """q = e^(2 pi i tau) at an mpc tau as a scaled pair at _fixed_bits(ctx),
-    within _Q_REL_ULPS units of 2^-bits of the exact q, relatively.
-
-    The exponential runs _Q_GUARD_BITS + extra beyond the fixed-point
-    precision; _rational_q passes the bits of its rounded argument.
-    """
-    bits = _fixed_bits(ctx)
-    with ctx.workprec(bits + _Q_GUARD_BITS + extra):
-        q = ctx.expjpi(2 * tau)
-    return scaled(q.real._mpf_, q.imag._mpf_, bits)
+def _ratio(up, low):
+    """The Gaussian rational U/L of two integer pairs as (U conj(L), |L|^2)."""
+    return fixed_mul(up, (low[0], -low[1]), 0), low[0] * low[0] + low[1] * low[1]
 
 
 def _rational_q(ctx, num, den: int):
-    """e^(2 pi i w) for w = (num[0] + i num[1]) / den, Im(w) > 0, as _fixed_q
-    gives it.  Each part of w is rounded once, to wp bits, extra beyond the
-    exponential's precision, with |Re w| + |Im w| < 2^(extra - 5): each
-    moves by at most 2^(1 - wp) of itself, so 2 pi w moves by less than
-    2^(-bits - _Q_GUARD_BITS - 1), and the exponential by as much,
-    relatively."""
-    extra = 5 + ((abs(num[0]) + num[1]) // den + 1).bit_length()
-    wp = _fixed_bits(ctx) + _Q_GUARD_BITS + extra
-    w = ctx.make_mpc(tuple(libmp.from_rational(part, den, wp) for part in num))
-    return _fixed_q(ctx, w, extra)
+    """e^(2 pi i w) for w = (num[0] + i num[1]) / den, Im(w) > 0, as a scaled
+    pair at bits = _fixed_bits(ctx), within _Q_REL_ULPS units of 2^-bits of
+    the exact value, relatively.
+
+    Each part of w is rounded once, to wp = bits + _Q_GUARD_BITS + extra
+    bits, with |Re w| + |Im w| < 2^(extra - 5), and the exponential runs at
+    wp: each part moves by at most 2^(1 - wp) of itself, so 2 pi w moves by
+    less than 2^(-bits - _Q_GUARD_BITS - 1), and the exponential by as
+    much, relatively."""
+    bits = _fixed_bits(ctx)
+    wp = bits + _Q_GUARD_BITS + 5 + ((abs(num[0]) + num[1]) // den + 1).bit_length()
+    with ctx.workprec(wp):
+        q = ctx.expjpi(2 * ctx.make_mpc(tuple(libmp.from_rational(part, den, wp) for part in num)))
+    return scaled(q.real._mpf_, q.imag._mpf_, bits)
 
 
 def _conjugate_swap(z: int, m: int, u: int, v: int):
@@ -529,112 +523,116 @@ def _pentagonal_sum(q, q_err: int, pairs: int, bits: int):
 
 
 def eta_with_bound(tau, ctx):
-    """Dedekind eta as w S(q) with w = e^(pi i tau/12); returns (value, error bound).
-
-    S(q) is the pentagonal sum of _pentagonal_sum, truncated below 2^-ctx.prec;
-    the bound covers that kernel's tail and rounding, the rounding of S to
-    ctx.prec bits and the product by w.
+    """Dedekind eta at tau, a number or a QuadraticForm standing for its CM
+    point, as (value, error bound): _eta_power at e = 1, eta = z S(z^24)
+    with z = e^(2 pi i tau/24) from exact data, the binary tau/24
+    (_rational_q) or the form's (_form_exponentials).  The bound is the
+    radius of the Ball.
     """
-    tau = _as_point(ctx, tau)
-    if tau.imag <= 0:
-        raise ParameterError(f"eta requires Im(tau) > 0, got {tau.imag}")
-    pairs = _pentagonal_pairs(tau.imag, ctx.prec)
     bits = _fixed_bits(ctx)
-    q = _to_fixed(_fixed_q(ctx, tau), bits)
-    exact, err = _pentagonal_sum(q, _Q_ERR_ULPS, pairs, bits).to_mpc(ctx)
-    total = +exact
-    bound = err + ctx.eps * (abs(total.real) + abs(total.imag))
-    w = ctx.expjpi(tau / 12)
-    value = w * total
-    return value, abs(w) * bound + ctx.eps * abs(value)
+    if isinstance(tau, QuadraticForm):
+        size = -tau.discriminant
+        pairs = _pentagonal_pairs(math.sqrt(size) / (2 * tau.a), ctx.prec)
+        (z,) = _form_exponentials(size, [(tau.a, tau.b, tau.c)], 24, bits)
+    else:
+        tau = ctx.mpc(tau)
+        if tau.imag <= 0:
+            raise ParameterError(f"eta requires Im(tau) > 0, got {tau.imag}")
+        pairs = _pentagonal_pairs(tau.imag, ctx.prec)
+        x, y, one = _binary_point(tau)
+        z = _rational_q(ctx, (x, y), 24 * one)
+    return _eta_power(z, pairs, 1, bits).to_mpc(ctx)
 
 
 def reduce_point(tau, p: int, ctx):
-    """Push tau into |Re| <= 1/2 with p|tau|^2 >= 1, by shifts and the point flip.
+    """Push tau into |Re| <= 1/2 with p|tau|^2 >= 1, exactly, by shifts and
+    the Fricke flip tau -> -1/(p tau).
 
     Legal for evaluating any function invariant under the group generated by
     tau -> tau + 1 and tau -> -1/(p tau); a coefficient file is evaluated
     there (the closed form reduces by SL2(Z) instead, reduction_word and
-    _reduce_numeric).  A positive definite QuadraticForm
-    (a, b, c) with p | a stands for its CM point and is reduced exactly, in
-    integers, to a form with -a < b <= a and pc >= a: the shift is
-    b -> b + 2an and the flip is (a, b, c) -> (pc, -b, a/p), which keeps
-    p | a and makes a strictly smaller, so the loop ends.  Any other tau is
-    reduced numerically; each flip strictly increases Im(tau), and a point
-    still unreduced after _max_flips flips, the bound _reduce_numeric
-    proves for SL2(Z), raises PrecisionError.  The Fricke flip has no such
-    proof: for p >= 5, T and W_p do not generate the Fricke group.
+    _reduce_numeric at level 1).  A QuadraticForm (a, b, c) stands for its
+    CM point and gives a form: reduction_word's at level p of (a, b, c)
+    when p | a, and otherwise of (pa, pb, pc), the same point.  Any other
+    tau gives the point _fricke_point finds for the binary number tau,
+    rounded to ctx's precision.
     """
     if isinstance(tau, QuadraticForm):
-        if tau.a % p == 0:
-            a, b, c = tau.a, tau.b, tau.c
-            while True:
-                n = (a - b) // (2 * a)  # the shift that moves b into (-a, a]
-                b, c = b + 2 * a * n, c + (a * n + b) * n
-                if p * c >= a:
-                    return QuadraticForm(a, b, c)
-                a, b, c = p * c, -b, a // p
-    tau = _as_point(ctx, tau)
-    margin = 1 - ctx.mpf(10) ** (-9)
-    _, man, exp, _ = tau.imag._mpf_
-    flips = _max_flips(man << max(0, exp), 1 << max(0, -exp))
-    for _ in range(flips + 1):
-        shift = ctx.floor(tau.real + ctx.mpf("0.5"))
-        tau = tau - shift
-        if p * (tau.real ** 2 + tau.imag ** 2) >= margin:
-            return tau
-        tau = -1 / (p * tau)
-    raise PrecisionError(f"tau not reduced for p={p} within {flips} flips")
+        n = 1 if tau.a % p == 0 else p
+        return QuadraticForm(*reduction_word(n * tau.a, n * tau.b, n * tau.c, p)[0])
+    num, den = _fricke_point(*_binary_point(ctx.mpc(tau)), p)
+    return ctx.make_mpc(tuple(libmp.from_rational(part, den, ctx.prec, "n") for part in num))
 
 
-def _eval_qseries_with_bound(hm: Hauptmodul, tau):
-    """Evaluate hm's truncated expansion and bound the discarded tail and the
-    rounding.
+def _fricke_point(x: int, y: int, one: int, p: int):
+    """(num, den): tau = (x + iy)/one reduced as reduce_point says, as the
+    exact (num[0] + i num[1])/den.
 
-    The tail model |c(k)| <= C exp(4 pi sqrt(k)) fits simple-pole generators;
-    C is calibrated from the supplied coefficients, once per Hauptmodul
-    (hm.tail_growth).  Rounding, at
-    u = 2^-prec, with sums S = sum |c_j| |q|^(j-1) and T = sum |j-1| |c_j|
-    |q|^(j-1) over the n coefficients c_j of q^(j-1): Horner's n complex
-    products and sums and the division by q cost at most 2n 2^(1-prec) S;
-    q is within delta = 2^(2-prec) (1 + 8|tau|) of the exact q at the exact
-    point, relatively (expjpi's rounding, and a few ulps of a form's point
-    moving q by 2 pi |q dtau|), which moves the value by at most 2 delta T;
-    the quotient's rounding adds 2^(1-prec) |value|.  The charge doubles
-    that sum, covering second-order terms and the float sums, read in the
-    log2 domain, where every term is at most 2^0.
+    The level-p loop of _reduce_numeric runs from tau and from one coset
+    point, and the end of larger Im is kept, the first on a tie: for
+    p >= 5, T and W_p do not generate the Fricke group, so the loop from
+    tau alone can stop low (0.1234567 + 0.001i near Im 0.018 at p = 5).
+    With W tau = U/L the SL2(Z) reduction of tau, at Im >= sqrt(3)/2, W's
+    left column (w0, w2) is (Im U, Im L)/y.  The coset point is W tau when
+    p | w2, and otherwise (W tau + j)/p with p | w0 + j w2: then W_p
+    [[1, j], [0, p]] W = p [[-w2, -w3], [w0 + j w2, w1 + j w3]] lies in p
+    Gamma0(p), so the point is in tau's orbit, at Im >= sqrt(3)/(2p).
+    """
+    up, low, _ = _reduce_numeric(x, y, one)
+    w0, w2 = up[1] // y, low[1] // y
+    scale, j = (1, 0) if w2 % p == 0 else (p, next(n for n in range(p) if (w0 + n * w2) % p == 0))
+    coset = _ratio((up[0] + j * low[0], up[1] + j * low[1]), (scale * low[0], scale * low[1]))
+    ends = [_reduce_numeric(*num, den, p) for num, den in (((x, y), one), coset)]
+    return max((_ratio(*end[:2]) for end in ends), key=lambda point: Fraction(point[0][1], point[1]))
+
+
+def _series_value(hm: Hauptmodul, tau, reduce_first: bool):
+    """hm's coefficient file at tau, a form or an mpc, as a Ball whose
+    midpoint is rounded to the context's precision: Horner's rule on Balls
+    at an exact q, after reduce_point's reduction unless reduce_first is
+    False.
+
+    q = e^(2 pi i tau) comes from exact data, the form's
+    (_form_exponentials at m = 1) or the point _fricke_point gives
+    (_rational_q), within _Q_REL_ULPS units, relatively: its relative Ball.
+    Each of Horner's products and sums and the quotient by q bounds its own
+    rounding.  The tail model |c(k)| <= C exp(4 pi sqrt(k)) fits simple-pole
+    generators; C is calibrated from the supplied coefficients, once per
+    Hauptmodul (hm.tail_growth), and the tail it gives, a geometric sum
+    from the first omitted term, is added to the radius, rounded up.  A
+    series whose terms need not shrink, or whose tail exceeds the requested
+    precision, raises PrecisionError.
     """
     ctx, series = hm.ctx, hm.series
-    q = ctx.expjpi(2 * tau)
-    absq = abs(q)
-    value = ctx.mpc(0)
-    for c in reversed(series.coefficients):
-        value = value * q + c
-    value = value / q
+    bits = _fixed_bits(ctx)
+    if isinstance(tau, QuadraticForm):
+        if reduce_first:
+            tau = reduce_point(tau, hm.p, ctx)
+        (pair,) = _form_exponentials(-tau.discriminant, [(tau.a, tau.b, tau.c)], 1, bits)
+    else:
+        x, y, one = _binary_point(tau)
+        pair = _rational_q(ctx, *(_fricke_point(x, y, one, hm.p) if reduce_first else ((x, y), one)))
+    q = Ball.relative(pair, _Q_REL_ULPS, bits)
+    absq = abs(q.to_mpc(ctx)[0])
     top = series.top_exponent
     ratio = ctx.exp(4 * ctx.pi * (ctx.sqrt(top + 2) - ctx.sqrt(top + 1))) * absq
     if ratio >= 1:
         raise PrecisionError(
             f"series for p={series.p} cannot converge at |q|={mpmath.nstr(absq, 5)}"
         )
-    bound = (hm.tail_growth * ctx.exp(4 * ctx.pi * ctx.sqrt(top + 1)) * absq ** (top + 1)
-             / (1 - ratio))
-    allowed = ctx.mpf(10) ** (-hm.digits) * max(abs(value), ctx.mpf(1))
-    if bound > allowed:
+    tail = (hm.tail_growth * ctx.exp(4 * ctx.pi * ctx.sqrt(top + 1)) * absq ** (top + 1)
+            / (1 - ratio))
+    total = Ball(((series.coefficients[-1] << bits, 0), -bits))
+    for c in reversed(series.coefficients[:-1]):
+        total = total.mul(q, bits).add(Ball(((c << bits, 0), -bits)), bits)
+    value = total.div(q, bits)
+    if tail > ctx.mpf(10) ** (-hm.digits) * max(abs(value.to_mpc(ctx)[0]), 1):
         raise PrecisionError(
-            f"truncation bound {mpmath.nstr(bound, 5)} exceeds the requested precision "
+            f"truncation bound {mpmath.nstr(tail, 5)} exceeds the requested precision "
             f"for p={series.p}; supply more coefficients"
         )
-    log2_q = float(ctx.log(absq)) / math.log(2)
-    terms = [(_log2_above(abs(c)) + (j - 1) * log2_q, abs(j - 1))
-             for j, c in enumerate(series.coefficients) if c]
-    ref = math.ceil(max(x for x, _ in terms))
-    sum_s = math.fsum(2.0 ** (x - ref) for x, _ in terms)
-    sum_t = math.fsum(m * 2.0 ** (x - ref) for x, m in terms)
-    n = len(series.coefficients)
-    rounding = (ctx.ldexp(2 * n * sum_s + 4 * (1 + 8 * float(abs(tau))) * sum_t, ref + 2 - ctx.prec)
-                + ctx.ldexp(abs(value), 2 - ctx.prec))
-    return value, bound + rounding
+    _, man, exp, _ = tail._mpf_
+    return value.add(Ball(((0, 0), value.mid[1]), radius(man, exp)), ctx.prec)
 
 
 # eta^e at SL2(Z)-reduced points.  With e = 24/(p - 1) = 2k and
@@ -645,40 +643,42 @@ def _eval_qseries_with_bound(hm: Hauptmodul, tau):
 # (-i)^(ks) (c tau + d)^k for the lower row (c, d) of W, so
 #     eta^e(tau) = eta^e(W tau) zeta_12^(-k (n - 3s)) / (c tau + d)^k,
 # with zeta_12 = e^(2 pi i/12); n - 3s is the word's turns.  A form's word
-# is quadforms.reduction_word's, a numeric point's _reduce_numeric's.
+# is quadforms.reduction_word's, a numeric point's _reduce_numeric's, both
+# at level 1.
 
 def _max_flips(y: int, one: int) -> int:
-    """s + 2 for a point with Im(tau) = y/one, one a power of two, where
-    s = bits(one) - bits(y), at least 0, gives Im(tau) >= 2^-s: the s + 1
-    flips _reduce_numeric needs, and one more for the rounding of
-    reduce_point's numeric search."""
+    """s + 2 for a point with Im(tau) = y/one, where s = bits(one) -
+    bits(y), at least 0, gives Im(tau) > 2^-(s + 1), and Im(tau) >= 2^-s
+    when one is a power of two: the s + 1 flips _reduce_numeric needs at
+    level 1 for such a one, and one more for any other one."""
     return max(0, one.bit_length() - y.bit_length()) + 2
 
 
-def _reduce_numeric(x: int, y: int, one: int):
-    """(U, L, turns) for tau = (x + iy)/one exactly, y > 0 and one a power of
-    two: U = (a tau + b) one and L = (c tau + d) one, integer pairs, for W =
-    (a, b, c, d) in SL2(Z) found by shifts and flips, with W tau = U conj(L)
-    /|L|^2 in |Re| <= 1/2 and |W tau| >= 1, and W's turns.  A shift by n
-    adds n L to U, a flip makes (U, L) (-L, U), and the shift and the test
-    |W tau| >= 1, |U| >= |L|, are exact integer arithmetic.
+def _reduce_numeric(x: int, y: int, one: int, level: int = 1):
+    """(U, L, turns) for tau = (x + iy)/one exactly, y > 0: U = (a tau + b)
+    one and L = (c tau + d) one, integer pairs, for the word W = (a, b, c,
+    d) of shifts and flips tau -> -1/(N tau), N = level, with W tau = U
+    conj(L)/|L|^2 in |Re| <= 1/2 and N|W tau|^2 >= 1, and W's turns.  A
+    shift by n adds n L to U, a flip makes (U, L) (-L, N U), and the shift
+    and the test N|U|^2 >= |L|^2 are exact integer arithmetic.
 
-    A flip at a point with |Re| <= 1/2 and Im <= 1/2 has |tau|^2 <= 1/2, so
-    it at least doubles Im: from Im(tau) >= 2^-s there are at most s such
-    flips.  A point with |Re| <= 1/2 and Im > 1/2 lies in F, S F or
-    S T^(+-1) F (the images S T^n F with |n| >= 2 stay below Im 1/3), one
-    flip from the fundamental domain F.  A point still unreduced after
-    _max_flips flips raises PrecisionError."""
+    At level 1, W lies in SL2(Z).  A flip at a point with |Re| <= 1/2 and
+    Im <= 1/2 has |tau|^2 <= 1/2, so it at least doubles Im: from
+    Im(tau) >= 2^-s there are at most s such flips.  A point with
+    |Re| <= 1/2 and Im > 1/2 lies in F, S F or S T^(+-1) F (the images
+    S T^n F with |n| >= 2 stay below Im 1/3), one flip from the fundamental
+    domain F.  A point still unreduced after _max_flips flips raises
+    PrecisionError; at a level p the cap is the same, with no such proof."""
     up, low, turns = (x, y), (one, 0), 0
     flips = _max_flips(y, one)
     for _ in range(flips + 1):
         den = low[0] * low[0] + low[1] * low[1]
         n = -((2 * (up[0] * low[0] + up[1] * low[1]) + den) // (2 * den))  # -floor(Re + 1/2)
         up, turns = (up[0] + n * low[0], up[1] + n * low[1]), turns + n
-        if up[0] * up[0] + up[1] * up[1] >= den:
+        if level * (up[0] * up[0] + up[1] * up[1]) >= den:
             return up, low, turns
-        up, low, turns = (-low[0], -low[1]), up, turns - 3
-    raise PrecisionError(f"tau not reduced within {flips} flips")
+        up, low, turns = (-low[0], -low[1]), (level * up[0], level * up[1]), turns - 3
+    raise PrecisionError(f"tau not reduced at level {level} within {flips} flips")
 
 
 def _eta_power(z, pairs: int, e: int, bits: int):
@@ -696,42 +696,49 @@ def _eta_power(z, pairs: int, e: int, bits: int):
     return Ball.relative(z, _Q_REL_ULPS, bits).mul(sum_.pow(e, bits), bits)
 
 
-def _class_etas(hm: Hauptmodul, size: int, forms) -> dict:
-    """{f: eta^e at the CM point of f} over forms f = (a, b, c) of
-    discriminant -size, e = 24/(p - 1), as _eta_power gives each, with
-    z = e^(2 pi i tau/(p - 1))
-    from exact data: at the point of (a, b, c), z = r^(1/a) e^(-pi i b/(a m)),
-    m = p - 1, from one exponential r = e^(-pi sqrt(size)/m) shared by all,
-    an a-th root and a rotation each.
+def _form_exponentials(size: int, forms, m: int, bits: int) -> list:
+    """e^(2 pi i tau/m) at the CM point tau of each form (a, b, c) of forms,
+    of discriminant -size, as scaled pairs within _Q_REL_ULPS units of
+    2^-bits, relatively, from exact data: at the point of (a, b, c),
+    z = r^(1/a) e^(-pi i b/(a m)), from one exponential r = e^(-pi sqrt(size)/m)
+    shared by all, an a-th root and a rotation each.
 
     The rotation's angle is split exactly, -b/(am) = n/2 + x/(2am) with
     |x/(2am)| <= 1/4: i^n is a quarter turn, and only pi x/(2am), at most
     pi/4, is rounded.  The exponential turns a relative rounding of its
     argument into one times the argument, so the work precision adds the
     argument's bits (pi sqrt(size)/m < 4 (isqrt(size) // m + 1)) to
-    _Q_GUARD_BITS; a root divides the relative error of r by a.  Every term
-    count is known before the exponential.
+    _Q_GUARD_BITS; a root divides the relative error of r by a.
     """
-    p, ctx = hm.p, hm.ctx
-    bits, m = _fixed_bits(ctx), p - 1
-    pairs = [_pentagonal_pairs(math.sqrt(size) / (2 * a), ctx.prec) for a, _, _ in forms]
     wp = bits + _Q_GUARD_BITS + (4 * (math.isqrt(size) // m + 1)).bit_length()
     pi = libmp.mpf_pi(wp)
     arg = libmp.mpf_div(libmp.mpf_mul(pi, libmp.mpf_sqrt(libmp.from_int(size), wp), wp),
                         libmp.from_int(m), wp)
     base = libmp.mpf_exp(libmp.mpf_neg(arg), wp)
-    etas = {}
-    for f, count in zip(forms, pairs):
-        modulus = libmp.mpf_nthroot(base, f[0], wp)
-        a, b = m * f[0], f[1]
+    zs = []
+    for a, b, _ in forms:
+        modulus = libmp.mpf_nthroot(base, a, wp)
+        a *= m
         n = (a - 4 * b) // (2 * a)  # the integer nearest -2b/a
         cos, sin = libmp.mpf_cos_sin(
             libmp.mpf_mul(pi, libmp.from_rational(-2 * b - n * a, 2 * a, wp), wp), wp)
         for _ in range(n % 4):  # times i
             cos, sin = libmp.mpf_neg(sin), cos
-        z = scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits)
-        etas[f] = _eta_power(z, count, 24 // m, bits)
-    return etas
+        zs.append(scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits))
+    return zs
+
+
+def _class_etas(hm: Hauptmodul, size: int, forms) -> dict:
+    """{f: eta^e at the CM point of f} over forms f = (a, b, c) of
+    discriminant -size, e = 24/(p - 1), as _eta_power gives each, with
+    z = e^(2 pi i tau/(p - 1)) from _form_exponentials.  Every term count is
+    known before the exponential.
+    """
+    ctx, m = hm.ctx, hm.p - 1
+    bits = _fixed_bits(ctx)
+    pairs = [_pentagonal_pairs(math.sqrt(size) / (2 * a), ctx.prec) for a, _, _ in forms]
+    zs = _form_exponentials(size, forms, m, bits)
+    return {f: _eta_power(z, count, 24 // m, bits) for f, z, count in zip(forms, zs, pairs)}
 
 
 def _quotient_value(hm: Hauptmodul, etas, turns: int, num, den: int):
@@ -750,30 +757,35 @@ def _quotient_value(hm: Hauptmodul, etas, turns: int, num, den: int):
 
 
 def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, word):
-    """hm at the CM point tau of a form (a, b, c) with p | a, as a Ball,
-    from eta_at(f), eta^e at the point of a form f (_class_etas or a table
-    of its values), root = isqrt(size 2^(2 bits)), size = 4ac - b^2, and
-    word, quadforms.reduction_word or a function that gives the identity
-    word in its shape.
+    """hm at the CM point tau of a form (a, b, c), as a Ball, from eta_at(f),
+    eta^e at the point of a form f (_class_etas or a table of its values),
+    root = isqrt(size 2^(2 bits)), size = 4ac - b^2, and word,
+    quadforms.reduction_word or a function that gives the identity word in
+    its shape.
 
-    p tau is the point of (a/p, b, pc), of the same discriminant -size.  Each
-    point is taken exactly to that of the form word gives, and with the
-    lower row (g, h) of its word, g tau + h = (u + v sqrt(-size))/(2a) for
-    u = 2ah - gb and v = g, where u^2 + v^2 size = 4aA for the reduced
-    form's A.  The two multipliers leave
-        t = (E1/E2) zeta_12^(k (turns2 - turns1)) p^k (X + Y sqrt(-size))^k / (4aA1)^k
-    with X = u1 u2 + v1 v2 size and Y = u1 v2 - u2 v1; the power is exact
-    in Z[sqrt(-size)], and Y sqrt(size) is floored from root, within |Y|
-    units of 2^-bits: the radius of that factor's Ball.
+    p tau is the point of (a/p, b, pc), of the same size, when p | a, and
+    otherwise of (a, pb, p^2 c), of size p^2 size.  Each point is taken
+    exactly to that of the form word gives, and with the lower row (g, h)
+    of its word, g tau + h = (u + v sqrt(-size))/(2a) for u = 2ah - gb and
+    v = g, where u^2 + v^2 size = 4aA for the reduced form's A, and
+    g p tau + h = l (u + m v sqrt(-size))/(2a) for the second form
+    (a/l, mb, pmc), u = 2ah/l - gmb, with (l, m) = (p, 1) or (1, p).  The
+    two multipliers leave
+        t = (E1/E2) zeta_12^(k (turns2 - turns1)) (X + Y sqrt(-size))^k / (4aA1)^k
+    with X = l (u1 u2 + m v1 v2 size) and Y = l (m u1 v2 - u2 v1); the power
+    is exact in Z[sqrt(-size)], and Y sqrt(size) is floored from root,
+    within |Y| units of 2^-bits: the radius of that factor's Ball.
     """
     p, bits = hm.p, _fixed_bits(hm.ctx)
     k = 12 // (p - 1)
     a, b, c = form.a, form.b, form.c
     size = -form.discriminant
+    ell, m = (p, 1) if a % p == 0 else (1, p)
+    second = (a // ell, m * b, p * m * c)
     (f1, (g1, h1), shift1, flips1), (f2, (g2, h2), shift2, flips2) = (
-        word(*f) for f in ((a, b, c), (a // p, b, p * c)))
-    u1, v1, u2, v2 = 2 * a * h1 - g1 * b, g1, 2 * (a // p) * h2 - g2 * b, g2
-    x, y = power((p * (u1 * u2 + v1 * v2 * size), p * (u1 * v2 - u2 * v1)), k,
+        word(*f) for f in ((a, b, c), second))
+    u1, v1, u2, v2 = 2 * a * h1 - g1 * b, g1, 2 * second[0] * h2 - g2 * second[1], g2
+    x, y = power((ell * (u1 * u2 + m * v1 * v2 * size), ell * (m * u1 * v2 - u2 * v1)), k,
                  lambda s, t: (s[0] * t[0] - size * s[1] * t[1], s[0] * t[1] + s[1] * t[0]))
     num = Ball(((x << bits, y * root), -bits), radius(abs(y), -bits))
     turns = shift2 - shift1 - 3 * (flips2 - flips1)
@@ -792,42 +804,37 @@ def _point_value(hm: Hauptmodul, tau, word):
     """
     ctx, p = hm.ctx, hm.p
     bits, e = _fixed_bits(ctx), 24 // (p - 1)
-    (x, y), exp = exact_pair(tau.real._mpf_, tau.imag._mpf_)
-    if exp > 0:
-        x, y, exp = x << exp, y << exp, 0
-    points = [(fixed_mul(up, (low[0], -low[1]), 0), low[0] ** 2 + low[1] ** 2, low, turns)
-              for up, low, turns in (word(n * x, n * y, 1 << -exp) for n in (1, p))]
+    x, y, one = _binary_point(tau)
+    points = [(*_ratio(up, low), low, turns)
+              for up, low, turns in (word(n * x, n * y, one) for n in (1, p))]
     # a height beyond 2^64 needs no terms, as 2^64 does; the cap keeps it a float
     pairs = [_pentagonal_pairs(min(num[1], den << 64) / den, ctx.prec) for num, den, _, _ in points]
     etas = [_eta_power(_rational_q(ctx, num, (p - 1) * den), count, e, bits)
             for (num, den, _, _), count in zip(points, pairs)]
     (_, _, low1, turns1), (_, _, low2, turns2) = points
     k = e // 2
-    num = power(fixed_mul(low2, (low1[0], -low1[1]), 0), k, lambda u, v: fixed_mul(u, v, 0))
-    return _quotient_value(hm, etas, turns2 - turns1, Ball((num, 0)),
-                           (low1[0] * low1[0] + low1[1] * low1[1]) ** k)
+    num, den = _ratio(low2, low1)
+    return _quotient_value(hm, etas, turns2 - turns1,
+                           Ball((power(num, k, lambda u, v: fixed_mul(u, v, 0)), 0)), den ** k)
 
 
 def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
     """hm at tau as a Ball, in hm's precision; see value_with_bound.  Whether
     tau is reduced first is decided here: the helpers take a word to
     follow, the reduction's or the identity."""
-    ctx, p = hm.ctx, hm.p
+    ctx = hm.ctx
     if not isinstance(tau, QuadraticForm):
         tau = ctx.mpc(tau)
         if tau.imag <= 0:
             raise ParameterError("evaluation point must lie in the upper half plane")
     if hm.series is not None:
-        if reduce_first:
-            tau = reduce_point(tau, p, ctx)
-        return Ball.from_mpc(*_eval_qseries_with_bound(hm, _as_point(ctx, tau)))
-    if isinstance(tau, QuadraticForm) and tau.a % p == 0:
-        size = -tau.discriminant
+        return _series_value(hm, tau, reduce_first)
+    if isinstance(tau, QuadraticForm):
         word = reduction_word if reduce_first else lambda *f: (f, (0, 1), 0, 0)
-        return _form_value(hm, tau, lambda f: _class_etas(hm, size, [f])[f],
-                           math.isqrt(size << (2 * _fixed_bits(ctx))), word)
+        return _form_value(hm, tau, lambda f: _class_etas(hm, 4 * f[0] * f[2] - f[1] ** 2, [f])[f],
+                           math.isqrt(-tau.discriminant << (2 * _fixed_bits(ctx))), word)
     word = _reduce_numeric if reduce_first else lambda x, y, one: ((x, y), (one, 0), 0)
-    return _point_value(hm, _as_point(ctx, tau), word)
+    return _point_value(hm, tau, word)
 
 
 def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
@@ -837,7 +844,7 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
 
     In closed form, t = eta^e(tau)/eta^e(p tau) and the value is
     t + p^(e/2)/t.  tau and p tau are each reduced by SL2(Z) to Im >= sqrt(3)/2
-    (unless reduce_first is False), exactly: a form with p | a in integers
+    (unless reduce_first is False), exactly: a form in integers
     (_form_value), any other point as the binary number it is
     (_point_value).  eta^e at each reduced point is z S(q)^e from one
     exponential z (_eta_power); the multipliers of the two words, a root of
@@ -845,8 +852,8 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     and a rounded root of unity.  Everything after the exponentials runs on
     integer pairs, rounded once to the context's precision, and one mpc is
     made at the end.  The bound is the radius of the value's Ball
-    (_eta_power, _quotient_value).  A coefficient file is evaluated at the
-    point reduce_point gives.
+    (_eta_power, _quotient_value).  A coefficient file is summed on Balls
+    at the exact q of the point reduce_point's loops give (_series_value).
     """
     return _cm_value(hm, tau, reduce_first).to_mpc(hm.ctx)
 

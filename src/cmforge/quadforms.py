@@ -58,15 +58,19 @@ def reduce(f: QuadraticForm) -> QuadraticForm:
     return out
 
 
-def reduction_word(a: int, b: int, c: int):
-    """((a', b', c'), (g, h), shift, flips): the form reduce makes of the
-    positive definite (a, b, c), which is not checked here, and the word W
-    in SL2(Z) that takes the point (-b + sqrt(disc))/(2a) of (a, b, c) to
-    that of (a', b', c'), as the lower row (g, h) of W, the sum of W's
-    shifts tau -> tau + n and its number of flips tau -> -1/tau.
+def reduction_word(a: int, b: int, c: int, level: int = 1):
+    """((a', b', c'), (g, h), shift, flips): the form the shifts and the
+    flip of level N = level make of the positive definite (a, b, c), with
+    N | a, neither checked here, and the word W that takes the point
+    (-b + sqrt(disc))/(2a) of (a, b, c) to that of (a', b', c'), as the
+    lower row (g, h) of W, the sum of W's shifts tau -> tau + n and its
+    number of flips tau -> -1/(N tau).  The result has -a' < b' <= a' and
+    N c' >= a', with b' >= 0 when N c' = a'; at level 1 it is reduce's
+    form and W lies in SL2(Z).
 
-    On points, b -> b + 2an is tau -> tau - n and (a, b, c) -> (c, -b, a)
-    is tau -> -1/tau; so is the last step, (a, b, a) -> (a, -b, a).
+    On points, b -> b + 2an is tau -> tau - n and (a, b, c) -> (Nc, -b, a/N)
+    is tau -> -1/(N tau); so is the last step, (a, b, a/N) -> (a, -b, a/N).
+    Each other flip makes a smaller and keeps N | a, so the loop ends.
     """
     w0, w1, w2, w3 = 1, 0, 0, 1
     shift = flips = 0
@@ -76,11 +80,11 @@ def reduction_word(a: int, b: int, c: int):
             b, c = b + 2 * n * a, a * n * n + b * n + c
             w0, w1 = w0 - n * w2, w1 - n * w3
             shift -= n
-        if a > c or (a == c and b < 0):
-            a, b, c = c, -b, a
-            w0, w1, w2, w3 = -w2, -w3, w0, w1
+        if a > level * c or (a == level * c and b < 0):
+            a, b, c = level * c, -b, a // level
+            w0, w1, w2, w3 = -w2, -w3, level * w0, level * w1
             flips += 1
-            if a != c:
+            if a != level * c:
                 continue
         return (a, b, c), (w2, w3), shift, flips
 

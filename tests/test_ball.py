@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmforge.ball import Ball, ceil_shift, fixed_mul, power, radius, scaled
+from cmforge.ball import Ball, ceil_shift, exact_pair, fixed_mul, power, radius, scaled
 from cmforge.errors import PrecisionError
 from cmforge.hauptmodul import working_context
 
@@ -194,7 +194,8 @@ def test_mpc_conversions_are_exact_and_round_the_bound_up():
         value = ctx.mpc(ctx.mpf(rng.uniform(-1, 1)) * 2 ** rng.randrange(-300, 300),
                         ctx.mpf(rng.uniform(-1, 1)) * 2 ** rng.randrange(-300, 300))
         bound = ctx.mpf(rng.uniform(0, 1)) * 2 ** rng.randrange(-300, 0)
-        ball = Ball.from_mpc(value, bound)
+        _, man, exp, _ = bound._mpf_
+        ball = Ball(exact_pair(value.real._mpf_, value.imag._mpf_), radius(man, exp))
         number, back = ball.to_mpc(ctx)
         assert number == value and back >= bound and back <= bound * (1 + ctx.mpf(2) ** -29)
 

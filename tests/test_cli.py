@@ -579,6 +579,24 @@ def test_eval_with_series_file(tmp_path, capsys):
     assert out.split()[0][:30] == out2.split()[0][:30]
 
 
+def test_eval_with_series_file_near_a_cusp(tmp_path, capsys):
+    # at p = 5, shifts and the Fricke flip alone leave 0.1234567 + 0.001i
+    # near Im 0.018, where 200 coefficients cannot converge; the loop from
+    # the coset point of its SL2(Z) reduction lands higher, and the digits
+    # are the closed form's
+    from cmforge.hauptmodul import eta_quotient_qseries
+
+    qs = eta_quotient_qseries(5, 200)
+    path = tmp_path / "p5.txt"
+    body = [f"p {qs.p}", f"count {len(qs.coefficients)}"] + [str(c) for c in qs.coefficients]
+    path.write_text("\n".join(body) + "\n", encoding="ascii")
+    argv = ["--precision", "30", "eval", "--p", "5", "--tau=0.1234567+0.001i"]
+    code, out, _ = run_cli(capsys, "--series", str(path), *argv)
+    assert code == EXIT_OK
+    assert out == run_cli(capsys, *argv)[1]
+    assert out.startswith("99.0344171882399001979069199112 314.942183583954873949818500312i")
+
+
 def test_series_divergence_shows_q_to_five_digits(tmp_path, capsys):
     # |q| is printed like the truncation bound, not at working precision
     path = tmp_path / "p11.txt"

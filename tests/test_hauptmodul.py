@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from cmforge.cli import EXIT_OK, main
 from cmforge.errors import ParameterError, PrecisionError
 from cmforge.hauptmodul import (
     ETA_QUOTIENT_PRIMES,
+    GENUS_ZERO_FRICKE_PRIMES,
     MAX_DIGITS,
     Hauptmodul,
     QSeries,
@@ -154,7 +157,7 @@ def test_eta_max_terms_exceeded(monkeypatch):
         raise AssertionError("series work started before the term-count check")
 
     monkeypatch.setattr(hauptmodul, "MAX_ETA_TERMS", 8)
-    monkeypatch.setattr(hauptmodul, "_fixed_q", no_series_work)
+    monkeypatch.setattr(hauptmodul, "_rational_q", no_series_work)
     monkeypatch.setattr(hauptmodul, "_pentagonal_sum", no_series_work)
     with pytest.raises(PrecisionError, match="Im"):
         eta_with_bound(complex(0.0, 0.05), ctx80())
@@ -170,12 +173,15 @@ def test_eta_max_terms_exceeded(monkeypatch):
 
 # one reduced Heegner point per eta prime: (p, D), the point of the first form
 ORACLE_HEEGNER = ((2, 47), (3, 71), (5, 79), (7, 55), (13, 35))
+#: Forms (a, b, c) with p not dividing a at most eta primes: p tau is the
+#: point of (a, pb, p^2 c).
+OFF_LEVEL_FORMS = (QuadraticForm(47, 41, 9), QuadraticForm(1, 1, 1000), QuadraticForm(3, 1, 5))
 
 
 @pytest.mark.parametrize("digits", (30, 80, 300, 1000))
 def test_eta_kernel_against_mpmath_oracle(digits):
     # mpmath.eta at 50 more digits is an independent oracle for both the
-    # values and the returned error bounds
+    # values and the returned error bounds, at numbers and at forms
     ctx = working_context(digits)
     oracle = mpmath.ctx_mp.MPContext()
     oracle.dps = digits + 50
@@ -191,6 +197,11 @@ def test_eta_kernel_against_mpmath_oracle(digits):
 
     for tau in (ctx.mpc(0, 1), ctx.mpc(0, 2), ctx.mpc("0.3", "0.05")):
         check_eta(tau)
+    for form in OFF_LEVEL_FORMS:  # a form's z comes from its exact data
+        value, bound = eta_with_bound(form, ctx)
+        root = oracle.sqrt(-form.discriminant)
+        check(value, bound, oracle.eta((oracle.mpc(-form.b, 0) + oracle.mpc(0, 1) * root)
+                                       / (2 * form.a)))
     for p, D in ORACLE_HEEGNER:
         form = heegner_reps(-D, p, admissible_residues(-D, p)[0])[0]
         tau = (ctx.mpc(-form.b, 0) + ctx.mpc(0, 1) * ctx.sqrt(-form.discriminant)) / (2 * form.a)
@@ -303,7 +314,8 @@ def test_pentagonal_sum_against_mpmath_oracle(digits, height, inside):
     pairs = hauptmodul._pentagonal_pairs(tau.imag, ctx.prec)
     assert (pairs <= hauptmodul._TABLE_PAIRS) == inside
     bits = hauptmodul._fixed_bits(ctx)
-    q = hauptmodul._to_fixed(hauptmodul._fixed_q(ctx, tau), bits)
+    x, y, one = hauptmodul._binary_point(tau)
+    q = hauptmodul._to_fixed(hauptmodul._rational_q(ctx, (x, y), one), bits)
     oracle = mpmath.ctx_mp.MPContext()
     oracle.dps = digits + 50
     got, err = hauptmodul._pentagonal_sum(q, hauptmodul._Q_ERR_ULPS, pairs, bits).to_mpc(oracle)
@@ -340,8 +352,9 @@ def test_value_at_a_form_against_mpmath_oracle(digits):
     # a form's q comes from its exact data, not from an mpc point: mpmath.eta
     # at the exact CM point (-b + sqrt(disc)) / (2a), at 50 more digits,
     # checks the value and the bound, with and without the exact reduction,
-    # at the first form, at the self-paired one (a > p, b != 0) and at the
-    # first form shifted by 1, whose b lies outside (-a, a]
+    # at the first form, at the self-paired one (a > p, b != 0), at the
+    # first form shifted by 1, whose b lies outside (-a, a], and at the
+    # forms of OFF_LEVEL_FORMS whose a p does not divide
     oracle = mpmath.ctx_mp.MPContext()
     oracle.dps = digits + 50
     requested = oracle.mpf(10) ** -digits
@@ -361,7 +374,9 @@ def test_value_at_a_form_against_mpmath_oracle(digits):
         assert paired.a > p and paired.b != 0
         first = forms[0]
         shifted = QuadraticForm(first.a, first.b + 2 * first.a, first.a + first.b + first.c)
-        for form, forms_at_point in ((first, (first, shifted)), (paired, (paired,))):
+        points = [(first, (first, shifted)), (paired, (paired,))]
+        points += [(form, (form,)) for form in OFF_LEVEL_FORMS if form.a % p]
+        for form, forms_at_point in points:
             root = oracle.sqrt(-form.discriminant)
             tau = (oracle.mpc(-form.b, 0) + oracle.mpc(0, 1) * root) / (2 * form.a)
             t = (oracle.eta(tau) / oracle.eta(p * tau)) ** e
@@ -450,15 +465,24 @@ def test_reduction_consistency():
 
 
 def test_reduce_point_lands_in_domain():
+    # the reduction is exact: at every genus-zero p the reduced point lies in
+    # |Re| <= 1/2, p|tau|^2 >= 1 with no slack, no lower than tau and at
+    # least as high as the coset start, sqrt(3)/(2p); the mpc reduce_point
+    # returns is that point rounded
     ctx = ctx80()
     rng = random.Random(307)
-    for p in (2, 7, 47):
+    for p in sorted(GENUS_ZERO_FRICKE_PRIMES):
         for _ in range(25):
-            tau = ctx.mpc(str(rng.uniform(-8, 8)), str(rng.uniform(0.001, 3)))
+            tau = ctx.mpc(str(rng.uniform(-8, 8)), str(10 ** rng.uniform(-3, 0.5)))
+            x, y, one = hauptmodul._binary_point(tau)
+            (re, im), den = hauptmodul._fricke_point(x, y, one, p)
+            re, im = Fraction(re, den), Fraction(im, den)
+            assert abs(re) <= Fraction(1, 2) and p * (re * re + im * im) >= 1, (p, tau)
+            assert im >= Fraction(y, one) and 4 * p * p * im * im >= 3, (p, tau)
             out = reduce_point(tau, p, ctx)
-            assert out.imag >= tau.imag - ctx.mpf(10) ** -30
-            assert abs(out.real) <= ctx.mpf("0.5") + ctx.mpf(10) ** -30
-            assert p * (out.real ** 2 + out.imag ** 2) >= 1 - ctx.mpf(10) ** -8
+            got, exp = hauptmodul.exact_pair(out.real._mpf_, out.imag._mpf_)
+            for part, want in zip(got, (re, im)):
+                assert abs(part * Fraction(2) ** exp - want) <= abs(want) / 2 ** ctx.prec
 
 
 def test_reduce_point_flip_ceiling(monkeypatch):
@@ -473,7 +497,7 @@ def test_reduce_point_flip_ceiling(monkeypatch):
     monkeypatch.setattr(hauptmodul, "_max_flips", lambda y, one: 4)
     assert reduce_point(tau, 2, ctx) == reduced
     monkeypatch.setattr(hauptmodul, "_max_flips", lambda y, one: 3)
-    with pytest.raises(PrecisionError, match="^tau not reduced for p=2 within 3 flips$"):
+    with pytest.raises(PrecisionError, match="^tau not reduced at level 2 within 3 flips$"):
         reduce_point(tau, 2, ctx)
 
 
@@ -926,7 +950,7 @@ def test_series_tail_constant_is_computed_once_per_hauptmodul(monkeypatch):
         calls = []
         exp = ctx.exp
         monkeypatch.setattr(ctx, "exp", lambda x: calls.append(x) or exp(x), raising=False)
-        hauptmodul._eval_qseries_with_bound(hm, hauptmodul._as_point(ctx, tau))
+        value_with_bound(hm, tau)
         monkeypatch.undo()
         assert len(calls) == 2, count
 

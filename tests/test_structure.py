@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import cmforge
+from cmforge.ball import Ball
 
 PACKAGE_DIR = Path(cmforge.__file__).parent
 
@@ -185,9 +186,9 @@ def test_one_eta_kernel_and_one_complex_product():
 
 
 def test_one_eta_kernel_at_reduced_points():
-    # eta^e is summed only by the class evaluator, which every CM value and
-    # every numeric point reaches, and eta itself only by eta_with_bound:
-    # no second series runs at p tau, and no power q^p is formed
+    # eta^e is summed only by _eta_power, which every CM value, every
+    # numeric point and eta itself (e = 1) reach: no second series runs at
+    # p tau, and no power q^p is formed
     tree = ast.parse((PACKAGE_DIR / "hauptmodul.py").read_text(encoding="utf-8"))
     callers, exponents = set(), set()
     for function in ast.walk(tree):
@@ -199,22 +200,36 @@ def test_one_eta_kernel_at_reduced_points():
             if isinstance(node, ast.Call) and called_name(node) in ("power", "pow"):
                 # ball.power(x, n, mul) and Ball.pow(n, bits)
                 exponents.add(ast.unparse(node.args[called_name(node) == "power"]))
-    assert callers == {"_eta_power", "eta_with_bound"}
+    assert callers == {"_eta_power"}
     assert "p" not in exponents and exponents == {"m", "e", "k"}
 
 
 def test_one_sl2z_reduction_of_forms():
-    # the flip (a, b, c) -> (c, -b, a) is written once, in
-    # quadforms.reduction_word, which reduce and the eta kernel both use
+    # a form's flip (a, b, c) -> (Nc, -b, a/N) is written once, at level N,
+    # in quadforms.reduction_word, which reduce, the eta kernel (N = 1) and
+    # reduce_point (N = p) all use
     flips = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for function in ast.walk(tree):
             if isinstance(function, ast.FunctionDef):
-                flips += [f"{path.stem}.{function.name}" for node in ast.walk(function)
+                flips += [f"{path.stem}.{function.name}: {ast.unparse(node.value)}"
+                          for node in ast.walk(function)
                           if isinstance(node, ast.Assign)
-                          and ast.unparse(node.value) == "(c, -b, a)"]
-    assert flips == ["quadforms.reduction_word"]
+                          and ast.unparse(node.targets[0]) == "(a, b, c)"
+                          and isinstance(node.value, ast.Tuple) and len(node.value.elts) == 3
+                          and ast.unparse(node.value.elts[1]) == "-b"]
+    assert flips == ["quadforms.reduction_word: (level * c, -b, a // level)"]
+
+
+def test_numeric_bounds_take_no_floats():
+    # every bound of a CM value is a Ball radius held in integers: no
+    # working-precision epsilon, no float sums and no Ball made from an mpc
+    for name in ("hauptmodul.py", "ball.py"):
+        text = (PACKAGE_DIR / name).read_text(encoding="utf-8")
+        for word in ("ctx.eps", "math.fsum", "ldexp", "_log2_above"):
+            assert word not in text, (name, word)
+    assert not hasattr(Ball, "from_mpc")
 
 
 def message_template(node):
