@@ -712,8 +712,7 @@ def _form_exponentials(size: int, forms, m: int, bits: int) -> list:
     """
     wp = bits + _Q_GUARD_BITS + (4 * (math.isqrt(size) // m + 1)).bit_length()
     pi = libmp.mpf_pi(wp)
-    arg = libmp.mpf_div(libmp.mpf_mul(pi, libmp.mpf_sqrt(libmp.from_int(size), wp), wp),
-                        libmp.from_int(m), wp)
+    arg = libmp.mpf_div(libmp.mpf_mul(pi, _sqrt(size, wp), wp), libmp.from_int(m), wp)
     base = libmp.mpf_exp(libmp.mpf_neg(arg), wp)
     zs = []
     for a, b, _ in forms:
@@ -726,6 +725,13 @@ def _form_exponentials(size: int, forms, m: int, bits: int) -> list:
             cos, sin = libmp.mpf_neg(sin), cos
         zs.append(scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits))
     return zs
+
+
+def _sqrt(size: int, wp: int):
+    """sqrt(size) rounded down to wp bits, as libmp.mpf_sqrt(from_int(size),
+    wp) rounds it, from one integer square root: isqrt(size 2^(2 wp)) has
+    more than wp bits, and cutting it to wp bits floors sqrt(size) there."""
+    return libmp.from_man_exp(math.isqrt(size << 2 * wp), -wp, wp, libmp.round_down)
 
 
 def _class_etas(hm: Hauptmodul, size: int, forms) -> dict:
@@ -756,21 +762,26 @@ def _quotient_value(hm: Hauptmodul, etas, turns: int, num, den: int):
     return t.add(Ball(((p ** k, 0), 0)).div(t, bits), ctx.prec)
 
 
-def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, word):
+def _p_tau_form(p: int, a: int, b: int, c: int):
+    """(l, m, f): the form f = (a/l, mb, pmc) whose CM point is p tau, for
+    tau that of (a, b, c), with (l, m) = (p, 1) when p | a, f of the same
+    size, and (1, p) otherwise, f of p^2 times the size."""
+    ell, m = (p, 1) if a % p == 0 else (1, p)
+    return ell, m, (a // ell, m * b, p * m * c)
+
+
+def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, words):
     """hm at the CM point tau of a form (a, b, c), as a Ball, from eta_at(f),
     eta^e at the point of a form f (_class_etas or a table of its values),
-    root = isqrt(size 2^(2 bits)), size = 4ac - b^2, and word,
-    quadforms.reduction_word or a function that gives the identity word in
-    its shape.
+    root = isqrt(size 2^(2 bits)), size = 4ac - b^2, and words, the
+    reduction words of (a, b, c) and of the form of p tau (_p_tau_form):
+    quadforms.reduction_word's, or the identity word in its shape.
 
-    p tau is the point of (a/p, b, pc), of the same size, when p | a, and
-    otherwise of (a, pb, p^2 c), of size p^2 size.  Each point is taken
-    exactly to that of the form word gives, and with the lower row (g, h)
-    of its word, g tau + h = (u + v sqrt(-size))/(2a) for u = 2ah - gb and
-    v = g, where u^2 + v^2 size = 4aA for the reduced form's A, and
-    g p tau + h = l (u + m v sqrt(-size))/(2a) for the second form
-    (a/l, mb, pmc), u = 2ah/l - gmb, with (l, m) = (p, 1) or (1, p).  The
-    two multipliers leave
+    Each point is taken exactly to that of its word's form, and with the
+    lower row (g, h) of the word, g tau + h = (u + v sqrt(-size))/(2a) for
+    u = 2ah - gb and v = g, where u^2 + v^2 size = 4aA for the reduced
+    form's A, and g p tau + h = l (u + m v sqrt(-size))/(2a) for the second
+    form (a/l, mb, pmc), u = 2ah/l - gmb.  The two multipliers leave
         t = (E1/E2) zeta_12^(k (turns2 - turns1)) (X + Y sqrt(-size))^k / (4aA1)^k
     with X = l (u1 u2 + m v1 v2 size) and Y = l (m u1 v2 - u2 v1); the power
     is exact in Z[sqrt(-size)], and Y sqrt(size) is floored from root,
@@ -780,10 +791,8 @@ def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, word):
     k = 12 // (p - 1)
     a, b, c = form.a, form.b, form.c
     size = -form.discriminant
-    ell, m = (p, 1) if a % p == 0 else (1, p)
-    second = (a // ell, m * b, p * m * c)
-    (f1, (g1, h1), shift1, flips1), (f2, (g2, h2), shift2, flips2) = (
-        word(*f) for f in ((a, b, c), second))
+    ell, m, second = _p_tau_form(p, a, b, c)
+    (f1, (g1, h1), shift1, flips1), (f2, (g2, h2), shift2, flips2) = words
     u1, v1, u2, v2 = 2 * a * h1 - g1 * b, g1, 2 * second[0] * h2 - g2 * second[1], g2
     x, y = power((ell * (u1 * u2 + m * v1 * v2 * size), ell * (m * u1 * v2 - u2 * v1)), k,
                  lambda s, t: (s[0] * t[0] - size * s[1] * t[1], s[0] * t[1] + s[1] * t[0]))
@@ -831,8 +840,10 @@ def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
         return _series_value(hm, tau, reduce_first)
     if isinstance(tau, QuadraticForm):
         word = reduction_word if reduce_first else lambda *f: (f, (0, 1), 0, 0)
+        form = (tau.a, tau.b, tau.c)
+        words = [word(*f) for f in (form, _p_tau_form(hm.p, *form)[2])]
         return _form_value(hm, tau, lambda f: _class_etas(hm, 4 * f[0] * f[2] - f[1] ** 2, [f])[f],
-                           math.isqrt(-tau.discriminant << (2 * _fixed_bits(ctx))), word)
+                           math.isqrt(-tau.discriminant << (2 * _fixed_bits(ctx))), words)
     word = _reduce_numeric if reduce_first else lambda x, y, one: ((x, y), (one, 0), 0)
     return _point_value(hm, tau, word)
 
@@ -858,11 +869,12 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     return _cm_value(hm, tau, reduce_first).to_mpc(hm.ctx)
 
 
-def conjugate_form(form: QuadraticForm, p: int) -> QuadraticForm:
-    """The Heegner form (pc, b, a/p) whose CM value is the complex conjugate of
-    form's: j*_p has real coefficients, so the mirror (a, -b, c) carries the
-    conjugate value, and (pc, b, a/p) is its image under the Fricke flip."""
-    return QuadraticForm(p * form.c, form.b, form.a // p)
+def _mirror(form):
+    """The reduced form of the class of (a, -b, c), for a reduced (a, b, c):
+    the form itself when b = 0, b = a or a = c, each equivalent to its
+    mirror, and (a, -b, c), reduced, otherwise."""
+    a, b, c = form
+    return form if b == 0 or b == a or a == c else (a, -b, c)
 
 
 def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
@@ -872,28 +884,35 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     that share it and the indices of those that take its conjugate, empty
     for a real value.
 
-    The class set is closed under conjugation, because the class polynomial
-    has integer coefficients: conjugate_form carries the conjugate value.
-    When p | disc the residue satisfies beta = -beta mod 2p, so the set also
-    holds the image (pc, -b, a/p) of a form under the Fricke involution W_p,
-    which fixes j*_p, and the mirror (a, -b, c), which conjugates it
-    (Gross, Kohnen and Zagier, Heegner points and derivatives of L-series
-    II, 1987, section II.1).  A form's class is keyed by its reduced
-    (a, b, c), as in heegner_reps, which also keys the eta^e table.  A value shared with its conjugate is real, and its
+    Each form's class is keyed by its reduced (a, b, c), as in
+    heegner_reps, which also keys the eta^e table; each representative is
+    reduced once, and the form (a/p, b, pc) of p tau once per orbit.  The
+    class set is closed under conjugation, because the class polynomial
+    has integer coefficients: j*_p has real coefficients, so the mirror
+    (a, -b, c), at -conj(tau), carries the conjugate value, and so does its
+    Fricke image (pc, b, a/p), the flip of the mirror (a/p, -b, pc) of
+    p tau's form, which lies in the mirror of p tau's class.  When p | disc
+    the residue satisfies beta = -beta mod 2p, so the set also holds the
+    image (pc, -b, a/p) of a form under the Fricke involution W_p, which
+    fixes j*_p and is the flip of p tau's form, in p tau's class, and the
+    mirror, in the mirror of tau's class (Gross, Kohnen and Zagier, Heegner
+    points and derivatives of L-series II, 1987, section II.1).  So the
+    partners are read off the two classes each value reduces to anyway
+    (_mirror).  A value shared with its conjugate is real, and its
     imaginary part, all rounding, is dropped: a real value within the radius
     of the midpoint is as near its real part.
 
     In closed form, eta^e is evaluated once per reduced form of disc up to
-    the mirror (a, -b, c), whose point -conj(tau) carries the conjugate
-    eta^e, and each orbit's value reads the two classes its tau and p tau
-    reduce to (_form_value).  The reduced forms are the keys of the class
-    index: heegner_reps gives one form per class, as many as
+    the mirror, whose point -conj(tau) carries the conjugate eta^e, and
+    each orbit's value reads the two classes its tau and p tau reduce to
+    (_form_value).  The reduced forms are the keys of the class index:
+    heegner_reps gives one form per class, as many as
     quadforms.reduced_forms enumerates.
     """
     p = hm.p
     forms = heegner_reps(disc, p, residue)
-    index = {reduction_word(f.a, f.b, f.c)[0]: i for i, f in enumerate(forms)}
-    value = functools.partial(_cm_value, hm)
+    words = [reduction_word(f.a, f.b, f.c) for f in forms]
+    index = {word[0]: i for i, word in enumerate(words)}
     if hm.series is None:
         table = _class_etas(hm, -disc, [f for f in index if f[1] >= 0])
 
@@ -901,14 +920,18 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
             a, b, c = f
             return table[f] if b >= 0 else table[a, -b, c].conjugate()
 
-        value = functools.partial(_form_value, hm, eta_at=eta_at,
-                                  root=math.isqrt(-disc << (2 * _fixed_bits(hm.ctx))),
-                                  word=reduction_word)
+        root = math.isqrt(-disc << (2 * _fixed_bits(hm.ctx)))
 
-    def at(form):
-        i = index.get(reduction_word(form.a, form.b, form.c)[0])
+        def value(form, pair):
+            return _form_value(hm, form, eta_at, root, pair)
+    else:
+        def value(form, _):
+            return _cm_value(hm, form)
+
+    def at(reduced):
+        i = index.get(reduced)
         if i is None:
-            raise InternalError(f"{form} is not among the Heegner forms of {disc} at residue "
+            raise InternalError(f"{reduced} is not among the Heegner forms of {disc} at residue "
                                 f"{residue} mod {2 * p}")
         return i
 
@@ -917,11 +940,13 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     for i, form in enumerate(forms):
         if i in seen:
             continue
-        same, conj = {i}, {at(conjugate_form(form, p))}
+        pair = words[i], reduction_word(*_p_tau_form(p, form.a, form.b, form.c)[2])
+        tau_class, p_tau_class = pair[0][0], pair[1][0]
+        same, conj = {i}, {at(_mirror(p_tau_class))}
         if fricke:
-            same.add(at(QuadraticForm(p * form.c, -form.b, form.a // p)))
-            conj.add(at(QuadraticForm(form.a, -form.b, form.c)))
-        ball = value(form)
+            same.add(at(p_tau_class))
+            conj.add(at(_mirror(tau_class)))
+        ball = value(form, pair)
         if same & conj:
             same, conj = same | conj, set()
             (re, _), exp = ball.mid

@@ -12,7 +12,6 @@ from math import gcd, isqrt
 
 from .arith import (
     Factorization,
-    factorize,
     fundamental_factors,
     require_prime,
     sqrt_mod,
@@ -53,9 +52,7 @@ def reduce(f: QuadraticForm) -> QuadraticForm:
 
     Output satisfies |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
     """
-    out = QuadraticForm(*reduction_word(f.a, f.b, f.c)[0])
-    assert out.discriminant == f.discriminant
-    return out
+    return QuadraticForm(*reduction_word(f.a, f.b, f.c)[0])
 
 
 def reduction_word(a: int, b: int, c: int, level: int = 1):
@@ -182,7 +179,11 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
 
     Exactly class_number(disc) forms are returned.  Candidates are scanned by
     increasing |b| level; within the scanned window the representative of each
-    class minimizes (a, |b|, b), which makes the choice deterministic.
+    class minimizes (a, |b|, b), which makes the choice deterministic.  The
+    candidates at b are (pk, b, nb/k) for the divisors k of nb = (b^2 - disc)/4p,
+    of discriminant disc by construction, each kept as the integers
+    (a, |b|, b, c) under its class's reduction_word form, so the least one is
+    the representative; only the representatives become QuadraticForms.
     """
     require_prime(p)
     fundamental(disc)
@@ -191,7 +192,7 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
     h = count_classes(disc)
     b0 = beta % (2 * p)
     bound = 2 * p * h * (isqrt(-disc) + 1)
-    best: dict[QuadraticForm, tuple[tuple[int, int, int], QuadraticForm]] = {}
+    best: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
     level = 0
     while True:
         offsets = (0,) if level == 0 else (-level, level)
@@ -206,21 +207,22 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
             if n4 % (4 * p):
                 raise InternalError(f"b={b} violates the admissibility congruence")
             nb = n4 // (4 * p)
-            for k in factorize(nb).divisors():
-                cand = QuadraticForm(p * k, b, nb // k)
-                if not cand.is_primitive():
+            for k in _divisors(nb):
+                a, c = p * k, nb // k
+                if gcd(gcd(a, b), c) != 1:
                     continue
-                assert cand.discriminant == disc
-                red = reduce(cand)
-                key = (cand.a, abs(b), b)
-                cur = best.get(red)
-                if cur is None or key < cur[0]:
-                    best[red] = (key, cand)
+                red = reduction_word(a, b, c)[0]
+                cand = (a, abs(b), b, c)
+                if red not in best or cand < best[red]:
+                    best[red] = cand
         if len(best) > h:
             raise InternalError(f"more than h({disc}) = {h} classes enumerated")
         if len(best) == h:
-            reps = [cand for _, cand in best.values()]
-            reps.sort(key=lambda f: (f.a, abs(f.b), f.b, f.c))
-            return reps
+            return [QuadraticForm(a, b, c) for a, _, b, c in sorted(best.values())]
         level += 1
 
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n > 0, by trial division up to isqrt(n)."""
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return small + [n // k for k in reversed(small) if k * k != n]

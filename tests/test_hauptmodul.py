@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from cmforge.hauptmodul import (
     QSeries,
     check_digits,
     cm_values,
-    conjugate_form,
     eta_quotient_qseries,
     eta_with_bound,
     lhs_log_norm,
@@ -623,6 +623,13 @@ def heegner_classes(p, max_disc=300):
                 yield d, beta, heegner_reps(-d, p, beta)
 
 
+def conjugate_form(form, p):
+    """The Heegner form (pc, b, a/p) whose CM value is the complex conjugate of
+    form's: j*_p has real coefficients, so the mirror (a, -b, c) carries the
+    conjugate value, and (pc, b, a/p) is its image under the Fricke flip."""
+    return QuadraticForm(p * form.c, form.b, form.a // p)
+
+
 def partners(forms, p):
     index = {reduce(f): i for i, f in enumerate(forms)}
     return [index[reduce(conjugate_form(f, p))] for f in forms]
@@ -835,6 +842,68 @@ def test_heegner_points_reduce_into_the_class_table(p):
         for form in forms:
             for f in ((form.a, form.b, form.c), (form.a // p, form.b, p * form.c)):
                 assert reduction_word(*f)[0] in table, (d, beta, form)
+
+
+def test_partner_classes_follow_from_the_classes_of_tau_and_p_tau():
+    # for every Heegner form (a, b, c) at the 15 genus-zero primes, with d <
+    # 500 and every residue, the conjugate (pc, b, a/p) lies in the mirror
+    # of p tau's class, the Fricke image (pc, -b, a/p) in p tau's class and
+    # the mirror (a, -b, c) in the mirror of tau's class: the classes
+    # _orbits reads its partners from, reduction_word the oracle throughout
+    def reduced(a, b, c):
+        return reduction_word(a, b, c)[0]
+
+    def mirror(f):
+        return reduced(f[0], -f[1], f[2])
+
+    checked = 0
+    for p in sorted(GENUS_ZERO_FRICKE_PRIMES):
+        for d, beta, forms in heegner_classes(p, 500):
+            for form in forms:
+                a, b, c = form.a, form.b, form.c
+                tau, p_tau = reduced(a, b, c), reduced(a // p, b, p * c)
+                case = (p, d, beta, form)
+                assert hauptmodul._mirror(tau) == mirror(tau), case
+                assert hauptmodul._mirror(p_tau) == mirror(p_tau), case
+                assert reduced(p * c, b, a // p) == mirror(p_tau), case
+                assert reduced(p * c, -b, a // p) == p_tau, case
+                assert reduced(a, -b, c) == mirror(tau), case
+                checked += 1
+    assert checked > 16_000
+
+
+@pytest.mark.parametrize("p, d, D, values, reductions", [(2, 7, 71, 5, 13), (2, 56, 71, 6, 17)])
+def test_orbits_reduce_each_form_once_and_each_p_tau_once(monkeypatch, p, d, D, values,
+                                                          reductions):
+    # beyond heegner_reps' own search, the reductions made from hauptmodul
+    # are one per representative and one per orbit, the form of p tau of its
+    # one _form_value; 2 | 56, so there W_p joins conjugation (2 orbits of
+    # h(-56) = 4 forms, not 3), and 71 gives 4 orbits of 7, 7 one of 1
+    words, forms = [], []
+    monkeypatch.setattr(hauptmodul, "reduction_word",
+                        lambda *f: words.append(f) or reduction_word(*f))
+    original = hauptmodul._form_value
+
+    def counting(hm, form, *args):
+        forms.append(form)
+        return original(hm, form, *args)
+
+    monkeypatch.setattr(hauptmodul, "_form_value", counting)
+    beta, mu = min(admissible_residues(-d, p)), min(admissible_residues(-D, p))
+    lhs_log_norm(Hauptmodul(p, 300), d, beta, D, mu)
+    h = len(heegner_reps(-d, p, beta)) + len(heegner_reps(-D, p, mu))
+    assert len(forms) == values and len(words) == h + values == reductions
+
+
+def test_integer_sqrt_rounds_as_mpf_sqrt():
+    # the sqrt(size) of _form_exponentials' one exponential, from an integer
+    # square root, is libmp.mpf_sqrt's, rounded down, bit for bit
+    rng = random.Random(5)
+    sizes = (list(range(1, 300)) + [4 ** 40, (2 ** 61 + 1) ** 2, 10 ** 7 - 1, 2 ** 127 - 1]
+             + [rng.randrange(1, 10 ** 30) for _ in range(200)])
+    for wp in (1, 2, 3, 53, 64, 366, 1040, 3400):
+        for size in sizes:
+            assert hauptmodul._sqrt(size, wp) == libmp.mpf_sqrt(libmp.from_int(size), wp), (size, wp)
 
 
 def test_one_exponential_per_discriminant_and_one_eta_per_reduced_form(monkeypatch):

@@ -171,7 +171,8 @@ def test_numeric_sign_reader_reuses_what_the_pipeline_holds(monkeypatch):
     # each degree-one residue is the smallest square root mod 4p, taken
     # without testing p or factoring |D| again, and the base value serves
     # the pair whose D is the base.  What is left is heegner_reps' own work:
-    # p and each discriminant checked, and each candidate's nb factored
+    # p and each discriminant checked; its search lists each candidate's
+    # divisors without factoring
     import sys
 
     from cmforge import arith
@@ -192,7 +193,7 @@ def test_numeric_sign_reader_reuses_what_the_pipeline_holds(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     assert read_signs(pairs, d=15, base_disc=-7, beta=1, hm=hm) == [(0, 184275), (175, 207025)]
-    assert calls == {"factorize": [7, 1, 15, 2, 8, 1], "is_prime": [2, 2, 2]}
+    assert calls == {"factorize": [7, 15, 8], "is_prime": [2, 2, 2]}
 
 
 def test_interpolate_needs_enough_points():

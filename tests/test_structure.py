@@ -46,6 +46,16 @@ def imported_modules(path):
     return found
 
 
+def test_no_assert_statements():
+    # python -O strips every assert, so no check the package relies on, and
+    # no claim about its own arithmetic, is written as one
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(PACKAGE_DIR.rglob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+    assert offenders == []
+
+
 def test_exact_arithmetic_modules_work_on_integers():
     # valuations, local symbols, ideal counts and the prime-log sums of the
     # norm take integers; no rationals
