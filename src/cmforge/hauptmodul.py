@@ -22,8 +22,9 @@ multiplier of the eta transformation law along each reduction word (a
 root of unity and (c tau + d)^(e/2), e even) is carried exactly.
 eta^e = z S(q)^e with z = e^(2 pi i tau/(p - 1)) and q = z^(p - 1) is
 evaluated once per reduced form of a discriminant up to the mirror
-(a, -b, c), every z from one exponential and roots of it, and shared by
-every CM point whose tau or p tau falls in that class (_orbits).  The
+(a, -b, c), every z from one exponential, a root of it and an exact
+twelfth turn (a cosine only of what is left, at most pi/24), and shared
+by every CM point whose tau or p tau falls in that class (_orbits).  The
 quotient, the multipliers and t + p^(e/2)/t are integer pairs with a
 shared binary exponent, each complex product taking three integer
 multiplications (ball.fixed_mul); the sum is rounded once to the context's
@@ -703,28 +704,74 @@ def _form_exponentials(size: int, forms, m: int, bits: int) -> list:
     z = r^(1/a) e^(-pi i b/(a m)), from one exponential r = e^(-pi sqrt(size)/m)
     shared by all, an a-th root and a rotation each.
 
-    The rotation's angle is split exactly, -b/(am) = n/2 + x/(2am) with
-    |x/(2am)| <= 1/4: i^n is a quarter turn, and only pi x/(2am), at most
-    pi/4, is rounded.  The exponential turns a relative rounding of its
-    argument into one times the argument, so the work precision adds the
-    argument's bits (pi sqrt(size)/m < 4 (isqrt(size) // m + 1)) to
-    _Q_GUARD_BITS; a root divides the relative error of r by a.
+    The rotation's angle is split exactly, -b/(am) = n/12 + x/(12am) with
+    |x/(12am)| <= 1/24: e^(pi i n/12) is an exact twelfth turn
+    (_twelfth_turn), and only pi x/(12am), at most pi/24, goes through a
+    cosine, when x != 0, that is when am does not divide 12b.
+
+    Each libmp operation rounds at wp and moves its result by less than
+    2 u of itself, u = 2^-wp.  The exponential turns a relative rounding
+    of its argument into one times the argument, so wp adds the argument's
+    bits w (pi sqrt(size)/m < 4 (isqrt(size) // m + 1) < 2^w, w >= 3) to
+    bits + _Q_GUARD_BITS: the argument, four roundings, is within 9 u 2^w,
+    and r within 10 2^-(bits + _Q_GUARD_BITS), relatively; a root divides
+    that by a.  The rest adds at most 18 u, relatively: the root's
+    rounding 2, the residual turn 4 (its angle, below pi/24, within 6 u of
+    itself, then the cosine and sine), its product 2, the surd 1 and the
+    surd's products and sums 8 (2 u of (|Re| + |Im|)(|cos| + |sin|) <= 2 |z|,
+    and 2 u of each part).  With u <= 2^-(bits + _Q_GUARD_BITS + 3), z is
+    within 13 2^-(bits + _Q_GUARD_BITS) < 2^-(bits + 4) of itself before
+    scaled floors it, which costs less than 2^-bits more: under 2 <
+    _Q_REL_ULPS units.
     """
     wp = bits + _Q_GUARD_BITS + (4 * (math.isqrt(size) // m + 1)).bit_length()
     pi = libmp.mpf_pi(wp)
     arg = libmp.mpf_div(libmp.mpf_mul(pi, _sqrt(size, wp), wp), libmp.from_int(m), wp)
     base = libmp.mpf_exp(libmp.mpf_neg(arg), wp)
+    roots = {}  # the square roots the twelfth turns read, each taken once per call
     zs = []
     for a, b, _ in forms:
-        modulus = libmp.mpf_nthroot(base, a, wp)
+        re, im = libmp.mpf_nthroot(base, a, wp), libmp.fzero
         a *= m
-        n = (a - 4 * b) // (2 * a)  # the integer nearest -2b/a
-        cos, sin = libmp.mpf_cos_sin(
-            libmp.mpf_mul(pi, libmp.from_rational(-2 * b - n * a, 2 * a, wp), wp), wp)
-        for _ in range(n % 4):  # times i
-            cos, sin = libmp.mpf_neg(sin), cos
-        zs.append(scaled(libmp.mpf_mul(modulus, cos, wp), libmp.mpf_mul(modulus, sin, wp), bits))
+        n = (a - 24 * b) // (2 * a)  # the integer nearest -12b/a
+        x = -12 * b - n * a
+        if x:
+            cos, sin = libmp.mpf_cos_sin(
+                libmp.mpf_mul(pi, libmp.from_rational(x, 12 * a, wp), wp), wp)
+            re, im = libmp.mpf_mul(re, cos, wp), libmp.mpf_mul(re, sin, wp)
+        zs.append(scaled(*_twelfth_turn(re, im, n, roots, wp), bits))
     return zs
+
+
+def _twelfth_turn(re, im, n: int, roots: dict, wp: int):
+    """(re + i im) e^(pi i n/12) for mpfs re and im, the product rounded at
+    wp: i^j times the quadratic surd e^(pi i k/12) for n = 6j + k mod 24,
+    0 <= k < 6.  The surd's cosine and sine are (sqrt(6) + sqrt(2),
+    sqrt(6) - sqrt(2))/4, (sqrt(3), 1)/2 and (sqrt(2), sqrt(2))/2 at k = 1,
+    2, 3, swapped at 6 - k; each sqrt(l) is isqrt(l 2^(2 wp)) 2^-wp, less
+    than 2^-wp below it, so each part is an exact mpf within 2^-(wp + 1).
+    roots keeps each isqrt once taken.  The quarter turns i^j are exact."""
+    j, k = divmod(n % 24, 6)
+    if k:
+        def root(l: int) -> int:
+            if l not in roots:
+                roots[l] = math.isqrt(l << 2 * wp)
+            return roots[l]
+
+        if k in (1, 5):
+            pair = root(6) + root(2), root(6) - root(2)
+        elif k in (2, 4):
+            pair = 2 * root(3), 1 << (wp + 1)
+        else:
+            pair = 2 * root(2), 2 * root(2)
+        cos, sin = (libmp.from_man_exp(part, -wp - 2) for part in pair)
+        if k > 3:
+            cos, sin = sin, cos
+        re, im = (libmp.mpf_sub(libmp.mpf_mul(re, cos, wp), libmp.mpf_mul(im, sin, wp), wp),
+                  libmp.mpf_add(libmp.mpf_mul(re, sin, wp), libmp.mpf_mul(im, cos, wp), wp))
+    for _ in range(j):  # times i
+        re, im = libmp.mpf_neg(im), re
+    return re, im
 
 
 def _sqrt(size: int, wp: int):

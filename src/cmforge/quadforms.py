@@ -40,19 +40,8 @@ class QuadraticForm:
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
-
     def __str__(self):
         return f"({self.a}, {self.b}, {self.c})"
-
-
-def reduce(f: QuadraticForm) -> QuadraticForm:
-    """Canonical representative under unimodular equivalence.
-
-    Output satisfies |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
-    """
-    return QuadraticForm(*reduction_word(f.a, f.b, f.c)[0])
 
 
 def reduction_word(a: int, b: int, c: int, level: int = 1):
@@ -62,8 +51,9 @@ def reduction_word(a: int, b: int, c: int, level: int = 1):
     (-b + sqrt(disc))/(2a) of (a, b, c) to that of (a', b', c'), as the
     lower row (g, h) of W, the sum of W's shifts tau -> tau + n and its
     number of flips tau -> -1/(N tau).  The result has -a' < b' <= a' and
-    N c' >= a', with b' >= 0 when N c' = a'; at level 1 it is reduce's
-    form and W lies in SL2(Z).
+    N c' >= a', with b' >= 0 when N c' = a'; at level 1 it is the reduced
+    form of the class, |b'| <= a' <= c' with b' >= 0 when |b'| = a' or
+    a' = c', and W lies in SL2(Z).
 
     On points, b -> b + 2an is tau -> tau - n and (a, b, c) -> (Nc, -b, a/N)
     is tau -> -1/(N tau); so is the last step, (a, b, a/N) -> (a, -b, a/N).
@@ -120,8 +110,8 @@ def count_classes(disc: int) -> int:
 
 def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     """(a, b, c) of each reduced primitive form of discriminant disc, as
-    reduce gives them, by increasing a and then b: one per class.  A disc
-    whose size exceeds MAX_CLASS_NUMBER_DISC is refused with ParameterError,
+    reduction_word gives them, by increasing a and then b: one per class.  A
+    disc whose size exceeds MAX_CLASS_NUMBER_DISC is refused with ParameterError,
     before any work."""
     if -disc > MAX_CLASS_NUMBER_DISC:
         raise ParameterError(

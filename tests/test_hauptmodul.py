@@ -32,7 +32,6 @@ from cmforge.quadforms import (
     QuadraticForm,
     admissible_residues,
     heegner_reps,
-    reduce,
     reduced_forms,
     reduction_word,
 )
@@ -631,8 +630,11 @@ def conjugate_form(form, p):
 
 
 def partners(forms, p):
-    index = {reduce(f): i for i, f in enumerate(forms)}
-    return [index[reduce(conjugate_form(f, p))] for f in forms]
+    def reduced(f):
+        return reduction_word(f.a, f.b, f.c)[0]
+
+    index = {reduced(f): i for i, f in enumerate(forms)}
+    return [index[reduced(conjugate_form(f, p))] for f in forms]
 
 
 def assert_reduced_form(form, p):
@@ -906,6 +908,74 @@ def test_integer_sqrt_rounds_as_mpf_sqrt():
             assert hauptmodul._sqrt(size, wp) == libmp.mpf_sqrt(libmp.from_int(size), wp), (size, wp)
 
 
+#: The square roots a twelfth turn e^(pi i n/12) reads, by the sextant n mod 6.
+SEXTANT_ROOTS = {0: set(), 1: {2, 6}, 2: {3}, 3: {2}, 4: {3}, 5: {2, 6}}
+
+
+@pytest.mark.parametrize("wp", (53, 366, 1077))
+def test_twelfth_turns_against_mpmath(wp):
+    # e^(pi i n/12), n = 0..23, made from 1 by _twelfth_turn at wp: each
+    # part within 2^(1 - wp) of mpmath's at 64 more bits, the quarter turns
+    # exact, and only the square roots the sextant needs taken
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.prec = wp + 64
+    for n in range(24):
+        roots = {}
+        re, im = hauptmodul._twelfth_turn(libmp.fone, libmp.fzero, n, roots, wp)
+        exact = ctx.expjpi(ctx.mpf(n) / 12)
+        assert set(roots) == SEXTANT_ROOTS[n % 6], (n, wp)
+        if n % 6 == 0:
+            assert ctx.mpc(ctx.make_mpf(re), ctx.make_mpf(im)) == exact == 1j ** (n // 6)
+        for part, oracle in ((re, exact.real), (im, exact.imag)):
+            assert abs(ctx.make_mpf(part) - oracle) <= ctx.ldexp(1, 1 - wp), (n, wp)
+
+
+@pytest.mark.parametrize("m", (1, 2, 4, 6, 12, 24))
+def test_form_exponentials_against_mpmath(m):
+    # z = e^(2 pi i tau/m) at every reduced form of every fundamental -d,
+    # d < 500, lies within _Q_REL_ULPS units of 2^-bits of mpmath's
+    # expjpi(2 tau/m) at twice the precision, relatively (bits of 300 digits)
+    bits = hauptmodul._fixed_bits(working_context(300))
+    ctx = mpmath.ctx_mp.MPContext()
+    ctx.prec = 2 * bits
+    units = hauptmodul._Q_REL_ULPS * ctx.ldexp(1, -bits)
+    checked = 0
+    for d in range(3, 500):
+        if not is_fundamental_discriminant(-d):
+            continue
+        forms = reduced_forms(-d)
+        root = ctx.sqrt(d)
+        zs = hauptmodul._form_exponentials(d, forms, m, bits)
+        for (a, b, _), ((re, im), exp) in zip(forms, zs):
+            exact = ctx.expjpi(ctx.mpc(-b, root) / (a * m))
+            z = ctx.mpc(ctx.ldexp(re, exp), ctx.ldexp(im, exp))
+            assert abs(z - exact) <= units * abs(exact), (d, a, b, m)
+            checked += 1
+    assert checked == 1026
+
+
+def test_one_cosine_per_form_off_the_twelfth_turns(monkeypatch):
+    # _form_exponentials calls mpf_cos_sin once for a form whose angle
+    # -b/(am) is not a whole number of twelfth turns, am not dividing 12b,
+    # and never for one whose angle is
+    calls = []
+    cos_sin = libmp.mpf_cos_sin
+    monkeypatch.setattr(hauptmodul.libmp, "mpf_cos_sin", lambda *a: calls.append(a) or cos_sin(*a))
+    bits = hauptmodul._fixed_bits(working_context(30))
+    seen = set()
+    for d in range(3, 500):
+        if not is_fundamental_discriminant(-d):
+            continue
+        for a, b, c in reduced_forms(-d):
+            for m in (1, 2, 4, 6, 12, 24):
+                del calls[:]
+                hauptmodul._form_exponentials(d, [(a, b, c)], m, bits)
+                off = 12 * b % (a * m) != 0
+                assert len(calls) == off, (d, a, b, m)
+                seen.add(off)
+    assert seen == {False, True}
+
+
 def test_one_exponential_per_discriminant_and_one_eta_per_reduced_form(monkeypatch):
     # the class set of -d takes eta^e once at each reduced form up to the
     # mirror (a, -b, a), and every z from one exponential and roots of it
@@ -1022,6 +1092,45 @@ def test_series_tail_constant_is_computed_once_per_hauptmodul(monkeypatch):
         value_with_bound(hm, tau)
         monkeypatch.undo()
         assert len(calls) == 2, count
+
+
+#: (p, form, coefficients, digits): few coefficients at a Heegner point
+#: where they reach digits with little to spare.
+TAIL_CASES = ((2, (2, 2, 3), 10, 14), (3, (3, 2, 5), 6, 8), (5, (5, 2, 8), 4, 4))
+
+
+@pytest.mark.parametrize("p, form, count, digits", TAIL_CASES)
+def test_series_tail_covers_the_truncation(p, form, count, digits):
+    # the value is accepted at digits, yet the truncated sum misses the
+    # closed form by far more than the final rounding, 2^-prec of the
+    # value: only the tail in the radius covers the miss
+    hm = Hauptmodul(p, digits, series=eta_quotient_qseries(p, count))
+    value, bound = value_with_bound(hm, QuadraticForm(*form))
+    fine = Hauptmodul(p, 2 * digits + 20)
+    exact, exact_bound = value_with_bound(fine, QuadraticForm(*form))
+    miss = abs(fine.ctx.mpc(value) - exact)
+    assert miss <= bound + exact_bound
+    assert miss > 1000 * abs(exact) * fine.ctx.ldexp(1, -hm.ctx.prec)
+
+
+#: (p, form, j*_p at the form): Heegner forms of class number one.
+INTEGER_VALUES = ((2, (2, 1, 1), -47), (3, (3, 1, 1), 10), (5, (5, 3, 1), -18))
+
+
+@pytest.mark.parametrize("p, form, integer", INTEGER_VALUES)
+def test_series_radius_covers_the_rounding_of_a_cancelling_sum(p, form, integer):
+    # a coefficient file whose constant term is lowered by the integer
+    # j*_p at a point of class number one vanishes there: its terms cancel,
+    # so the value computed is all rounding, of Horner's products and of q,
+    # far beyond the tail and the final rounding of so small a value, and
+    # the radius covers it
+    fine = Hauptmodul(p, 60)
+    exact, exact_bound = value_with_bound(fine, QuadraticForm(*form))
+    assert abs(exact - integer) <= exact_bound
+    c = eta_quotient_qseries(p, 200).coefficients
+    hm = Hauptmodul(p, 30, series=QSeries(p, (c[0], c[1] - integer) + c[2:]))
+    value, bound = value_with_bound(hm, QuadraticForm(*form))
+    assert 0 < abs(value) <= bound
 
 
 def test_series_values_lie_within_their_bounds():

@@ -10,9 +10,18 @@ from cmforge.quadforms import (
     admissible_residues,
     class_number,
     heegner_reps,
-    reduce,
     reduced_forms,
+    reduction_word,
 )
+
+
+def reduce(f):
+    """The reduced form of f's class: reduction_word's at level 1."""
+    return QuadraticForm(*reduction_word(f.a, f.b, f.c)[0])
+
+
+def is_primitive(f):
+    return gcd(gcd(f.a, f.b), f.c) == 1
 
 
 def is_reduced(f):
@@ -79,10 +88,11 @@ def test_reduce_is_class_invariant():
 
 
 def test_reduce_rejects_indefinite():
+    # only a positive definite form can be reduced: QuadraticForm refuses any other
     with pytest.raises(ParameterError):
-        reduce(QuadraticForm(1, 5, 1))
+        QuadraticForm(1, 5, 1)
     with pytest.raises(ParameterError):
-        reduce(QuadraticForm(-1, 0, -1))
+        QuadraticForm(-1, 0, -1)
 
 
 def test_class_number_frozen():
@@ -135,7 +145,7 @@ def test_reduced_forms_are_one_reduced_form_per_class():
         if not is_fundamental_discriminant(disc):
             continue
         forms = [QuadraticForm(*f) for f in reduced_forms(disc)]
-        assert all(f.discriminant == disc and f.is_primitive() and reduce(f) == f
+        assert all(f.discriminant == disc and is_primitive(f) and reduce(f) == f
                    for f in forms), disc
         assert len(set(forms)) == len(forms) == class_number(disc)
         for p in (2, 13):
@@ -203,7 +213,7 @@ def test_heegner_reps_grid_invariants():
             assert f.discriminant == disc
             assert f.a % p == 0
             assert (f.b - beta) % (2 * p) == 0
-            assert f.is_primitive()
+            assert is_primitive(f)
             assert isinstance(f, QuadraticForm)  # positive definite by construction
             reduced_seen.add(reduce(f))
         assert len(reduced_seen) == len(reps)

@@ -216,8 +216,8 @@ def test_one_eta_kernel_at_reduced_points():
 
 def test_one_sl2z_reduction_of_forms():
     # a form's flip (a, b, c) -> (Nc, -b, a/N) is written once, at level N,
-    # in quadforms.reduction_word, which reduce, the eta kernel (N = 1) and
-    # reduce_point (N = p) all use
+    # in quadforms.reduction_word, which the Heegner search, the eta kernel
+    # (N = 1) and reduce_point (N = p) all use
     flips = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
