@@ -27,12 +27,31 @@ from .errors import PrecisionError
 def fixed_mul(x, y, shift: int):
     """Product of two complex integer pairs, each part floored to 2^shift.
 
-    Three multiplications: (a + b)(c + d) - ac - bd is ad + bc exactly, so
-    each part is the four-multiplication one bit for bit.
+    Only the multiplications the operands need: one for two real pairs, two
+    for a real pair and a complex one (ac and ad, or ac and bc), two for a
+    pair times itself ((a + b)(a - b) and 2ab), and three otherwise, where
+    (a + b)(c + d) - ac - bd is ad + bc.  Each case forms the same
+    integers ac - bd and ad + bc before the floor, so each part is the
+    four-multiplication one bit for bit.
     """
     (a, b), (c, d) = x, y
+    if not b:
+        if not d:
+            return (a * c) >> shift, 0
+        return (a * c) >> shift, (a * d) >> shift
+    if not d:
+        return (a * c) >> shift, (b * c) >> shift
+    if x is y:
+        return ((a + b) * (a - b)) >> shift, (a * b << 1) >> shift
     ac, bd = a * c, b * d
     return (ac - bd) >> shift, ((a + b) * (c + d) - ac - bd) >> shift
+
+
+def surd(l: int, bits: int) -> int:
+    """The floor of sqrt(l) 2^bits, for integers l, bits >= 0, from one
+    integer square root, isqrt(l 2^(2 bits)): surd(l, bits) 2^-bits is less
+    than 2^-bits below sqrt(l)."""
+    return math.isqrt(l << 2 * bits)
 
 
 def power(x, n: int, mul):
@@ -162,12 +181,13 @@ class Ball:
         """self times zeta_12^m, zeta_12 = e^(2 pi i/12): zeta_12^m = i^j
         zeta_12^r for m = 3j + r.  The quarter turns i^j are exact; zeta_12^r
         for r = 1 or 2, (sqrt(3) + i)/2 or (1 + i sqrt(3))/2, is floored at
-        2^-bits, sqrt(3)/2 by less than one unit, so it is the ball of its
-        floor with radius 2^-bits, and the product is mul's."""
+        2^-bits, sqrt(3)/2 by less than one unit (surd(3, bits - 1)), so it
+        is the ball of its floor with radius 2^-bits, and the product is
+        mul's."""
         j, r = divmod(m % 12, 3)
         x = self
         if r:
-            half, root3 = 1 << (bits - 1), math.isqrt(3 << (2 * bits - 2))  # sqrt(3)/2
+            half, root3 = 1 << (bits - 1), surd(3, bits - 1)  # sqrt(3)/2
             root = (root3, half) if r == 1 else (half, root3)
             x = x.mul(Ball((root, -bits), (1, -bits)), bits)
         (re, im), exp = x.mid

@@ -26,11 +26,15 @@ evaluated once per reduced form of a discriminant up to the mirror
 twelfth turn (a cosine only of what is left, at most pi/24), and shared
 by every CM point whose tau or p tau falls in that class (_orbits).  The
 quotient, the multipliers and t + p^(e/2)/t are integer pairs with a
-shared binary exponent, each complex product taking three integer
-multiplications (ball.fixed_mul); the sum is rounded once to the context's
-precision.  A coefficient file is summed by Horner's rule on the same
-integer pairs, at an exact q: a form's point, reduced in integers by the
-Fricke flip, or a binary point reduced exactly by it.  A CM value is a
+shared binary exponent, each complex product taking the integer
+multiplications its operands need (ball.fixed_mul): one for two real pairs,
+as where q is real (tau on Re tau = 0 or -1/2), two for a real and a
+complex pair or a square, and three otherwise, every case the same
+integers ac - bd and ad + bc before the floor, so the same bits; the sum is
+rounded once to the context's precision.  A coefficient file is summed by
+Horner's rule on the same integer pairs, at an exact q: a form's point,
+reduced in integers by the Fricke flip, or a binary point reduced exactly
+by it.  A CM value is a
 ball.Ball, that integer pair with a radius held in integers, for either
 realization, and so is eta itself (eta_with_bound): each operation bounds
 its own rounding, with no floats and no working-precision arithmetic,
@@ -60,7 +64,8 @@ import mpmath
 from mpmath import libmp
 
 from .arith import require_prime
-from .ball import Ball, ceil_shift, exact_pair, fixed_mul, power, radius, scaled, top_bits
+from .ball import (Ball, ceil_shift, exact_pair, fixed_mul, power, radius, scaled, surd,
+                   top_bits)
 from .errors import InternalError, ParameterError, PrecisionError
 from .quadforms import QuadraticForm, heegner_reps, reduction_word
 
@@ -748,14 +753,14 @@ def _twelfth_turn(re, im, n: int, roots: dict, wp: int):
     wp: i^j times the quadratic surd e^(pi i k/12) for n = 6j + k mod 24,
     0 <= k < 6.  The surd's cosine and sine are (sqrt(6) + sqrt(2),
     sqrt(6) - sqrt(2))/4, (sqrt(3), 1)/2 and (sqrt(2), sqrt(2))/2 at k = 1,
-    2, 3, swapped at 6 - k; each sqrt(l) is isqrt(l 2^(2 wp)) 2^-wp, less
+    2, 3, swapped at 6 - k; each sqrt(l) is ball.surd(l, wp) 2^-wp, less
     than 2^-wp below it, so each part is an exact mpf within 2^-(wp + 1).
-    roots keeps each isqrt once taken.  The quarter turns i^j are exact."""
+    roots keeps each surd once taken.  The quarter turns i^j are exact."""
     j, k = divmod(n % 24, 6)
     if k:
         def root(l: int) -> int:
             if l not in roots:
-                roots[l] = math.isqrt(l << 2 * wp)
+                roots[l] = surd(l, wp)
             return roots[l]
 
         if k in (1, 5):
@@ -776,9 +781,9 @@ def _twelfth_turn(re, im, n: int, roots: dict, wp: int):
 
 def _sqrt(size: int, wp: int):
     """sqrt(size) rounded down to wp bits, as libmp.mpf_sqrt(from_int(size),
-    wp) rounds it, from one integer square root: isqrt(size 2^(2 wp)) has
+    wp) rounds it, from the floor surd(size, wp) of sqrt(size) 2^wp: it has
     more than wp bits, and cutting it to wp bits floors sqrt(size) there."""
-    return libmp.from_man_exp(math.isqrt(size << 2 * wp), -wp, wp, libmp.round_down)
+    return libmp.from_man_exp(surd(size, wp), -wp, wp, libmp.round_down)
 
 
 def _class_etas(hm: Hauptmodul, size: int, forms) -> dict:
@@ -820,7 +825,7 @@ def _p_tau_form(p: int, a: int, b: int, c: int):
 def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, words):
     """hm at the CM point tau of a form (a, b, c), as a Ball, from eta_at(f),
     eta^e at the point of a form f (_class_etas or a table of its values),
-    root = isqrt(size 2^(2 bits)), size = 4ac - b^2, and words, the
+    root = surd(size, bits), size = 4ac - b^2, and words, the
     reduction words of (a, b, c) and of the form of p tau (_p_tau_form):
     quadforms.reduction_word's, or the identity word in its shape.
 
@@ -890,7 +895,7 @@ def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
         form = (tau.a, tau.b, tau.c)
         words = [word(*f) for f in (form, _p_tau_form(hm.p, *form)[2])]
         return _form_value(hm, tau, lambda f: _class_etas(hm, 4 * f[0] * f[2] - f[1] ** 2, [f])[f],
-                           math.isqrt(-tau.discriminant << (2 * _fixed_bits(ctx))), words)
+                           surd(-tau.discriminant, _fixed_bits(ctx)), words)
     word = _reduce_numeric if reduce_first else lambda x, y, one: ((x, y), (one, 0), 0)
     return _point_value(hm, tau, word)
 
@@ -967,7 +972,7 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
             a, b, c = f
             return table[f] if b >= 0 else table[a, -b, c].conjugate()
 
-        root = math.isqrt(-disc << (2 * _fixed_bits(hm.ctx)))
+        root = surd(-disc, _fixed_bits(hm.ctx))
 
         def value(form, pair):
             return _form_value(hm, form, eta_at, root, pair)

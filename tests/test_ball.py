@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmforge.ball import Ball, ceil_shift, exact_pair, fixed_mul, power, radius, scaled
+from cmforge.ball import Ball, ceil_shift, exact_pair, fixed_mul, power, radius, scaled, surd
 from cmforge.errors import PrecisionError
 from cmforge.hauptmodul import working_context
 
@@ -84,11 +84,55 @@ def balls(draw, top=BITS + 2):
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
+@st.composite
+def integer_pairs(draw):
+    """An integer pair whose parts have up to 1100 bits and either sign, each
+    part zero a quarter of the time."""
+    def part():
+        if draw(st.integers(0, 3)) == 0:
+            return 0
+        size = 2 ** draw(st.integers(1, 1100))
+        return draw(st.integers(-size, size))
+    return part(), part()
+
+
+@PROPERTY
+@given(x=integer_pairs(), y=integer_pairs(), how=st.sampled_from(["two", "same", "equal"]),
+       shift=st.integers(0, 3000))
+def test_fixed_product_is_the_three_product_formula_bit_for_bit(x, y, how, shift):
+    # whichever multiplications the operands need, the parts are those of
+    # (a + b)(c + d) - ac - bd, floored: for two drawn pairs, one pair as
+    # both operands, and a pair times an equal but distinct copy of it
+    if how == "same":
+        y = x
+    elif how == "equal":
+        y = (x[0], x[1])
+        assert y is not x and y == x
+    (a, b), (c, d) = x, y
+    want = (a * c - b * d) >> shift, ((a + b) * (c + d) - a * c - b * d) >> shift
+    assert fixed_mul(x, y, shift) == want
+
+
 @PROPERTY
 @given(x=balls(), y=balls(), bits=st.integers(8, 80))
 def test_product_contains_the_exact_product(x, y, bits):
     (bx, vx), (by, vy) = x, y
     assert contains(bx.mul(by, bits), times(vx, vy))
+
+
+@PROPERTY
+@given(x=balls(), y=balls(), bits=st.integers(8, 80))
+def test_square_and_real_times_complex_contain_the_exact_products(x, y, bits):
+    # the branches of fixed_mul that take two multiplications: a ball times
+    # itself, and a ball on the real line times any ball, either way round
+    (bx, vx), (by, vy) = x, y
+    assert contains(bx.mul(bx, bits), times(vx, vx))
+    (re, _), exp = bx.mid
+    assume(re)
+    real = Ball(((re, 0), exp), bx.rad)
+    value = vx[0], Fraction(0)  # |Re vx - re 2^exp| <= |vx - mid|: inside real
+    assert contains(real.mul(by, bits), times(value, vy))
+    assert contains(by.mul(real, bits), times(vy, value))
 
 
 @PROPERTY
@@ -176,6 +220,13 @@ def test_relative_ball_contains_a_value_within_its_relative_error(x, finer, bits
     assert contains(Ball.relative(mid, units, bits), value)
 
 
+def test_surd_is_the_floor_of_the_scaled_square_root():
+    for l in (2, 3, 6):
+        for bits in (53, 366, 1077):
+            root = surd(l, bits)
+            assert root ** 2 <= l * 4 ** bits < (root + 1) ** 2
+
+
 def test_radius_and_ceil_shift_round_up():
     rng = random.Random(331)
     for _ in range(2000):
@@ -203,7 +254,7 @@ def test_mpc_conversions_are_exact_and_round_the_bound_up():
 def test_integer_pipeline_roundings_stay_within_their_claims():
     # the four claims of the integer pipeline, each on a Ball with an exact
     # midpoint, at a small bits where the roundings are large enough to see:
-    # the three-multiplication product is the four-multiplication one; the
+    # the fixed-point product is the four-multiplication one; the
     # product, the quotient and the power keep their midpoints within 2, 1
     # and 2 (n - 1) 2 units of 2^-bits of the exact result, relatively, and
     # their balls contain it; a scaled mpf is within one unit, relatively
