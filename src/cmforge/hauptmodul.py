@@ -15,26 +15,27 @@ on the tail and on every rounding.  Each power q^c of the sum comes from
 earlier ones by an addition sequence: one product for c = a + b, two for
 c = 2a + b (Enge, Hart and Johansson), built once for the term counts of
 points with Im(tau) >= sqrt(3)/2 up to MAX_DIGITS and extended per call
-beyond.  In closed form, t = eta^e(tau)/eta^e(p tau) takes eta^e only at
-SL2(Z)-reduced points: tau and p tau are each reduced, in integers for a
-form and exactly at the binary point for any other tau, and the
+beyond.  A number is the binary (x + iy)/one it is, the CM point of the
+form (one^2, -2x one, x^2 + y^2), so one loop, quadforms.reduction_word,
+reduces every point in integers.  In closed form, t =
+eta^e(tau)/eta^e(p tau) takes eta^e only at SL2(Z)-reduced points, and the
 multiplier of the eta transformation law along each reduction word (a
 root of unity and (c tau + d)^(e/2), e even) is carried exactly.
 eta^e = z S(q)^e with z = e^(2 pi i tau/(p - 1)) and q = z^(p - 1) is
 evaluated once per reduced form of a discriminant up to the mirror
 (a, -b, c), every z from one exponential, a root of it and an exact
-twelfth turn (a cosine only of what is left, at most pi/24), and shared
-by every CM point whose tau or p tau falls in that class (_orbits).  The
-quotient, the multipliers and t + p^(e/2)/t are integer pairs with a
-shared binary exponent, each complex product taking the integer
-multiplications its operands need (ball.fixed_mul): one for two real pairs,
-as where q is real (tau on Re tau = 0 or -1/2), two for a real and a
-complex pair or a square, and three otherwise, every case the same
+twelfth turn (a cosine only of what is left, at most pi/24), or, for a
+square discriminant as a number's form has, one exponential at the exact
+point, and shared by every CM point whose tau or p tau falls in that class
+(_orbits).  The quotient, the multipliers and t + p^(e/2)/t are integer
+pairs with a shared binary exponent, each complex product taking the
+integer multiplications its operands need (ball.fixed_mul): one for two
+real pairs, as where q is real (tau on Re tau = 0 or -1/2), two for a real
+and a complex pair or a square, and three otherwise, every case the same
 integers ac - bd and ad + bc before the floor, so the same bits; the sum is
 rounded once to the context's precision.  A coefficient file is summed by
-Horner's rule on the same integer pairs, at an exact q: a form's point,
-reduced in integers by the Fricke flip, or a binary point reduced exactly
-by it.  A CM value is a
+Horner's rule on the same integer pairs, at the exact q of the form's
+point reduced by the Fricke flip (reduce_point).  A CM value is a
 ball.Ball, that integer pair with a radius held in integers, for either
 realization, and so is eta itself (eta_with_bound): each operation bounds
 its own rounding, with no floats and no working-precision arithmetic,
@@ -341,15 +342,22 @@ def _to_fixed(x, bits: int):
     return re >> -shift, im >> -shift
 
 
-def _binary_point(tau):
-    """(x, y, one) with the mpc tau = (x + iy)/one exactly, one a power of two."""
+def _point_form(tau, ctx) -> QuadraticForm:
+    """The form (one^2, -2x one, x^2 + y^2), of discriminant -(2 one y)^2,
+    whose CM point is the number tau as the binary number (x + iy)/one it is
+    in ctx, one a power of two; a tau off the upper half plane is refused."""
+    tau = ctx.mpc(tau)
+    if tau.imag <= 0:
+        raise ParameterError("evaluation point must lie in the upper half plane")
     (x, y), exp = exact_pair(tau.real._mpf_, tau.imag._mpf_)
-    return x << max(0, exp), y << max(0, exp), 1 << max(0, -exp)
+    x, y, one = x << max(0, exp), y << max(0, exp), 1 << max(0, -exp)
+    return QuadraticForm(one * one, -2 * x * one, x * x + y * y)
 
 
-def _ratio(up, low):
-    """The Gaussian rational U/L of two integer pairs as (U conj(L), |L|^2)."""
-    return fixed_mul(up, (low[0], -low[1]), 0), low[0] * low[0] + low[1] * low[1]
+def _exact_root(size: int):
+    """isqrt(size) when size is a square, as a number's form has; else None."""
+    root = math.isqrt(size)
+    return root if root * root == size else None
 
 
 def _rational_q(ctx, num, den: int):
@@ -529,78 +537,59 @@ def _pentagonal_sum(q, q_err: int, pairs: int, bits: int):
 
 
 def eta_with_bound(tau, ctx):
-    """Dedekind eta at tau, a number or a QuadraticForm standing for its CM
-    point, as (value, error bound): _eta_power at e = 1, eta = z S(z^24)
-    with z = e^(2 pi i tau/24) from exact data, the binary tau/24
-    (_rational_q) or the form's (_form_exponentials).  The bound is the
-    radius of the Ball.
+    """Dedekind eta at tau, a QuadraticForm standing for its CM point or a
+    number standing for that of its form (_point_form), as (value, error
+    bound): _class_etas at m = 24, eta = z S(z^24) with z = e^(2 pi i tau/24)
+    from the form's exact data.  The bound is the radius of the Ball.
     """
-    bits = _fixed_bits(ctx)
-    if isinstance(tau, QuadraticForm):
-        size = -tau.discriminant
-        pairs = _pentagonal_pairs(math.sqrt(size) / (2 * tau.a), ctx.prec)
-        (z,) = _form_exponentials(size, [(tau.a, tau.b, tau.c)], 24, bits)
-    else:
-        tau = ctx.mpc(tau)
-        if tau.imag <= 0:
-            raise ParameterError(f"eta requires Im(tau) > 0, got {tau.imag}")
-        pairs = _pentagonal_pairs(tau.imag, ctx.prec)
-        x, y, one = _binary_point(tau)
-        z = _rational_q(ctx, (x, y), 24 * one)
-    return _eta_power(z, pairs, 1, bits).to_mpc(ctx)
+    form = tau if isinstance(tau, QuadraticForm) else _point_form(tau, ctx)
+    f = (form.a, form.b, form.c)
+    return _class_etas(ctx, -form.discriminant, [f], 24)[f].to_mpc(ctx)
 
 
 def reduce_point(tau, p: int, ctx):
     """Push tau into |Re| <= 1/2 with p|tau|^2 >= 1, exactly, by shifts and
-    the Fricke flip tau -> -1/(p tau).
+    the Fricke flip tau -> -1/(p tau): a QuadraticForm, standing for its CM
+    point, gives a form of the point reached; a number gives that point of
+    its form (_point_form), rounded to ctx's precision.  Legal for any
+    function invariant under tau -> tau + 1 and tau -> -1/(p tau), as a
+    coefficient file is (the closed form reduces by SL2(Z) instead).
 
-    Legal for evaluating any function invariant under the group generated by
-    tau -> tau + 1 and tau -> -1/(p tau); a coefficient file is evaluated
-    there (the closed form reduces by SL2(Z) instead, reduction_word and
-    _reduce_numeric at level 1).  A QuadraticForm (a, b, c) stands for its
-    CM point and gives a form: reduction_word's at level p of (a, b, c)
-    when p | a, and otherwise of (pa, pb, pc), the same point.  Any other
-    tau gives the point _fricke_point finds for the binary number tau,
-    rounded to ctx's precision.
-    """
-    if isinstance(tau, QuadraticForm):
-        n = 1 if tau.a % p == 0 else p
-        return QuadraticForm(*reduction_word(n * tau.a, n * tau.b, n * tau.c, p)[0])
-    num, den = _fricke_point(*_binary_point(ctx.mpc(tau)), p)
-    return ctx.make_mpc(tuple(libmp.from_rational(part, den, ctx.prec, "n") for part in num))
-
-
-def _fricke_point(x: int, y: int, one: int, p: int):
-    """(num, den): tau = (x + iy)/one reduced as reduce_point says, as the
-    exact (num[0] + i num[1])/den.
-
-    The level-p loop of _reduce_numeric runs from tau and from one coset
-    point, and the end of larger Im is kept, the first on a tie: for
-    p >= 5, T and W_p do not generate the Fricke group, so the loop from
-    tau alone can stop low (0.1234567 + 0.001i near Im 0.018 at p = 5).
-    With W tau = U/L the SL2(Z) reduction of tau, at Im >= sqrt(3)/2, W's
-    left column (w0, w2) is (Im U, Im L)/y.  The coset point is W tau when
-    p | w2, and otherwise (W tau + j)/p with p | w0 + j w2: then W_p
+    For p >= 5, T and W_p do not generate the Fricke group, so the level-p
+    reduction_word from tau alone can stop low (0.1234567 + 0.001i near Im
+    0.018 at p = 5).  It also runs from a coset point, each start scaled by
+    p when p does not divide its a, and the end of larger Im is kept,
+    compared exactly, the first on a tie.  With W = [[w0, w1], [w2, w3]]
+    the SL2(Z) word of tau and (A, B, C) the form of W tau, the coset point
+    is W tau when p | w2, and otherwise (W tau + j)/p with p | w0 + j w2, of
+    the form (p^2 A, p B', C') for the form (A, B', C') of W tau + j: W_p
     [[1, j], [0, p]] W = p [[-w2, -w3], [w0 + j w2, w1 + j w3]] lies in p
-    Gamma0(p), so the point is in tau's orbit, at Im >= sqrt(3)/(2p).
+    Gamma0(p), so the point is in tau's orbit, at Im >= sqrt(3)/(2p).  The
+    end kept can have p^2 times tau's discriminant (some Heegner forms, from
+    p = 7 on).
     """
-    up, low, _ = _reduce_numeric(x, y, one)
-    w0, w2 = up[1] // y, low[1] // y
-    scale, j = (1, 0) if w2 % p == 0 else (p, next(n for n in range(p) if (w0 + n * w2) % p == 0))
-    coset = _ratio((up[0] + j * low[0], up[1] + j * low[1]), (scale * low[0], scale * low[1]))
-    ends = [_reduce_numeric(*num, den, p) for num, den in (((x, y), one), coset)]
-    return max((_ratio(*end[:2]) for end in ends), key=lambda point: Fraction(point[0][1], point[1]))
+    form = tau if isinstance(tau, QuadraticForm) else _point_form(tau, ctx)
+    (a, b, c), (w0, _, w2, _), _, _ = reduction_word(form.a, form.b, form.c)
+    if w2 % p:
+        j = next(n for n in range(p) if (w0 + n * w2) % p == 0)
+        a, b, c = p * p * a, p * (b - 2 * a * j), (a * j - b) * j + c
+    ends = [reduction_word(*(n * part for part in f), p)[0]
+            for f in ((form.a, form.b, form.c), (a, b, c)) for n in [1 if f[0] % p == 0 else p]]
+    a, b, c = max(ends, key=lambda f: Fraction(4 * f[0] * f[2] - f[1] ** 2, f[0] * f[0]))
+    if isinstance(tau, QuadraticForm):
+        return QuadraticForm(a, b, c)
+    return ctx.make_mpc(tuple(libmp.from_rational(part, 2 * a, ctx.prec, "n")
+                              for part in (-b, math.isqrt(4 * a * c - b * b))))
 
 
-def _series_value(hm: Hauptmodul, tau, reduce_first: bool):
-    """hm's coefficient file at tau, a form or an mpc, as a Ball whose
+def _series_value(hm: Hauptmodul, tau: QuadraticForm, reduce_first: bool):
+    """hm's coefficient file at the CM point of the form tau, as a Ball whose
     midpoint is rounded to the context's precision: Horner's rule on Balls
     at an exact q, after reduce_point's reduction unless reduce_first is
     False.
 
-    q = e^(2 pi i tau) comes from exact data, the form's
-    (_form_exponentials at m = 1) or the point _fricke_point gives
-    (_rational_q), within _Q_REL_ULPS units, relatively: its relative Ball.
+    q = e^(2 pi i tau) comes from the form's exact data (_exponentials at
+    m = 1), within _Q_REL_ULPS units, relatively: its relative Ball.
     Each of Horner's products and sums and the quotient by q bounds its own
     rounding.  The tail model |c(k)| <= C exp(4 pi sqrt(k)) fits simple-pole
     generators; C is calibrated from the supplied coefficients, once per
@@ -611,13 +600,9 @@ def _series_value(hm: Hauptmodul, tau, reduce_first: bool):
     """
     ctx, series = hm.ctx, hm.series
     bits = _fixed_bits(ctx)
-    if isinstance(tau, QuadraticForm):
-        if reduce_first:
-            tau = reduce_point(tau, hm.p, ctx)
-        (pair,) = _form_exponentials(-tau.discriminant, [(tau.a, tau.b, tau.c)], 1, bits)
-    else:
-        x, y, one = _binary_point(tau)
-        pair = _rational_q(ctx, *(_fricke_point(x, y, one, hm.p) if reduce_first else ((x, y), one)))
+    if reduce_first:
+        tau = reduce_point(tau, hm.p, ctx)
+    (pair,) = _exponentials(ctx, -tau.discriminant, [(tau.a, tau.b, tau.c)], 1)
     q = Ball.relative(pair, _Q_REL_ULPS, bits)
     absq = abs(q.to_mpc(ctx)[0])
     top = series.top_exponent
@@ -648,44 +633,8 @@ def _series_value(hm: Hauptmodul, tau, reduce_first: bool):
 # all and s flips, takes tau to W tau, and the flips' factors multiply to
 # (-i)^(ks) (c tau + d)^k for the lower row (c, d) of W, so
 #     eta^e(tau) = eta^e(W tau) zeta_12^(-k (n - 3s)) / (c tau + d)^k,
-# with zeta_12 = e^(2 pi i/12); n - 3s is the word's turns.  A form's word
-# is quadforms.reduction_word's, a numeric point's _reduce_numeric's, both
-# at level 1.
-
-def _max_flips(y: int, one: int) -> int:
-    """s + 2 for a point with Im(tau) = y/one, where s = bits(one) -
-    bits(y), at least 0, gives Im(tau) > 2^-(s + 1), and Im(tau) >= 2^-s
-    when one is a power of two: the s + 1 flips _reduce_numeric needs at
-    level 1 for such a one, and one more for any other one."""
-    return max(0, one.bit_length() - y.bit_length()) + 2
-
-
-def _reduce_numeric(x: int, y: int, one: int, level: int = 1):
-    """(U, L, turns) for tau = (x + iy)/one exactly, y > 0: U = (a tau + b)
-    one and L = (c tau + d) one, integer pairs, for the word W = (a, b, c,
-    d) of shifts and flips tau -> -1/(N tau), N = level, with W tau = U
-    conj(L)/|L|^2 in |Re| <= 1/2 and N|W tau|^2 >= 1, and W's turns.  A
-    shift by n adds n L to U, a flip makes (U, L) (-L, N U), and the shift
-    and the test N|U|^2 >= |L|^2 are exact integer arithmetic.
-
-    At level 1, W lies in SL2(Z).  A flip at a point with |Re| <= 1/2 and
-    Im <= 1/2 has |tau|^2 <= 1/2, so it at least doubles Im: from
-    Im(tau) >= 2^-s there are at most s such flips.  A point with
-    |Re| <= 1/2 and Im > 1/2 lies in F, S F or S T^(+-1) F (the images
-    S T^n F with |n| >= 2 stay below Im 1/3), one flip from the fundamental
-    domain F.  A point still unreduced after _max_flips flips raises
-    PrecisionError; at a level p the cap is the same, with no such proof."""
-    up, low, turns = (x, y), (one, 0), 0
-    flips = _max_flips(y, one)
-    for _ in range(flips + 1):
-        den = low[0] * low[0] + low[1] * low[1]
-        n = -((2 * (up[0] * low[0] + up[1] * low[1]) + den) // (2 * den))  # -floor(Re + 1/2)
-        up, turns = (up[0] + n * low[0], up[1] + n * low[1]), turns + n
-        if level * (up[0] * up[0] + up[1] * up[1]) >= den:
-            return up, low, turns
-        up, low, turns = (-low[0], -low[1]), (level * up[0], level * up[1]), turns - 3
-    raise PrecisionError(f"tau not reduced at level {level} within {flips} flips")
-
+# with zeta_12 = e^(2 pi i/12); n - 3s is the word's turns.  The word is
+# quadforms.reduction_word's at level 1, a number's that of its form.
 
 def _eta_power(z, pairs: int, e: int, bits: int):
     """eta^e at a point tau as the Ball z S(q)^e: z = e^(2 pi i tau e/24), a
@@ -700,6 +649,17 @@ def _eta_power(z, pairs: int, e: int, bits: int):
     q = power(_to_fixed(z, bits), m, lambda x, y: fixed_mul(x, y, bits))
     sum_ = _pentagonal_sum(q, m * (_Q_ERR_ULPS + 2), pairs, bits)
     return Ball.relative(z, _Q_REL_ULPS, bits).mul(sum_.pow(e, bits), bits)
+
+
+def _exponentials(ctx, size: int, forms, m: int) -> list:
+    """e^(2 pi i tau/m) at the CM point tau of each form (a, b, c) of forms,
+    of discriminant -size, as _form_exponentials gives them at bits =
+    _fixed_bits(ctx), or, for a square size, a number's, from the exact
+    point (-b + i isqrt(size))/(2a) (_rational_q), to the same bound."""
+    root = _exact_root(size)
+    if root is None:
+        return _form_exponentials(size, forms, m, _fixed_bits(ctx))
+    return [_rational_q(ctx, (-b, root), 2 * a * m) for a, b, _ in forms]
 
 
 def _form_exponentials(size: int, forms, m: int, bits: int) -> list:
@@ -786,32 +746,19 @@ def _sqrt(size: int, wp: int):
     return libmp.from_man_exp(surd(size, wp), -wp, wp, libmp.round_down)
 
 
-def _class_etas(hm: Hauptmodul, size: int, forms) -> dict:
+def _class_etas(ctx, size: int, forms, m: int) -> dict:
     """{f: eta^e at the CM point of f} over forms f = (a, b, c) of
-    discriminant -size, e = 24/(p - 1), as _eta_power gives each, with
-    z = e^(2 pi i tau/(p - 1)) from _form_exponentials.  Every term count is
-    known before the exponential.
+    discriminant -size, e = 24/m, as _eta_power gives each, with
+    z = e^(2 pi i tau/m) from _exponentials.  Every term count is known
+    before the exponential; a number's height is capped at 2^64, as high
+    as needs no term, so that it stays a float.
     """
-    ctx, m = hm.ctx, hm.p - 1
-    bits = _fixed_bits(ctx)
-    pairs = [_pentagonal_pairs(math.sqrt(size) / (2 * a), ctx.prec) for a, _, _ in forms]
-    zs = _form_exponentials(size, forms, m, bits)
+    bits, root = _fixed_bits(ctx), _exact_root(size)
+    pairs = [_pentagonal_pairs(math.sqrt(size) / (2 * a) if root is None
+                               else min(root, 2 * a << 64) / (2 * a), ctx.prec)
+             for a, _, _ in forms]
+    zs = _exponentials(ctx, size, forms, m)
     return {f: _eta_power(z, count, 24 // m, bits) for f, z, count in zip(forms, zs, pairs)}
-
-
-def _quotient_value(hm: Hauptmodul, etas, turns: int, num, den: int):
-    """The CM value t + p^k/t, k = e/2, as a Ball whose midpoint is rounded
-    to the context's precision, for t = eta^e(tau)/eta^e(p tau)
-    = (E1/E2) zeta_12^(k turns) num/den: etas the pair (E1, E2) of
-    _eta_power values at the reduced points, turns the second word's
-    turns less the first's, num a Ball and den a positive integer, the
-    multiplier of the two words.
-    """
-    ctx, p = hm.ctx, hm.p
-    bits, k = _fixed_bits(ctx), 12 // (p - 1)
-    e1, e2 = etas
-    t = e1.mul(num, bits).rotate(k * turns, bits).div(e2.scale(den), bits)
-    return t.add(Ball(((p ** k, 0), 0)).div(t, bits), ctx.prec)
 
 
 def _p_tau_form(p: int, a: int, b: int, c: int):
@@ -823,11 +770,13 @@ def _p_tau_form(p: int, a: int, b: int, c: int):
 
 
 def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, words):
-    """hm at the CM point tau of a form (a, b, c), as a Ball, from eta_at(f),
-    eta^e at the point of a form f (_class_etas or a table of its values),
-    root = surd(size, bits), size = 4ac - b^2, and words, the
-    reduction words of (a, b, c) and of the form of p tau (_p_tau_form):
-    quadforms.reduction_word's, or the identity word in its shape.
+    """hm at the CM point tau of a form (a, b, c), t + p^k/t for k = e/2 and
+    t = eta^e(tau)/eta^e(p tau), as a Ball whose midpoint is rounded to the
+    context's precision, from eta_at(f), eta^e at the point of a form f
+    (_class_etas or a table of its values), root = surd(size, bits), size =
+    4ac - b^2, and words, the reduction words of (a, b, c) and of the form
+    of p tau (_p_tau_form): quadforms.reduction_word's, or the identity
+    word in its shape.
 
     Each point is taken exactly to that of its word's form, and with the
     lower row (g, h) of the word, g tau + h = (u + v sqrt(-size))/(2a) for
@@ -835,69 +784,52 @@ def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, words):
     form's A, and g p tau + h = l (u + m v sqrt(-size))/(2a) for the second
     form (a/l, mb, pmc), u = 2ah/l - gmb.  The two multipliers leave
         t = (E1/E2) zeta_12^(k (turns2 - turns1)) (X + Y sqrt(-size))^k / (4aA1)^k
-    with X = l (u1 u2 + m v1 v2 size) and Y = l (m u1 v2 - u2 v1); the power
-    is exact in Z[sqrt(-size)], and Y sqrt(size) is floored from root,
-    within |Y| units of 2^-bits: the radius of that factor's Ball.
+    with E1, E2 the eta^e of the two reduced forms, X = l (u1 u2 + m v1 v2
+    size) and Y = l (m u1 v2 - u2 v1); the power is exact in Z[sqrt(-size)],
+    and Y sqrt(size) is floored from root, within |Y| units of 2^-bits: the
+    radius of that factor's Ball.  When size is a square s^2, as for a
+    number's form (one^2, -2x one, x^2 + y^2), b and s are even, so X + i Y
+    s = 4a^2 (g2 p tau + h2) conj(g1 tau + h1) and 4aA1 are multiples of 4a:
+    divided by it, the power is exact in Z[i], a Ball of radius 0 (for a
+    number, L2 conj(L1) and |L1|^2 for the integer pairs L = (g tau + h) one).
     """
     p, bits = hm.p, _fixed_bits(hm.ctx)
     k = 12 // (p - 1)
     a, b, c = form.a, form.b, form.c
     size = -form.discriminant
     ell, m, second = _p_tau_form(p, a, b, c)
-    (f1, (g1, h1), shift1, flips1), (f2, (g2, h2), shift2, flips2) = words
+    (f1, (_, _, g1, h1), shift1, flips1), (f2, (_, _, g2, h2), shift2, flips2) = words
     u1, v1, u2, v2 = 2 * a * h1 - g1 * b, g1, 2 * second[0] * h2 - g2 * second[1], g2
-    x, y = power((ell * (u1 * u2 + m * v1 * v2 * size), ell * (m * u1 * v2 - u2 * v1)), k,
-                 lambda s, t: (s[0] * t[0] - size * s[1] * t[1], s[0] * t[1] + s[1] * t[0]))
-    num = Ball(((x << bits, y * root), -bits), radius(abs(y), -bits))
+    x, y = ell * (u1 * u2 + m * v1 * v2 * size), ell * (m * u1 * v2 - u2 * v1)
+    den, exact = 4 * a * f1[0], _exact_root(size)
+    if exact is None:
+        x, y = power((x, y), k,
+                     lambda s, t: (s[0] * t[0] - size * s[1] * t[1], s[0] * t[1] + s[1] * t[0]))
+        num = Ball(((x << bits, y * root), -bits), radius(abs(y), -bits))
+    else:  # x + i y s and den over 4a, in Z[i]
+        num = Ball((power((x // (4 * a), y * exact // (4 * a)), k,
+                          lambda s, t: fixed_mul(s, t, 0)), 0))
+        den //= 4 * a
     turns = shift2 - shift1 - 3 * (flips2 - flips1)
-    return _quotient_value(hm, (eta_at(f1), eta_at(f2)), turns, num, (4 * a * f1[0]) ** k)
-
-
-def _point_value(hm: Hauptmodul, tau, word):
-    """hm at an mpc tau as a Ball, exact at the binary point tau.
-
-    tau = (x + iy)/2^s and p tau = (px + ipy)/2^s exactly.  Each is taken to
-    the point U conj(L)/|L|^2 its word, _reduce_numeric or the identity,
-    gives, exactly, so eta^e there takes one exponential of an exact
-    quotient (_rational_q), and the multipliers leave
-        t = (E1/E2) zeta_12^(k (turns2 - turns1)) (L2 conj(L1))^k / |L1|^(2k),
-    exact.  Both term counts are known before any series work.
-    """
-    ctx, p = hm.ctx, hm.p
-    bits, e = _fixed_bits(ctx), 24 // (p - 1)
-    x, y, one = _binary_point(tau)
-    points = [(*_ratio(up, low), low, turns)
-              for up, low, turns in (word(n * x, n * y, one) for n in (1, p))]
-    # a height beyond 2^64 needs no terms, as 2^64 does; the cap keeps it a float
-    pairs = [_pentagonal_pairs(min(num[1], den << 64) / den, ctx.prec) for num, den, _, _ in points]
-    etas = [_eta_power(_rational_q(ctx, num, (p - 1) * den), count, e, bits)
-            for (num, den, _, _), count in zip(points, pairs)]
-    (_, _, low1, turns1), (_, _, low2, turns2) = points
-    k = e // 2
-    num, den = _ratio(low2, low1)
-    return _quotient_value(hm, etas, turns2 - turns1,
-                           Ball((power(num, k, lambda u, v: fixed_mul(u, v, 0)), 0)), den ** k)
+    t = eta_at(f1).mul(num, bits).rotate(k * turns, bits).div(eta_at(f2).scale(den ** k), bits)
+    return t.add(Ball(((p ** k, 0), 0)).div(t, bits), hm.ctx.prec)
 
 
 def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
-    """hm at tau as a Ball, in hm's precision; see value_with_bound.  Whether
-    tau is reduced first is decided here: the helpers take a word to
-    follow, the reduction's or the identity."""
-    ctx = hm.ctx
+    """hm at tau as a Ball, in hm's precision; see value_with_bound.  A
+    number becomes its form here, and whether tau is reduced first is
+    decided here: _form_value takes words to follow, the reductions' or
+    the identity."""
     if not isinstance(tau, QuadraticForm):
-        tau = ctx.mpc(tau)
-        if tau.imag <= 0:
-            raise ParameterError("evaluation point must lie in the upper half plane")
+        tau = _point_form(tau, hm.ctx)
     if hm.series is not None:
         return _series_value(hm, tau, reduce_first)
-    if isinstance(tau, QuadraticForm):
-        word = reduction_word if reduce_first else lambda *f: (f, (0, 1), 0, 0)
-        form = (tau.a, tau.b, tau.c)
-        words = [word(*f) for f in (form, _p_tau_form(hm.p, *form)[2])]
-        return _form_value(hm, tau, lambda f: _class_etas(hm, 4 * f[0] * f[2] - f[1] ** 2, [f])[f],
-                           surd(-tau.discriminant, _fixed_bits(ctx)), words)
-    word = _reduce_numeric if reduce_first else lambda x, y, one: ((x, y), (one, 0), 0)
-    return _point_value(hm, tau, word)
+    ctx, m = hm.ctx, hm.p - 1
+    word = reduction_word if reduce_first else lambda *f: (f, (1, 0, 0, 1), 0, 0)
+    form = (tau.a, tau.b, tau.c)
+    words = [word(*f) for f in (form, _p_tau_form(hm.p, *form)[2])]
+    return _form_value(hm, tau, lambda f: _class_etas(ctx, 4 * f[0] * f[2] - f[1] ** 2, [f], m)[f],
+                       surd(-tau.discriminant, _fixed_bits(ctx)), words)
 
 
 def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
@@ -905,18 +837,19 @@ def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
     is whatever the realization produces; only differences of values are
     normalization-independent.
 
-    In closed form, t = eta^e(tau)/eta^e(p tau) and the value is
-    t + p^(e/2)/t.  tau and p tau are each reduced by SL2(Z) to Im >= sqrt(3)/2
-    (unless reduce_first is False), exactly: a form in integers
-    (_form_value), any other point as the binary number it is
-    (_point_value).  eta^e at each reduced point is z S(q)^e from one
-    exponential z (_eta_power); the multipliers of the two words, a root of
-    unity and an algebraic factor, are exact but for one fixed-point sqrt
-    and a rounded root of unity.  Everything after the exponentials runs on
-    integer pairs, rounded once to the context's precision, and one mpc is
-    made at the end.  The bound is the radius of the value's Ball
-    (_eta_power, _quotient_value).  A coefficient file is summed on Balls
-    at the exact q of the point reduce_point's loops give (_series_value).
+    tau is a QuadraticForm standing for its CM point, or a number standing
+    for that of its form (_point_form).  In closed form, t =
+    eta^e(tau)/eta^e(p tau) and the value is t + p^(e/2)/t.  tau and p tau
+    are each reduced by SL2(Z) to Im >= sqrt(3)/2 (unless reduce_first is
+    False), in integers (_form_value).  eta^e at each reduced point is
+    z S(q)^e from one exponential z (_eta_power); the multipliers of the two
+    words, a root of unity and an algebraic factor, are exact but for one
+    fixed-point sqrt (none for a number) and a rounded root of unity.
+    Everything after the exponentials runs on integer pairs, rounded once
+    to the context's precision, and one mpc is made at the end.  The bound
+    is the radius of the value's Ball (_eta_power, _form_value).  A
+    coefficient file is summed on Balls at the exact q of the point
+    reduce_point gives (_series_value).
     """
     return _cm_value(hm, tau, reduce_first).to_mpc(hm.ctx)
 
@@ -966,7 +899,7 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     words = [reduction_word(f.a, f.b, f.c) for f in forms]
     index = {word[0]: i for i, word in enumerate(words)}
     if hm.series is None:
-        table = _class_etas(hm, -disc, [f for f in index if f[1] >= 0])
+        table = _class_etas(hm.ctx, -disc, [f for f in index if f[1] >= 0], p - 1)
 
         def eta_at(f):
             a, b, c = f

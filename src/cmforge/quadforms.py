@@ -16,7 +16,7 @@ from .arith import (
     require_prime,
     sqrt_mod,
 )
-from .errors import InternalError, ParameterError
+from .errors import InternalError, ParameterError, PrecisionError
 
 #: Largest |disc| class_number accepts.  The count scans O(|disc|) candidate
 #: forms, under a second at this ceiling, and every path to a CM point
@@ -45,21 +45,30 @@ class QuadraticForm:
 
 
 def reduction_word(a: int, b: int, c: int, level: int = 1):
-    """((a', b', c'), (g, h), shift, flips): the form the shifts and the
-    flip of level N = level make of the positive definite (a, b, c), with
-    N | a, neither checked here, and the word W that takes the point
-    (-b + sqrt(disc))/(2a) of (a, b, c) to that of (a', b', c'), as the
-    lower row (g, h) of W, the sum of W's shifts tau -> tau + n and its
-    number of flips tau -> -1/(N tau).  The result has -a' < b' <= a' and
-    N c' >= a', with b' >= 0 when N c' = a'; at level 1 it is the reduced
-    form of the class, |b'| <= a' <= c' with b' >= 0 when |b'| = a' or
-    a' = c', and W lies in SL2(Z).
+    """((a', b', c'), (w0, w1, w2, w3), shift, flips): the form the shifts
+    and the flip of level N = level make of the positive definite (a, b, c),
+    with N | a, neither checked here, the word W = [[w0, w1], [w2, w3]] that
+    takes the point tau = (-b + sqrt(disc))/(2a) of (a, b, c) to that of
+    (a', b', c'), W tau = (w0 tau + w1)/(w2 tau + w3), the sum of W's shifts
+    tau -> tau + n and its number of flips tau -> -1/(N tau).  The result
+    has -a' < b' <= a' and N c' >= a', with b' >= 0 when N c' = a'; at
+    level 1 it is the reduced form of the class, |b'| <= a' <= c' with
+    b' >= 0 when |b'| = a' or a' = c', and W lies in SL2(Z).  It is the
+    package's one reduction loop, for numbers too, each the point of a form.
 
     On points, b -> b + 2an is tau -> tau - n and (a, b, c) -> (Nc, -b, a/N)
     is tau -> -1/(N tau); so is the last step, (a, b, a/N) -> (a, -b, a/N).
     Each other flip makes a smaller and keeps N | a, so the loop ends.
+
+    Those flips are capped by the height (_flip_cap): Im(tau) > 2^-(s + 1)
+    for s = bits(2a) - bits(isqrt(4ac - b^2)), at least 0.  At level 1 a
+    flip at |Re| <= 1/2 and Im <= 1/2 at least doubles Im (|tau|^2 <= 1/2),
+    so s + 1 of them at most, and a point with |Re| <= 1/2 and Im > 1/2
+    lies in F, S F or S T^(+-1) F (S T^n F, |n| >= 2, stays below Im 1/3),
+    one flip from the fundamental domain F.  One flip more raises
+    PrecisionError; at a level p the cap is the same, with no such proof.
     """
-    w0, w1, w2, w3 = 1, 0, 0, 1
+    start, w0, w1, w2, w3 = a, 1, 0, 0, 1
     shift = flips = 0
     while True:
         if not -a < b <= a:
@@ -68,12 +77,20 @@ def reduction_word(a: int, b: int, c: int, level: int = 1):
             w0, w1 = w0 - n * w2, w1 - n * w3
             shift -= n
         if a > level * c or (a == level * c and b < 0):
+            # the cap is at least 2: read from the third flip on, which most forms never make
+            if flips >= 2 and a != level * c and flips == _flip_cap(start, 4 * a * c - b * b):
+                raise PrecisionError(f"tau not reduced at level {level} within {flips} flips")
             a, b, c = level * c, -b, a // level
             w0, w1, w2, w3 = -w2, -w3, level * w0, level * w1
             flips += 1
             if a != level * c:
                 continue
-        return (a, b, c), (w2, w3), shift, flips
+        return (a, b, c), (w0, w1, w2, w3), shift, flips
+
+
+def _flip_cap(a: int, size: int) -> int:
+    """s + 2 for s = max(0, bits(2a) - bits(isqrt(size))), isqrt's bits (bits(size) + 1) // 2."""
+    return max(0, (2 * a).bit_length() - (size.bit_length() + 1) // 2) + 2
 
 
 def fundamental(disc: int) -> Factorization:

@@ -1,9 +1,12 @@
 """Shared test oracles."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 
+import cmforge
 from cmforge.arith import is_fundamental_discriminant
 from cmforge.hauptmodul import GENUS_ZERO_FRICKE_PRIMES
 from cmforge.hcp import usable_s_set
@@ -67,3 +70,12 @@ def sweep_cases():
         if is_fundamental_discriminant(-d) and admissible_residues(-d, p)
         and class_number(-d) + 1 <= len(usable_s_set(p))
     ]
+
+
+def child_env():
+    """os.environ for a child interpreter that imports cmforge: the
+    package's src directory put in front of the caller's PYTHONPATH, so
+    whatever the caller reaches through it, mpmath too, stays reachable."""
+    src = str(Path(cmforge.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}

@@ -2,17 +2,15 @@ import csv
 import hashlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import mpmath
 import pytest
 
-import cmforge
+from conftest import child_env
 from cmforge.arith import is_fundamental_discriminant
 from cmforge.cli import (
     EXIT_CROSSCHECK_FAILED,
@@ -368,12 +366,11 @@ def test_admissible_pairs_factor_each_candidate_once(monkeypatch):
 def test_crosscheck_batch_scan_stops_at_count():
     # the scan stops after count + 1 admissible discriminants, however large
     # --max-disc is; a child process turns an unbounded scan into a timeout
-    src = Path(cmforge.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "cmforge.cli", "--format", "json", "crosscheck", "--p", "2",
          "--count", "1", "--max-disc", "1000000000000"],
         capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(),
     )
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     checks = json.loads(proc.stdout)["result"]["checks"]
@@ -388,12 +385,11 @@ def test_eval_near_a_cusp_answers_at_once():
     # tau + 1 and at W_13 tau = -1/(13 tau), within their bounds; those two
     # points are taken 30 digits finer, where tau + 1 is exact and the
     # rounding of W_13 tau moves the value far below the coarse bound
-    src = Path(cmforge.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "cmforge.cli", "--precision", "300", "--format", "json", "eval",
          "--p", "13", "--tau=-2.555+1e-09i"],
         capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=child_env(),
     )
     assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
     printed = json.loads(proc.stdout)["result"]
@@ -703,10 +699,9 @@ TIMED_MAIN = ("import sys, time\n"
 
 def timed_child(*argv):
     """(exit code, stderr, seconds spent in main) of a child process running main(argv)."""
-    src = Path(cmforge.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv],
                           capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+                          env=child_env())
     return proc.returncode, proc.stderr, float(proc.stdout.splitlines()[-1])
 
 
@@ -776,10 +771,9 @@ def test_call_after_a_usage_error_matches_a_fresh_process(capsys):
     assert run_cli(capsys, "classpoly", "--p", "47", "--d", "x")[0] == EXIT_USAGE
     assert run_cli(capsys, "--format", "yaml", "sset", "--p", "47")[0] == EXIT_USAGE
     code, out, _ = run_cli(capsys, *argv)
-    src = Path(cmforge.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-m", "cmforge.cli", *argv],
                           capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+                          env=child_env())
     assert code == proc.returncode == EXIT_OK
     assert out == proc.stdout
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from mpmath import libmp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmforge import crosscheck, hauptmodul
+from cmforge import crosscheck, hauptmodul, quadforms
 from cmforge.arith import is_fundamental_discriminant
 from cmforge.cli import EXIT_OK, main
 from cmforge.errors import ParameterError, PrecisionError
@@ -313,8 +314,9 @@ def test_pentagonal_sum_against_mpmath_oracle(digits, height, inside):
     pairs = hauptmodul._pentagonal_pairs(tau.imag, ctx.prec)
     assert (pairs <= hauptmodul._TABLE_PAIRS) == inside
     bits = hauptmodul._fixed_bits(ctx)
-    x, y, one = hauptmodul._binary_point(tau)
-    q = hauptmodul._to_fixed(hauptmodul._rational_q(ctx, (x, y), one), bits)
+    form = hauptmodul._point_form(tau, ctx)  # tau = (x + iy)/one: (one^2, -2x one, ...)
+    root = math.isqrt(-form.discriminant)  # 2 one y
+    q = hauptmodul._to_fixed(hauptmodul._rational_q(ctx, (-form.b, root), 2 * form.a), bits)
     oracle = mpmath.ctx_mp.MPContext()
     oracle.dps = digits + 50
     got, err = hauptmodul._pentagonal_sum(q, hauptmodul._Q_ERR_ULPS, pairs, bits).to_mpc(oracle)
@@ -463,21 +465,31 @@ def test_reduction_consistency():
             assert abs(direct - reduced) / max(1, abs(direct)) < tol
 
 
+def form_point(form):
+    """(Re, Im) of the CM point of a form whose discriminant is minus a
+    square, as a number's form has, exactly."""
+    root = math.isqrt(-form.discriminant)
+    assert root * root == -form.discriminant
+    return Fraction(-form.b, 2 * form.a), Fraction(root, 2 * form.a)
+
+
 def test_reduce_point_lands_in_domain():
     # the reduction is exact: at every genus-zero p the reduced point lies in
     # |Re| <= 1/2, p|tau|^2 >= 1 with no slack, no lower than tau and at
     # least as high as the coset start, sqrt(3)/(2p); the mpc reduce_point
-    # returns is that point rounded
+    # returns is that point rounded.  A number is the point of its form, so
+    # the form reduce_point gives for that form is the exact point
     ctx = ctx80()
     rng = random.Random(307)
     for p in sorted(GENUS_ZERO_FRICKE_PRIMES):
         for _ in range(25):
             tau = ctx.mpc(str(rng.uniform(-8, 8)), str(10 ** rng.uniform(-3, 0.5)))
-            x, y, one = hauptmodul._binary_point(tau)
-            (re, im), den = hauptmodul._fricke_point(x, y, one, p)
-            re, im = Fraction(re, den), Fraction(im, den)
+            form = hauptmodul._point_form(tau, ctx)
+            assert form_point(form) == tuple(Fraction(*libmp.to_rational(part._mpf_))
+                                             for part in (tau.real, tau.imag))
+            re, im = form_point(reduce_point(form, p, ctx))
             assert abs(re) <= Fraction(1, 2) and p * (re * re + im * im) >= 1, (p, tau)
-            assert im >= Fraction(y, one) and 4 * p * p * im * im >= 3, (p, tau)
+            assert im >= form_point(form)[1] and 4 * p * p * im * im >= 3, (p, tau)
             out = reduce_point(tau, p, ctx)
             got, exp = hauptmodul.exact_pair(out.real._mpf_, out.imag._mpf_)
             for part, want in zip(got, (re, im)):
@@ -485,17 +497,17 @@ def test_reduce_point_lands_in_domain():
 
 
 def test_reduce_point_flip_ceiling(monkeypatch):
-    # tau = 0.3 + 0.001i needs four flips at p = 2, and its cap, from
-    # 2^-10 <= Im(tau) < 2^-9, is 12; a cap below four refuses with the
+    # tau = 0.3 + 0.001i needs four flips at p = 2, and the cap of its form,
+    # from 2^-10 <= Im(tau) < 2^-9, is 12; a cap below four refuses with the
     # count rather than return an unreduced point
     ctx = ctx80()
     tau = ctx.mpc("0.3", "0.001")
-    _, man, exp, _ = tau.imag._mpf_
-    assert hauptmodul._max_flips(man, 1 << -exp) == 12
+    form = hauptmodul._point_form(tau, ctx)
+    assert quadforms._flip_cap(form.a, -form.discriminant) == 12
     reduced = reduce_point(tau, 2, ctx)
-    monkeypatch.setattr(hauptmodul, "_max_flips", lambda y, one: 4)
+    monkeypatch.setattr(quadforms, "_flip_cap", lambda a, size: 4)
     assert reduce_point(tau, 2, ctx) == reduced
-    monkeypatch.setattr(hauptmodul, "_max_flips", lambda y, one: 3)
+    monkeypatch.setattr(quadforms, "_flip_cap", lambda a, size: 3)
     with pytest.raises(PrecisionError, match="^tau not reduced at level 2 within 3 flips$"):
         reduce_point(tau, 2, ctx)
 
@@ -744,13 +756,22 @@ BOUNDARY_FORMS = {2: ((2, 2, 3), (2, 1, 1)), 3: ((3, 3, 1), (3, 1, 1)),
                   13: ((13, 13, 4), (13, 5, 1))}
 
 
+#: Per eta prime, how many Heegner forms of d < 120 reduce_point takes to
+#: the coset end of p^2 times their discriminant: at p = 13 those of d = 39,
+#: 79, 95 and 103 (at p = 7 the first is d = 159).
+COSET_ENDS = {2: 0, 3: 0, 5: 0, 7: 0, 13: 4}
+
+
 @pytest.mark.parametrize("p", ETA_QUOTIENT_PRIMES)
 def test_reduce_point_reduces_heegner_forms_exactly(p):
-    # the integer reduction lands in -a < b <= a, pc >= a, and evaluates
-    # like the numeric reduction of the form's point, within both bounds;
-    # shifts and flips of a boundary form reduce to a boundary form.  The
-    # point is evaluated 30 digits finer, so the rounding of tau falls
-    # inside the finer bound and the form's bound stands on its own
+    # the integer reduction lands in -a < b <= a, pc >= a, at Im >=
+    # sqrt(3)/(2p), and evaluates like the reduction of the form's point as
+    # a number, within both bounds; shifts and flips of a boundary form
+    # reduce to a boundary form.  The point is evaluated 30 digits finer,
+    # so the rounding of tau falls inside the finer bound and the form's
+    # bound stands on its own.  The end kept is the form's own reduction or
+    # the coset end, of p^2 times the discriminant, which at p = 7 and 13
+    # is sometimes the higher
     hm = Hauptmodul(p)
     fine = Hauptmodul(p, hm.digits + 30)
     ctx = hm.ctx
@@ -764,15 +785,44 @@ def test_reduce_point_reduces_heegner_forms_exactly(p):
     forms = list(boundary)
     for _, _, reps in heegner_classes(p, 120):
         forms += reps
+    coset_ends = 0
     for form in forms:
         reduced = reduce_point(form, p, ctx)
         assert_reduced_form(reduced, p)
-        assert reduced.discriminant == form.discriminant
+        assert 4 * p * p * -reduced.discriminant >= 12 * reduced.a ** 2, form
+        if reduced.discriminant != form.discriminant:
+            assert reduced.discriminant == p * p * form.discriminant, form
+            coset_ends += 1
         exact, exact_bound = value_with_bound(hm, form)
         root = fine.ctx.sqrt(-form.discriminant)
         point = (fine.ctx.mpc(-form.b, 0) + fine.ctx.mpc(0, 1) * root) / (2 * form.a)
         numeric, numeric_bound = value_with_bound(fine, point)
         assert abs(fine.ctx.mpc(exact) - numeric) <= exact_bound + numeric_bound, (p, form)
+    assert coset_ends == COSET_ENDS[p]
+
+
+def reaches_coset_height(form, p):
+    """Im >= sqrt(3)/(2p) at the CM point of form, in integers: 4 p^2 size >= 12 a^2."""
+    return 4 * p * p * -form.discriminant >= 12 * form.a ** 2
+
+
+def test_heegner_forms_reduce_as_high_as_numbers():
+    # reduce_point runs the level-p loop from a coset point as well as from
+    # the form, for Heegner forms as for numbers, so every form reaches
+    # Im >= sqrt(3)/(2p).  From the form alone, (66, 42, 7) at p = 11
+    # (d = 84) stops at Im 0.0694 and (1316, 369, 26) at p = 47 (d = 703)
+    # at 0.0108; over d < 400 at p = 47, 30 of the 759 forms stop low
+    ctx = ctx80()
+    for p, form in ((11, QuadraticForm(66, 42, 7)), (47, QuadraticForm(1316, 369, 26))):
+        alone = QuadraticForm(*reduction_word(form.a, form.b, form.c, p)[0])
+        assert not reaches_coset_height(alone, p)
+        assert reaches_coset_height(reduce_point(form, p, ctx), p), form
+    swept = 0
+    for d, beta, forms in heegner_classes(47, 400):
+        for form in forms:
+            assert reaches_coset_height(reduce_point(form, 47, ctx), 47), (d, beta, form)
+            swept += 1
+    assert swept == 759
 
 
 def sl2_word(tau, word):
@@ -793,10 +843,11 @@ words = st.lists(st.tuples(st.integers(-3, 3), st.booleans()), max_size=6)
        pick=st.integers(0, 100))
 def test_eta_multiplier_of_the_reduction_words(word, re, im, e, disc, pick):
     # eta^e(tau) = eta^e(W tau) zeta_12^(-k turns) / (c tau + d)^k, k = e/2,
-    # for the word W with lower row (c, d) that each reduction finds: at a
-    # point drawn as an SL2(Z) word applied to a point of Im >= 0.87, and at
-    # a form drawn as a word applied to a reduced form of reduced_forms,
-    # which must reduce back to it.  mpmath.eta at 60 digits is the oracle
+    # for the word W with lower row (c, d) that reduction_word finds: at a
+    # point drawn as an SL2(Z) word applied to a point of Im >= 0.87, as the
+    # form it is the point of, and at a form drawn as a word applied to a
+    # reduced form of reduced_forms, which must reduce back to it.
+    # mpmath.eta at 60 digits is the oracle
     oracle = mpmath.ctx_mp.MPContext()
     oracle.dps = 60
     k = e // 2
@@ -809,13 +860,16 @@ def test_eta_multiplier_of_the_reduction_words(word, re, im, e, disc, pick):
         assert abs(got - want) <= oracle.mpf(10) ** -50 * abs(want), (tau, word)
         assert abs(reduced.real) <= 0.5 + 1e-20 and abs(reduced) >= 1 - 1e-8
 
+    def point(f):
+        return (-f.b + oracle.sqrt(-f.discriminant) * 1j) / (2 * f.a)
+
     ctx = working_context(60)
     tau = ctx.mpc(sl2_word(ctx.mpc(re, im), word))
-    (x, y), exp = hauptmodul.exact_pair(tau.real._mpf_, tau.imag._mpf_)
-    one = 1 << max(0, -exp)
-    up, low, turns = hauptmodul._reduce_numeric(x << max(0, exp), y << max(0, exp), one)
-    up, low = oracle.mpc(*up), oracle.mpc(*low)
-    check(oracle.mpc(tau), up / low, low / one, turns)
+    number = hauptmodul._point_form(tau, ctx)
+    assert point(number) == oracle.mpc(tau)
+    reduced, (_, _, c, d), shift, flips = reduction_word(number.a, number.b, number.c)
+    check(oracle.mpc(tau), point(QuadraticForm(*reduced)), c * oracle.mpc(tau) + d,
+          shift - 3 * flips)
 
     forms = reduced_forms(disc)
     start = forms[pick % len(forms)]
@@ -825,13 +879,9 @@ def test_eta_multiplier_of_the_reduction_words(word, re, im, e, disc, pick):
         if flip:
             a, b, c = c, -b, a
     form = QuadraticForm(a, b, c)
-    reduced, (c, d), shift, flips = reduction_word(a, b, c)
+    reduced, (_, _, c, d), shift, flips = reduction_word(a, b, c)
     assert reduced == start
     reduced, turns = QuadraticForm(*reduced), shift - 3 * flips
-
-    def point(f):
-        return (-f.b + oracle.sqrt(-f.discriminant) * 1j) / (2 * f.a)
-
     check(point(form), point(reduced), c * point(form) + d, turns)
 
 
@@ -978,11 +1028,14 @@ def test_one_cosine_per_form_off_the_twelfth_turns(monkeypatch):
 
 def test_one_exponential_per_discriminant_and_one_eta_per_reduced_form(monkeypatch):
     # the class set of -d takes eta^e once at each reduced form up to the
-    # mirror (a, -b, a), and every z from one exponential and roots of it
+    # mirror (a, -b, a), and every z from one exponential and roots of it;
+    # d = 4, a square, takes its one exponential at the exact point i
     etas, exps = [], []
     eta_power, exp = hauptmodul._eta_power, hauptmodul.libmp.mpf_exp
+    rational_q = hauptmodul._rational_q
     monkeypatch.setattr(hauptmodul, "_eta_power", lambda *a: etas.append(a) or eta_power(*a))
     monkeypatch.setattr(hauptmodul.libmp, "mpf_exp", lambda *a: exps.append(a) or exp(*a))
+    monkeypatch.setattr(hauptmodul, "_rational_q", lambda *a: exps.append(a) or rational_q(*a))
     checked = 0
     for p in ETA_QUOTIENT_PRIMES:
         hm = Hauptmodul(p, 300)

@@ -232,6 +232,43 @@ def test_one_sl2z_reduction_of_forms():
     assert flips == ["quadforms.reduction_word: (level * c, -b, a // level)"]
 
 
+def flipping_functions():
+    """'file:function' for each function with a loop that flips: a tuple
+    assignment whose value negates a part and multiplies one by a name, as
+    tau -> -1/(N tau) does to a form, (a, b, c) -> (N c, -b, a/N), or to a
+    point pair, (U, L) -> (-L, N U)."""
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for loop in ast.walk(function):
+                if not isinstance(loop, (ast.For, ast.While)):
+                    continue
+                for node in ast.walk(loop):
+                    if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)):
+                        continue
+                    parts = list(ast.walk(node.value))
+                    if any(isinstance(x, ast.UnaryOp) and isinstance(x.op, ast.USub)
+                           for x in parts) and any(
+                            isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult)
+                            and isinstance(x.left, ast.Name) for x in parts):
+                        found.add(f"{path.name}:{function.name}")
+    return found
+
+
+def test_one_reduction_loop_for_forms_and_numbers():
+    # a number is the CM point of its form, so quadforms.reduction_word is
+    # the only loop that flips a form or a point pair, and hauptmodul keeps
+    # no reduction, evaluator or Gaussian quotient of its own for numbers
+    assert flipping_functions() == {"quadforms.py:reduction_word"}
+    tree = ast.parse((PACKAGE_DIR / "hauptmodul.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_reduce_numeric", "_max_flips", "_point_value", "_ratio",
+                          "_fricke_point"}
+
+
 def test_numeric_bounds_take_no_floats():
     # every bound of a CM value is a Ball radius held in integers: no
     # working-precision epsilon, no float sums and no Ball made from an mpc
