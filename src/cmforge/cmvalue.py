@@ -7,6 +7,11 @@ ramified primes dividing m*D, and diff_set collects the finite places where
 -m*N(a) fails to be a local norm.  The field Q(sqrt(-D)) is one value, a
 QuadraticCharacter built from the factorization of D: callers validate D
 once, factor it once and keep one such value, and factor md once per term.
+diff_set reads a local symbol only where it can be -1: at an odd prime of
+md*p outside D from the character's table, and at an odd prime of D by one
+Kronecker symbol, at each such prime the caller names (all by default).  On
+a lattice term the symbol at an odd q | D dividing neither md nor p is +1,
+so the scorer names only those dividing md*p (gzrhs.term_contribution).
 """
 
 from __future__ import annotations
@@ -87,7 +92,8 @@ def o_of_m(md_factors: Factorization, chi: QuadraticCharacter) -> int:
     return sum(1 for q, _ in md_factors.factors if q in orders)
 
 
-def diff_set(md_factors: Factorization, p: int, chi: QuadraticCharacter) -> tuple[int, ...]:
+def diff_set(md_factors: Factorization, p: int, chi: QuadraticCharacter,
+             ramified: list[int] | None = None) -> tuple[int, ...]:
     """Finite primes where -m * N(a) is obstructed from being a local norm,
     for an ideal a of prime norm p.
 
@@ -98,7 +104,12 @@ def diff_set(md_factors: Factorization, p: int, chi: QuadraticCharacter) -> tupl
     as (q, -D)_q^a (u, -D)_q (-D, -D)_q, and the last two factors make
     (-u|q)^ord_q(D).  So a term needs a, read off md's factorization and p,
     one kronecker(-u, q), and chi.ramified[q], which is fixed per D.
-    Factoring md has already rejected a non-integer or non-positive md.  The
+    ramified lists the odd q | D whose symbol is read, every one of them
+    (the keys of chi.ramified) when None; a symbol not read counts as +1.
+    Called so, on any md, every finite place is decided.  The lattice
+    scorer passes only the q that divide md*p, because on a lattice term
+    the symbol at the others is +1 (gzrhs.term_contribution).  Factoring md
+    has already rejected a non-integer or non-positive md.  The
     archimedean symbol is -1 (x < 0 and -D < 0), so by the product formula
     an odd number of finite places is obstructed, which decides 2.
     """
@@ -109,11 +120,11 @@ def diff_set(md_factors: Factorization, p: int, chi: QuadraticCharacter) -> tupl
     obstructed = [q for q, e in orders.items()
                   if e % 2 and q not in D_orders and chi[q] == -1]
     mdp = md_factors.value * p
-    for q, symbol_of_q in chi.ramified.items():
+    for q in chi.ramified if ramified is None else ramified:
         a = orders.get(q, 0)
         symbol = kronecker(-(mdp // q ** a), q) if D_orders[q] % 2 else 1
         if a % 2:
-            symbol *= symbol_of_q
+            symbol *= chi.ramified[q]
         if symbol == -1:
             obstructed.append(q)
     obstructed.sort()

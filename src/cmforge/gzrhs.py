@@ -269,10 +269,24 @@ def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) ->
     contribute one copy of the lattice sum.  Every count is read off the
     factorization of md = m*D: an inert q lowers q's exponent by one for
     rho(m*D/q) instead of factoring m*D/q.
+
+    diff_set reads the ramified symbol only at the odd q | D that divide
+    md*p, read off md's factorization and p; at every other odd q | D the
+    lattice congruence settles it as +1.  There 4g^2 p md = g^2 dD - t^2
+    gives -md*p = (t/2g)^2 mod q, with 2g | 4p prime to q, and md*p is a
+    unit at q, so -md*p is a nonzero square mod q and (-md*p | q) = 1: the
+    symbol diff_set would compute at q, since ord_q(md*p) = 0 and ord_q(D)
+    = 1 for fundamental -D.
     """
     md_factors = factor_over(term.md, primes)
-    chi = params.chi
-    obstructed = diff_set(md_factors, params.p, chi)
+    chi, p = params.chi, params.p
+    symbols, ramified = chi.ramified, []
+    for q, _ in md_factors.factors:
+        if q in symbols:
+            ramified.append(q)
+    if p in symbols and term.md % p:
+        ramified.append(p)
+    obstructed = diff_set(md_factors, p, chi, ramified)
     if len(obstructed) != 1:
         return TermContribution()
     q = obstructed[0]

@@ -342,22 +342,33 @@ def _to_fixed(x, bits: int):
     return re >> -shift, im >> -shift
 
 
-def _point_form(tau, ctx) -> QuadraticForm:
-    """The form (one^2, -2x one, x^2 + y^2), of discriminant -(2 one y)^2,
-    whose CM point is the number tau as the binary number (x + iy)/one it is
-    in ctx, one a power of two; a tau off the upper half plane is refused."""
+def _point_form(tau, ctx):
+    """(form, root): the form (one^2, -2x one, x^2 + y^2), of discriminant
+    -(2 one y)^2, whose CM point is the number tau as the binary number
+    (x + iy)/one it is in ctx, one a power of two, and root = 2 one y, the
+    square root of its size; a tau off the upper half plane is refused."""
     tau = ctx.mpc(tau)
     if tau.imag <= 0:
         raise ParameterError("evaluation point must lie in the upper half plane")
     (x, y), exp = exact_pair(tau.real._mpf_, tau.imag._mpf_)
     x, y, one = x << max(0, exp), y << max(0, exp), 1 << max(0, -exp)
-    return QuadraticForm(one * one, -2 * x * one, x * x + y * y)
+    return QuadraticForm(one * one, -2 * x * one, x * x + y * y), 2 * one * y
 
 
 def _exact_root(size: int):
     """isqrt(size) when size is a square, as a number's form has; else None."""
     root = math.isqrt(size)
     return root if root * root == size else None
+
+
+def _form_of(tau, ctx):
+    """(form, exact) for tau, a QuadraticForm standing for its CM point or a
+    number standing for that of its form: the form, and exact = isqrt(size)
+    when its size is a square, else None.  A number's root comes with its
+    form (_point_form), so no square root is taken for it."""
+    if isinstance(tau, QuadraticForm):
+        return tau, _exact_root(-tau.discriminant)
+    return _point_form(tau, ctx)
 
 
 def _rational_q(ctx, num, den: int):
@@ -542,9 +553,9 @@ def eta_with_bound(tau, ctx):
     bound): _class_etas at m = 24, eta = z S(z^24) with z = e^(2 pi i tau/24)
     from the form's exact data.  The bound is the radius of the Ball.
     """
-    form = tau if isinstance(tau, QuadraticForm) else _point_form(tau, ctx)
+    form, exact = _form_of(tau, ctx)
     f = (form.a, form.b, form.c)
-    return _class_etas(ctx, -form.discriminant, [f], 24)[f].to_mpc(ctx)
+    return _class_etas(ctx, -form.discriminant, [f], 24, exact)[f].to_mpc(ctx)
 
 
 def reduce_point(tau, p: int, ctx):
@@ -568,7 +579,7 @@ def reduce_point(tau, p: int, ctx):
     end kept can have p^2 times tau's discriminant (some Heegner forms, from
     p = 7 on).
     """
-    form = tau if isinstance(tau, QuadraticForm) else _point_form(tau, ctx)
+    form = tau if isinstance(tau, QuadraticForm) else _point_form(tau, ctx)[0]
     (a, b, c), (w0, _, w2, _), _, _ = reduction_word(form.a, form.b, form.c)
     if w2 % p:
         j = next(n for n in range(p) if (w0 + n * w2) % p == 0)
@@ -602,7 +613,8 @@ def _series_value(hm: Hauptmodul, tau: QuadraticForm, reduce_first: bool):
     bits = _fixed_bits(ctx)
     if reduce_first:
         tau = reduce_point(tau, hm.p, ctx)
-    (pair,) = _exponentials(ctx, -tau.discriminant, [(tau.a, tau.b, tau.c)], 1)
+    size = -tau.discriminant
+    (pair,) = _exponentials(ctx, size, [(tau.a, tau.b, tau.c)], 1, _exact_root(size))
     q = Ball.relative(pair, _Q_REL_ULPS, bits)
     absq = abs(q.to_mpc(ctx)[0])
     top = series.top_exponent
@@ -636,30 +648,37 @@ def _series_value(hm: Hauptmodul, tau: QuadraticForm, reduce_first: bool):
 # with zeta_12 = e^(2 pi i/12); n - 3s is the word's turns.  The word is
 # quadforms.reduction_word's at level 1, a number's that of its form.
 
-def _eta_power(z, pairs: int, e: int, bits: int):
+def _eta_power(z, pairs: int, e: int, bits: int, real: bool):
     """eta^e at a point tau as the Ball z S(q)^e: z = e^(2 pi i tau e/24), a
     scaled pair within _Q_REL_ULPS units of 2^-bits, relatively, q = z^(24/e),
-    and pairs from _pentagonal_pairs(Im tau, bits - ETA_GUARD_BITS).
+    pairs from _pentagonal_pairs(Im tau, bits - ETA_GUARD_BITS), and real
+    true when q is exactly real: 2 Re tau is an integer, that is a | b for
+    the point of a form (a, b, c).
 
     The fixed-point z is within |z| _Q_REL_ULPS + sqrt(2) <= _Q_ERR_ULPS
     units, so its m-th power q, m = 24/e, is within m (_Q_ERR_ULPS + 2), as
-    in _pentagonal_sum.
+    in _pentagonal_sum.  A real q's imaginary part is that power's rounding
+    alone, where the turn of z is a surd, and is dropped: that moves the
+    pair toward the exact q, so the bound still holds, and the sum and its
+    power run on real pairs (ball.fixed_mul).
     """
     m = 24 // e
     q = power(_to_fixed(z, bits), m, lambda x, y: fixed_mul(x, y, bits))
+    if real:
+        q = q[0], 0
     sum_ = _pentagonal_sum(q, m * (_Q_ERR_ULPS + 2), pairs, bits)
     return Ball.relative(z, _Q_REL_ULPS, bits).mul(sum_.pow(e, bits), bits)
 
 
-def _exponentials(ctx, size: int, forms, m: int) -> list:
+def _exponentials(ctx, size: int, forms, m: int, exact) -> list:
     """e^(2 pi i tau/m) at the CM point tau of each form (a, b, c) of forms,
     of discriminant -size, as _form_exponentials gives them at bits =
     _fixed_bits(ctx), or, for a square size, a number's, from the exact
-    point (-b + i isqrt(size))/(2a) (_rational_q), to the same bound."""
-    root = _exact_root(size)
-    if root is None:
+    point (-b + i exact)/(2a) (_rational_q), to the same bound; exact is
+    isqrt(size) for a square size and None otherwise."""
+    if exact is None:
         return _form_exponentials(size, forms, m, _fixed_bits(ctx))
-    return [_rational_q(ctx, (-b, root), 2 * a * m) for a, b, _ in forms]
+    return [_rational_q(ctx, (-b, exact), 2 * a * m) for a, b, _ in forms]
 
 
 def _form_exponentials(size: int, forms, m: int, bits: int) -> list:
@@ -746,19 +765,21 @@ def _sqrt(size: int, wp: int):
     return libmp.from_man_exp(surd(size, wp), -wp, wp, libmp.round_down)
 
 
-def _class_etas(ctx, size: int, forms, m: int) -> dict:
+def _class_etas(ctx, size: int, forms, m: int, exact) -> dict:
     """{f: eta^e at the CM point of f} over forms f = (a, b, c) of
     discriminant -size, e = 24/m, as _eta_power gives each, with
-    z = e^(2 pi i tau/m) from _exponentials.  Every term count is known
-    before the exponential; a number's height is capped at 2^64, as high
-    as needs no term, so that it stays a float.
+    z = e^(2 pi i tau/m) from _exponentials; exact is isqrt(size) for a
+    square size and None otherwise.  Every term count is known before the
+    exponential; a number's height is capped at 2^64, as high as needs no
+    term, so that it stays a float.  q is real where a | b.
     """
-    bits, root = _fixed_bits(ctx), _exact_root(size)
-    pairs = [_pentagonal_pairs(math.sqrt(size) / (2 * a) if root is None
-                               else min(root, 2 * a << 64) / (2 * a), ctx.prec)
+    bits = _fixed_bits(ctx)
+    pairs = [_pentagonal_pairs(math.sqrt(size) / (2 * a) if exact is None
+                               else min(exact, 2 * a << 64) / (2 * a), ctx.prec)
              for a, _, _ in forms]
-    zs = _exponentials(ctx, size, forms, m)
-    return {f: _eta_power(z, count, 24 // m, bits) for f, z, count in zip(forms, zs, pairs)}
+    zs = _exponentials(ctx, size, forms, m, exact)
+    return {f: _eta_power(z, count, 24 // m, bits, f[1] % f[0] == 0)
+            for f, z, count in zip(forms, zs, pairs)}
 
 
 def _p_tau_form(p: int, a: int, b: int, c: int):
@@ -769,14 +790,15 @@ def _p_tau_form(p: int, a: int, b: int, c: int):
     return ell, m, (a // ell, m * b, p * m * c)
 
 
-def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, words):
+def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, words, exact, root):
     """hm at the CM point tau of a form (a, b, c), t + p^k/t for k = e/2 and
     t = eta^e(tau)/eta^e(p tau), as a Ball whose midpoint is rounded to the
     context's precision, from eta_at(f), eta^e at the point of a form f
-    (_class_etas or a table of its values), root = surd(size, bits), size =
-    4ac - b^2, and words, the reduction words of (a, b, c) and of the form
-    of p tau (_p_tau_form): quadforms.reduction_word's, or the identity
-    word in its shape.
+    (_class_etas or a table of its values), words, the reduction words of
+    (a, b, c) and of the form of p tau (_p_tau_form): reduction_word's, or
+    the identity word in its shape, and the square root of size = 4ac - b^2:
+    exact = isqrt(size) when size is a square, and otherwise None and root =
+    surd(size, bits), which a square size does not read.
 
     Each point is taken exactly to that of its word's form, and with the
     lower row (g, h) of the word, g tau + h = (u + v sqrt(-size))/(2a) for
@@ -787,8 +809,8 @@ def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, words):
     with E1, E2 the eta^e of the two reduced forms, X = l (u1 u2 + m v1 v2
     size) and Y = l (m u1 v2 - u2 v1); the power is exact in Z[sqrt(-size)],
     and Y sqrt(size) is floored from root, within |Y| units of 2^-bits: the
-    radius of that factor's Ball.  When size is a square s^2, as for a
-    number's form (one^2, -2x one, x^2 + y^2), b and s are even, so X + i Y
+    radius of that factor's Ball.  When size is a square s^2, s = exact, as
+    for a number's form (one^2, -2x one, x^2 + y^2), b and s are even, so X + i Y
     s = 4a^2 (g2 p tau + h2) conj(g1 tau + h1) and 4aA1 are multiples of 4a:
     divided by it, the power is exact in Z[i], a Ball of radius 0 (for a
     number, L2 conj(L1) and |L1|^2 for the integer pairs L = (g tau + h) one).
@@ -801,7 +823,7 @@ def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, root: int, words):
     (f1, (_, _, g1, h1), shift1, flips1), (f2, (_, _, g2, h2), shift2, flips2) = words
     u1, v1, u2, v2 = 2 * a * h1 - g1 * b, g1, 2 * second[0] * h2 - g2 * second[1], g2
     x, y = ell * (u1 * u2 + m * v1 * v2 * size), ell * (m * u1 * v2 - u2 * v1)
-    den, exact = 4 * a * f1[0], _exact_root(size)
+    den = 4 * a * f1[0]
     if exact is None:
         x, y = power((x, y), k,
                      lambda s, t: (s[0] * t[0] - size * s[1] * t[1], s[0] * t[1] + s[1] * t[0]))
@@ -819,17 +841,22 @@ def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
     """hm at tau as a Ball, in hm's precision; see value_with_bound.  A
     number becomes its form here, and whether tau is reduced first is
     decided here: _form_value takes words to follow, the reductions' or
-    the identity."""
-    if not isinstance(tau, QuadraticForm):
-        tau = _point_form(tau, hm.ctx)
+    the identity.  The square root of the size is taken once (none for a
+    number, whose form comes with it) and serves both etas: p tau's form
+    has scale^2 times the size, and its root scale times tau's."""
+    tau, exact = _form_of(tau, hm.ctx)
     if hm.series is not None:
         return _series_value(hm, tau, reduce_first)
-    ctx, m = hm.ctx, hm.p - 1
+    ctx, m, size = hm.ctx, hm.p - 1, -tau.discriminant
     word = reduction_word if reduce_first else lambda *f: (f, (1, 0, 0, 1), 0, 0)
     form = (tau.a, tau.b, tau.c)
-    words = [word(*f) for f in (form, _p_tau_form(hm.p, *form)[2])]
-    return _form_value(hm, tau, lambda f: _class_etas(ctx, 4 * f[0] * f[2] - f[1] ** 2, [f], m)[f],
-                       surd(-tau.discriminant, _fixed_bits(ctx)), words)
+    _, scale, second = _p_tau_form(hm.p, *form)
+    words = [word(*f) for f in (form, second)]
+    etas = {}
+    for (f, *_), n in zip(words, (1, scale)):
+        etas.update(_class_etas(ctx, n * n * size, [f], m, None if exact is None else n * exact))
+    root = surd(size, _fixed_bits(ctx)) if exact is None else None
+    return _form_value(hm, tau, etas.__getitem__, words, exact, root)
 
 
 def value_with_bound(hm: Hauptmodul, tau, reduce_first: bool = True):
@@ -899,16 +926,17 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     words = [reduction_word(f.a, f.b, f.c) for f in forms]
     index = {word[0]: i for i, word in enumerate(words)}
     if hm.series is None:
-        table = _class_etas(hm.ctx, -disc, [f for f in index if f[1] >= 0], p - 1)
+        exact = _exact_root(-disc)
+        table = _class_etas(hm.ctx, -disc, [f for f in index if f[1] >= 0], p - 1, exact)
 
         def eta_at(f):
             a, b, c = f
             return table[f] if b >= 0 else table[a, -b, c].conjugate()
 
-        root = surd(-disc, _fixed_bits(hm.ctx))
+        root = surd(-disc, _fixed_bits(hm.ctx)) if exact is None else None
 
         def value(form, pair):
-            return _form_value(hm, form, eta_at, root, pair)
+            return _form_value(hm, form, eta_at, pair, exact, root)
     else:
         def value(form, _):
             return _cm_value(hm, form)

@@ -347,8 +347,9 @@ def test_the_lattice_congruence_admits_primes_and_settles_ramified_symbols(param
     # with (dD | l) = -1 divides no md, since l | md forces t^2 = g^2 dD mod l,
     # so factor_over on the admitted primes is factorize on every md.  (b) At
     # an odd q | D dividing neither md nor p, -md p = (t/2g)^2 is a nonzero
-    # square mod q, so the local symbol there is +1: diff_set could skip its
-    # Kronecker symbol at such q (ROADMAP item 6).
+    # square mod q, so the local symbol there is +1: the scorer,
+    # term_contribution, has diff_set skip its Kronecker symbol at such q
+    # (ROADMAP item 11).
     p, d, D = params.p, params.d, params.D
     primes = admitted_primes(params)
     odd_D = [q for q, _ in factorize(D).factors if q != 2]
@@ -359,6 +360,60 @@ def test_the_lattice_congruence_admits_primes_and_settles_ramified_symbols(param
             if term.md * p % q:
                 assert hilbert_symbol(-term.md * p * D, -D, q) == 1, (params, term, q)
         assert factor_over(term.md, primes) == md_factors
+
+
+def test_scoring_reads_ramified_symbols_only_where_q_divides_md_p(monkeypatch):
+    # with 4g^2 p md = g^2 dD - t^2, the symbol at an odd q | D dividing
+    # neither md nor p is +1, so scoring reads kronecker at such a q for no
+    # term; at q | md p it reads it once per term.  D = 3 * 5 * 3253 holds
+    # p = 5.  kronecker is counted at every binding in the package, inside
+    # term_contribution, and the character's values at D's primes are read
+    # before counting
+    import sys
+    from collections import Counter
+
+    from cmforge import arith, gzrhs
+
+    params = gz_params(p=5, d=11, D=48795)
+    p, chi = params.p, params.chi
+    ramified = [q for q, _ in factorize(params.D).factors if q != 2]
+    for q in ramified:
+        chi[q]
+    expected = gz_log_norm(params)
+    calls, current = [], []
+    original, contribution = arith.kronecker, gzrhs.term_contribution
+
+    def counted(a, n):
+        calls.append((current[-1] if current else None, n))
+        return original(a, n)
+
+    def tracked(term, *args):
+        current.append(term)
+        return contribution(term, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmforge") and getattr(module, "kronecker", None) is original:
+            monkeypatch.setattr(module, "kronecker", counted)
+    monkeypatch.setattr(gzrhs, "term_contribution", tracked)
+    terms, contributions = gzrhs.score_terms(params)
+    assert PrimeLogSum.total(contributions, RAMIFIED_OF_MD) == expected
+    read = [(term, q) for term, q in calls if term and q in ramified]  # admitted_primes' first
+    assert Counter(read) == Counter((term, q) for term in terms for q in ramified
+                                    if term.md * p % q == 0)
+    assert {q for _, q in read} == {3, 5}  # 3253 divides no md
+
+
+def test_the_two_sign_blocks_list_the_same_md():
+    # the sign -1 block's md at lattice index k is the sign +1 block's at
+    # -k, and the index ranges are mirror images, so the two blocks hold
+    # the same multiset of md (ROADMAP item 11, step 2)
+    from collections import Counter
+
+    for params in grid_params() + [gz_params(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]:
+        blocks = {1: Counter(), -1: Counter()}
+        for term in enumerate_terms(params):
+            blocks[term.sign][term.md] += 1
+        assert blocks[1] == blocks[-1], params
 
 
 def test_admitted_primes_are_2_p_and_the_primes_where_dD_is_a_square():

@@ -314,8 +314,8 @@ def test_pentagonal_sum_against_mpmath_oracle(digits, height, inside):
     pairs = hauptmodul._pentagonal_pairs(tau.imag, ctx.prec)
     assert (pairs <= hauptmodul._TABLE_PAIRS) == inside
     bits = hauptmodul._fixed_bits(ctx)
-    form = hauptmodul._point_form(tau, ctx)  # tau = (x + iy)/one: (one^2, -2x one, ...)
-    root = math.isqrt(-form.discriminant)  # 2 one y
+    # tau = (x + iy)/one: the form (one^2, -2x one, x^2 + y^2) and its root 2 one y
+    form, root = hauptmodul._point_form(tau, ctx)
     q = hauptmodul._to_fixed(hauptmodul._rational_q(ctx, (-form.b, root), 2 * form.a), bits)
     oracle = mpmath.ctx_mp.MPContext()
     oracle.dps = digits + 50
@@ -484,7 +484,7 @@ def test_reduce_point_lands_in_domain():
     for p in sorted(GENUS_ZERO_FRICKE_PRIMES):
         for _ in range(25):
             tau = ctx.mpc(str(rng.uniform(-8, 8)), str(10 ** rng.uniform(-3, 0.5)))
-            form = hauptmodul._point_form(tau, ctx)
+            form, _ = hauptmodul._point_form(tau, ctx)
             assert form_point(form) == tuple(Fraction(*libmp.to_rational(part._mpf_))
                                              for part in (tau.real, tau.imag))
             re, im = form_point(reduce_point(form, p, ctx))
@@ -502,7 +502,7 @@ def test_reduce_point_flip_ceiling(monkeypatch):
     # count rather than return an unreduced point
     ctx = ctx80()
     tau = ctx.mpc("0.3", "0.001")
-    form = hauptmodul._point_form(tau, ctx)
+    form, _ = hauptmodul._point_form(tau, ctx)
     assert quadforms._flip_cap(form.a, -form.discriminant) == 12
     reduced = reduce_point(tau, 2, ctx)
     monkeypatch.setattr(quadforms, "_flip_cap", lambda a, size: 4)
@@ -865,7 +865,7 @@ def test_eta_multiplier_of_the_reduction_words(word, re, im, e, disc, pick):
 
     ctx = working_context(60)
     tau = ctx.mpc(sl2_word(ctx.mpc(re, im), word))
-    number = hauptmodul._point_form(tau, ctx)
+    number, _ = hauptmodul._point_form(tau, ctx)
     assert point(number) == oracle.mpc(tau)
     reduced, (_, _, c, d), shift, flips = reduction_word(number.a, number.b, number.c)
     check(oracle.mpc(tau), point(QuadraticForm(*reduced)), c * oracle.mpc(tau) + d,
@@ -1046,6 +1046,49 @@ def test_one_exponential_per_discriminant_and_one_eta_per_reduced_form(monkeypat
             assert len(etas) == len(up_to_mirror) and len(exps) == 1, (p, d)
             checked += len(forms) > len(up_to_mirror)
     assert checked >= 20
+
+
+def test_a_real_q_is_summed_as_a_real_pair(monkeypatch):
+    # at the point tau of (1, 1, 4), q = e^(2 pi i tau) = -e^(-pi sqrt(15))
+    # is real, but z = e^(2 pi i tau/6) turns by -pi/6, a surd, so the
+    # rounded z^6 has an imaginary part of rounding alone: eta^4 sums its
+    # real part, and the bound still covers the exact value.  A number on
+    # Re tau = -1/2 and its p tau sum real pairs too
+    ctx = working_context(300)
+    bits = hauptmodul._fixed_bits(ctx)
+    (z,) = hauptmodul._form_exponentials(15, [(1, 1, 4)], 6, bits)
+    rounded = hauptmodul.power(hauptmodul._to_fixed(z, bits), 6,
+                               lambda x, y: hauptmodul.fixed_mul(x, y, bits))
+    assert rounded[1] != 0
+    sums = []
+    original = hauptmodul._pentagonal_sum
+    monkeypatch.setattr(hauptmodul, "_pentagonal_sum",
+                        lambda q, *args: sums.append(q) or original(q, *args))
+    oracle = mpmath.ctx_mp.MPContext()
+    oracle.dps = 350
+    got, err = hauptmodul._class_etas(ctx, 15, [(1, 1, 4)], 6, None)[1, 1, 4].to_mpc(oracle)
+    assert sums == [(rounded[0], 0)]
+    exact = oracle.eta((-1 + oracle.sqrt(15) * 1j) / 2) ** 4
+    assert abs(got - exact) <= err <= oracle.mpf(10) ** -300 * abs(exact)
+    del sums[:]
+    value_with_bound(Hauptmodul(7, 300), ctx.mpc("-0.5", "0.9"))
+    assert len(sums) == 2 and all(q[1] == 0 for q in sums)
+
+
+def test_a_number_takes_no_square_root_of_its_size(monkeypatch):
+    # a number's form comes with its root 2 one y, which serves tau and
+    # p tau, so eval takes neither an integer square root of a size nor a
+    # fixed-point surd of one
+    def refused(*args):
+        raise AssertionError("square root taken")
+
+    ctx = working_context(300)
+    tau = ctx.mpc("0.1234", "0.7654321")
+    want = {p: value_with_bound(Hauptmodul(p, 300), tau) for p in ETA_QUOTIENT_PRIMES}
+    monkeypatch.setattr(hauptmodul, "_exact_root", refused)
+    monkeypatch.setattr(hauptmodul, "surd", refused)
+    for p in ETA_QUOTIENT_PRIMES:
+        assert value_with_bound(Hauptmodul(p, 300), tau) == want[p], p
 
 
 #: (p, d): evaluations per class set under conjugation alone, and with W_p.
