@@ -23,35 +23,36 @@ multiplier of the eta transformation law along each reduction word (a
 root of unity and (c tau + d)^(e/2), e even) is carried exactly.
 eta^e = z S(q)^e with z = e^(2 pi i tau/(p - 1)) and q = z^(p - 1) is
 evaluated once per reduced form of a discriminant up to the mirror
-(a, -b, c), every z from one exponential, a root of it and an exact
-twelfth turn (a cosine only of what is left, at most pi/24), or, for a
-square discriminant as a number's form has, one exponential at the exact
-point, and shared by every CM point whose tau or p tau falls in that class
-(_orbits).  The quotient, the multipliers and t + p^(e/2)/t are integer
-pairs with a shared binary exponent, each complex product taking the
-integer multiplications its operands need (ball.fixed_mul): one for two
-real pairs, as where q is real (tau on Re tau = 0 or -1/2), two for a real
-and a complex pair or a square, and three otherwise, every case the same
-integers ac - bd and ad + bc before the floor, so the same bits; the sum is
-rounded once to the context's precision.  A coefficient file is summed by
-Horner's rule on the same integer pairs, at the exact q of the form's
-point reduced by the Fricke flip (reduce_point).  A CM value is a
-ball.Ball, that integer pair with a radius held in integers, for either
-realization, and so is eta itself (eta_with_bound): each operation bounds
-its own rounding, with no floats and no working-precision arithmetic,
-until value_with_bound makes one mpc of it or lhs_log_norm takes its
-differences, product and one log on integers.  The one bound made
-otherwise is a coefficient file's tail, a model fitted to the file
-(_series_value), computed at the context's precision and added to the
-radius, rounded up.  CM values are evaluated once per orbit of complex
-conjugation and, when p | disc, the Fricke involution W_p.
+(a, -b, c), every z by _form_exponentials: a root of one exponential per
+discriminant, or one exponential at the exact point for a square one, as a
+number's form has, turned by an exact twelfth turn (a cosine only of what
+is left, at most pi/24), and shared by every CM point whose tau or p tau
+falls in that class (_orbits).  The quotient, the multipliers and t +
+p^(e/2)/t are integer pairs with a shared binary exponent, each complex
+product taking the integer multiplications its operands need
+(ball.fixed_mul): one for two real pairs, as where q is real (tau on
+Re tau = 0 or -1/2), two for a real and a complex pair or a square, and
+three otherwise, every case the same integers ac - bd and ad + bc before
+the floor, so the same bits; the sum is rounded once to the context's
+precision.  A coefficient file is summed by Horner's rule on the same
+integer pairs, at the exact q of the form's point reduced by the Fricke
+flip (reduce_point).  A CM value is a ball.Ball, that integer pair with a
+radius held in integers, for either realization, and so is eta itself
+(eta_with_bound): each operation bounds its own rounding, with no floats
+and no working-precision arithmetic, until value_with_bound makes one mpc
+of it or lhs_log_norm takes its differences, product and one log on
+integers.  The one bound made otherwise is a coefficient file's tail, a
+model fitted to the file (_series_value), computed at the context's
+precision and added to the radius, rounded up.  CM values are evaluated
+once per orbit of complex conjugation and, when p | disc, the Fricke
+involution W_p.
 
 A Hauptmodul fixes level, realization and precision once; its values live in
 the mpmath context working_context(digits), one per precision per process and
-shared by every Hauptmodul at that precision.  A caller changes a context's
-precision only inside ctx.workprec(...), which restores it on exit, so the
-shared context always stands at its own precision.  Nothing touches the
-global mpmath state.
+shared by every Hauptmodul at that precision.  No code changes a context's
+precision: the exponentials run in libmp at a precision of their own, so
+the shared context always stands at its own precision.  Nothing touches
+the global mpmath state.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ MAX_DIGITS = 10_000
 MAX_ETA_TERMS = 10 ** 5
 #: Bits the fixed-point eta kernel carries beyond the context precision.
 ETA_GUARD_BITS = 32
-# Bits q is computed with beyond the fixed-point precision (_rational_q,
-# _form_exponentials).
+# Bits every z = e^(2 pi i tau/m) is computed with beyond the fixed-point
+# precision, besides those of its exponential's argument (_form_exponentials).
 _Q_GUARD_BITS = 8
 # Relative error of the scaled q, in units of 2^-bits: the exponential and
 # the angle at _Q_GUARD_BITS more bits, and the floor of the pair.
@@ -117,9 +118,9 @@ def working_context(digits: int):
     """The mpmath context carrying digits decimal digits plus GUARD_DIGITS.
 
     One context per precision per process: every call with the same digits
-    returns the same context, whose precision changes only inside
-    ctx.workprec(...).  Contexts at different precisions are distinct, and
-    digits outside 1..MAX_DIGITS raise ParameterError and store nothing.
+    returns the same context, whose precision no code changes.  Contexts
+    at different precisions are distinct, and digits outside 1..MAX_DIGITS
+    raise ParameterError and store nothing.
     """
     ctx = mpmath.ctx_mp.MPContext()
     ctx.dps = check_digits(digits) + GUARD_DIGITS
@@ -371,23 +372,6 @@ def _form_of(tau, ctx):
     return _point_form(tau, ctx)
 
 
-def _rational_q(ctx, num, den: int):
-    """e^(2 pi i w) for w = (num[0] + i num[1]) / den, Im(w) > 0, as a scaled
-    pair at bits = _fixed_bits(ctx), within _Q_REL_ULPS units of 2^-bits of
-    the exact value, relatively.
-
-    Each part of w is rounded once, to wp = bits + _Q_GUARD_BITS + extra
-    bits, with |Re w| + |Im w| < 2^(extra - 5), and the exponential runs at
-    wp: each part moves by at most 2^(1 - wp) of itself, so 2 pi w moves by
-    less than 2^(-bits - _Q_GUARD_BITS - 1), and the exponential by as
-    much, relatively."""
-    bits = _fixed_bits(ctx)
-    wp = bits + _Q_GUARD_BITS + 5 + ((abs(num[0]) + num[1]) // den + 1).bit_length()
-    with ctx.workprec(wp):
-        q = ctx.expjpi(2 * ctx.make_mpc(tuple(libmp.from_rational(part, den, wp) for part in num)))
-    return scaled(q.real._mpf_, q.imag._mpf_, bits)
-
-
 def _conjugate_swap(z: int, m: int, u: int, v: int):
     """(x, y) >= 0 with x^2 + m y^2 = z^2 + m, from alpha = z + sqrt(-m) by
     replacing every factor pi = u + v sqrt(-m) (or its conjugate) of the prime
@@ -599,8 +583,8 @@ def _series_value(hm: Hauptmodul, tau: QuadraticForm, reduce_first: bool):
     at an exact q, after reduce_point's reduction unless reduce_first is
     False.
 
-    q = e^(2 pi i tau) comes from the form's exact data (_exponentials at
-    m = 1), within _Q_REL_ULPS units, relatively: its relative Ball.
+    q = e^(2 pi i tau) comes from the form's exact data (_form_exponentials
+    at m = 1), within _Q_REL_ULPS units, relatively: its relative Ball.
     Each of Horner's products and sums and the quotient by q bounds its own
     rounding.  The tail model |c(k)| <= C exp(4 pi sqrt(k)) fits simple-pole
     generators; C is calibrated from the supplied coefficients, once per
@@ -614,7 +598,7 @@ def _series_value(hm: Hauptmodul, tau: QuadraticForm, reduce_first: bool):
     if reduce_first:
         tau = reduce_point(tau, hm.p, ctx)
     size = -tau.discriminant
-    (pair,) = _exponentials(ctx, size, [(tau.a, tau.b, tau.c)], 1, _exact_root(size))
+    (pair,) = _form_exponentials(size, [(tau.a, tau.b, tau.c)], 1, bits, _exact_root(size))
     q = Ball.relative(pair, _Q_REL_ULPS, bits)
     absq = abs(q.to_mpc(ctx)[0])
     top = series.top_exponent
@@ -670,23 +654,15 @@ def _eta_power(z, pairs: int, e: int, bits: int, real: bool):
     return Ball.relative(z, _Q_REL_ULPS, bits).mul(sum_.pow(e, bits), bits)
 
 
-def _exponentials(ctx, size: int, forms, m: int, exact) -> list:
-    """e^(2 pi i tau/m) at the CM point tau of each form (a, b, c) of forms,
-    of discriminant -size, as _form_exponentials gives them at bits =
-    _fixed_bits(ctx), or, for a square size, a number's, from the exact
-    point (-b + i exact)/(2a) (_rational_q), to the same bound; exact is
-    isqrt(size) for a square size and None otherwise."""
-    if exact is None:
-        return _form_exponentials(size, forms, m, _fixed_bits(ctx))
-    return [_rational_q(ctx, (-b, exact), 2 * a * m) for a, b, _ in forms]
-
-
-def _form_exponentials(size: int, forms, m: int, bits: int) -> list:
+def _form_exponentials(size: int, forms, m: int, bits: int, exact=None) -> list:
     """e^(2 pi i tau/m) at the CM point tau of each form (a, b, c) of forms,
     of discriminant -size, as scaled pairs within _Q_REL_ULPS units of
     2^-bits, relatively, from exact data: at the point of (a, b, c),
-    z = r^(1/a) e^(-pi i b/(a m)), from one exponential r = e^(-pi sqrt(size)/m)
-    shared by all, an a-th root and a rotation each.
+    z = r e^(-pi i b/(a m)), a modulus r = e^(-pi sqrt(size)/(a m)) and a
+    rotation each.  r is the a-th root of one exponential e^(-pi
+    sqrt(size)/m) shared by all, or, for a square size, as a number's form
+    has, with exact = isqrt(size), one exponential each at the exact
+    rational exact/(am).
 
     The rotation's angle is split exactly, -b/(am) = n/12 + x/(12am) with
     |x/(12am)| <= 1/24: e^(pi i n/12) is an exact twelfth turn
@@ -696,26 +672,37 @@ def _form_exponentials(size: int, forms, m: int, bits: int) -> list:
     Each libmp operation rounds at wp and moves its result by less than
     2 u of itself, u = 2^-wp.  The exponential turns a relative rounding
     of its argument into one times the argument, so wp adds the argument's
-    bits w (pi sqrt(size)/m < 4 (isqrt(size) // m + 1) < 2^w, w >= 3) to
-    bits + _Q_GUARD_BITS: the argument, four roundings, is within 9 u 2^w,
-    and r within 10 2^-(bits + _Q_GUARD_BITS), relatively; a root divides
-    that by a.  The rest adds at most 18 u, relatively: the root's
-    rounding 2, the residual turn 4 (its angle, below pi/24, within 6 u of
-    itself, then the cosine and sine), its product 2, the surd 1 and the
-    surd's products and sums 8 (2 u of (|Re| + |Im|)(|cos| + |sin|) <= 2 |z|,
-    and 2 u of each part).  With u <= 2^-(bits + _Q_GUARD_BITS + 3), z is
-    within 13 2^-(bits + _Q_GUARD_BITS) < 2^-(bits + 4) of itself before
-    scaled floors it, which costs less than 2^-bits more: under 2 <
-    _Q_REL_ULPS units.
+    bits w to bits + _Q_GUARD_BITS, one wp per call, at which the twelfth
+    turns' surds are taken once: pi sqrt(size)/m < 4 (isqrt(size) // m + 1)
+    < 2^w, or for a square size pi exact/(am) < 4 (exact // (am) + 1) < 2^w
+    at the least a of forms, and w >= 3.  The shared argument, four
+    roundings, is within 9 u 2^w, and its exponential within 10
+    2^-(bits + _Q_GUARD_BITS), relatively; a root divides that by a and
+    adds its own rounding, 2 u.  A square size's argument, three roundings
+    (pi, the rational and their product), is within 7 u 2^w, and its
+    exponential within 8 2^-(bits + _Q_GUARD_BITS).  The rotation adds at
+    most 16 u, relatively: the residual turn 4 (its angle, below pi/24,
+    within 6 u of itself, then the cosine and sine), its product 2, the
+    surd 1 and the surd's products and sums 8 (2 u of (|Re| + |Im|)(|cos| +
+    |sin|) <= 2 |z|, and 2 u of each part).  With u <= 2^-(bits +
+    _Q_GUARD_BITS + 3), z is within 13 2^-(bits + _Q_GUARD_BITS) <
+    2^-(bits + 4) of itself before scaled floors it, which costs less than
+    2^-bits more: under 2 < _Q_REL_ULPS units.
     """
-    wp = bits + _Q_GUARD_BITS + (4 * (math.isqrt(size) // m + 1)).bit_length()
+    top = math.isqrt(size) // m if exact is None else exact // (m * min(f[0] for f in forms))
+    wp = bits + _Q_GUARD_BITS + (4 * (top + 1)).bit_length()
     pi = libmp.mpf_pi(wp)
-    arg = libmp.mpf_div(libmp.mpf_mul(pi, _sqrt(size, wp), wp), libmp.from_int(m), wp)
-    base = libmp.mpf_exp(libmp.mpf_neg(arg), wp)
+    if exact is None:
+        arg = libmp.mpf_div(libmp.mpf_mul(pi, _sqrt(size, wp), wp), libmp.from_int(m), wp)
+        base = libmp.mpf_exp(libmp.mpf_neg(arg), wp)
     roots = {}  # the square roots the twelfth turns read, each taken once per call
     zs = []
     for a, b, _ in forms:
-        re, im = libmp.mpf_nthroot(base, a, wp), libmp.fzero
+        if exact is None:
+            re = libmp.mpf_nthroot(base, a, wp)
+        else:
+            re = libmp.mpf_exp(libmp.mpf_mul(pi, libmp.from_rational(-exact, a * m, wp), wp), wp)
+        im = libmp.fzero
         a *= m
         n = (a - 24 * b) // (2 * a)  # the integer nearest -12b/a
         x = -12 * b - n * a
@@ -768,7 +755,7 @@ def _sqrt(size: int, wp: int):
 def _class_etas(ctx, size: int, forms, m: int, exact) -> dict:
     """{f: eta^e at the CM point of f} over forms f = (a, b, c) of
     discriminant -size, e = 24/m, as _eta_power gives each, with
-    z = e^(2 pi i tau/m) from _exponentials; exact is isqrt(size) for a
+    z = e^(2 pi i tau/m) from _form_exponentials; exact is isqrt(size) for a
     square size and None otherwise.  Every term count is known before the
     exponential; a number's height is capped at 2^64, as high as needs no
     term, so that it stays a float.  q is real where a | b.
@@ -777,7 +764,7 @@ def _class_etas(ctx, size: int, forms, m: int, exact) -> dict:
     pairs = [_pentagonal_pairs(math.sqrt(size) / (2 * a) if exact is None
                                else min(exact, 2 * a << 64) / (2 * a), ctx.prec)
              for a, _, _ in forms]
-    zs = _exponentials(ctx, size, forms, m, exact)
+    zs = _form_exponentials(size, forms, m, bits, exact)
     return {f: _eta_power(z, count, 24 // m, bits, f[1] % f[0] == 0)
             for f, z, count in zip(forms, zs, pairs)}
 

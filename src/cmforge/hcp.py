@@ -132,9 +132,10 @@ class ClassPolynomial:
             raise InternalError(
                 f"degree {self.degree} differs from the class number h(-{self.d}) = {self.h}"
             )
-        for root_num in _rational_root_candidates(self.coefficients):
-            if self.evaluate(root_num) == 0 and self.degree > 1:
-                raise InternalError(f"reducible: rational root {root_num}")
+        if self.degree > 1:  # a linear polynomial is irreducible
+            for root_num in _rational_root_candidates(self.coefficients):
+                if self.evaluate(root_num) == 0:
+                    raise InternalError(f"reducible: rational root {root_num}")
 
     @property
     def degree(self) -> int:

@@ -414,6 +414,29 @@ def test_eval_answers_where_the_two_terms_differ_past_the_floats(capsys, tau):
     assert "e+" in out.split()[0]
 
 
+@pytest.mark.parametrize("tau, code", [("0+1e-5000i", EXIT_USAGE), ("0+1e-4200i", EXIT_USAGE),
+                                       ("0+1e-998i", EXIT_OK)])
+def test_eval_prints_exponents_of_at_most_1000_digits(tau, code):
+    # tau reduces to Im 10^5000, 10^4200 or 10^998, where the value's binary
+    # exponent has about as many digits.  Printed, the first would pass the
+    # interpreter's limit on integer-to-string conversion and the second
+    # take 10 s in mpmath.nstr, so both are refused at once; the third
+    # prints.  A child process turns a slow print into a timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmforge.cli", "--precision", "30", "eval", "--p", "2",
+         f"--tau={tau}"],
+        capture_output=True, text=True, timeout=20,
+        env=child_env(),
+    )
+    assert proc.returncode == code
+    if code == EXIT_OK:
+        assert proc.stderr == "" and "e+" in proc.stdout.split()[0]
+    else:
+        assert (proc.stdout, proc.stderr) == (
+            "", f"error: the value at tau={tau} lies beyond 2^(+-10^1000), too far from 1 to "
+                "print\n")
+
+
 def test_crosscheck_requires_series_for_large_p(capsys):
     code, _, err = run_cli(capsys, "crosscheck", "--p", "47", "--d", "39", "--D", "163")
     assert code == EXIT_USAGE

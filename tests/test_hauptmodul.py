@@ -90,9 +90,10 @@ def test_one_context_per_precision():
     assert working_context(80).dps == 80 + hauptmodul.GUARD_DIGITS
 
 
-def test_shared_context_keeps_its_precision_through_errors(monkeypatch, tmp_path, capsys):
+def test_shared_context_keeps_its_precision_through_errors(tmp_path, capsys):
     # a context is shared by every Hauptmodul at its precision, so no error
-    # path may leave it at another one
+    # path may leave it at another one; no code raises a context's precision
+    # (test_structure.test_no_code_changes_a_context_precision)
     from cmforge.cli import EXIT_USAGE, main
 
     ctx = working_context(DIGITS)
@@ -107,14 +108,6 @@ def test_shared_context_keeps_its_precision_through_errors(monkeypatch, tmp_path
                                *map(str, series.coefficients)]) + "\n")
     assert main(["--series", str(path), "eval", "--p", "5", "--tau", "0.1+0.9i"]) == EXIT_USAGE
     assert "truncation bound" in capsys.readouterr().err
-    assert ctx.prec == prec
-
-    def failing(*args):
-        raise PrecisionError("synthetic failure inside workprec")
-
-    monkeypatch.setattr(ctx, "expjpi", failing)  # q is computed at a raised precision
-    with pytest.raises(PrecisionError, match="synthetic"):
-        value_with_bound(Hauptmodul(2), ctx.mpc("0.1", "0.9"))
     assert ctx.prec == prec
     assert mpmath.mp.dps == 15
 
@@ -157,7 +150,7 @@ def test_eta_max_terms_exceeded(monkeypatch):
         raise AssertionError("series work started before the term-count check")
 
     monkeypatch.setattr(hauptmodul, "MAX_ETA_TERMS", 8)
-    monkeypatch.setattr(hauptmodul, "_rational_q", no_series_work)
+    monkeypatch.setattr(hauptmodul, "_form_exponentials", no_series_work)
     monkeypatch.setattr(hauptmodul, "_pentagonal_sum", no_series_work)
     with pytest.raises(PrecisionError, match="Im"):
         eta_with_bound(complex(0.0, 0.05), ctx80())
@@ -316,7 +309,8 @@ def test_pentagonal_sum_against_mpmath_oracle(digits, height, inside):
     bits = hauptmodul._fixed_bits(ctx)
     # tau = (x + iy)/one: the form (one^2, -2x one, x^2 + y^2) and its root 2 one y
     form, root = hauptmodul._point_form(tau, ctx)
-    q = hauptmodul._to_fixed(hauptmodul._rational_q(ctx, (-form.b, root), 2 * form.a), bits)
+    (z,) = hauptmodul._form_exponentials(root * root, [(form.a, form.b, form.c)], 1, bits, root)
+    q = hauptmodul._to_fixed(z, bits)
     oracle = mpmath.ctx_mp.MPContext()
     oracle.dps = digits + 50
     got, err = hauptmodul._pentagonal_sum(q, hauptmodul._Q_ERR_ULPS, pairs, bits).to_mpc(oracle)
@@ -1004,6 +998,36 @@ def test_form_exponentials_against_mpmath(m):
     assert checked == 1026
 
 
+@pytest.mark.parametrize("digits", (30, 80, 300))
+def test_form_exponentials_at_numbers_against_mpmath(digits):
+    # a number's form has a square size, so each z is one exponential at
+    # the exact point: at the form and at its SL2(Z) reduction, taken in
+    # one call, whose working precision follows the smaller a, z lies
+    # within _Q_REL_ULPS units of 2^-bits of mpmath's expjpi(2 tau/m) at
+    # twice the precision, relatively, Im(tau) from 10^-6 to 10^6; an
+    # integer Re(tau) reduces to the height 1/Im(tau)
+    ctx = working_context(digits)
+    bits = hauptmodul._fixed_bits(ctx)
+    oracle = mpmath.ctx_mp.MPContext()
+    oracle.prec = 2 * bits
+    units = hauptmodul._Q_REL_ULPS * oracle.ldexp(1, -bits)
+    rng = random.Random(digits)
+    lowered = 0
+    for _ in range(25):
+        re = rng.choice((rng.uniform(-40, 40), rng.randint(-40, 40)))
+        tau = ctx.mpc(re, 10 ** rng.uniform(-6, 6))
+        form, root = hauptmodul._point_form(tau, ctx)
+        forms = [(form.a, form.b, form.c), reduction_word(form.a, form.b, form.c)[0]]
+        lowered += forms[1][0] < forms[0][0]
+        for m in (1, 2, 4, 6, 12, 24):
+            zs = hauptmodul._form_exponentials(root * root, forms, m, bits, root)
+            for (a, b, _), ((re, im), exp) in zip(forms, zs):
+                exact = oracle.expjpi(oracle.mpc(-b, root) / (a * m))
+                z = oracle.mpc(oracle.ldexp(re, exp), oracle.ldexp(im, exp))
+                assert abs(z - exact) <= units * abs(exact), (tau, a, b, m)
+    assert lowered >= 5
+
+
 def test_one_cosine_per_form_off_the_twelfth_turns(monkeypatch):
     # _form_exponentials calls mpf_cos_sin once for a form whose angle
     # -b/(am) is not a whole number of twelfth turns, am not dividing 12b,
@@ -1032,10 +1056,8 @@ def test_one_exponential_per_discriminant_and_one_eta_per_reduced_form(monkeypat
     # d = 4, a square, takes its one exponential at the exact point i
     etas, exps = [], []
     eta_power, exp = hauptmodul._eta_power, hauptmodul.libmp.mpf_exp
-    rational_q = hauptmodul._rational_q
     monkeypatch.setattr(hauptmodul, "_eta_power", lambda *a: etas.append(a) or eta_power(*a))
     monkeypatch.setattr(hauptmodul.libmp, "mpf_exp", lambda *a: exps.append(a) or exp(*a))
-    monkeypatch.setattr(hauptmodul, "_rational_q", lambda *a: exps.append(a) or rational_q(*a))
     checked = 0
     for p in ETA_QUOTIENT_PRIMES:
         hm = Hauptmodul(p, 300)
@@ -1078,15 +1100,23 @@ def test_a_real_q_is_summed_as_a_real_pair(monkeypatch):
 def test_a_number_takes_no_square_root_of_its_size(monkeypatch):
     # a number's form comes with its root 2 one y, which serves tau and
     # p tau, so eval takes neither an integer square root of a size nor a
-    # fixed-point surd of one
+    # fixed-point surd of one; only the twelfth turns' sqrt(2), sqrt(3)
+    # and sqrt(6), never a size, a number's form's being a square
     def refused(*args):
         raise AssertionError("square root taken")
+
+    surd = hauptmodul.surd
+
+    def turn_surd(l, bits):
+        if l not in (2, 3, 6):
+            refused()
+        return surd(l, bits)
 
     ctx = working_context(300)
     tau = ctx.mpc("0.1234", "0.7654321")
     want = {p: value_with_bound(Hauptmodul(p, 300), tau) for p in ETA_QUOTIENT_PRIMES}
     monkeypatch.setattr(hauptmodul, "_exact_root", refused)
-    monkeypatch.setattr(hauptmodul, "surd", refused)
+    monkeypatch.setattr(hauptmodul, "surd", turn_surd)
     for p in ETA_QUOTIENT_PRIMES:
         assert value_with_bound(Hauptmodul(p, 300), tau) == want[p], p
 

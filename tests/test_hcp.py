@@ -299,11 +299,13 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     assert sorted(residues) == sorted(set(CLASS_NUMBER_ONE_DISCRIMINANTS) | {-d})
     assert outside("is_prime", set()) == []
     exempt = {"factorize", "term_contribution"}
-    # d, then one field per non-diagonal usable member, then the constant
-    # term, whose divisors are the candidate rational roots of the polynomial
+    # d, then one field per non-diagonal usable member, then, above degree
+    # 1, the constant term, whose divisors are the candidate rational roots
+    # of the polynomial
     members = [pr.D for pr in report.pairs]
     assert [factors.value for factors in outside("QuadraticCharacter", set())] == members
-    assert outside("factorize", exempt) == [d, *members, abs(report.polynomial.coefficients[0])]
+    constant = [abs(report.polynomial.coefficients[0])] if report.polynomial.degree > 1 else []
+    assert outside("factorize", exempt) == [d, *members, *constant]
     # the norms' lattice terms, each factored once, as from scratch
     base = -report.base_disc
     expected = []
@@ -351,6 +353,21 @@ def test_is_irreducible_detects_rational_roots():
     assert not irreducible_over_z((-1, 0, 1))
     with pytest.raises(InternalError):
         ClassPolynomial(d=15, h=2, coefficients=(-1, 0, 1))
+
+
+def test_a_linear_class_polynomial_scans_no_divisors(monkeypatch):
+    # degree 1 is irreducible whatever its root, so its constant term is
+    # neither factored nor scanned; degree 2 still is
+    from cmforge import hcp
+
+    factored = []
+    factorize = hcp.factorize
+    monkeypatch.setattr(hcp, "factorize", lambda n: factored.append(n) or factorize(n))
+    ClassPolynomial(d=7, h=1, coefficients=(3375, 1))
+    assert factored == []
+    with pytest.raises(InternalError, match="^reducible: rational root 1$"):
+        ClassPolynomial(d=15, h=2, coefficients=(-1, 0, 1))
+    assert factored == [1]
 
 
 def value_at(coefficients, x):

@@ -266,7 +266,30 @@ def test_one_reduction_loop_for_forms_and_numbers():
     tree = ast.parse((PACKAGE_DIR / "hauptmodul.py").read_text(encoding="utf-8"))
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_reduce_numeric", "_max_flips", "_point_value", "_ratio",
-                          "_fricke_point"}
+                          "_fricke_point", "_rational_q", "_exponentials"}
+
+
+def test_no_code_changes_a_context_precision():
+    # a context is shared by every Hauptmodul at its precision, so nothing
+    # in the package raises it, even for a while: no workprec, and no
+    # context exponential that would need one
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for word in ("workprec", "expjpi"):
+            assert word not in text, (path.name, word)
+
+
+def test_one_routine_makes_every_exponential_of_a_point():
+    # every z = e^(2 pi i tau/m), at a Heegner form's point or a number's,
+    # comes from _form_exponentials: the only function of hauptmodul that
+    # calls libmp.mpf_exp, and no module-level code does
+    tree = ast.parse((PACKAGE_DIR / "hauptmodul.py").read_text(encoding="utf-8"))
+    owners = set()
+    for node in tree.body:
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Call) and ast.unparse(inner.func) == "libmp.mpf_exp":
+                owners.add(node.name if isinstance(node, ast.FunctionDef) else "<module>")
+    assert owners == {"_form_exponentials"}
 
 
 def test_numeric_bounds_take_no_floats():
