@@ -1,11 +1,13 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -844,3 +846,27 @@ def test_json_gznorm_converts_its_norm_once(capsys, monkeypatch):
         assert code == EXIT_OK and len(calls) == 1 and calls[0].bit_length() > 53
         assert (f'"value":"{decimal(calls[0])}"' in out if output_format == "json"
                 else f"norm: {decimal(calls[0])}\n" in out)
+
+
+#: What the installed script prints for --format json sset --p 2.
+SSET_2_JSON = ('{"command":"sset","params":{"p":2},"result":{"s_set":[-4,-7,-8],"size":3},'
+               '"warnings":[]}')
+
+
+def test_console_script_entry_point(capsys, monkeypatch):
+    # the [project.scripts] line of pyproject.toml, read as text (tomllib
+    # is missing before Python 3.11), names the function an installed
+    # cmforge runs; it reads sys.argv and exits with main's code
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (line,) = [line for line in pyproject.read_text(encoding="utf-8").splitlines()
+               if line.startswith("cmforge = ")]
+    assert line == 'cmforge = "cmforge.cli:run"'
+    module, _, name = line.split('"')[1].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    for argv, code, out in ((["--format", "json", "sset", "--p", "2"], EXIT_OK, SSET_2_JSON + "\n"),
+                            (["--no-such-flag", "sset", "--p", "2"], EXIT_USAGE, "")):
+        monkeypatch.setattr(sys, "argv", ["cmforge", *argv])
+        with pytest.raises(SystemExit) as exited:
+            entry()
+        assert exited.value.code == code
+        assert capsys.readouterr().out == out

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -196,9 +197,8 @@ def test_eta_kernel_against_mpmath_oracle(digits):
         check(value, bound, oracle.eta((oracle.mpc(-form.b, 0) + oracle.mpc(0, 1) * root)
                                        / (2 * form.a)))
     for p, D in ORACLE_HEEGNER:
-        form = heegner_reps(-D, p, admissible_residues(-D, p)[0])[0]
+        form = reduce_point(heegner_reps(-D, p, admissible_residues(-D, p)[0])[0], p)
         tau = (ctx.mpc(-form.b, 0) + ctx.mpc(0, 1) * ctx.sqrt(-form.discriminant)) / (2 * form.a)
-        tau = reduce_point(tau, p, ctx)
         check_eta(tau)
         check_eta(p * tau)
         # value_with_bound takes q^p from q, i.e. the exact p times the rounded tau
@@ -470,9 +470,9 @@ def form_point(form):
 def test_reduce_point_lands_in_domain():
     # the reduction is exact: at every genus-zero p the reduced point lies in
     # |Re| <= 1/2, p|tau|^2 >= 1 with no slack, no lower than tau and at
-    # least as high as the coset start, sqrt(3)/(2p); the mpc reduce_point
-    # returns is that point rounded.  A number is the point of its form, so
-    # the form reduce_point gives for that form is the exact point
+    # least as high as the coset start, sqrt(3)/(2p).  A number is the
+    # point of its form, so the form reduce_point gives for that form is the
+    # exact point
     ctx = ctx80()
     rng = random.Random(307)
     for p in sorted(GENUS_ZERO_FRICKE_PRIMES):
@@ -481,13 +481,9 @@ def test_reduce_point_lands_in_domain():
             form, _ = hauptmodul._point_form(tau, ctx)
             assert form_point(form) == tuple(Fraction(*libmp.to_rational(part._mpf_))
                                              for part in (tau.real, tau.imag))
-            re, im = form_point(reduce_point(form, p, ctx))
+            re, im = form_point(reduce_point(form, p))
             assert abs(re) <= Fraction(1, 2) and p * (re * re + im * im) >= 1, (p, tau)
             assert im >= form_point(form)[1] and 4 * p * p * im * im >= 3, (p, tau)
-            out = reduce_point(tau, p, ctx)
-            got, exp = hauptmodul.exact_pair(out.real._mpf_, out.imag._mpf_)
-            for part, want in zip(got, (re, im)):
-                assert abs(part * Fraction(2) ** exp - want) <= abs(want) / 2 ** ctx.prec
 
 
 def test_reduce_point_flip_ceiling(monkeypatch):
@@ -498,19 +494,41 @@ def test_reduce_point_flip_ceiling(monkeypatch):
     tau = ctx.mpc("0.3", "0.001")
     form, _ = hauptmodul._point_form(tau, ctx)
     assert quadforms._flip_cap(form.a, -form.discriminant) == 12
-    reduced = reduce_point(tau, 2, ctx)
+    reduced = reduce_point(form, 2)
     monkeypatch.setattr(quadforms, "_flip_cap", lambda a, size: 4)
-    assert reduce_point(tau, 2, ctx) == reduced
+    assert reduce_point(form, 2) == reduced
     monkeypatch.setattr(quadforms, "_flip_cap", lambda a, size: 3)
     with pytest.raises(PrecisionError, match="^tau not reduced at level 2 within 3 flips$"):
-        reduce_point(tau, 2, ctx)
+        reduce_point(form, 2)
 
 
 def test_qseries_heads_frozen():
-    qs2 = eta_quotient_qseries(2, 8)
-    assert qs2.coefficients[:4] == (1, -24, 4372, 96256)
-    qs5 = eta_quotient_qseries(5, 8)
-    assert qs5.coefficients[:4] == (1, -6, 134, 760)
+    # past the constant term, -24/(p-1) here, the heads are those of the
+    # McKay-Thompson series 2A, 3A, 5A, 7A and 13A (Conway and Norton,
+    # Monstrous moonshine, 1979), an oracle independent of this code; the
+    # digest pins 400 coefficients of each, as general series
+    # multiplication and inversion give them
+    heads = {2: (1, -24, 4372, 96256), 3: (1, -12, 783, 8672), 5: (1, -6, 134, 760),
+             7: (1, -4, 51, 204), 13: (1, -2, 12, 28)}
+    for p, head in heads.items():
+        assert eta_quotient_qseries(p, 8).coefficients[:4] == head, p
+    digest = hashlib.sha256()
+    for p in ETA_QUOTIENT_PRIMES:
+        digest.update(repr(eta_quotient_qseries(p, 400).coefficients).encode())
+    assert digest.hexdigest() == (
+        "85ccefd69b366e36dcc6af9f46cfb277f4693d15347c1f336af80b88b833ea25")
+    assert eta_quotient_qseries(13, 2).coefficients == (1, -2)
+
+
+def test_euler_powers_at_e_and_minus_e_are_inverse():
+    # q t and 1/(q t) come from one recurrence at e and -e: their product
+    # is 1 mod q^n
+    n = 60
+    for p in ETA_QUOTIENT_PRIMES:
+        e = 24 // (p - 1)
+        f, g = hauptmodul._euler_power(p, e, n), hauptmodul._euler_power(p, -e, n)
+        product = [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(n)]
+        assert product == [1] + [0] * (n - 1), p
 
 
 def test_qseries_leading_behavior():
@@ -768,20 +786,19 @@ def test_reduce_point_reduces_heegner_forms_exactly(p):
     # is sometimes the higher
     hm = Hauptmodul(p)
     fine = Hauptmodul(p, hm.digits + 30)
-    ctx = hm.ctx
     boundary = []
     for a, b, c in BOUNDARY_FORMS[p]:
         boundary += [QuadraticForm(a, b, c), QuadraticForm(p * c, -b, a // p)]
         boundary += [QuadraticForm(a, b + 2 * a * n, (a * n + b) * n + c) for n in (-2, 3)]
     for form in boundary:
-        reduced = reduce_point(form, p, ctx)
+        reduced = reduce_point(form, p)
         assert abs(reduced.b) == reduced.a or p * reduced.c == reduced.a, form
     forms = list(boundary)
     for _, _, reps in heegner_classes(p, 120):
         forms += reps
     coset_ends = 0
     for form in forms:
-        reduced = reduce_point(form, p, ctx)
+        reduced = reduce_point(form, p)
         assert_reduced_form(reduced, p)
         assert 4 * p * p * -reduced.discriminant >= 12 * reduced.a ** 2, form
         if reduced.discriminant != form.discriminant:
@@ -806,15 +823,14 @@ def test_heegner_forms_reduce_as_high_as_numbers():
     # Im >= sqrt(3)/(2p).  From the form alone, (66, 42, 7) at p = 11
     # (d = 84) stops at Im 0.0694 and (1316, 369, 26) at p = 47 (d = 703)
     # at 0.0108; over d < 400 at p = 47, 30 of the 759 forms stop low
-    ctx = ctx80()
     for p, form in ((11, QuadraticForm(66, 42, 7)), (47, QuadraticForm(1316, 369, 26))):
         alone = QuadraticForm(*reduction_word(form.a, form.b, form.c, p)[0])
         assert not reaches_coset_height(alone, p)
-        assert reaches_coset_height(reduce_point(form, p, ctx), p), form
+        assert reaches_coset_height(reduce_point(form, p), p), form
     swept = 0
     for d, beta, forms in heegner_classes(47, 400):
         for form in forms:
-            assert reaches_coset_height(reduce_point(form, 47, ctx), 47), (d, beta, form)
+            assert reaches_coset_height(reduce_point(form, 47), 47), (d, beta, form)
             swept += 1
     assert swept == 759
 

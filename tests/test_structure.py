@@ -269,6 +269,16 @@ def test_one_reduction_loop_for_forms_and_numbers():
                           "_fricke_point", "_rational_q", "_exponentials"}
 
 
+def test_one_recurrence_makes_every_exact_expansion():
+    # q t is the single product prod_{p not dividing k} (1 - q^k)^e, and one
+    # recurrence (_euler_power) gives it and its inverse: hauptmodul keeps
+    # no general q-series product, inverse, power or Euler product
+    tree = ast.parse((PACKAGE_DIR / "hauptmodul.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_euler_power" in defined
+    assert not defined & {"_series_mul", "_series_inv", "_series_pow", "_euler_product"}
+
+
 def test_no_code_changes_a_context_precision():
     # a context is shared by every Hauptmodul at its precision, so nothing
     # in the package raises it, even for a while: no workprec, and no
