@@ -1,12 +1,12 @@
-"""Ideal-norm counts, ramification weights, and local obstruction sets.
+"""Ideal-norm counts and local obstruction sets.
 
 These are the arithmetic ingredients of the per-term coefficients, all
 functions of the integer md = m*D of a lattice term: rho counts integral
-ideals of a given norm in an imaginary quadratic field, o_of_m counts
-ramified primes dividing m*D, and diff_set collects the finite places where
--m*N(a) fails to be a local norm.  The field Q(sqrt(-D)) is one value, a
-QuadraticCharacter built from the factorization of D: callers validate D
-once, factor it once and keep one such value, and factor md once per term.
+ideals of a given norm in an imaginary quadratic field, and diff_set
+collects the finite places where -m*N(a) fails to be a local norm.  The
+field Q(sqrt(-D)) is one value, a QuadraticCharacter built from the
+factorization of D: callers validate D once, factor it once and keep one
+such value, and factor md once per term.
 diff_set reads a local symbol only where it can be -1: at an odd prime of
 md*p outside D from the character's table, and at an odd prime of D by one
 Kronecker symbol, at each such prime the caller names (all by default).  On
@@ -84,12 +84,6 @@ def ideal_count(factors, chi: QuadraticCharacter) -> int:
         elif value == -1 and e % 2:
             return 0
     return count
-
-
-def o_of_m(md_factors: Factorization, chi: QuadraticCharacter) -> int:
-    """Number of primes q | D that divide md = m*D, given md's factorization."""
-    orders = chi.orders
-    return sum(1 for q, _ in md_factors.factors if q in orders)
 
 
 def diff_set(md_factors: Factorization, p: int, chi: QuadraticCharacter,

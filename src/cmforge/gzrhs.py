@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 
+from mpmath import libmp
+
 from .arith import factor_over, kronecker, primes_up_to, require_prime
-from .cmvalue import QuadraticCharacter, diff_set, ideal_count, o_of_m
+from .cmvalue import QuadraticCharacter, diff_set
 from .errors import InternalError, NonIntegralMagnitudeError, ParameterError
 from .quadforms import fundamental, smallest_residue
 
@@ -149,15 +151,23 @@ class PrimeLogSum:
         return math.fsum(e * math.log(q) for q, e in self.exponents.items())
 
     def log_value_mpf(self, ctx):
-        """Value as an mpf in the supplied mpmath context: one log of the
-        exact rational prod q^(e_q), rounded to the context's precision."""
-        num = den = 1
-        for q, e in self.exponents.items():
-            if e > 0:
-                num *= q ** e
-            else:
-                den *= q ** -e
-        return ctx.log(ctx.mpf(num) / den)
+        """Value as an mpf in the supplied mpmath context: the sum of
+        e_q * log(q), rounded once to the context's precision prec.
+
+        Each log(q) is taken at wp = prec + 32 + bits(n) for n primes, within
+        one ulp there, and multiplied by e_q with one more rounding to nearest
+        at wp; the n products are added exactly (mpf_sum) and the sum rounded
+        to nearest at prec (mpf_pos).  Before that last rounding the sum is
+        within 3 * 2^-wp * S < 2^-(prec+30) * S of the exact value, where S is
+        the sum of |e_q| * log(q); without cancellation the result is within
+        about half an ulp.  No product of prime powers is formed, so the cost
+        grows with the number of primes, not with the size of the norm.
+        """
+        prec, nearest = ctx.prec, libmp.round_nearest
+        wp = prec + 32 + len(self.exponents).bit_length()
+        terms = [libmp.mpf_mul_int(libmp.mpf_log(libmp.from_int(q), wp, nearest), e, wp, nearest)
+                 for q, e in self.exponents.items()]
+        return ctx.make_mpf(libmp.mpf_pos(libmp.mpf_sum(terms), prec, nearest))
 
     def nonnegative_integral(self) -> bool:
         return all(e >= 0 for e in self.exponents.values())
@@ -266,9 +276,11 @@ def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) ->
 
     Zero unless the obstruction set of m is a single prime q.  The weight
     2^(o(m)+1) includes a factor 2 because both orientations of the CM plane
-    contribute one copy of the lattice sum.  Every count is read off the
-    factorization of md = m*D: an inert q lowers q's exponent by one for
-    rho(m*D/q) instead of factoring m*D/q.
+    contribute one copy of the lattice sum.  Once diff_set has named q, one
+    scan of md's factorization gives all three counts: o(m), the primes of
+    md that divide D; ord_q(md); and the ideal count rho(md), or rho(md/q)
+    for an inert q, whose exponent the scan lowers by one instead of
+    factoring md/q.
 
     diff_set reads the ramified symbol only at the odd q | D that divide
     md*p, read off md's factorization and p; at every other odd q | D the
@@ -290,18 +302,30 @@ def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) ->
     if len(obstructed) != 1:
         return TermContribution()
     q = obstructed[0]
-    weight = 2 ** (o_of_m(md_factors, chi) + 1)
-    order = dict(md_factors.factors).get(q, 0)
-    if chi[q] == -1:
+    inert = chi[q] == -1
+    if not inert and chi[q]:
+        raise InternalError(f"split prime {q} appeared in the obstruction set of m*D={term.md}")
+    # a prime of D adds 1 to o(m) and a factor 1 to the ideal count
+    D_orders = chi.orders
+    weight, order, count = 2, 0, 1
+    for r, e in md_factors.factors:
+        if r == q:
+            order = e
+            if inert:
+                e -= 1
+        if r in D_orders:
+            weight *= 2
+        elif chi[r] == 1:
+            count *= e + 1
+        elif e % 2:
+            count = 0
+    if inert:
         if not order:
             raise InternalError(f"m*D/{q} is not integral for term {term}")
-        lowered = [(r, e - (r == q)) for r, e in md_factors.factors]
-        coeff = weight * (order + 1) * ideal_count(lowered, chi)
+        coeff = weight * (order + 1) * count
         return TermContribution(q, coeff, coeff)
-    if chi[q] == 0:
-        scale = weight * ideal_count(md_factors.factors, chi)
-        return TermContribution(q, scale * order, scale * (order - chi.orders[q]))
-    raise InternalError(f"split prime {q} appeared in the obstruction set of m*D={term.md}")
+    scale = weight * count
+    return TermContribution(q, scale * order, scale * (order - D_orders[q]))
 
 
 def score_terms(params: GZParams) -> tuple[list[LatticeTerm], list[TermContribution]]:

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -23,9 +24,9 @@ from cmforge.cli import (
     canonical_json,
     main,
 )
-from cmforge.crosscheck import admissible_pairs
+from cmforge.crosscheck import admissible_discriminants, admissible_pairs
 from cmforge.errors import ParameterError
-from cmforge.hauptmodul import Hauptmodul, value_with_bound
+from cmforge.hauptmodul import GENUS_ZERO_FRICKE_PRIMES, Hauptmodul, value_with_bound
 from cmforge.quadforms import MAX_CLASS_NUMBER_DISC, admissible_residues
 
 
@@ -437,6 +438,49 @@ def test_eval_prints_exponents_of_at_most_1000_digits(tau, code):
         assert (proc.stdout, proc.stderr) == (
             "", f"error: the value at tau={tau} lies beyond 2^(+-10^1000), too far from 1 to "
                 "print\n")
+
+
+def test_crosscheck_sums_prime_logs_near_a_million():
+    # the exact side of (2, 10007, 1000007) is the 8th power of a 23.2 M-bit
+    # norm; summing its prime logs takes about a second, where one log of
+    # the product took minutes.  A child process turns a slow sum into a timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmforge.cli", "crosscheck", "--p", "2", "--d", "10007",
+         "--D", "1000007"],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.splitlines()[0].endswith(" PASS")
+
+
+#: classpoly's outcomes over every admissible d < 3000, by prime: exit code ->
+#: count.  It answers only at eight primes; at the eta primes, 29 and 31 S(p)
+#: has two usable members, and the diagonal D = d leaves too few.
+CLASSPOLY_REACH = {
+    2: {EXIT_INFEASIBLE: 607}, 3: {EXIT_INFEASIBLE: 568}, 5: {EXIT_INFEASIBLE: 535},
+    7: {EXIT_INFEASIBLE: 513}, 13: {EXIT_INFEASIBLE: 484},
+    11: {EXIT_OK: 45, EXIT_INTERNAL: 2, EXIT_INFEASIBLE: 448},
+    17: {EXIT_OK: 14, EXIT_USAGE: 1, EXIT_INTERNAL: 2, EXIT_INFEASIBLE: 464},
+    19: {EXIT_OK: 8, EXIT_USAGE: 2, EXIT_INFEASIBLE: 470},
+    23: {EXIT_OK: 41, EXIT_USAGE: 7, EXIT_INTERNAL: 1, EXIT_INFEASIBLE: 428},
+    29: {EXIT_INFEASIBLE: 472}, 31: {EXIT_INFEASIBLE: 472},
+    41: {EXIT_OK: 11, EXIT_INTERNAL: 1, EXIT_INFEASIBLE: 457},
+    47: {EXIT_OK: 42, EXIT_USAGE: 6, EXIT_INTERNAL: 1, EXIT_INFEASIBLE: 423},
+    59: {EXIT_OK: 11, EXIT_USAGE: 10, EXIT_INFEASIBLE: 445},
+    71: {EXIT_OK: 13, EXIT_USAGE: 8, EXIT_INFEASIBLE: 449},
+}
+
+
+def test_classpoly_reach_below_3000(capsys):
+    # 7461 calls, about a second; a change that answers more cases, or
+    # fewer, moves this table on purpose
+    reach = {}
+    for p in GENUS_ZERO_FRICKE_PRIMES:
+        outcomes = Counter(main(["classpoly", "--p", str(p), "--d", str(d)])
+                           for d in admissible_discriminants(p, 2999))
+        capsys.readouterr()
+        reach[p] = dict(outcomes)
+    assert reach == CLASSPOLY_REACH
 
 
 def test_crosscheck_requires_series_for_large_p(capsys):

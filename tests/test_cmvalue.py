@@ -14,7 +14,7 @@ from cmforge.arith import (
     is_prime,
     kronecker,
 )
-from cmforge.cmvalue import QuadraticCharacter, diff_set, o_of_m, rho
+from cmforge.cmvalue import QuadraticCharacter, diff_set, rho
 from cmforge.errors import InternalError, ParameterError
 from cmforge.gzrhs import gz_params
 
@@ -97,21 +97,6 @@ def test_field_data_validation():
         gz_params(p=3, d=11, D=12)  # -12 is a square mod 12 but not fundamental
     with pytest.raises(ParameterError, match="not prime"):
         gz_params(p=0, d=7, D=15)  # the ideal norm p must be prime
-
-
-def test_o_of_m_frozen():
-    K11, K39 = QuadraticCharacter(factorize(11)), QuadraticCharacter(factorize(39))
-    assert o_of_m(factorize(11), K11) == 1     # m = 1: 11 | m*D
-    assert o_of_m(factorize(1), K11) == 0      # m = 1/11
-    assert o_of_m(factorize(117), K39) == 2    # m*D = 3^2 * 13
-    assert o_of_m(factorize(2 * 13), K39) == 1
-    # a bad m*D is refused where it is factored, before o_of_m sees it
-    for bad in (0, -22):
-        with pytest.raises(ParameterError):
-            o_of_m(factorize(bad), K11)
-    for bad in (Fraction(117, 4), Fraction(11, 1), 11.0):
-        with pytest.raises(ParameterError):
-            o_of_m(factorize(bad), K11)
 
 
 def is_square(n):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -31,7 +32,7 @@ from cmforge.gzrhs import (
     gz_params,
     term_contribution,
 )
-from cmforge.hauptmodul import GENUS_ZERO_FRICKE_PRIMES, Hauptmodul
+from cmforge.hauptmodul import GENUS_ZERO_FRICKE_PRIMES, Hauptmodul, working_context
 from cmforge.quadforms import fundamental, square_roots_mod_4p
 
 
@@ -593,13 +594,20 @@ def reference_rho(n, D):
     return count
 
 
-def reference_contribution(term, params, ramified_exponent):
-    """Exponent map of one term by the per-symbol formula: ord_q and hilbert_symbol
-    at each scanned prime, and rho of a freshly factored m*D or m*D/q."""
+def reference_obstructed(term, params):
+    """The places where hilbert_symbol(-m*D*p*D, -D) is -1, over 2 and the
+    primes of D, p and m*D."""
     md, D, N = term.md, params.D, params.p
     x = -md * N * D
     candidates = {2, *(q for n in (D, N, md) for q, _ in factorize(n).factors)}
-    obstructed = [q for q in sorted(candidates) if hilbert_symbol(x, -D, q) == -1]
+    return [q for q in sorted(candidates) if hilbert_symbol(x, -D, q) == -1]
+
+
+def reference_contribution(term, params, ramified_exponent):
+    """Exponent map of one term by the per-symbol formula: ord_q and hilbert_symbol
+    at each scanned prime, and rho of a freshly factored m*D or m*D/q."""
+    md, D = term.md, params.D
+    obstructed = reference_obstructed(term, params)
     if len(obstructed) != 1:
         return {}
     q = obstructed[0]
@@ -616,11 +624,39 @@ def reference_contribution(term, params, ramified_exponent):
     return {q: coeff} if coeff else {}
 
 
+#: Triples with p | d or p | D, so that the scorer meets q = p (only when
+#: p | D: otherwise -D is a nonzero square mod 4p and p splits) and an odd
+#: ramified q of even order (only when q | gcd(d, D): otherwise the lattice
+#: congruence gives ord_q(m*D) = 1).
+BRANCH_TRIPLES = ((2, 20, 8), (3, 24, 15), (2, 56, 7))
+
+#: The scorer's branches as (chi_{-D}(q), q == 2, q == p, ord_q(m*D) mod 2)
+#: of the one obstructed prime q, and "zero" for every other term.  An
+#: obstructed inert q has odd order and is neither p nor a split prime.
+SCAN_BRANCHES = {
+    "zero",
+    (-1, False, False, 1), (-1, True, False, 1),
+    (0, False, False, 1), (0, False, False, 0), (0, True, False, 1), (0, True, False, 0),
+    (0, False, True, 1), (0, False, True, 0), (0, True, True, 1), (0, True, True, 0),
+}
+
+
+def scan_branch(term, params):
+    obstructed = reference_obstructed(term, params)
+    if len(obstructed) != 1:
+        return "zero"
+    q = obstructed[0]
+    return kronecker(-params.D, q), q == 2, q == params.p, ord_q(term.md, q) % 2
+
+
 def test_term_contribution_matches_per_symbol_reference():
-    cases = grid_params() + [gz_params(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]
+    cases = grid_params() + [gz_params(p=p, d=d, D=D)
+                             for p, d, D in LARGE_TRIPLES + BRANCH_TRIPLES]
+    reached = set()
     for params in cases:
         primes = admitted_primes(params)
         for term in enumerate_terms(params):
+            reached.add(scan_branch(term, params))
             contribution = term_contribution(term, params, primes)
             for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M):
                 expected = reference_contribution(term, params, variant)
@@ -629,6 +665,7 @@ def test_term_contribution_matches_per_symbol_reference():
             assert contribution.is_zero() == (
                 not reference_contribution(term, params, RAMIFIED_OF_MD)
                 and not reference_contribution(term, params, RAMIFIED_OF_M))
+    assert reached == SCAN_BRANCHES
 
 
 def test_term_contribution_keeps_its_checks(monkeypatch):
@@ -691,6 +728,26 @@ def test_primelogsum_algebra():
     for bad in (Fraction(1, 2), Fraction(3), 0.5):
         with pytest.raises(ParameterError):
             PrimeLogSum({2: bad})
+
+
+def test_log_value_mpf_is_the_prime_log_sum_within_its_bound():
+    # within half an ulp plus 2^-(prec+30) * sum |e_q| log q of the sum taken
+    # 64 bits finer; {2: 10^8} and the 500-prime sum stand for 8th powers of
+    # 10^8 bits and more, and 2^301994 / 3^190537 cancels to 6.5e-8, where
+    # the sum of |e_q| log q is 4.2e5
+    rng = random.Random(17)
+    cases = [{2: 10 ** 8}, {3: 8 * 10 ** 6, 7: -5 * 10 ** 6, 1000003: 16},
+             {q: rng.randrange(-10 ** 5, 10 ** 5) for q in primes_up_to(3571)},
+             {2: 301994, 3: -190537}]
+    for digits in (30, 80, 300):
+        ctx = working_context(digits)
+        for exponents in cases:
+            logged, prec = PrimeLogSum(exponents).log_value_mpf(ctx), ctx.prec
+            with ctx.workprec(prec + 64):
+                direct = ctx.fsum(e * ctx.log(q) for q, e in exponents.items())
+                size = ctx.fsum(abs(e) * ctx.log(q) for q, e in exponents.items())
+                bound = ctx.ldexp(abs(direct), -prec) + ctx.ldexp(size, -prec - 30)
+                assert abs(logged - direct) <= bound, (digits, exponents)
 
 
 def test_norm_and_integrality():
