@@ -84,9 +84,8 @@ class Factorization:
 
 
 def _pollard_brent(n: int) -> int:
-    """Return a nontrivial factor of composite odd n; deterministic parameter sweep."""
-    if n % 2 == 0:
-        return 2
+    """Return a nontrivial factor of composite n, odd as factorize divides out
+    2, 3 and 5 first and splits only odd numbers; deterministic parameter sweep."""
     for c in range(1, 1000):
         y, m = 2, 128
         g = r = q = 1
@@ -168,7 +167,8 @@ def factorize(n: int) -> Factorization:
     Each prime is proven where it is found, so the result is not tested
     again: trial division finds the primes up to its limit in increasing
     order, a cofactor left when the divisors pass its square root is prime,
-    and past the limit is_prime proves each piece Pollard-Brent splits off.
+    and past the limit is_prime proves each piece Pollard-Brent splits off;
+    no piece is 1, as the cofactor exceeds 1 and each split is nontrivial.
     """
     _check_factorable(n)
     value = n
@@ -194,8 +194,6 @@ def factorize(n: int) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

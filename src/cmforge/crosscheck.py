@@ -27,6 +27,9 @@ from .quadforms import square_roots_mod_4p
 
 RELATIVE_TOLERANCE = 1e-8
 
+#: Most pairs one batch checks: admissible_pairs ranks about count^2/2 before any is checked.
+MAX_PAIRS = 1000
+
 
 @dataclass
 class CrosscheckResult:
@@ -93,6 +96,8 @@ def admissible_pairs(p: int, max_disc: int = 500, count: int = 5) -> list[tuple[
     """
     if count < 1:
         raise ParameterError(f"pair count must be at least 1, got {count}")
+    if count > MAX_PAIRS:
+        raise ParameterError(f"pair count {count} exceeds the ceiling {MAX_PAIRS}")
     discs = list(islice(admissible_discriminants(p, max_disc), count + 1))
     available = len(discs) * (len(discs) - 1) // 2
     if available < count:

@@ -296,12 +296,11 @@ def _fixed_bits(ctx) -> int:
 
 
 def _to_fixed(x, bits: int):
-    """A scaled pair as a fixed-point pair at 2^-bits, each part floored."""
+    """A scaled pair z of _form_exponentials as a fixed-point pair at 2^-bits,
+    each part floored; |z| < 1, so scaled's exponent top - bits - 2 < -bits."""
     (re, im), exp = x
-    shift = exp + bits
-    if shift >= 0:
-        return re << shift, im << shift
-    return re >> -shift, im >> -shift
+    shift = -exp - bits
+    return re >> shift, im >> shift
 
 
 def _point_form(tau, ctx):
@@ -499,8 +498,7 @@ def eta_with_bound(tau, ctx):
     from the form's exact data.  The bound is the radius of the Ball.
     """
     form, exact = _form_of(tau, ctx)
-    f = (form.a, form.b, form.c)
-    return _class_etas(ctx, -form.discriminant, [f], 24, exact)[f].to_mpc(ctx)
+    return _class_etas(ctx, -form.discriminant, [form], 24, exact)[form].to_mpc(ctx)
 
 
 def reduce_point(form: QuadraticForm, p: int) -> QuadraticForm:
@@ -523,12 +521,12 @@ def reduce_point(form: QuadraticForm, p: int) -> QuadraticForm:
     end kept can have p^2 times tau's discriminant (some Heegner forms, from
     p = 7 on).
     """
-    (a, b, c), (w0, _, w2, _), _, _ = reduction_word(form.a, form.b, form.c)
+    (a, b, c), (w0, _, w2, _), _, _ = reduction_word(*form)
     if w2 % p:
         j = next(n for n in range(p) if (w0 + n * w2) % p == 0)
         a, b, c = p * p * a, p * (b - 2 * a * j), (a * j - b) * j + c
     ends = [reduction_word(*(n * part for part in f), p)[0]
-            for f in ((form.a, form.b, form.c), (a, b, c)) for n in [1 if f[0] % p == 0 else p]]
+            for f in (form, (a, b, c)) for n in [1 if f[0] % p == 0 else p]]
     a, b, c = max(ends, key=lambda f: Fraction(4 * f[0] * f[2] - f[1] ** 2, f[0] * f[0]))
     return QuadraticForm(a, b, c)
 
@@ -554,7 +552,7 @@ def _series_value(hm: Hauptmodul, tau: QuadraticForm, reduce_first: bool):
     if reduce_first:
         tau = reduce_point(tau, hm.p)
     size = -tau.discriminant
-    (pair,) = _form_exponentials(size, [(tau.a, tau.b, tau.c)], 1, bits, _exact_root(size))
+    (pair,) = _form_exponentials(size, [tau], 1, bits, _exact_root(size))
     q = Ball.relative(pair, _Q_REL_ULPS, bits)
     absq = abs(q.to_mpc(ctx)[0])
     top = series.top_exponent
@@ -760,7 +758,7 @@ def _form_value(hm: Hauptmodul, form: QuadraticForm, eta_at, words, exact, root)
     """
     p, bits = hm.p, _fixed_bits(hm.ctx)
     k = 12 // (p - 1)
-    a, b, c = form.a, form.b, form.c
+    a, b, c = form
     size = -form.discriminant
     ell, m, second = _p_tau_form(p, a, b, c)
     (f1, (_, _, g1, h1), shift1, flips1), (f2, (_, _, g2, h2), shift2, flips2) = words
@@ -792,9 +790,8 @@ def _cm_value(hm: Hauptmodul, tau, reduce_first: bool = True):
         return _series_value(hm, tau, reduce_first)
     ctx, m, size = hm.ctx, hm.p - 1, -tau.discriminant
     word = reduction_word if reduce_first else lambda *f: (f, (1, 0, 0, 1), 0, 0)
-    form = (tau.a, tau.b, tau.c)
-    _, scale, second = _p_tau_form(hm.p, *form)
-    words = [word(*f) for f in (form, second)]
+    _, scale, second = _p_tau_form(hm.p, *tau)
+    words = [word(*f) for f in (tau, second)]
     etas = {}
     for (f, *_), n in zip(words, (1, scale)):
         etas.update(_class_etas(ctx, n * n * size, [f], m, None if exact is None else n * exact))
@@ -866,15 +863,14 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     """
     p = hm.p
     forms = heegner_reps(disc, p, residue)
-    words = [reduction_word(f.a, f.b, f.c) for f in forms]
+    words = [reduction_word(*f) for f in forms]
     index = {word[0]: i for i, word in enumerate(words)}
     if hm.series is None:
         exact = _exact_root(-disc)
         table = _class_etas(hm.ctx, -disc, [f for f in index if f[1] >= 0], p - 1, exact)
 
         def eta_at(f):
-            a, b, c = f
-            return table[f] if b >= 0 else table[a, -b, c].conjugate()
+            return table[f] if f[1] >= 0 else table[_mirror(f)].conjugate()
 
         root = surd(-disc, _fixed_bits(hm.ctx)) if exact is None else None
 
@@ -896,7 +892,7 @@ def _orbits(hm: Hauptmodul, disc: int, residue: int) -> list:
     for i, form in enumerate(forms):
         if i in seen:
             continue
-        pair = words[i], reduction_word(*_p_tau_form(p, form.a, form.b, form.c)[2])
+        pair = words[i], reduction_word(*_p_tau_form(p, *form)[2])
         tau_class, p_tau_class = pair[0][0], pair[1][0]
         same, conj = {i}, {at(_mirror(p_tau_class))}
         if fricke:

@@ -7,8 +7,8 @@ such form per equivalence class, deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .arith import (
     Factorization,
@@ -24,24 +24,24 @@ from .errors import InternalError, ParameterError, PrecisionError
 MAX_CLASS_NUMBER_DISC = 10 ** 7
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """A positive definite form a x^2 + b xy + c y^2; any other is refused here."""
+class QuadraticForm(tuple):
+    """A positive definite form a x^2 + b xy + c y^2, refused here otherwise: the
+    triple (a, b, c) itself, equal to the plain triples reduction_word gives."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
+    a, b, c = (property(itemgetter(i)) for i in range(3))
 
-    def __post_init__(self):
-        if self.discriminant >= 0 or self.a <= 0:
-            raise ParameterError(f"form {self} is not positive definite")
+    def __new__(cls, a: int, b: int, c: int):
+        if b * b - 4 * a * c >= 0 or a <= 0:
+            raise ParameterError(f"form {(a, b, c)} is not positive definite")
+        return super().__new__(cls, (a, b, c))
+
+    def __getnewargs__(self):  # copy and pickle rebuild a form through __new__
+        return tuple(self)
 
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def __str__(self):
-        return f"({self.a}, {self.b}, {self.c})"
 
 
 def reduction_word(a: int, b: int, c: int, level: int = 1):
@@ -188,9 +188,10 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
     increasing |b| level; within the scanned window the representative of each
     class minimizes (a, |b|, b), which makes the choice deterministic.  The
     candidates at b are (pk, b, nb/k) for the divisors k of nb = (b^2 - disc)/4p,
-    of discriminant disc by construction, each kept as the integers
-    (a, |b|, b, c) under its class's reduction_word form, so the least one is
-    the representative; only the representatives become QuadraticForms.
+    of discriminant disc by construction and primitive, as disc is fundamental
+    (a common factor g > 1 would make disc/g^2 a discriminant), each kept as the
+    integers (a, |b|, b, c) under its class's reduction_word form, so the least
+    one is the representative; only the representatives become QuadraticForms.
     """
     require_prime(p)
     fundamental(disc)
@@ -216,8 +217,6 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
             nb = n4 // (4 * p)
             for k in _divisors(nb):
                 a, c = p * k, nb // k
-                if gcd(gcd(a, b), c) != 1:
-                    continue
                 red = reduction_word(a, b, c)[0]
                 cand = (a, abs(b), b, c)
                 if red not in best or cand < best[red]:

@@ -263,6 +263,13 @@ def test_kronecker_at_two():
         assert kronecker(a, 2) == expected
 
 
+def test_kronecker_at_negative_n_against_sympy():
+    # (a|n) for n < 0 is (a|-1)(a|-n), with (a|-1) = -1 exactly when a < 0
+    for a in range(-60, 61):
+        for n in range(-60, 0):
+            assert kronecker(a, n) == sympy.kronecker_symbol(a, n), (a, n)
+
+
 def test_kronecker_multiplicative_in_n():
     rng = random.Random(13)
     for _ in range(300):

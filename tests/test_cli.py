@@ -380,6 +380,24 @@ def test_crosscheck_batch_scan_stops_at_count():
     assert [(c["d"], c["D"]) for c in checks] == admissible_pairs(2, 500, 1)
 
 
+def test_crosscheck_count_above_the_ceiling_is_refused_before_any_scan(capsys, monkeypatch):
+    # a batch ranks about count^2/2 pairs, so a count above MAX_PAIRS exits 2
+    # with no discriminant scanned; a count at the ceiling still answers
+    from cmforge import crosscheck
+
+    def scan(*args):
+        raise AssertionError("a discriminant was scanned")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(crosscheck, "admissible_discriminants", scan)
+        for count in (crosscheck.MAX_PAIRS + 1, 10 ** 6):
+            assert run_cli(capsys, "crosscheck", "--p", "2", "--max-disc", "10000000",
+                           "--count", str(count)) == (
+                EXIT_USAGE, "", f"error: pair count {count} exceeds the ceiling 1000\n")
+    pairs = admissible_pairs(2, 10 ** 7, crosscheck.MAX_PAIRS)
+    assert len(pairs) == len(set(pairs)) == 1000
+
+
 def test_eval_near_a_cusp_answers_at_once():
     # tau = -2.555 + 1e-9 i lies next to the cusp -511/200, where the eta
     # series at tau itself would need 279 241 pairs.  tau and 13 tau reduce

@@ -561,6 +561,15 @@ def test_qseries_validation():
         QSeries(p=5, coefficients=(1,))
     with pytest.raises(ParameterError):
         QSeries(p=6, coefficients=(1, 0))
+    with pytest.raises(ParameterError, match="^series coefficients must be integers$"):
+        QSeries(2, (1, 0.5))
+
+
+def test_eta_quotient_qseries_refusals():
+    with pytest.raises(ParameterError, match="^no closed form for p=11$"):
+        eta_quotient_qseries(11, 10)
+    with pytest.raises(ParameterError, match="^count must be at least 2$"):
+        eta_quotient_qseries(2, 1)
 
 
 def test_qseries_file_roundtrip(tmp_path):

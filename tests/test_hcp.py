@@ -101,6 +101,16 @@ def test_resolve_signs_search_reference_signs():
     assert points == [(0, 1), (1, 1), (-1, 7), (2, 13), (4, 217)]
 
 
+def test_resolve_signs_refuses_zero_x_magnitudes():
+    # only the base discriminant's pair has X = 0, and the search needs a
+    # nonzero X to fix the global mirror
+    two_zeros = [InterpolationPair(7, 0, 1), InterpolationPair(8, 0, 1)]
+    with pytest.raises(SignResolutionError, match="^more than one zero X magnitude$"):
+        resolve_signs(two_zeros, 1)
+    with pytest.raises(SignResolutionError, match="^all X magnitudes vanish$"):
+        resolve_signs([InterpolationPair(7, 0, 1)], 0)
+
+
 def test_interpolate_reference_polynomial():
     points = resolve_signs(build_pairs(39, 33, 47, -11), h=4)
     poly = interpolate(points, d=39, h=4)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import gcd, isqrt
 
@@ -85,6 +87,21 @@ def test_reduce_is_class_invariant():
         g = apply_sl2(f, random_sl2(rng))
         assert g.discriminant == f.discriminant
         assert reduce(g) == reduce(f)
+
+
+def test_a_form_is_its_triple():
+    # a form equals, and hashes as, the plain triple reduction_word and
+    # reduced_forms give, prints as it, and survives copy and pickle as a form
+    form = QuadraticForm(2, 1, 5)
+    assert form == (2, 1, 5) and hash(form) == hash((2, 1, 5))
+    assert str(form) == "(2, 1, 5)"
+    assert (form.a, form.b, form.c, form.discriminant) == (2, 1, 5, -39)
+    assert {form: 1}[reduction_word(*form)[0]] == 1
+    copies = [copy.copy(form), copy.deepcopy(form)]
+    copies += [pickle.loads(pickle.dumps(form, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert type(twin) is QuadraticForm and twin == form and twin.c == 5
 
 
 def test_reduce_rejects_indefinite():

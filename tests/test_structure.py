@@ -258,6 +258,24 @@ def flipping_functions():
     return found
 
 
+def test_no_code_rebuilds_a_form_from_its_fields():
+    # a QuadraticForm is the (a, b, c) triple itself, so no tuple and no
+    # argument list is built from the .a, .b and .c of one name
+    offenders = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            items = (node.elts if isinstance(node, ast.Tuple)
+                     else node.args if isinstance(node, ast.Call) else [])
+            fields = {}
+            for item in items:
+                if (isinstance(item, ast.Attribute) and isinstance(item.value, ast.Name)
+                        and item.attr in ("a", "b", "c")):
+                    fields.setdefault(item.value.id, set()).add(item.attr)
+            if {"a", "b", "c"} in fields.values():
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_one_reduction_loop_for_forms_and_numbers():
     # a number is the CM point of its form, so quadforms.reduction_word is
     # the only loop that flips a form or a point pair, and hauptmodul keeps
@@ -359,7 +377,7 @@ def test_one_refusal_per_input_rule():
         "{} is not a fundamental discriminant", "{} is not a square mod {}",
     )} == {
         "{} is not prime": ["arith:require_prime"],
-        "form {} is not positive definite": ["quadforms:QuadraticForm.__post_init__"],
+        "form {} is not positive definite": ["quadforms:QuadraticForm.__new__"],
         "p={}: the Fricke curve is not genus zero": ["hauptmodul:require_genus_zero"],
         "cannot factor non-positive integer {}": ["arith:_check_factorable"],
         "{} is not a fundamental discriminant": ["quadforms:fundamental"],
