@@ -349,12 +349,12 @@ def cmd_heegner(args) -> int:
     text = []
     for f in forms:
         tau = f"({-f.b} + sqrt({f.discriminant})) / {2 * f.a}"
-        rows.append({"a": f.a, "b": f.b, "c": f.c, "tau": tau})
-        text.append(f"({f.a}, {f.b}, {f.c})  tau = {tau}")
+        rows.append(dict(zip("abc", f), tau=tau))
+        text.append(f"{f}  tau = {tau}")
     result = {"forms": rows, "count": len(rows)}
     _emit(_report("heegner", {"d": args.d, "p": args.p, "beta": args.beta}, result),
           args.output_format,
-          csv_rows=[[f.a, f.b, f.c] for f in forms], csv_header=["a", "b", "c"],
+          csv_rows=forms, csv_header=["a", "b", "c"],
           text_lines=text)
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from cmforge.hcp import (
     s_set,
     usable_s_set,
 )
-from cmforge.quadforms import admissible_residues, class_number
+from cmforge.quadforms import admissible_residues, class_number, reduction_word
 
 FROZEN_S_SETS = {
     2: [-4, -7, -8],
@@ -421,19 +421,24 @@ def test_sweep_outcomes_pinned():
     solved = ambiguous = candidates = infeasible = 0
     internal = []
     reducible = {}
+    outcomes = {}
     for p, d in cases:
         try:
             coefficients = class_polynomial(p, d).polynomial.coefficients
             solved += 1
+            outcomes[p, d] = "solved"
             if not irreducible_over_z(coefficients):
                 reducible[(p, d)] = factor_over_z(coefficients)
         except AmbiguousSignsError as exc:
             ambiguous += 1
             candidates += len(exc.candidates)
+            outcomes[p, d] = "ambiguous"
         except InfeasibleError:
             infeasible += 1  # the diagonal D = d leaves one pair short
+            outcomes[p, d] = "infeasible"
         except InternalError:
             internal.append((p, d))
+            outcomes[p, d] = "internal"
     assert (solved, ambiguous, candidates, infeasible) == (139, 33, 79, 12)
     # Known defect, ROADMAP item 1: when p divides d the interpolant has a
     # rational root, so the polynomial is reducible and the run exits 3.
@@ -444,3 +449,21 @@ def test_sweep_outcomes_pinned():
     assert sorted(reducible) == [(11, 55), (11, 132), (23, 184)]
     for (p, d), factors in reducible.items():
         assert [(len(q) - 1, m) for q, m in factors] == [(2, 2)], (p, d, factors)
+    # ROADMAP item 1, Fact 1: when p | d and the prime above p is not
+    # principal, the Fricke involution pairs the Heegner points, and these
+    # are exactly the exit-3 cases and the Q^2 answers; where it is
+    # principal no answer is reducible
+    fricke = {case: outcomes[case] for case in cases if case[1] % case[0] == 0}
+    principal = {case: outcome for case, outcome in fricke.items()
+                 if prime_above_p_is_principal(*case)}
+    assert len(fricke) == 16
+    assert sorted(set(fricke) - set(principal)) == sorted(internal + list(reducible))
+    assert principal == {(2, 8): "infeasible", (7, 7): "infeasible", (11, 11): "solved",
+                         (19, 19): "solved", (23, 23): "ambiguous", (59, 59): "ambiguous"}
+
+
+def prime_above_p_is_principal(p, d):
+    """Whether the prime ideal above p of discriminant -d, p | d, is
+    principal: the form (p, beta, (beta^2 + d)/4p) reduces to a = 1."""
+    beta = min(admissible_residues(-d, p))
+    return reduction_word(p, beta, (beta * beta + d) // (4 * p))[0][0] == 1

@@ -158,7 +158,8 @@ def test_one_eta_kernel_and_one_complex_product():
     # every eta value comes from one pentagonal loop, and every fixed-point
     # complex product from one function: the loop is the only one in the
     # package that calls fixed_mul, ball.fixed_mul the only function that
-    # right-shifts a product, and both evaluators reach that loop
+    # right-shifts a product, and both evaluators reach that loop, calls
+    # followed across hauptmodul and the eta kernel
     shifted_products, kernel_loops, calls = set(), set(), {}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -178,7 +179,7 @@ def test_one_eta_kernel_and_one_complex_product():
                         for inner in ast.walk(node) if isinstance(inner, ast.Call)):
                     kernel_loops.add(where)
     assert shifted_products == {"ball.py:fixed_mul"}
-    assert kernel_loops == {"hauptmodul.py:_pentagonal_sum"}
+    assert kernel_loops == {"eta.py:pentagonal_sum"}
 
     def reaches(start, target):
         seen, todo = set(), [start]
@@ -188,29 +189,31 @@ def test_one_eta_kernel_and_one_complex_product():
                 return True
             if name not in seen:
                 seen.add(name)
-                todo += [f"hauptmodul.py:{callee}" for callee in calls.get(name, ())]
+                todo += [f"{file}:{callee}" for callee in calls.get(name, ())
+                         for file in ("hauptmodul.py", "eta.py")]
         return False
 
     for evaluator in ("eta_with_bound", "value_with_bound"):
-        assert reaches(f"hauptmodul.py:{evaluator}", "hauptmodul.py:_pentagonal_sum"), evaluator
+        assert reaches(f"hauptmodul.py:{evaluator}", "eta.py:pentagonal_sum"), evaluator
 
 
 def test_one_eta_kernel_at_reduced_points():
-    # eta^e is summed only by _eta_power, which every CM value, every
+    # eta^e is summed only by eta.eta_power, which every CM value, every
     # numeric point and eta itself (e = 1) reach: no second series runs at
-    # p tau, and no power q^p is formed
-    tree = ast.parse((PACKAGE_DIR / "hauptmodul.py").read_text(encoding="utf-8"))
+    # p tau, and no power q^p is formed, in hauptmodul or the kernel
     callers, exponents = set(), set()
-    for function in ast.walk(tree):
-        if not isinstance(function, ast.FunctionDef):
-            continue
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call) and called_name(node) == "_pentagonal_sum":
-                callers.add(function.name)
-            if isinstance(node, ast.Call) and called_name(node) in ("power", "pow"):
-                # ball.power(x, n, mul) and Ball.pow(n, bits)
-                exponents.add(ast.unparse(node.args[called_name(node) == "power"]))
-    assert callers == {"_eta_power"}
+    for name in ("hauptmodul.py", "eta.py"):
+        tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and called_name(node) == "pentagonal_sum":
+                    callers.add(f"{name}:{function.name}")
+                if isinstance(node, ast.Call) and called_name(node) in ("power", "pow"):
+                    # ball.power(x, n, mul) and Ball.pow(n, bits)
+                    exponents.add(ast.unparse(node.args[called_name(node) == "power"]))
+    assert callers == {"eta.py:eta_power"}
     assert "p" not in exponents and exponents == {"m", "e", "k"}
 
 
@@ -259,13 +262,23 @@ def flipping_functions():
 
 
 def test_no_code_rebuilds_a_form_from_its_fields():
-    # a QuadraticForm is the (a, b, c) triple itself, so no tuple and no
-    # argument list is built from the .a, .b and .c of one name
+    # a QuadraticForm is the (a, b, c) triple itself, so no tuple, list,
+    # dict, f-string or argument list is built from the .a, .b and .c of one
+    # name
     offenders = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            items = (node.elts if isinstance(node, ast.Tuple)
-                     else node.args if isinstance(node, ast.Call) else [])
+            if isinstance(node, (ast.Tuple, ast.List)):
+                items = node.elts
+            elif isinstance(node, ast.Call):
+                items = node.args
+            elif isinstance(node, ast.Dict):
+                items = node.values
+            elif isinstance(node, ast.JoinedStr):
+                items = [part.value for part in node.values
+                         if isinstance(part, ast.FormattedValue)]
+            else:
+                continue
             fields = {}
             for item in items:
                 if (isinstance(item, ast.Attribute) and isinstance(item.value, ast.Name)
@@ -309,21 +322,91 @@ def test_no_code_changes_a_context_precision():
 
 def test_one_routine_makes_every_exponential_of_a_point():
     # every z = e^(2 pi i tau/m), at a Heegner form's point or a number's,
-    # comes from _form_exponentials: the only function of hauptmodul that
-    # calls libmp.mpf_exp, and no module-level code does
-    tree = ast.parse((PACKAGE_DIR / "hauptmodul.py").read_text(encoding="utf-8"))
+    # comes from eta.form_exponentials: the only function of hauptmodul and
+    # the kernel that calls libmp.mpf_exp, and no module-level code does
     owners = set()
-    for node in tree.body:
-        for inner in ast.walk(node):
-            if isinstance(inner, ast.Call) and ast.unparse(inner.func) == "libmp.mpf_exp":
-                owners.add(node.name if isinstance(node, ast.FunctionDef) else "<module>")
-    assert owners == {"_form_exponentials"}
+    for name in ("hauptmodul.py", "eta.py"):
+        tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+        for node in tree.body:
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Call) and ast.unparse(inner.func) == "libmp.mpf_exp":
+                    owners.add(f"{name}:" + (node.name if isinstance(node, ast.FunctionDef)
+                                             else "<module>"))
+    assert owners == {"eta.py:form_exponentials"}
+
+
+#: The level-one eta kernel: every name of cmforge.eta, all public.
+ETA_KERNEL_NAMES = {
+    "MAX_ETA_TERMS", "ETA_GUARD_BITS", "Q_GUARD_BITS", "Q_REL_ULPS", "Q_ERR_ULPS",
+    "pentagonal_pairs", "to_fixed", "conjugate_swap", "GAUSSIAN_SPLITS", "addition_sequence",
+    "sequence_products", "with_spent", "TABLE_PAIRS", "TABLE", "TABLE_ENDS",
+    "pentagonal_steps", "pentagonal_sum", "eta_power", "form_exponentials", "twelfth_turn",
+    "floor_sqrt", "class_etas",
+}
+
+
+def defined_names(path):
+    """Names the top level of a module defines: functions, classes and
+    assigned names, not imported ones."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_eta_kernel_is_one_public_module_that_takes_no_context():
+    # hauptmodul keeps level p and calls the kernel by its public names,
+    # defining none of them, under either spelling; the kernel is given
+    # forms and an integer precision, never an mpmath context, and takes
+    # nothing from mpmath but libmp
+    text = (PACKAGE_DIR / "eta.py").read_text(encoding="utf-8")
+    assert defined_names(PACKAGE_DIR / "eta.py") == ETA_KERNEL_NAMES
+    old_names = {f"_{name}" for name in ETA_KERNEL_NAMES} | {"_cm_value"}
+    assert not defined_names(PACKAGE_DIR / "hauptmodul.py") & (ETA_KERNEL_NAMES | old_names)
+    assert "ctx" not in text
+    assert [ast.unparse(node) for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "mpmath" in ast.unparse(node)] == ["from mpmath import libmp"]
+
+
+def kernel_reaches(path):
+    """'file:line module.name' wherever a test file names a private
+    attribute of cmforge.eta or reaches a kernel name through
+    cmforge.hauptmodul: as an attribute, by a string beside the module
+    (monkeypatch.setattr(module, "name", ...)) or in a from-import."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            named = [(node.value.id, node.attr)]
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and isinstance(node.args[0], ast.Name) and isinstance(node.args[1], ast.Constant)):
+            named = [(node.args[0].id, node.args[1].value)]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cmforge."):
+            named = [(node.module.split(".")[1], alias.name) for alias in node.names]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {module}.{name}" for module, name in named
+                  if isinstance(name, str)
+                  and (module == "eta" and name.startswith("_")
+                       or module == "hauptmodul" and name in ETA_KERNEL_NAMES)]
+    return found
+
+
+def test_tests_reach_the_eta_kernel_by_public_names():
+    # tests reach the kernel by the names it publishes, so the private
+    # helpers of either module can change without a test edit
+    offenders = [place for path in sorted(Path(__file__).parent.glob("*.py"))
+                 for place in kernel_reaches(path)]
+    assert offenders == []
 
 
 def test_numeric_bounds_take_no_floats():
     # every bound of a CM value is a Ball radius held in integers: no
     # working-precision epsilon, no float sums and no Ball made from an mpc
-    for name in ("hauptmodul.py", "ball.py"):
+    for name in ("hauptmodul.py", "eta.py", "ball.py"):
         text = (PACKAGE_DIR / name).read_text(encoding="utf-8")
         for word in ("ctx.eps", "math.fsum", "ldexp", "_log2_above"):
             assert word not in text, (name, word)
