@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -418,28 +419,26 @@ def test_sign_search_finds_the_polynomial_or_its_mirror(case):
 def test_sweep_outcomes_pinned():
     cases = sweep_cases()
     assert len(cases) == 191
-    solved = ambiguous = candidates = infeasible = 0
-    internal = []
-    reducible = {}
+    candidates = 0
     outcomes = {}
+    reducible = {}
     for p, d in cases:
         try:
             coefficients = class_polynomial(p, d).polynomial.coefficients
-            solved += 1
             outcomes[p, d] = "solved"
             if not irreducible_over_z(coefficients):
                 reducible[(p, d)] = factor_over_z(coefficients)
         except AmbiguousSignsError as exc:
-            ambiguous += 1
-            candidates += len(exc.candidates)
             outcomes[p, d] = "ambiguous"
+            candidates += len(exc.candidates)
         except InfeasibleError:
-            infeasible += 1  # the diagonal D = d leaves one pair short
-            outcomes[p, d] = "infeasible"
+            outcomes[p, d] = "infeasible"  # the diagonal D = d leaves one pair short
         except InternalError:
-            internal.append((p, d))
             outcomes[p, d] = "internal"
-    assert (solved, ambiguous, candidates, infeasible) == (139, 33, 79, 12)
+    counts = Counter(outcomes.values())
+    assert (counts["solved"], counts["ambiguous"], candidates, counts["infeasible"]) == (
+        139, 33, 79, 12)
+    internal = [case for case, outcome in outcomes.items() if outcome == "internal"]
     # Known defect, ROADMAP item 1: when p divides d the interpolant has a
     # rational root, so the polynomial is reducible and the run exits 3.
     assert internal == [(11, 88), (11, 187), (17, 51), (17, 187), (23, 115),
