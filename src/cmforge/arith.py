@@ -70,7 +70,8 @@ def require_prime(n: int) -> int:
 class Factorization:
     """The prime factorization of a positive integer value as (prime, exponent)
     pairs, primes increasing: a plain record, built only by factorize and
-    factor_over, which prove each prime as they find it."""
+    by the lattice sieve (gzrhs.factor_terms), which prove each prime as
+    they find it."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
@@ -130,35 +131,6 @@ def _check_factorable(n) -> None:
         raise ParameterError(f"factorize expects an integer, got {n!r}")
     if n < 1:
         raise ParameterError(f"cannot factor non-positive integer {n}")
-
-
-def factor_over(n: int, primes) -> Factorization:
-    """Factor a positive integer by trial division over primes, which must
-    hold, increasing, every prime up to isqrt(n) that can divide n.
-
-    That promise proves the result: a cofactor left once the primes pass
-    its square root, or run out, has no prime factor up to its square root,
-    so it is prime.  A caller that knows most primes cannot divide n lists
-    only the others and divides by those alone.
-    """
-    _check_factorable(n)
-    value = n
-    factors = []
-    root = isqrt(n)
-    for q in primes:
-        if q > root:
-            break
-        if n % q == 0:
-            n //= q
-            e = 1
-            while n % q == 0:
-                n //= q
-                e += 1
-            factors.append((q, e))
-            root = isqrt(n)
-    if n > 1:
-        factors.append((n, 1))
-    return Factorization(value, tuple(factors))
 
 
 def factorize(n: int) -> Factorization:
@@ -237,13 +209,19 @@ def kronecker(a: int, n: int) -> int:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p (Tonelli-Shanks); None if a is not a square.
+    """A square root of a modulo an odd prime p; None if a is not a square.
 
-    p must be a proven odd prime; nothing is checked here.
+    p must be a proven odd prime; nothing is checked here.  For p = 3 mod 4
+    the root is a^((p+1)/4), the one Tonelli-Shanks returns there, and is
+    squared to tell a square from a non-square; otherwise Tonelli-Shanks
+    runs after one Kronecker symbol.
     """
     a %= p
     if a == 0:
         return 0
+    if p % 4 == 3:
+        root = pow(a, (p + 1) // 4, p)
+        return root if root * root % p == a else None
     if kronecker(a, p) != 1:
         return None
     # p - 1 = q * 2^s with q odd; z is the least non-residue

@@ -190,7 +190,8 @@ def pentagonal_sum(q, q_err: int, pairs: int, bits: int):
     they sum to at most |q|^N / (1 - |q|), with |q| <= size 2^(cut - bits):
     X and Y are read at 2^cut, about 16 bits each, rounded up, and size =
     isqrt of their squared modulus, plus one, plus q_err rounded up to
-    units of 2^cut; a size that reaches 2^(bits - cut) raises PrecisionError.
+    units of 2^cut; a size that reaches 2^(bits - cut) raises PrecisionError,
+    before any product is taken, as the test reads q alone.
     Fixed point: every product floors each part, an error below sqrt(2)
     units, and every factor has modulus at most 1, so errors add without
     growing.
@@ -201,6 +202,11 @@ def pentagonal_sum(q, q_err: int, pairs: int, bits: int):
     add to 3k^2, this is below (u + sqrt(2)) K(K+1)(2K+1)/2 units for K =
     pairs; the bound doubles it to cover the second-order products of errors.
     """
+    cut = max(0, top_bits(q) - 16)
+    x, y = (abs(q[0]) >> cut) + 1, (abs(q[1]) >> cut) + 1  # |X|, |Y| < (x, y) 2^cut
+    size = math.isqrt(x * x + y * y) + 2 + (q_err >> cut)
+    if size >> (bits - cut):
+        raise PrecisionError("the eta series cannot be bounded where |q| may reach 1")
     total_re, total_im = 1 << bits, 0
     if pairs:
         total_re, total_im = total_re - q[0], -q[1]
@@ -211,11 +217,6 @@ def pentagonal_sum(q, q_err: int, pairs: int, bits: int):
         total_im += sign * x[1]
         for exponent in spent:
             del powers[exponent]
-    cut = max(0, top_bits(q) - 16)
-    x, y = (abs(q[0]) >> cut) + 1, (abs(q[1]) >> cut) + 1  # |X|, |Y| < (x, y) 2^cut
-    size = math.isqrt(x * x + y * y) + 2 + (q_err >> cut)
-    if size >> (bits - cut):
-        raise PrecisionError("the eta series cannot be bounded where |q| may reach 1")
     exponent = (pairs + 1) * (3 * pairs + 2) // 2
     tail = ceil_shift(size ** exponent, (cut - bits) * exponent + 2 * bits)
     rounding = (q_err + 2) * pairs * (pairs + 1) * (2 * pairs + 1)

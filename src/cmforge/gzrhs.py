@@ -6,20 +6,25 @@ prime -> exponent, assembled from finitely many lattice terms.  Each term
 (sign, y, n) has t = g*mu*(sign*beta) - 2npD - 2gpy with t^2 < g^2 dD and needs
 only the integer md = m*D = (g^2 dD - t^2)/(4 g^2 p), and contributes only
 when the local obstruction set of m is a single prime.  Each term is scored
-from one factorization of md, for both ramified exponents at once, found by
-trial division over the only primes that 4g^2 p md = g^2 dD - t^2 lets
-divide md (admitted_primes).
+from one factorization of md, for both ramified exponents at once.  Along a
+sign block md is a quadratic in the lattice index k, 4g^2 p md = g^2 dD -
+t^2, so one sieve finds every factorization (factor_terms): an odd prime l
+not dividing p divides md only at the k where t is a square root of g^2 dD
+mod l, at most two classes mod l.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import gcd, isqrt
+from operator import itemgetter
+from typing import NamedTuple
 
 from mpmath import libmp
 
-from .arith import factor_over, kronecker, primes_up_to, require_prime
+from .arith import Factorization, primes_up_to, require_prime, sqrt_mod
 from .cmvalue import QuadraticCharacter, diff_set
 from .errors import InternalError, NonIntegralMagnitudeError, ParameterError
 from .quadforms import fundamental, smallest_residue
@@ -35,6 +40,10 @@ _RAMIFIED_CHOICES = (RAMIFIED_OF_M, RAMIFIED_OF_MD)
 #: Most lattice terms enumerate_terms accepts.  A (p, d, D) has about
 #: 2*sqrt(d*D)/p terms, each held in memory and scored by one factorization,
 #: so the ceiling bounds both the time and the memory of one evaluation.
+#: gznorm --p 2 --d 7 --D 130000000007 has 953 940 terms, just under it,
+#: and takes 30 to 37 s in-process with a peak RSS near 300 MB (2 vCPU,
+#: Python 3.11): 8 s to enumerate, sieve and score, the rest to multiply
+#: out the norm and print it.
 MAX_LATTICE_TERMS = 10 ** 6
 
 
@@ -109,9 +118,9 @@ def gz_params(p: int, d: int, D: int, mu: int | None = None,
     return GZParams(p, d, chi, mu, beta)
 
 
-@dataclass(frozen=True)
-class LatticeTerm:
-    """One admissible (sign, y, n) triple with its t and md = m*D."""
+class LatticeTerm(NamedTuple):
+    """One admissible (sign, y, n) triple with its t and md = m*D: a tuple,
+    as an evaluation may build up to MAX_LATTICE_TERMS of them."""
 
     n: int
     y: int
@@ -198,6 +207,16 @@ class PrimeLogSum:
         return factors[0]
 
 
+def _sign_block(params: GZParams, sign: int) -> tuple[int, range]:
+    """(head, range of k) of the beta (sign +1) or -beta (sign -1) sum: the
+    terms of a block have t = head - 2gp*k, one for each k with t^2 < g^2 dD."""
+    g = params.g
+    s_max = isqrt(g * g * params.d * params.D - 1)  # largest |t| with t^2 < g^2 dD
+    step = 2 * g * params.p
+    head = g * params.mu * (sign * params.beta)
+    return head, range(-((s_max - head) // step), (head + s_max) // step + 1)
+
+
 def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
     """All lattice terms for both the beta and the -beta sums, in (sign, y, n) order.
 
@@ -212,19 +231,15 @@ def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
     if D % g:
         raise InternalError(f"g = {g} does not divide D = {D}")
     bound_sq = g * g * dD
-    s_max = isqrt(bound_sq - 1)  # largest |t| with t^2 < g^2 dD
     step = 2 * g * p
     denominator = 4 * g * g * p
-    ranges = {}  # sign -> (head, range of k)
-    for sign in (1, -1):
-        head = g * params.mu * (sign * params.beta)
-        ranges[sign] = head, range(-((s_max - head) // step), (head + s_max) // step + 1)
-    count = sum(len(ks) for _, ks in ranges.values())
+    blocks = [(sign, *_sign_block(params, sign)) for sign in (1, -1)]
+    count = sum(len(ks) for _, _, ks in blocks)
     if count > MAX_LATTICE_TERMS:
         raise ParameterError(f"{count} lattice terms exceed the ceiling {MAX_LATTICE_TERMS}; "
                              "the count is about 2*sqrt(d*D)/p")
     terms = []
-    for sign, (head, ks) in ranges.items():
+    for sign, head, ks in blocks:
         block = []
         for k in ks:
             t = head - step * k
@@ -232,10 +247,83 @@ def enumerate_terms(params: GZParams) -> list[LatticeTerm]:
             md, rest = divmod(bound_sq - t * t, denominator)
             if rest:
                 raise InternalError(f"m*D is not integral for term (sign={sign}, y={y}, n={n})")
-            block.append(LatticeTerm(n=n, y=y, sign=sign, t=t, md=md))
-        block.sort(key=lambda term: (term.y, term.n))
+            block.append(LatticeTerm(n, y, sign, t, md))
+        block.sort(key=itemgetter(1, 0))  # by (y, n)
         terms += block
     return terms
+
+
+def sieve_primes(params: GZParams) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The primes the lattice sieve divides by, increasing, as (l, inverse,
+    roots): every prime up to the square root of the largest md that can
+    divide some md.
+
+    Every md is at most dD/4p.  l = 2 and l = p come with roots () and are
+    tried at every index.  Any other l that divides md divides 4g^2 p md =
+    g^2 dD - t^2, and l does not divide 4g^2 p, so t is a root of g^2 dD
+    mod l: roots lists those roots, (0,) when l | dD, and a prime where
+    g^2 dD is not a square is left out.  inverse is 1/2gp mod l, so the
+    term at lattice index k has l | md exactly when k = (head - r) * inverse
+    mod l for a root r.
+    """
+    p, g, dD = params.p, params.g, params.d * params.D
+    step, square = 2 * g * p, g * g * dD
+    primes = []
+    for l in primes_up_to(isqrt(dD // (4 * p))):
+        if l == 2 or l == p:
+            primes.append((l, 0, ()))
+            continue
+        root = sqrt_mod(square, l)
+        if root is not None:
+            primes.append((l, pow(step, -1, l), (root, l - root) if root else (0,)))
+    return primes
+
+
+def factor_terms(params: GZParams, terms: list[LatticeTerm]):
+    """Yield the factorization of each term's md, in order, for the terms
+    that enumerate_terms(params) returns.
+
+    One sieve serves both sign blocks: the -1 block is the mirror image of
+    the +1 block, its term at lattice index k having t = -(head - 2gp(-k))
+    and so the md of the +1 term at -k.  The +1 block is sieved over
+    sieve_primes(params): each prime's classes of lattice indices are
+    walked, and l is divided out fully wherever it divides; an index of a
+    class that l does not divide is an InternalError.  What is left of md
+    is 1 or prime, as md < (B+1)^2 for the sieve's bound B and no prime up
+    to B divides it, so each factorization is proven.  Only that one
+    block's factorizations are held.
+    """
+    primes = sieve_primes(params)
+    head, ks = _sign_block(params, 1)
+    step, k0, count = 2 * params.g * params.p, ks.start, len(ks)
+    if len(terms) != 2 * count:
+        raise InternalError(f"{len(terms)} terms given, not the {2 * count} of the lattice")
+    rest = [0] * count  # what is left of each md, by lattice index - k0 of the +1 block
+    for term in terms:  # each index is filled twice, once from each block
+        rest[(head - term.sign * term.t) // step - k0] = term.md
+    found = [()] * count  # the (prime, exponent) pairs divided out so far
+    for l, inverse, roots in primes:
+        once = ((l, 1),)
+        # 2 and p are tried at every index, any other l only on its classes
+        walks = [range(((head - r) * inverse - k0) % l, count, l) for r in roots] or [range(count)]
+        for walk in walks:
+            for i in walk:
+                value, remainder = divmod(rest[i], l)
+                if remainder:
+                    if roots:
+                        raise InternalError(f"{l} does not divide m*D = {rest[i]} at its "
+                                            "sieve class")
+                    continue
+                e = 1
+                while not value % l:
+                    value //= l
+                    e += 1
+                rest[i] = value
+                found[i] += once if e == 1 else ((l, e),)
+    for term in terms:
+        i = (head - term.sign * term.t) // step - k0
+        factors, cofactor = found[i], rest[i]
+        yield Factorization(term.md, factors + ((cofactor, 1),) if cofactor > 1 else factors)
 
 
 @dataclass(frozen=True)
@@ -257,22 +345,14 @@ class TermContribution:
         return not (self.of_mD or self.of_m)
 
 
-def admitted_primes(params: GZParams) -> list[int]:
-    """The primes that can divide a term's md, up to the square root of the
-    largest md: 2, p, the primes of dD and those l with (dD | l) = 1.
-
-    A prime l not dividing 2p that divides md divides 4g^2 p md = g^2 dD - t^2,
-    and l does not divide g | 2p, so dD is a square mod l.  Every md is at
-    most dD/4p.
-    """
-    p, dD = params.p, params.d * params.D
-    return [q for q in primes_up_to(isqrt(dD // (4 * p)))
-            if q == 2 or q == p or kronecker(dD, q) != -1]
+#: The contribution of every term that contributes nothing, shared.
+NO_CONTRIBUTION = TermContribution()
 
 
-def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) -> TermContribution:
-    """Weighted prime-log coefficients of one lattice term, from one
-    factorization of m*D over primes, the admitted_primes of params.
+def term_contribution(term: LatticeTerm, params: GZParams,
+                      md_factors: Factorization) -> TermContribution:
+    """Weighted prime-log coefficients of one lattice term, from md_factors,
+    the factorization of its m*D (factor_terms).
 
     Zero unless the obstruction set of m is a single prime q.  The weight
     2^(o(m)+1) includes a factor 2 because both orientations of the CM plane
@@ -290,7 +370,6 @@ def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) ->
     symbol diff_set would compute at q, since ord_q(md*p) = 0 and ord_q(D)
     = 1 for fundamental -D.
     """
-    md_factors = factor_over(term.md, primes)
     chi, p = params.chi, params.p
     symbols, ramified = chi.ramified, []
     for q, _ in md_factors.factors:
@@ -300,7 +379,7 @@ def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) ->
         ramified.append(p)
     obstructed = diff_set(md_factors, p, chi, ramified)
     if len(obstructed) != 1:
-        return TermContribution()
+        return NO_CONTRIBUTION
     q = obstructed[0]
     inert = chi[q] == -1
     if not inert and chi[q]:
@@ -328,18 +407,26 @@ def term_contribution(term: LatticeTerm, params: GZParams, primes: list[int]) ->
     return TermContribution(q, scale * order, scale * (order - D_orders[q]))
 
 
+def _contributions(params: GZParams, terms: list[LatticeTerm]):
+    """term_contribution of each of terms, in order, as they are scored."""
+    return map(term_contribution, terms, repeat(params), factor_terms(params, terms))
+
+
 def score_terms(params: GZParams) -> tuple[list[LatticeTerm], list[TermContribution]]:
     """Every lattice term and its contribution, in enumerate_terms order.
 
-    The admitted primes are listed once, after enumerate_terms has bounded
-    the lattice, and serve every term.
+    factor_terms sieves the terms once enumerate_terms has bounded the
+    lattice, and hands each term its factorization as it is scored.
     """
     terms = enumerate_terms(params)
-    primes = admitted_primes(params)
-    return terms, [term_contribution(term, params, primes) for term in terms]
+    return terms, list(_contributions(params, terms))
 
 
 def gz_log_norm(params: GZParams,
                 ramified_exponent: str = DEFAULT_RAMIFIED_EXPONENT) -> PrimeLogSum:
-    """Exact log of the 8th-power norm as a prime-log sum."""
-    return PrimeLogSum.total(score_terms(params)[1], ramified_exponent)
+    """Exact log of the 8th-power norm as a prime-log sum.
+
+    The terms are scored as score_terms scores them, but each contribution
+    is added as it comes and none is kept.
+    """
+    return PrimeLogSum.total(_contributions(params, enumerate_terms(params)), ramified_exponent)

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from cmforge.arith import (
     _TRIAL_LIMIT,
-    Factorization,
     INFINITE_PLACE,
-    factor_over,
     factorize,
     hilbert_symbol,
     is_fundamental_discriminant,
@@ -112,6 +110,23 @@ def test_sqrt_mod_against_squares():
             assert root is None or root * root % p == a
 
 
+def test_sqrt_mod_at_3_mod_4_is_one_power(monkeypatch):
+    # at p = 3 mod 4 the root is a^((p+1)/4), the one Tonelli-Shanks takes
+    # there, and squaring it tells a square from a non-square: no Kronecker
+    # symbol and no search for a non-residue
+    import cmforge.arith as arith
+
+    def refused(a, n):
+        raise AssertionError(f"kronecker({a}, {n}) called")
+
+    monkeypatch.setattr(arith, "kronecker", refused)
+    for p in [q for q in SMALL_PRIMES[1:200] if q % 4 == 3] + [10 ** 12 + 39, 2 ** 61 - 1]:
+        for a in range(1, min(p, 300)):
+            square = pow(a, (p - 1) // 2, p) == 1
+            assert sqrt_mod(a, p) == (pow(a, (p + 1) // 4, p) if square else None), (a, p)
+        assert sqrt_mod(p, p) == 0
+
+
 def test_factorize_frozen():
     assert factorize(1).factors == ()
     assert factorize(188).factors == ((2, 2), (47, 1))
@@ -201,27 +216,6 @@ def test_primes_up_to_matches_sieve():
     assert all(primes_up_to(n) == [q for q in SMALL_PRIMES if q <= n] for n in range(200))
 
 
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(1, 20000 ** 2), seed=st.integers(0, 2 ** 32))
-def test_factor_over_equals_factorize_given_the_primes_that_can_divide(n, seed):
-    # the primes up to isqrt(n), less some that do not divide n, are enough:
-    # what is left once they pass its root or run out is prime
-    rng = random.Random(seed)
-    primes = [q for q in SMALL_PRIMES
-              if q * q <= n and (n % q == 0 or rng.random() < 0.5)]
-    assert factor_over(n, primes) == factorize(n)
-
-
-def test_factor_over_rejects_bad_input_and_tests_nothing(monkeypatch):
-    tested = counting_is_prime(monkeypatch)
-    for bad in (0, -6):
-        with pytest.raises(ParameterError, match="^cannot factor non-positive integer"):
-            factor_over(bad, [2, 3])
-    with pytest.raises(ParameterError, match="^factorize expects an integer"):
-        factor_over(Fraction(6), [2, 3])
-    assert factor_over(1, []) == Factorization(1, ())
-    assert factor_over(2 ** 5 * 7 ** 2 * 101, [2, 7]) == factorize(2 ** 5 * 7 ** 2 * 101)
-    assert tested == []
 
 
 def test_require_prime_tests_p_once(monkeypatch):

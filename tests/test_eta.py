@@ -39,3 +39,21 @@ def test_pentagonal_sum_refuses_where_q_may_reach_one():
     with pytest.raises(PrecisionError,
                        match=r"^the eta series cannot be bounded where \|q\| may reach 1$"):
         eta_with_bound(ctx.mpc(0, "1e-6"), ctx)
+
+
+def test_pentagonal_sum_refuses_before_any_product(monkeypatch):
+    # the refusal reads q alone, so it comes before the sum: at 10 000
+    # digits, where the sum would take about 25 000 pairs, it is raised
+    # at once, and the addition sequence is never walked
+    import time
+
+    ctx = working_context(10000)
+    walked = []
+    steps = eta.pentagonal_steps
+    monkeypatch.setattr(eta, "pentagonal_steps", lambda pairs: walked.append(pairs) or steps(pairs))
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError,
+                       match=r"^the eta series cannot be bounded where \|q\| may reach 1$"):
+        eta_with_bound(ctx.mpc(0, "1e-6"), ctx)
+    assert time.perf_counter() - start < 2
+    assert walked == []

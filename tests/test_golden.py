@@ -21,6 +21,9 @@ SWEEP_DIGEST = "90f757eb0269db3bed8fc6c3e8f2065506d50207f8f79f12c7fab5007586c755
 NUMERIC_DIGEST = "c44e3756edd327c6b4698fd5995f61a7b35dcb8180fffd9289f5f1237108c03b"
 NUMERIC_STABLE_DIGEST = "338a6228729f0970a884a18f46705b2a2a873ec0532f99d075a261efd0fd69b5"
 GZNORM_LARGE_DIGEST = "7f08d4fe974866dd0a3333292b8a73f444721cff3b3705a43cf3590ee251094d"
+#: sha256 of the stdout of gznorm --p 2 --d 7 --D 1000000007 (595 947 bytes),
+#: recorded while each m*D was still factored by trial division
+GZNORM_BILLION_DIGEST = "443a6326040ad601d181c892fac641cfa9c235fdeb36e63b2e7db43948926cf3"
 CLASSPOLY_REFUSAL_DIGEST = "6ff1162a28971a53241be656e5c1d70ade7b2bbfeba385747023111deb0bd1f3"
 GZNORM_REFUSAL_DIGEST = "dc74502dcdd03d8e56f87ddfe5dee043217a3c3f4d88522f3c5c25531ee8d9e3"
 REFUSAL_BOUND_DIGEST = "5792db38537e926303b90bdc909ab7ec68680b4c04bb6870fef7ee13d87a58bf"
@@ -320,3 +323,11 @@ def test_gznorm_at_bench_sizes_is_byte_identical():
               "--p", str(p), "--d", str(d), "--D", str(D)]
              for p, d, D in BENCH_SIZE_TRIPLES for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M)]
     assert calls_digest(calls) == GZNORM_LARGE_DIGEST
+
+
+def test_gznorm_near_a_billion_is_byte_identical(capsys):
+    # 83 666 lattice terms, every m*D factored by the sieve, and a norm of
+    # 1 578 501 bits printed in full
+    assert main(["gznorm", "--p", "2", "--d", "7", "--D", "1000000007"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GZNORM_BILLION_DIGEST

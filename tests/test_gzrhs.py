@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmforge.arith import (
-    factor_over,
     factorize,
     hilbert_symbol,
     is_fundamental_discriminant,
@@ -26,10 +25,12 @@ from cmforge.gzrhs import (
     GZParams,
     PrimeLogSum,
     TermContribution,
-    admitted_primes,
     enumerate_terms,
+    factor_terms,
     gz_log_norm,
     gz_params,
+    score_terms,
+    sieve_primes,
     term_contribution,
 )
 from cmforge.hauptmodul import GENUS_ZERO_FRICKE_PRIMES, Hauptmodul, working_context
@@ -137,9 +138,9 @@ def test_adjudicated_exponents_2_7_15():
 def test_ramified_variant_only_changes_ramified_terms():
     params = gz_params(p=47, d=39, D=163)  # all contributions inert here
     assert gz_log_norm(params, RAMIFIED_OF_M) == gz_log_norm(params, RAMIFIED_OF_MD)
+    term = enumerate_terms(params)[0]
     with pytest.raises(ParameterError):
-        PrimeLogSum.total([term_contribution(enumerate_terms(params)[0], params,
-                                             admitted_primes(params))], "bogus")
+        PrimeLogSum.total([term_contribution(term, params, factorize(term.md))], "bogus")
     with pytest.raises(ParameterError):
         gz_log_norm(params, "bogus")
 
@@ -210,11 +211,9 @@ def test_term_contribution_vanishing():
     from cmforge.cmvalue import QuadraticCharacter, diff_set
 
     params = gz_params(p=13, d=43, D=51)
-    primes = admitted_primes(params)
     vanished = 0
-    for term in enumerate_terms(params):
+    for term, contribution in zip(*score_terms(params)):
         obstructed = diff_set(factorize(term.md), 13, QuadraticCharacter(factorize(51)))
-        contribution = term_contribution(term, params, primes)
         if len(obstructed) != 1:
             assert len(obstructed) == 3  # odd by the product formula
             assert contribution.is_zero()
@@ -224,30 +223,34 @@ def test_term_contribution_vanishing():
 
 
 def test_gz_log_norm_factors_ideal_norm_once(monkeypatch):
-    # every lattice term is scored from one factorization of its m*D, by
-    # factor_over; the ideal norm p comes factored with the params and is
-    # never factored again, and factorize does not run while scoring
-    from collections import Counter
+    # every lattice term is scored from the sieve's factorization of its
+    # m*D, handed to it in order; the ideal norm p comes factored with the
+    # params and is never factored again, and factorize does not run while
+    # scoring
+    import sys
 
-    from cmforge import arith, cmvalue, gzrhs
+    from cmforge import arith, gzrhs
 
     params = gz_params(p=2, d=7, D=12228)
     terms = enumerate_terms(params)
-    calls = []
+    factored, scored = [], []
+    factorize_, contribution = arith.factorize, gzrhs.term_contribution
 
-    def counting(name, original):
-        def wrapper(n, *args):
-            calls.append((name, n))
-            return original(n, *args)
-        return wrapper
+    def counting(n):
+        factored.append(n)
+        return factorize_(n)
 
-    for module in (gzrhs, cmvalue):
-        for name in ("factorize", "factor_over"):
-            monkeypatch.setattr(module, name, counting(name, getattr(arith, name)),
-                                raising=False)
+    def scoring(term, params, md_factors):
+        scored.append((term, md_factors.value))
+        return contribution(term, params, md_factors)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmforge") and getattr(module, "factorize", None) is factorize_:
+            monkeypatch.setattr(module, "factorize", counting)
+    monkeypatch.setattr(gzrhs, "term_contribution", scoring)
     gz_log_norm(params)
-    assert params.p not in [n for _, n in calls]
-    assert Counter(calls) == Counter(("factor_over", term.md) for term in terms)
+    assert factored == []
+    assert scored == [(term, term.md) for term in terms]
 
 
 def test_gz_log_norm_computes_chi_once_per_prime(monkeypatch):
@@ -346,13 +349,12 @@ def lattice_params(draw):
 def test_the_lattice_congruence_admits_primes_and_settles_ramified_symbols(params):
     # 4g^2 p md = g^2 dD - t^2 with g | 2p.  (a) A prime l not dividing 2p
     # with (dD | l) = -1 divides no md, since l | md forces t^2 = g^2 dD mod l,
-    # so factor_over on the admitted primes is factorize on every md.  (b) At
+    # so the sieve leaves it out (sieve_primes).  (b) At
     # an odd q | D dividing neither md nor p, -md p = (t/2g)^2 is a nonzero
     # square mod q, so the local symbol there is +1: the scorer,
     # term_contribution, has diff_set skip its Kronecker symbol at such q
     # (ROADMAP item 11).
     p, d, D = params.p, params.d, params.D
-    primes = admitted_primes(params)
     odd_D = [q for q, _ in factorize(D).factors if q != 2]
     for term in enumerate_terms(params):
         md_factors = factorize(term.md)
@@ -360,7 +362,6 @@ def test_the_lattice_congruence_admits_primes_and_settles_ramified_symbols(param
         for q in odd_D:
             if term.md * p % q:
                 assert hilbert_symbol(-term.md * p * D, -D, q) == 1, (params, term, q)
-        assert factor_over(term.md, primes) == md_factors
 
 
 def test_scoring_reads_ramified_symbols_only_where_q_divides_md_p(monkeypatch):
@@ -398,7 +399,7 @@ def test_scoring_reads_ramified_symbols_only_where_q_divides_md_p(monkeypatch):
     monkeypatch.setattr(gzrhs, "term_contribution", tracked)
     terms, contributions = gzrhs.score_terms(params)
     assert PrimeLogSum.total(contributions, RAMIFIED_OF_MD) == expected
-    read = [(term, q) for term, q in calls if term and q in ramified]  # admitted_primes' first
+    read = [(term, q) for term, q in calls if term and q in ramified]  # sieve_primes' first
     assert Counter(read) == Counter((term, q) for term in terms for q in ramified
                                     if term.md * p % q == 0)
     assert {q for _, q in read} == {3, 5}  # 3253 divides no md
@@ -417,42 +418,100 @@ def test_the_two_sign_blocks_list_the_same_md():
         assert blocks[1] == blocks[-1], params
 
 
-def test_admitted_primes_are_2_p_and_the_primes_where_dD_is_a_square():
+def test_sieve_primes_are_2_p_and_the_primes_where_dD_is_a_square():
+    # up to the square root of the largest md: 2 and p, tried at every
+    # index, and each other l where g^2 dD is a square, with its roots
     for params in grid_params() + [gz_params(p=p, d=d, D=D) for p, d, D in LARGE_TRIPLES]:
-        p, dD = params.p, params.d * params.D
+        p, g, dD = params.p, params.g, params.d * params.D
         limit = isqrt(dD // (4 * p))
         assert all(isqrt(term.md) <= limit for term in enumerate_terms(params))
-        assert admitted_primes(params) == [
+        primes = sieve_primes(params)
+        assert [l for l, _, _ in primes] == [
             q for q in range(2, limit + 1)
             if is_prime(q) and (q in (2, p) or dD % q == 0 or pow(dD, (q - 1) // 2, q) == 1)]
+        for l, inverse, roots in primes:
+            if l in (2, p):
+                assert roots == ()
+                continue
+            assert inverse * 2 * g * p % l == 1
+            assert sorted(roots) == [r for r in range(l) if (r * r - g * g * dD) % l == 0]
 
 
-def test_no_term_is_trial_divided_by_an_excluded_prime(monkeypatch):
-    # one list of admitted primes per evaluation; factor_over divides each
-    # m*D only by primes in it, never by an l not dividing 2p with (dD | l) = -1
+def test_no_term_is_sieved_by_an_excluded_prime(monkeypatch):
+    # one list of sieve primes per evaluation, made before any term is
+    # scored; it holds no l not dividing 2p with (dD | l) = -1, so no m*D
+    # is divided by such an l
     from cmforge import gzrhs
 
     for p, d, D in ((2, 7, 12228), (3, 11, 24756), (5, 11, 9060), (47, 39, 400003)):
         params = gz_params(p, d, D)
-        tried, lists = set(), []
-
-        class Tried(list):
-            def __iter__(self):
-                for q in super().__iter__():
-                    tried.add(q)
-                    yield q
+        lists, scored = [], []
 
         def recording(params):
-            lists.append(Tried(admitted_primes(params)))
-            return lists[-1]
+            lists.append((len(scored), sieve_primes(params)))
+            return lists[-1][1]
 
-        monkeypatch.setattr(gzrhs, "admitted_primes", recording)
+        def scoring(term, *args):
+            scored.append(term)
+            return term_contribution(term, *args)
+
+        monkeypatch.setattr(gzrhs, "sieve_primes", recording)
+        monkeypatch.setattr(gzrhs, "term_contribution", scoring)
         gz_log_norm(params)
         monkeypatch.undo()
         dD = d * D
         excluded = {q for q in primes_up_to(isqrt(dD)) if (2 * p) % q and kronecker(dD, q) == -1}
-        assert len(lists) == 1 and tried, params
-        assert not tried & excluded, params
+        [(before, primes)] = lists
+        assert before == 0 and primes, params
+        assert not {l for l, _, _ in primes} & excluded, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=lattice_params())
+def test_the_sieve_factors_every_term_as_factorize_does(params):
+    # one sieve of the +1 block serves both blocks: each md's factorization
+    # is factorize's, term by term in enumerate_terms order
+    terms = enumerate_terms(params)
+    assert list(factor_terms(params, terms)) == [factorize(term.md) for term in terms]
+
+
+def sieve_grid():
+    """At each genus-zero p, the largest admissible D below 3000 prime to
+    p, divisible by p and divisible by 4p (mu = 0, g = 2p), each with the
+    largest admissible d besides it."""
+    out = []
+    for p, admissible in sorted(ADMISSIBLE_BELOW_3000.items()):
+        for kind in (lambda D: D % p, lambda D: D % p == 0, lambda D: D % (4 * p) == 0):
+            D = next((D for D in reversed(admissible) if kind(D)), None)
+            if D is not None:
+                out.append(gz_params(p, next(d for d in reversed(admissible) if d != D), D))
+    return out
+
+
+def test_the_sieve_meets_each_kind_of_prime_on_a_fixed_grid():
+    # the grid reaches every way a prime enters a factorization: 2 and p at
+    # every index, a sieved l dividing dD (one class) and one not dividing
+    # it (two classes), each to the first power and with l^2 | m*D, and a
+    # prime cofactor above the sieve's bound
+    reached = set()
+    grid = sieve_grid()
+    assert {params.p for params in grid} == set(ADMISSIBLE_BELOW_3000)
+    assert any(params.g == 2 * params.p for params in grid)
+    for params in grid:
+        p, dD = params.p, params.d * params.D
+        limit = isqrt(dD // (4 * p))
+        terms = enumerate_terms(params)
+        for term, md_factors in zip(terms, factor_terms(params, terms)):
+            assert md_factors == factorize(term.md), (params, term)
+            for l, e in md_factors.factors:
+                if l > limit:
+                    reached.add("cofactor")
+                elif l in (2, p):
+                    reached.add(l == 2 or "p")
+                else:
+                    reached.add(("divides dD" if dD % l == 0 else "two classes", min(e, 2)))
+    assert reached == {True, "p", "cofactor", ("divides dD", 1), ("divides dD", 2),
+                       ("two classes", 1), ("two classes", 2)}
 
 
 @pytest.mark.parametrize("mu", [None, 2])
@@ -654,10 +713,8 @@ def test_term_contribution_matches_per_symbol_reference():
                              for p, d, D in LARGE_TRIPLES + BRANCH_TRIPLES]
     reached = set()
     for params in cases:
-        primes = admitted_primes(params)
-        for term in enumerate_terms(params):
+        for term, contribution in zip(*score_terms(params)):
             reached.add(scan_branch(term, params))
-            contribution = term_contribution(term, params, primes)
             for variant in (RAMIFIED_OF_MD, RAMIFIED_OF_M):
                 expected = reference_contribution(term, params, variant)
                 assert PrimeLogSum.total([contribution], variant).exponents == expected, \
@@ -669,28 +726,30 @@ def test_term_contribution_matches_per_symbol_reference():
 
 
 def test_term_contribution_keeps_its_checks(monkeypatch):
-    # a bad m*D is refused where it is factored, and obstruction sets the
-    # local symbols never produce (an inert prime not dividing m*D, a split
-    # prime) are refused rather than scored
-    from dataclasses import replace
-
+    # a sieve class that its prime does not divide is refused where the
+    # sieve walks it, and obstruction sets the local symbols never produce
+    # (an inert prime not dividing m*D, a split prime) are refused rather
+    # than scored
     from cmforge import gzrhs
 
     params = gz_params(p=47, d=39, D=163)
     term = enumerate_terms(params)[0]
-    admitted = admitted_primes(params)
-    for bad in (0, -term.md):
-        with pytest.raises(ParameterError):
-            term_contribution(replace(term, md=bad), params, admitted)
+    wrong = [(l, inverse, tuple(r + 1 for r in roots) if roots else roots)
+             for l, inverse, roots in sieve_primes(params)]
+    monkeypatch.setattr(gzrhs, "sieve_primes", lambda params: wrong)
+    with pytest.raises(InternalError, match="^3 does not divide m\\*D = [0-9]+ at its sieve class$"):
+        gz_log_norm(params)
+    monkeypatch.undo()
+    md_factors = factorize(term.md)
     primes = (2, 3, 5, 7, 11, 13, 41, 43, 47)
     inert = next(q for q in primes if kronecker(-163, q) == -1 and term.md % q)
     split = next(q for q in primes if kronecker(-163, q) == 1)
     monkeypatch.setattr(gzrhs, "diff_set", lambda *args: (inert,))
     with pytest.raises(InternalError, match=f"^m\\*D/{inert} is not integral"):
-        term_contribution(term, params, admitted)
+        term_contribution(term, params, md_factors)
     monkeypatch.setattr(gzrhs, "diff_set", lambda *args: (split,))
     with pytest.raises(InternalError, match="split prime"):
-        term_contribution(term, params, admitted)
+        term_contribution(term, params, md_factors)
 
 
 def test_primelogsum_total():

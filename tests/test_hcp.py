@@ -258,10 +258,10 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     # p (the genus-zero check admits only primes) and factors each
     # discriminant once, counting inside every GZParams:
     # each non-diagonal usable member gets one field, which serves both its
-    # norms.  term_contribution factors the m*D of each of its lattice terms
-    # over the admitted primes, exactly the terms of the norms' from-scratch
-    # params; calls inside factorize and class_number themselves are not
-    # counted.
+    # norms.  term_contribution scores each of their lattice terms once,
+    # exactly the terms of the norms' from-scratch params, from the sieve's
+    # factorization of its m*D, so factorize never runs while scoring;
+    # calls inside factorize and class_number themselves are not counted.
     import sys
 
     from cmforge.cmvalue import QuadraticCharacter
@@ -282,7 +282,7 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     modules = [module for name, module in sys.modules.items() if name.startswith("cmforge.")]
     for home, name in (("quadforms", "admissible_residues"), ("quadforms", "square_roots_mod_4p"),
                        ("quadforms", "class_number"), ("quadforms", "count_classes"),
-                       ("arith", "factorize"), ("arith", "factor_over"), ("arith", "is_prime"),
+                       ("arith", "factorize"), ("arith", "is_prime"),
                        ("gzrhs", "term_contribution")):
         original = getattr(sys.modules[f"cmforge.{home}"], name, None)
         if original is None:
@@ -309,7 +309,7 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     residues = outside("square_roots_mod_4p", set())
     assert sorted(residues) == sorted(set(CLASS_NUMBER_ONE_DISCRIMINANTS) | {-d})
     assert outside("is_prime", set()) == []
-    exempt = {"factorize", "term_contribution"}
+    exempt = {"factorize"}
     # d, then one field per non-diagonal usable member, then, above degree
     # 1, the constant term, whose divisors are the candidate rational roots
     # of the polynomial
@@ -317,15 +317,14 @@ def test_class_polynomial_derives_each_fact_once(monkeypatch, p, d):
     assert [factors.value for factors in outside("QuadraticCharacter", set())] == members
     constant = [abs(report.polynomial.coefficients[0])] if report.polynomial.degree > 1 else []
     assert outside("factorize", exempt) == [d, *members, *constant]
-    # the norms' lattice terms, each factored once, as from scratch
+    # the norms' lattice terms, each scored once, as from scratch
     base = -report.base_disc
     expected = []
     for D in members:
         norms = [] if D == base else [gz_params(p, base, D)]
         for params in norms + [gz_params(p, d, D, beta=report.beta)]:
             expected += [term.md for term in enumerate_terms(params)]
-    assert [arg for called, arg, open_ in calls
-            if called == "factor_over" and open_[-1:] == ["term_contribution"]] == expected
+    assert [arg.md for called, arg, _ in calls if called == "term_contribution"] == expected
     assert len(outside("GZParams", set())) == 2 * len(members) - 1
 
 

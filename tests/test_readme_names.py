@@ -1,6 +1,6 @@
 """Every function README.md names still exists.
 
-A backticked call form such as `factor_over(` and every backticked
+A backticked call form such as `factor_terms(` and every backticked
 `cmforge.x.y` must name an attribute of a cmforge module or class, so the
 README cannot go on describing a function that has been removed or renamed.
 """
@@ -64,7 +64,7 @@ def resolves(name, modules, classes):
 
 def test_every_function_the_readme_names_exists():
     names = readme_names()
-    assert {"factor_over", "diff_set", "cmforge.factorize"} <= names
+    assert {"factor_terms", "diff_set", "cmforge.factorize"} <= names
     assert set(NOT_CMFORGE) <= names  # an entry no longer needed is removed
     modules, classes = cmforge_roots()
     missing = sorted(name for name in names - set(NOT_CMFORGE)

@@ -521,14 +521,13 @@ def functions_calling(name):
 def test_only_the_proving_builders_skip_the_factorization_checks():
     # Factorization is a record that checks nothing, so only the functions
     # that prove its primes build one: factorize proves each prime as it
-    # finds it, and factor_over proves its primes from its caller's promise
-    # that the list it divides by holds every prime that can divide n; the
-    # one caller, term_contribution, keeps it by the congruence of the
-    # lattice (admitted_primes).  A prime p is an int, proven by
-    # require_prime or the genus-zero check.
+    # finds it, and the lattice sieve proves its primes by the congruence
+    # of the lattice, which lets no prime it leaves out divide an m*D
+    # (sieve_primes); it runs for score_terms and gz_log_norm alone.  A
+    # prime p is an int, proven by require_prime or the genus-zero check.
     assert functions_calling("Factorization") == {"arith.py:factorize",
-                                                  "arith.py:factor_over"}
-    assert functions_calling("factor_over") == {"gzrhs.py:term_contribution"}
+                                                  "gzrhs.py:factor_terms"}
+    assert functions_calling("factor_terms") == {"gzrhs.py:_contributions"}
 
 
 def test_params_are_built_by_their_parser_and_the_pipeline():
