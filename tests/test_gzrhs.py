@@ -725,21 +725,42 @@ def test_term_contribution_matches_per_symbol_reference():
     assert reached == SCAN_BRANCHES
 
 
-def test_term_contribution_keeps_its_checks(monkeypatch):
-    # a sieve class that its prime does not divide is refused where the
-    # sieve walks it, and obstruction sets the local symbols never produce
-    # (an inert prime not dividing m*D, a split prime) are refused rather
-    # than scored
-    from cmforge import gzrhs
+def test_the_sieve_refuses_bad_input_and_tests_nothing(monkeypatch):
+    # a term list that is not the lattice's, or a sieve class that its prime
+    # does not divide, is refused; each factorization the sieve yields is
+    # proven without a primality test
+    from cmforge import arith, gzrhs
 
     params = gz_params(p=47, d=39, D=163)
-    term = enumerate_terms(params)[0]
+    terms = enumerate_terms(params)
+    expected = [factorize(term.md) for term in terms]
+    with pytest.raises(InternalError, match=f"^{len(terms) - 1} terms given, not the "
+                                            f"{len(terms)} of the lattice$"):
+        list(factor_terms(params, terms[1:]))
+    tested, original = [], arith.is_prime
+
+    def counting(n):
+        tested.append(n)
+        return original(n)
+
+    for module in (arith, gzrhs):
+        monkeypatch.setattr(module, "is_prime", counting, raising=False)
+    assert list(factor_terms(params, terms)) == expected
+    assert tested == []
     wrong = [(l, inverse, tuple(r + 1 for r in roots) if roots else roots)
              for l, inverse, roots in sieve_primes(params)]
     monkeypatch.setattr(gzrhs, "sieve_primes", lambda params: wrong)
     with pytest.raises(InternalError, match="^3 does not divide m\\*D = [0-9]+ at its sieve class$"):
-        gz_log_norm(params)
-    monkeypatch.undo()
+        list(factor_terms(params, terms))
+
+
+def test_term_contribution_keeps_its_checks(monkeypatch):
+    # obstruction sets the local symbols never produce (an inert prime not
+    # dividing m*D, a split prime) are refused rather than scored
+    from cmforge import gzrhs
+
+    params = gz_params(p=47, d=39, D=163)
+    term = enumerate_terms(params)[0]
     md_factors = factorize(term.md)
     primes = (2, 3, 5, 7, 11, 13, 41, 43, 47)
     inert = next(q for q in primes if kronecker(-163, q) == -1 and term.md % q)
