@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import product
 
 import mpmath
 
@@ -235,15 +234,70 @@ def _monic_fit(xs, ys, h):
             newton[i], rem = divmod(newton[i] - newton[i - 1], xs[i] - xs[i - k])
             if rem:
                 return None
-    # f = newton[0] + (X - x_0)(newton[1] + ... (X - x_{h-1}) * 1), expanded
+    return _expand_newton(newton, xs)
+
+
+def _expand_newton(newton, xs):
+    """The monic polynomial newton[0] + (X - x_0)(newton[1] + ... (X - x_{h-1}) * 1),
+    h = len(newton), as coefficients low degree first."""
     coeffs = [1]
-    for k in range(h - 1, -1, -1):
+    for k in range(len(newton) - 1, -1, -1):
         shifted = [0] + coeffs  # coeffs * X
         for i, c in enumerate(coeffs):
             shifted[i] -= xs[k] * c
         shifted[0] += newton[k]
         coeffs = shifted
     return tuple(coeffs)
+
+
+def _newton_row(last_row, xs, y):
+    """The row the point (xs[-1], y) adds to the integer Newton table of the
+    points xs[:-1], whose last row is last_row: the divided differences
+    f[x_i], f[x_{i-1}, x_i], ..., f[x_0, ..., x_i] for i = len(xs) - 1; None
+    at the first inexact division, which every monic fit through these
+    points and any later ones makes too (_monic_fit)."""
+    x = xs[-1]
+    row = [y]
+    for prev, node in zip(last_row, reversed(xs[:-1])):
+        quotient, rem = divmod(row[-1] - prev, x - node)
+        if rem:
+            return None
+        row.append(quotient)
+    return row
+
+
+def _walk_signs(pairs, h, x_signs, xs, ys, table, accepted, coeffs):
+    """One step of resolve_signs' depth-first walk, at pair i = len(xs): the
+    signed points so far are zip(xs, ys), table holds their Newton rows
+    while i <= h, and coeffs is the monic fit once i > h.  Every full
+    assignment goes to accepted with its fit.  A module function rather
+    than a closure, which would refer to itself and leave each search's
+    lists to the cyclic garbage collector."""
+    i = len(xs)
+    if i == len(pairs):
+        accepted.append((list(zip(xs, ys)), coeffs))
+        return
+    if i == h:
+        coeffs = _expand_newton([row[-1] for row in table], xs)
+    y_mag = pairs[i].y_mag
+    for x in x_signs[i]:
+        if x in xs:
+            continue
+        xs.append(x)
+        if i < h:
+            for y in (y_mag, -y_mag):
+                row = _newton_row(table[-1] if table else (), xs, y)
+                if row is not None:
+                    table.append(row)
+                    ys.append(y)
+                    _walk_signs(pairs, h, x_signs, xs, ys, table, accepted, None)
+                    ys.pop()
+                    table.pop()
+        elif abs(y := _horner(coeffs, x)) == y_mag:
+            ys.append(y)
+            _walk_signs(pairs, h, x_signs, xs, ys, table, accepted, coeffs)
+            ys.pop()
+        xs.pop()
 
 
 def _mirror_coeffs(coeffs):
@@ -258,6 +312,15 @@ def resolve_signs(pairs: list[InterpolationPair], h: int) -> list[tuple[int, int
     polynomial of degree h = h(-d); unique up to the global mirror
     (X, Y) -> (-X, (-1)^h Y), canonicalized to the lexicographically smaller
     coefficient tuple.
+
+    One depth-first walk over the pairs in order.  Each of the first h
+    points branches on its X sign, where it is free, and its Y sign, and
+    adds a row to the integer Newton table; a non-integral entry prunes
+    every assignment below it.  Those h points fix the monic fit P, and
+    each later point branches only on the X signs where |P(X)| is its Y
+    magnitude, with Y = P(X).  An X equal to an earlier one is skipped.
+    Positive signs come first, so the first assignment accepted has the
+    free X positive first.
     """
     if len(pairs) < h + 1:
         raise InfeasibleError(
@@ -266,28 +329,15 @@ def resolve_signs(pairs: list[InterpolationPair], h: int) -> list[tuple[int, int
     zero_idx = [i for i, pr in enumerate(pairs) if pr.x_mag == 0]
     if len(zero_idx) > 1:
         raise SignResolutionError("more than one zero X magnitude")
-    nonzero_idx = [i for i, pr in enumerate(pairs) if pr.x_mag != 0]
-    if not nonzero_idx:
+    if len(zero_idx) == len(pairs):
         raise SignResolutionError("all X magnitudes vanish")
-    free_x = nonzero_idx[1:]  # first nonzero X fixed +1; mirror restores the other half
-    y_mags = [pr.y_mag for pr in pairs]
+    # the first nonzero X is fixed positive, as the mirror restores the
+    # other half, and a zero X has one sign
+    first = next(i for i, pr in enumerate(pairs) if pr.x_mag)
+    x_signs = [(pr.x_mag,) if i == first or not pr.x_mag else (pr.x_mag, -pr.x_mag)
+               for i, pr in enumerate(pairs)]
     accepted = []
-    for x_bits in product((1, -1), repeat=len(free_x)):
-        xs = [pr.x_mag for pr in pairs]
-        for i, s in zip(free_x, x_bits):
-            xs[i] = s * pairs[i].x_mag
-        if len(set(xs)) != len(xs):
-            continue
-        # a fit through the first h points is the only candidate through all
-        # of them; the signs of the remaining Y are read off it
-        for y_bits in product((1, -1), repeat=h):
-            head = [s * m for s, m in zip(y_bits, y_mags)]
-            coeffs = _monic_fit(xs, head, h)
-            if coeffs is None:
-                continue
-            tail = [_horner(coeffs, x) for x in xs[h:]]
-            if all(abs(y) == m for y, m in zip(tail, y_mags[h:])):
-                accepted.append((list(zip(xs, head + tail)), coeffs))
+    _walk_signs(pairs, h, x_signs, [], [], [], accepted, None)
     if not accepted:
         raise SignResolutionError("no sign assignment yields a monic integer polynomial")
     distinct = sorted({coeffs for _, coeffs in accepted})

@@ -229,6 +229,19 @@ def heegner_reps(disc: int, p: int, beta: int) -> list[QuadraticForm]:
 
 
 def _divisors(n: int) -> list[int]:
-    """The positive divisors of n > 0, by trial division up to isqrt(n)."""
-    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
-    return small + [n // k for k in reversed(small) if k * k != n]
+    """The positive divisors of n > 0, in increasing order.  Trial division
+    takes out each prime as it is found and stops at the square root of the
+    cofactor left, which is then 1 or a prime."""
+    divisors = [1]
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            powers = [1]
+            while n % q == 0:
+                n //= q
+                powers.append(powers[-1] * q)
+            divisors = [k * power for k in divisors for power in powers]
+        q += 1 if q == 2 else 2
+    if n > 1:
+        divisors += [k * n for k in divisors]
+    return sorted(divisors)

@@ -1,9 +1,10 @@
 import dataclasses
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import factor_over_z, irreducible_over_z, sweep_cases
@@ -413,6 +414,194 @@ def test_sign_search_finds_the_polynomial_or_its_mirror(case):
         return
     assert [(abs(x), abs(y)) for x, y in points] == [(pr.x_mag, pr.y_mag) for pr in pairs]
     assert any(all(value_at(f, x) == y for x, y in points) for f in (coefficients, mirror))
+
+
+def times_linear(coefficients, root):
+    """coefficients * (X - root), low degree first."""
+    shifted = [0] + list(coefficients)
+    for k, c in enumerate(coefficients):
+        shifted[k] -= root * c
+    return shifted
+
+
+def lagrange_monic_fit(xs, ys):
+    """The monic polynomial of degree len(xs) through the points (distinct
+    X), as integer coefficients low degree first, or None when one is not
+    an integer: prod (X - x_j) plus the Lagrange interpolant of the ys, in
+    rationals."""
+    coefficients = [Fraction(0)] * len(xs) + [Fraction(1)]
+    monic = [1]
+    for x in xs:
+        monic = times_linear(monic, x)
+    for k, c in enumerate(monic[:-1]):
+        coefficients[k] += c
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, scale = [1], 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis, scale = times_linear(basis, xj), scale * (xi - xj)
+        for k, c in enumerate(basis):
+            coefficients[k] += Fraction(yi * c, scale)
+    if any(c.denominator != 1 for c in coefficients):
+        return None
+    return tuple(int(c) for c in coefficients)
+
+
+def product_sign_search(pairs, h):
+    """The sign search over every sign string: each string of the free X
+    signs in itertools.product order, each with every sign string of the
+    first h Y, fitted from scratch.  The oracle of resolve_signs, which must
+    return the same points or raise the same error, message and candidates."""
+    if len(pairs) < h + 1:
+        raise InfeasibleError(f"need {h + 1} interpolation pairs, only {len(pairs)} available")
+    zero_idx = [i for i, pr in enumerate(pairs) if pr.x_mag == 0]
+    if len(zero_idx) > 1:
+        raise SignResolutionError("more than one zero X magnitude")
+    nonzero_idx = [i for i, pr in enumerate(pairs) if pr.x_mag != 0]
+    if not nonzero_idx:
+        raise SignResolutionError("all X magnitudes vanish")
+    free_x = nonzero_idx[1:]  # the first nonzero X is +; the mirror gives the rest
+    y_mags = [pr.y_mag for pr in pairs]
+    accepted = []
+    for x_bits in product((1, -1), repeat=len(free_x)):
+        xs = [pr.x_mag for pr in pairs]
+        for i, s in zip(free_x, x_bits):
+            xs[i] = s * pairs[i].x_mag
+        if len(set(xs)) != len(xs):
+            continue
+        for y_bits in product((1, -1), repeat=h):
+            head = [s * m for s, m in zip(y_bits, y_mags)]
+            coefficients = lagrange_monic_fit(xs[:h], head)
+            if coefficients is None:
+                continue
+            tail = [value_at(coefficients, x) for x in xs[h:]]
+            if all(abs(y) == m for y, m in zip(tail, y_mags[h:])):
+                accepted.append((list(zip(xs, head + tail)), coefficients))
+    if not accepted:
+        raise SignResolutionError("no sign assignment yields a monic integer polynomial")
+    distinct = sorted({coefficients for _, coefficients in accepted})
+    if len(distinct) > 1:
+        raise AmbiguousSignsError(
+            f"{len(distinct)} distinct integer polynomials fit the magnitudes",
+            candidates=distinct,
+        )
+    points, coefficients = accepted[0]
+    mirror = tuple(c if (h - k) % 2 == 0 else -c for k, c in enumerate(coefficients))
+    if mirror < coefficients:
+        points = [(-x, y if h % 2 == 0 else -y) for x, y in points]
+    return points
+
+
+def search_outcome(search, pairs, h):
+    """The points search returns, or its error's type, message and candidates."""
+    try:
+        return "points", search(pairs, h)
+    except SignResolutionError as exc:
+        return type(exc), str(exc), getattr(exc, "candidates", None)
+    except InfeasibleError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def magnitudes_near_a_polynomial(draw):
+    """(h, [(x_mag, y_mag), ...]) for a monic integer f of degree h <= 3:
+    f(-X) = (-1)^h f(X) half the time, so both signs of an X fit, |X| in
+    1..6 with repeats, up to two zero X magnitudes, one pair short of h + 1
+    one time in eight, and each Y magnitude |f(X)| at a drawn sign of X or,
+    one time in six (always where f(X) = 0), a drawn one in 1..8."""
+    h = draw(st.integers(0, 3))
+    symmetric = draw(st.booleans())
+    coefficients = [draw(st.integers(-6, 6)) if not symmetric or (h - k) % 2 == 0 else 0
+                    for k in range(h)] + [1]
+    n = max(draw(st.integers(h + 1, h + 3)) - (draw(st.integers(0, 7)) == 0), 1)
+    zeros = min(draw(st.sampled_from((0, 0, 1, 1, 2))), n)
+    mags = draw(st.permutations(
+        [0] * zeros + draw(st.lists(st.integers(1, 6), min_size=n - zeros, max_size=n - zeros))))
+    pairs = []
+    for x_mag in mags:
+        y_mag = abs(value_at(coefficients, draw(st.sampled_from((x_mag, -x_mag)))))
+        if y_mag == 0 or draw(st.integers(0, 5)) == 0:
+            y_mag = draw(st.integers(1, 8))
+        pairs.append((x_mag, y_mag))
+    return h, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(magnitudes_near_a_polynomial())
+@example((3, [(1, 2), (2, 10), (3, 30), (4, 68)]))  # X^3 + X fits every free X sign
+@example((2, [(0, 1), (2, 5), (2, 5), (1, 2)]))  # a repeated |X| and a zero X
+@example((1, [(1, 2), (2, 1)]))  # X - 3 and X + 1, not mirrors: ambiguous
+@example((2, [(1, 2), (2, 5), (3, 11)]))  # off X^2 + 1 at 3: no fit
+@example((1, [(0, 1), (0, 2), (1, 1)]))  # two zero X
+@example((0, [(0, 1)]))  # every X zero
+@example((2, [(1, 1), (2, 2)]))  # one pair short
+def test_resolve_signs_is_the_product_search(case):
+    # the walk accepts the sign strings the product search does, and of
+    # those with one polynomial returns the same first one
+    h, magnitudes = case
+    pairs = [InterpolationPair(D=k, x_mag=x, y_mag=y) for k, (x, y) in enumerate(magnitudes)]
+    assert search_outcome(resolve_signs, pairs, h) == search_outcome(product_sign_search, pairs, h)
+
+
+def test_the_sweep_searches_walk_the_newton_table_without_refits(monkeypatch):
+    # over the sweep's 179 searches the walk takes 5 580 exact divisions
+    # (18 024 when each sign string was fitted from scratch) and no fit, and
+    # each search ends as the product search does
+    from cmforge import hcp
+
+    divisions, fits, searches, inside = [0], [0], [], [False]
+    resolve, fit = hcp.resolve_signs, hcp._monic_fit
+
+    def counting_divmod(a, b):
+        divisions[0] += inside[0]
+        return divmod(a, b)
+
+    def counting_fit(*args):
+        fits[0] += inside[0]
+        return fit(*args)
+
+    def search(pairs, h):
+        searches.append((pairs, h))
+        inside[0] = True
+        try:
+            return resolve(pairs, h)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(hcp, "divmod", counting_divmod, raising=False)
+    monkeypatch.setattr(hcp, "_monic_fit", counting_fit)
+    monkeypatch.setattr(hcp, "resolve_signs", search)
+    for p, d in sweep_cases():
+        try:
+            class_polynomial(p, d)
+        except (SignResolutionError, InfeasibleError, InternalError):
+            pass
+    monkeypatch.undo()
+    assert (len(searches), divisions[0], fits[0]) == (179, 5580, 0)
+    for pairs, h in searches:
+        assert search_outcome(resolve_signs, pairs, h) == search_outcome(
+            product_sign_search, pairs, h)
+
+
+def test_a_sign_search_leaves_no_cyclic_garbage():
+    # each search frees what it built as it returns; a reference cycle would
+    # leave it to the cyclic collector, whose runs then vary a long process's
+    # time and peak memory
+    import gc
+
+    ambiguous = [InterpolationPair(D=8, x_mag=1, y_mag=2),
+                 InterpolationPair(D=7, x_mag=2, y_mag=1)]
+    gc.collect()
+    gc.disable()
+    try:
+        resolve_signs(build_pairs(39, 33, 47, -11), h=4)
+        try:
+            resolve_signs(ambiguous, h=1)
+        except AmbiguousSignsError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sweep_outcomes_pinned():

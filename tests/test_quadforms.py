@@ -264,3 +264,19 @@ def test_heegner_reps_factors_disc_once(monkeypatch):
     monkeypatch.setattr(arith, "factorize", counting)
     assert len(heegner_reps(-39, 47, 33)) == 4
     assert calls == [39]
+
+
+def test_divisors_match_trial_division_to_the_root():
+    # the divisors heegner_reps lists for each candidate, in increasing
+    # order, against every k up to isqrt(n): all n < 3000, primes, prime
+    # powers and products of two large primes near the class-number ceiling
+    from cmforge import quadforms
+
+    def brute(n):
+        small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+        return small + [n // k for k in reversed(small) if k * k != n]
+
+    large = [9999991, 9999973, 3119 * 3163, 2 * 4999999, 2 ** 23, 3 ** 14, 9999007, 9999012]
+    assert all(is_prime(n) for n in (9999991, 9999973, 3119, 3163, 4999999))
+    for n in [*range(1, 3000), *large]:
+        assert quadforms._divisors(n) == brute(n), n
